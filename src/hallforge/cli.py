@@ -155,6 +155,9 @@ def _load_json(path):
 
 
 def _dispatch(args):
+    for flag in ("max_dim", "window", "bound"):
+        if getattr(args, flag) < 0:
+            raise HallforgeError("--%s must be non-negative" % flag.replace("_", "-"))
     cmd = args.command
     fmt = args.format
     if cmd == "dt-series":

@@ -3,7 +3,8 @@
 Elements of degree d are Weyl-invariant polynomials in the variables
 x_{i,1..d_i}; the product is the Kontsevich-Soibelman shuffle sum with kernel
 prod_{a: i->j} prod (x''_{j,b} - x'_{i,a}) / prod_i prod (x''_{i,b} - x'_{i,a}),
-reduced to a polynomial by one exact division over the common denominator.
+computed as the arrow numerator followed by one divided-difference operator
+per node (no denominator is ever formed).
 Cohomological weight of a homogeneous element is 2*deg + chi(d, d).
 """
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from .errors import GradingError, HallforgeError, SymmetryError
 from .linalg import Echelon
-from .poly import Poly, mul_factor, normalize_factor, qdiv
+from .poly import Poly
 from .series import (
     InvariantTable,
     SignedInvariantTable,
@@ -21,7 +22,7 @@ from .series import (
     invert_pochhammer_factorization,
     sign_pow,
 )
-from .symfun import two_shuffles, weight_basis, weight_basis_size
+from .symfun import weight_basis, weight_basis_size
 
 
 def coha_block_layout(quiver, d):
@@ -143,117 +144,44 @@ class CohaElement:
 # -- shuffle product ----------------------------------------------------------
 
 
-def _coha_kernel(quiver, d1, d2):
-    """Cached per-(d1,d2) shuffle data: (parts, common denominator).
-
-    parts: list of (fmap, gmap, scalar, C_pi) where C_pi is the kernel
-    numerator times the complement of this term's denominator inside the
-    common denominator, fully expanded.
-    """
-    key = ("coha_kernel", d1, d2)
-    cached = quiver._cache.get(key)
-    if cached is not None:
-        return cached
-    idx = quiver.node_index
-    d = tuple(a + b for a, b in zip(d1, d2))
-    offsets, nvars = coha_block_layout(quiver, d)
-    off1, _ = coha_block_layout(quiver, d1)
-    off2, _ = coha_block_layout(quiver, d2)
-
-    per_node = []
-    for n in quiver.nodes:
-        per_node.append((n, two_shuffles(d1[idx[n]], d2[idx[n]])))
-
-    raw_terms = []
-
-    def rec(i, chosen):
-        if i == len(per_node):
-            raw_terms.append(dict(chosen))
-            return
-        n, opts = per_node[i]
-        for opt in opts:
-            chosen[n] = opt
-            rec(i + 1, chosen)
-        chosen.pop(n, None)
-
-    rec(0, {})
-
-    terms = []
-    for assign in raw_terms:
-        fmap = [None] * sum(d1)
-        gmap = [None] * sum(d2)
-        slot1, slot2 = {}, {}
-        for n in quiver.nodes:
-            A, B = assign[n]
-            for a, pos in enumerate(A):
-                fmap[off1[n] + a] = (1, offsets[n] + pos)
-                slot1[(n, a)] = offsets[n] + pos
-            for b, pos in enumerate(B):
-                gmap[off2[n] + b] = (1, offsets[n] + pos)
-                slot2[(n, b)] = offsets[n] + pos
-        scalar = 1
-        num_factors = []
-        denom = {}
-        for aid, t, h in quiver.arrows:
-            for b in range(d2[idx[h]]):
-                for a in range(d1[idx[t]]):
-                    s, f = normalize_factor(1, slot2[(h, b)], -1, slot1[(t, a)])
-                    scalar *= s
-                    num_factors.append(f)
-        for n in quiver.nodes:
-            for b in range(d2[idx[n]]):
-                for a in range(d1[idx[n]]):
-                    s, f = normalize_factor(1, slot2[(n, b)], -1, slot1[(n, a)])
-                    scalar = qdiv(scalar, s)
-                    denom[f] = denom.get(f, 0) + 1
-        terms.append((fmap, gmap, scalar, num_factors, denom))
-
-    from .poly import multiset_union
-
-    common = multiset_union([t[4] for t in terms])
-    parts = []
-    for fmap, gmap, scalar, num_factors, denom in terms:
-        c = Poly.const(nvars, 1)
-        for f in num_factors:
-            c = mul_factor(c, f)
-        for f in sorted(common):
-            for _ in range(common[f] - denom.get(f, 0)):
-                c = mul_factor(c, f)
-        parts.append((fmap, gmap, scalar, c))
-    cached = (parts, common, nvars)
-    quiver._cache[key] = cached
-    return cached
-
-
 def shuffle_mul(f, g):
-    """Kontsevich-Soibelman shuffle product of CoHA elements."""
+    """Kontsevich-Soibelman shuffle product of CoHA elements.
+
+    The shuffle sum at a node is a push-forward along a partial flag, hence
+    one divided-difference operator.  With f on the first d1 slots of each
+    node block, g on the last d2 and the arrow kernel
+    K = prod_{a: t->h} prod (x''_{h,b} - x'_{t,a'}), each node applies the
+    divided differences at block slots j, j+1, ..., j+d2-1 for j = d1-1 down
+    to 0, and a sign (-1)^(d1*d2).
+    This equals the shuffle sum only when f and g are Weyl invariant, which
+    CohaElement(check=True) and from_json_dict enforce.
+    """
     if f.quiver != g.quiver:
         raise HallforgeError("elements over different quivers")
     quiver = f.quiver
-    if f.is_zero() or g.is_zero():
-        d = tuple(a + b for a, b in zip(f.d, g.d))
-        return CohaElement(quiver, d, Poly.zero(sum(d)), check=False)
-    parts, common, nvars = _coha_kernel(quiver, f.d, g.d)
-    total = Poly.zero(nvars)
-    for fmap, gmap, scalar, cpoly in parts:
-        fx = f.poly.map_variables(nvars, fmap)
-        gx = g.poly.map_variables(nvars, gmap)
-        total = total + (fx * gx * cpoly).scale(scalar)
-    from .poly import divexact_factor
-
-    for fac in sorted(common):
-        for _ in range(common[fac]):
-            total = divexact_factor(total, fac)
+    idx = quiver.node_index
     d = tuple(a + b for a, b in zip(f.d, g.d))
-    return CohaElement(quiver, d, total, check=False)
-
-
-def product(factors):
-    """Left-associated shuffle product of a list of elements."""
-    out = None
-    for f in factors:
-        out = f if out is None else shuffle_mul(out, f)
-    return out
+    offsets, nvars = coha_block_layout(quiver, d)
+    if f.is_zero() or g.is_zero():
+        return CohaElement(quiver, d, Poly.zero(nvars), check=False)
+    # x'_{n,a} sits at slot offsets[n] + a and x''_{n,b} at mid[n] + b
+    mid = {n: offsets[n] + f.d[idx[n]] for n in quiver.nodes}
+    fmap = [(1, offsets[n] + a) for n in quiver.nodes for a in range(f.d[idx[n]])]
+    gmap = [(1, mid[n] + b) for n in quiver.nodes for b in range(g.d[idx[n]])]
+    total = f.poly.map_variables(nvars, fmap) * g.poly.map_variables(nvars, gmap)
+    for _, t, h in quiver.arrows:
+        for b in range(g.d[idx[h]]):
+            for a in range(f.d[idx[t]]):
+                total = total.mul_linear(1, mid[h] + b, -1, offsets[t] + a)
+    sign = 1
+    for n in quiver.nodes:
+        d1, d2 = f.d[idx[n]], g.d[idx[n]]
+        for j in range(d1 - 1, -1, -1):
+            for i in range(j, j + d2):
+                total = total.divided_difference(offsets[n] + i)
+        if d1 * d2 % 2:
+            sign = -sign
+    return CohaElement(quiver, d, total.scale(sign), check=False)
 
 
 def s_involution(f):

@@ -37,6 +37,10 @@ class InexactDivisionError(HallforgeError):
     """A division that must be exact left a remainder (correctness assertion)."""
 
 
+class ExponentOverflowError(HallforgeError, OverflowError):
+    """A polynomial exponent would leave the packed-monomial range."""
+
+
 class NonIntegralError(HallforgeError):
     """Pochhammer-factorization inversion produced a non-integer exponent."""
 

@@ -75,10 +75,6 @@ class Echelon:
         self.rank += 1
         return True
 
-    def contains(self, row):
-        res, _ = self.reduce(row)
-        return not res
-
 
 def rank_of_rows(rows):
     ech = Echelon()

@@ -6,17 +6,20 @@ abstract variables (index 0..n-1).  Monomials are packed into single integers
 coefficients are Python ints wherever possible and fractions.Fraction
 otherwise.  No floating point anywhere.
 
-Shuffle sums assemble rational functions whose denominators are products of
-linear binomials x_a +- x_b and monomials x_a; `sum_linear_fractions` puts
-everything over the common denominator once and performs the exact division
-at the end (an inexact division signals a bug, never a fallback).
+Push-forwards along flags are divided-difference operators
+(`Poly.divided_difference`), computed term by term with no division.  The
+CoHM sigma-shuffle sum still assembles rational functions whose denominators
+are products of linear binomials x_a +- x_b and monomials x_a; it multiplies
+by their common denominator (`multiset_union`, `mul_factor`) and divides it
+back out exactly (`divexact_factor`; an inexact division signals a bug, never
+a fallback).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InexactDivisionError
+from .errors import ExponentOverflowError, InexactDivisionError
 
 SHIFT = 10
 MASK = (1 << SHIFT) - 1
@@ -48,7 +51,7 @@ def pack_exponents(exps):
     key = 0
     for i, e in enumerate(exps):
         if e < 0 or e > MAXDEG:
-            raise OverflowError("exponent %d out of packed range" % e)
+            raise ExponentOverflowError("exponent %d out of packed range" % e)
         key |= e << (SHIFT * i)
     return key
 
@@ -97,7 +100,7 @@ class Poly:
     @classmethod
     def variable(cls, n, i, exp=1):
         if exp > MAXDEG:
-            raise OverflowError("exponent %d out of packed range" % exp)
+            raise ExponentOverflowError("exponent %d out of packed range" % exp)
         return cls(n, {exp << (SHIFT * i): 1}, exp)
 
     @classmethod
@@ -123,9 +126,6 @@ class Poly:
             else:
                 del terms[kb]
         return cls(n, terms, 1)
-
-    def copy(self):
-        return Poly(self.n, dict(self.terms), self.bound)
 
     # -- predicates ---------------------------------------------------------
 
@@ -169,7 +169,7 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         if self.bound + other.bound > MAXDEG:
-            raise OverflowError("packed exponent range exceeded in product")
+            raise ExponentOverflowError("packed exponent range exceeded in product")
         if len(self.terms) > len(other.terms):
             big, small = self.terms, other.terms
         else:
@@ -198,7 +198,7 @@ class Poly:
     def mul_linear(self, ca, a, cb=None, b=None):
         """Multiply by ca*x_a (+ cb*x_b) without building the factor."""
         if self.bound + 1 > MAXDEG:
-            raise OverflowError("packed exponent range exceeded in product")
+            raise ExponentOverflowError("packed exponent range exceeded in product")
         out = {}
         ca = _num(ca)
         ka = 1 << (SHIFT * a)
@@ -220,19 +220,6 @@ class Poly:
                 else:
                     del out[kk]
         return Poly(self.n, out, self.bound + 1)
-
-    def pow(self, e):
-        if e < 0:
-            raise ValueError("negative power")
-        out = Poly.const(self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
 
     # -- division -----------------------------------------------------------
 
@@ -283,6 +270,36 @@ class Poly:
                 else:
                     rem.pop(kk, None)
         return Poly(self.n, quo, self.bound)
+
+    def divided_difference(self, i):
+        """(P - s_i P) / (x_i - x_{i+1}), term by term with no division.
+
+        For a > b, x_i^a x_{i+1}^b maps to
+        (x_i x_{i+1})^b * sum_{j<a-b} x_i^(a-b-1-j) x_{i+1}^j; for a < b it
+        maps to minus the same with a and b swapped; for a == b to 0.
+        """
+        shi = SHIFT * i
+        shj = shi + SHIFT
+        step = (1 << shj) - (1 << shi)
+        out = {}
+        for k, c in self.terms.items():
+            a = (k >> shi) & MASK
+            b = (k >> shj) & MASK
+            if a == b:
+                continue
+            kk = k - (a << shi) - (b << shj)
+            if a < b:
+                a, b, c = b, a, -c
+            # from x_i^(a-1) x_{i+1}^b on, trade one x_i for one x_{i+1}
+            kk += ((a - 1) << shi) + (b << shj)
+            for _ in range(a - b):
+                v = out.get(kk, 0) + c
+                if v:
+                    out[kk] = v
+                else:
+                    del out[kk]
+                kk += step
+        return Poly(self.n, out, self.bound)
 
     # -- structure ----------------------------------------------------------
 
@@ -358,13 +375,6 @@ class Poly:
             out[kk] = c
         return Poly(self.n, out, self.bound)
 
-    def flip_variable_sign(self, i):
-        sh = SHIFT * i
-        out = {}
-        for k, c in self.terms.items():
-            out[k] = -c if (k >> sh) & 1 else c
-        return Poly(self.n, out, self.bound)
-
     def even_in(self, i):
         sh = SHIFT * i
         return all((k >> sh) & 1 == 0 for k in self.terms)
@@ -372,7 +382,7 @@ class Poly:
     def double_exponents(self):
         """z -> z^2 on every variable (BCD squared basis)."""
         if 2 * self.bound > MAXDEG:
-            raise OverflowError("packed exponent range exceeded")
+            raise ExponentOverflowError("packed exponent range exceeded")
         return Poly(self.n, {2 * k: c for k, c in self.terms.items()}, 2 * self.bound)
 
     def sorted_terms(self):
@@ -426,14 +436,6 @@ def normalize_factor(ca, a, cb=None, b=None):
     raise ValueError("factor is not +-(x_a +- x_b)")
 
 
-def factor_poly(n, f):
-    if f[0] == "m":
-        return Poly.variable(n, f[1])
-    if f[0] == "p":
-        return Poly.linear(n, 1, f[1], 1, f[2])
-    return Poly.linear(n, 1, f[1], -1, f[2])
-
-
 def mul_factor(p, f):
     if f[0] == "m":
         return p.mul_linear(1, f[1])
@@ -457,26 +459,3 @@ def multiset_union(counters):
             if out.get(f, 0) < m:
                 out[f] = m
     return out
-
-
-def sum_linear_fractions(n, parts):
-    """Sum of scalar * numerator / prod(denominator factors), reduced exactly.
-
-    parts: iterable of (scalar, numerator Poly, denom {factor: mult}).  The
-    common denominator is the factor-multiset union; the final result must be
-    a polynomial (exact division is asserted, not assumed).
-    """
-    parts = list(parts)
-    common = multiset_union([d for _, _, d in parts])
-    total = Poly.zero(n)
-    for scalar, num, denom in parts:
-        t = num.scale(scalar) if scalar != 1 else num
-        for f in sorted(common):
-            extra = common[f] - denom.get(f, 0)
-            for _ in range(extra):
-                t = mul_factor(t, f)
-        total = total + t
-    for f in sorted(common):
-        for _ in range(common[f]):
-            total = divexact_factor(total, f)
-    return total

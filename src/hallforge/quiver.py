@@ -137,24 +137,8 @@ class QuiverWithDuality:
     def q0_plus(self):
         return self.node_partition[2]
 
-    def sigma_node(self, n):
-        return self.sigma_nodes[n]
-
-    def arrow_endpoints(self, a):
-        for aid, t, h in self.arrows:
-            if aid == a:
-                return t, h
-        raise KeyError(a)
-
     def zero(self):
         return (0,) * len(self.nodes)
-
-    def dim_from_mapping(self, m):
-        """Dimension vector from {node id: entry}; missing nodes are zero."""
-        d = [0] * len(self.nodes)
-        for n, v in m.items():
-            d[self.node_index[n]] = int(v)
-        return tuple(d)
 
     def check_dim(self, d):
         if len(d) != len(self.nodes) or any(x < 0 for x in d):

@@ -1,9 +1,9 @@
-"""Symmetric-function bases, shuffle combinatorics, and exact reduction.
+"""Symmetric-function bases and shuffle combinatorics.
 
-Schur polynomials come from the Jacobi-Trudi determinant in complete
-homogeneous polynomials (division-free).  BCD blocks are polynomials in
-squared variables: the basis element for a partition lam is s_lam(z^2),
-invariant under signed permutations of the z's.
+Schur polynomials are divided differences of a single monomial,
+s_lam = partial_w0(x^(lam + delta)), computed without division.  BCD blocks
+are polynomials in squared variables: the basis element for a partition lam
+is s_lam(z^2), invariant under signed permutations of the z's.
 """
 
 from __future__ import annotations
@@ -38,59 +38,10 @@ def partitions(total, max_parts, min_part=1):
     return out
 
 
-def complete_homogeneous(k, n, offset=0, ring_n=None):
-    """h_k in the n variables offset..offset+n-1 of a ring with ring_n vars."""
-    ring_n = n if ring_n is None else ring_n
-    if k < 0:
-        return Poly.zero(ring_n)
-    if k == 0:
-        return Poly.const(ring_n, 1)
-    if n == 0:
-        return Poly.zero(ring_n)
-    # h_k(x_1..x_n) = sum over multisets; build by iterated accumulation
-    # h(:, j) over prefixes to avoid enumerating multisets explicitly.
-    rows = [Poly.const(ring_n, 1)] + [Poly.zero(ring_n)] * k
-    for v in range(n):
-        for deg in range(1, k + 1):
-            rows[deg] = rows[deg] + rows[deg - 1].mul_linear(1, offset + v)
-            # rows[deg] now includes monomials ending at variable v
-        # rows[deg] accumulates h_deg of the first v+1 variables because each
-        # update appends one copy of x_{offset+v} to every lower-degree term.
-    return rows[k]
-
-
-def _det(mat, ring_n):
-    """Determinant of a small matrix of Polys (bitmask DP over columns)."""
-    size = len(mat)
-    if size == 0:
-        return Poly.const(ring_n, 1)
-    memo = {0: Poly.const(ring_n, 1)}
-    # iterate over masks with popcount = row index
-    by_count = {}
-    for mask in range(1 << size):
-        by_count.setdefault(bin(mask).count("1"), []).append(mask)
-    for row in range(size):
-        for mask in by_count[row]:
-            base = memo.get(mask)
-            if base is None or base.is_zero():
-                continue
-            # placing row at column col adds #{used columns > col} inversions
-            sign = 1
-            for col in range(size - 1, -1, -1):
-                bit = 1 << col
-                if mask & bit:
-                    sign = -sign
-                    continue
-                entry = mat[row][col]
-                if not entry.is_zero():
-                    add = (entry * base).scale(sign) if sign < 0 else entry * base
-                    nxt = mask | bit
-                    memo[nxt] = memo.get(nxt, Poly.zero(ring_n)) + add
-    return memo.get((1 << size) - 1, Poly.zero(ring_n))
-
-
 def schur(lam, n, offset=0, ring_n=None, squared=False):
-    """Schur polynomial s_lam in n variables (Jacobi-Trudi).
+    """Schur polynomial s_lam in the n variables offset..offset+n-1 of a ring
+    with ring_n variables: the divided difference partial_w0(x^(lam + delta)),
+    delta = (n-1, ..., 1, 0) (Macdonald, Symmetric Functions, I.3).
 
     With squared=True returns s_lam(z^2): every exponent is doubled, giving
     the hyperoctahedral-invariant basis element of a BCD block.
@@ -99,15 +50,16 @@ def schur(lam, n, offset=0, ring_n=None, squared=False):
     lam = tuple(x for x in lam if x)
     if len(lam) > n:
         raise HallforgeError("partition length %d exceeds %d variables" % (len(lam), n))
-    ell = len(lam)
-    if ell == 0:
+    if not lam:
         return Poly.const(ring_n, 1)
-    hs = {}
-    need = {lam[i] - i + j for i in range(ell) for j in range(ell)}
-    for k in need:
-        hs[k] = complete_homogeneous(k, n, offset, ring_n)
-    mat = [[hs[lam[i] - i + j] for j in range(ell)] for i in range(ell)]
-    out = _det(mat, ring_n)
+    exps = [0] * ring_n
+    for i, part in enumerate(lam + (0,) * (n - len(lam))):
+        exps[offset + i] = part + n - 1 - i
+    out = Poly.from_exponents(ring_n, {tuple(exps): 1})
+    # slots along the reduced word s_1, s_2 s_1, ..., s_{n-1} ... s_1 of w0
+    for k in range(1, n):
+        for i in range(k, 0, -1):
+            out = out.divided_difference(offset + i - 1)
     if squared:
         out = out.double_exponents()
     return out
@@ -311,40 +263,3 @@ def count_sigma_shuffles(quiver, d, e):
         i = idx[nd]
         total *= (1 << d[i]) * comb(d[i] + e[i] // 2, d[i])
     return total
-
-
-def enumerate_shuffles(kind, *args):
-    """Public shuffle enumeration: kind in {"two", "three", "sigma"}."""
-    if kind == "two":
-        return two_shuffles(*args)
-    if kind == "three":
-        return three_shuffles(*args)
-    if kind == "sigma":
-        return list(sigma_shuffles(*args))
-    raise HallforgeError("unknown shuffle kind %r" % (kind,))
-
-
-# -- rational expressions ------------------------------------------------------
-
-
-class RationalExpr:
-    """Numerator polynomial with a multiset of stored linear/monomial factors."""
-
-    def __init__(self, numerator, denom_factors=None):
-        self.numerator = numerator
-        self.denom_factors = dict(denom_factors or {})
-
-    def reduce(self):
-        """Exact quotient; raises InexactDivisionError when division fails."""
-        from .poly import divexact_factor
-
-        out = self.numerator
-        for f in sorted(self.denom_factors):
-            for _ in range(self.denom_factors[f]):
-                out = divexact_factor(out, f)
-        return out
-
-
-def substitute(poly, n_new, mapping):
-    """Signed substitution x_i -> c * y_j (or 0); mapping[i] = (c, j) or None."""
-    return poly.map_variables(n_new, mapping)

@@ -177,3 +177,28 @@ def test_thread_pool_byte_identical(l2_path):
     )
     assert seq.returncode == par.returncode == 0
     assert seq.stdout == par.stdout
+
+
+def test_exponent_overflow_exit2(tmp_path):
+    q = tmp_path / "L1.json"
+    q.write_text(json.dumps({
+        "nodes": ["1"], "arrows": [{"id": "l", "tail": "1", "head": "1"}],
+        "sigma_nodes": {"1": "1"}, "sigma_arrows": {"l": "l"}, "s": {"1": 1}, "tau": {"l": 1},
+    }))
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"d": [1], "poly": [{"exp": {"x:1:1": 1000}, "c": "1"}]}))
+    code, out, err = run_cli(["mul", "--quiver", str(q), "--lhs", str(f), "--rhs", str(f)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["dt-invariants", "--window", "-7"],
+    ["ori-invariants", "--max-dim", "-1"],
+    ["dt-invariants", "--max-dim", "-3"],
+    ["pbw-check", "coha", "--type", "A2", "--bound", "-1"],
+])
+def test_negative_size_exit2(l2_path, args):
+    code, out, err = run_cli(args + ["--quiver", l2_path])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

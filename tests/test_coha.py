@@ -191,3 +191,69 @@ def test_twisted_weight_law_for_products():
             continue
         tw = A2.euler_form(g.d, f.d) - A2.euler_form(f.d, g.d)
         assert out.weight() == f.weight() + g.weight() + tw
+
+
+def evaluate(poly, point):
+    total = 0
+    for exps, c in poly.sorted_terms():
+        for x, e in zip(point, exps):
+            c *= x**e
+        total += c
+    return total
+
+
+def shuffle_sum_at(f, g, point):
+    """The Kontsevich-Soibelman shuffle sum of f and g at a point, term by
+    term with exact rational denominators: the definition, used as oracle."""
+    from itertools import combinations, product
+
+    from hallforge.coha import coha_block_layout
+
+    quiver, idx = f.quiver, f.quiver.node_index
+    d = tuple(a + b for a, b in zip(f.d, g.d))
+    offsets, _ = coha_block_layout(quiver, d)
+    choices = [combinations(range(d[idx[n]]), f.d[idx[n]]) for n in quiver.nodes]
+    total = Fraction(0)
+    for picked in product(*map(list, choices)):
+        first, second = {}, {}
+        for n, slots in zip(quiver.nodes, picked):
+            block = [point[offsets[n] + j] for j in range(d[idx[n]])]
+            first[n] = [block[j] for j in slots]
+            second[n] = [x for j, x in enumerate(block) if j not in slots]
+        term = Fraction(evaluate(f.poly, [x for n in quiver.nodes for x in first[n]]))
+        term *= evaluate(g.poly, [x for n in quiver.nodes for x in second[n]])
+        for _, t, h in quiver.arrows:
+            for y in second[h]:
+                for x in first[t]:
+                    term *= y - x
+        for n in quiver.nodes:
+            for y in second[n]:
+                for x in first[n]:
+                    term /= y - x
+        total += term
+    return total
+
+
+def test_shuffle_mul_against_shuffle_sum():
+    from hallforge.finite_type import build_typeA
+    from hallforge.proputils import Lcg, random_coha_element
+    from hallforge.quiver import disjoint_double
+
+    quivers = [
+        L0, L1, L2, loop_quiver(3), A2, build_typeA(3, ">>", "orthogonal").quiver,
+        a1_tilde(), disjoint_double(L1),
+    ]
+    rng = Lcg(97)
+    for q in quivers:
+        for _ in range(40):
+            f = random_coha_element(rng, q, 3, 2)
+            g = random_coha_element(rng, q, 3, 2)
+            cached = set(q._cache)
+            out = shuffle_mul(f, g)
+            assert set(q._cache) == cached  # the product caches nothing
+            point = []
+            while len(point) < sum(out.d):
+                x = rng.randint(-40, 40)
+                if x not in point:
+                    point.append(x)
+            assert evaluate(out.poly, point) == shuffle_sum_at(f, g, point), (f, g)

@@ -6,14 +6,11 @@ from hallforge.errors import HallforgeError, InexactDivisionError
 from hallforge.poly import Poly, divexact_factor, mul_factor
 from hallforge.quiver import loop_quiver
 from hallforge.symfun import (
-    RationalExpr,
     count_sigma_shuffles,
-    enumerate_shuffles,
     monomial_sym,
     partitions,
     schur,
     sigma_shuffles,
-    substitute,
     three_shuffles,
     two_shuffles,
     weight_basis,
@@ -110,7 +107,6 @@ def test_shuffle_counts():
     assert len(two_shuffles(3, 2)) == comb(5, 3)
     l2 = loop_quiver(2)
     assert count_sigma_shuffles(l2, (1,), (1,)) == 2
-    assert len(enumerate_shuffles("sigma", l2, (1,), (1,))) == 2
     for d in range(3):
         for e in range(4):
             assert count_sigma_shuffles(l2, (d,), (e,)) == len(
@@ -120,13 +116,12 @@ def test_shuffle_counts():
 
 def test_reduce():
     num = Poly.from_exponents(2, {(0, 2): 1, (2, 0): -1})  # x2^2 - x1^2
-    expr = RationalExpr(num, {("d", 0, 1): 1})
     # dividing by x1 - x2 gives -(x1 + x2); flip via the sign of the factor
-    assert expr.reduce() == Poly.from_exponents(2, {(1, 0): -1, (0, 1): -1})
-    one = RationalExpr(Poly.linear(2, 1, 0, -1, 1), {("d", 0, 1): 1})
-    assert one.reduce() == Poly.const(2, 1)
+    assert divexact_factor(num, ("d", 0, 1)) == Poly.from_exponents(2, {(1, 0): -1, (0, 1): -1})
+    one = Poly.linear(2, 1, 0, -1, 1)
+    assert divexact_factor(one, ("d", 0, 1)) == Poly.const(2, 1)
     with pytest.raises(InexactDivisionError):
-        RationalExpr(Poly.variable(2, 0), {("d", 0, 1): 1}).reduce()
+        divexact_factor(Poly.variable(2, 0), ("d", 0, 1))
 
 
 def test_reduce_roundtrip():
@@ -159,8 +154,30 @@ def test_packed_exponent_guards():
 
 def test_substitute():
     p = Poly.variable(1, 0, 2)
-    assert substitute(p, 1, [(-1, 0)]) == Poly.variable(1, 0, 2)
+    assert p.map_variables(1, [(-1, 0)]) == Poly.variable(1, 0, 2)
     q = Poly.variable(1, 0) + Poly.const(1, 1)
-    assert substitute(q, 1, [None]) == Poly.const(1, 1)
+    assert q.map_variables(1, [None]) == Poly.const(1, 1)
     r = Poly.linear(2, 1, 0, 1, 1)
-    assert substitute(r, 1, [(1, 0), (-1, 0)]).is_zero()
+    assert r.map_variables(1, [(1, 0), (-1, 0)]).is_zero()
+
+
+def random_poly(rng, n, terms=5, maxexp=5):
+    p = Poly.zero(n)
+    for _ in range(terms):
+        exps = tuple(rng.randint(0, maxexp) for _ in range(n))
+        p = p + Poly.from_exponents(n, {exps: rng.randint(-4, 4)})
+    return p
+
+
+def test_divided_difference_identity():
+    from hallforge.proputils import Lcg
+
+    rng = Lcg(11)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        i = rng.randint(0, n - 2)
+        p = random_poly(rng, n)
+        dp = p.divided_difference(i)
+        assert dp.mul_linear(1, i, -1, i + 1) == p - p.swap_variables(i, i + 1)
+        sym = p + p.swap_variables(i, i + 1)
+        assert sym.divided_difference(i).is_zero()
