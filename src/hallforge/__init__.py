@@ -3,8 +3,9 @@ with duality, and the resulting (orientifold) Donaldson-Thomas invariants.
 
 Everything is computed in exact rational arithmetic: sparse multivariate
 polynomials carry int/Fraction coefficients, series live in truncated
-Laurent rings in q^(1/2) with per-class validity windows, and every rational
-function reduction is an asserted exact division.
+Laurent rings in q^(1/2) with per-class validity windows, and the shuffle
+sums of the CoHA product and the CoHM action are divided-difference
+operators, so no rational function is ever formed.
 """
 
 from .coha import (

@@ -150,9 +150,9 @@ def shuffle_mul(f, g):
     The shuffle sum at a node is a push-forward along a partial flag, hence
     one divided-difference operator.  With f on the first d1 slots of each
     node block, g on the last d2 and the arrow kernel
-    K = prod_{a: t->h} prod (x''_{h,b} - x'_{t,a'}), each node applies the
-    divided differences at block slots j, j+1, ..., j+d2-1 for j = d1-1 down
-    to 0, and a sign (-1)^(d1*d2).
+    K = prod_{a: t->h} prod (x''_{h,b} - x'_{t,a'}), each node applies
+    `Poly.shuffle_push` to its block (the divided differences at block slots
+    j, j+1, ..., j+d2-1 for j = d1-1 down to 0) and a sign (-1)^(d1*d2).
     This equals the shuffle sum only when f and g are Weyl invariant, which
     CohaElement(check=True) and from_json_dict enforce.
     """
@@ -176,9 +176,7 @@ def shuffle_mul(f, g):
     sign = 1
     for n in quiver.nodes:
         d1, d2 = f.d[idx[n]], g.d[idx[n]]
-        for j in range(d1 - 1, -1, -1):
-            for i in range(j, j + d2):
-                total = total.divided_difference(offsets[n] + i)
+        total = total.shuffle_push(offsets[n], d1, d2)
         if d1 * d2 % 2:
             sign = -sign
     return CohaElement(quiver, d, total.scale(sign), check=False)

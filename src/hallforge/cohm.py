@@ -6,9 +6,12 @@ product of symmetric groups on the GL blocks and of hyperoctahedral groups
 (signed permutations) on the fixed-node blocks.  The CoHA action is the
 sigma-shuffle sum with the localization kernel: denominators D_i from the
 isotropic flag tangent spaces (with the type B/C/D factor g_i at fixed
-nodes), numerators V_a per arrow of Q1^+ and Q1^sigma, variables identified via
-x'_{i,j} -> z_{i,j}, z''_{i,j} -> z_{i,d_i+j}, x'_{sigma(i),j} ->
--z_{i,d_i+e_i+j} on the Q0^+ blocks.
+nodes), numerators V_a per arrow of Q1^+ and Q1^sigma.  That sum is a
+push-forward along an isotropic flag, so it is computed as the numerators at
+the identity sigma-shuffle followed by type-A and hyperoctahedral
+divided-difference operators per node; no denominator is ever formed.  At
+the identity shuffle x'_{i,j} -> z_{i,j}, z''_{i,j} -> z_{i,d_i+j} and
+x'_{sigma(i),j} -> -z_{i,d_i+e_i+j} on the Q0^+ blocks.
 
 Weight of a homogeneous element is 2*deg + E(e); for sigma-symmetric quivers
 the action is weight additive.
@@ -28,14 +31,7 @@ from .coha import (
 )
 from .errors import GradingError, HallforgeError, SymmetryError
 from .linalg import Echelon
-from .poly import (
-    Poly,
-    divexact_factor,
-    mul_factor,
-    multiset_union,
-    normalize_factor,
-    qdiv,
-)
+from .poly import Poly
 from .series import (
     InvariantTable,
     MODULE,
@@ -45,7 +41,7 @@ from .series import (
     pochhammer_q2_product,
     sign_pow,
 )
-from .symfun import sigma_shuffles, weight_basis, weight_basis_size
+from .symfun import weight_basis, weight_basis_size
 
 
 def cohm_block_layout(quiver, e):
@@ -209,7 +205,7 @@ def cohm_slice_dim(quiver, e, k):
     return weight_basis_size(cohm_blocks(quiver, e), deg)
 
 
-# -- the signed shuffle kernel ---------------------------------------------------
+# -- the sigma-shuffle action ------------------------------------------------------
 
 
 def _fixed_node_type(quiver, node, component):
@@ -219,226 +215,136 @@ def _fixed_node_type(quiver, node, component):
     return "B" if component % 2 else "D"
 
 
-def _cohm_kernel(quiver, d, e):
-    """Cached shuffle data for the action H_d x M_e -> M_{H(d)+e}."""
-    key = ("cohm_kernel", d, e)
-    cached = quiver._cache.get(key)
-    if cached is not None:
-        return cached
-    idx = quiver.node_index
-    et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
-    quiver.check_selfdual_dim(et)
-    off_t, nvars = cohm_block_layout(quiver, et)
-    off_f, _ = coha_block_layout(quiver, d)
-    off_g, _ = cohm_block_layout(quiver, e)
-    plus, fixed = set(quiver.q0_plus), set(quiver.q0_sigma)
-    eps = {n: e[idx[n]] % 2 for n in quiver.q0_sigma}
-
-    terms = []
-    for assign in sigma_shuffles(quiver, d, e):
-        xprime = {}
-        zsec = {}
-        for n in quiver.q0_plus:
-            A, B, C = assign[n]
-            sn = quiver.sigma_nodes[n]
-            for l, pos in enumerate(A):
-                xprime[(n, l)] = (1, off_t[n] + pos)
-            for kk, pos in enumerate(B):
-                zsec[(n, kk)] = (1, off_t[n] + pos)
-                zsec[(sn, kk)] = (-1, off_t[n] + pos)
-            for m, pos in enumerate(C):
-                xprime[(sn, m)] = (-1, off_t[n] + pos)
-        for n in quiver.q0_sigma:
-            signs, (A, B) = assign[n]
-            for l, pos in enumerate(A):
-                xprime[(n, l)] = (signs[l], off_t[n] + pos)
-            for kk, pos in enumerate(B):
-                zsec[(n, kk)] = (1, off_t[n] + pos)
-
-        scalar = 1
-        num_factors = []
-        denom = {}
-
-        def lin(u, v):
-            """normalized factor for u - v with signed slots u, v"""
-            (su, pu), (sv, pv) = u, v
-            return normalize_factor(su, pu, -sv, pv)
-
-        def neg(u):
-            return (-u[0], u[1])
-
-        def add_num(s, f):
-            nonlocal scalar
-            scalar *= s
-            num_factors.append(f)
-
-        def add_den(s, f):
-            nonlocal scalar
-            scalar = qdiv(scalar, s)
-            denom[f] = denom.get(f, 0) + 1
-
-        def add_num_sq(u, v):
-            # u^2 - v^2 = (u - v)(u + v); signs square away
-            pu, pv = u[1], v[1]
-            s1, f1 = normalize_factor(1, pu, -1, pv)
-            s2, f2 = normalize_factor(1, pu, 1, pv)
-            add_num(s1 * s2, f1)
-            num_factors.append(f2)
-
-        def add_den_sq(u, v):
-            pu, pv = u[1], v[1]
-            s1, f1 = normalize_factor(1, pu, -1, pv)
-            s2, f2 = normalize_factor(1, pu, 1, pv)
-            add_den(s1 * s2, f1)
-            denom[f2] = denom.get(f2, 0) + 1
-
-        # denominators
-        for n in quiver.q0_plus:
-            sn = quiver.sigma_nodes[n]
-            for kk in range(e[idx[n]]):
-                for l in range(d[idx[n]]):
-                    s, f = lin(zsec[(n, kk)], xprime[(n, l)])
-                    add_den(s, f)
-            for m in range(d[idx[sn]]):
-                for l in range(d[idx[n]]):
-                    s, f = lin(neg(xprime[(sn, m)]), xprime[(n, l)])
-                    add_den(s, f)
-            for m in range(d[idx[sn]]):
-                for kk in range(e[idx[n]]):
-                    s, f = lin(neg(xprime[(sn, m)]), zsec[(n, kk)])
-                    add_den(s, f)
-        for n in quiver.q0_sigma:
-            di, ei2 = d[idx[n]], e[idx[n]] // 2
-            typ = _fixed_node_type(quiver, n, 2 * d[idx[n]] + e[idx[n]])
-            if typ == "B":
-                for l in range(di):
-                    s, pos = xprime[(n, l)]
-                    add_den(Fraction(-s), ("m", pos))
-            elif typ == "C":
-                for l in range(di):
-                    s, pos = xprime[(n, l)]
-                    add_den(Fraction(-2 * s), ("m", pos))
-            for kk in range(di):
-                for l in range(kk + 1, di):
-                    s, f = lin(neg(xprime[(n, kk)]), xprime[(n, l)])
-                    add_den(s, f)
-            for l in range(di):
-                for kk in range(ei2):
-                    add_den_sq(xprime[(n, l)], zsec[(n, kk)])
-
-        # numerators: arrows of Q1^+ and Q1^sigma
-        plus_arrows = set(quiver.arrow_partition[2])
-        for aid, t, h in quiver.arrows:
-            if quiver.sigma_arrows[aid] == aid:
-                # fixed arrow sigma(i) -> i with i = head
-                i, si = h, t
-                if i in fixed:
-                    for l in range(d[idx[si]]):
-                        for kk in range(e[idx[i]] // 2):
-                            add_num_sq(xprime[(si, l)], zsec[(i, kk)])
-                    if eps[i]:
-                        for l in range(d[idx[si]]):
-                            s, pos = xprime[(si, l)]
-                            add_num(Fraction(-s), ("m", pos))
-                else:
-                    for kk in range(e[idx[i]]):
-                        for l in range(d[idx[si]]):
-                            s, f = lin(zsec[(i, kk)], xprime[(si, l)])
-                            add_num(s, f)
-                strict = quiver.s[i] * quiver.tau[aid] == -1
-                for j in range(d[idx[si]]):
-                    for kk in range(j + 1 if strict else j, d[idx[si]]):
-                        if kk == j:
-                            s, pos = xprime[(si, j)]
-                            add_num(Fraction(-2 * s), ("m", pos))
-                        else:
-                            s, f = lin(neg(xprime[(si, j)]), xprime[(si, kk)])
-                            add_num(s, f)
-            elif aid in plus_arrows:
-                i, j = t, h
-                sj = quiver.sigma_nodes[j]
-                # V~^(i)
-                if i in fixed:
-                    for m in range(d[idx[sj]]):
-                        for kk in range(e[idx[i]] // 2):
-                            add_num_sq(xprime[(sj, m)], zsec[(i, kk)])
-                    if eps.get(i):
-                        for m in range(d[idx[sj]]):
-                            s, pos = xprime[(sj, m)]
-                            add_num(Fraction(-s), ("m", pos))
-                else:
-                    for m in range(d[idx[sj]]):
-                        for kk in range(e[idx[i]]):
-                            s, f = lin(neg(xprime[(sj, m)]), zsec[(i, kk)])
-                            add_num(s, f)
-                # V~^(j)
-                if j in fixed:
-                    for l in range(d[idx[i]]):
-                        for kk in range(e[idx[j]] // 2):
-                            add_num_sq(xprime[(i, l)], zsec[(j, kk)])
-                    if eps.get(j):
-                        for l in range(d[idx[i]]):
-                            s, pos = xprime[(i, l)]
-                            add_num(Fraction(-s), ("m", pos))
-                else:
-                    for kk in range(e[idx[j]]):
-                        for l in range(d[idx[i]]):
-                            s, f = lin(zsec[(j, kk)], xprime[(i, l)])
-                            add_num(s, f)
-                # plain double product
-                for m in range(d[idx[sj]]):
-                    for l in range(d[idx[i]]):
-                        s, f = lin(neg(xprime[(sj, m)]), xprime[(i, l)])
-                        add_num(s, f)
-
-        fmap = [None] * sum(d)
-        for n in quiver.nodes:
-            for jj in range(d[idx[n]]):
-                fmap[off_f[n] + jj] = xprime[(n, jj)]
-        gmap = [None] * off_g_total(quiver, e)
-        for n in quiver.q0_plus + quiver.q0_sigma:
-            cnt = e[idx[n]] if n in plus else e[idx[n]] // 2
-            for jj in range(cnt):
-                gmap[off_g[n] + jj] = zsec[(n, jj)]
-        terms.append((fmap, gmap, scalar, num_factors, denom))
-
-    common = multiset_union([t[4] for t in terms])
-    parts = []
-    for fmap, gmap, scalar, num_factors, denom in terms:
-        c = Poly.const(nvars, 1)
-        for f in num_factors:
-            c = mul_factor(c, f)
-        for f in sorted(common):
-            for _ in range(common[f] - denom.get(f, 0)):
-                c = mul_factor(c, f)
-        parts.append((fmap, gmap, scalar, c))
-    cached = (parts, common, nvars, et)
-    quiver._cache[key] = cached
-    return cached
-
-
-def off_g_total(quiver, e):
-    _, n = cohm_block_layout(quiver, e)
-    return n
-
-
 def cohm_action(f, g):
-    """f * g: the signed sigma-shuffle action of H_d on M_e."""
+    """f * g: the sigma-shuffle action of H_d on M_e, as divided differences.
+
+    The sigma-shuffle sum is a push-forward along an isotropic flag.  The
+    integrand F * G * K is built once at the identity sigma-shuffle: f on
+    x'_{i,l} at slot l of node i's target block, x'_{sigma(i),m} -> -z at
+    the tail of a Q0^+ block, g on the slots between, and K the arrow
+    numerators of Q1^+ and Q1^sigma with the epsilon parities.  Then each
+    node pushes its block forward:
+
+    - i in Q0^+ with blocks (d_i, e_i, d_sigma(i)): `Poly.shuffle_push` for
+      (d_i, e_i), then for (d_i + e_i, d_sigma(i)), and the sign
+      (-1)^(d_i e_i + d_i d_sigma(i) + e_i d_sigma(i));
+    - i in Q0^sigma with D = d_i slots y and m = e_i // 2 slots z: the
+      B_D / S_D push (for k = 0..D-1, `Poly.flip` at the last y-slot, then
+      divided differences at y-slots D-2 down to k), then `shuffle_push`
+      for (D, m) in squared variables, and the scalar (-1)^(D(D+1)/2),
+      times 2^D for types B and D.  Type D has no short roots in its Weyl
+      denominator, so it first multiplies by prod(-y_l).
+
+    No denominator is formed.  This equals the sigma-shuffle sum only when f
+    is S_d invariant and g is Weyl invariant, which the element constructors
+    (check=True) and from_json_dict enforce.
+    """
     if f.quiver != g.quiver:
         raise HallforgeError("elements over different quivers")
     quiver = f.quiver
-    parts, common, nvars, et = _cohm_kernel(quiver, f.d, g.e)
+    idx = quiver.node_index
+    d, e = f.d, g.e
+    et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
+    off, nvars = cohm_block_layout(quiver, et)
     if f.is_zero() or g.is_zero():
         return CohmElement(quiver, et, Poly.zero(nvars), check=False)
-    total = Poly.zero(nvars)
-    for fmap, gmap, scalar, cpoly in parts:
-        fx = f.poly.map_variables(nvars, fmap)
-        gx = g.poly.map_variables(nvars, gmap)
-        total = total + (fx * gx * cpoly).scale(scalar)
-    for fac in sorted(common):
-        for _ in range(common[fac]):
-            total = divexact_factor(total, fac)
-    return CohmElement(quiver, et, total, check=False)
+    fixed = set(quiver.q0_sigma)
+    # signed target slots of x'_{i,l} and z''_{i,k} at the identity shuffle
+    xp, zs, gmap = {}, {}, []
+    for n in quiver.nodes:
+        if n not in off:
+            continue  # a Q0^- node lives at the tail of its partner's block
+        sn, o, dn = quiver.sigma_nodes[n], off[n], d[idx[n]]
+        cnt = e[idx[n]] // 2 if n in fixed else e[idx[n]]
+        for l in range(dn):
+            xp[(n, l)] = (1, o + l)
+        for k in range(cnt):
+            zs[(n, k)] = (1, o + dn + k)
+            zs[(sn, k)] = (1 if sn == n else -1, o + dn + k)
+            gmap.append((1, o + dn + k))
+        if sn != n:
+            for m in range(d[idx[sn]]):
+                xp[(sn, m)] = (-1, o + dn + cnt + m)
+
+    def xs(n):
+        return [xp[(n, l)] for l in range(d[idx[n]])]
+
+    fmap = [x for n in quiver.nodes for x in xs(n)]
+    total = f.poly.map_variables(nvars, fmap) * g.poly.map_variables(nvars, gmap)
+
+    def lin(u, v):
+        """times u - v, for signed slots u = (sign, slot)"""
+        nonlocal total
+        total = total.mul_linear(u[0], u[1], -v[0], v[1])
+
+    def square(u, v):
+        """times u^2 - v^2"""
+        nonlocal total
+        total = total.mul_linear(1, u[1], -1, v[1]).mul_linear(1, u[1], 1, v[1])
+
+    def mono(c, u):
+        """times c * u"""
+        nonlocal total
+        total = total.mul_linear(c * u[0], u[1])
+
+    def neg(u):
+        return (-u[0], u[1])
+
+    def v_tilde(i, points, gl):
+        """times V~^(i) against the signed slots `points`; gl(x, z)
+        multiplies in its factor when i is not fixed"""
+        cnt = e[idx[i]] // 2 if i in fixed else e[idx[i]]
+        for x in points:
+            for k in range(cnt):
+                (square if i in fixed else gl)(x, zs[(i, k)])
+            if i in fixed and e[idx[i]] % 2:
+                mono(-1, x)
+
+    plus_arrows = set(quiver.arrow_partition[2])
+    for aid, t, h in quiver.arrows:
+        if quiver.sigma_arrows[aid] == aid:
+            # fixed arrow sigma(h) -> h
+            x = xs(t)
+            v_tilde(h, x, lambda u, z: lin(z, u))
+            strict = quiver.s[h] * quiver.tau[aid] == -1
+            for j in range(len(x)):
+                if not strict:
+                    mono(-2, x[j])
+                for k in range(j + 1, len(x)):
+                    lin(neg(x[j]), x[k])
+        elif aid in plus_arrows:
+            # V~^(t) against x'_{sigma(h)}, V~^(h) against x'_t, then the
+            # double product
+            y = xs(quiver.sigma_nodes[h])
+            v_tilde(t, y, lambda u, z: lin(neg(u), z))
+            v_tilde(h, xs(t), lambda u, z: lin(z, u))
+            for u in y:
+                for x in xs(t):
+                    lin(neg(u), x)
+
+    sign = 1
+    for n in quiver.q0_plus:
+        o, dn, en = off[n], d[idx[n]], e[idx[n]]
+        dsn = d[idx[quiver.sigma_nodes[n]]]
+        total = total.shuffle_push(o, dn, en).shuffle_push(o, dn + en, dsn)
+        if (dn * en + dn * dsn + en * dsn) % 2:
+            sign = -sign
+    for n in quiver.q0_sigma:
+        o, D = off[n], d[idx[n]]
+        typ = _fixed_node_type(quiver, n, et[idx[n]])
+        if typ == "D":
+            for l in range(D):
+                total = total.mul_linear(-1, o + l)
+        for k in range(D):
+            total = total.flip(o + D - 1)
+            for i in range(D - 2, k - 1, -1):
+                total = total.divided_difference(o + i)
+        total = total.shuffle_push(o, D, e[idx[n]] // 2, step=2)
+        if D * (D + 1) // 2 % 2:
+            sign = -sign
+        if typ != "C":
+            sign <<= D
+    return CohmElement(quiver, et, total.scale(sign), check=False)
 
 
 def act_many(factors, g):
@@ -546,7 +452,7 @@ def ori_dt_invariants(quiver, maxdim, window):
     classes = module_classes(quiver, maxdim)
     for e in classes:
         validity[e] = quiver.sd_euler_form(e) + window
-    if worker_count() > 1:
+    if worker_count(len(classes)) > 1:
         doc = quiver.to_dict()
         results = pmap(_wprim_class_worker, [(doc, e, window) for e in classes])
         for e, slices in results:

@@ -10,17 +10,21 @@ from __future__ import annotations
 import os
 
 
-def worker_count():
+def worker_count(tasks=None):
+    """HALLFORGE_THREADS clamped to the CPU count and, when given, to the
+    number of tasks: the fork start method starts every worker at once."""
     try:
-        return max(0, int(os.environ.get("HALLFORGE_THREADS", "0")))
+        n = max(0, int(os.environ.get("HALLFORGE_THREADS", "0")))
     except ValueError:
         return 0
+    n = min(n, os.cpu_count() or 1)
+    return n if tasks is None else min(n, tasks)
 
 
 def pmap(fn, items):
     items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
+    n = worker_count(len(items))
+    if n <= 1:
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor
 

@@ -6,13 +6,13 @@ abstract variables (index 0..n-1).  Monomials are packed into single integers
 coefficients are Python ints wherever possible and fractions.Fraction
 otherwise.  No floating point anywhere.
 
-Push-forwards along flags are divided-difference operators
-(`Poly.divided_difference`), computed term by term with no division.  The
-CoHM sigma-shuffle sum still assembles rational functions whose denominators
-are products of linear binomials x_a +- x_b and monomials x_a; it multiplies
-by their common denominator (`multiset_union`, `mul_factor`) and divides it
-back out exactly (`divexact_factor`; an inexact division signals a bug, never
-a fallback).
+Push-forwards along flags are divided-difference operators, computed term
+by term with no division: `Poly.divided_difference` (also in squared
+variables), `Poly.shuffle_push` (one Grassmannian) and `Poly.flip` (a sign
+change).  The CoHA product and the CoHM action are composites of them, so no
+rational function and no common denominator is ever formed.  The exact
+divisions `divexact_linear`/`divexact_mono` remain as test oracles; an
+inexact division raises.
 """
 
 from __future__ import annotations
@@ -36,17 +36,6 @@ def _num(c):
     return c
 
 
-def qdiv(a, b):
-    """Exact a / b as int when possible, Fraction otherwise."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if not r:
-            return q
-        return Fraction(a, b)
-    out = Fraction(a) / Fraction(b)
-    return out.numerator if out.denominator == 1 else out
-
-
 def pack_exponents(exps):
     key = 0
     for i, e in enumerate(exps):
@@ -58,6 +47,19 @@ def pack_exponents(exps):
 
 def unpack_exponents(key, n):
     return tuple((key >> (SHIFT * i)) & MASK for i in range(n))
+
+
+def _var_maxima(p):
+    """Largest exponent of each variable over the terms of p."""
+    top = [0] * p.n
+    for k in p.terms:
+        i = 0
+        while k:
+            if k & MASK > top[i]:
+                top[i] = k & MASK
+            k >>= SHIFT
+            i += 1
+    return top
 
 
 def key_degree(key):
@@ -168,8 +170,12 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        if self.bound + other.bound > MAXDEG:
-            raise ExponentOverflowError("packed exponent range exceeded in product")
+        bound = self.bound + other.bound
+        if bound > MAXDEG:
+            # the bounds are loose when the operands share few variables
+            bound = max(map(sum, zip(_var_maxima(self), _var_maxima(other))), default=0)
+            if bound > MAXDEG:
+                raise ExponentOverflowError("packed exponent range exceeded in product")
         if len(self.terms) > len(other.terms):
             big, small = self.terms, other.terms
         else:
@@ -183,7 +189,7 @@ class Poly:
                     out[k] = v
                 else:
                     del out[k]
-        return Poly(self.n, out, self.bound + other.bound)
+        return Poly(self.n, out, bound)
 
     __rmul__ = __mul__
 
@@ -197,8 +203,15 @@ class Poly:
 
     def mul_linear(self, ca, a, cb=None, b=None):
         """Multiply by ca*x_a (+ cb*x_b) without building the factor."""
-        if self.bound + 1 > MAXDEG:
-            raise ExponentOverflowError("packed exponent range exceeded in product")
+        bound = self.bound + 1
+        if bound > MAXDEG:
+            top = _var_maxima(self)
+            top[a] += 1
+            if b is not None and b != a:
+                top[b] += 1
+            bound = max(top)
+            if bound > MAXDEG:
+                raise ExponentOverflowError("packed exponent range exceeded in product")
         out = {}
         ca = _num(ca)
         ka = 1 << (SHIFT * a)
@@ -219,7 +232,7 @@ class Poly:
                     out[kk] = v
                 else:
                     del out[kk]
-        return Poly(self.n, out, self.bound + 1)
+        return Poly(self.n, out, bound)
 
     # -- division -----------------------------------------------------------
 
@@ -271,16 +284,18 @@ class Poly:
                     rem.pop(kk, None)
         return Poly(self.n, quo, self.bound)
 
-    def divided_difference(self, i):
-        """(P - s_i P) / (x_i - x_{i+1}), term by term with no division.
+    def divided_difference(self, i, step=1):
+        """(P - s_i P) / (x_i^step - x_{i+1}^step), term by term with no division.
 
-        For a > b, x_i^a x_{i+1}^b maps to
-        (x_i x_{i+1})^b * sum_{j<a-b} x_i^(a-b-1-j) x_{i+1}^j; for a < b it
-        maps to minus the same with a and b swapped; for a == b to 0.
+        For a > b, x_i^a x_{i+1}^b maps to (x_i x_{i+1})^b times
+        sum_{j<(a-b)/step} x_i^(a-b-step-step*j) x_{i+1}^(step*j); for a < b it
+        maps to minus the same with a and b swapped; for a == b to 0.  With
+        step = 2 this is the operator in squared variables, and a - b must be
+        even.
         """
         shi = SHIFT * i
         shj = shi + SHIFT
-        step = (1 << shj) - (1 << shi)
+        move = step * ((1 << shj) - (1 << shi))
         out = {}
         for k, c in self.terms.items():
             a = (k >> shi) & MASK
@@ -290,16 +305,37 @@ class Poly:
             kk = k - (a << shi) - (b << shj)
             if a < b:
                 a, b, c = b, a, -c
-            # from x_i^(a-1) x_{i+1}^b on, trade one x_i for one x_{i+1}
-            kk += ((a - 1) << shi) + (b << shj)
-            for _ in range(a - b):
+            gap, odd = divmod(a - b, step)
+            if odd:
+                raise InexactDivisionError("divided difference left remainder")
+            # from x_i^(a-step) x_{i+1}^b on, trade x_i^step for x_{i+1}^step
+            kk += ((a - step) << shi) + (b << shj)
+            for _ in range(gap):
                 v = out.get(kk, 0) + c
                 if v:
                     out[kk] = v
                 else:
                     del out[kk]
-                kk += step
+                kk += move
         return Poly(self.n, out, self.bound)
+
+    def shuffle_push(self, start, d1, d2, step=1):
+        """Sum over (d1, d2)-shuffles w of w(P / prod(x'^step - x''^step)),
+        for P symmetric in the d1 slots x' from `start` on and in the d2 slots
+        x'' after them: the divided differences at slots j..j+d2-1 for
+        j = d1-1 down to 0 (the push-forward along a Grassmannian)."""
+        out = self
+        for j in range(d1 - 1, -1, -1):
+            for i in range(j, j + d2):
+                out = out.divided_difference(start + i, step)
+        return out
+
+    def flip(self, i):
+        """(P - P|_{x_i -> -x_i}) / (2 x_i): the terms odd in x_i, lowered by one."""
+        sh = SHIFT * i
+        one = 1 << sh
+        odd = {k - one: c for k, c in self.terms.items() if (k >> sh) & 1}
+        return Poly(self.n, odd, self.bound)
 
     # -- structure ----------------------------------------------------------
 
@@ -403,59 +439,3 @@ class Poly:
             )
             bits.append("%s*%s" % (c, mono) if mono else str(c))
         return "Poly(" + " + ".join(bits) + ")"
-
-
-# -- linear factor bookkeeping -----------------------------------------------
-#
-# Factors are canonical tuples:
-#   ("m", a)        x_a
-#   ("p", a, b)     x_a + x_b   (a < b)
-#   ("d", a, b)     x_a - x_b   (a < b)
-# normalize_factor turns a raw c_a x_a + c_b x_b into (scalar, factor).
-
-
-def normalize_factor(ca, a, cb=None, b=None):
-    if b is None:
-        return _num(ca), ("m", a)
-    if a == b:
-        return _num(ca) + _num(cb), ("m", a)
-    if b < a:
-        a, b, ca, cb = b, a, cb, ca
-    ca, cb = _num(ca), _num(cb)
-    sign = 1
-    if ca < 0:
-        ca, cb, sign = -ca, -cb, -1
-    if ca != 1:
-        sign *= ca
-        cb = _num(Fraction(cb, ca))
-        ca = 1
-    if cb == 1:
-        return sign, ("p", a, b)
-    if cb == -1:
-        return sign, ("d", a, b)
-    raise ValueError("factor is not +-(x_a +- x_b)")
-
-
-def mul_factor(p, f):
-    if f[0] == "m":
-        return p.mul_linear(1, f[1])
-    if f[0] == "p":
-        return p.mul_linear(1, f[1], 1, f[2])
-    return p.mul_linear(1, f[1], -1, f[2])
-
-
-def divexact_factor(p, f):
-    if f[0] == "m":
-        return p.divexact_mono(f[1])
-    if f[0] == "p":
-        return p.divexact_linear(1, f[1], 1, f[2])
-    return p.divexact_linear(1, f[1], -1, f[2])
-
-
-def multiset_union(counters):
-    out = {}
-    for c in counters:
-        for f, m in c.items():
-            if out.get(f, 0) < m:
-                out[f] = m
-    return out

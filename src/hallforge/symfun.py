@@ -1,4 +1,4 @@
-"""Symmetric-function bases and shuffle combinatorics.
+"""Symmetric-function bases.
 
 Schur polynomials are divided differences of a single monomial,
 s_lam = partial_w0(x^(lam + delta)), computed without division.  BCD blocks
@@ -7,8 +7,6 @@ is s_lam(z^2), invariant under signed permutations of the z's.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .errors import HallforgeError
 from .poly import Poly
@@ -179,87 +177,3 @@ def weight_basis_size(block_spec, degree):
                         new[a + b] += counts[a] * per[b]
         counts = new
     return counts[degree]
-
-
-# -- shuffles -----------------------------------------------------------------
-
-
-def two_shuffles(d1, d2):
-    """Coset data for (d1, d2)-shuffles: pairs (A, B) of sorted index tuples
-    partitioning range(d1 + d2)."""
-    universe = tuple(range(d1 + d2))
-    out = []
-    for a in combinations(universe, d1):
-        aset = set(a)
-        b = tuple(i for i in universe if i not in aset)
-        out.append((a, b))
-    return out
-
-
-def three_shuffles(m, n, p):
-    """Triples (A, B, C) of sorted index tuples partitioning range(m+n+p)."""
-    universe = tuple(range(m + n + p))
-    out = []
-    for a in combinations(universe, m):
-        aset = set(a)
-        rest = tuple(i for i in universe if i not in aset)
-        for b in combinations(rest, n):
-            bset = set(b)
-            c = tuple(i for i in rest if i not in bset)
-            out.append((a, b, c))
-    return out
-
-
-def sign_vectors(d):
-    """All sign vectors in {+1,-1}^d, plus-first deterministic order."""
-    out = []
-    for mask in range(1 << d):
-        out.append(tuple(-1 if (mask >> i) & 1 else 1 for i in range(d)))
-    return out
-
-
-def sigma_shuffles(quiver, d, e):
-    """sigma-shuffles of type (d, e): a dict per term.
-
-    Yields dicts mapping each node of Q0^+ to a 3-shuffle (A, B, C) of its
-    target block and each node of Q0^sigma to (signs, (A, B)).
-    """
-    idx = quiver.node_index
-    plus_parts = []
-    for nd in quiver.q0_plus:
-        i = idx[nd]
-        j = idx[quiver.sigma_nodes[nd]]
-        plus_parts.append((nd, three_shuffles(d[i], e[i], d[j])))
-    fixed_parts = []
-    for nd in quiver.q0_sigma:
-        i = idx[nd]
-        pairs = two_shuffles(d[i], e[i] // 2)
-        signs = sign_vectors(d[i])
-        fixed_parts.append((nd, [(sg, pr) for sg in signs for pr in pairs]))
-
-    def rec(k, current):
-        parts = plus_parts + fixed_parts
-        if k == len(parts):
-            yield dict(current)
-            return
-        name, options = parts[k]
-        for opt in options:
-            current[name] = opt
-            yield from rec(k + 1, current)
-        current.pop(name, None)
-
-    yield from rec(0, {})
-
-
-def count_sigma_shuffles(quiver, d, e):
-    from math import comb
-
-    idx = quiver.node_index
-    total = 1
-    for nd in quiver.q0_plus:
-        i, j = idx[nd], idx[quiver.sigma_nodes[nd]]
-        total *= comb(d[i] + e[i] + d[j], d[i]) * comb(e[i] + d[j], e[i])
-    for nd in quiver.q0_sigma:
-        i = idx[nd]
-        total *= (1 << d[i]) * comb(d[i] + e[i] // 2, d[i])
-    return total

@@ -290,7 +290,7 @@ def test_criterion_12_loop_generator_identities():
                     prod = shuffle_mul(prod, f)
                 lam = tuple(seq[t] - (length - 1 - t) for t in range(length))
                 assert prod.poly == schur(tuple(x for x in lam if x), length), seq
-                # type B/D Schur actions with the kernel-exact sign
+                # type B/D Schur actions with the sign of the sigma-shuffle sum
                 d = length
                 sign = (-1) ** (d * (d - 1) // 2)
                 felem = CohaElement(l0, (d,), prod.poly)

@@ -186,7 +186,8 @@ def test_exponent_overflow_exit2(tmp_path):
         "sigma_nodes": {"1": "1"}, "sigma_arrows": {"l": "l"}, "s": {"1": 1}, "tau": {"l": 1},
     }))
     f = tmp_path / "f.json"
-    f.write_text(json.dumps({"d": [1], "poly": [{"exp": {"x:1:1": 1000}, "c": "1"}]}))
+    # the loop factor x'' - x' lifts the packed maximum 1023 to 1024
+    f.write_text(json.dumps({"d": [1], "poly": [{"exp": {"x:1:1": 1023}, "c": "1"}]}))
     code, out, err = run_cli(["mul", "--quiver", str(q), "--lhs", str(f), "--rhs", str(f)])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err

@@ -348,3 +348,199 @@ def test_twisted_weight_law_for_actions():
         seen_nonzero += 1
         assert out.weight() == f.weight() + g.weight() - a2.star_twist(f.d, g.e)
     assert seen_nonzero >= 10
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    import os
+
+    from hallforge.parallel import worker_count
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("HALLFORGE_THREADS", "64")
+    assert worker_count() == 4
+    assert worker_count(10) == 4
+    assert worker_count(3) == 3
+    assert worker_count(0) == 0
+    monkeypatch.setenv("HALLFORGE_THREADS", "2")
+    assert worker_count(10) == 2
+    monkeypatch.setenv("HALLFORGE_THREADS", "many")
+    assert worker_count(10) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setenv("HALLFORGE_THREADS", "8")
+    assert worker_count(10) == 1
+
+
+def evaluate(poly, point):
+    total = 0
+    for exps, c in poly.sorted_terms():
+        for x, k in zip(point, exps):
+            c *= x**k
+        total += c
+    return total
+
+
+def sigma_shuffle_sum_at(f, g, point):
+    """The sigma-shuffle sum of f * g at a point, term by term with the full
+    localization kernel and exact rational denominators: the definition,
+    used as oracle.  Returns (value, number of sigma-shuffles)."""
+    from itertools import combinations, product
+
+    from hallforge.cohm import cohm_block_layout
+
+    quiver, idx = f.quiver, f.quiver.node_index
+    d, e = f.d, g.e
+    et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
+    off, _ = cohm_block_layout(quiver, et)
+    fixed = set(quiver.q0_sigma)
+    choices = []
+    for n in quiver.q0_plus:
+        sn = quiver.sigma_nodes[n]
+        size = d[idx[n]] + e[idx[n]] + d[idx[sn]]
+        opts = []
+        for a in combinations(range(size), d[idx[n]]):
+            rest = [j for j in range(size) if j not in a]
+            for b in combinations(rest, e[idx[n]]):
+                opts.append((a, b, tuple(j for j in rest if j not in b)))
+        choices.append(opts)
+    for n in quiver.q0_sigma:
+        size = d[idx[n]] + e[idx[n]] // 2
+        opts = []
+        for signs in product((1, -1), repeat=d[idx[n]]):
+            for a in combinations(range(size), d[idx[n]]):
+                opts.append((signs, a, tuple(j for j in range(size) if j not in a)))
+        choices.append(opts)
+    total, count = Fraction(0), 0
+    for picked in product(*choices):
+        count += 1
+        xp, zs = {}, {}
+        for n, (a, b, c) in zip(quiver.q0_plus, picked):
+            sn = quiver.sigma_nodes[n]
+            block = point[off[n]:]
+            for l, j in enumerate(a):
+                xp[(n, l)] = block[j]
+            for k, j in enumerate(b):
+                zs[(n, k)], zs[(sn, k)] = block[j], -block[j]
+            for m, j in enumerate(c):
+                xp[(sn, m)] = -block[j]
+        for n, (signs, a, b) in zip(quiver.q0_sigma, picked[len(quiver.q0_plus):]):
+            block = point[off[n]:]
+            for l, j in enumerate(a):
+                xp[(n, l)] = signs[l] * block[j]
+            for k, j in enumerate(b):
+                zs[(n, k)] = block[j]
+
+        def xs(n):
+            return [xp[(n, l)] for l in range(d[idx[n]])]
+
+        def zz(n):
+            return [zs[(n, k)] for k in range(e[idx[n]] // 2 if n in fixed else e[idx[n]])]
+
+        term = Fraction(evaluate(f.poly, [x for n in quiver.nodes for x in xs(n)]))
+        term *= evaluate(g.poly, [z for n in quiver.nodes if n in off for z in zz(n)])
+        # denominators: tangent spaces of the isotropic flag
+        for n in quiver.q0_plus:
+            sn = quiver.sigma_nodes[n]
+            for x in xs(n):
+                for z in zz(n):
+                    term /= z - x
+                for y in xs(sn):
+                    term /= -y - x
+            for y in xs(sn):
+                for z in zz(n):
+                    term /= -y - z
+        for n in quiver.q0_sigma:
+            x = xs(n)
+            if quiver.s[n] == -1:
+                for v in x:
+                    term /= -2 * v
+            elif et[idx[n]] % 2:
+                for v in x:
+                    term /= -v
+            for k in range(len(x)):
+                for l in range(k + 1, len(x)):
+                    term /= -x[k] - x[l]
+                for z in zz(n):
+                    term /= x[k] ** 2 - z**2
+
+        # numerators: the arrows of Q1^sigma and Q1^+
+        def v_tilde(i, x, lin):
+            """V~^(i) against the points x; lin(v, z) is its factor at a GL node"""
+            out = Fraction(1)
+            for v in x:
+                for z in zz(i):
+                    out *= v**2 - z**2 if i in fixed else lin(v, z)
+                if i in fixed and e[idx[i]] % 2:
+                    out *= -v
+            return out
+
+        for aid, t, h in quiver.arrows:
+            if quiver.sigma_arrows[aid] == aid:
+                x = xs(t)
+                term *= v_tilde(h, x, lambda v, z: z - v)
+                strict = quiver.s[h] * quiver.tau[aid] == -1
+                for j in range(len(x)):
+                    for k in range(j + 1 if strict else j, len(x)):
+                        term *= -x[j] - x[k]
+            elif aid in quiver.arrow_partition[2]:
+                y = xs(quiver.sigma_nodes[h])
+                term *= v_tilde(t, y, lambda v, z: -v - z)
+                term *= v_tilde(h, xs(t), lambda v, z: z - v)
+                for v in y:
+                    for x in xs(t):
+                        term *= -v - x
+        total += term
+    return total, count
+
+
+def test_cohm_action_against_sigma_shuffle_sum():
+    from math import comb
+
+    from hallforge.cohm import cohm_block_layout
+    from hallforge.finite_type import build_typeA
+    from hallforge.proputils import Lcg, random_coha_element, random_cohm_element
+    from hallforge.quiver import disjoint_double
+
+    quivers = [loop_quiver(0), L0C]
+    for m in (1, 2, 3):
+        for s in (1, -1):
+            for tau in (1, -1):
+                quivers.append(loop_quiver(m, s=s, tau=[tau] * m))
+    quivers += [a1_tilde(tau=1), a1_tilde(tau=-1), a1_tilde(tau=1, s=-1)]
+    quivers += [a2_quiver(s=1), a2_quiver(s=-1)]
+    quivers += [
+        build_typeA(3, ">>", "orthogonal").quiver,
+        build_typeA(3, ">>", "symplectic").quiver,
+        build_typeA(3, "<<", "orthogonal").quiver,
+        build_typeA(4, ">>>", "orthogonal").quiver,
+        disjoint_double(L1),
+    ]
+    rng = Lcg(53)
+    for q in quivers:
+        idx = q.node_index
+        done = 0
+        while done < 30:
+            f = random_coha_element(rng, q, 3, 2)
+            g = random_cohm_element(rng, q, 3, 2)
+            et = tuple(a + b for a, b in zip(q.hyperbolic(f.d), g.e))
+            nvars = cohm_block_layout(q, et)[1]
+            if f.is_zero() or g.is_zero() or nvars > 5:
+                continue
+            done += 1
+            cached = set(q._cache)
+            out = cohm_action(f, g)
+            assert set(q._cache) == cached  # the action caches nothing
+            point = []
+            while len(point) < nvars:
+                x = rng.randint(1, 40) * rng.choice((1, -1))
+                if all(abs(x) != abs(y) for y in point):
+                    point.append(x)
+            value, count = sigma_shuffle_sum_at(f, g, point)
+            assert evaluate(out.poly, point) == value, (f, g)
+            expected = 1
+            for n in q.q0_plus:
+                dn, en, dsn = f.d[idx[n]], g.e[idx[n]], f.d[idx[q.sigma_nodes[n]]]
+                expected *= comb(dn + en + dsn, dn) * comb(en + dsn, en)
+            for n in q.q0_sigma:
+                dn, m = f.d[idx[n]], g.e[idx[n]] // 2
+                expected *= 2**dn * comb(dn + m, dn)
+            assert count == expected

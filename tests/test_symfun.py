@@ -3,16 +3,11 @@ from fractions import Fraction
 import pytest
 
 from hallforge.errors import HallforgeError, InexactDivisionError
-from hallforge.poly import Poly, divexact_factor, mul_factor
-from hallforge.quiver import loop_quiver
+from hallforge.poly import Poly
 from hallforge.symfun import (
-    count_sigma_shuffles,
     monomial_sym,
     partitions,
     schur,
-    sigma_shuffles,
-    three_shuffles,
-    two_shuffles,
     weight_basis,
     weight_basis_size,
 )
@@ -99,47 +94,32 @@ def test_weight_basis_sizes_and_independence():
             assert rank_of_rows([dict(p.terms) for p in basis]) == len(basis)
 
 
-def test_shuffle_counts():
-    from math import comb
-
-    assert len(two_shuffles(1, 1)) == 2
-    assert len(three_shuffles(1, 1, 1)) == 6
-    assert len(two_shuffles(3, 2)) == comb(5, 3)
-    l2 = loop_quiver(2)
-    assert count_sigma_shuffles(l2, (1,), (1,)) == 2
-    for d in range(3):
-        for e in range(4):
-            assert count_sigma_shuffles(l2, (d,), (e,)) == len(
-                list(sigma_shuffles(l2, (d,), (e,)))
-            ) == (1 << d) * comb(d + e // 2, d)
-
-
 def test_reduce():
     num = Poly.from_exponents(2, {(0, 2): 1, (2, 0): -1})  # x2^2 - x1^2
-    # dividing by x1 - x2 gives -(x1 + x2); flip via the sign of the factor
-    assert divexact_factor(num, ("d", 0, 1)) == Poly.from_exponents(2, {(1, 0): -1, (0, 1): -1})
+    # dividing by x1 - x2 gives -(x1 + x2)
+    assert num.divexact_linear(1, 0, -1, 1) == Poly.from_exponents(2, {(1, 0): -1, (0, 1): -1})
     one = Poly.linear(2, 1, 0, -1, 1)
-    assert divexact_factor(one, ("d", 0, 1)) == Poly.const(2, 1)
+    assert one.divexact_linear(1, 0, -1, 1) == Poly.const(2, 1)
     with pytest.raises(InexactDivisionError):
-        divexact_factor(Poly.variable(2, 0), ("d", 0, 1))
+        Poly.variable(2, 0).divexact_linear(1, 0, -1, 1)
 
 
 def test_reduce_roundtrip():
     from hallforge.proputils import Lcg
 
     rng = Lcg(3)
-    factors = [("d", 0, 1), ("p", 0, 2), ("m", 1)]
+    factors = [(1, 0, -1, 1), (1, 0, 1, 2)]
     for _ in range(30):
         p = Poly.zero(3)
         for _ in range(4):
             exps = tuple(rng.randint(0, 3) for _ in range(3))
             p = p + Poly.from_exponents(3, {exps: rng.randint(-4, 4)})
-        q = p
+        q = p.mul_linear(1, 1)
         for f in factors:
-            q = mul_factor(q, f)
+            q = q.mul_linear(*f)
         for f in factors:
-            q = divexact_factor(q, f)
-        assert q == p
+            q = q.divexact_linear(*f)
+        assert q.divexact_mono(1) == p
 
 
 def test_packed_exponent_guards():
@@ -150,6 +130,27 @@ def test_packed_exponent_guards():
         big * big
     with pytest.raises(OverflowError):
         big.double_exponents()
+
+
+def test_packed_exponent_guard_uses_true_maxima():
+    from hallforge.coha import CohaElement, shuffle_mul
+    from hallforge.quiver import loop_quiver
+
+    # the bounds add up past the packed range, the exponents do not
+    x, y = Poly.variable(2, 0, 600), Poly.variable(2, 1, 600)
+    assert (x * y).bound == 600
+    l1 = loop_quiver(1, s=1, tau=[1])
+    f = CohaElement(l1, (1,), Poly.variable(1, 0, 600))
+    out = shuffle_mul(f, f)
+    assert out.poly.bound <= 601
+    assert out.poly == Poly.from_exponents(2, {(600, 600): 2})
+    lin = Poly.variable(2, 0, 1000)
+    for _ in range(30):
+        lin = lin.mul_linear(1, 1)
+    assert lin == Poly.from_exponents(2, {(1000, 30): 1})
+    with pytest.raises(OverflowError):
+        for _ in range(30):
+            lin = lin.mul_linear(1, 0, 1, 1)
 
 
 def test_substitute():
@@ -181,3 +182,34 @@ def test_divided_difference_identity():
         assert dp.mul_linear(1, i, -1, i + 1) == p - p.swap_variables(i, i + 1)
         sym = p + p.swap_variables(i, i + 1)
         assert sym.divided_difference(i).is_zero()
+
+
+def test_divided_difference_in_squares_identity():
+    from hallforge.proputils import Lcg
+
+    rng = Lcg(12)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        i = rng.randint(0, n - 2)
+        p = random_poly(rng, n).map_variables(n, [(1, j) for j in range(n)])
+        p = p.double_exponents()
+        dp = p.divided_difference(i, 2)
+        lhs = dp.mul_linear(1, i, -1, i + 1).mul_linear(1, i, 1, i + 1)
+        assert lhs == p - p.swap_variables(i, i + 1)
+        sym = p + p.swap_variables(i, i + 1)
+        assert sym.divided_difference(i, 2).is_zero()
+    with pytest.raises(InexactDivisionError):
+        Poly.variable(2, 0).divided_difference(0, 2)
+
+
+def test_flip_identity():
+    from hallforge.proputils import Lcg
+
+    rng = Lcg(13)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        i = rng.randint(0, n - 1)
+        p = random_poly(rng, n)
+        reflected = p.map_variables(n, [(-1 if j == i else 1, j) for j in range(n)])
+        assert p.flip(i).mul_linear(2, i) == p - reflected
+        assert (p + reflected).flip(i).is_zero()
