@@ -60,7 +60,7 @@ def _series_table(series, symbol):
 def _table_of_invariants(table, symbol):
     lines = []
     for (d, k), m in table.sorted_entries():
-        c = Fraction(m * sign_pow(k))
+        c = m * sign_pow(k)
         lines.append("%s^%s : %s" % (symbol, ",".join(map(str, d)), _coeff_str(k, c)))
     return "\n".join(lines) + ("\n" if lines else "1\n")
 

@@ -363,12 +363,9 @@ def primitive_dims(quiver, maxdim, window):
         raise SymmetryError("primitive dims need a symmetric quiver")
     if not quiver.supercommutativity_criterion():
         raise SymmetryError("supercommutativity criterion fails; twist not implemented")
-    from itertools import product as iproduct
-
     dims, bases, validity = {}, {}, {}
-    n = len(quiver.nodes)
-    for d in iproduct(*(range(maxdim + 1) for _ in range(n))):
-        if not any(d) or sum(d) > maxdim:
+    for d in quiver.dimension_vectors(maxdim):
+        if not any(d):
             continue
         chi = quiver.euler_form(d, d)
         validity[d] = chi + window
@@ -441,17 +438,13 @@ def equivariant_dt(quiver, e_target, maxdim, window):
             entries[(h, k)] = (plus, minus)
         return SignedInvariantTable(quiver, entries, maxdim, validity)
 
-    from itertools import product as iproduct
-
-    n = len(quiver.nodes)
     seen = set()
     validity = {}
-    for d in iproduct(*(range(maxdim + 1) for _ in range(n))):
+    # |H(d)| = 2|d|, so |H(d)| <= maxdim is |d| <= maxdim // 2
+    for d in quiver.dimension_vectors(maxdim // 2):
         if not any(d):
             continue
         h = quiver.hyperbolic(d)
-        if sum(h) > maxdim:
-            continue
         sd = quiver.sigma_dim(d)
         if (sd, d) in seen:
             continue

@@ -605,7 +605,7 @@ def general_factorization_check(quiver, maxdim, window):
             )
         factor = QSeries(
             quiver, MODULE, maxdim,
-            {(e, k): Fraction(m * sign_pow(k)) for k, m in lau.items()},
+            {(e, k): m * sign_pow(k) for k, m in lau.items()},
             {e: (min(lau), table.validity.get(e))},
         )
         rhs = rhs + acache[par].cmul(factor)

@@ -14,15 +14,22 @@ form E, hyperbolic map H, Witt class) is computed here in exact integers.
 from __future__ import annotations
 
 import json
+from math import comb
 
 from .errors import (
     DualitySignError,
     GradingError,
+    HallforgeError,
     InvolutionError,
     OddSymplecticError,
     QuiverSpecError,
     SymmetryError,
 )
+
+# Work cap: the largest number of dimension vectors |d| <= maxdim that one
+# call may enumerate (C(maxdim + n, n) for n nodes).  Larger requests fail
+# with a HallforgeError before any work is done.
+MAX_DIMENSION_VECTORS = 100_000
 
 
 class QuiverWithDuality:
@@ -139,6 +146,24 @@ class QuiverWithDuality:
 
     def zero(self):
         return (0,) * len(self.nodes)
+
+    def dimension_vectors(self, maxdim):
+        """Every dimension vector with |d| <= maxdim, in lexicographic order.
+
+        Raises HallforgeError when there are more than MAX_DIMENSION_VECTORS."""
+        if maxdim < 0:
+            return []
+        n = len(self.nodes)
+        count = comb(maxdim + n, n)
+        if count > MAX_DIMENSION_VECTORS:
+            raise HallforgeError(
+                "%d dimension vectors of total dimension <= %d on %d nodes exceed "
+                "the work cap of %d" % (count, maxdim, n, MAX_DIMENSION_VECTORS)
+            )
+        out = [()]
+        for _ in range(n):
+            out = [d + (x,) for d in out for x in range(maxdim - sum(d) + 1)]
+        return out
 
     def check_dim(self, d):
         if len(d) != len(self.nodes) or any(x < 0 for x in d):

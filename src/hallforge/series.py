@@ -4,7 +4,11 @@ A QSeries stores coefficients c[(d, k)] where d is a dimension-vector class
 and k the integer power of q^(1/2).  Each class carries validity metadata
 (suppmin, hi): every weight k <= hi is known exactly (stored or zero), hi =
 None meaning the class is exact; suppmin is a proven lower bound for the
-support, used to propagate windows through products.  Weights are never
+support, used to propagate windows through products.  Coefficients follow
+the `poly` convention: plain ints wherever they are integral by
+construction (Pochhammer factors, DT series, their products, inverses and
+powers), fractions.Fraction only where a division makes one (the 1/j of
+`log`, the m/n echoes of the factorization inversion).  Nothing is ever
 floated; the public rendering follows the (-q^(1/2))^k convention.
 
 Torus series multiply with the twist q^((chi(d,d') - chi(d',d))/2); module
@@ -17,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import GradingError, KindMismatchError, NonIntegralError
+from .poly import _num
 
 TORUS = "torus"
 MODULE = "module"
@@ -60,7 +65,7 @@ class QSeries:
     @classmethod
     def one(cls, quiver, kind, maxdim):
         zero = quiver.zero()
-        return cls(quiver, kind, maxdim, {(zero, 0): Fraction(1)}, {zero: (0, None)})
+        return cls(quiver, kind, maxdim, {(zero, 0): 1}, {zero: (0, None)})
 
     @classmethod
     def monomial(cls, quiver, kind, maxdim, dvec, k, coeff=1):
@@ -68,7 +73,7 @@ class QSeries:
         if kind == MODULE:
             quiver.check_selfdual_dim(dvec)
         return cls(
-            quiver, kind, maxdim, {(dvec, k): Fraction(coeff)}, {dvec: (k, None)}
+            quiver, kind, maxdim, {(dvec, k): _num(coeff)}, {dvec: (k, None)}
         )
 
     def copy(self):
@@ -88,12 +93,19 @@ class QSeries:
         return sorted(self.meta, key=lambda d: (sum(d), d))
 
     def coefficient(self, dvec, k):
-        return self.terms.get((tuple(dvec), k), Fraction(0))
+        return self.terms.get((tuple(dvec), k), 0)
 
     def class_laurent(self, dvec):
         """Laurent dict {k: coeff} of one class (within its validity)."""
         dvec = tuple(dvec)
         return {k: c for (d, k), c in self.terms.items() if d == dvec}
+
+    def by_class(self):
+        """{class: Laurent dict} of every class with a stored term, in one scan."""
+        out = {}
+        for (d, k), c in self.terms.items():
+            out.setdefault(d, {})[k] = c
+        return out
 
     def _check_compat(self, other, same_kind=True):
         if self.quiver is not other.quiver and self.quiver != other.quiver:
@@ -104,7 +116,7 @@ class QSeries:
     # -- linear structure ----------------------------------------------------
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _num(c)
         if not c:
             return QSeries(self.quiver, self.kind, self.maxdim, {}, dict(self.meta))
         return QSeries(
@@ -126,7 +138,7 @@ class QSeries:
         terms = {}
         for src in (self.terms, other.terms):
             for key, c in src.items():
-                v = terms.get(key, Fraction(0)) + c
+                v = terms.get(key, 0) + c
                 if v:
                     terms[key] = v
                 else:
@@ -186,7 +198,7 @@ class QSeries:
                     if hi is not None and k > hi:
                         continue
                     key = (d, k)
-                    v = terms.get(key, Fraction(0)) + sgn * c1 * c2
+                    v = terms.get(key, 0) + sgn * c1 * c2
                     if v:
                         terms[key] = v
                     else:
@@ -256,7 +268,7 @@ class QSeries:
     def _nilpotent_part(self, op):
         zero = self.quiver.zero()
         const = self.class_laurent(zero)
-        if const != {0: Fraction(1)}:
+        if const != {0: 1}:
             raise NonIntegralError("series must have constant term 1 for %s" % op)
         x = self + QSeries.monomial(self.quiver, self.kind, self.maxdim, zero, 0, -1)
         x.terms.pop((zero, 0), None)
@@ -297,17 +309,18 @@ class QSeries:
         """(equal, report): compare on the intersection of validity windows."""
         self._check_compat(other)
         classes = set(self.meta) | set(other.meta)
+        mine, theirs = self.by_class(), other.by_class()
         mismatches = []
         windows = {}
         for d in sorted(classes, key=lambda d: (sum(d), d)):
             hi = _min_hi(self.hi(d), other.hi(d))
             windows[d] = hi
-            la, lb = self.class_laurent(d), other.class_laurent(d)
+            la, lb = mine.get(d, {}), theirs.get(d, {})
             ks = set(la) | set(lb)
             for k in sorted(ks):
                 if hi is not None and k > hi:
                     continue
-                ca, cb = la.get(k, Fraction(0)), lb.get(k, Fraction(0))
+                ca, cb = la.get(k, 0), lb.get(k, 0)
                 if ca != cb:
                     mismatches.append({"d": list(d), "k": k, "lhs": str(ca), "rhs": str(cb)})
         return not mismatches, {"mismatches": mismatches, "windows": windows}
@@ -333,45 +346,39 @@ class QSeries:
     def from_json_dict(cls, quiver, doc):
         terms = {}
         meta = {}
+        lows = {}
         for t in doc["terms"]:
             d = tuple(int(x) for x in t["d"])
-            terms[(d, int(t["k"]))] = Fraction(t["c"])
+            k = int(t["k"])
+            terms[(d, k)] = _num(t["c"])
+            lows[d] = min(lows.get(d, k), k)
         for key, hi in doc.get("effective_hi", {}).items():
             d = tuple(int(x) for x in key.split(","))
-            lo = min((k for (dd, k) in terms if dd == d), default=0)
-            meta[d] = (lo, None if hi is None else int(hi))
-        for (d, k) in terms:
+            meta[d] = (lows.get(d, 0), None if hi is None else int(hi))
+        for d, lo in lows.items():
             if d not in meta:
-                meta[d] = (k, None)
+                meta[d] = (lo, None)
         return cls(quiver, doc["kind"], int(doc["trunc"]["maxdim"]), terms, meta)
 
 
 # -- closed forms --------------------------------------------------------------
 
 
-def _geometric(step_k, hi_k):
-    """{k: 1} for k = 0, step, 2*step, ... <= hi (k-units, q^(k/2))."""
-    out = {}
-    k = 0
-    while k <= hi_k:
-        out[k] = Fraction(1)
-        k += step_k
-    return out
+def _add_class(terms, meta, cls, lead, sign, steps, window):
+    """Class cls of a closed form: sign q^(lead/2) / prod_(step in steps)
+    (1 - q^(step/2)), known up to q^((lead + window)/2).
 
-
-def _laurent_mul(a, b, hi_k):
-    out = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = k1 + k2
-            if k > hi_k:
-                continue
-            v = out.get(k, Fraction(0)) + c1 * c2
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-    return out
+    Dense over the window: dividing by one factor is the running sum
+    out[i] += out[i - step], so each factor costs O(window).
+    """
+    out = [sign] + [0] * window
+    for step in steps:
+        for i in range(step, window + 1):
+            out[i] += out[i - step]
+    for i, c in enumerate(out):
+        if c:
+            terms[(cls, lead + i)] = c
+    meta[cls] = (lead, lead + window)
 
 
 def qpochhammer_inf(quiver, kind, k0, dvec, maxdim, window, base=1):
@@ -386,20 +393,15 @@ def qpochhammer_inf(quiver, kind, k0, dvec, maxdim, window, base=1):
     if kind == MODULE:
         quiver.check_selfdual_dim(dvec)
     zero = quiver.zero()
-    terms = {(zero, 0): Fraction(1)}
+    terms = {(zero, 0): 1}
     meta = {zero: (0, None)}
     size = sum(dvec)
     nmax = maxdim // size
     for n in range(1, nmax + 1):
         cls = tuple(n * x for x in dvec)
         kstart = n * k0 + base * n * (n - 1)
-        hi = kstart + window
-        lau = {kstart: Fraction((-1) ** n)}
-        for j in range(1, n + 1):
-            lau = _laurent_mul(lau, _geometric(2 * base * j, hi - kstart), hi)
-        for k, c in lau.items():
-            terms[(cls, k)] = c
-        meta[cls] = (kstart, hi)
+        steps = [2 * base * j for j in range(1, n + 1)]
+        _add_class(terms, meta, cls, kstart, sign_pow(n), steps, window)
     return QSeries(quiver, kind, maxdim, terms, meta)
 
 
@@ -414,56 +416,23 @@ def quantum_integer(n, base_power=1):
     """[n]_{q^b} as a Laurent dict {k: coeff} with k the power of q^(1/2)."""
     if n < 0:
         raise GradingError("[n]_q needs n >= 0")
-    return {2 * base_power * j: Fraction(1) for j in range(n)}
-
-
-def laurent_shift(lau, dk):
-    return {k + dk: c for k, c in lau.items()}
-
-
-def laurent_mul(a, b):
-    out = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = k1 + k2
-            v = out.get(k, Fraction(0)) + c1 * c2
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-    return out
+    return {2 * base_power * j: 1 for j in range(n)}
 
 
 def dt_series(quiver, maxdim, window):
     """A_Q = sum_d (-q^(1/2))^chi(d,d) / prod_i prod_{j<=d_i} (1-q^j) t^d."""
-    from itertools import product
-
-    n = len(quiver.nodes)
     terms, meta = {}, {}
-    for d in product(*(range(maxdim + 1) for _ in range(n))):
-        if sum(d) > maxdim:
-            continue
+    for d in quiver.dimension_vectors(maxdim):
         chi = quiver.euler_form(d, d)
-        hi = chi + window
-        lau = {chi: Fraction((-1) ** chi)}
-        for di in d:
-            for j in range(1, di + 1):
-                lau = _laurent_mul(lau, _geometric(2 * j, hi - chi), hi)
-        for k, c in lau.items():
-            terms[(d, k)] = c
-        meta[d] = (chi, hi)
+        steps = [2 * j for di in d for j in range(1, di + 1)]
+        _add_class(terms, meta, d, chi, sign_pow(chi), steps, window)
     return QSeries(quiver, TORUS, maxdim, terms, meta)
 
 
 def module_classes(quiver, maxdim):
     """sigma-invariant admissible classes with |e| <= maxdim, graded-lex order."""
-    from itertools import product
-
-    n = len(quiver.nodes)
     out = []
-    for e in product(*(range(maxdim + 1) for _ in range(n))):
-        if sum(e) > maxdim:
-            continue
+    for e in quiver.dimension_vectors(maxdim):
         if quiver.sigma_dim(e) != e:
             continue
         ok = True
@@ -483,17 +452,9 @@ def ori_dt_series(quiver, maxdim, window):
     idx = quiver.node_index
     for e in module_classes(quiver, maxdim):
         ee = quiver.sd_euler_form(e)
-        hi = ee + window
-        lau = {ee: Fraction((-1) ** ee)}
-        for nd in quiver.q0_plus:
-            for j in range(1, e[idx[nd]] + 1):
-                lau = _laurent_mul(lau, _geometric(2 * j, hi - ee), hi)
-        for nd in quiver.q0_sigma:
-            for j in range(1, e[idx[nd]] // 2 + 1):
-                lau = _laurent_mul(lau, _geometric(4 * j, hi - ee), hi)
-        for k, c in lau.items():
-            terms[(e, k)] = c
-        meta[e] = (ee, hi)
+        steps = [2 * j for nd in quiver.q0_plus for j in range(1, e[idx[nd]] + 1)]
+        steps += [4 * j for nd in quiver.q0_sigma for j in range(1, e[idx[nd]] // 2 + 1)]
+        _add_class(terms, meta, e, ee, sign_pow(ee), steps, window)
     return QSeries(quiver, MODULE, maxdim, terms, meta)
 
 
@@ -517,7 +478,7 @@ class InvariantTable:
         """Laurent dict of the class: coefficient of q^(k/2) is m*(-1)^k."""
         dvec = tuple(dvec)
         return {
-            k: Fraction(m * sign_pow(k))
+            k: m * sign_pow(k)
             for (d, k), m in self.entries.items()
             if d == dvec
         }
@@ -529,7 +490,7 @@ class InvariantTable:
         for (d, k), m in self.entries.items():
             if sum(d) > maxdim:
                 continue
-            terms[(d, k)] = Fraction(m * sign_pow(k))
+            terms[(d, k)] = m * sign_pow(k)
             lo, hi = meta.get(d, (k, self.validity.get(d)))
             meta[d] = (min(lo, k), hi)
         for d, hi in self.validity.items():
@@ -559,31 +520,25 @@ def invert_pochhammer_factorization(series):
     """
     L = series.log()
     table = {}
-    raw = {}
+    raw = {}  # class -> {k: multiplicity}, filled in layer by layer
     validity = {}
-    classes = [d for d in L.classes() if any(d)]
-    per_class = {d: dict(L.class_laurent(d)) for d in classes}
-    for D in classes:
+    per_class = L.by_class()
+    for D in L.classes():
+        if not any(D):
+            continue
+        lau = dict(per_class.get(D, {}))
         hi = L.hi(D)
         if hi is None:
-            hi = max(per_class[D], default=0)
-        lau = dict(per_class[D])
+            hi = max(lau, default=0)
         # subtract the n >= 2 echoes of smaller classes
         g = _gcd_vec(D)
         for n in range(2, g + 1):
             if any(x % n for x in D):
                 continue
-            d0 = tuple(x // n for x in D)
-            for (dd, k0), m in raw.items():
-                if dd != d0:
-                    continue
-                base = n * k0
-                if base > hi:
-                    continue
-                geo = _geometric(2 * n, hi - base)
-                for gk, gc in geo.items():
-                    k = base + gk
-                    v = lau.get(k, Fraction(0)) - Fraction(m, n) * gc
+            for k0, m in raw.get(tuple(x // n for x in D), {}).items():
+                echo = Fraction(m, n)
+                for k in range(n * k0, hi + 1, 2 * n):
+                    v = lau.get(k, 0) - echo
                     if v:
                         lau[k] = v
                     else:
@@ -592,9 +547,9 @@ def invert_pochhammer_factorization(series):
         out = {}
         for k, c in lau.items():
             if k <= hi:
-                out[k] = out.get(k, Fraction(0)) + c
+                out[k] = out.get(k, 0) + c
             if k + 2 <= hi:
-                out[k + 2] = out.get(k + 2, Fraction(0)) - c
+                out[k + 2] = out.get(k + 2, 0) - c
         for k in sorted(out):
             c = out[k]
             if not c:
@@ -605,7 +560,7 @@ def invert_pochhammer_factorization(series):
                 )
             # stored multiplicities are dimensions: the Pochhammer exponent is
             # the rendered coefficient m * (-1)^k
-            raw[(D, k)] = int(c)
+            raw.setdefault(D, {})[k] = int(c)
             table[(D, k)] = int(c) * sign_pow(k)
         validity[D] = hi
     return InvariantTable(series.quiver, series.kind, table, validity, series.maxdim)
@@ -618,18 +573,6 @@ def _gcd_vec(d):
     for x in d:
         g = gcd(g, x)
     return g
-
-
-def rebuild_from_table(table, maxdim, window):
-    """prod (q^(k/2) t^d ; q)_inf^(-m) over the table entries (test oracle)."""
-    quiver = table.quiver
-    out = QSeries.one(quiver, table.kind, maxdim)
-    for (d, k), m in table.sorted_entries():
-        if sum(d) > maxdim:
-            continue
-        p = qpochhammer_inf(quiver, table.kind, k, d, maxdim, 3 * window)
-        out = out.cmul(p.power(-m * sign_pow(k)))
-    return out
 
 
 def pochhammer_q2_product(signed_table, maxdim, window):
@@ -690,7 +633,7 @@ class SignedInvariantTable:
         dvec = tuple(dvec)
         i = 0 if slot == "+" else 1
         return {
-            k: Fraction(pm[i] * sign_pow(k))
+            k: pm[i] * sign_pow(k)
             for (d, k), pm in self.entries.items()
             if d == dvec and pm[i]
         }

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +18,12 @@ L2_DOC = {
 }
 
 
-def run_cli(args):
+def run_cli(args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "hallforge.cli"] + args,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -203,3 +205,30 @@ def test_negative_size_exit2(l2_path, args):
     code, out, err = run_cli(args + ["--quiver", l2_path])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# stdout of the series commands on L2 (max-dim 5, window 14), recorded before
+# the series coefficients became plain ints
+GOLDEN_L2 = Path(__file__).parent / "data" / "cli_golden_l2.json"
+
+
+@pytest.mark.parametrize("command", ["dt-series", "dt-invariants", "ori-series", "equivariant-dt"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_series_output_golden(l2_path, command, fmt):
+    golden = json.loads(GOLDEN_L2.read_text())
+    code, out, err = run_cli([command, "--quiver", l2_path, "--max-dim", "5", "--window", "14", "--format", fmt])
+    assert code == 0 and err == ""
+    assert out == golden["%s --format %s" % (command, fmt)]
+
+
+def test_enumeration_work_cap_exit2(tmp_path):
+    p = tmp_path / "three.json"
+    p.write_text(json.dumps({
+        "nodes": ["1", "2", "3"], "arrows": [],
+        "sigma_nodes": {"1": "1", "2": "2", "3": "3"}, "sigma_arrows": {},
+        "s": {"1": 1, "2": 1, "3": 1}, "tau": {},
+    }))
+    # C(2003, 3), about 1.3e9 classes: refused before any is enumerated
+    code, out, err = run_cli(["dt-series", "--quiver", str(p), "--max-dim", "2000"], timeout=60)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "work cap" in err and "Traceback" not in err

@@ -5,12 +5,14 @@ import pytest
 from hallforge.errors import (
     DualitySignError,
     GradingError,
+    HallforgeError,
     InvolutionError,
     OddSymplecticError,
     QuiverSpecError,
     SymmetryError,
 )
 from hallforge.quiver import (
+    MAX_DIMENSION_VECTORS,
     QuiverWithDuality,
     a1_tilde,
     a2_quiver,
@@ -176,3 +178,23 @@ def test_super_parity_for_sigma_symmetric():
             he = tuple(a + b for a, b in zip(q.hyperbolic(d), e))
             par = (q.sd_euler_form(he) - q.euler_form(d, d) - q.sd_euler_form(e)) % 2
             assert par == 0
+
+
+def test_dimension_vectors_order_and_cap():
+    from itertools import product
+    from math import comb
+
+    three = QuiverWithDuality(["1", "2", "3"], [], {n: n for n in "123"}, {}, {n: 1 for n in "123"}, {})
+    for q in (loop_quiver(2), a2_quiver(), three):
+        n = len(q.nodes)
+        for maxdim in range(5):
+            want = [d for d in product(range(maxdim + 1), repeat=n) if sum(d) <= maxdim]
+            assert q.dimension_vectors(maxdim) == want
+            assert len(want) == comb(maxdim + n, n)
+    assert three.dimension_vectors(-1) == []
+    big = 1
+    while comb(big + 3, 3) <= MAX_DIMENSION_VECTORS:
+        big += 1
+    assert len(three.dimension_vectors(big - 1)) == comb(big + 2, 3)
+    with pytest.raises(HallforgeError, match="work cap"):
+        three.dimension_vectors(big)

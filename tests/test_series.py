@@ -1,22 +1,23 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from hallforge.errors import GradingError, NonIntegralError
+from hallforge.proputils import Lcg
 from hallforge.quiver import a1_tilde, a2_quiver, loop_quiver
 from hallforge.series import (
+    MODULE,
+    TORUS,
     QSeries,
     dt_series,
     invert_pochhammer_factorization,
-    laurent_mul,
-    laurent_shift,
     module_classes,
     ori_dt_series,
     pochhammer_q2_product,
     qdilog,
     qpochhammer_inf,
     quantum_integer,
-    rebuild_from_table,
     sign_pow,
     SignedInvariantTable,
 )
@@ -24,6 +25,139 @@ from hallforge.series import (
 L0 = loop_quiver(0)
 L1 = loop_quiver(1, s=1, tau=[1])
 L2 = loop_quiver(2)
+
+
+# -- oracle: the closed forms as quadratic Laurent products in Fractions -------
+
+
+def geometric(step, top):
+    """1 / (1 - q^(step/2)) as {k: 1} for k = 0, step, 2*step, ... <= top."""
+    return {k: Fraction(1) for k in range(0, top + 1, step)}
+
+
+def laurent_mul(a, b, hi):
+    """a * b truncated at k <= hi, by the quadratic double loop."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            if k <= hi:
+                out[k] = out.get(k, Fraction(0)) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def over_factors(lead, sign, steps, window):
+    lau = {lead: Fraction(sign)}
+    for step in steps:
+        lau = laurent_mul(lau, geometric(step, window), lead + window)
+    return lau
+
+
+def oracle_series(quiver, kind, maxdim, classes):
+    """classes: (class, leading weight, sign, steps) -> QSeries with window."""
+    terms, meta = {}, {}
+    for cls, lead, sign, steps, window in classes:
+        for k, c in over_factors(lead, sign, steps, window).items():
+            terms[(cls, k)] = c
+        meta[cls] = (lead, lead + window)
+    return QSeries(quiver, kind, maxdim, terms, meta)
+
+
+def oracle_pochhammer(quiver, k0, dvec, maxdim, window, base):
+    zero = quiver.zero()
+    classes = []
+    for n in range(1, maxdim // sum(dvec) + 1):
+        kstart = n * k0 + base * n * (n - 1)
+        steps = [2 * base * j for j in range(1, n + 1)]
+        classes.append((tuple(n * x for x in dvec), kstart, (-1) ** n, steps, window))
+    out = oracle_series(quiver, TORUS, maxdim, classes)
+    out.terms[(zero, 0)] = Fraction(1)
+    out.meta[zero] = (0, None)
+    return out
+
+
+def all_vectors(quiver, maxdim):
+    n = len(quiver.nodes)
+    return [d for d in product(*(range(maxdim + 1) for _ in range(n))) if sum(d) <= maxdim]
+
+
+def oracle_dt_series(quiver, maxdim, window):
+    classes = []
+    for d in all_vectors(quiver, maxdim):
+        chi = quiver.euler_form(d, d)
+        steps = [2 * j for di in d for j in range(1, di + 1)]
+        classes.append((d, chi, (-1) ** chi, steps, window))
+    return oracle_series(quiver, TORUS, maxdim, classes)
+
+
+def oracle_ori_dt_series(quiver, maxdim, window):
+    idx = quiver.node_index
+    classes = []
+    for e in all_vectors(quiver, maxdim):
+        if quiver.sigma_dim(e) != e:
+            continue
+        if any(quiver.s[nd] == -1 and e[idx[nd]] % 2 for nd in quiver.q0_sigma):
+            continue
+        ee = quiver.sd_euler_form(e)
+        steps = [2 * j for nd in quiver.q0_plus for j in range(1, e[idx[nd]] + 1)]
+        steps += [4 * j for nd in quiver.q0_sigma for j in range(1, e[idx[nd]] // 2 + 1)]
+        classes.append((e, ee, (-1) ** ee, steps, window))
+    return oracle_series(quiver, MODULE, maxdim, classes)
+
+
+def assert_int_coefficients(series):
+    bad = {key: c for key, c in series.terms.items() if type(c) is not int}
+    assert not bad, bad
+
+
+ORACLE_QUIVERS = [
+    L0,
+    loop_quiver(0, s=-1),
+    L1,
+    loop_quiver(1, s=-1, tau=[-1]),
+    L2,
+    loop_quiver(2, s=-1),
+    loop_quiver(3, s=1, tau=[1, 1, 1]),
+    a2_quiver(),
+    a1_tilde(tau=1),
+    a1_tilde(tau=-1),
+]
+
+
+def test_closed_forms_against_quadratic_oracle():
+    """The running-sum Pochhammer factors agree with the quadratic Fraction
+    expansion, and every coefficient, also after cmul/inverse/power, is an int."""
+    rng = Lcg(4104)
+    for quiver in ORACLE_QUIVERS:
+        for _ in range(3):
+            maxdim, window = rng.randint(1, 6), rng.randint(0, 24)
+            pairs = [
+                (dt_series(quiver, maxdim, window), oracle_dt_series(quiver, maxdim, window)),
+                (ori_dt_series(quiver, maxdim, window), oracle_ori_dt_series(quiver, maxdim, window)),
+            ]
+            dvec = rng.choice([d for d in all_vectors(quiver, 2) if any(d)])
+            for k0 in (-1, 0, 1):
+                for base in (1, 2):
+                    pairs.append((
+                        qpochhammer_inf(quiver, TORUS, k0, dvec, maxdim, window, base=base),
+                        oracle_pochhammer(quiver, k0, dvec, maxdim, window, base),
+                    ))
+            for got, want in pairs:
+                assert got.terms == want.terms and got.meta == want.meta
+                for derived in (got, got.cmul(got), got.inverse(), got.power(3), got.power(-2)):
+                    assert_int_coefficients(derived)
+
+
+def rebuild_from_table(table, maxdim, window):
+    """prod (q^(k/2) t^d ; q)_inf^(-m) over the table entries."""
+    quiver = table.quiver
+    out = QSeries.one(quiver, table.kind, maxdim)
+    for (d, k), m in table.sorted_entries():
+        if sum(d) > maxdim:
+            continue
+        p = qpochhammer_inf(quiver, table.kind, k, d, maxdim, 3 * window)
+        out = out.cmul(p.power(-m * sign_pow(k)))
+    return out
 
 
 def brute_pochhammer(k0, nmax, qtop, base=1):
@@ -212,8 +346,11 @@ def test_sign_pow():
 
 def test_laurent_helpers():
     a = {0: Fraction(1), 2: Fraction(2)}
-    assert laurent_shift(a, 3) == {3: Fraction(1), 5: Fraction(2)}
-    assert laurent_mul(a, {0: Fraction(1)}) == a
+    assert laurent_mul(a, {0: Fraction(1)}, 2) == a
+    assert laurent_mul(a, {0: Fraction(1)}, 1) == {0: 1}
+    assert geometric(4, 9) == {0: 1, 4: 1, 8: 1} and geometric(2, -1) == {}
+    # (1 - q) / (1 - q) = 1 up to the truncation
+    assert laurent_mul({0: Fraction(1), 2: Fraction(-1)}, geometric(2, 10), 10) == {0: 1}
 
 
 def test_char_products_match_torus_for_symmetric():
