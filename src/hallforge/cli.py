@@ -154,11 +154,18 @@ def _load_json(path):
         return json.load(fh)
 
 
+# the file flags each subcommand reads
+REQUIRED_FILES = {"mul": ("lhs", "rhs"), "act": ("coha", "cohm"), "thom": ("mults",)}
+
+
 def _dispatch(args):
     for flag in ("max_dim", "window", "bound"):
         if getattr(args, flag) < 0:
             raise HallforgeError("--%s must be non-negative" % flag.replace("_", "-"))
     cmd = args.command
+    for flag in REQUIRED_FILES.get(cmd, ()):
+        if getattr(args, flag) is None:
+            raise HallforgeError("--%s is required for %s" % (flag, cmd))
     fmt = args.format
     if cmd == "dt-series":
         q = _load_quiver(args)
@@ -217,7 +224,9 @@ def _dispatch(args):
     if cmd == "thom":
         rs = _build_rs(args)
         doc = _load_json(args.mults)
-        mults = {tuple(int(x) for x in k.split(",")): int(v) for k, v in doc.items()}
+        if not isinstance(doc, dict) or not all(isinstance(v, int) for v in doc.values()):
+            raise HallforgeError('--mults must hold an object {"a,b": multiplicity} of integers')
+        mults = {tuple(int(x) for x in k.split(",")): v for k, v in doc.items()}
         _emit_json(thom_polynomial(rs, mults).to_json_dict())
         return 0
     if cmd == "pbw-check":

@@ -6,6 +6,8 @@ prod_{a: i->j} prod (x''_{j,b} - x'_{i,a}) / prod_i prod (x''_{i,b} - x'_{i,a}),
 computed as the arrow numerator followed by one divided-difference operator
 per node (no denominator is ever formed).
 Cohomological weight of a homogeneous element is 2*deg + chi(d, d).
+CohaElement is the graded layer of `graded` with a GL block on every node,
+the variable prefix x and the weight form chi(d, d).
 """
 
 from __future__ import annotations
@@ -13,132 +15,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import GradingError, HallforgeError, SymmetryError
-from .linalg import Echelon
+from .graded import GradedElement, PrimitiveTable
+from .linalg import Echelon, complement
 from .poly import Poly
+from .quiver import QuiverWithDuality
 from .series import (
-    InvariantTable,
     SignedInvariantTable,
     dt_series,
     invert_pochhammer_factorization,
     sign_pow,
 )
-from .symfun import weight_basis, weight_basis_size
 
 
-def coha_block_layout(quiver, d):
-    """Variable offsets per node for the x_{i,1..d_i} ring (sorted node order)."""
-    offsets, pos = {}, 0
-    for n in quiver.nodes:
-        offsets[n] = pos
-        pos += d[quiver.node_index[n]]
-    return offsets, pos
+class CohaElement(GradedElement):
+    """Dimension vector d plus an S_d-invariant polynomial in x_{i,1..d_i}."""
 
+    __slots__ = ()
+    prefix = "x"
+    d = GradedElement.degree  # the degree slot, under its CoHA name
+    check_degree = staticmethod(QuiverWithDuality.check_dim)
 
-def coha_var_names(quiver, d):
-    names = []
-    for n in quiver.nodes:
-        for j in range(d[quiver.node_index[n]]):
-            names.append("x:%s:%d" % (n, j + 1))
-    return names
+    @staticmethod
+    def blocks(quiver, d):
+        return [(n, "GL", d[i]) for i, n in enumerate(quiver.nodes)]
 
+    @staticmethod
+    def weight_form(quiver, d):
+        return quiver.euler_form(d, d)
 
-class CohaElement:
-    """Dimension vector plus an S_d-invariant polynomial."""
-
-    __slots__ = ("quiver", "d", "poly")
-
-    def __init__(self, quiver, d, poly, check=True):
-        self.quiver = quiver
-        self.d = quiver.check_dim(d)
-        nvars = sum(self.d)
-        if poly.n != nvars:
-            raise GradingError("polynomial ring has %d vars, need %d" % (poly.n, nvars))
-        self.poly = poly
-        if check and not self.is_invariant():
-            raise GradingError("polynomial is not Weyl invariant")
-
-    @classmethod
-    def unit(cls, quiver, d=None):
-        d = quiver.zero() if d is None else d
-        return cls(quiver, d, Poly.const(sum(d), 1), check=False)
-
-    @classmethod
-    def slot_monomial(cls, quiver, d, exps):
-        """Element with polynomial prod x_{node,1}^e; exps maps node -> e.
-
-        Only useful when each referenced node has a single variable slot,
-        where any monomial is automatically Weyl invariant."""
-        offsets, n = coha_block_layout(quiver, d)
-        p = Poly.const(n, 1)
-        for node, e in exps.items():
-            p = p * Poly.variable(n, offsets[node], e)
-        return cls(quiver, d, p)
-
-    def is_invariant(self):
-        offsets, _ = coha_block_layout(self.quiver, self.d)
-        for n in self.quiver.nodes:
-            base = offsets[n]
-            for j in range(self.d[self.quiver.node_index[n]] - 1):
-                if self.poly.swap_variables(base + j, base + j + 1) != self.poly:
-                    return False
-        return True
-
-    def is_zero(self):
-        return self.poly.is_zero()
-
-    def weight(self):
-        if not self.poly.is_homogeneous():
-            raise GradingError("weight of an inhomogeneous element")
-        deg = max(self.poly.degree(), 0)
-        return 2 * deg + self.quiver.euler_form(self.d, self.d)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CohaElement)
-            and self.quiver == other.quiver
-            and self.d == other.d
-            and self.poly == other.poly
-        )
-
-    def __repr__(self):
-        return "CohaElement(d=%r, %r)" % (self.d, self.poly)
-
-    def scale(self, c):
-        return CohaElement(self.quiver, self.d, self.poly.scale(c), check=False)
-
-    def __add__(self, other):
-        if self.d != other.d:
-            raise GradingError("cannot add elements of different degree")
-        return CohaElement(self.quiver, self.d, self.poly + other.poly, check=False)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def to_json_dict(self):
-        names = coha_var_names(self.quiver, self.d)
-        return {
-            "d": list(self.d),
-            "poly": [
-                {
-                    "exp": {names[i]: e for i, e in enumerate(k) if e},
-                    "c": str(c),
-                }
-                for k, c in self.poly.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, quiver, doc):
-        d = quiver.check_dim(tuple(int(x) for x in doc["d"]))
-        names = {nm: i for i, nm in enumerate(coha_var_names(quiver, d))}
-        n = sum(d)
-        terms = {}
-        for t in doc["poly"]:
-            key = [0] * n
-            for nm, e in t["exp"].items():
-                key[names[nm]] = int(e)
-            terms[tuple(key)] = Fraction(t["c"])
-        return cls(quiver, d, Poly.from_exponents(n, terms))
+    # entries of this class, so that one side's JSON boundary can be wrapped
+    # on its own (perfbench/tracer.py)
+    to_json_dict = GradedElement.to_json_dict
+    from_json_dict = GradedElement.__dict__["from_json_dict"]
 
 
 # -- shuffle product ----------------------------------------------------------
@@ -161,7 +69,7 @@ def shuffle_mul(f, g):
     quiver = f.quiver
     idx = quiver.node_index
     d = tuple(a + b for a, b in zip(f.d, g.d))
-    offsets, nvars = coha_block_layout(quiver, d)
+    offsets, nvars = CohaElement.layout(quiver, d)
     if f.is_zero() or g.is_zero():
         return CohaElement(quiver, d, Poly.zero(nvars), check=False)
     # x'_{n,a} sits at slot offsets[n] + a and x''_{n,b} at mid[n] + b
@@ -185,50 +93,14 @@ def shuffle_mul(f, g):
 def s_involution(f):
     """S_H(f): degree sigma(d), substitution x_{i,j} -> -x_{sigma(i),j}."""
     quiver = f.quiver
-    sd = quiver.sigma_dim(f.d)
-    off_src, _ = coha_block_layout(quiver, f.d)
-    off_dst, nvars = coha_block_layout(quiver, sd)
-    mapping = [None] * sum(f.d)
-    for n in quiver.nodes:
-        dn = f.d[quiver.node_index[n]]
-        for j in range(dn):
-            mapping[off_src[n] + j] = (-1, off_dst[quiver.sigma_nodes[n]] + j)
-    return CohaElement(quiver, sd, f.poly.map_variables(nvars, mapping), check=False)
+    return f.relabel(CohaElement, quiver, quiver.sigma_dim(f.d), quiver.sigma_nodes.get, -1)
 
 
 # -- graded slices --------------------------------------------------------------
 
 
-def coha_blocks(quiver, d):
-    return [
-        (n, "GL", d[quiver.node_index[n]])
-        for n in quiver.nodes
-        if d[quiver.node_index[n]]
-    ]
-
-
-def slice_degree(quiver, d, k):
-    """Polynomial degree of the (d,k) slice, or None when the slice is empty."""
-    chi = quiver.euler_form(d, d)
-    if (k - chi) % 2 or k < chi:
-        return None
-    return (k - chi) // 2
-
-
 def coha_slice_basis(quiver, d, k):
-    deg = slice_degree(quiver, d, k)
-    if deg is None:
-        return []
-    basis, _ = weight_basis(coha_blocks(quiver, d), deg)
-    n = sum(d)
-    return [CohaElement(quiver, d, p if p.n == n else Poly(n, dict(p.terms)), check=False) for p in basis]
-
-
-def coha_slice_dim(quiver, d, k):
-    deg = slice_degree(quiver, d, k)
-    if deg is None:
-        return 0
-    return weight_basis_size(coha_blocks(quiver, d), deg)
+    return CohaElement.slice_basis(quiver, d, k)
 
 
 def _nonzero_decompositions(d):
@@ -288,37 +160,14 @@ def generator_complement(quiver, d, k):
     cached = quiver._cache.get(key)
     if cached is not None:
         return cached
-    if slice_degree(quiver, d, k) is None:
-        quiver._cache[key] = []
-        return []
-    if not _nonzero_decompositions(d):
+    if CohaElement.slice_degree(quiver, d, k) is None:
+        out = []
+    elif not _nonzero_decompositions(d):
         out = coha_slice_basis(quiver, d, k)
-        quiver._cache[key] = out
-        return out
-    ech = _ideal_echelon(quiver, d, k)
-    probe = Echelon()
-    for piv, row in ech.pivots.items():
-        probe.add(dict(row))
-    out = []
-    for belem in coha_slice_basis(quiver, d, k):
-        if probe.add(dict(belem.poly.terms)):
-            out.append(belem)
+    else:
+        out = complement(_ideal_echelon(quiver, d, k).copy(), coha_slice_basis(quiver, d, k))
     quiver._cache[key] = out
     return out
-
-
-class PrimitiveTable:
-    """dim V^prim per (d,k), with the stored (non-canonical) complement basis."""
-
-    def __init__(self, quiver, dims, bases, validity, maxdim):
-        self.quiver = quiver
-        self.dims = dims
-        self.bases = bases
-        self.validity = validity
-        self.maxdim = maxdim
-
-    def table(self):
-        return InvariantTable(self.quiver, "torus", self.dims, self.validity, self.maxdim)
 
 
 def _power_sum_element(quiver, d):
@@ -337,21 +186,16 @@ def primitive_basis(quiver, d, k):
     cached = quiver._cache.get(key)
     if cached is not None:
         return cached
-    if slice_degree(quiver, d, k) is None:
-        quiver._cache[key] = []
-        return []
-    probe = Echelon()
-    if _nonzero_decompositions(d):
-        for piv, row in _ideal_echelon(quiver, d, k).pivots.items():
-            probe.add(dict(row))
-    if slice_degree(quiver, d, k) > 0:
-        sigma = _power_sum_element(quiver, d)
-        for c in generator_complement(quiver, d, k - 2):
-            probe.add((sigma.poly * c.poly).terms)
-    out = []
-    for belem in coha_slice_basis(quiver, d, k):
-        if probe.add(dict(belem.poly.terms)):
-            out.append(belem)
+    deg = CohaElement.slice_degree(quiver, d, k)
+    if deg is None:
+        out = []
+    else:
+        probe = _ideal_echelon(quiver, d, k).copy() if _nonzero_decompositions(d) else Echelon()
+        if deg > 0:
+            sigma = _power_sum_element(quiver, d)
+            for c in generator_complement(quiver, d, k - 2):
+                probe.add((sigma.poly * c.poly).terms)
+        out = complement(probe, coha_slice_basis(quiver, d, k))
     quiver._cache[key] = out
     return out
 
@@ -374,7 +218,7 @@ def primitive_dims(quiver, maxdim, window):
             if gens:
                 dims[(d, k)] = len(gens)
                 bases[(d, k)] = gens
-    return PrimitiveTable(quiver, dims, bases, validity, maxdim)
+    return PrimitiveTable(quiver, "torus", dims, bases, validity, maxdim)
 
 
 def quotient_involution_matrix(quiver, d, k):

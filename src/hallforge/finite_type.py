@@ -2,26 +2,21 @@
 
 Roots of A_n are intervals [a,b]; the duality sends [a,b] to [n+1-b, n+1-a].
 A total order compatible with the Auslander-Reiten quiver (Hom(I_i, I_j) =
-0 = Ext^1(I_j, I_i) for i < j) is built by topological sort.  The two
-inequivalent duality structures are tau = -1 with s = +1 (orthogonal) or
-s = -1 (symplectic); in type A_2n orthogonal and A_2n+1 symplectic every
-self-dual representation is hyperbolic (h = 0), otherwise each sigma-fixed
-root carries a unique self-dual structure (h = 1).
+0 = Ext^1(I_j, I_i) for i < j) is built by topological sort, with Hom and
+Ext^1 between interval modules read off the intervals and the orientation.
+The two inequivalent duality structures are tau = -1 with s = +1
+(orthogonal) or s = -1 (symplectic); in type A_2n orthogonal and A_2n+1
+symplectic every self-dual representation is hyperbolic (h = 0), otherwise
+each sigma-fixed root carries a unique self-dual structure (h = 1).  The
+PBW checks of the algebra and the module share one slice tally.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .coha import CohaElement, coha_block_layout, coha_slice_dim, shuffle_mul
-from .cohm import (
-    CohmElement,
-    act_many,
-    cohm_action,
-    cohm_slice_dim,
-)
+from .coha import CohaElement, shuffle_mul
+from .cohm import CohmElement, act_many, cohm_action
 from .errors import GradingError, HallforgeError, QuiverSpecError
-from .linalg import Echelon
+from .linalg import rank_of_rows
 from .quiver import QuiverWithDuality
 from .series import MODULE, QSeries, qpochhammer_inf
 from .symfun import partitions, schur
@@ -110,18 +105,6 @@ class RootSystemA:
         """i(beta): the leftmost node of the interval (dimension one there)."""
         return _node(root[0])
 
-    def indecomposable(self, root):
-        """Matrix representation of I_root: dims and 0/1 arrow matrices."""
-        a, b = root
-        dims = {nd: d for nd, d in zip(self.quiver.nodes, self.dim_vector(root))}
-        mats = {}
-        for aid, t, h in self.quiver.arrows:
-            if dims[t] and dims[h]:
-                mats[aid] = [[1]]
-            else:
-                mats[aid] = [[0] * dims[t] for _ in range(dims[h])]
-        return dims, mats
-
     # -- CoHA/CoHM ingredients ------------------------------------------------
 
     def unit(self, root, mult=1):
@@ -131,61 +114,40 @@ class RootSystemA:
     def psi(self, root, lam, parts):
         """psi(s_lam in `parts` variables) = s_lam(x_{i(beta),1..parts})."""
         d = tuple(parts * x for x in self.dim_vector(root))
-        offsets, nvars = coha_block_layout(self.quiver, d)
+        offsets, nvars = CohaElement.layout(self.quiver, d)
         node = self.support_node(root)
         p = schur(lam, parts, offsets[node], nvars)
         return CohaElement(self.quiver, d, p, check=False)
 
 
 def hom_ext(rs, I, J):
-    """(dim Hom, dim Ext^1) for matrix representations I, J."""
-    dimsI, matsI = I
-    dimsJ, matsJ = J
-    quiver = rs.quiver
-    var_index = {}
-    pos = 0
-    for nd in quiver.nodes:
-        for r in range(dimsJ[nd]):
-            for c in range(dimsI[nd]):
-                var_index[(nd, r, c)] = pos
-                pos += 1
-    ech = Echelon()
-    for aid, t, h in quiver.arrows:
-        # J_a phi_t - phi_h I_a = 0, entrywise
-        for r in range(dimsJ[h]):
-            for c in range(dimsI[t]):
-                row = {}
-                for m in range(dimsJ[t]):
-                    coeff = matsJ[aid][r][m]
-                    if coeff:
-                        row[var_index[(t, m, c)]] = row.get(var_index[(t, m, c)], 0) + coeff
-                for m in range(dimsI[h]):
-                    coeff = matsI[aid][m][c]
-                    if coeff:
-                        key = var_index[(h, r, m)]
-                        row[key] = row.get(key, 0) - coeff
-                row = {k: Fraction(v) for k, v in row.items() if v}
-                if row:
-                    ech.add(row)
-    hom = pos - ech.rank
-    dI = tuple(dimsI[nd] for nd in quiver.nodes)
-    dJ = tuple(dimsJ[nd] for nd in quiver.nodes)
-    ext = hom - quiver.euler_form(dI, dJ)
-    return hom, ext
+    """(dim Hom, dim Ext^1) between the interval modules I = [a,b] and J = [c,d].
+
+    Hom is one-dimensional when the overlap [e,f] is nonempty, a quotient of
+    I (the arrows joining it to the rest of I point out of it) and a
+    submodule of J (the arrows joining it to the rest of J point into it),
+    and zero otherwise; Ext^1 = dim Hom - chi(dim I, dim J).
+    """
+    (a, b), (c, d) = I, J
+    e, f = max(a, c), min(b, d)
+    o = rs.orientation  # o[i - 1] is the arrow between nodes i and i + 1
+    hom = int(
+        e <= f
+        and (e == a or o[e - 2] == "<") and (f == b or o[f - 1] == ">")
+        and (e == c or o[e - 2] == ">") and (f == d or o[f - 1] == "<")
+    )
+    return hom, hom - rs.quiver.euler_form(rs.dim_vector(I), rs.dim_vector(J))
 
 
 def ar_order(rs):
     """Total order with Hom(I_i, I_j) = 0 = Ext^1(I_j, I_i) for i < j."""
-    roots = [(a, b) for a in range(1, rs.n + 1) for b in range(a, rs.n + 1)]
-    reps = {}
-    for r in roots:
-        reps[r] = rs.indecomposable(r)
+    roots = rs.roots
     after = {r: set() for r in roots}  # edges r -> s meaning r before s
     for r in roots:
         for t in roots:
             if r == t:
                 continue
-            hom, ext = hom_ext(rs, reps[r], reps[t])
+            hom, ext = hom_ext(rs, r, t)
             if hom:
                 after[t].add(r)  # Hom(r,t) != 0 forces t < r
             if ext:
@@ -204,8 +166,8 @@ def ar_order(rs):
     # validate both vanishing conditions
     for i, r in enumerate(order):
         for t in order[i + 1 :]:
-            hom, _ = hom_ext(rs, reps[r], reps[t])
-            _, ext = hom_ext(rs, reps[t], reps[r])
+            hom, _ = hom_ext(rs, r, t)
+            _, ext = hom_ext(rs, t, r)
             if hom or ext:
                 raise HallforgeError("AR order violates the vanishing conditions")
     return order
@@ -228,6 +190,8 @@ def thom_polynomial(rs, mults):
     """
     mults = {tuple(r): int(m) for r, m in mults.items() if m}
     for r, m in mults.items():
+        if r not in rs.position:
+            raise GradingError("%r is not a root of A_%d" % (r, rs.n))
         if m < 0:
             raise GradingError("negative multiplicity at %r" % (r,))
         if mults.get(rs.dual_root(r), 0) != m:
@@ -341,6 +305,43 @@ def _root_tuples(rs, roots, bound):
     return out
 
 
+def _bucket(buckets, zeros, elem):
+    """File the homogeneous components of a PBW product by slice (d, k)."""
+    if elem.is_zero():
+        zeros.append(elem.degree)
+        return
+    form = elem.weight_form(elem.quiver, elem.degree)
+    for deg, comp in elem.poly.homogeneous_components().items():
+        buckets.setdefault((elem.degree, 2 * deg + form), []).append(comp.terms)
+
+
+def _slice_report(cls, quiver, buckets, zeros, window):
+    """{"pass", "slices"}: (rows, rank, dim) per in-window slice (d, k).
+
+    The check passes when no ordered product vanished and every in-window
+    slice has rows == rank == dim.  A nonempty in-window slice of a class
+    some product reached, but that no product hit, is reported as (0, 0,
+    dim) and fails the check.
+    """
+    ok = not zeros  # a vanishing ordered product already breaks injectivity
+    slices = {}
+    for (d, k), rows in sorted(buckets.items()):
+        if k > cls.weight_form(quiver, d) + window:
+            continue
+        rank, dim = rank_of_rows(rows), cls.slice_dim(quiver, d, k)
+        slices[(d, k)] = (len(rows), rank, dim)
+        if not len(rows) == rank == dim:
+            ok = False
+    for d in sorted({d for d, _ in buckets}):
+        lo = cls.weight_form(quiver, d)
+        for k in range(lo, lo + window + 1):
+            dim = cls.slice_dim(quiver, d, k)
+            if dim and (d, k) not in slices:
+                ok = False
+                slices[(d, k)] = (0, 0, dim)
+    return {"pass": ok, "slices": slices}
+
+
 def pbw_check_coha(rs, bound, window):
     """Both ordered multiplication maps are graded isomorphisms up to bound.
 
@@ -352,20 +353,10 @@ def pbw_check_coha(rs, bound, window):
         bound = (bound,) * rs.n
     reports = {}
     for name, roots in (
-        ("simple", [r for r in rs.order if r[0] == r[1]][::-1]),
+        ("simple", rs.simple_roots()[::-1]),
         ("indecomposable", list(rs.order)),
     ):
-        buckets = {}
-        zeros = []
-
-        def emit(elem):
-            if elem.is_zero():
-                zeros.append(elem.d)
-                return
-            for deg, comp in elem.poly.homogeneous_components().items():
-                k = 2 * deg + rs.quiver.euler_form(elem.d, elem.d)
-                buckets.setdefault((elem.d, k), []).append(comp.terms)
-
+        buckets, zeros = {}, []
         memo = {}
 
         def prefix_product(key):
@@ -384,35 +375,15 @@ def pbw_check_coha(rs, bound, window):
 
             def rec(j, key, budget):
                 if j == len(active):
-                    emit(prefix_product(key) if key else CohaElement.unit(rs.quiver))
+                    product = prefix_product(key) if key else CohaElement.unit(rs.quiver)
+                    _bucket(buckets, zeros, product)
                     return
                 root, m = active[j]
                 for lam in _partitions_upto(budget, m):
                     rec(j + 1, key + ((root, m, lam),), budget - sum(lam))
 
             rec(0, (), maxdeg)
-        ok = not zeros  # a vanishing ordered product already breaks injectivity
-        slices = {}
-        for (d, k), rows in sorted(buckets.items()):
-            dim = coha_slice_dim(rs.quiver, d, k)
-            chi = rs.quiver.euler_form(d, d)
-            if k > chi + window:
-                continue
-            ech = Echelon()
-            for row in rows:
-                ech.add(dict(row))
-            slices[(d, k)] = (len(rows), ech.rank, dim)
-            if not (len(rows) == ech.rank == dim):
-                ok = False
-        # every nonempty codomain slice within the window must be hit
-        for d in sorted({d for (d, k) in slices}):
-            chi = rs.quiver.euler_form(d, d)
-            for k in range(chi, chi + window + 1):
-                dim = coha_slice_dim(rs.quiver, d, k)
-                if dim and (d, k) not in slices:
-                    ok = False
-                    slices[(d, k)] = (0, 0, dim)
-        reports[name] = {"pass": ok, "slices": slices}
+        reports[name] = _slice_report(CohaElement, rs.quiver, buckets, zeros, window)
     reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
     return reports
 
@@ -480,17 +451,7 @@ def pbw_check_cohm(rs, bound, window):
         ("indecomposable", list(rs.delta_minus), list(rs.delta_sigma)),
     )
     for name, outer_roots, sigma_roots in cases:
-        buckets = {}
-        zeros = []
-
-        def emit(elem):
-            if elem.is_zero():
-                zeros.append(elem.e)
-                return
-            for deg, comp in elem.poly.homogeneous_components().items():
-                k = 2 * deg + rs.quiver.sd_euler_form(elem.e)
-                buckets.setdefault((elem.e, k), []).append(comp.terms)
-
+        buckets, zeros = {}, []
         budget = window // 2
         for pi in _subsets(sigma_roots):
             if not all(rs.admits_selfdual(b) for b in pi):
@@ -508,7 +469,7 @@ def pbw_check_cohm(rs, bound, window):
 
                     def rec(j, suffix, left):
                         if j < 0:
-                            emit(suffix)
+                            _bucket(buckets, zeros, suffix)
                             return
                         root, m = active[j]
                         for lam in _partitions_upto(left, m):
@@ -516,28 +477,6 @@ def pbw_check_cohm(rs, bound, window):
                             rec(j - 1, cohm_action(f, suffix), left - sum(lam))
 
                     rec(len(active) - 1, base, budget)
-        ok = not zeros
-        slices = {}
-        seen_classes = set()
-        for (e, k), rows in sorted(buckets.items()):
-            seen_classes.add(e)
-            ee = rs.quiver.sd_euler_form(e)
-            if k > ee + window:
-                continue
-            dim = cohm_slice_dim(rs.quiver, e, k)
-            ech = Echelon()
-            for row in rows:
-                ech.add(dict(row))
-            slices[(e, k)] = (len(rows), ech.rank, dim)
-            if not (len(rows) == ech.rank == dim):
-                ok = False
-        for e in sorted(seen_classes):
-            ee = rs.quiver.sd_euler_form(e)
-            for k in range(ee, ee + window + 1):
-                dim = cohm_slice_dim(rs.quiver, e, k)
-                if dim and (e, k) not in slices:
-                    ok = False
-                    slices[(e, k)] = (0, 0, dim)
-        reports[name] = {"pass": ok, "slices": slices}
+        reports[name] = _slice_report(CohmElement, rs.quiver, buckets, zeros, window)
     reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
     return reports

@@ -61,6 +61,15 @@ class Echelon:
         res, coords, _ = self._reduce(row, {} if self.aug is not None else None)
         return res, coords
 
+    def copy(self):
+        """An independent echelon with the same pivots (pivot rows are never
+        mutated, so they are shared)."""
+        out = Echelon(augmented=self.aug is not None)
+        out.pivots, out.rank = dict(self.pivots), self.rank
+        if self.aug is not None:
+            out.aug = dict(self.aug)
+        return out
+
     def add(self, row, tag=None):
         """Insert a row; returns True when it increased the rank."""
         coords = {tag: 1} if self.aug is not None else None
@@ -74,6 +83,14 @@ class Echelon:
             self.aug[lead] = {j: _div(v, c) for j, v in coords.items()}
         self.rank += 1
         return True
+
+
+def complement(ech, elements):
+    """The elements (with a polynomial `.poly`, whose terms are the rows) that
+    raise the rank of ech when added in order; ech is extended.  When the
+    elements span a space containing the rows of ech, the chosen ones span a
+    complement of them."""
+    return [x for x in elements if ech.add(x.poly.terms)]
 
 
 def rank_of_rows(rows):

@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import os
 
+from .errors import HallforgeError
+
 
 def worker_count(tasks=None):
     """HALLFORGE_THREADS clamped to the CPU count and, when given, to the
-    number of tasks: the fork start method starts every worker at once."""
+    number of tasks: the fork start method starts every worker at once.
+    A value that is not an integer raises HallforgeError."""
+    value = os.environ.get("HALLFORGE_THREADS", "0")
     try:
-        n = max(0, int(os.environ.get("HALLFORGE_THREADS", "0")))
+        n = max(0, int(value))
     except ValueError:
-        return 0
+        raise HallforgeError("HALLFORGE_THREADS=%r is not an integer" % value) from None
     n = min(n, os.cpu_count() or 1)
     return n if tasks is None else min(n, tasks)
 

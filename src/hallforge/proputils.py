@@ -17,7 +17,6 @@ from .cohm import (
     check_sd_euler_disjoint,
     cohm_action,
     cohm_slice_basis,
-    cohm_slice_dim,
     general_factorization_check,
     ori_dt_series,
 )
@@ -80,34 +79,31 @@ def random_selfdual_dim(rng, quiver, total):
     return quiver.check_selfdual_dim(tuple(e))
 
 
-def random_coha_element(rng, quiver, maxtotal=3, maxdeg=2, exact=False):
-    d = random_dim(rng, quiver, maxtotal, exact)
-    deg = rng.randint(0, maxdeg)
-    basis = coha_slice_basis(quiver, d, quiver.euler_form(d, d) + 2 * deg)
-    n = sum(d)
+def _random_in_slice(rng, cls, quiver, d, basis, deg):
+    """A random integer combination of one or two slice basis elements (a
+    constant when the slice is the empty degree-0 one)."""
+    n = cls.layout(quiver, d)[1]
     poly = Poly.zero(n)
     if basis:
         for _ in range(rng.randint(1, 2)):
             poly = poly + rng.choice(basis).poly.scale(rng.randint(-3, 3))
     elif deg == 0:
         poly = Poly.const(n, rng.randint(-3, 3))
-    return CohaElement(quiver, d, poly, check=False)
+    return cls(quiver, d, poly, check=False)
+
+
+def random_coha_element(rng, quiver, maxtotal=3, maxdeg=2, exact=False):
+    d = random_dim(rng, quiver, maxtotal, exact)
+    deg = rng.randint(0, maxdeg)
+    basis = coha_slice_basis(quiver, d, quiver.euler_form(d, d) + 2 * deg)
+    return _random_in_slice(rng, CohaElement, quiver, d, basis, deg)
 
 
 def random_cohm_element(rng, quiver, maxtotal=3, maxdeg=2, exact=False):
     e = random_selfdual_dim(rng, quiver, maxtotal)
     deg = rng.randint(0, maxdeg)
     basis = cohm_slice_basis(quiver, e, quiver.sd_euler_form(e) + 2 * deg)
-    from .cohm import cohm_block_layout
-
-    _, n = cohm_block_layout(quiver, e)
-    poly = Poly.zero(n)
-    if basis:
-        for _ in range(rng.randint(1, 2)):
-            poly = poly + rng.choice(basis).poly.scale(rng.randint(-3, 3))
-    elif deg == 0:
-        poly = Poly.const(n, rng.randint(-3, 3))
-    return CohmElement(quiver, e, poly, check=False)
+    return _random_in_slice(rng, CohmElement, quiver, e, basis, deg)
 
 
 def _report(prop, failures, count):
@@ -278,7 +274,6 @@ def suite_disjoint_union(quiver, seed, count=200, budget=3, maxdeg=2):
 
 def suite_hilbert_consistency(quiver, seed, count=200, maxtotal=5, window=12):
     """Graded dimensions of the polynomial models reproduce A_Q and A^sigma_Q."""
-    from .coha import coha_slice_dim
     from .series import module_classes, sign_pow
 
     rng = Lcg(seed)
@@ -289,11 +284,11 @@ def suite_hilbert_consistency(quiver, seed, count=200, maxtotal=5, window=12):
     for _ in range(count):
         d = random_dim(rng, quiver, maxtotal)
         k = quiver.euler_form(d, d) + 2 * rng.randint(0, window // 2)
-        if A.coefficient(d, k) != Fraction(coha_slice_dim(quiver, d, k) * sign_pow(k)):
+        if A.coefficient(d, k) != Fraction(CohaElement.slice_dim(quiver, d, k) * sign_pow(k)):
             failures.append({"d": list(d), "k": k, "side": "coha"})
         e = rng.choice(classes)
         k = quiver.sd_euler_form(e) + 2 * rng.randint(0, window // 2)
-        if As.coefficient(e, k) != Fraction(cohm_slice_dim(quiver, e, k) * sign_pow(k)):
+        if As.coefficient(e, k) != Fraction(CohmElement.slice_dim(quiver, e, k) * sign_pow(k)):
             failures.append({"e": list(e), "k": k, "side": "cohm"})
     return _report("hilbert-consistency", failures, count)
 

@@ -76,9 +76,6 @@ class QSeries:
             quiver, kind, maxdim, {(dvec, k): _num(coeff)}, {dvec: (k, None)}
         )
 
-    def copy(self):
-        return QSeries(self.quiver, self.kind, self.maxdim, dict(self.terms), dict(self.meta))
-
     # -- metadata -----------------------------------------------------------
 
     def hi(self, dvec):

@@ -232,3 +232,71 @@ def test_enumeration_work_cap_exit2(tmp_path):
     code, out, err = run_cli(["dt-series", "--quiver", str(p), "--max-dim", "2000"], timeout=60)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "work cap" in err and "Traceback" not in err
+
+
+# stdout of the element-layer commands (mul, act, ori-invariants, thom,
+# pbw-check) on fixed operands, recorded before the CoHA and CoHM element
+# code was merged into one graded layer; "@name" arguments are written from
+# the "quivers", "operands" and "mults" documents of the same file
+GOLDEN_ELEMENTS = json.loads((Path(__file__).parent / "data" / "cli_golden_elements.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ELEMENTS["cases"]))
+def test_element_output_golden(tmp_path, case):
+    def resolve(arg):
+        if not arg.startswith("@"):
+            return arg
+        name = arg[1:]
+        if name == "mults":
+            doc = GOLDEN_ELEMENTS["mults"]
+        elif ":" in name:
+            quiver, operand = name.split(":")
+            doc = GOLDEN_ELEMENTS["operands"][quiver][operand]
+        else:
+            doc = GOLDEN_ELEMENTS["quivers"][name]
+        path = tmp_path / (name.replace(":", "-") + ".json")
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    golden = GOLDEN_ELEMENTS["cases"][case]
+    code, out, err = run_cli([resolve(a) for a in golden["args"]])
+    assert code == 0 and err == ""
+    assert out == golden["stdout"]
+
+
+ONE_VAR = {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "1"}]}
+
+
+@pytest.mark.parametrize("command, files, message", [
+    ("mul", {"lhs": [], "rhs": ONE_VAR}, "element document"),
+    ("mul", {"lhs": {"d": [1], "poly": "oops"}, "rhs": ONE_VAR}, "element document"),
+    ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:9:9": 1}, "c": "1"}]}, "rhs": ONE_VAR}, "unknown variable 'x:9:9'"),
+    ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "one"}]}, "rhs": ONE_VAR}, "rational coefficient"),
+    ("mul", {"lhs": ONE_VAR}, "--rhs is required"),
+    ("mul", {"rhs": ONE_VAR}, "--lhs is required"),
+    ("act", {"coha": ONE_VAR}, "--cohm is required"),
+    ("act", {"cohm": {"d": [1], "poly": []}}, "--coha is required"),
+    ("thom", {"mults": [1]}, "--mults must hold an object"),
+    ("thom", {}, "--mults is required"),
+])
+def test_malformed_element_input_exit2(tmp_path, l2_path, command, files, message):
+    args = [command, "--quiver", l2_path] if command != "thom" else [command, "--type", "A2"]
+    for flag, doc in files.items():
+        path = tmp_path / ("%s.json" % flag)
+        path.write_text(json.dumps(doc))
+        args += ["--" + flag, str(path)]
+    code, out, err = run_cli(args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+def test_non_integer_thread_count_exit2(l2_path):
+    import os
+
+    env = dict(os.environ, HALLFORGE_THREADS="two")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hallforge.cli", "ori-invariants", "--quiver", l2_path, "--max-dim", "2", "--window", "4"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "HALLFORGE_THREADS='two'" in proc.stderr and "Traceback" not in proc.stderr

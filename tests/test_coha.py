@@ -4,7 +4,6 @@ import pytest
 
 from hallforge.coha import (
     CohaElement,
-    coha_slice_dim,
     dt_invariants,
     equivariant_dt,
     primitive_dims,
@@ -130,7 +129,7 @@ def test_hilbert_consistency():
     for d in range(5):
         chi = L2.euler_form((d,), (d,))
         for k in range(chi, chi + 13):
-            dim = coha_slice_dim(L2, (d,), k)
+            dim = CohaElement.slice_dim(L2, (d,), k)
             assert A.coefficient((d,), k) == Fraction(dim * sign_pow(k))
 
 
@@ -207,11 +206,9 @@ def shuffle_sum_at(f, g, point):
     term with exact rational denominators: the definition, used as oracle."""
     from itertools import combinations, product
 
-    from hallforge.coha import coha_block_layout
-
     quiver, idx = f.quiver, f.quiver.node_index
     d = tuple(a + b for a, b in zip(f.d, g.d))
-    offsets, _ = coha_block_layout(quiver, d)
+    offsets, _ = CohaElement.layout(quiver, d)
     choices = [combinations(range(d[idx[n]]), f.d[idx[n]]) for n in quiver.nodes]
     total = Fraction(0)
     for picked in product(*map(list, choices)):

@@ -11,13 +11,12 @@ from hallforge.cohm import (
     check_sd_euler_disjoint,
     cohm_action,
     cohm_slice_basis,
-    cohm_slice_dim,
     general_factorization_check,
     loop_factorization,
     ori_dt_invariants,
     witt_decompose,
 )
-from hallforge.errors import GradingError, OddSymplecticError, SymmetryError
+from hallforge.errors import GradingError, HallforgeError, OddSymplecticError, SymmetryError
 from hallforge.poly import Poly
 from hallforge.quiver import a1_tilde, a2_quiver, loop_quiver
 from hallforge.series import ori_dt_series, sign_pow
@@ -115,9 +114,10 @@ def test_a2_higher_actions():
     for i in range(4):
         f = CohaElement(q, (1, 0), Poly.variable(1, 0, i))
         assert cohm_action(f, m0).poly == Poly.variable(1, 0, i)
-    nu1 = CohaElement.slot_monomial(q, (1, 1), {"2": 1})
+    # x_{2,1}^j: node "2" owns the second variable of the (1, 1) ring
+    nu1 = CohaElement(q, (1, 1), Poly.variable(2, 1))
     assert cohm_action(nu1, m0).poly == Poly.const(2, -1)
-    nu3 = CohaElement.slot_monomial(q, (1, 1), {"2": 3})
+    nu3 = CohaElement(q, (1, 1), Poly.variable(2, 1, 3))
     expected = Poly.from_exponents(2, {(2, 0): -1, (1, 1): -1, (0, 2): -1})
     assert cohm_action(nu3, m0).poly == expected
 
@@ -234,7 +234,7 @@ def test_slice_dims_match_series():
         ee = L2.sd_euler_form((e,))
         for k in range(ee, ee + 13):
             assert s.coefficient((e,), k) == Fraction(
-                cohm_slice_dim(L2, (e,), k) * sign_pow(k)
+                CohmElement.slice_dim(L2, (e,), k) * sign_pow(k)
             )
 
 
@@ -363,8 +363,10 @@ def test_worker_count_is_clamped(monkeypatch):
     assert worker_count(0) == 0
     monkeypatch.setenv("HALLFORGE_THREADS", "2")
     assert worker_count(10) == 2
+    # a value that is not an integer is an input error, not "sequential"
     monkeypatch.setenv("HALLFORGE_THREADS", "many")
-    assert worker_count(10) == 0
+    with pytest.raises(HallforgeError, match="HALLFORGE_THREADS='many'"):
+        worker_count(10)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     monkeypatch.setenv("HALLFORGE_THREADS", "8")
     assert worker_count(10) == 1
@@ -385,12 +387,10 @@ def sigma_shuffle_sum_at(f, g, point):
     used as oracle.  Returns (value, number of sigma-shuffles)."""
     from itertools import combinations, product
 
-    from hallforge.cohm import cohm_block_layout
-
     quiver, idx = f.quiver, f.quiver.node_index
     d, e = f.d, g.e
     et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
-    off, _ = cohm_block_layout(quiver, et)
+    off, _ = CohmElement.layout(quiver, et)
     fixed = set(quiver.q0_sigma)
     choices = []
     for n in quiver.q0_plus:
@@ -495,7 +495,6 @@ def sigma_shuffle_sum_at(f, g, point):
 def test_cohm_action_against_sigma_shuffle_sum():
     from math import comb
 
-    from hallforge.cohm import cohm_block_layout
     from hallforge.finite_type import build_typeA
     from hallforge.proputils import Lcg, random_coha_element, random_cohm_element
     from hallforge.quiver import disjoint_double
@@ -522,7 +521,7 @@ def test_cohm_action_against_sigma_shuffle_sum():
             f = random_coha_element(rng, q, 3, 2)
             g = random_cohm_element(rng, q, 3, 2)
             et = tuple(a + b for a, b in zip(q.hyperbolic(f.d), g.e))
-            nvars = cohm_block_layout(q, et)[1]
+            nvars = CohmElement.layout(q, et)[1]
             if f.is_zero() or g.is_zero() or nvars > 5:
                 continue
             done += 1

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from hallforge.errors import GradingError, QuiverSpecError
@@ -10,6 +13,7 @@ from hallforge.finite_type import (
     pbw_check_cohm,
     thom_polynomial,
 )
+from hallforge.linalg import Echelon
 from hallforge.poly import Poly
 from hallforge.symfun import schur
 
@@ -49,18 +53,81 @@ def test_sigma_incompatible_orientation():
     build_typeA(4, "><>", "orthogonal")
 
 
+def indecomposable(rs, root):
+    """Matrix representation of the interval module I_root: dims and 0/1
+    arrow matrices."""
+    dims = {nd: d for nd, d in zip(rs.quiver.nodes, rs.dim_vector(root))}
+    mats = {}
+    for aid, t, h in rs.quiver.arrows:
+        if dims[t] and dims[h]:
+            mats[aid] = [[1]]
+        else:
+            mats[aid] = [[0] * dims[t] for _ in range(dims[h])]
+    return dims, mats
+
+
+def matrix_hom_ext(rs, root_i, root_j):
+    """(dim Hom, dim Ext^1) from the rank of the linear equations of a
+    morphism between matrix representations: the oracle for hom_ext."""
+    (dimsI, matsI), (dimsJ, matsJ) = indecomposable(rs, root_i), indecomposable(rs, root_j)
+    quiver = rs.quiver
+    var_index = {}
+    for nd in quiver.nodes:
+        for r in range(dimsJ[nd]):
+            for c in range(dimsI[nd]):
+                var_index[(nd, r, c)] = len(var_index)
+    ech = Echelon()
+    for aid, t, h in quiver.arrows:
+        # J_a phi_t - phi_h I_a = 0, entrywise
+        for r in range(dimsJ[h]):
+            for c in range(dimsI[t]):
+                row = {}
+                for m in range(dimsJ[t]):
+                    if matsJ[aid][r][m]:
+                        key = var_index[(t, m, c)]
+                        row[key] = row.get(key, 0) + matsJ[aid][r][m]
+                for m in range(dimsI[h]):
+                    if matsI[aid][m][c]:
+                        key = var_index[(h, r, m)]
+                        row[key] = row.get(key, 0) - matsI[aid][m][c]
+                row = {k: Fraction(v) for k, v in row.items() if v}
+                if row:
+                    ech.add(row)
+    hom = len(var_index) - ech.rank
+    return hom, hom - quiver.euler_form(rs.dim_vector(root_i), rs.dim_vector(root_j))
+
+
+def sigma_compatible_systems(max_n):
+    """Every type-A root system up to rank max_n: each sigma-compatible
+    orientation with both dualities."""
+    for n in range(1, max_n + 1):
+        for orient in map("".join, product("<>", repeat=n - 1)):
+            if all(orient[i] == orient[n - 2 - i] for i in range(n - 1)):
+                for duality in ("orthogonal", "symplectic"):
+                    yield build_typeA(n, orient, duality)
+
+
 def test_hom_ext():
     rs = build_typeA(2, ">", "orthogonal")
-    reps = {r: rs.indecomposable(r) for r in rs.roots}
     for r in rs.roots:
-        assert hom_ext(rs, reps[r], reps[r]) == (1, 0)
-    assert hom_ext(rs, reps[(1, 1)], reps[(2, 2)]) == (0, 1)
-    assert hom_ext(rs, reps[(1, 2)], reps[(1, 1)]) == (1, 0)
-    # chi = hom - ext on all pairs
-    for a in rs.roots:
-        for b in rs.roots:
-            hom, ext = hom_ext(rs, reps[a], reps[b])
-            assert hom - ext == rs.quiver.euler_form(rs.dim_vector(a), rs.dim_vector(b))
+        assert hom_ext(rs, r, r) == (1, 0)
+    assert hom_ext(rs, (1, 1), (2, 2)) == (0, 1)
+    assert hom_ext(rs, (1, 2), (1, 1)) == (1, 0)
+    # the interval rule agrees with the rank of the Hom equations on every
+    # ordered pair of indecomposables
+    for rs in sigma_compatible_systems(5):
+        for a in rs.roots:
+            for b in rs.roots:
+                assert hom_ext(rs, a, b) == matrix_hom_ext(rs, a, b), (rs.orientation, a, b)
+
+
+def test_ar_order_matches_rank_oracle(monkeypatch):
+    from hallforge import finite_type
+
+    systems = list(sigma_compatible_systems(5))
+    monkeypatch.setattr(finite_type, "hom_ext", matrix_hom_ext)
+    for rs in systems:
+        assert ar_order(rs) == rs.order, rs.orientation
 
 
 def test_ar_order_validates():
@@ -174,3 +241,17 @@ def test_thom_a3_multiroot():
     assert t.e == (2, 2, 2)
     assert not t.poly.is_zero()
     assert t.is_invariant()
+
+
+def test_slice_report_fills_every_class_reached():
+    from hallforge.coha import CohaElement
+    from hallforge.finite_type import _slice_report
+
+    q = build_typeA(1, "", "orthogonal").quiver
+    d = (1,)
+    chi = q.euler_form(d, d)
+    # the only product of class d lies above the window 0, so the constants
+    # H_(d, chi) were never reached
+    rep = _slice_report(CohaElement, q, {(d, chi + 2): [Poly.variable(1, 0).terms]}, [], 0)
+    assert not rep["pass"]
+    assert rep["slices"] == {(d, chi): (0, 0, 1)}
