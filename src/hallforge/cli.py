@@ -230,8 +230,10 @@ def _dispatch(args):
         _emit_json(thom_polynomial(rs, mults).to_json_dict())
         return 0
     if cmd == "pbw-check":
-        rs = _build_rs(args)
         which = args.subargs[0] if args.subargs else "coha"
+        if which not in ("coha", "cohm"):
+            raise HallforgeError("pbw-check takes coha or cohm, not %r" % which)
+        rs = _build_rs(args)
         if which == "coha":
             rep = pbw_check_coha(rs, args.bound, args.window)
         else:

@@ -215,6 +215,25 @@ def cohm_action(f, g):
     return CohmElement(quiver, et, total.scale(sign), check=False)
 
 
+def action_degree_shift(quiver, d, e):
+    """deg(f * g) - deg f - deg g for nonzero homogeneous f in H_d, g in M_e.
+
+    `cohm_action` multiplies in linear factors and then applies operators
+    that each lower the degree by a fixed amount, so the shift depends on
+    (d, e) alone and can have either sign.  In degrees, the twisted weight
+    law w(f * g) = w(f) + w(g) - gamma(d, e) reads
+    2 shift = chi(d, d) + E(e) - E(H(d) + e) - gamma(d, e).
+    """
+    target = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
+    twice = (
+        quiver.euler_form(d, d)
+        + quiver.sd_euler_form(e)
+        - quiver.sd_euler_form(target)
+        - quiver.star_twist(d, e)
+    )
+    return twice // 2
+
+
 def act_many(factors, g):
     """(f_1 ... f_r) * g computed right to left."""
     out = g

@@ -8,15 +8,21 @@ The two inequivalent duality structures are tau = -1 with s = +1
 (orthogonal) or s = -1 (symplectic); in type A_2n orthogonal and A_2n+1
 symplectic every self-dual representation is hyperbolic (h = 0), otherwise
 each sigma-fixed root carries a unique self-dual structure (h = 1).  The
-PBW checks of the algebra and the module share one slice tally.
+PBW checks of the algebra and the module share one slice tally.  Both
+compute exactly the ordered products that land in the weight window: a
+product's degree is the sum of its factors' degrees plus a shift that
+depends only on their classes (-chi(d', d'') for the product,
+`action_degree_shift` for the action), so each tuple of classes gets its
+own degree budget.
 """
 
 from __future__ import annotations
 
 from .coha import CohaElement, shuffle_mul
-from .cohm import CohmElement, act_many, cohm_action
+from .cohm import CohmElement, act_many, action_degree_shift, cohm_action
 from .errors import GradingError, HallforgeError, QuiverSpecError
 from .linalg import rank_of_rows
+from .poly import key_degree
 from .quiver import QuiverWithDuality
 from .series import MODULE, QSeries, qpochhammer_inf
 from .symfun import partitions, schur
@@ -306,22 +312,27 @@ def _root_tuples(rs, roots, bound):
 
 
 def _bucket(buckets, zeros, elem):
-    """File the homogeneous components of a PBW product by slice (d, k)."""
+    """File a PBW product under its slice (d, k).
+
+    A PBW product is a product of homogeneous factors, so it is homogeneous
+    and one term gives its degree.
+    """
     if elem.is_zero():
         zeros.append(elem.degree)
         return
-    form = elem.weight_form(elem.quiver, elem.degree)
-    for deg, comp in elem.poly.homogeneous_components().items():
-        buckets.setdefault((elem.degree, 2 * deg + form), []).append(comp.terms)
+    deg = key_degree(next(iter(elem.poly.terms)))
+    k = 2 * deg + elem.weight_form(elem.quiver, elem.degree)
+    buckets.setdefault((elem.degree, k), []).append(elem.poly.terms)
 
 
-def _slice_report(cls, quiver, buckets, zeros, window):
+def _slice_report(cls, quiver, buckets, zeros, reached, window):
     """{"pass", "slices"}: (rows, rank, dim) per in-window slice (d, k).
 
     The check passes when no ordered product vanished and every in-window
-    slice has rows == rank == dim.  A nonempty in-window slice of a class
-    some product reached, but that no product hit, is reported as (0, 0,
-    dim) and fails the check.
+    slice has rows == rank == dim.  A nonempty in-window slice of a class in
+    `reached` (the classes of the enumerated root tuples, whether or not any
+    of their products lands in the window) that no product hit is reported
+    as (0, 0, dim) and fails the check.
     """
     ok = not zeros  # a vanishing ordered product already breaks injectivity
     slices = {}
@@ -332,7 +343,7 @@ def _slice_report(cls, quiver, buckets, zeros, window):
         slices[(d, k)] = (len(rows), rank, dim)
         if not len(rows) == rank == dim:
             ok = False
-    for d in sorted({d for d, _ in buckets}):
+    for d in sorted(reached):
         lo = cls.weight_form(quiver, d)
         for k in range(lo, lo + window + 1):
             dim = cls.slice_dim(quiver, d, k)
@@ -342,21 +353,36 @@ def _slice_report(cls, quiver, buckets, zeros, window):
     return {"pass": ok, "slices": slices}
 
 
+def _active(rs, roots, tup):
+    """(root, multiplicity, dimension vector) of the nonzero entries of tup."""
+    return [
+        (roots[i], m, tuple(m * x for x in rs.dim_vector(roots[i])))
+        for i, m in enumerate(tup)
+        if m
+    ]
+
+
 def pbw_check_coha(rs, bound, window):
     """Both ordered multiplication maps are graded isomorphisms up to bound.
 
     bound: per-node dimension cap (int or tuple).  Checks, per (d, k) with k
     within the window, that the ordered products of root-subalgebra basis
     elements span H_(d,k) in the exact number dim H_(d,k).
+
+    A product s_lam1 * ... * s_lamr of classes d_1, ..., d_r has degree
+    sum |lam_i| - sum_{i<j} chi(d_i, d_j), so each root tuple enumerates
+    exactly the partitions whose product lands in the window (degree at
+    most window // 2).
     """
     if isinstance(bound, int):
         bound = (bound,) * rs.n
+    quiver = rs.quiver
     reports = {}
     for name, roots in (
         ("simple", rs.simple_roots()[::-1]),
         ("indecomposable", list(rs.order)),
     ):
-        buckets, zeros = {}, []
+        buckets, zeros, reached = {}, [], set()
         memo = {}
 
         def prefix_product(key):
@@ -369,21 +395,26 @@ def pbw_check_coha(rs, bound, window):
             memo[key] = out
             return out
 
-        maxdeg = window // 2
         for tup in _root_tuples(rs, roots, bound):
-            active = [(roots[i], m) for i, m in enumerate(tup) if m]
+            active = _active(rs, roots, tup)
+            dims = [d for _, _, d in active]
+            reached.add(tuple(sum(col) for col in zip(quiver.zero(), *dims)))
+            budget = window // 2 + sum(
+                quiver.euler_form(a, b) for i, a in enumerate(dims) for b in dims[i + 1 :]
+            )
 
             def rec(j, key, budget):
                 if j == len(active):
-                    product = prefix_product(key) if key else CohaElement.unit(rs.quiver)
+                    product = prefix_product(key) if key else CohaElement.unit(quiver)
                     _bucket(buckets, zeros, product)
                     return
-                root, m = active[j]
+                root, m, _ = active[j]
                 for lam in _partitions_upto(budget, m):
                     rec(j + 1, key + ((root, m, lam),), budget - sum(lam))
 
-            rec(0, (), maxdeg)
-        reports[name] = _slice_report(CohaElement, rs.quiver, buckets, zeros, window)
+            if budget >= 0:
+                rec(0, (), budget)
+        reports[name] = _slice_report(CohaElement, quiver, buckets, zeros, reached, window)
     reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
     return reports
 
@@ -395,40 +426,29 @@ def _partitions_upto(budget, max_parts):
     return out
 
 
-def _module_generators(rs, sigma_roots, pi, caps, budget):
-    """Basis data of the M^(pi) factor: pairs (coha factor list, seed).
+def _module_generators(rs, sigma_roots, pi, mults, budget):
+    """Basis data of the M^(pi) factor at generator multiplicities `mults`:
+    pairs (CoHA factor list, sum of |mu|) with sum |mu| <= budget.
 
     Per sigma-fixed root beta: multiplicity 2c (+1 when beta is in pi); the
-    CoHA part is the psi-image of the c-fold product of odd-indexed (types B
-    and C) or even-indexed (type D) generators, acting on 1^sigma over the
-    sum of the pi roots.
+    CoHA part is the psi-image s_mu of the c-fold product of odd-indexed
+    (types B and C) or even-indexed (type D) generators, acting on 1^sigma
+    over the sum of the pi roots.  |mu| = 2|lam| + c(c-1)/2 (+ c when odd
+    indexed) for the partition lam that labels the product.
     """
-    evec = [0] * rs.n
-    for b in pi:
-        for i, x in enumerate(rs.dim_vector(b)):
-            evec[i] += x
-    seed = CohmElement.unit(rs.quiver, tuple(evec))
-    combos = [([], [0] * rs.n, 0)]
-    for b in sigma_roots:
-        odd_parity = b in pi
-        odd_indexed = odd_parity or rs.hyperbolic_case
-        vec = rs.dim_vector(b)
+    combos = [([], 0)]
+    for b, c in zip(sigma_roots, mults):
+        if not c:
+            continue
+        odd_indexed = b in pi or rs.hyperbolic_case
+        least = c * (c - 1) // 2 + (c if odd_indexed else 0)  # |mu| at lam = ()
         new = []
-        for factors, acc, used in combos:
-            c = 0
-            while True:
-                # the parity-1 copy of the root already sits inside evec
-                total = [a + 2 * c * v + e for a, v, e in zip(acc, vec, evec)]
-                if any(t > cap for t, cap in zip(total, caps)):
-                    break
-                hacc = [a + 2 * c * v for a, v in zip(acc, vec)]
-                for lam in _partitions_upto(budget - used, c):
-                    mu = _shifted_schur_partition(lam, c, odd_indexed)
-                    fl = factors + ([rs.psi(b, mu, c)] if c else [])
-                    new.append((fl, hacc, used + sum(mu)))
-                c += 1
+        for factors, used in combos:
+            for lam in _partitions_upto((budget - used - least) // 2, c):
+                mu = _shifted_schur_partition(lam, c, odd_indexed)
+                new.append((factors + [rs.psi(b, mu, c)], used + sum(mu)))
         combos = new
-    return [(factors, seed) for factors, _, _ in combos]
+    return combos
 
 
 def _shifted_schur_partition(lam, c, odd_indexed):
@@ -440,10 +460,31 @@ def _shifted_schur_partition(lam, c, odd_indexed):
     return tuple(x for x in mu if x)
 
 
+def _chained_shift(quiver, active, e):
+    """(degree shift, self-dual degree) of acting on M_e by the classes of
+    active (from `_active`), right to left."""
+    shift = 0
+    for _, _, d in reversed(active):
+        shift += action_degree_shift(quiver, d, e)
+        e = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
+    return shift, e
+
+
 def pbw_check_cohm(rs, bound, window):
-    """Both ordered CoHA action maps are graded isomorphisms up to bound."""
+    """Both ordered CoHA action maps are graded isomorphisms up to bound.
+
+    For each set pi of self-dual roots and generator multiplicities c, the
+    products of Schur images of the outer roots acting on the generator part
+    base are enumerated exactly when they land in the window: the degree of
+    f_1 * ... * f_r * base is sum |lam_i| + deg(base) plus the chained
+    `action_degree_shift` S_outer, and deg(base) = sum |mu| + S_gen.  The
+    generator budget for sum |mu| uses the smallest S_outer of the outer
+    tuples that fit the bound (0 for the empty tuple).
+    """
     if isinstance(bound, int):
         bound = (bound,) * rs.n
+    quiver = rs.quiver
+    top = window // 2
     reports = {}
     cases = (
         ("simple", [r for r in rs.order if r[0] == r[1] and r in rs.delta_plus][::-1],
@@ -451,32 +492,45 @@ def pbw_check_cohm(rs, bound, window):
         ("indecomposable", list(rs.delta_minus), list(rs.delta_sigma)),
     )
     for name, outer_roots, sigma_roots in cases:
-        buckets, zeros = {}, []
-        budget = window // 2
+        buckets, zeros, reached = {}, [], set()
+
+        def rec(active, j, suffix, left):
+            """Act on suffix by Schur images of active[j], ..., active[0]
+            with sum |lam| <= left, and file the products."""
+            if j < 0:
+                _bucket(buckets, zeros, suffix)
+                return
+            root, m, _ = active[j]
+            for lam in _partitions_upto(left, m):
+                rec(active, j - 1, cohm_action(rs.psi(root, lam, m), suffix), left - sum(lam))
+
+        outer_tuples = [_active(rs, outer_roots, t) for t in _root_tuples(rs, outer_roots, bound)]
         for pi in _subsets(sigma_roots):
             if not all(rs.admits_selfdual(b) for b in pi):
                 continue
-            for mfactors, seed in _module_generators(rs, sigma_roots, pi, bound, budget):
-                base = act_many(mfactors, seed)
-                for tup in _root_tuples(rs, outer_roots, bound):
-                    active = [(outer_roots[i], m) for i, m in enumerate(tup) if m]
-                    htot = [0] * rs.n
-                    for r, m in active:
-                        for i, x in enumerate(rs.quiver.hyperbolic(tuple(m * v for v in rs.dim_vector(r)))):
-                            htot[i] += x
-                    if any(h + e > cap for h, e, cap in zip(htot, base.e, bound)):
-                        continue
-
-                    def rec(j, suffix, left):
-                        if j < 0:
-                            _bucket(buckets, zeros, suffix)
-                            return
-                        root, m = active[j]
-                        for lam in _partitions_upto(left, m):
-                            f = rs.psi(root, lam, m)
-                            rec(j - 1, cohm_action(f, suffix), left - sum(lam))
-
-                    rec(len(active) - 1, base, budget)
-        reports[name] = _slice_report(CohmElement, rs.quiver, buckets, zeros, window)
+            evec = [0] * rs.n
+            for b in pi:
+                for i, x in enumerate(rs.dim_vector(b)):
+                    evec[i] += x
+            seed = CohmElement.unit(quiver, tuple(evec))
+            half_caps = [(cap - x) // 2 for cap, x in zip(bound, evec)]
+            for mults in _root_tuples(rs, sigma_roots, half_caps):
+                s_gen, e0 = _chained_shift(quiver, _active(rs, sigma_roots, mults), seed.e)
+                outer = []
+                for active in outer_tuples:
+                    s_outer, e = _chained_shift(quiver, active, e0)
+                    if all(x <= cap for x, cap in zip(e, bound)):
+                        outer.append((active, s_outer))
+                        reached.add(e)
+                least_outer = min(s for _, s in outer)
+                for mfactors, mu_size in _module_generators(
+                    rs, sigma_roots, pi, mults, top - s_gen - least_outer
+                ):
+                    base = act_many(mfactors, seed)
+                    for active, s_outer in outer:
+                        budget = top - mu_size - s_gen - s_outer
+                        if budget >= 0:
+                            rec(active, len(active) - 1, base, budget)
+        reports[name] = _slice_report(CohmElement, quiver, buckets, zeros, reached, window)
     reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
     return reports

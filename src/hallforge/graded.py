@@ -167,21 +167,26 @@ class GradedElement:
         """Inverse of to_json_dict; a malformed document raises GradingError."""
         if not (isinstance(doc, dict) and isinstance(doc.get("d"), list) and isinstance(doc.get("poly"), list)):
             raise GradingError('an element document is an object {"d": [...], "poly": [...]}')
-        try:
-            d = tuple(int(x) for x in doc["d"])
-        except (TypeError, ValueError):
-            raise GradingError("degree %r is not a list of integers" % (doc["d"],)) from None
-        d = cls.check_degree(quiver, d)
+        # exact input only: integers, and strings for coefficients; a float
+        # or a bool (an int subclass) is refused, not rounded
+        if any(type(x) is not int for x in doc["d"]):
+            raise GradingError("degree %r is not a list of integers" % (doc["d"],))
+        d = cls.check_degree(quiver, tuple(doc["d"]))
         names = {nm: i for i, nm in enumerate(cls.var_names(quiver, d))}
         terms = {}
         for t in doc["poly"]:
             if not (isinstance(t, dict) and isinstance(t.get("exp"), dict) and "c" in t):
                 raise GradingError('poly term %r is not an object {"exp": {...}, "c": ...}' % (t,))
             key = [0] * len(names)
+            c = t["c"]
             try:
                 for nm, e in t["exp"].items():
-                    key[names[nm]] = int(e)
-                terms[tuple(key)] = Fraction(t["c"])
+                    if type(e) is not int:
+                        raise TypeError
+                    key[names[nm]] = e
+                if type(c) is not int and type(c) is not str:
+                    raise TypeError
+                terms[tuple(key)] = Fraction(c)
             except KeyError as exc:
                 raise GradingError("unknown variable %s in degree %r" % (exc, d)) from None
             except (TypeError, ValueError):

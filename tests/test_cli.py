@@ -131,6 +131,19 @@ def test_pbw_check_cli():
     assert code == 0 and json.loads(out)["pass"] is True
 
 
+def test_pbw_check_cohm_a3_cli():
+    # exited 1 while the check gave every product the flat budget window // 2
+    code, out, _ = run_cli(["pbw-check", "cohm", "--type", "A3", "--orient", ">>", "--duality", "orth", "--bound", "3", "--window", "8"])
+    assert code == 0
+    assert json.loads(out) == {"property": "pbw-cohm", "pass": True, "counterexample": None}
+
+
+def test_pbw_check_unknown_word_exit2():
+    code, out, err = run_cli(["pbw-check", "foo", "--type", "A2", "--bound", "1", "--window", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'foo'" in err and "Traceback" not in err
+
+
 def test_unknown_property(l2_path):
     code, _, err = run_cli(["check", "--property", "nonsense", "--quiver", l2_path])
     assert code == 2
@@ -278,6 +291,13 @@ ONE_VAR = {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "1"}]}
     ("act", {"cohm": {"d": [1], "poly": []}}, "--coha is required"),
     ("thom", {"mults": [1]}, "--mults must hold an object"),
     ("thom", {}, "--mults is required"),
+    # floats and bools are refused, not rounded
+    ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": 0.1}]}, "rhs": ONE_VAR}, "rational coefficient"),
+    ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": True}]}, "rhs": ONE_VAR}, "rational coefficient"),
+    ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:1:1": 1.0}, "c": "1"}]}, "rhs": ONE_VAR}, "integer exponents"),
+    ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:1:1": True}, "c": "1"}]}, "rhs": ONE_VAR}, "integer exponents"),
+    ("mul", {"lhs": {"d": [1.7], "poly": []}, "rhs": ONE_VAR}, "list of integers"),
+    ("act", {"coha": ONE_VAR, "cohm": {"d": [False], "poly": []}}, "list of integers"),
 ])
 def test_malformed_element_input_exit2(tmp_path, l2_path, command, files, message):
     args = [command, "--quiver", l2_path] if command != "thom" else [command, "--type", "A2"]

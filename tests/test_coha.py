@@ -192,6 +192,29 @@ def test_twisted_weight_law_for_products():
         assert out.weight() == f.weight() + g.weight() + tw
 
 
+def test_product_degree_shift():
+    # deg(f * g) = deg f + deg g - chi(d', d''): the degree budget of
+    # pbw_check_coha.  Every product of homogeneous elements is homogeneous.
+    from hallforge.finite_type import build_typeA
+    from hallforge.proputils import Lcg, random_coha_element
+
+    quivers = [build_typeA(n, ">" * (n - 1), "orthogonal").quiver for n in (2, 3, 4, 5)]
+    quivers += [loop_quiver(m) for m in range(4)] + [a1_tilde()]
+    rng = Lcg(61)
+    nonzero = 0
+    for q in quivers:
+        for _ in range(60):
+            f = random_coha_element(rng, q, 2, 2)
+            g = random_coha_element(rng, q, 2, 2)
+            out = shuffle_mul(f, g)
+            if f.is_zero() or g.is_zero() or out.is_zero():
+                continue
+            nonzero += 1
+            assert out.poly.is_homogeneous()
+            assert out.poly.degree() == f.poly.degree() + g.poly.degree() - q.euler_form(f.d, g.d)
+    assert nonzero >= 150
+
+
 def evaluate(poly, point):
     total = 0
     for exps, c in poly.sorted_terms():

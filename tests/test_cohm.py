@@ -5,6 +5,7 @@ import pytest
 from hallforge.coha import CohaElement
 from hallforge.cohm import (
     CohmElement,
+    action_degree_shift,
     check_disjoint_union,
     check_freeness,
     check_module_relation,
@@ -348,6 +349,81 @@ def test_twisted_weight_law_for_actions():
         seen_nonzero += 1
         assert out.weight() == f.weight() + g.weight() - a2.star_twist(f.d, g.e)
     assert seen_nonzero >= 10
+
+
+def _shift_quivers():
+    from hallforge.finite_type import build_typeA
+
+    quivers = [
+        build_typeA(n, ">" * (n - 1), duality).quiver
+        for n in range(1, 6)
+        for duality in ("orthogonal", "symplectic")
+    ]
+    quivers += [build_typeA(4, "><>", "symplectic").quiver]
+    quivers += [loop_quiver(m, s=s) for m in range(3) for s in (1, -1)]
+    return quivers + [a1_tilde(tau=1), a1_tilde(tau=-1)]
+
+
+def test_action_degree_shift():
+    # deg(f * g) = deg f + deg g + action_degree_shift(d, e): the degree
+    # budget of pbw_check_cohm.  The shift takes both signs on type A.
+    from hallforge.proputils import Lcg, random_coha_element, random_cohm_element
+
+    rng = Lcg(67)
+    nonzero, signs = 0, set()
+    for q in _shift_quivers():
+        for _ in range(40):
+            f = random_coha_element(rng, q, 2, 2)
+            g = random_cohm_element(rng, q, 2, 2)
+            out = cohm_action(f, g)
+            if f.is_zero() or g.is_zero() or out.is_zero():
+                continue
+            nonzero += 1
+            shift = action_degree_shift(q, f.d, g.e)
+            signs.add((shift > 0) - (shift < 0))
+            assert out.poly.is_homogeneous()
+            assert out.poly.degree() == f.poly.degree() + g.poly.degree() + shift
+    assert nonzero >= 150 and signs == {-1, 0, 1}
+
+
+def operator_degree_shift(quiver, d, e):
+    """The degree of the linear factors cohm_action multiplies in minus the
+    degree its pushes remove, counted off the operator schedule."""
+    idx, fixed = quiver.node_index, set(quiver.q0_sigma)
+
+    def v_tilde(i):  # degree of V~^(i) against one point
+        return 2 * (e[idx[i]] // 2) + e[idx[i]] % 2 if i in fixed else e[idx[i]]
+
+    shift = 0
+    for a, t, h in quiver.arrows:
+        dt = d[idx[t]]
+        if quiver.sigma_arrows[a] == a:
+            shift += dt * v_tilde(h) + dt * (dt - 1) // 2 + dt * (quiver.s[h] * quiver.tau[a] != -1)
+        elif a in quiver.arrow_partition[2]:
+            dsh = d[idx[quiver.sigma_nodes[h]]]
+            shift += dsh * v_tilde(t) + dt * v_tilde(h) + dsh * dt
+    for n in quiver.q0_plus:
+        dn, en = d[idx[n]], e[idx[n]]
+        shift -= dn * en + (dn + en) * d[idx[quiver.sigma_nodes[n]]]
+    for n in quiver.q0_sigma:
+        D, m = d[idx[n]], e[idx[n]] // 2
+        type_d = quiver.s[n] == 1 and e[idx[n]] % 2 == 0
+        shift -= D * (D + 1) // 2 + 2 * D * m - (D if type_d else 0)
+    return shift
+
+
+def test_action_degree_shift_counts_the_operators():
+    # the closed form from the twisted weight law against the operator
+    # schedule of cohm_action, on every small (d, e), vanishing actions too
+    from itertools import product
+
+    for q in _shift_quivers():
+        n = len(q.nodes)
+        for d in product(range(3), repeat=n):
+            for e in product(range(4), repeat=n):
+                if q.sigma_dim(e) != e or any(e[q.node_index[x]] % 2 for x in q.q0_sigma if q.s[x] == -1):
+                    continue
+                assert action_degree_shift(q, d, e) == operator_degree_shift(q, d, e), (q, d, e)
 
 
 def test_worker_count_is_clamped(monkeypatch):

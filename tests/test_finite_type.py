@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+from hallforge.coha import CohaElement
+from hallforge.cohm import CohmElement
 from hallforge.errors import GradingError, QuiverSpecError
 from hallforge.finite_type import (
     ar_order,
@@ -252,6 +254,207 @@ def test_slice_report_fills_every_class_reached():
     chi = q.euler_form(d, d)
     # the only product of class d lies above the window 0, so the constants
     # H_(d, chi) were never reached
-    rep = _slice_report(CohaElement, q, {(d, chi + 2): [Poly.variable(1, 0).terms]}, [], 0)
+    rep = _slice_report(CohaElement, q, {(d, chi + 2): [Poly.variable(1, 0).terms]}, [], {d}, 0)
     assert not rep["pass"]
     assert rep["slices"] == {(d, chi): (0, 0, 1)}
+    # a class whose root tuple was enumerated counts as reached even when
+    # pruning computed none of its products
+    rep = _slice_report(CohaElement, q, {}, [], {d}, 0)
+    assert not rep["pass"]
+    assert rep["slices"] == {(d, chi): (0, 0, 1)}
+
+
+# -- PBW enumeration ---------------------------------------------------------------
+
+
+def test_pbw_products_are_homogeneous_and_in_window(monkeypatch):
+    # _bucket reads a product's degree off one term; the exact budgets compute
+    # no product above the window
+    from hallforge import finite_type
+
+    seen = []
+    bucket = finite_type._bucket
+
+    def checked(buckets, zeros, elem):
+        if not elem.is_zero():
+            seen.append(elem)
+        bucket(buckets, zeros, elem)
+
+    monkeypatch.setattr(finite_type, "_bucket", checked)
+    for check, args, bound, window in [
+        (pbw_check_coha, (2, ">", "orthogonal"), 3, 8),
+        (pbw_check_coha, (3, ">>", "orthogonal"), 2, 8),
+        (pbw_check_cohm, (2, ">", "symplectic"), 2, 12),
+        (pbw_check_cohm, (3, ">>", "orthogonal"), 3, 8),
+        (pbw_check_cohm, (3, "<<", "symplectic"), 2, 8),
+    ]:
+        del seen[:]
+        assert check(build_typeA(*args), bound, window)["pass"]
+        assert len(seen) > 20
+        for elem in seen:
+            assert elem.poly.is_homogeneous()
+            assert elem.poly.degree() <= window // 2
+
+
+@pytest.mark.parametrize("check, cls, dropped", [
+    (pbw_check_coha, CohaElement, (1, 1)),
+    (pbw_check_cohm, CohmElement, (1, 1)),
+])
+def test_pbw_fills_classes_without_products(monkeypatch, check, cls, dropped):
+    # a class whose root tuples were enumerated is reported even when none
+    # of its products is filed: every in-window slice reads (0, 0, dim)
+    from hallforge import finite_type
+
+    bucket = finite_type._bucket
+
+    def drop(buckets, zeros, elem):
+        if elem.degree != dropped:
+            bucket(buckets, zeros, elem)
+
+    monkeypatch.setattr(finite_type, "_bucket", drop)
+    rs = build_typeA(2, ">", "symplectic")
+    rep = check(rs, 2, 6)
+    assert not rep["pass"]
+    for name in ("simple", "indecomposable"):
+        lo = cls.weight_form(rs.quiver, dropped)
+        want = {
+            (dropped, k): (0, 0, cls.slice_dim(rs.quiver, dropped, k))
+            for k in range(lo, lo + 7)
+            if cls.slice_dim(rs.quiver, dropped, k)
+        }
+        got = {key: v for key, v in rep[name]["slices"].items() if key[0] == dropped}
+        assert got == want and want
+
+
+@pytest.mark.parametrize("orient, duality, bound, window", [
+    (">>", "orthogonal", 3, 8),
+    (">>", "orthogonal", 3, 12),
+    ("<<", "symplectic", 2, 8),
+    ("<<", "symplectic", 4, 8),
+])
+def test_pbw_cohm_a3(orient, duality, bound, window):
+    # these failed while every product had the flat budget window // 2: the
+    # action can lower the degree, and those products were never computed
+    rep = pbw_check_cohm(build_typeA(3, orient, duality), bound, window)
+    assert rep["pass"], {n: rep[n]["slices"] for n in ("simple", "indecomposable")}
+
+
+def _flat_pbw_coha(rs, bound, window, budget):
+    """The enumeration with one flat budget sum |lam| <= budget for every
+    root tuple, products bucketed by homogeneous components: with a budget
+    above the largest shift, a superset of the in-window products, used as
+    oracle."""
+    from hallforge.coha import shuffle_mul
+    from hallforge.finite_type import _root_tuples
+
+    bound = (bound,) * rs.n
+    slices = {}
+    memo = {(): CohaElement.unit(rs.quiver)}
+
+    def product(key):
+        """left product of the psi-images over ((root, mult, lam), ...)"""
+        if key not in memo:
+            f = rs.psi(*key[-1])
+            memo[key] = f if len(key) == 1 else shuffle_mul(product(key[:-1]), f)
+        return memo[key]
+
+    for name, roots in (("simple", rs.simple_roots()[::-1]), ("indecomposable", list(rs.order))):
+        products = []
+        for tup in _root_tuples(rs, roots, bound):
+            active = [(roots[i], m) for i, m in enumerate(tup) if m]
+            for lams in _lam_choices([m for _, m in active], budget):
+                products.append(product(tuple((r, lam, m) for (r, m), lam in zip(active, lams))))
+        slices[name] = _flat_report(CohaElement, rs.quiver, products, window)
+    return slices
+
+
+def _flat_pbw_cohm(rs, bound, window, budget):
+    """As _flat_pbw_coha for the action: generator parts with sum |mu| <=
+    budget and outer products with sum |lam| <= budget."""
+    from hallforge.cohm import act_many
+    from hallforge.finite_type import _root_tuples, _shifted_schur_partition, _subsets
+
+    bound = (bound,) * rs.n
+    slices = {}
+    cases = (
+        ("simple", [r for r in rs.order if r[0] == r[1] and r in rs.delta_plus][::-1],
+         [r for r in rs.order if r[0] == r[1] and r in rs.delta_sigma]),
+        ("indecomposable", list(rs.delta_minus), list(rs.delta_sigma)),
+    )
+    for name, outer_roots, sigma_roots in cases:
+        products = []
+        for pi in _subsets(sigma_roots):
+            if not all(rs.admits_selfdual(b) for b in pi):
+                continue
+            evec = [sum(x) for x in zip([0] * rs.n, *(rs.dim_vector(b) for b in pi))]
+            seed = CohmElement.unit(rs.quiver, tuple(evec))
+            for mults in _root_tuples(rs, sigma_roots, [(c - x) // 2 for c, x in zip(bound, evec)]):
+                gens = [(b, c) for b, c in zip(sigma_roots, mults) if c]
+                for lams in _lam_choices([c for _, c in gens], budget):
+                    mus = [
+                        _shifted_schur_partition(lam, c, b in pi or rs.hyperbolic_case)
+                        for (b, c), lam in zip(gens, lams)
+                    ]
+                    if sum(map(sum, mus)) > budget:
+                        continue
+                    base = act_many([rs.psi(b, mu, c) for (b, c), mu in zip(gens, mus)], seed)
+                    for tup in _root_tuples(rs, outer_roots, bound):
+                        active = [(outer_roots[i], m) for i, m in enumerate(tup) if m]
+                        e = list(base.e)
+                        for r, m in active:
+                            h = rs.quiver.hyperbolic(tuple(m * x for x in rs.dim_vector(r)))
+                            e = [a + b for a, b in zip(e, h)]
+                        if any(x > c for x, c in zip(e, bound)):
+                            continue
+                        for outer in _lam_choices([m for _, m in active], budget):
+                            factors = [rs.psi(r, lam, m) for (r, m), lam in zip(active, outer)]
+                            products.append(act_many(factors, base))
+        slices[name] = _flat_report(CohmElement, rs.quiver, products, window)
+    return slices
+
+
+def _lam_choices(parts, budget):
+    """Tuples of partitions, the i-th with at most parts[i] parts, of total
+    size <= budget."""
+    from hallforge.finite_type import _partitions_upto
+
+    if not parts:
+        return [()]
+    return [
+        (lam,) + rest
+        for lam in _partitions_upto(budget, parts[0])
+        for rest in _lam_choices(parts[1:], budget - sum(lam))
+    ]
+
+
+def _flat_report(cls, quiver, products, window):
+    from hallforge.finite_type import _slice_report
+
+    buckets = {}
+    for p in products:
+        assert not p.is_zero()
+        form = cls.weight_form(quiver, p.degree)
+        for deg, comp in p.poly.homogeneous_components().items():
+            buckets.setdefault((p.degree, 2 * deg + form), []).append(comp.terms)
+    return _slice_report(cls, quiver, buckets, [], {d for d, _ in buckets}, window)["slices"]
+
+
+# The oracle's flat budget must exceed every tuple's exact budget.  The CoHA
+# shift -sum_{i<j} chi(d_i, d_j) is >= 0 on these systems, so window // 2 + 1
+# already does (the flat budget `window` would take about a minute on A2
+# (3, 12)); the action's shift can be negative, and its oracle uses `window`.
+@pytest.mark.parametrize("check, oracle, args, bound, window, budget", [
+    (pbw_check_coha, _flat_pbw_coha, (2, ">", "orthogonal"), 3, 8, 5),
+    (pbw_check_coha, _flat_pbw_coha, (2, ">", "orthogonal"), 3, 12, 7),
+    (pbw_check_coha, _flat_pbw_coha, (3, ">>", "orthogonal"), 2, 8, 5),
+    (pbw_check_cohm, _flat_pbw_cohm, (2, ">", "orthogonal"), 2, 8, 8),
+    (pbw_check_cohm, _flat_pbw_cohm, (2, ">", "orthogonal"), 3, 12, 12),
+    (pbw_check_cohm, _flat_pbw_cohm, (2, ">", "symplectic"), 2, 8, 8),
+    (pbw_check_cohm, _flat_pbw_cohm, (2, ">", "symplectic"), 2, 12, 12),
+    (pbw_check_cohm, _flat_pbw_cohm, (3, ">>", "orthogonal"), 3, 8, 8),
+    (pbw_check_cohm, _flat_pbw_cohm, (3, "<<", "symplectic"), 2, 8, 8),
+])
+def test_pbw_reports_against_flat_budget_enumeration(check, oracle, args, bound, window, budget):
+    rs = build_typeA(*args)
+    rep = check(rs, bound, window)
+    assert {n: rep[n]["slices"] for n in ("simple", "indecomposable")} == oracle(rs, bound, window, budget)
