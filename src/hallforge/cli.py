@@ -116,7 +116,7 @@ def main(argv=None):
         "ori-invariants", "mul", "act", "check", "dilog-check", "thom",
         "pbw-check",
     ])
-    ap.add_argument("subargs", nargs="*")
+    ap.add_argument("word", nargs="?")  # coha or cohm, read by pbw-check only
     ap.add_argument("--quiver")
     ap.add_argument("--max-dim", type=int, default=6)
     ap.add_argument("--window", type=int, default=16)
@@ -163,6 +163,8 @@ def _dispatch(args):
         if getattr(args, flag) < 0:
             raise HallforgeError("--%s must be non-negative" % flag.replace("_", "-"))
     cmd = args.command
+    if args.word is not None and cmd != "pbw-check":
+        raise HallforgeError("%s takes no positional word, not %r" % (cmd, args.word))
     for flag in REQUIRED_FILES.get(cmd, ()):
         if getattr(args, flag) is None:
             raise HallforgeError("--%s is required for %s" % (flag, cmd))
@@ -230,7 +232,7 @@ def _dispatch(args):
         _emit_json(thom_polynomial(rs, mults).to_json_dict())
         return 0
     if cmd == "pbw-check":
-        which = args.subargs[0] if args.subargs else "coha"
+        which = "coha" if args.word is None else args.word
         if which not in ("coha", "cohm"):
             raise HallforgeError("pbw-check takes coha or cohm, not %r" % which)
         rs = _build_rs(args)

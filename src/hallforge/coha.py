@@ -103,23 +103,6 @@ def coha_slice_basis(quiver, d, k):
     return CohaElement.slice_basis(quiver, d, k)
 
 
-def _nonzero_decompositions(d):
-    """Ordered pairs (a, b) of nonzero vectors with a + b = d."""
-    from itertools import product as iproduct
-
-    ranges = [range(x + 1) for x in d]
-    out = []
-    for a in iproduct(*ranges):
-        if not any(a):
-            continue
-        b = tuple(x - y for x, y in zip(d, a))
-        if not any(b):
-            continue
-        out.append((a, b))
-    out.sort()
-    return out
-
-
 def dt_invariants(quiver, maxdim, window):
     """Pochhammer-factorization exponents of A_Q (symmetric quivers)."""
     if not quiver.is_symmetric():
@@ -130,6 +113,23 @@ def dt_invariants(quiver, maxdim, window):
 # -- primitive parts -------------------------------------------------------------
 
 
+def image_echelon(quiver, pairs, slice_basis, form, act, k):
+    """Echelon of the weight-k span of act(c, b) with c in generator_complement
+    (quiver, a, k1) and b in slice_basis(quiver, rest, k - k1), over (a, rest)
+    in pairs and chi(a, a) <= k1 <= k - form(quiver, rest): the CoHA ideal
+    H_+ . H_+ (shuffle_mul, chi) and the CoHM image H_+ . M (cohm_action, E)."""
+    ech = Echelon()
+    for a, rest in pairs:
+        for k1 in range(quiver.euler_form(a, a), k - form(quiver, rest) + 1):
+            gens = generator_complement(quiver, a, k1)
+            if not gens:
+                continue
+            for b in slice_basis(quiver, rest, k - k1):
+                for c in gens:
+                    ech.add(act(c, b).poly.terms)
+    return ech
+
+
 def _ideal_echelon(quiver, d, k):
     """Echelon of the slice of sum_{a+b=d} H_a H_b inside H_(d,k) (cached)."""
     key = ("coha_ideal", d, k)
@@ -138,17 +138,8 @@ def _ideal_echelon(quiver, d, k):
         return cached
     if not quiver.is_symmetric():
         raise SymmetryError("primitive parts are computed for symmetric quivers")
-    ech = Echelon()
-    chi = quiver.euler_form
-    for a, b in _nonzero_decompositions(d):
-        for k1 in range(chi(a, a), k - chi(b, b) + 1):
-            gens = generator_complement(quiver, a, k1)
-            if not gens:
-                continue
-            k2 = k - k1
-            for belem in coha_slice_basis(quiver, b, k2):
-                for c in gens:
-                    ech.add(shuffle_mul(c, belem).poly.terms)
+    pairs = quiver.decompositions(d, sum(d) - 1)
+    ech = image_echelon(quiver, pairs, coha_slice_basis, CohaElement.weight_form, shuffle_mul, k)
     quiver._cache[key] = ech
     return ech
 
@@ -162,7 +153,7 @@ def generator_complement(quiver, d, k):
         return cached
     if CohaElement.slice_degree(quiver, d, k) is None:
         out = []
-    elif not _nonzero_decompositions(d):
+    elif sum(d) <= 1:
         out = coha_slice_basis(quiver, d, k)
     else:
         out = complement(_ideal_echelon(quiver, d, k).copy(), coha_slice_basis(quiver, d, k))
@@ -190,7 +181,7 @@ def primitive_basis(quiver, d, k):
     if deg is None:
         out = []
     else:
-        probe = _ideal_echelon(quiver, d, k).copy() if _nonzero_decompositions(d) else Echelon()
+        probe = _ideal_echelon(quiver, d, k).copy() if sum(d) > 1 else Echelon()
         if deg > 0:
             sigma = _power_sum_element(quiver, d)
             for c in generator_complement(quiver, d, k - 2):
@@ -202,23 +193,14 @@ def primitive_basis(quiver, d, k):
 
 def primitive_dims(quiver, maxdim, window):
     """dim V^prim_(d,k): slice dimension minus the rank of the product ideal
-    plus the power-sum tower (V = V^prim (x) Q[sigma_d])."""
+    plus the power-sum tower (V = V^prim (x) Q[sigma_d]).  The classes are
+    the tasks of `PrimitiveTable.build` (a process pool when HALLFORGE_THREADS > 1)."""
     if not quiver.is_symmetric():
         raise SymmetryError("primitive dims need a symmetric quiver")
     if not quiver.supercommutativity_criterion():
         raise SymmetryError("supercommutativity criterion fails; twist not implemented")
-    dims, bases, validity = {}, {}, {}
-    for d in quiver.dimension_vectors(maxdim):
-        if not any(d):
-            continue
-        chi = quiver.euler_form(d, d)
-        validity[d] = chi + window
-        for k in range(chi, chi + window + 1):
-            gens = primitive_basis(quiver, d, k)
-            if gens:
-                dims[(d, k)] = len(gens)
-                bases[(d, k)] = gens
-    return PrimitiveTable(quiver, "torus", dims, bases, validity, maxdim)
+    classes = [d for d in quiver.dimension_vectors(maxdim) if any(d)]
+    return PrimitiveTable.build(quiver, "torus", CohaElement, primitive_basis, classes, window, maxdim)
 
 
 def quotient_involution_matrix(quiver, d, k):

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from .coha import (
     CohaElement,
-    generator_complement,
     equivariant_dt,
+    image_echelon,
     s_involution,
     shuffle_mul,
 )
 from .errors import GradingError, HallforgeError, SymmetryError
 from .graded import GradedElement, PrimitiveTable
-from .linalg import Echelon, complement
+from .linalg import complement
 from .poly import Poly
 from .quiver import QuiverWithDuality
 from .series import (
@@ -245,102 +245,33 @@ def act_many(factors, g):
 # -- orientifold invariants -------------------------------------------------------
 
 
-def _module_decompositions(quiver, e):
-    """Nonzero d' with H(d') <= e componentwise, paired with e'' = e - H(d')."""
-    from itertools import product as iproduct
-
-    idx = quiver.node_index
-    ranges = [range(x + 1) for x in e]
-    out = []
-    for d in iproduct(*ranges):
-        if not any(d):
-            continue
-        h = quiver.hyperbolic(d)
-        if any(a > b for a, b in zip(h, e)):
-            continue
-        epp = tuple(b - a for a, b in zip(h, e))
-        out.append((d, epp))
-    out.sort()
-    return out
-
-
 def _wprim_slice(quiver, e, k):
-    """(echelon of the action-image slice, complement basis) at (e, k)."""
+    """(rank of the action-image slice, complement basis) at (e, k)."""
     key = ("wprim_slice", e, k)
     cached = quiver._cache.get(key)
     if cached is not None:
         return cached
-    ech = Echelon()
-    for dprime, epp in _module_decompositions(quiver, e):
-        chi = quiver.euler_form(dprime, dprime)
-        lo2 = quiver.sd_euler_form(epp)
-        for k1 in range(chi, k - lo2 + 1):
-            gens = generator_complement(quiver, dprime, k1)
-            if not gens:
-                continue
-            for belem in cohm_slice_basis(quiver, epp, k - k1):
-                for c in gens:
-                    ech.add(cohm_action(c, belem).poly.terms)
+    # H(d) <= e gives |d| <= |e| // 2
+    pairs = quiver.decompositions(e, sum(e) // 2, quiver.hyperbolic)
+    ech = image_echelon(quiver, pairs, cohm_slice_basis, CohmElement.weight_form, cohm_action, k)
     rank = ech.rank  # before complement() extends ech
     cached = (rank, complement(ech, cohm_slice_basis(quiver, e, k)))
     quiver._cache[key] = cached
     return cached
 
 
-def _wprim_class_worker(task):
-    """Per-class W^prim slices; module-level for process pools."""
-    quiver_doc, e, window = task
-    from .quiver import parse_quiver
-
-    quiver = parse_quiver(quiver_doc)
-    e = tuple(e)
-    ee = quiver.sd_euler_form(e)
-    out = []
-    for k in range(ee, ee + window + 1):
-        if CohmElement.slice_degree(quiver, e, k) is None:
-            continue
-        rank, comp = _wprim_slice(quiver, e, k)
-        if comp:
-            out.append((k, [dict(c.poly.terms) for c in comp]))
-    return e, out
+def _wprim_basis(quiver, e, k):
+    return _wprim_slice(quiver, e, k)[1]
 
 
 def ori_dt_invariants(quiver, maxdim, window):
     """W^prim dims per (e,k): slice dimension minus the CoHA-action image rank.
-
-    Classes are independent tasks; HALLFORGE_THREADS > 1 runs them in a
-    process pool with a deterministic merge.
-    """
+    The classes are the tasks of `PrimitiveTable.build` (a process pool when
+    HALLFORGE_THREADS > 1)."""
     if not quiver.is_sigma_symmetric():
         raise SymmetryError("orientifold DT invariants need a sigma-symmetric quiver")
-    from .parallel import pmap, worker_count
-
-    dims, bases, validity = {}, {}, {}
     classes = module_classes(quiver, maxdim)
-    for e in classes:
-        validity[e] = quiver.sd_euler_form(e) + window
-    if worker_count(len(classes)) > 1:
-        doc = quiver.to_dict()
-        results = pmap(_wprim_class_worker, [(doc, e, window) for e in classes])
-        for e, slices in results:
-            _, nvars = CohmElement.layout(quiver, e)
-            for k, rows in slices:
-                comp = [
-                    CohmElement(quiver, e, Poly(nvars, row), check=False) for row in rows
-                ]
-                dims[(e, k)] = len(comp)
-                bases[(e, k)] = comp
-        return PrimitiveTable(quiver, MODULE, dims, bases, validity, maxdim)
-    for e in classes:
-        ee = quiver.sd_euler_form(e)
-        for k in range(ee, ee + window + 1):
-            if CohmElement.slice_degree(quiver, e, k) is None:
-                continue
-            rank, comp = _wprim_slice(quiver, e, k)
-            if comp:
-                dims[(e, k)] = len(comp)
-                bases[(e, k)] = comp
-    return PrimitiveTable(quiver, MODULE, dims, bases, validity, maxdim)
+    return PrimitiveTable.build(quiver, MODULE, CohmElement, _wprim_basis, classes, window, maxdim)
 
 
 # -- identity checks ---------------------------------------------------------------

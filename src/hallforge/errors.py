@@ -43,7 +43,3 @@ class ExponentOverflowError(HallforgeError, OverflowError):
 
 class NonIntegralError(HallforgeError):
     """Pochhammer-factorization inversion produced a non-integer exponent."""
-
-
-class TruncationError(HallforgeError):
-    """Requested data lies outside the valid truncation window."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import GradingError
+from .parallel import pmap
 from .poly import Poly
 from .series import InvariantTable
 from .symfun import weight_basis, weight_basis_size
@@ -206,5 +207,36 @@ class PrimitiveTable:
         self.validity = validity
         self.maxdim = maxdim
 
+    @classmethod
+    def build(cls, quiver, kind, elem_cls, basis, classes, window, maxdim):
+        """The table of basis(quiver, d, k) over the classes d and the nonempty
+        slices form <= k <= form + window (the validity of d), where form is
+        elem_cls.weight_form(quiver, d).  The classes are tasks of `pmap`:
+        sequentially they share quiver._cache; in a process pool each task
+        gets a copy of the quiver without its cache.  The polynomials come
+        back as elements over the caller's quiver either way."""
+        dims, bases, validity = {}, {}, {}
+        tasks = [(quiver, elem_cls, basis, d, window) for d in classes]
+        for d, slices in zip(classes, pmap(_class_slices, tasks)):
+            validity[d] = elem_cls.weight_form(quiver, d) + window
+            for k, polys in slices:
+                dims[(d, k)] = len(polys)
+                bases[(d, k)] = [elem_cls(quiver, d, p, check=False) for p in polys]
+        return cls(quiver, kind, dims, bases, validity, maxdim)
+
     def table(self):
         return InvariantTable(self.quiver, self.kind, self.dims, self.validity, self.maxdim)
+
+
+def _class_slices(task):
+    """(k, basis polynomials) of every nonempty slice of one class."""
+    quiver, elem_cls, basis, d, window = task
+    form = elem_cls.weight_form(quiver, d)
+    out = []
+    for k in range(form, form + window + 1):
+        if elem_cls.slice_degree(quiver, d, k) is None:
+            continue
+        polys = [c.poly for c in basis(quiver, d, k)]
+        if polys:
+            out.append((k, polys))
+    return out

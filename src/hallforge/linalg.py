@@ -1,8 +1,8 @@
 """Sparse exact Gaussian elimination over the rationals.
 
-Rows are dicts mapping hashable keys (monomial exponent tuples) to Fraction.
-Pivots are chosen deterministically as the graded-lexicographically first
-nonzero column; pivot rows are normalized to leading coefficient 1.
+Rows are dicts mapping ordered keys (the packed-int monomials of `Poly`) to
+int or Fraction entries.  The pivot of a row is its smallest key, so the
+choice is deterministic; pivot rows are normalized to leading coefficient 1.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ def _div(a, b):
     return out.numerator if out.denominator == 1 else out
 
 
-def _sortkey(key):
-    return (sum(key), key) if isinstance(key, tuple) else key
-
-
 class Echelon:
     """Incremental row echelon; optionally tracks coordinates of added rows."""
 
@@ -36,7 +32,7 @@ class Echelon:
     def _reduce(self, row, coords):
         row = dict(row)
         while row:
-            lead = min(row, key=_sortkey)
+            lead = min(row)
             piv = self.pivots.get(lead)
             if piv is None:
                 return row, coords, lead

@@ -2,7 +2,9 @@
 
 Tasks must be module-level functions with picklable arguments; results are
 returned in submission order so parallel runs are bit-identical to
-sequential ones.
+sequential ones.  `PrimitiveTable.build` maps the classes of both primitive
+tables (V^prim and W^prim) through it.  A quiver pickles as its spec, so a
+pool task gets a copy without the memo cache and computes what it needs.
 """
 
 from __future__ import annotations

@@ -165,6 +165,17 @@ class QuiverWithDuality:
             out = [d + (x,) for d in out for x in range(maxdim - sum(d) + 1)]
         return out
 
+    def decompositions(self, target, total, image=None):
+        """(a, target - image(a)) for every nonzero a with |a| <= total and
+        image(a) <= target (image defaults to the identity), in lexicographic
+        order of a; the work cap is that of dimension_vectors(total)."""
+        out = []
+        for a in self.dimension_vectors(total):
+            h = a if image is None else image(a)
+            if any(a) and all(x <= y for x, y in zip(h, target)):
+                out.append((a, tuple(y - x for x, y in zip(h, target))))
+        return out
+
     def check_dim(self, d):
         if len(d) != len(self.nodes) or any(x < 0 for x in d):
             raise GradingError("not a dimension vector for this quiver: %r" % (d,))
@@ -310,6 +321,10 @@ class QuiverWithDuality:
 
     def __hash__(self):
         return hash(self.structure_key())
+
+    def __reduce__(self):
+        # a pickled quiver is its spec: the copy starts with an empty _cache
+        return (type(self), (self.nodes, self.arrows, self.sigma_nodes, self.sigma_arrows, self.s, self.tau))
 
     def __repr__(self):
         return "QuiverWithDuality(nodes=%r, arrows=%r)" % (self.nodes, self.arrows)

@@ -480,22 +480,6 @@ class InvariantTable:
             if d == dvec
         }
 
-    def rendered_series(self, maxdim=None):
-        """(-q^(1/2))^k-convention series of the table's multiplicities."""
-        maxdim = self.maxdim if maxdim is None else maxdim
-        terms, meta = {}, {}
-        for (d, k), m in self.entries.items():
-            if sum(d) > maxdim:
-                continue
-            terms[(d, k)] = m * sign_pow(k)
-            lo, hi = meta.get(d, (k, self.validity.get(d)))
-            meta[d] = (min(lo, k), hi)
-        for d, hi in self.validity.items():
-            if d not in meta and sum(d) <= maxdim:
-                # zero within the window; any unknown support sits above it
-                meta[d] = (hi + 1 if hi is not None else 0, hi)
-        return QSeries(self.quiver, self.kind, maxdim, terms, meta)
-
     def to_json_dict(self):
         return {
             "kind": self.kind,

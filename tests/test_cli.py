@@ -138,10 +138,20 @@ def test_pbw_check_cohm_a3_cli():
     assert json.loads(out) == {"property": "pbw-cohm", "pass": True, "counterexample": None}
 
 
-def test_pbw_check_unknown_word_exit2():
+def test_pbw_check_unknown_word_exit2(l2_path):
     code, out, err = run_cli(["pbw-check", "foo", "--type", "A2", "--bound", "1", "--window", "2"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "'foo'" in err and "Traceback" not in err
+    # a word after any other command, or a second word, is refused as well
+    code, out, err = run_cli(["dt-invariants", "foo", "--quiver", l2_path, "--max-dim", "1", "--window", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'foo'" in err and "Traceback" not in err
+    for argv in (
+        ["dt-invariants", "foo", "bar", "--quiver", l2_path, "--max-dim", "1", "--window", "2"],
+        ["pbw-check", "coha", "extra", "words", "--type", "A2", "--bound", "1", "--window", "2"],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "" and "Traceback" not in err, argv
 
 
 def test_unknown_property(l2_path):

@@ -289,14 +289,33 @@ def test_atilde_window_cap_consistency():
 
 
 def test_parallel_matches_sequential(monkeypatch):
-    from hallforge.quiver import loop_quiver
+    from hallforge.coha import primitive_dims
 
-    quiver = loop_quiver(2)
-    seq = ori_dt_invariants(quiver, 5, 10).table().entries
+    def tables():
+        # fresh quivers, so that no run reads another's cache
+        return [ori_dt_invariants(loop_quiver(2), 5, 10), primitive_dims(a1_tilde(tau=1), 3, 8)]
+
+    monkeypatch.delenv("HALLFORGE_THREADS", raising=False)
+    seq = tables()
     monkeypatch.setenv("HALLFORGE_THREADS", "2")
-    fresh = loop_quiver(2)
-    par = ori_dt_invariants(fresh, 5, 10).table().entries
-    assert par == seq
+    par = tables()
+    for s, p in zip(seq, par):
+        assert p.table().entries == s.table().entries and p.validity == s.validity
+        assert p.bases == s.bases and p.bases
+        assert all(c.quiver is p.quiver for basis in p.bases.values() for c in basis)
+
+
+def test_pickled_quiver_is_its_spec():
+    import pickle
+
+    from hallforge.coha import generator_complement
+
+    quiver = a1_tilde(tau=1)
+    assert generator_complement(quiver, (1, 1), 2)
+    assert quiver._cache
+    copy = pickle.loads(pickle.dumps(quiver))
+    assert copy._cache == {}  # before ==, which caches the structure key
+    assert copy == quiver and copy.to_dict() == quiver.to_dict()
 
 
 def test_partition_choice_invariance():
