@@ -394,19 +394,17 @@ def general_factorization_check(quiver, maxdim, window):
         lau = by_class.get(e)
         if not lau:
             continue
-        par = tuple(x % 2 for x in e)
-        if par not in acache:
-            acache[par] = pochhammer_q2_product(
-                equivariant_dt(quiver, witt_representative(quiver, quiver.witt_class(e)), maxdim, window),
-                maxdim,
-                window,
+        w = quiver.witt_class(e)
+        if w not in acache:
+            acache[w] = pochhammer_q2_product(
+                equivariant_dt(quiver, witt_representative(quiver, w), maxdim, window), maxdim, window
             )
         factor = QSeries(
             quiver, MODULE, maxdim,
             {(e, k): m * sign_pow(k) for k, m in lau.items()},
             {e: (min(lau), table.validity.get(e))},
         )
-        rhs = rhs + acache[par].cmul(factor)
+        rhs = rhs + acache[w].cmul(factor)
     ok, report = asigma.agrees_with(rhs)
     report["property"] = "factorization"
     report["pass"] = ok

@@ -7,13 +7,20 @@ Ext^1 between interval modules read off the intervals and the orientation.
 The two inequivalent duality structures are tau = -1 with s = +1
 (orthogonal) or s = -1 (symplectic); in type A_2n orthogonal and A_2n+1
 symplectic every self-dual representation is hyperbolic (h = 0), otherwise
-each sigma-fixed root carries a unique self-dual structure (h = 1).  The
-PBW checks of the algebra and the module share one slice tally.  Both
-compute exactly the ordered products that land in the weight window: a
-product's degree is the sum of its factors' degrees plus a shift that
-depends only on their classes (-chi(d', d'') for the product,
-`action_degree_shift` for the action), so each tuple of classes gets its
-own degree budget.
+each sigma-fixed root carries a unique self-dual structure (h = 1).
+
+The PBW checks of the algebra and the module run one word engine.  A PBW
+product is a word: letters (root, multiplicity m, partition), each the Schur
+image of its partition in m parts, acting right to left on a seed.  The
+algebra's seed is the unit; the module's is 1^sigma over an admissible set
+pi of sigma-fixed roots, and its generator parts are letters of their own
+that carry shifted Schur partitions.  One degree law covers both: a word's
+degree is the sum of its letter sizes plus the shift chained letter by
+letter through step(quiver, d, e) -> (shift, class), which is
+(-chi(d, e), d + e) for the product and (`action_degree_shift`, H(d) + e)
+for the action.  Each word thus gets the exact budget window // 2 - shift,
+and the engine computes exactly the products that land in the weight
+window, sharing suffixes through one memo.
 """
 
 from __future__ import annotations
@@ -236,50 +243,51 @@ def _subsets(items):
     return sorted(out, key=lambda s: (len(s), s))
 
 
+def _module_cases(rs):
+    """(name, outer roots in product order, sigma-fixed roots) of the simple
+    and the indecomposable side of the module."""
+    simple = [r for r in rs.order if r[0] == r[1]]
+    return (
+        ("simple", [r for r in simple if r in rs.delta_plus][::-1],
+         [r for r in simple if r in rs.delta_sigma]),
+        ("indecomposable", list(rs.delta_minus), list(rs.delta_sigma)),
+    )
+
+
+def _seeds(rs, sigma_roots):
+    """(pi, class of pi) for every set pi of sigma-fixed roots that all carry
+    a self-dual structure; the empty set always qualifies."""
+    for pi in _subsets(sigma_roots):
+        if all(rs.admits_selfdual(b) for b in pi):
+            yield pi, tuple(sum(col) for col in zip([0] * rs.n, *map(rs.dim_vector, pi)))
+
+
 def dilog_identity_check(rs, maxdim, window):
-    """Simple-vs-indecomposable wall-crossing identity in the quantum module."""
+    """Simple-vs-indecomposable wall-crossing identity in the quantum module.
+
+    Each side sums, over the seeds pi of `pbw_check_cohm`, the
+    q^2-dilogarithms of the sigma-fixed roots acting on xi^pi, then acts on
+    the sum by the dilogarithms of its outer roots in product order.
+    """
     quiver = rs.quiver
-    pi_plus = [r for r in rs.order if r[0] == r[1] and r in rs.delta_plus]
-    pi_sigma = [r for r in rs.order if r[0] == r[1] and r in rs.delta_sigma]
-    one_mod = QSeries.one(quiver, MODULE, maxdim)
-
-    def gate(pi):
-        return all(rs.admits_selfdual(b) for b in pi)
-
-    def side(outer_roots, outer_reversed, sigma_roots):
-        total = None
-        for pi in _subsets(sigma_roots):
-            if not gate(pi):
-                continue
-            evec = [0] * rs.n
-            for b in pi:
-                for i, x in enumerate(rs.dim_vector(b)):
-                    evec[i] += x
-            term = QSeries.monomial(quiver, MODULE, maxdim, tuple(evec), 0)
-            factors = []
-            for b in sigma_roots:
+    sides = []
+    for _, outer_roots, sigma_roots in _module_cases(rs):
+        terms = []
+        for pi, e in _seeds(rs, sigma_roots):
+            term = QSeries.monomial(quiver, MODULE, maxdim, e, 0)
+            for b in reversed(sigma_roots):
                 # pi-roots carry the odd-indexed tower (q^(1/2)); the rest the
                 # generator tower of the fixed-root type: even-indexed
                 # (q^(-1/2)) when self-dual structures exist, odd-indexed
                 # (q^(1/2)) in the hyperbolic case
                 k0 = 1 if b in pi else 1 - 2 * rs.h
-                factors.append(_eq2(quiver, k0, rs.dim_vector(b), maxdim, window))
-            for f in reversed(factors):
-                term = f.char_star(term)
-            total = term if total is None else total + term
-        if total is None:
-            total = one_mod
-        ordered = list(outer_roots)
-        if outer_reversed:
-            ordered = ordered[::-1]
-        for r in reversed(ordered):
+                term = _eq2(quiver, k0, rs.dim_vector(b), maxdim, window).char_star(term)
+            terms.append(term)
+        total = sum(terms[1:], terms[0])
+        for r in reversed(outer_roots):
             total = _eq(quiver, rs.dim_vector(r), maxdim, window).char_star(total)
-        return total
-
-    # LHS: simple side, slopes decrease left to right (AR-largest first)
-    lhs = side(pi_plus, True, pi_sigma)
-    # RHS: indecomposable side, AR-increasing order
-    rhs = side(rs.delta_minus, False, rs.delta_sigma)
+        sides.append(total)
+    lhs, rhs = sides
     ok, report = lhs.agrees_with(rhs)
     report["property"] = "dilog-identity"
     report["pass"] = ok
@@ -330,9 +338,9 @@ def _slice_report(cls, quiver, buckets, zeros, reached, window):
 
     The check passes when no ordered product vanished and every in-window
     slice has rows == rank == dim.  A nonempty in-window slice of a class in
-    `reached` (the classes of the enumerated root tuples, whether or not any
-    of their products lands in the window) that no product hit is reported
-    as (0, 0, dim) and fails the check.
+    `reached` (the classes of the enumerated words, whether or not any of
+    their products lands in the window) that no product hit is reported as
+    (0, 0, dim) and fails the check.
     """
     ok = not zeros  # a vanishing ordered product already breaks injectivity
     slices = {}
@@ -353,102 +361,11 @@ def _slice_report(cls, quiver, buckets, zeros, reached, window):
     return {"pass": ok, "slices": slices}
 
 
-def _active(rs, roots, tup):
-    """(root, multiplicity, dimension vector) of the nonzero entries of tup."""
-    return [
-        (roots[i], m, tuple(m * x for x in rs.dim_vector(roots[i])))
-        for i, m in enumerate(tup)
-        if m
-    ]
-
-
-def pbw_check_coha(rs, bound, window):
-    """Both ordered multiplication maps are graded isomorphisms up to bound.
-
-    bound: per-node dimension cap (int or tuple).  Checks, per (d, k) with k
-    within the window, that the ordered products of root-subalgebra basis
-    elements span H_(d,k) in the exact number dim H_(d,k).
-
-    A product s_lam1 * ... * s_lamr of classes d_1, ..., d_r has degree
-    sum |lam_i| - sum_{i<j} chi(d_i, d_j), so each root tuple enumerates
-    exactly the partitions whose product lands in the window (degree at
-    most window // 2).
-    """
-    if isinstance(bound, int):
-        bound = (bound,) * rs.n
-    quiver = rs.quiver
-    reports = {}
-    for name, roots in (
-        ("simple", rs.simple_roots()[::-1]),
-        ("indecomposable", list(rs.order)),
-    ):
-        buckets, zeros, reached = {}, [], set()
-        memo = {}
-
-        def prefix_product(key):
-            """Cached left product over ((root, mult, lam), ...) data."""
-            if key in memo:
-                return memo[key]
-            root, m, lam = key[-1]
-            f = rs.psi(root, lam, m)
-            out = f if len(key) == 1 else shuffle_mul(prefix_product(key[:-1]), f)
-            memo[key] = out
-            return out
-
-        for tup in _root_tuples(rs, roots, bound):
-            active = _active(rs, roots, tup)
-            dims = [d for _, _, d in active]
-            reached.add(tuple(sum(col) for col in zip(quiver.zero(), *dims)))
-            budget = window // 2 + sum(
-                quiver.euler_form(a, b) for i, a in enumerate(dims) for b in dims[i + 1 :]
-            )
-
-            def rec(j, key, budget):
-                if j == len(active):
-                    product = prefix_product(key) if key else CohaElement.unit(quiver)
-                    _bucket(buckets, zeros, product)
-                    return
-                root, m, _ = active[j]
-                for lam in _partitions_upto(budget, m):
-                    rec(j + 1, key + ((root, m, lam),), budget - sum(lam))
-
-            if budget >= 0:
-                rec(0, (), budget)
-        reports[name] = _slice_report(CohaElement, quiver, buckets, zeros, reached, window)
-    reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
-    return reports
-
-
 def _partitions_upto(budget, max_parts):
     out = []
     for sz in range(budget + 1):
         out.extend(partitions(sz, max_parts))
     return out
-
-
-def _module_generators(rs, sigma_roots, pi, mults, budget):
-    """Basis data of the M^(pi) factor at generator multiplicities `mults`:
-    pairs (CoHA factor list, sum of |mu|) with sum |mu| <= budget.
-
-    Per sigma-fixed root beta: multiplicity 2c (+1 when beta is in pi); the
-    CoHA part is the psi-image s_mu of the c-fold product of odd-indexed
-    (types B and C) or even-indexed (type D) generators, acting on 1^sigma
-    over the sum of the pi roots.  |mu| = 2|lam| + c(c-1)/2 (+ c when odd
-    indexed) for the partition lam that labels the product.
-    """
-    combos = [([], 0)]
-    for b, c in zip(sigma_roots, mults):
-        if not c:
-            continue
-        odd_indexed = b in pi or rs.hyperbolic_case
-        least = c * (c - 1) // 2 + (c if odd_indexed else 0)  # |mu| at lam = ()
-        new = []
-        for factors, used in combos:
-            for lam in _partitions_upto((budget - used - least) // 2, c):
-                mu = _shifted_schur_partition(lam, c, odd_indexed)
-                new.append((factors + [rs.psi(b, mu, c)], used + sum(mu)))
-        combos = new
-    return combos
 
 
 def _shifted_schur_partition(lam, c, odd_indexed):
@@ -460,77 +377,121 @@ def _shifted_schur_partition(lam, c, odd_indexed):
     return tuple(x for x in mu if x)
 
 
-def _chained_shift(quiver, active, e):
-    """(degree shift, self-dual degree) of acting on M_e by the classes of
-    active (from `_active`), right to left."""
-    shift = 0
-    for _, _, d in reversed(active):
-        shift += action_degree_shift(quiver, d, e)
-        e = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
-    return shift, e
+def _letter_partitions(m, odd, left):
+    """The partitions of size <= left that a letter slot (root, m, odd)
+    takes: every partition with at most m parts for a root letter (odd is
+    None); for a generator letter, the shifted Schur partitions mu of the
+    lam that label the m-fold generator products, |mu| = 2|lam| + m(m-1)/2
+    (+ m when odd indexed)."""
+    if odd is None:
+        return _partitions_upto(left, m)
+    least = m * (m - 1) // 2 + (m if odd else 0)
+    return [_shifted_schur_partition(lam, m, odd) for lam in _partitions_upto((left - least) // 2, m)]
+
+
+def _coha_step(quiver, d, e):
+    """(degree shift, class) of multiplying H_e by H_d on the left."""
+    return -quiver.euler_form(d, e), tuple(a + b for a, b in zip(d, e))
+
+
+def _cohm_step(quiver, d, e):
+    """(degree shift, class) of acting on M_e by H_d."""
+    return action_degree_shift(quiver, d, e), tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
+
+
+def _pbw_report(rs, cls, act, step, words, bound, window):
+    """Slice report of the products of `words` that land in the window.
+
+    A word is (seed, slots): letter slots (root, m, odd) that act right to
+    left on the seed, an element or None for the unit of the algebra, which
+    a word starts from its rightmost letter instead of multiplying.  A
+    letter (root, lam, m) is the Schur image psi(s_lam) in m parts.  The
+    product's degree is the sum of its letter sizes plus the shift chained
+    by `step` over the slot classes, so each word within the bound gets the
+    budget window // 2 - shift for its letter sizes.  Products are shared
+    through a memo of (seed class, suffix).
+    """
+    quiver = rs.quiver
+    buckets, zeros, reached, memo = {}, [], set(), {}
+
+    def product(seed, e0, word):
+        if not word:
+            return cls.unit(quiver) if seed is None else seed
+        key = (e0, word)
+        if key not in memo:
+            f = rs.psi(*word[0])
+            rest = word[1:]
+            memo[key] = f if seed is None and not rest else act(f, product(seed, e0, rest))
+        return memo[key]
+
+    def rec(seed, e0, slots, word, left):
+        if len(word) == len(slots):
+            _bucket(buckets, zeros, product(seed, e0, word))
+            return
+        root, m, odd = slots[-1 - len(word)]
+        for lam in _letter_partitions(m, odd, left):
+            rec(seed, e0, slots, ((root, lam, m),) + word, left - sum(lam))
+
+    for seed, slots in words:
+        e = e0 = quiver.zero() if seed is None else seed.degree
+        shift = 0
+        for root, m, _ in reversed(slots):
+            s, e = step(quiver, tuple(m * x for x in rs.dim_vector(root)), e)
+            shift += s
+        if all(x <= cap for x, cap in zip(e, bound)):
+            reached.add(e)
+            if window // 2 >= shift:
+                rec(seed, e0, slots, (), window // 2 - shift)
+    return _slice_report(cls, quiver, buckets, zeros, reached, window)
+
+
+def _slots(roots, tup):
+    """Root letter slots of the nonzero multiplicities of tup."""
+    return [(r, m, None) for r, m in zip(roots, tup) if m]
+
+
+def pbw_check_coha(rs, bound, window):
+    """Both ordered multiplication maps are graded isomorphisms up to bound.
+
+    bound: per-node dimension cap (int or tuple).  Checks, per (d, k) with k
+    within the window, that the ordered products of root-subalgebra basis
+    elements span H_(d,k) in the exact number dim H_(d,k).  The products
+    are the words of Schur images over each root tuple, acting on the unit;
+    s_lam1 * ... * s_lamr of classes d_1, ..., d_r has degree
+    sum |lam_i| - sum_{i<j} chi(d_i, d_j).
+    """
+    if isinstance(bound, int):
+        bound = (bound,) * rs.n
+    reports = {}
+    for name, roots in (("simple", rs.simple_roots()[::-1]), ("indecomposable", list(rs.order))):
+        words = [(None, _slots(roots, tup)) for tup in _root_tuples(rs, roots, bound)]
+        reports[name] = _pbw_report(rs, CohaElement, shuffle_mul, _coha_step, words, bound, window)
+    reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
+    return reports
 
 
 def pbw_check_cohm(rs, bound, window):
     """Both ordered CoHA action maps are graded isomorphisms up to bound.
 
-    For each set pi of self-dual roots and generator multiplicities c, the
-    products of Schur images of the outer roots acting on the generator part
-    base are enumerated exactly when they land in the window: the degree of
-    f_1 * ... * f_r * base is sum |lam_i| + deg(base) plus the chained
-    `action_degree_shift` S_outer, and deg(base) = sum |mu| + S_gen.  The
-    generator budget for sum |mu| uses the smallest S_outer of the outer
-    tuples that fit the bound (0 for the empty tuple).
+    For each admissible set pi of self-dual roots the words act on the seed
+    1^sigma over pi: the Schur images of the outer roots, then the generator
+    letters of the M^(pi) factor.  Per sigma-fixed root beta of multiplicity
+    2c (+1 when beta is in pi) a generator letter is the psi-image s_mu of
+    the c-fold product of odd-indexed (types B and C) or even-indexed (type
+    D) generators.  The degree of a word is the sum of its letter sizes plus
+    the chained `action_degree_shift`.
     """
     if isinstance(bound, int):
         bound = (bound,) * rs.n
-    quiver = rs.quiver
-    top = window // 2
     reports = {}
-    cases = (
-        ("simple", [r for r in rs.order if r[0] == r[1] and r in rs.delta_plus][::-1],
-         [r for r in rs.order if r[0] == r[1] and r in rs.delta_sigma]),
-        ("indecomposable", list(rs.delta_minus), list(rs.delta_sigma)),
-    )
-    for name, outer_roots, sigma_roots in cases:
-        buckets, zeros, reached = {}, [], set()
-
-        def rec(active, j, suffix, left):
-            """Act on suffix by Schur images of active[j], ..., active[0]
-            with sum |lam| <= left, and file the products."""
-            if j < 0:
-                _bucket(buckets, zeros, suffix)
-                return
-            root, m, _ = active[j]
-            for lam in _partitions_upto(left, m):
-                rec(active, j - 1, cohm_action(rs.psi(root, lam, m), suffix), left - sum(lam))
-
-        outer_tuples = [_active(rs, outer_roots, t) for t in _root_tuples(rs, outer_roots, bound)]
-        for pi in _subsets(sigma_roots):
-            if not all(rs.admits_selfdual(b) for b in pi):
-                continue
-            evec = [0] * rs.n
-            for b in pi:
-                for i, x in enumerate(rs.dim_vector(b)):
-                    evec[i] += x
-            seed = CohmElement.unit(quiver, tuple(evec))
-            half_caps = [(cap - x) // 2 for cap, x in zip(bound, evec)]
-            for mults in _root_tuples(rs, sigma_roots, half_caps):
-                s_gen, e0 = _chained_shift(quiver, _active(rs, sigma_roots, mults), seed.e)
-                outer = []
-                for active in outer_tuples:
-                    s_outer, e = _chained_shift(quiver, active, e0)
-                    if all(x <= cap for x, cap in zip(e, bound)):
-                        outer.append((active, s_outer))
-                        reached.add(e)
-                least_outer = min(s for _, s in outer)
-                for mfactors, mu_size in _module_generators(
-                    rs, sigma_roots, pi, mults, top - s_gen - least_outer
-                ):
-                    base = act_many(mfactors, seed)
-                    for active, s_outer in outer:
-                        budget = top - mu_size - s_gen - s_outer
-                        if budget >= 0:
-                            rec(active, len(active) - 1, base, budget)
-        reports[name] = _slice_report(CohmElement, quiver, buckets, zeros, reached, window)
+    for name, outer_roots, sigma_roots in _module_cases(rs):
+        outer = [_slots(outer_roots, tup) for tup in _root_tuples(rs, outer_roots, bound)]
+        words = []
+        for pi, e in _seeds(rs, sigma_roots):
+            seed = CohmElement.unit(rs.quiver, e)
+            for mults in _root_tuples(rs, sigma_roots, [(cap - x) // 2 for cap, x in zip(bound, e)]):
+                gens = [(b, c, b in pi or rs.hyperbolic_case) for b, c in zip(sigma_roots, mults) if c]
+                words += [(seed, slots + gens) for slots in outer]
+        reports[name] = _pbw_report(rs, CohmElement, cohm_action, _cohm_step, words, bound, window)
     reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
     return reports

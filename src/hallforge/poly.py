@@ -114,21 +114,6 @@ class Poly:
                 terms[pack_exponents(exps)] = c
         return cls(n, terms)
 
-    @classmethod
-    def linear(cls, n, ca, a, cb=None, b=None):
-        """ca*x_a (+ cb*x_b); with b == a the coefficients fold together."""
-        terms = {}
-        ka = 1 << (SHIFT * a)
-        terms[ka] = _num(ca)
-        if b is not None:
-            kb = 1 << (SHIFT * b)
-            c = terms.get(kb, 0) + _num(cb)
-            if c:
-                terms[kb] = c
-            else:
-                del terms[kb]
-        return cls(n, terms, 1)
-
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
@@ -354,12 +339,6 @@ class Poly:
         for k, c in self.terms.items():
             comps.setdefault(key_degree(k), {})[k] = c
         return {d: Poly(self.n, t, self.bound) for d, t in sorted(comps.items())}
-
-    def coefficient(self, exps):
-        return self.terms.get(pack_exponents(exps), 0)
-
-    def constant(self):
-        return self.terms.get(0, 0)
 
     # -- variable maps ------------------------------------------------------
 

@@ -228,17 +228,6 @@ class QSeries:
         tw = lambda d1, e2: q.star_twist(d1, e2)
         return self._convolve(x, MODULE, cls, tw)
 
-    def char_mul(self, other):
-        """Torus product in the character normalization: the twist enters as
-        (-q^(1/2))^(chi(d'',d') - chi(d',d'')), matching graded dimensions of
-        the twisted tensor product.  Coincides with torus_mul when chi is
-        symmetric."""
-        self._check_compat(other)
-        q = self.quiver
-        add = lambda d1, d2: tuple(a + b for a, b in zip(d1, d2))
-        tw = lambda d1, d2: q.euler_form(d2, d1) - q.euler_form(d1, d2)
-        return self._convolve(other, TORUS, add, tw, signed=True)
-
     def char_star(self, x):
         """Module action in the character normalization: twist
         (-q^(1/2))^(-gamma(d,e)).  Coincides with module_star for
@@ -556,6 +545,20 @@ def _gcd_vec(d):
     return g
 
 
+def _inverse_q2_pochhammer(quiver, k0, dvec, maxdim, window):
+    """1 / (q^(k0/2) xi^dvec ; q^2)_inf, truncated as `qpochhammer_inf`.
+
+    By the q-binomial theorem the coefficient of xi^(n*dvec) is
+    q^(n*k0/2) / prod_{j=1..n} (1 - q^(2j)): n running sums.
+    """
+    zero = quiver.zero()
+    terms, meta = {(zero, 0): 1}, {zero: (0, None)}
+    for n in range(1, maxdim // sum(dvec) + 1):
+        steps = [4 * j for j in range(1, n + 1)]
+        _add_class(terms, meta, tuple(n * x for x in dvec), n * k0, 1, steps, window)
+    return QSeries(quiver, MODULE, maxdim, terms, meta)
+
+
 def pochhammer_q2_product(signed_table, maxdim, window):
     """A_Q(e') = prod (q^(k/2 + [lambda = -]) xi^e ; q^2)_inf^(-Omega~^lambda).
 
@@ -570,12 +573,12 @@ def pochhammer_q2_product(signed_table, maxdim, window):
         if sum(e) > maxdim or not any(e):
             continue
         # exponents follow the rendered-coefficient convention m * (-1)^k
-        if plus:
-            p = qpochhammer_inf(quiver, MODULE, k, e, maxdim, 3 * window, base=2)
-            out = out.cmul(p.power(-plus * sign_pow(k)))
-        if minus:
-            p = qpochhammer_inf(quiver, MODULE, k + 2, e, maxdim, 3 * window, base=2)
-            out = out.cmul(p.power(-minus * sign_pow(k)))
+        for k0, mult in ((k, plus), (k + 2, minus)):
+            power = -mult * sign_pow(k)
+            if power > 0:
+                out = out.cmul(qpochhammer_inf(quiver, MODULE, k0, e, maxdim, 3 * window, base=2).power(power))
+            elif power < 0:
+                out = out.cmul(_inverse_q2_pochhammer(quiver, k0, e, maxdim, 3 * window).power(-power))
     if signed_table.validity:
         meta = {}
         for d, (lo, hi) in out.meta.items():

@@ -63,43 +63,6 @@ def schur(lam, n, offset=0, ring_n=None, squared=False):
     return out
 
 
-def _distinct_permutations(items):
-    """Distinct permutations of a sorted list, in lexicographic order."""
-    items = sorted(items)
-    n = len(items)
-    out = []
-
-    def rec(remaining, prefix):
-        if not remaining:
-            out.append(tuple(prefix))
-            return
-        seen = set()
-        for i, v in enumerate(remaining):
-            if v in seen:
-                continue
-            seen.add(v)
-            rec(remaining[:i] + remaining[i + 1 :], prefix + [v])
-
-    rec(items, [])
-    return out
-
-
-def monomial_sym(lam, n, offset=0, ring_n=None):
-    """Monomial symmetric polynomial m_lam: sum of distinct permutations."""
-    ring_n = n if ring_n is None else ring_n
-    lam = tuple(x for x in lam if x)
-    if len(lam) > n:
-        raise HallforgeError("partition length %d exceeds %d variables" % (len(lam), n))
-    padded = list(lam) + [0] * (n - len(lam))
-    terms = {}
-    for perm in _distinct_permutations(padded):
-        key = [0] * ring_n
-        for j, e in enumerate(perm):
-            key[offset + j] = e
-        terms[tuple(key)] = 1
-    return Poly.from_exponents(ring_n, terms)
-
-
 # -- graded bases -------------------------------------------------------------
 
 

@@ -24,7 +24,8 @@ from hallforge.finite_type import (
 from hallforge.poly import Poly, key_degree
 from hallforge.quiver import a1_tilde, loop_quiver
 from hallforge.series import quantum_integer, sign_pow
-from hallforge.symfun import monomial_sym, schur
+from hallforge.symfun import schur
+from oracles import monomial_sym
 
 L2 = loop_quiver(2)
 L3 = loop_quiver(3, s=1, tau=[1, 1, 1])

@@ -71,7 +71,8 @@ def test_zero_loop_schur_identities():
 
 
 def test_one_loop_monomial_identities():
-    from hallforge.symfun import monomial_sym, partitions
+    from hallforge.symfun import partitions
+    from oracles import monomial_sym
     from math import factorial
 
     for total in range(0, 7):
@@ -96,7 +97,7 @@ def test_s_involution():
     assert s_involution(s_involution(x1)) == x1
     u = CohaElement.unit(A2, (2, 1))
     su = s_involution(u)
-    assert su.d == (1, 2) and su.poly.constant() == 1
+    assert su.d == (1, 2) and su.poly.terms.get(0) == 1
 
 
 def test_dt_invariants_requires_symmetric():

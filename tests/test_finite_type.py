@@ -168,7 +168,7 @@ def test_thom_polynomials_a2():
     with pytest.raises(GradingError):
         thom_polynomial(orth, {(1, 1): 2, (2, 2): 1})
     unit = thom_polynomial(orth, {})
-    assert unit.poly.constant() == 1 and unit.e == (0, 0)
+    assert unit.poly.terms.get(0) == 1 and unit.e == (0, 0)
 
 
 def test_dilog_identity_small():
@@ -451,7 +451,9 @@ def _flat_report(cls, quiver, products, window):
     (pbw_check_cohm, _flat_pbw_cohm, (2, ">", "orthogonal"), 3, 12, 12),
     (pbw_check_cohm, _flat_pbw_cohm, (2, ">", "symplectic"), 2, 8, 8),
     (pbw_check_cohm, _flat_pbw_cohm, (2, ">", "symplectic"), 2, 12, 12),
+    (pbw_check_cohm, _flat_pbw_cohm, (2, ">", "orthogonal"), 4, 12, 12),
     (pbw_check_cohm, _flat_pbw_cohm, (3, ">>", "orthogonal"), 3, 8, 8),
+    (pbw_check_cohm, _flat_pbw_cohm, (3, ">>", "orthogonal"), 3, 12, 12),
     (pbw_check_cohm, _flat_pbw_cohm, (3, "<<", "symplectic"), 2, 8, 8),
 ])
 def test_pbw_reports_against_flat_budget_enumeration(check, oracle, args, bound, window, budget):
