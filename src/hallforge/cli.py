@@ -226,7 +226,8 @@ def _dispatch(args):
     if cmd == "thom":
         rs = _build_rs(args)
         doc = _load_json(args.mults)
-        if not isinstance(doc, dict) or not all(isinstance(v, int) for v in doc.values()):
+        # a bool is an int subclass: refused, as in element documents
+        if not isinstance(doc, dict) or not all(type(v) is int for v in doc.values()):
             raise HallforgeError('--mults must hold an object {"a,b": multiplicity} of integers')
         mults = {tuple(int(x) for x in k.split(",")): v for k, v in doc.items()}
         _emit_json(thom_polynomial(rs, mults).to_json_dict())

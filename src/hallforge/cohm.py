@@ -9,7 +9,10 @@ isotropic flag tangent spaces (with the type B/C/D factor g_i at fixed
 nodes), numerators V_a per arrow of Q1^+ and Q1^sigma.  That sum is a
 push-forward along an isotropic flag, so it is computed as the numerators at
 the identity sigma-shuffle followed by type-A and hyperoctahedral
-divided-difference operators per node; no denominator is ever formed.  At
+divided-difference operators per node; no denominator is ever formed.  A
+push is linear over the polynomials invariant under its Weyl group (the
+projection formula), so a fixed node's factors y^2 - z^2 against its own
+slots wait until its hyperoctahedral push is done.  At
 the identity shuffle x'_{i,j} -> z_{i,j}, z''_{i,j} -> z_{i,d_i+j} and
 x'_{sigma(i),j} -> -z_{i,d_i+e_i+j} on the Q0^+ blocks.
 
@@ -103,6 +106,14 @@ def cohm_action(f, g):
       times 2^D for types B and D.  Type D has no short roots in its Weyl
       denominator, so it first multiplies by prod(-y_l).
 
+    The factors prod(y_l^2 - z_k^2) of V~^(i) against node i's own slots y
+    are W(B_D) invariant, and a push is linear over its Weyl invariants, so
+    they are left out of the integrand and multiplied in after the B_D /
+    S_D push, before the squared `shuffle_push`: the push then runs on the
+    smaller polynomial.  Every difference of squares is one
+    `Poly.mul_square_difference` pass.  The Q0^+ pushes keep the plain
+    schedule: deferring their tail-only factors measured no gain.
+
     No denominator is formed.  This equals the sigma-shuffle sum only when f
     is S_d invariant and g is Weyl invariant, which the element constructors
     (check=True) and from_json_dict enforce.
@@ -148,7 +159,7 @@ def cohm_action(f, g):
     def square(u, v):
         """times u^2 - v^2"""
         nonlocal total
-        total = total.mul_linear(1, u[1], -1, v[1]).mul_linear(1, u[1], 1, v[1])
+        total = total.mul_square_difference(u[1], v[1])
 
     def mono(c, u):
         """times c * u"""
@@ -158,13 +169,25 @@ def cohm_action(f, g):
     def neg(u):
         return (-u[0], u[1])
 
+    # per fixed node, the slot pairs (y, z) of its factors y^2 - z^2 that
+    # wait for the end of its B_D/S_D push
+    after_push = {n: [] for n in fixed}
+
     def v_tilde(i, points, gl):
         """times V~^(i) against the signed slots `points`; gl(x, z)
-        multiplies in its factor when i is not fixed"""
+        multiplies in its factor when i is not fixed.  Against a fixed
+        node's own slots the factors x^2 - z^2 go to after_push[i]."""
         cnt = e[idx[i]] // 2 if i in fixed else e[idx[i]]
+        own = i in fixed and points == xs(i)
         for x in points:
             for k in range(cnt):
-                (square if i in fixed else gl)(x, zs[(i, k)])
+                z = zs[(i, k)]
+                if own:
+                    after_push[i].append((x[1], z[1]))
+                elif i in fixed:
+                    square(x, z)
+                else:
+                    gl(x, z)
             if i in fixed and e[idx[i]] % 2:
                 mono(-1, x)
 
@@ -207,6 +230,8 @@ def cohm_action(f, g):
             total = total.flip(o + D - 1)
             for i in range(D - 2, k - 1, -1):
                 total = total.divided_difference(o + i)
+        for y, z in after_push[n]:
+            total = total.mul_square_difference(y, z)
         total = total.shuffle_push(o, D, e[idx[n]] // 2, step=2)
         if D * (D + 1) // 2 % 2:
             sign = -sign

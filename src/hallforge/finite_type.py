@@ -45,6 +45,8 @@ def build_typeA(n, orientation, duality_type):
     orientation: string of length n-1 over {'>', '<'}; '>' is i -> i+1.
     duality_type: "orthogonal" (s=+1) or "symplectic" (s=-1); tau = -1.
     """
+    if n < 1:
+        raise QuiverSpecError("A_n needs n >= 1, not %d" % n)
     if len(orientation) != max(n - 1, 0) or any(c not in "<>" for c in orientation):
         raise QuiverSpecError("orientation must be %d characters of <>" % (n - 1))
     if duality_type not in ("orthogonal", "symplectic"):

@@ -78,11 +78,19 @@ class GradedElement:
 
     @classmethod
     def slice_basis(cls, quiver, d, k):
+        """The Schur basis of the (d, k) slice, built once per quiver: it is
+        kept in quiver._cache under (class, d, k), since on a loop quiver
+        the CoHA and the CoHM slices of one degree tuple differ.  The list
+        is shared, so callers must not mutate it."""
         deg = cls.slice_degree(quiver, d, k)
         if deg is None:
             return []
-        basis, _ = weight_basis([b for b in cls.blocks(quiver, d) if b[2]], deg)
-        return [cls(quiver, d, p, check=False) for p in basis]
+        key = ("slice_basis", cls, d, k)
+        out = quiver._cache.get(key)
+        if out is None:
+            basis, _ = weight_basis([b for b in cls.blocks(quiver, d) if b[2]], deg)
+            out = quiver._cache[key] = [cls(quiver, d, p, check=False) for p in basis]
+        return out
 
     @classmethod
     def slice_dim(cls, quiver, d, k):

@@ -10,7 +10,10 @@ Push-forwards along flags are divided-difference operators, computed term
 by term with no division: `Poly.divided_difference` (also in squared
 variables), `Poly.shuffle_push` (one Grassmannian) and `Poly.flip` (a sign
 change).  The CoHA product and the CoHM action are composites of them, so no
-rational function and no common denominator is ever formed.  The exact
+rational function and no common denominator is ever formed.  Factors enter
+through `mul_linear` and, for a difference of squares x_a^2 - x_b^2 that
+the CoHM action multiplies in after a hyperoctahedral push,
+`mul_square_difference`, each one pass over the terms.  The exact
 divisions `divexact_linear`/`divexact_mono` remain as test oracles; an
 inexact division raises.
 """
@@ -217,6 +220,33 @@ class Poly:
                     out[kk] = v
                 else:
                     del out[kk]
+        return Poly(self.n, out, bound)
+
+    def mul_square_difference(self, a, b):
+        """Multiply by x_a^2 - x_b^2 (a != b) in one pass over the terms."""
+        bound = self.bound + 2
+        if bound > MAXDEG:
+            top = _var_maxima(self)
+            top[a] += 2
+            top[b] += 2
+            bound = max(top)
+            if bound > MAXDEG:
+                raise ExponentOverflowError("packed exponent range exceeded in product")
+        out = {}
+        ka, kb = 2 << (SHIFT * a), 2 << (SHIFT * b)
+        for k, c in self.terms.items():
+            kk = k + ka
+            v = out.get(kk, 0) + c
+            if v:
+                out[kk] = v
+            else:
+                del out[kk]
+            kk = k + kb
+            v = out.get(kk, 0) - c
+            if v:
+                out[kk] = v
+            else:
+                del out[kk]
         return Poly(self.n, out, bound)
 
     # -- division -----------------------------------------------------------

@@ -312,6 +312,16 @@ class QuiverWithDuality:
             self._cache["structure_key"] = key
         return key
 
+    def clear_caches(self):
+        """Empty the per-quiver cache.
+
+        It holds the adjacency matrix and the structure key, and one entry
+        per (class, d, k) key for the slice bases, the CoHA ideal echelons,
+        generator complements and primitive bases, and the W^prim slices.
+        So it grows with the (class, d, k) keys that the calls on this
+        quiver enumerate.  Every entry is recomputed on demand."""
+        self._cache.clear()
+
     def __eq__(self, other):
         if self is other:
             return True

@@ -223,6 +223,9 @@ def test_exponent_overflow_exit2(tmp_path):
     ["ori-invariants", "--max-dim", "-1"],
     ["dt-invariants", "--max-dim", "-3"],
     ["pbw-check", "coha", "--type", "A2", "--bound", "-1"],
+    # an empty root system is refused, not checked vacuously
+    ["pbw-check", "coha", "--type", "A0", "--bound", "1", "--window", "2"],
+    ["pbw-check", "cohm", "--type", "A-1", "--bound", "1", "--window", "2"],
 ])
 def test_negative_size_exit2(l2_path, args):
     code, out, err = run_cli(args + ["--quiver", l2_path])
@@ -301,6 +304,7 @@ ONE_VAR = {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "1"}]}
     ("act", {"cohm": {"d": [1], "poly": []}}, "--coha is required"),
     ("thom", {"mults": [1]}, "--mults must hold an object"),
     ("thom", {}, "--mults is required"),
+    ("thom", {"mults": {"1,1": True, "2,2": True}}, "--mults must hold an object"),
     # floats and bools are refused, not rounded
     ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": 0.1}]}, "rhs": ONE_VAR}, "rational coefficient"),
     ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": True}]}, "rhs": ONE_VAR}, "rational coefficient"),

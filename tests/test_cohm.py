@@ -338,6 +338,56 @@ def test_pickled_quiver_is_its_spec():
     assert copy == quiver and copy.to_dict() == quiver.to_dict()
 
 
+def test_slice_basis_built_once_per_quiver(monkeypatch):
+    from hallforge import graded
+
+    calls = []
+    real = graded.weight_basis
+
+    def counted(blocks, degree):
+        calls.append(degree)
+        return real(blocks, degree)
+
+    monkeypatch.setattr(graded, "weight_basis", counted)
+    q = loop_quiver(2)
+    k = q.sd_euler_form((4,)) + 4
+    first = cohm_slice_basis(q, (4,), k)
+    assert first and len(calls) == 1
+    assert cohm_slice_basis(q, (4,), k) is first and len(calls) == 1
+    # the cache is per quiver instance: a new quiver builds its own
+    assert cohm_slice_basis(loop_quiver(2), (4,), k) == first and len(calls) == 2
+
+
+def test_coha_and_cohm_slices_of_one_degree_stay_distinct():
+    # on a loop quiver H_(2,) has two GL variables and M_(2,) one BCD
+    # variable: the slices of one (d, k) are cached apart
+    both = 0
+    for m in (0, 2):
+        q = loop_quiver(m)
+        for d in ((1,), (2,), (3,)):
+            lo = min(q.euler_form(d, d), q.sd_euler_form(d))
+            for k in range(lo, lo + 9):
+                h = CohaElement.slice_basis(q, d, k)
+                w = CohmElement.slice_basis(q, d, k)
+                assert all(type(x) is CohaElement for x in h)
+                assert all(type(x) is CohmElement for x in w)
+                assert h == CohaElement.slice_basis(loop_quiver(m), d, k)
+                assert w == CohmElement.slice_basis(loop_quiver(m), d, k)
+                both += bool(h and w)
+    assert both
+
+
+def test_clear_caches_recomputes_identical_tables():
+    q = loop_quiver(2)
+    first = ori_dt_invariants(q, 5, 10)
+    assert q._cache
+    q.clear_caches()
+    assert q._cache == {}
+    again = ori_dt_invariants(q, 5, 10)
+    assert again.table().entries == first.table().entries
+    assert again.bases == first.bases and first.bases
+
+
 def test_partition_choice_invariance():
     # the same abstract quiver with relabeled nodes flips which member of the
     # swapped pair carries the module variables; all reported invariants

@@ -213,3 +213,21 @@ def test_flip_identity():
         reflected = p.map_variables(n, [(-1 if j == i else 1, j) for j in range(n)])
         assert p.flip(i).mul_linear(2, i) == p - reflected
         assert (p + reflected).flip(i).is_zero()
+
+
+def test_square_difference_against_two_linear_passes():
+    from hallforge.proputils import Lcg
+
+    rng = Lcg(14)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        a = rng.randint(0, n - 1)
+        b = (a + rng.randint(1, n - 1)) % n
+        p = random_poly(rng, n)
+        two = p.mul_linear(1, a, -1, b).mul_linear(1, a, 1, b)
+        one = p.mul_square_difference(a, b)
+        assert one == two and one.bound == two.bound
+    big = Poly.variable(2, 0, 1021)
+    assert big.mul_square_difference(0, 1) == Poly.from_exponents(2, {(1023, 0): 1, (1021, 2): -1})
+    with pytest.raises(OverflowError):
+        big.mul_square_difference(0, 1).mul_square_difference(0, 1)
