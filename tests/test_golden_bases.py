@@ -26,6 +26,13 @@ CASES = {
     "primitive_dims L2 4 16": lambda: primitive_dims(loop_quiver(2), 4, 16),
     "primitive_dims A1t tau=+1 4 10": lambda: primitive_dims(a1_tilde(tau=1), 4, 10),
 }
+# L0 at both signs and L1 at every (s, tau): the products fill most of their
+# slices, so these pin the image steps where the echelon spans the slice
+for m, s, tau in ((0, 1, 0), (0, -1, 0), (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
+    tag = "L%d s=%+d" % (m, s) + (" tau=%+d" % tau if m else "")
+    quiver = lambda m=m, s=s, tau=tau: loop_quiver(m, s=s, tau=[tau] * m)
+    CASES["ori_dt_invariants %s 7 16" % tag] = lambda q=quiver: ori_dt_invariants(q(), 7, 16)
+    CASES["primitive_dims %s 5 10" % tag] = lambda q=quiver: primitive_dims(q(), 5, 10)
 
 
 def _document(table):
