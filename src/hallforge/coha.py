@@ -113,19 +113,29 @@ def dt_invariants(quiver, maxdim, window):
 # -- primitive parts -------------------------------------------------------------
 
 
-def image_echelon(quiver, pairs, slice_basis, form, act, k):
+def image_echelon(quiver, pairs, slice_basis, form, act, k, dim):
     """Echelon of the weight-k span of act(c, b) with c in generator_complement
     (quiver, a, k1) and b in slice_basis(quiver, rest, k - k1), over (a, rest)
     in pairs and chi(a, a) <= k1 <= k - form(quiver, rest): the CoHA ideal
-    H_+ . H_+ (shuffle_mul, chi) and the CoHM image H_+ . M (cohm_action, E)."""
+    H_+ . H_+ (shuffle_mul, chi) and the CoHM image H_+ . M (cohm_action, E).
+
+    Every product lies in the target slice, of dimension dim, so rank <= dim;
+    once rank == dim the echelon spans the slice, every later product would
+    reduce to zero, and neither a later product nor the generator complement
+    of a later factor is computed.  A slice the products do not fill gets
+    every product, in the same order, hence the same pivots."""
     ech = Echelon()
     for a, rest in pairs:
         for k1 in range(quiver.euler_form(a, a), k - form(quiver, rest) + 1):
+            if ech.rank == dim:
+                return ech
             gens = generator_complement(quiver, a, k1)
             if not gens:
                 continue
             for b in slice_basis(quiver, rest, k - k1):
                 for c in gens:
+                    if ech.rank == dim:
+                        return ech
                     ech.add(act(c, b).poly.terms)
     return ech
 
@@ -139,7 +149,8 @@ def _ideal_echelon(quiver, d, k):
     if not quiver.is_symmetric():
         raise SymmetryError("primitive parts are computed for symmetric quivers")
     pairs = quiver.decompositions(d, sum(d) - 1)
-    ech = image_echelon(quiver, pairs, coha_slice_basis, CohaElement.weight_form, shuffle_mul, k)
+    dim = len(coha_slice_basis(quiver, d, k))
+    ech = image_echelon(quiver, pairs, coha_slice_basis, CohaElement.weight_form, shuffle_mul, k, dim)
     quiver._cache[key] = ech
     return ech
 
@@ -181,12 +192,15 @@ def primitive_basis(quiver, d, k):
     if deg is None:
         out = []
     else:
+        basis = coha_slice_basis(quiver, d, k)
         probe = _ideal_echelon(quiver, d, k).copy() if sum(d) > 1 else Echelon()
         if deg > 0:
             sigma = _power_sum_element(quiver, d)
             for c in generator_complement(quiver, d, k - 2):
+                if probe.rank == len(basis):  # the span is the whole slice
+                    break
                 probe.add((sigma.poly * c.poly).terms)
-        out = complement(probe, coha_slice_basis(quiver, d, k))
+        out = complement(probe, basis)
     quiver._cache[key] = out
     return out
 

@@ -278,9 +278,12 @@ def _wprim_slice(quiver, e, k):
         return cached
     # H(d) <= e gives |d| <= |e| // 2
     pairs = quiver.decompositions(e, sum(e) // 2, quiver.hyperbolic)
-    ech = image_echelon(quiver, pairs, cohm_slice_basis, CohmElement.weight_form, cohm_action, k)
+    basis = cohm_slice_basis(quiver, e, k)
+    # image_echelon stops once the image spans the slice (rank == len(basis)),
+    # and complement() then returns []
+    ech = image_echelon(quiver, pairs, cohm_slice_basis, CohmElement.weight_form, cohm_action, k, len(basis))
     rank = ech.rank  # before complement() extends ech
-    cached = (rank, complement(ech, cohm_slice_basis(quiver, e, k)))
+    cached = (rank, complement(ech, basis))
     quiver._cache[key] = cached
     return cached
 

@@ -198,7 +198,7 @@ class GradedElement:
                 terms[tuple(key)] = Fraction(c)
             except KeyError as exc:
                 raise GradingError("unknown variable %s in degree %r" % (exc, d)) from None
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, ZeroDivisionError):
                 raise GradingError("poly term %r needs integer exponents and a rational coefficient" % (t,)) from None
         return cls(quiver, d, Poly.from_exponents(len(names), terms))
 

@@ -85,7 +85,10 @@ def complement(ech, elements):
     """The elements (with a polynomial `.poly`, whose terms are the rows) that
     raise the rank of ech when added in order; ech is extended.  When the
     elements span a space containing the rows of ech, the chosen ones span a
-    complement of them."""
+    complement of them; under that condition rank == len(elements) means ech
+    already spans them all, so the answer is [] and no element is read."""
+    if ech.rank == len(elements):
+        return []
     return [x for x in elements if ech.add(x.poly.terms)]
 
 

@@ -49,8 +49,8 @@ class QuiverWithDuality:
         self.arrow_ids = tuple(a for (a, _, _) in self.arrows)
         self.sigma_nodes = dict(sigma_nodes)
         self.sigma_arrows = dict(sigma_arrows)
-        self.s = {n: int(v) for n, v in s.items()}
-        self.tau = {a: int(v) for a, v in tau.items()}
+        self.s = dict(s)
+        self.tau = dict(tau)
         self._validate()
         self.node_partition = self._partition_nodes()
         self.arrow_partition = self._partition_arrows()
@@ -91,13 +91,15 @@ class QuiverWithDuality:
             raise QuiverSpecError("s must assign a sign to every node")
         if set(self.tau) != set(arrows):
             raise QuiverSpecError("tau must assign a sign to every arrow")
+        # signs are exact ints, as in element JSON: a bool or a float that
+        # compares equal to +-1 is refused
         for n in nodes:
-            if self.s[n] not in (1, -1):
+            if type(self.s[n]) is not int or self.s[n] not in (1, -1):
                 raise QuiverSpecError("s[%r] must be +1 or -1" % n)
             if self.s[n] != self.s[self.sigma_nodes[n]]:
                 raise DualitySignError("s is not sigma-invariant at %r" % n)
         for a, (t, h) in arrows.items():
-            if self.tau[a] not in (1, -1):
+            if type(self.tau[a]) is not int or self.tau[a] not in (1, -1):
                 raise QuiverSpecError("tau[%r] must be +1 or -1" % a)
             if self.tau[a] * self.tau[self.sigma_arrows[a]] != self.s[t] * self.s[h]:
                 raise DualitySignError(
@@ -371,9 +373,9 @@ def parse_quiver(doc):
         arrows = [(a["id"], a["tail"], a["head"]) for a in doc.get("arrows", [])]
         sigma_nodes = {str(k): str(v) for k, v in doc["sigma_nodes"].items()}
         sigma_arrows = {str(k): str(v) for k, v in doc.get("sigma_arrows", {}).items()}
-        s = {str(k): int(v) for k, v in doc["s"].items()}
-        tau = {str(k): int(v) for k, v in doc.get("tau", {}).items()}
-    except (KeyError, TypeError) as exc:
+        s = {str(k): v for k, v in doc["s"].items()}
+        tau = {str(k): v for k, v in doc.get("tau", {}).items()}
+    except (KeyError, TypeError, AttributeError) as exc:
         raise QuiverSpecError("malformed quiver spec: %s" % exc) from None
     return QuiverWithDuality(nodes, arrows, sigma_nodes, sigma_arrows, s, tau)
 

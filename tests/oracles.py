@@ -4,7 +4,9 @@ Not collected by pytest (no test_ prefix); the test modules import it from
 their own directory.
 """
 
+from hallforge.coha import generator_complement
 from hallforge.errors import HallforgeError
+from hallforge.linalg import Echelon
 from hallforge.poly import Poly
 from hallforge.series import TORUS
 
@@ -55,3 +57,23 @@ def char_mul(a, b):
     add = lambda d1, d2: tuple(x + y for x, y in zip(d1, d2))
     tw = lambda d1, d2: q.euler_form(d2, d1) - q.euler_form(d1, d2)
     return a._convolve(b, TORUS, add, tw, signed=True)
+
+
+def full_image_echelon(quiver, pairs, slice_basis, form, act, k):
+    """`coha.image_echelon` without its stop rule: every product of every
+    pair, even after the echelon spans the slice."""
+    ech = Echelon()
+    for a, rest in pairs:
+        for k1 in range(quiver.euler_form(a, a), k - form(quiver, rest) + 1):
+            gens = generator_complement(quiver, a, k1)
+            if not gens:
+                continue
+            for b in slice_basis(quiver, rest, k - k1):
+                for c in gens:
+                    ech.add(act(c, b).poly.terms)
+    return ech
+
+
+def full_complement(ech, elements):
+    """`linalg.complement` without its shortcut for a full echelon."""
+    return [x for x in elements if ech.add(x.poly.terms)]

@@ -72,6 +72,22 @@ def test_malformed_doc_exit2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # signs are exact ints: a bool, a float or a string equal to +-1 is refused
+    ("s", {"1": True}, "must be +1 or -1"),
+    ("tau", {"l1": 1.0, "l2": -1}, "must be +1 or -1"),
+    ("tau", {"l1": "-1", "l2": -1}, "must be +1 or -1"),
+    ("s", [1], "malformed quiver spec"),
+    ("sigma_nodes", ["1"], "malformed quiver spec"),
+])
+def test_malformed_quiver_spec_exit2(tmp_path, field, value, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(L2_DOC, **{field: value})))
+    code, out, err = run_cli(["dt-series", "--quiver", str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
 def test_check_property_pass(l2_path):
     code, out, _ = run_cli(["check", "--property", "module-relation", "--quiver", l2_path, "--seed", "7"])
     assert code == 0
@@ -312,6 +328,10 @@ ONE_VAR = {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "1"}]}
     ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:1:1": True}, "c": "1"}]}, "rhs": ONE_VAR}, "integer exponents"),
     ("mul", {"lhs": {"d": [1.7], "poly": []}, "rhs": ONE_VAR}, "list of integers"),
     ("act", {"coha": ONE_VAR, "cohm": {"d": [False], "poly": []}}, "list of integers"),
+    # a zero denominator is malformed input, not a ZeroDivisionError
+    ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "1/0"}]}, "rhs": ONE_VAR}, "rational coefficient"),
+    ("act", {"coha": {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "1/0"}]}, "cohm": {"d": [1], "poly": []}},
+     "rational coefficient"),
 ])
 def test_malformed_element_input_exit2(tmp_path, l2_path, command, files, message):
     args = [command, "--quiver", l2_path] if command != "thom" else [command, "--type", "A2"]

@@ -12,6 +12,7 @@ from hallforge.coha import (
     shuffle_mul,
 )
 from hallforge.errors import GradingError, SymmetryError
+from hallforge.linalg import Echelon
 from hallforge.poly import Poly
 from hallforge.quiver import a1_tilde, a2_quiver, loop_quiver
 from hallforge.series import dt_series, sign_pow
@@ -278,3 +279,130 @@ def test_shuffle_mul_against_shuffle_sum():
                 if x not in point:
                     point.append(x)
             assert evaluate(out.poly, point) == shuffle_sum_at(f, g, point), (f, g)
+
+
+def _stopped_against_full(quiver, maxdim, window, mmax, mwindow, tally):
+    """Every image step of the CoHA and CoHM quotients of quiver against the
+    full loop of oracles.full_image_echelon; tally counts (filled, not filled)
+    slices."""
+    from oracles import full_complement, full_image_echelon
+
+    from hallforge.coha import (
+        _ideal_echelon,
+        _power_sum_element,
+        coha_slice_basis,
+        generator_complement,
+        image_echelon,
+        primitive_basis,
+    )
+    from hallforge.cohm import CohmElement, _wprim_slice, cohm_action, cohm_slice_basis, module_classes
+
+    def check(stopped, full, dim):
+        assert stopped.rank == full.rank <= dim
+        tally[full.rank == dim] += 1
+        if full.rank < dim:
+            assert stopped.pivots == full.pivots
+
+    for d in quiver.dimension_vectors(maxdim):
+        chi = quiver.euler_form(d, d)
+        for k in range(chi, chi + window + 1):
+            deg = CohaElement.slice_degree(quiver, d, k)
+            if deg is None:
+                continue
+            basis = coha_slice_basis(quiver, d, k)
+            if sum(d) > 1:
+                pairs = quiver.decompositions(d, sum(d) - 1)
+                full = full_image_echelon(quiver, pairs, coha_slice_basis, CohaElement.weight_form, shuffle_mul, k)
+                stopped = image_echelon(quiver, pairs, coha_slice_basis, CohaElement.weight_form, shuffle_mul, k, len(basis))
+                check(stopped, full, len(basis))
+                assert _ideal_echelon(quiver, d, k).pivots == stopped.pivots
+                assert generator_complement(quiver, d, k) == full_complement(full.copy(), basis)
+            else:
+                full = Echelon()
+            # the sigma_d tower of primitive_basis, with every row added
+            if deg > 0:
+                sigma = _power_sum_element(quiver, d)
+                for c in generator_complement(quiver, d, k - 2):
+                    full.add((sigma.poly * c.poly).terms)
+            assert primitive_basis(quiver, d, k) == full_complement(full, basis)
+    for e in module_classes(quiver, mmax):
+        ee = quiver.sd_euler_form(e)
+        for k in range(ee, ee + mwindow + 1):
+            basis = cohm_slice_basis(quiver, e, k)
+            if not basis:
+                continue
+            pairs = quiver.decompositions(e, sum(e) // 2, quiver.hyperbolic)
+            full = full_image_echelon(quiver, pairs, cohm_slice_basis, CohmElement.weight_form, cohm_action, k)
+            stopped = image_echelon(quiver, pairs, cohm_slice_basis, CohmElement.weight_form, cohm_action, k, len(basis))
+            check(stopped, full, len(basis))
+            assert _wprim_slice(quiver, e, k) == (full.rank, full_complement(full, basis))
+
+
+def test_image_echelon_against_full_loop():
+    """The stop rule changes no rank, no pivot of an unfilled slice and no
+    stored basis: L0 and L2 at both s, L1 at every (s, tau), A1~ at both tau."""
+    tally = {True: 0, False: 0}
+    cases = [(loop_quiver(0, s=s), 5, 10, 7, 16) for s in (1, -1)]
+    cases += [(loop_quiver(1, s=s, tau=[t]), 5, 10, 7, 16) for s in (1, -1) for t in (1, -1)]
+    cases += [(loop_quiver(2, s=s), 3, 12, 7, 18) for s in (1, -1)]
+    cases += [(a1_tilde(tau=t), 3, 8, 6, 12) for t in (1, -1)]
+    for quiver, maxdim, window, mmax, mwindow in cases:
+        _stopped_against_full(quiver, maxdim, window, mmax, mwindow, tally)
+    # both branches of the stop rule are exercised
+    assert tally[True] > 0 and tally[False] > 0, tally
+
+
+def test_image_echelon_stops_once_the_slice_is_spanned(monkeypatch):
+    from oracles import full_image_echelon
+
+    from hallforge import coha
+
+    d = (3,)
+    pairs = L0.decompositions(d, 2)
+    complement_of = coha.generator_complement
+    events = []
+    monkeypatch.setattr(coha, "generator_complement", lambda *args: events.append("complement") or complement_of(*args))
+
+    def act(c, b):
+        out = shuffle_mul(c, b)
+        events.append(out.poly.terms)
+        return out
+
+    saved = filled = 0
+    for k in range(L0.euler_form(d, d), 13, 2):
+        dim = len(coha.coha_slice_basis(L0, d, k))
+        events.clear()
+        ech = coha.image_echelon(L0, pairs, coha.coha_slice_basis, CohaElement.weight_form, act, k, dim)
+        rows = [e for e in events if e != "complement"]
+        # replaying the computed products: every one but the last left the
+        # rank below dim, so none was computed after the slice was spanned
+        replay = Echelon()
+        for row in rows[:-1]:
+            replay.add(row)
+        assert replay.rank < dim
+        replay.add(rows[-1])
+        assert replay.rank == ech.rank
+        if ech.rank == dim:
+            # nor was a generator complement asked for after the last product
+            assert events[-1] != "complement"
+            filled += 1
+        events.clear()
+        full = full_image_echelon(L0, pairs, coha.coha_slice_basis, CohaElement.weight_form, act, k)
+        assert full.rank == ech.rank
+        saved += sum(e != "complement" for e in events) - len(rows)
+    assert filled and saved > 0
+
+
+def test_complement_of_a_full_echelon_reads_no_element():
+    from hallforge.linalg import complement
+
+    class Unread:
+        @property
+        def poly(self):
+            raise AssertionError("complement read .poly of an element")
+
+    ech = Echelon()
+    ech.add({3: 1, 5: 2})
+    ech.add({5: 1})
+    assert complement(ech, [Unread(), Unread()]) == []
+    assert ech.rank == 2

@@ -82,6 +82,16 @@ def test_malformed_document():
         parse_quiver({"nodes": ["1"]})
 
 
+@pytest.mark.parametrize("s, tau", [(True, -1), (1, 1.0), (-1.0, -1), (1, False), (1, "1")])
+def test_signs_must_be_ints(s, tau):
+    with pytest.raises(QuiverSpecError, match="must be \\+1 or -1"):
+        QuiverWithDuality(["1"], [("l1", "1", "1")], {"1": "1"}, {"l1": "l1"}, {"1": s}, {"l1": tau})
+    doc = loop_quiver(1).to_dict()
+    doc.update(s={"1": s}, tau={"l1": tau})
+    with pytest.raises(QuiverSpecError, match="must be \\+1 or -1"):
+        parse_quiver(doc)
+
+
 def test_euler_form_examples():
     a2 = a2_quiver()
     assert a2.euler_form((1, 0), (0, 1)) == -1
