@@ -12,7 +12,7 @@ from hallforge.coha import (
     shuffle_mul,
 )
 from hallforge.errors import GradingError, SymmetryError
-from hallforge.linalg import Echelon
+from hallforge.linalg import Echelon, complement
 from hallforge.poly import Poly
 from hallforge.quiver import a1_tilde, a2_quiver, loop_quiver
 from hallforge.series import dt_series, sign_pow
@@ -394,8 +394,6 @@ def test_image_echelon_stops_once_the_slice_is_spanned(monkeypatch):
 
 
 def test_complement_of_a_full_echelon_reads_no_element():
-    from hallforge.linalg import complement
-
     class Unread:
         @property
         def poly(self):
