@@ -31,7 +31,7 @@ from .coha import (
     s_involution,
     shuffle_mul,
 )
-from .errors import GradingError, HallforgeError, SymmetryError
+from .errors import GradingError, HallforgeError, NonIntegralError, SymmetryError
 from .graded import GradedElement, PrimitiveTable
 from .linalg import complement
 from .poly import Poly
@@ -344,8 +344,6 @@ def _restrict_to_witt(series, wclass):
 
 def _table_from_series(series):
     """Read an invariant table off a rendered series (integer check)."""
-    from .errors import NonIntegralError
-
     entries = {}
     for (d, k), c in series.terms.items():
         m = c * sign_pow(k)

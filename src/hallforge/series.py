@@ -4,12 +4,12 @@ A QSeries stores coefficients c[(d, k)] where d is a dimension-vector class
 and k the integer power of q^(1/2).  Each class carries validity metadata
 (suppmin, hi): every weight k <= hi is known exactly (stored or zero), hi =
 None meaning the class is exact; suppmin is a proven lower bound for the
-support, used to propagate windows through products.  Coefficients follow
-the `poly` convention: plain ints wherever they are integral by
-construction (Pochhammer factors, DT series, their products, inverses and
-powers), fractions.Fraction only where a division makes one (the 1/j of
-`log`, the m/n echoes of the factorization inversion).  Nothing is ever
-floated; the public rendering follows the (-q^(1/2))^k convention.
+support, used to propagate windows through products.  Coefficients are
+plain ints, fractions.Fraction only in `QSeries.log` (its 1/|d|); nothing
+is ever floated, and the public rendering follows the (-q^(1/2))^k
+convention.  The inverse, the logarithm (through E(log A), E the Euler
+derivation t^d -> |d| t^d) and the q^2-Pochhammer product (an
+exponential) are one triangular integer recurrence each, `_triangular`.
 
 Torus series multiply with the twist q^((chi(d,d') - chi(d',d))/2); module
 series are acted on via t^d * xi^e = q^(gamma(d,e)/2) xi^(H(d)+e).  Numerical
@@ -19,6 +19,7 @@ factorization identities use the plain commutative product `cmul`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import GradingError, KindMismatchError, NonIntegralError
 from .poly import _num
@@ -44,6 +45,114 @@ def _add_hi(a, b):
     if a is None or b is None:
         return None
     return a + b
+
+
+def _add_classes(d1, d2):
+    return tuple(a + b for a, b in zip(d1, d2))
+
+
+def _no_twist(d1, d2):
+    return 0
+
+
+def _merge_windows(meta, other):
+    """Windows of a sum, in place: least suppmin and least hi per class."""
+    for d, (lo, hi) in other.items():
+        lo0, hi0 = meta.get(d, (lo, hi))
+        meta[d] = (min(lo0, lo), _min_hi(hi0, hi))
+
+
+def _windows(meta_a, meta_b, maxdim, class_fn, twist_fn):
+    """Window half of a product: its {class: (suppmin, hi)} and the (d1, d2,
+    d, twist) of every class pair landing within maxdim.  The rule is
+    associative and commutative, so a product's windows need no term."""
+    meta, pairs = {}, []
+    for d1, (lo1, hi1) in meta_a.items():
+        for d2, (lo2, hi2) in meta_b.items():
+            d = class_fn(d1, d2)
+            if sum(d) > maxdim:
+                continue
+            tw = twist_fn(d1, d2)
+            pairs.append((d1, d2, d, tw))
+            lo = lo1 + lo2 + tw
+            hi = _add_hi(_min_hi(_add_hi(hi1, lo2), _add_hi(lo1, hi2)), tw)
+            lo0, hi0 = meta.get(d, (lo, hi))
+            meta[d] = (min(lo0, lo), _min_hi(hi0, hi))
+    return meta, pairs
+
+
+def _chain_windows(x, low, log):
+    """Windows of sum_j c_j x^j: those of 1, x, x^2, ... merged up to the
+    first power with no term in its windows (for log: and no finite window).
+    A power has a term when the least weight `reach` it gets from the least
+    weights `low` of x lies in a window (barring a total cancellation)."""
+    zero = x.quiver.zero()
+    out, pw, reach = {zero: (0, None)}, {zero: (0, None)}, {zero: 0}
+    for _ in range(x.maxdim):
+        prev, (pw, pairs) = pw, _windows(pw, x.meta, x.maxdim, _add_classes, _no_twist)
+        if pw == prev:  # so are all later powers' windows
+            break
+        nxt = {}
+        for d1, d2, d, _tw in pairs:
+            if d1 in reach and d2 in low:
+                k, hi = reach[d1] + low[d2], pw[d][1]
+                if (hi is None or k <= hi) and k < nxt.get(d, k + 1):
+                    nxt[d] = k
+        reach = nxt
+        if not reach and (not log or all(m[1] is None for m in pw.values())):
+            break
+        _merge_windows(out, pw)
+    return out
+
+
+def _needs(order, claim, low):
+    """Highest weight of X_d that the claimed weights (claim[d], None for all)
+    need in X_d = ... - sum_f F_f X_(d-f), F_f of least weight low[f]."""
+    need = dict(claim)
+    for d in reversed(order):
+        top = need[d]
+        for f, lo in low.items():
+            rest = tuple(a - b for a, b in zip(d, f))
+            if need.get(rest) is not None:
+                need[rest] = None if top is None else max(need[rest], top - lo)
+    return need
+
+
+def _triangular(order, factor, first, need, divide=False):
+    """Solve w(d) X_d = first_d - sum_(0 < f <= d) factor_f X_(d-f) in one
+    pass over `order` (ascending |d|, the zero class first, X_0 = first_0),
+    w(d) = |d| when divide else 1.  X_d is kept up to weight need[d] (None:
+    all) as sorted (k, c) pairs; a division with a remainder raises."""
+    flists = [(f, sorted(lau.items())) for f, lau in factor.items()]
+    # no weight of X_d exceeds (|d| + 1) times the largest |k| of the data
+    big = (1 + max(map(sum, order))) * max(
+        [abs(k) for lau in (*factor.values(), *first.values()) for k in lau], default=0
+    )
+    X = {}
+    for d in order:
+        top = big if need[d] is None else need[d]
+        acc = {k: c for k, c in first.get(d, {}).items() if k <= top}
+        if any(d):
+            for f, fl in flists:
+                xl = X.get(tuple(a - b for a, b in zip(d, f)))
+                if not xl:
+                    continue
+                for k1, c1 in fl:
+                    room = top - k1
+                    if xl[0][0] > room:
+                        break
+                    for k2, c2 in xl:
+                        if k2 > room:
+                            break
+                        acc[k1 + k2] = acc.get(k1 + k2, 0) - c1 * c2
+            if divide:
+                w = sum(d)
+                for k, c in acc.items():
+                    if c % w:
+                        raise NonIntegralError("inexact division by %d at class %r weight %d" % (w, d, k))
+                    acc[k] = c // w
+        X[d] = sorted(kc for kc in acc.items() if kc[1])
+    return X
 
 
 class QSeries:
@@ -72,22 +181,13 @@ class QSeries:
         dvec = tuple(dvec)
         if kind == MODULE:
             quiver.check_selfdual_dim(dvec)
-        return cls(
-            quiver, kind, maxdim, {(dvec, k): _num(coeff)}, {dvec: (k, None)}
-        )
+        return cls(quiver, kind, maxdim, {(dvec, k): _num(coeff)}, {dvec: (k, None)})
 
     # -- metadata -----------------------------------------------------------
 
     def hi(self, dvec):
         m = self.meta.get(tuple(dvec))
         return None if m is None else m[1]
-
-    def suppmin(self, dvec):
-        m = self.meta.get(tuple(dvec))
-        return None if m is None else m[0]
-
-    def classes(self):
-        return sorted(self.meta, key=lambda d: (sum(d), d))
 
     def coefficient(self, dvec, k):
         return self.terms.get((tuple(dvec), k), 0)
@@ -114,37 +214,21 @@ class QSeries:
 
     def scale(self, c):
         c = _num(c)
-        if not c:
-            return QSeries(self.quiver, self.kind, self.maxdim, {}, dict(self.meta))
-        return QSeries(
-            self.quiver, self.kind, self.maxdim,
-            {key: v * c for key, v in self.terms.items()}, dict(self.meta),
-        )
+        terms = {key: v * c for key, v in self.terms.items()} if c else {}
+        return QSeries(self.quiver, self.kind, self.maxdim, terms, dict(self.meta))
 
     def __add__(self, other):
         self._check_compat(other)
         maxdim = min(self.maxdim, other.maxdim)
-        meta = {}
-        for src in (self.meta, other.meta):
-            for d, (lo, hi) in src.items():
-                if d in meta:
-                    lo0, hi0 = meta[d]
-                    meta[d] = (min(lo0, lo), _min_hi(hi0, hi))
-                else:
-                    meta[d] = (lo, hi)
-        terms = {}
-        for src in (self.terms, other.terms):
-            for key, c in src.items():
-                v = terms.get(key, 0) + c
-                if v:
-                    terms[key] = v
-                else:
-                    terms.pop(key, None)
-        out = {}
-        for (d, k), c in terms.items():
-            hi = meta[d][1]
-            if sum(d) <= maxdim and (hi is None or k <= hi):
-                out[(d, k)] = c
+        meta = dict(self.meta)
+        _merge_windows(meta, other.meta)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) + c
+        out = {
+            (d, k): c for (d, k), c in terms.items()
+            if c and sum(d) <= maxdim and (meta[d][1] is None or k <= meta[d][1])
+        }
         return QSeries(self.quiver, self.kind, maxdim, out, meta)
 
     def __neg__(self):
@@ -157,56 +241,26 @@ class QSeries:
 
     def _convolve(self, other, out_kind, class_fn, twist_fn, signed=False):
         maxdim = min(self.maxdim, other.maxdim)
-        meta = {}
-        pair_tw = {}
-        for d1, (lo1, hi1) in self.meta.items():
-            for d2, (lo2, hi2) in other.meta.items():
-                d = class_fn(d1, d2)
-                if sum(d) > maxdim:
-                    continue
-                tw = twist_fn(d1, d2)
-                pair_tw[(d1, d2)] = tw
-                lo = lo1 + lo2 + tw
-                hi = _min_hi(_add_hi(hi1, lo2), _add_hi(lo1, hi2))
-                if hi is not None:
-                    hi += tw
-                if d in meta:
-                    lo0, hi0 = meta[d]
-                    meta[d] = (min(lo0, lo), _min_hi(hi0, hi))
-                else:
-                    meta[d] = (lo, hi)
-        by_class_a, by_class_b = {}, {}
-        for (d, k), c in self.terms.items():
-            by_class_a.setdefault(d, []).append((k, c))
-        for (d, k), c in other.terms.items():
-            by_class_b.setdefault(d, []).append((k, c))
+        meta, pairs = _windows(self.meta, other.meta, maxdim, class_fn, twist_fn)
+        by_a, by_b = self.by_class(), other.by_class()
         terms = {}
-        for (d1, d2), tw in pair_tw.items():
-            ta = by_class_a.get(d1)
-            tb = by_class_b.get(d2)
+        for d1, d2, d, tw in pairs:
+            ta, tb = by_a.get(d1), by_b.get(d2)
             if not ta or not tb:
                 continue
-            d = class_fn(d1, d2)
             hi = meta[d][1]
             sgn = sign_pow(tw) if signed else 1
-            for k1, c1 in ta:
-                for k2, c2 in tb:
+            for k1, c1 in ta.items():
+                for k2, c2 in tb.items():
                     k = k1 + k2 + tw
-                    if hi is not None and k > hi:
-                        continue
-                    key = (d, k)
-                    v = terms.get(key, 0) + sgn * c1 * c2
-                    if v:
-                        terms[key] = v
-                    else:
-                        del terms[key]
-        return QSeries(self.quiver, out_kind, maxdim, terms, meta)
+                    if hi is None or k <= hi:
+                        terms[(d, k)] = terms.get((d, k), 0) + sgn * c1 * c2
+        return QSeries(self.quiver, out_kind, maxdim, {key: v for key, v in terms.items() if v}, meta)
 
     def cmul(self, other):
         """Plain commutative product (numerical series identities)."""
         self._check_compat(other)
-        add = lambda d1, d2: tuple(a + b for a, b in zip(d1, d2))
-        return self._convolve(other, self.kind, add, lambda d1, d2: 0)
+        return self._convolve(other, self.kind, _add_classes, _no_twist)
 
     def torus_mul(self, other):
         """Quantum torus product with twist chi(d,d') - chi(d',d)."""
@@ -214,19 +268,20 @@ class QSeries:
         if self.kind != TORUS:
             raise KindMismatchError("torus_mul needs torus series")
         q = self.quiver
-        add = lambda d1, d2: tuple(a + b for a, b in zip(d1, d2))
         tw = lambda d1, d2: q.euler_form(d1, d2) - q.euler_form(d2, d1)
-        return self._convolve(other, TORUS, add, tw)
+        return self._convolve(other, TORUS, _add_classes, tw)
+
+    def _action_classes(self):
+        """Class map (d, e) -> H(d) + e of the module actions, H once per d."""
+        h = {d: self.quiver.hyperbolic(d) for d in self.meta}
+        return lambda d1, e2: _add_classes(h[d1], e2)
 
     def module_star(self, x):
         """Action of a torus series on a module series."""
         self._check_compat(x, same_kind=False)
         if self.kind != TORUS or x.kind != MODULE:
             raise KindMismatchError("module_star needs torus * module")
-        q = self.quiver
-        cls = lambda d1, e2: tuple(a + b for a, b in zip(q.hyperbolic(d1), e2))
-        tw = lambda d1, e2: q.star_twist(d1, e2)
-        return self._convolve(x, MODULE, cls, tw)
+        return self._convolve(x, MODULE, self._action_classes(), self.quiver.star_twist)
 
     def char_star(self, x):
         """Module action in the character normalization: twist
@@ -234,9 +289,8 @@ class QSeries:
         sigma-symmetric quivers."""
         self._check_compat(x, same_kind=False)
         q = self.quiver
-        cls = lambda d1, e2: tuple(a + b for a, b in zip(q.hyperbolic(d1), e2))
         tw = lambda d1, e2: -q.star_twist(d1, e2)
-        return self._convolve(x, MODULE, cls, tw, signed=True)
+        return self._convolve(x, MODULE, self._action_classes(), tw, signed=True)
 
     def power(self, n):
         if n < 0:
@@ -253,41 +307,44 @@ class QSeries:
 
     def _nilpotent_part(self, op):
         zero = self.quiver.zero()
-        const = self.class_laurent(zero)
-        if const != {0: 1}:
+        if self.class_laurent(zero) != {0: 1}:
             raise NonIntegralError("series must have constant term 1 for %s" % op)
         x = self + QSeries.monomial(self.quiver, self.kind, self.maxdim, zero, 0, -1)
         x.terms.pop((zero, 0), None)
         return x
 
+    def _solve(self, op):
+        """({class: sorted (k, c)} within the windows, windows) of X = 1/A
+        (op "inverse": X_d = [d = 0] - sum_f A_f X_(d-f)) or X = E(log A)
+        (op "log": X_d = |d| A_d - sum_f A_f X_(d-f)), f over the nonzero
+        classes, in the windows of the power series sum_j c_j (A - 1)^j."""
+        x = self._nilpotent_part(op)
+        a = x.by_class()
+        low = {f: min(lau) for f, lau in a.items()}
+        meta = _chain_windows(x, low, op == "log")
+        if op == "inverse":
+            # inherit the windows of A on every class the inverse can reach
+            for d, m in x.meta.items():
+                if d in meta:
+                    meta[d] = (meta[d][0], _min_hi(meta[d][1], m[1]))
+            first = {self.quiver.zero(): {0: 1}}
+        else:
+            first = {d: {k: sum(d) * c for k, c in lau.items()} for d, lau in a.items()}
+        order = sorted(meta, key=lambda d: (sum(d), d))
+        claim = {d: m[1] for d, m in meta.items()}
+        X = _triangular(order, a, first, _needs(order, claim, low))
+        return {d: [kc for kc in X[d] if claim[d] is None or kc[0] <= claim[d]] for d in order}, meta
+
     def inverse(self):
         """Multiplicative inverse for constant term exactly 1."""
-        x = self._nilpotent_part("inverse")
-        out = QSeries.one(self.quiver, self.kind, self.maxdim)
-        pw = QSeries.one(self.quiver, self.kind, self.maxdim)
-        for j in range(1, self.maxdim + 1):
-            pw = pw.cmul(x)
-            if not pw.terms:
-                break
-            out = out + pw.scale((-1) ** j)
-        # inherit the windows of self on every class the inverse can reach
-        for d, m in x.meta.items():
-            if d in out.meta:
-                lo0, hi0 = out.meta[d]
-                out.meta[d] = (lo0, _min_hi(hi0, m[1]))
-        return out
+        X, meta = self._solve("inverse")
+        return QSeries(self.quiver, self.kind, self.maxdim, {(d, k): c for d in X for k, c in X[d]}, meta)
 
     def log(self):
-        """Formal logarithm for constant term exactly 1."""
-        x = self._nilpotent_part("log")
-        out = QSeries(self.quiver, self.kind, self.maxdim, {}, {self.quiver.zero(): (0, None)})
-        pw = QSeries.one(self.quiver, self.kind, self.maxdim)
-        for j in range(1, self.maxdim + 1):
-            pw = pw.cmul(x)
-            if not pw.terms and all(m[1] is None for m in pw.meta.values()):
-                break
-            out = out + pw.scale(Fraction((-1) ** (j + 1), j))
-        return out
+        """Formal logarithm for constant term exactly 1: E(log A) / |d|."""
+        X, meta = self._solve("log")
+        terms = {(d, k): _num(Fraction(c, sum(d))) for d in X for k, c in X[d]}
+        return QSeries(self.quiver, self.kind, self.maxdim, terms, meta)
 
     # -- comparison / reporting ----------------------------------------------
 
@@ -296,14 +353,12 @@ class QSeries:
         self._check_compat(other)
         classes = set(self.meta) | set(other.meta)
         mine, theirs = self.by_class(), other.by_class()
-        mismatches = []
-        windows = {}
+        mismatches, windows = [], {}
         for d in sorted(classes, key=lambda d: (sum(d), d)):
             hi = _min_hi(self.hi(d), other.hi(d))
             windows[d] = hi
             la, lb = mine.get(d, {}), theirs.get(d, {})
-            ks = set(la) | set(lb)
-            for k in sorted(ks):
+            for k in sorted(set(la) | set(lb)):
                 if hi is not None and k > hi:
                     continue
                 ca, cb = la.get(k, 0), lb.get(k, 0)
@@ -315,10 +370,7 @@ class QSeries:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1]))
 
     def to_json_dict(self, window=None):
-        eff = {
-            ",".join(map(str, d)): (None if hi is None else hi)
-            for d, (lo, hi) in sorted(self.meta.items())
-        }
+        eff = {",".join(map(str, d)): hi for d, (lo, hi) in sorted(self.meta.items())}
         return {
             "kind": self.kind,
             "trunc": {"maxdim": self.maxdim, "window": window},
@@ -330,9 +382,7 @@ class QSeries:
 
     @classmethod
     def from_json_dict(cls, quiver, doc):
-        terms = {}
-        meta = {}
-        lows = {}
+        terms, meta, lows = {}, {}, {}
         for t in doc["terms"]:
             d = tuple(int(x) for x in t["d"])
             k = int(t["k"])
@@ -342,8 +392,7 @@ class QSeries:
             d = tuple(int(x) for x in key.split(","))
             meta[d] = (lows.get(d, 0), None if hi is None else int(hi))
         for d, lo in lows.items():
-            if d not in meta:
-                meta[d] = (lo, None)
+            meta.setdefault(d, (lo, None))
         return cls(quiver, doc["kind"], int(doc["trunc"]["maxdim"]), terms, meta)
 
 
@@ -379,11 +428,8 @@ def qpochhammer_inf(quiver, kind, k0, dvec, maxdim, window, base=1):
     if kind == MODULE:
         quiver.check_selfdual_dim(dvec)
     zero = quiver.zero()
-    terms = {(zero, 0): 1}
-    meta = {zero: (0, None)}
-    size = sum(dvec)
-    nmax = maxdim // size
-    for n in range(1, nmax + 1):
+    terms, meta = {(zero, 0): 1}, {zero: (0, None)}
+    for n in range(1, maxdim // sum(dvec) + 1):
         cls = tuple(n * x for x in dvec)
         kstart = n * k0 + base * n * (n - 1)
         steps = [2 * base * j for j in range(1, n + 1)]
@@ -417,19 +463,12 @@ def dt_series(quiver, maxdim, window):
 
 def module_classes(quiver, maxdim):
     """sigma-invariant admissible classes with |e| <= maxdim, graded-lex order."""
-    out = []
-    for e in quiver.dimension_vectors(maxdim):
-        if quiver.sigma_dim(e) != e:
-            continue
-        ok = True
-        for nd in quiver.q0_sigma:
-            if quiver.s[nd] == -1 and e[quiver.node_index[nd]] % 2:
-                ok = False
-                break
-        if ok:
-            out.append(e)
-    out.sort(key=lambda e: (sum(e), e))
-    return out
+    idx = quiver.node_index
+    out = [
+        e for e in quiver.dimension_vectors(maxdim)
+        if quiver.sigma_dim(e) == e and not any(quiver.s[nd] == -1 and e[idx[nd]] % 2 for nd in quiver.q0_sigma)
+    ]
+    return sorted(out, key=lambda e: (sum(e), e))
 
 
 def ori_dt_series(quiver, maxdim, window):
@@ -463,18 +502,12 @@ class InvariantTable:
     def rendered(self, dvec):
         """Laurent dict of the class: coefficient of q^(k/2) is m*(-1)^k."""
         dvec = tuple(dvec)
-        return {
-            k: m * sign_pow(k)
-            for (d, k), m in self.entries.items()
-            if d == dvec
-        }
+        return {k: m * sign_pow(k) for (d, k), m in self.entries.items() if d == dvec}
 
     def to_json_dict(self):
         return {
             "kind": self.kind,
-            "entries": [
-                {"d": list(d), "k": k, "mult": m} for (d, k), m in self.sorted_entries()
-            ],
+            "entries": [{"d": list(d), "k": k, "mult": m} for (d, k), m in self.sorted_entries()],
         }
 
     def __eq__(self, other):
@@ -484,116 +517,90 @@ class InvariantTable:
 def invert_pochhammer_factorization(series):
     """Exponent table of A = prod (q^(k/2) t^d ; q)_inf^(-Omega_(d,k)).
 
-    Layer-by-layer in total dimension: log A = sum Omega_(d,k) sum_{n>=1}
-    q^(nk/2) t^(nd) / (n (1 - q^n)); divisor contributions are subtracted and
-    the primitive layer is read off after multiplying by (1 - q).
+    Layer by layer in total dimension, on M = E(log A) (`QSeries._solve`):
+    M = sum Omega_(d,k) |d| sum_{n>=1} q^(nk/2) t^(nd) / (1 - q^n), so the
+    n >= 2 echo of an exponent m of class D/n is the integer |D/n| m, and
+    after multiplying by (1 - q) the rest of M_D is |D| Omega_D(q).
     """
-    L = series.log()
-    table = {}
+    M, meta = series._solve("log")
+    table, validity = {}, {}
     raw = {}  # class -> {k: multiplicity}, filled in layer by layer
-    validity = {}
-    per_class = L.by_class()
-    for D in L.classes():
+    for D, kcs in M.items():
         if not any(D):
             continue
-        lau = dict(per_class.get(D, {}))
-        hi = L.hi(D)
-        if hi is None:
-            hi = max(lau, default=0)
+        size = sum(D)
+        lau = dict(kcs)
+        hi = max(lau, default=0) if meta[D][1] is None else meta[D][1]
         # subtract the n >= 2 echoes of smaller classes
-        g = _gcd_vec(D)
-        for n in range(2, g + 1):
+        for n in range(2, gcd(*D) + 1):
             if any(x % n for x in D):
                 continue
             for k0, m in raw.get(tuple(x // n for x in D), {}).items():
-                echo = Fraction(m, n)
                 for k in range(n * k0, hi + 1, 2 * n):
-                    v = lau.get(k, 0) - echo
-                    if v:
-                        lau[k] = v
-                    else:
-                        lau.pop(k, None)
-        # multiply by (1 - q): the n = 1 layer is Omega_D(q) / (1 - q)
-        out = {}
-        for k, c in lau.items():
-            if k <= hi:
-                out[k] = out.get(k, 0) + c
-            if k + 2 <= hi:
-                out[k + 2] = out.get(k + 2, 0) - c
-        for k in sorted(out):
-            c = out[k]
+                    lau[k] = lau.get(k, 0) - size // n * m
+        # multiply by (1 - q): the n = 1 layer is |D| Omega_D(q) / (1 - q)
+        shifted = {k + 2 for k in lau if k + 2 <= hi}
+        out = {k: lau.get(k, 0) - lau.get(k - 2, 0) for k in shifted | set(lau)}
+        for k, c in sorted(out.items()):
             if not c:
                 continue
-            if c.denominator != 1:
-                raise NonIntegralError(
-                    "non-integer exponent %s at class %r weight %d" % (c, D, k)
-                )
+            if c % size:
+                raise NonIntegralError("non-integer exponent %s at class %r weight %d" % (Fraction(c, size), D, k))
             # stored multiplicities are dimensions: the Pochhammer exponent is
             # the rendered coefficient m * (-1)^k
-            raw.setdefault(D, {})[k] = int(c)
-            table[(D, k)] = int(c) * sign_pow(k)
+            raw.setdefault(D, {})[k] = c // size
+            table[(D, k)] = c // size * sign_pow(k)
         validity[D] = hi
     return InvariantTable(series.quiver, series.kind, table, validity, series.maxdim)
-
-
-def _gcd_vec(d):
-    from math import gcd
-
-    g = 0
-    for x in d:
-        g = gcd(g, x)
-    return g
-
-
-def _inverse_q2_pochhammer(quiver, k0, dvec, maxdim, window):
-    """1 / (q^(k0/2) xi^dvec ; q^2)_inf, truncated as `qpochhammer_inf`.
-
-    By the q-binomial theorem the coefficient of xi^(n*dvec) is
-    q^(n*k0/2) / prod_{j=1..n} (1 - q^(2j)): n running sums.
-    """
-    zero = quiver.zero()
-    terms, meta = {(zero, 0): 1}, {zero: (0, None)}
-    for n in range(1, maxdim // sum(dvec) + 1):
-        steps = [4 * j for j in range(1, n + 1)]
-        _add_class(terms, meta, tuple(n * x for x in dvec), n * k0, 1, steps, window)
-    return QSeries(quiver, MODULE, maxdim, terms, meta)
 
 
 def pochhammer_q2_product(signed_table, maxdim, window):
     """A_Q(e') = prod (q^(k/2 + [lambda = -]) xi^e ; q^2)_inf^(-Omega~^lambda).
 
-    The assembled windows are capped so that factors the table cannot know
-    about (exponents beyond its per-class validity) lie outside every claimed
-    coefficient."""
+    The exponential of sum power * log (x; q^2)_inf, x = q^(k0/2) xi^e:
+    G = -E(log A_Q(e')) = sum power |e| sum_n x^n / (1 - q^(2n)) is integral,
+    and |d| A_d = -sum_f G_f A_(d-f).  The windows are those of the product
+    of the factors truncated at 3 * window, capped so that factors the table
+    cannot know about (exponents beyond its per-class validity) lie outside
+    every claimed coefficient."""
     quiver = signed_table.quiver
-    out = QSeries.one(quiver, MODULE, maxdim)
-    for (e, k), (plus, minus) in sorted(
-        signed_table.entries.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1])
-    ):
+    zero = quiver.zero()
+    meta, low, runs = {zero: (0, None)}, {}, []  # runs: G_f = c at k0, k0 + step, ...
+    for (e, k), (plus, minus) in signed_table.sorted_entries():
         if sum(e) > maxdim or not any(e):
             continue
-        # exponents follow the rendered-coefficient convention m * (-1)^k
+        quiver.check_selfdual_dim(e)
         for k0, mult in ((k, plus), (k + 2, minus)):
             power = -mult * sign_pow(k)
-            if power > 0:
-                out = out.cmul(qpochhammer_inf(quiver, MODULE, k0, e, maxdim, 3 * window, base=2).power(power))
-            elif power < 0:
-                out = out.cmul(_inverse_q2_pochhammer(quiver, k0, e, maxdim, 3 * window).power(-power))
-    if signed_table.validity:
-        meta = {}
-        for d, (lo, hi) in out.meta.items():
-            cap = hi
-            for e0, top in signed_table.validity.items():
-                if sum(e0) == 0 or any(a > b for a, b in zip(e0, d)):
-                    continue
-                rest = tuple(b - a for a, b in zip(e0, d))
-                base = out.suppmin(rest)
-                if base is None:
-                    base = 0
-                cap = _min_hi(cap, top + base)
-            meta[d] = (lo, cap)
-        out = QSeries(quiver, MODULE, maxdim, dict(out.terms), meta)
-    return out
+            if not power:
+                continue
+            fmeta = {zero: (0, None)}
+            for n in range(1, maxdim // sum(e) + 1):
+                f = tuple(n * x for x in e)
+                runs.append((f, n * k0, 4 * n, power * sum(e)))
+                low[f] = min(low.get(f, n * k0), n * k0)
+                # xi^(ne) leads at q^(n k0/2 + n(n-1)) in (x; q^2)_inf, at q^(n k0/2) in its inverse
+                lo = n * k0 + (2 * n * (n - 1) if power > 0 else 0)
+                fmeta[f] = (lo, lo + 3 * window)
+            for _ in range(abs(power)):
+                meta = _windows(meta, fmeta, maxdim, _add_classes, _no_twist)[0]
+    for d, (lo, hi) in meta.items():
+        for e0, top in signed_table.validity.items():
+            if any(e0) and all(a <= b for a, b in zip(e0, d)):
+                hi = _min_hi(hi, top + meta.get(tuple(b - a for a, b in zip(e0, d)), (0,))[0])
+        meta[d] = (lo, hi)
+    order = sorted(meta, key=lambda d: (sum(d), d))
+    claim = {d: m[1] for d, m in meta.items()}
+    need = _needs(order, claim, low)
+    g = {}
+    for f, k0, step, c in runs:
+        rests = [(d, tuple(a - b for a, b in zip(d, f))) for d in order]
+        lau = g.setdefault(f, {})
+        for k in range(k0, max(need[d] - meta[r][0] for d, r in rests if r in meta) + 1, step):
+            lau[k] = lau.get(k, 0) + c
+    X = _triangular(order, g, {zero: {0: 1}}, need, divide=True)
+    terms = {(d, k): c for d in order for k, c in X[d] if claim[d] is None or k <= claim[d]}
+    return QSeries(quiver, MODULE, maxdim, terms, meta)
 
 
 class SignedInvariantTable:
@@ -604,9 +611,7 @@ class SignedInvariantTable:
 
     def __init__(self, quiver, entries, maxdim=None, validity=None):
         self.quiver = quiver
-        self.entries = {
-            k: (int(p), int(m)) for k, (p, m) in entries.items() if p or m
-        }
+        self.entries = {k: (int(p), int(m)) for k, (p, m) in entries.items() if p or m}
         self.maxdim = maxdim
         self.validity = dict(validity or {})
 
@@ -616,11 +621,7 @@ class SignedInvariantTable:
     def rendered(self, dvec, slot):
         dvec = tuple(dvec)
         i = 0 if slot == "+" else 1
-        return {
-            k: pm[i] * sign_pow(k)
-            for (d, k), pm in self.entries.items()
-            if d == dvec and pm[i]
-        }
+        return {k: pm[i] * sign_pow(k) for (d, k), pm in self.entries.items() if d == dvec and pm[i]}
 
     def to_json_dict(self):
         return {

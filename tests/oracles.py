@@ -4,11 +4,23 @@ Not collected by pytest (no test_ prefix); the test modules import it from
 their own directory.
 """
 
+from fractions import Fraction
+from math import gcd
+
 from hallforge.coha import generator_complement
-from hallforge.errors import HallforgeError
+from hallforge.errors import HallforgeError, NonIntegralError
 from hallforge.linalg import Echelon
 from hallforge.poly import Poly
-from hallforge.series import TORUS
+from hallforge.series import (
+    MODULE,
+    TORUS,
+    InvariantTable,
+    QSeries,
+    _add_class,
+    _min_hi,
+    qpochhammer_inf,
+    sign_pow,
+)
 
 
 def _distinct_permutations(items):
@@ -77,3 +89,128 @@ def full_image_echelon(quiver, pairs, slice_basis, form, act, k):
 def full_complement(ech, elements):
     """`linalg.complement` without its shortcut for a full echelon."""
     return [x for x in elements if ech.add(x.poly.terms)]
+
+
+# -- the power chains of the series layer ---------------------------------------
+#
+# `QSeries.inverse`, `QSeries.log`, `invert_pochhammer_factorization` and
+# `pochhammer_q2_product` solve one triangular recurrence each; these are the
+# power-series sums and repeated products they replaced.
+
+
+def chain_inverse(series):
+    """1/A = sum_j (-x)^j, x = A - 1, one `cmul` per power."""
+    x = series._nilpotent_part("inverse")
+    out = QSeries.one(series.quiver, series.kind, series.maxdim)
+    pw = QSeries.one(series.quiver, series.kind, series.maxdim)
+    for j in range(1, series.maxdim + 1):
+        pw = pw.cmul(x)
+        if not pw.terms:
+            break
+        out = out + pw.scale((-1) ** j)
+    # inherit the windows of the series on every class the inverse can reach
+    for d, m in x.meta.items():
+        if d in out.meta:
+            lo0, hi0 = out.meta[d]
+            out.meta[d] = (lo0, _min_hi(hi0, m[1]))
+    return out
+
+
+def chain_log(series):
+    """log A = sum_j (-1)^(j+1) x^j / j, x = A - 1, in Fractions."""
+    x = series._nilpotent_part("log")
+    out = QSeries(series.quiver, series.kind, series.maxdim, {}, {series.quiver.zero(): (0, None)})
+    pw = QSeries.one(series.quiver, series.kind, series.maxdim)
+    for j in range(1, series.maxdim + 1):
+        pw = pw.cmul(x)
+        if not pw.terms and all(m[1] is None for m in pw.meta.values()):
+            break
+        out = out + pw.scale(Fraction((-1) ** (j + 1), j))
+    return out
+
+
+def chain_invert_pochhammer_factorization(series):
+    """The factorization inversion on `chain_log`, with Fraction echoes m/n."""
+    L = chain_log(series)
+    table = {}
+    raw = {}  # class -> {k: multiplicity}, filled in layer by layer
+    validity = {}
+    per_class = L.by_class()
+    for D in sorted(L.meta, key=lambda d: (sum(d), d)):
+        if not any(D):
+            continue
+        lau = dict(per_class.get(D, {}))
+        hi = L.hi(D)
+        if hi is None:
+            hi = max(lau, default=0)
+        # subtract the n >= 2 echoes of smaller classes
+        for n in range(2, gcd(*D) + 1):
+            if any(x % n for x in D):
+                continue
+            for k0, m in raw.get(tuple(x // n for x in D), {}).items():
+                echo = Fraction(m, n)
+                for k in range(n * k0, hi + 1, 2 * n):
+                    v = lau.get(k, 0) - echo
+                    if v:
+                        lau[k] = v
+                    else:
+                        lau.pop(k, None)
+        # multiply by (1 - q): the n = 1 layer is Omega_D(q) / (1 - q)
+        out = {}
+        for k, c in lau.items():
+            if k <= hi:
+                out[k] = out.get(k, 0) + c
+            if k + 2 <= hi:
+                out[k + 2] = out.get(k + 2, 0) - c
+        for k in sorted(out):
+            c = out[k]
+            if not c:
+                continue
+            if c.denominator != 1:
+                raise NonIntegralError(
+                    "non-integer exponent %s at class %r weight %d" % (c, D, k)
+                )
+            raw.setdefault(D, {})[k] = int(c)
+            table[(D, k)] = int(c) * sign_pow(k)
+        validity[D] = hi
+    return InvariantTable(series.quiver, series.kind, table, validity, series.maxdim)
+
+
+def inverse_q2_pochhammer(quiver, k0, dvec, maxdim, window):
+    """1 / (q^(k0/2) xi^dvec ; q^2)_inf, truncated as `qpochhammer_inf`: the
+    coefficient of xi^(n*dvec) is q^(n*k0/2) / prod_{j=1..n} (1 - q^(2j))."""
+    zero = quiver.zero()
+    terms, meta = {(zero, 0): 1}, {zero: (0, None)}
+    for n in range(1, maxdim // sum(dvec) + 1):
+        steps = [4 * j for j in range(1, n + 1)]
+        _add_class(terms, meta, tuple(n * x for x in dvec), n * k0, 1, steps, window)
+    return QSeries(quiver, MODULE, maxdim, terms, meta)
+
+
+def chain_pochhammer_q2_product(signed_table, maxdim, window):
+    """`pochhammer_q2_product` as one `cmul` per factor, each factor raised to
+    its power by squaring; the capped windows keep no term above them."""
+    quiver = signed_table.quiver
+    out = QSeries.one(quiver, MODULE, maxdim)
+    for (e, k), (plus, minus) in signed_table.sorted_entries():
+        if sum(e) > maxdim or not any(e):
+            continue
+        for k0, mult in ((k, plus), (k + 2, minus)):
+            power = -mult * sign_pow(k)
+            if power > 0:
+                out = out.cmul(qpochhammer_inf(quiver, MODULE, k0, e, maxdim, 3 * window, base=2).power(power))
+            elif power < 0:
+                out = out.cmul(inverse_q2_pochhammer(quiver, k0, e, maxdim, 3 * window).power(-power))
+    if signed_table.validity:
+        meta = {}
+        for d, (lo, hi) in out.meta.items():
+            cap = hi
+            for e0, top in signed_table.validity.items():
+                if sum(e0) == 0 or any(a > b for a, b in zip(e0, d)):
+                    continue
+                base = out.meta.get(tuple(b - a for a, b in zip(e0, d)), (0,))[0]
+                cap = _min_hi(cap, top + base)
+            meta[d] = (lo, cap)
+        terms = {(d, k): c for (d, k), c in out.terms.items() if meta[d][1] is None or k <= meta[d][1]}
+        out = QSeries(quiver, MODULE, maxdim, terms, meta)
+    return out

@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+from hallforge.coha import equivariant_dt
+from hallforge.cohm import witt_representative
 from hallforge.errors import GradingError, NonIntegralError
 from hallforge.proputils import Lcg
 from hallforge.quiver import a1_tilde, a2_quiver, loop_quiver
@@ -10,6 +12,7 @@ from hallforge.series import (
     MODULE,
     TORUS,
     QSeries,
+    _triangular,
     dt_series,
     invert_pochhammer_factorization,
     module_classes,
@@ -20,6 +23,14 @@ from hallforge.series import (
     quantum_integer,
     sign_pow,
     SignedInvariantTable,
+)
+
+from oracles import (
+    chain_invert_pochhammer_factorization,
+    chain_inverse,
+    chain_log,
+    chain_pochhammer_q2_product,
+    inverse_q2_pochhammer,
 )
 
 L0 = loop_quiver(0)
@@ -151,8 +162,6 @@ def test_closed_forms_against_quadratic_oracle():
 def test_inverse_q2_pochhammer_against_inverse():
     """The closed-form inverse factor 1/(x; q^2)_inf equals the series
     inverse of the Pochhammer factor, terms and windows."""
-    from hallforge.series import _inverse_q2_pochhammer
-
     for quiver in ORACLE_QUIVERS:
         for e in module_classes(quiver, 2):
             if not any(e):
@@ -160,7 +169,7 @@ def test_inverse_q2_pochhammer_against_inverse():
             for k0 in (-2, -1, 0, 1, 3):
                 for maxdim, window in ((1, 0), (4, 9), (6, 24)):
                     p = qpochhammer_inf(quiver, MODULE, k0, e, maxdim, window, base=2)
-                    got = _inverse_q2_pochhammer(quiver, k0, e, maxdim, window)
+                    got = inverse_q2_pochhammer(quiver, k0, e, maxdim, window)
                     want = p.inverse()
                     assert got.terms == want.terms and got.meta == want.meta, (quiver.nodes, e, k0)
                     assert_int_coefficients(got)
@@ -319,6 +328,119 @@ def test_invert_requires_unit_constant():
     bad = QSeries.monomial(L0, "torus", 3, (0,), 0, 2)
     with pytest.raises(NonIntegralError):
         invert_pochhammer_factorization(bad)
+
+
+def test_invert_non_integral_exponent():
+    """A half-integral coefficient gives an integral E(log A) whose class-2
+    exponent fails the divisibility by |D|, with the Fraction route's text."""
+    A = QSeries(
+        L0, TORUS, 2, {((0,), 0): 1, ((2,), 0): Fraction(1, 2)},
+        {(0,): (0, None), (1,): (0, 4), (2,): (0, 4)},
+    )
+    text = r"non-integer exponent 1/2 at class \(2,\) weight 0"
+    with pytest.raises(NonIntegralError, match=text):
+        invert_pochhammer_factorization(A)
+    with pytest.raises(NonIntegralError, match=text):
+        chain_invert_pochhammer_factorization(A)
+
+
+def test_exp_division_raises_on_corrupted_factor_table():
+    """The exponential step |d| X_d = -sum G_f X_(d-f) of the q^2-Pochhammer
+    product: G = -E(log 1/(xi; q^2)_inf) gives the closed form back, and a
+    corrupted coefficient of G leaves a remainder that raises."""
+    order = [(n,) for n in range(4)]
+    g = {(n,): {k: -1 for k in range(0, 9, 4 * n)} for n in range(1, 4)}
+    need = {(0,): None, (1,): 8, (2,): 8, (3,): 8}
+    X = _triangular(order, g, {(0,): {0: 1}}, need, divide=True)
+    got = {(d, k): c for d in order for k, c in X[d]}
+    assert got == inverse_q2_pochhammer(L0, 0, (1,), 3, 8).terms
+    g[(2,)][0] += 1
+    with pytest.raises(NonIntegralError, match=r"inexact division by 2 at class \(2,\) weight 0"):
+        _triangular(order, g, {(0,): {0: 1}}, need, divide=True)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the text of the NonIntegralError it raises."""
+    try:
+        return fn(*args)
+    except NonIntegralError as exc:
+        return str(exc)
+
+
+def random_signed_table(rng, quiver, maxdim):
+    classes = [e for e in module_classes(quiver, maxdim) if any(e)]
+    entries = {}
+    for _ in range(rng.randint(0, 3) if classes else 0):
+        entries[(rng.choice(classes), rng.randint(-6, 6))] = (rng.randint(-2, 2), rng.randint(-2, 2))
+    validity = {e: rng.randint(-4, 20) for e in classes if rng.randint(0, 1)}
+    return SignedInvariantTable(quiver, entries, maxdim, validity)
+
+
+def test_recurrences_against_power_chains():
+    """inverse, log, the factorization inversion and the q^2-Pochhammer
+    product agree with the power chains they replaced (tests/oracles.py):
+    terms, windows, tables, validity and error text; every coefficient but
+    the logarithm's is an int.  The s = -1 loops have even classes only, so
+    their chains stop early."""
+    # class (1,) has a window but no term: the chains stop at x^2, whose
+    # products all land in classes the windows already hold
+    gap = QSeries(L0, TORUS, 3, {((0,), 0): 1, ((2,), 0): 1}, {(0,): (0, None), (1,): (0, 5), (2,): (0, None)})
+    for new, old in ((gap.inverse(), chain_inverse(gap)), (gap.log(), chain_log(gap))):
+        assert new.terms == old.terms and new.meta == old.meta
+    rng = Lcg(5150)
+    quivers = ORACLE_QUIVERS + [loop_quiver(3, s=-1), loop_quiver(4, s=-1, tau=[-1] * 4)]
+    for quiver in quivers:
+        for _ in range(2):
+            maxdim, window = rng.randint(1, 7), rng.randint(0, 24)
+            dvec = rng.choice([d for d in all_vectors(quiver, 2) if any(d)])
+            k0, base = rng.randint(-2, 2), rng.randint(1, 2)
+            A = dt_series(quiver, maxdim, window)
+            P = qpochhammer_inf(quiver, TORUS, k0, dvec, maxdim, window, base=base)
+            for s in (A, ori_dt_series(quiver, maxdim, window), P, A.cmul(P)):
+                for new, old in ((s.inverse(), chain_inverse(s)), (s.log(), chain_log(s))):
+                    assert new.terms == old.terms and new.meta == old.meta, quiver.nodes
+                assert_int_coefficients(s.inverse())
+            got = outcome(invert_pochhammer_factorization, A)
+            want = outcome(chain_invert_pochhammer_factorization, A)
+            assert got == want
+            if not isinstance(want, str):
+                assert got.validity == want.validity
+            tables = [random_signed_table(rng, quiver, maxdim)]
+            if len(quiver.nodes) == 1 and quiver.is_sigma_symmetric():
+                erep = witt_representative(quiver, (rng.randint(0, 1) if quiver.s[quiver.nodes[0]] == 1 else 0,))
+                tables.append(equivariant_dt(quiver, erep, maxdim, window))
+            for table in tables:
+                new = pochhammer_q2_product(table, maxdim, window)
+                old = chain_pochhammer_q2_product(table, maxdim, window)
+                assert new.terms == old.terms and new.meta == old.meta, (quiver.nodes, table.entries)
+                assert_int_coefficients(new)
+
+
+def assert_within_windows(series):
+    for d, k in series.terms:
+        hi = series.meta[d][1]
+        assert hi is None or k <= hi, (d, k, hi)
+
+
+def test_no_term_above_window():
+    """No series that the layer returns stores a term above its class's
+    window: closed forms, cmul, inverse, log, power and the capped
+    q^2-Pochhammer product (on L2 up to xi^12 it used to keep 187 terms,
+    123 of them above the caps)."""
+    rng = Lcg(77)
+    for quiver in ORACLE_QUIVERS:
+        maxdim, window = rng.randint(1, 6), rng.randint(0, 24)
+        dvec = rng.choice([d for d in all_vectors(quiver, 2) if any(d)])
+        A, As = dt_series(quiver, maxdim, window), ori_dt_series(quiver, maxdim, window)
+        P = qpochhammer_inf(quiver, TORUS, rng.randint(-2, 2), dvec, maxdim, window, base=2)
+        table = random_signed_table(rng, quiver, maxdim)
+        for s in (A, As, P, A.cmul(P), A.inverse(), As.log(), P.power(3), P.power(-2),
+                  pochhammer_q2_product(table, maxdim, window)):
+            assert_within_windows(s)
+    L2m = loop_quiver(2)
+    for w in ((0,), (1,)):
+        sig = equivariant_dt(L2m, witt_representative(L2m, w), 12, 40)
+        assert_within_windows(pochhammer_q2_product(sig, 12, 40))
 
 
 def test_pochhammer_q2_product():
