@@ -278,8 +278,10 @@ def test_enumeration_work_cap_exit2(tmp_path):
 
 # stdout of the element-layer commands (mul, act, ori-invariants, thom,
 # pbw-check) on fixed operands, recorded before the CoHA and CoHM element
-# code was merged into one graded layer; "@name" arguments are written from
-# the "quivers", "operands" and "mults" documents of the same file
+# code was merged into one graded layer (the two "ori-invariants ... table"
+# cases were recorded before the CLI's table renderers were merged); "@name"
+# arguments are written from the "quivers", "operands" and "mults" documents
+# of the same file
 GOLDEN_ELEMENTS = json.loads((Path(__file__).parent / "data" / "cli_golden_elements.json").read_text())
 
 
