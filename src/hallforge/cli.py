@@ -50,18 +50,10 @@ def _coeff_str(k, c):
     return "%sq^{%d/2}" % (head, k)
 
 
-def _series_table(series, symbol):
-    lines = []
-    for (d, k), c in series.sorted_entries():
-        lines.append("%s^%s : %s" % (symbol, ",".join(map(str, d)), _coeff_str(k, c)))
-    return "\n".join(lines) + ("\n" if lines else "1\n")
-
-
-def _table_of_invariants(table, symbol):
-    lines = []
-    for (d, k), m in table.sorted_entries():
-        c = m * sign_pow(k)
-        lines.append("%s^%s : %s" % (symbol, ",".join(map(str, d)), _coeff_str(k, c)))
+def _table(rows, symbol):
+    """One line "symbol^d : c q^(k/2)" per row (d, k, c), c in the
+    (-q^(1/2))^k convention; an empty table prints "1"."""
+    lines = ["%s^%s : %s" % (symbol, ",".join(map(str, d)), _coeff_str(k, c)) for d, k, c in rows]
     return "\n".join(lines) + ("\n" if lines else "1\n")
 
 
@@ -72,19 +64,15 @@ def emit_report(result, fmt, symbol="t", window=None):
         if fmt == "json":
             _emit_json(result.to_json_dict(window))
         else:
-            sys.stdout.write(_series_table(result, symbol))
-    elif isinstance(result, InvariantTable):
+            sys.stdout.write(_table(((d, k, c) for (d, k), c in result.sorted_entries()), symbol))
+    elif isinstance(result, (InvariantTable, SignedInvariantTable)):
         if fmt == "json":
             doc = result.to_json_dict()
             doc["trunc"] = {"maxdim": result.maxdim, "window": window}
             _emit_json(doc)
-        else:
-            sys.stdout.write(_table_of_invariants(result, symbol))
-    elif isinstance(result, SignedInvariantTable):
-        if fmt == "json":
-            doc = result.to_json_dict()
-            doc["trunc"] = {"maxdim": result.maxdim, "window": window}
-            _emit_json(doc)
+        elif isinstance(result, InvariantTable):
+            rows = ((d, k, m * sign_pow(k)) for (d, k), m in result.sorted_entries())
+            sys.stdout.write(_table(rows, symbol))
         else:
             for (d, k), (p, m) in result.sorted_entries():
                 sys.stdout.write(
@@ -140,7 +128,7 @@ def main(argv=None):
     except HallforgeError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

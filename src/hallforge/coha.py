@@ -12,9 +12,7 @@ the variable prefix x and the weight form chi(d, d).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import GradingError, HallforgeError, SymmetryError
+from .errors import HallforgeError, SymmetryError
 from .graded import GradedElement, PrimitiveTable
 from .linalg import Echelon, complement
 from .poly import Poly
@@ -217,33 +215,16 @@ def primitive_dims(quiver, maxdim, window):
     return PrimitiveTable.build(quiver, "torus", CohaElement, primitive_basis, classes, window, maxdim)
 
 
-def quotient_involution_matrix(quiver, d, k):
-    """Matrix of S_H on V_(d,k) = H_(d,k)/ideal in the stored complement
-    basis (sigma(d) must equal d)."""
-    if quiver.sigma_dim(d) != d:
-        raise GradingError("S_H acts on the (d,k) slice only when sigma(d) = d")
+def _plus_dim(quiver, d, k):
+    """dim of the +1 eigenspace of S_H on V_(d,k) = H_(d,k)/ideal, for
+    sigma(d) = d.  S_H is an anti-automorphism, so it preserves the ideal; it
+    is an involution, so that eigenspace is the image of 1 + S_H, spanned
+    modulo the ideal by c + S_H(c) over the complement basis."""
     gens = generator_complement(quiver, d, k)
     if not gens:
-        return []
-    solver = Echelon(augmented=True)
-    ech = _ideal_echelon(quiver, d, k)
-    for i, (piv, row) in enumerate(sorted(ech.pivots.items())):
-        solver.add(dict(row), tag=("ideal", i))
-    for j, c in enumerate(gens):
-        solver.add(dict(c.poly.terms), tag=("gen", j))
-    mat = []
-    for c in gens:
-        y = s_involution(c)
-        res, coords = solver.reduce(dict(y.poly.terms))
-        if res:
-            raise HallforgeError("S_H does not preserve ideal + complement span")
-        # res = y + sum coords_j * row_j, hence y = -sum coords_j * row_j
-        row = [Fraction(0)] * len(gens)
-        for tag, v in coords.items():
-            if tag[0] == "gen":
-                row[tag[1]] = -v
-        mat.append(row)
-    return mat
+        return 0
+    ech = _ideal_echelon(quiver, d, k).copy() if sum(d) > 1 else Echelon()
+    return sum(ech.add((c.poly + s_involution(c).poly).terms) for c in gens)
 
 
 def equivariant_dt(quiver, e_target, maxdim, window):
@@ -252,6 +233,10 @@ def equivariant_dt(quiver, e_target, maxdim, window):
     Loop quivers use the parity dichotomy applied to dt_invariants; otherwise
     the twisted involution (-1)^(chi(e,d)+E(d)) S_H acts on the primitive
     quotient and the +-/- eigenspace dimensions are reported per H(d)-class.
+    A pair d != sigma(d) contributes dim V^prim_(d,k) to both signs.  For
+    sigma(d) = d only ranks are computed: the +1 eigenspace of S_H on
+    V_(d,k) is the image of 1 + S_H (`_plus_dim`), and V = V^prim (x)
+    Q[sigma_d] with S_H(sigma_d) = -sigma_d gives the primitive split.
     """
     if not quiver.is_sigma_symmetric():
         raise SymmetryError("equivariant DT invariants need a sigma-symmetric quiver")
@@ -296,38 +281,28 @@ def equivariant_dt(quiver, e_target, maxdim, window):
         else:
             validity[h] = top
         eps = sign_pow(quiver.euler_form(e_target, d) + quiver.sd_euler_form(d))
-        # V_(d,.) = V^prim (x) Q[sigma_d] with S_H(sigma_d) = -sigma_d, so the
-        # primitive trace is tp_k = t_k + t_{k-2} and dim p_k = r_k - r_{k-2}.
         for k in range(chi, chi + window + 1):
+            r_k = len(generator_complement(quiver, d, k))
+            r_k2 = len(generator_complement(quiver, d, k - 2))
+            p_k = r_k - r_k2
+            if p_k < 0:
+                raise HallforgeError("power-sum tower is not free at %r" % (d,))
+            if not p_k:
+                continue
             if sd == d:
-                r_k = len(generator_complement(quiver, d, k))
-                r_k2 = len(generator_complement(quiver, d, k - 2))
-                p_k = r_k - r_k2
-                if p_k < 0:
-                    raise HallforgeError("power-sum tower is not free at %r" % (d,))
-                if p_k == 0:
-                    continue
-                t_k = _quotient_trace(quiver, d, k)
-                t_k2 = _quotient_trace(quiver, d, k - 2)
-                tp = t_k + t_k2
-                if (p_k + tp) % 2:
-                    raise HallforgeError("non-integral eigenspace dimensions")
-                nplus = (p_k + int(tp)) // 2
+                # V_(d,k) = V^prim_(d,k) + sigma_d V_(d,k-2) with S_H(sigma_d) =
+                # -sigma_d, so the +1 eigenspace of the tower part is the -1
+                # eigenspace of V_(d,k-2), of dimension r_{k-2} - plus_{k-2}
+                nplus = _plus_dim(quiver, d, k) + _plus_dim(quiver, d, k - 2) - r_k2
+                if not 0 <= nplus <= p_k:
+                    raise HallforgeError(
+                        "eigenspace dimension %d outside [0, %d] at %r" % (nplus, p_k, (d, k))
+                    )
                 nminus = p_k - nplus
                 if eps < 0:
                     nplus, nminus = nminus, nplus
             else:
-                p_k = len(generator_complement(quiver, d, k)) - len(
-                    generator_complement(quiver, d, k - 2)
-                )
-                if not p_k:
-                    continue
                 nplus = nminus = p_k
             plus, minus = entries.get((h, k), (0, 0))
             entries[(h, k)] = (plus + nplus, minus + nminus)
     return SignedInvariantTable(quiver, entries, maxdim, validity)
-
-
-def _quotient_trace(quiver, d, k):
-    mat = quotient_involution_matrix(quiver, d, k)
-    return sum(mat[i][i] for i in range(len(mat)))

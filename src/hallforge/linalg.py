@@ -22,20 +22,19 @@ def _div(a, b):
 
 
 class Echelon:
-    """Incremental row echelon; optionally tracks coordinates of added rows."""
+    """Incremental row echelon."""
 
-    def __init__(self, augmented=False):
+    def __init__(self):
         self.pivots = {}
-        self.aug = {} if augmented else None
         self.rank = 0
 
-    def _reduce(self, row, coords):
+    def _reduce(self, row):
         row = dict(row)
         while row:
             lead = min(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                return row, coords, lead
+                return row, lead
             c = row[lead]
             for k, v in piv.items():
                 w = row.get(k, 0) - c * v
@@ -43,40 +42,26 @@ class Echelon:
                     row[k] = w
                 else:
                     row.pop(k, None)
-            if coords is not None:
-                for j, v in self.aug[lead].items():
-                    w = coords.get(j, 0) - c * v
-                    if w:
-                        coords[j] = w
-                    else:
-                        coords.pop(j, None)
-        return row, coords, None
+        return row, None
 
     def reduce(self, row):
         """Residual of row against the current pivots (row is not inserted)."""
-        res, coords, _ = self._reduce(row, {} if self.aug is not None else None)
-        return res, coords
+        return self._reduce(row)[0]
 
     def copy(self):
         """An independent echelon with the same pivots (pivot rows are never
         mutated, so they are shared)."""
-        out = Echelon(augmented=self.aug is not None)
+        out = Echelon()
         out.pivots, out.rank = dict(self.pivots), self.rank
-        if self.aug is not None:
-            out.aug = dict(self.aug)
         return out
 
-    def add(self, row, tag=None):
+    def add(self, row):
         """Insert a row; returns True when it increased the rank."""
-        coords = {tag: 1} if self.aug is not None else None
-        res, coords, lead = self._reduce(row, coords)
+        res, lead = self._reduce(row)
         if not res:
             return False
         c = res[lead]
-        res = {k: _div(v, c) for k, v in res.items()}
-        self.pivots[lead] = res
-        if self.aug is not None:
-            self.aug[lead] = {j: _div(v, c) for j, v in coords.items()}
+        self.pivots[lead] = {k: _div(v, c) for k, v in res.items()}
         self.rank += 1
         return True
 

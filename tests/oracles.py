@@ -7,7 +7,7 @@ their own directory.
 from fractions import Fraction
 from math import gcd
 
-from hallforge.coha import generator_complement
+from hallforge.coha import _ideal_echelon, generator_complement, s_involution
 from hallforge.errors import HallforgeError, NonIntegralError
 from hallforge.linalg import Echelon
 from hallforge.poly import Poly
@@ -89,6 +89,49 @@ def full_image_echelon(quiver, pairs, slice_basis, form, act, k):
 def full_complement(ech, elements):
     """`linalg.complement` without its shortcut for a full echelon."""
     return [x for x in elements if ech.add(x.poly.terms)]
+
+
+def quotient_involution_matrix(quiver, d, k):
+    """Matrix of S_H on V_(d,k) = H_(d,k)/ideal (sigma(d) = d): row j holds
+    the coordinates of S_H(c_j) in the stored complement basis c.  This is
+    how `coha.equivariant_dt` read the eigenspaces before it took them from
+    ranks.  The solve keeps, with every pivot row, its coordinates modulo the
+    ideal: none for an ideal row, e_j - (the reduction) for c_j."""
+    gens = generator_complement(quiver, d, k)
+    ideal = _ideal_echelon(quiver, d, k).pivots if sum(d) > 1 else {}
+    pivots = {lead: (row, {}) for lead, row in ideal.items()}
+
+    def reduce(row):
+        # returns (residual, coordinates of row - residual)
+        row, coords = dict(row), {}
+        while row and min(row) in pivots:
+            lead = min(row)
+            prow, pcoords = pivots[lead]
+            c = row[lead]
+            for key, v in prow.items():
+                w = row.get(key, 0) - c * v
+                if w:
+                    row[key] = w
+                else:
+                    row.pop(key, None)
+            for j, v in pcoords.items():
+                coords[j] = coords.get(j, 0) + c * v
+        return row, coords
+
+    for j, c in enumerate(gens):
+        res, coords = reduce(c.poly.terms)
+        lead = min(res)
+        top = Fraction(res[lead])
+        coords = {i: -v for i, v in coords.items()}
+        coords[j] = coords.get(j, 0) + 1
+        pivots[lead] = ({key: v / top for key, v in res.items()}, {i: v / top for i, v in coords.items()})
+    mat = []
+    for c in gens:
+        res, coords = reduce(s_involution(c).poly.terms)
+        if res:
+            raise HallforgeError("S_H does not preserve ideal + complement span")
+        mat.append([coords.get(i, Fraction(0)) for i in range(len(gens))])
+    return mat
 
 
 # -- the power chains of the series layer ---------------------------------------

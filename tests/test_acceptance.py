@@ -235,16 +235,18 @@ def test_criterion_10_pbw_checks():
 
 def test_criterion_11_property_suites():
     from hallforge.proputils import (
+        suite_disjoint_union,
+        suite_module_relation,
+        suite_super_module_parity,
+        suite_witt_preservation,
+    )
+    from propsuites import (
         suite_anti_homomorphism,
         suite_associativity,
-        suite_disjoint_union,
         suite_hilbert_consistency,
         suite_module_axiom,
-        suite_module_relation,
         suite_sd_euler_identity,
-        suite_super_module_parity,
         suite_unit_laws,
-        suite_witt_preservation,
     )
 
     seed = 20140917

@@ -7,7 +7,6 @@ from hallforge.coha import (
     dt_invariants,
     equivariant_dt,
     primitive_dims,
-    quotient_involution_matrix,
     s_involution,
     shuffle_mul,
 )
@@ -133,17 +132,6 @@ def test_hilbert_consistency():
         for k in range(chi, chi + 13):
             dim = CohaElement.slice_dim(L2, (d,), k)
             assert A.coefficient((d,), k) == Fraction(dim * sign_pow(k))
-
-
-def test_quotient_involution_is_involution():
-    for d, k in (((2,), -4), ((2,), 0), ((3,), -5)):
-        mat = quotient_involution_matrix(L2, d, k)
-        r = len(mat)
-        sq = [
-            [sum(mat[i][t] * mat[t][j] for t in range(r)) for j in range(r)]
-            for i in range(r)
-        ]
-        assert sq == [[1 if i == j else 0 for j in range(r)] for i in range(r)]
 
 
 def test_equivariant_dt_l2():

@@ -14,8 +14,11 @@ import json
 import sys
 from pathlib import Path
 
-from hallforge.coha import equivariant_dt
+from hallforge.coha import _plus_dim, equivariant_dt
+from hallforge.proputils import Lcg
 from hallforge.quiver import QuiverWithDuality, a1_tilde, disjoint_double, loop_quiver
+
+from oracles import quotient_involution_matrix
 
 GOLDEN = Path(__file__).parent / "data" / "equivariant_tables.json"
 
@@ -66,6 +69,35 @@ def test_tables_match_golden():
     assert sorted(golden) == sorted(CASES)
     for name in CASES:
         assert table_document(name) == golden[name], name
+
+
+def test_plus_dim_against_involution_oracle():
+    """On every sigma(d) = d slice with |d| <= 3 and window 12, of L2 and the
+    quivers above, the oracle's matrix of S_H squares to the identity and
+    its trace is 2 plus - r, with plus = `_plus_dim` and r the complement
+    size.  The slices are visited in a seeded random order, so the cached
+    echelons and complements fill in an order unrelated to the tables'."""
+    quivers = [loop_quiver(2)] + [a1_tilde(tau=tau, s=s) for s in (1, -1) for tau in (1, -1)]
+    quivers += [disjoint_double(loop_quiver(m)) for m in (0, 1, 2)] + [q3(1), q3(2)]
+    slices = []
+    for quiver in quivers:
+        for d in quiver.dimension_vectors(3):
+            if any(d) and quiver.sigma_dim(d) == d:
+                chi = quiver.euler_form(d, d)
+                slices += [(quiver, d, k) for k in range(chi, chi + 13)]
+    rng = Lcg(20140917)
+    flipped = 0
+    while slices:
+        quiver, d, k = slices.pop(rng.randint(0, len(slices) - 1))
+        mat = quotient_involution_matrix(quiver, d, k)
+        r = len(mat)
+        square = [[sum(mat[i][t] * mat[t][j] for t in range(r)) for j in range(r)] for i in range(r)]
+        assert square == [[int(i == j) for j in range(r)] for i in range(r)], (quiver.nodes, d, k)
+        trace = sum(mat[i][i] for i in range(r))
+        assert 2 * _plus_dim(quiver, d, k) - r == trace, (quiver.nodes, d, k)
+        flipped += trace != r
+    # S_H is not the identity on every slice, so the traces test something
+    assert flipped
 
 
 if __name__ == "__main__":

@@ -1,19 +1,22 @@
 """Randomized property suites, each on >= 200 seeded instances (criterion 11)."""
 
 from hallforge.proputils import (
-    suite_anti_homomorphism,
-    suite_associativity,
     suite_disjoint_union,
-    suite_hilbert_consistency,
-    suite_module_axiom,
     suite_module_relation,
-    suite_sd_euler_identity,
     suite_super_module_parity,
-    suite_supercommutativity,
-    suite_unit_laws,
     suite_witt_preservation,
 )
 from hallforge.quiver import a1_tilde, a2_quiver, loop_quiver
+
+from propsuites import (
+    suite_anti_homomorphism,
+    suite_associativity,
+    suite_hilbert_consistency,
+    suite_module_axiom,
+    suite_sd_euler_identity,
+    suite_supercommutativity,
+    suite_unit_laws,
+)
 
 SEED = 20140917
 L1 = loop_quiver(1, s=1, tau=[1])
