@@ -8,6 +8,15 @@ per node (no denominator is ever formed).
 Cohomological weight of a homogeneous element is 2*deg + chi(d, d).
 CohaElement is the graded layer of `graded` with a GL block on every node,
 the variable prefix x and the weight form chi(d, d).
+
+The primitive quotients only need ranks, so they stay in Schur coordinates
+({label: coeff}, one partition per node): `schur_mul` multiplies basis
+elements by straightening the cached arrow numerators shifted by the lead
+monomials x'^(lam + delta) x''^(mu + delta), sigma_d s_lam is a Pieri step
+and S_H moves each partition to its sigma image with the sign (-1)^|lam|.
+`shuffle_mul` stays the product of polynomial elements (the CLI's `mul`,
+the property suites, the test oracles): routed through labels it would pay
+the conversions in and out of Schur coordinates on every call.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .series import (
     invert_pochhammer_factorization,
     sign_pow,
 )
+from .symfun import add_box, lead_product, straighten_terms
 
 
 class CohaElement(GradedElement):
@@ -50,6 +60,17 @@ class CohaElement(GradedElement):
 # -- shuffle product ----------------------------------------------------------
 
 
+def _arrow_numerators(quiver, offsets, mid, d1, d2, total):
+    """total times K = prod_{a: t->h} prod (x''_{h,b} - x'_{t,a'}), with
+    x'_{n,a} at slot offsets[n] + a and x''_{n,b} at mid[n] + b."""
+    idx = quiver.node_index
+    for _, t, h in quiver.arrows:
+        for b in range(d2[idx[h]]):
+            for a in range(d1[idx[t]]):
+                total = total.mul_linear(1, mid[h] + b, -1, offsets[t] + a)
+    return total
+
+
 def shuffle_mul(f, g):
     """Kontsevich-Soibelman shuffle product of CoHA elements.
 
@@ -61,6 +82,12 @@ def shuffle_mul(f, g):
     j, j+1, ..., j+d2-1 for j = d1-1 down to 0) and a sign (-1)^(d1*d2).
     This equals the shuffle sum only when f and g are Weyl invariant, which
     CohaElement(check=True) and from_json_dict enforce.
+
+    This is the product of polynomial elements (the CLI's `mul`, the
+    property suites, the test oracles).  The rank pipelines multiply Schur
+    basis elements with `schur_mul` instead, which never expands its inputs:
+    routing `mul` through labels would add the conversions to labels and
+    the expansion of the result back into monomials to every call.
     """
     if f.quiver != g.quiver:
         raise HallforgeError("elements over different quivers")
@@ -75,10 +102,7 @@ def shuffle_mul(f, g):
     fmap = [(1, offsets[n] + a) for n in quiver.nodes for a in range(f.d[idx[n]])]
     gmap = [(1, mid[n] + b) for n in quiver.nodes for b in range(g.d[idx[n]])]
     total = f.poly.map_variables(nvars, fmap) * g.poly.map_variables(nvars, gmap)
-    for _, t, h in quiver.arrows:
-        for b in range(g.d[idx[h]]):
-            for a in range(f.d[idx[t]]):
-                total = total.mul_linear(1, mid[h] + b, -1, offsets[t] + a)
+    total = _arrow_numerators(quiver, offsets, mid, f.d, g.d, total)
     sign = 1
     for n in quiver.nodes:
         d1, d2 = f.d[idx[n]], g.d[idx[n]]
@@ -86,6 +110,54 @@ def shuffle_mul(f, g):
         if d1 * d2 % 2:
             sign = -sign
     return CohaElement(quiver, d, total.scale(sign), check=False)
+
+
+# -- the product in Schur coordinates -------------------------------------------
+
+
+def _mul_integrand(quiver, d1, d2):
+    """(sign * K, lead slots of the x' and x'' labels, node blocks) of the
+    product H_d1 x H_d2 -> H_(d1+d2), kept in quiver._cache under
+    ("coha_integrand", d1, d2); sign = (-1)^(sum_n d1_n d2_n)."""
+    key = ("coha_integrand", d1, d2)
+    out = quiver._cache.get(key)
+    if out is None:
+        idx = quiver.node_index
+        d = tuple(a + b for a, b in zip(d1, d2))
+        offsets, nvars = CohaElement.layout(quiver, d)
+        mid = {n: offsets[n] + d1[idx[n]] for n in quiver.nodes}
+        kernel = _arrow_numerators(quiver, offsets, mid, d1, d2, Poly.const(nvars, 1))
+        kernel = kernel.scale(sign_pow(sum(a * b for a, b in zip(d1, d2))))
+        fslots = [(offsets[n], d1[idx[n]], 1, 0, 1) for n in quiver.nodes]
+        gslots = [(mid[n], d2[idx[n]], 1, 0, 1) for n in quiver.nodes]
+        blocks = [(offsets[n], d[idx[n]]) for n in quiver.nodes]
+        out = quiver._cache[key] = (kernel, fslots, gslots, blocks)
+    return out
+
+
+def schur_mul(quiver, d1, f, d2, g):
+    """The shuffle product of f in H_d1 and g in H_d2, in Schur coordinates
+    ({label: coeff}, a label one partition per node) and without divided
+    differences.
+
+    Each node's push is partial_w0 of its block after the lead monomials:
+    for S_d1 x S_d2 invariant P, shuffle_push(P) = partial_w0(x'^delta
+    x''^delta P), and x'^delta s_lam(x') can be traded for x'^(lam + delta)
+    because partial_w0 factors through the Levi's.  So the product is the
+    cached integrand times x'^(lam + delta) x''^(mu + delta), straightened
+    block by block (`symfun.straighten_terms`); the inputs are never
+    expanded."""
+    kernel, fslots, gslots, blocks = _mul_integrand(quiver, d1, d2)
+    return straighten_terms((lead_product(f, fslots, g, gslots, kernel.n) * kernel).terms, blocks)
+
+
+def s_label(quiver, label):
+    """S_H of a Schur basis element: (sign, label), the partition of node n
+    moved to sigma(n) and sign (-1)^(total size)."""
+    out = [None] * len(label)
+    for n, lam in zip(quiver.nodes, label):
+        out[quiver.node_index[quiver.sigma_nodes[n]]] = lam
+    return sign_pow(sum(map(sum, label))), tuple(out)
 
 
 def s_involution(f):
@@ -111,11 +183,13 @@ def dt_invariants(quiver, maxdim, window):
 # -- primitive parts -------------------------------------------------------------
 
 
-def image_echelon(quiver, pairs, slice_basis, form, act, k, dim):
-    """Echelon of the weight-k span of act(c, b) with c in generator_complement
-    (quiver, a, k1) and b in slice_basis(quiver, rest, k - k1), over (a, rest)
-    in pairs and chi(a, a) <= k1 <= k - form(quiver, rest): the CoHA ideal
-    H_+ . H_+ (shuffle_mul, chi) and the CoHM image H_+ . M (cohm_action, E).
+def image_echelon(quiver, pairs, slice_labels, form, act, k, dim):
+    """Echelon of the weight-k span of act(quiver, a, {c: 1}, rest, {b: 1})
+    with c in generator_complement(quiver, a, k1) and b in
+    slice_labels(quiver, rest, k - k1), over (a, rest) in pairs and
+    chi(a, a) <= k1 <= k - form(quiver, rest): the CoHA ideal H_+ . H_+
+    (schur_mul, chi) and the CoHM image H_+ . M (cohm.schur_act, E).  Rows
+    are in Schur coordinates.
 
     Every product lies in the target slice, of dimension dim, so rank <= dim;
     once rank == dim the echelon spans the slice, every later product would
@@ -130,11 +204,11 @@ def image_echelon(quiver, pairs, slice_basis, form, act, k, dim):
             gens = generator_complement(quiver, a, k1)
             if not gens:
                 continue
-            for b in slice_basis(quiver, rest, k - k1):
+            for b in slice_labels(quiver, rest, k - k1):
                 for c in gens:
                     if ech.rank == dim:
                         return ech
-                    ech.add(act(c, b).poly.terms)
+                    ech.add(act(quiver, a, {c: 1}, rest, {b: 1}))
     return ech
 
 
@@ -147,41 +221,43 @@ def _ideal_echelon(quiver, d, k):
     if not quiver.is_symmetric():
         raise SymmetryError("primitive parts are computed for symmetric quivers")
     pairs = quiver.decompositions(d, sum(d) - 1)
-    dim = len(coha_slice_basis(quiver, d, k))
-    ech = image_echelon(quiver, pairs, coha_slice_basis, CohaElement.weight_form, shuffle_mul, k, dim)
+    dim = len(CohaElement.slice_labels(quiver, d, k))
+    ech = image_echelon(quiver, pairs, CohaElement.slice_labels, CohaElement.weight_form, schur_mul, k, dim)
     quiver._cache[key] = ech
     return ech
 
 
 def generator_complement(quiver, d, k):
     """Deterministic basis of a complement of the product-ideal slice in
-    H_(d,k); its span maps isomorphically onto V_(d,k) = H/(H_+ . H_+)."""
+    H_(d,k), as slice labels; its span maps isomorphically onto
+    V_(d,k) = H/(H_+ . H_+)."""
     key = ("coha_complement", d, k)
     cached = quiver._cache.get(key)
     if cached is not None:
         return cached
-    if CohaElement.slice_degree(quiver, d, k) is None:
-        out = []
-    elif sum(d) <= 1:
-        out = coha_slice_basis(quiver, d, k)
+    labels = CohaElement.slice_labels(quiver, d, k)
+    if CohaElement.slice_degree(quiver, d, k) is None or sum(d) <= 1:
+        out = labels
     else:
-        out = complement(_ideal_echelon(quiver, d, k).copy(), coha_slice_basis(quiver, d, k))
+        out = complement(_ideal_echelon(quiver, d, k).copy(), labels)
     quiver._cache[key] = out
     return out
 
 
-def _power_sum_element(quiver, d):
-    """sigma_d = sum of all variables, as a degree-(d, chi+2) element."""
-    n = sum(d)
-    p = Poly.zero(n)
-    for i in range(n):
-        p = p + Poly.variable(n, i)
-    return CohaElement(quiver, d, p, check=False)
+def _times_power_sum(quiver, d, label):
+    """sigma_d s_label, sigma_d the sum of all variables: by Pieri, the
+    labels with one box added at one node."""
+    row = {}
+    for i, lam in enumerate(label):
+        for mu in add_box(lam, d[i]):
+            row[label[:i] + (mu,) + label[i + 1 :]] = 1
+    return row
 
 
 def primitive_basis(quiver, d, k):
     """Basis of a complement of (product ideal + sigma_d * V_(d,k-2)) inside
-    H_(d,k); its span maps isomorphically onto V^prim_(d,k)."""
+    H_(d,k), as slice labels; its span maps isomorphically onto
+    V^prim_(d,k)."""
     key = ("coha_primitive", d, k)
     cached = quiver._cache.get(key)
     if cached is not None:
@@ -190,15 +266,14 @@ def primitive_basis(quiver, d, k):
     if deg is None:
         out = []
     else:
-        basis = coha_slice_basis(quiver, d, k)
+        labels = CohaElement.slice_labels(quiver, d, k)
         probe = _ideal_echelon(quiver, d, k).copy() if sum(d) > 1 else Echelon()
         if deg > 0:
-            sigma = _power_sum_element(quiver, d)
             for c in generator_complement(quiver, d, k - 2):
-                if probe.rank == len(basis):  # the span is the whole slice
+                if probe.rank == len(labels):  # the span is the whole slice
                     break
-                probe.add((sigma.poly * c.poly).terms)
-        out = complement(probe, basis)
+                probe.add(_times_power_sum(quiver, d, c))
+        out = complement(probe, labels)
     quiver._cache[key] = out
     return out
 
@@ -224,7 +299,13 @@ def _plus_dim(quiver, d, k):
     if not gens:
         return 0
     ech = _ideal_echelon(quiver, d, k).copy() if sum(d) > 1 else Echelon()
-    return sum(ech.add((c.poly + s_involution(c).poly).terms) for c in gens)
+    rank = 0
+    for c in gens:
+        sign, image = s_label(quiver, c)
+        row = {c: 1}
+        row[image] = row.get(image, 0) + sign
+        rank += ech.add({lab: v for lab, v in row.items() if v})
+    return rank
 
 
 def equivariant_dt(quiver, e_target, maxdim, window):

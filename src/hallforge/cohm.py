@@ -20,9 +20,18 @@ Weight of a homogeneous element is 2*deg + E(e); for sigma-symmetric quivers
 the action is weight additive.  CohmElement is the graded layer of `graded`
 with GL blocks on Q0^+ and BCD blocks on Q0^sigma, the variable prefix z and
 the weight form E(e).
+
+The W^prim quotient reads only ranks, so its action image is computed in
+Schur coordinates by `schur_act`: the same integrand with f = g = 1, shifted
+by the lead monomials, and every push a straightening (see its docstring
+for the rules at Q0^+ and fixed nodes).  `cohm_action` stays the action on
+polynomial elements (the CLI's `act`, `thom`, the property suites and the
+test oracles).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .coha import (
     CohaElement,
@@ -34,7 +43,7 @@ from .coha import (
 from .errors import GradingError, HallforgeError, NonIntegralError, SymmetryError
 from .graded import GradedElement, PrimitiveTable
 from .linalg import complement
-from .poly import Poly
+from .poly import SHIFT, Poly, unpack_exponents
 from .quiver import QuiverWithDuality
 from .series import (
     InvariantTable,
@@ -45,6 +54,7 @@ from .series import (
     pochhammer_q2_product,
     sign_pow,
 )
+from .symfun import lead, lead_product, straighten, straighten_terms
 
 
 class CohmElement(GradedElement):
@@ -86,47 +96,15 @@ def _fixed_node_type(quiver, node, component):
     return "B" if component % 2 else "D"
 
 
-def cohm_action(f, g):
-    """f * g: the sigma-shuffle action of H_d on M_e, as divided differences.
-
-    The sigma-shuffle sum is a push-forward along an isotropic flag.  The
-    integrand F * G * K is built once at the identity sigma-shuffle: f on
-    x'_{i,l} at slot l of node i's target block, x'_{sigma(i),m} -> -z at
-    the tail of a Q0^+ block, g on the slots between, and K the arrow
-    numerators of Q1^+ and Q1^sigma with the epsilon parities.  Then each
-    node pushes its block forward:
-
-    - i in Q0^+ with blocks (d_i, e_i, d_sigma(i)): `Poly.shuffle_push` for
-      (d_i, e_i), then for (d_i + e_i, d_sigma(i)), and the sign
-      (-1)^(d_i e_i + d_i d_sigma(i) + e_i d_sigma(i));
-    - i in Q0^sigma with D = d_i slots y and m = e_i // 2 slots z: the
-      B_D / S_D push (for k = 0..D-1, `Poly.flip` at the last y-slot, then
-      divided differences at y-slots D-2 down to k), then `shuffle_push`
-      for (D, m) in squared variables, and the scalar (-1)^(D(D+1)/2),
-      times 2^D for types B and D.  Type D has no short roots in its Weyl
-      denominator, so it first multiplies by prod(-y_l).
-
-    The factors prod(y_l^2 - z_k^2) of V~^(i) against node i's own slots y
-    are W(B_D) invariant, and a push is linear over its Weyl invariants, so
-    they are left out of the integrand and multiplied in after the B_D /
-    S_D push, before the squared `shuffle_push`: the push then runs on the
-    smaller polynomial.  Every difference of squares is one
-    `Poly.mul_square_difference` pass.  The Q0^+ pushes keep the plain
-    schedule: deferring their tail-only factors measured no gain.
-
-    No denominator is formed.  This equals the sigma-shuffle sum only when f
-    is S_d invariant and g is Weyl invariant, which the element constructors
-    (check=True) and from_json_dict enforce.
-    """
-    if f.quiver != g.quiver:
-        raise HallforgeError("elements over different quivers")
-    quiver = f.quiver
+def _action_integrand(quiver, d, e, fpoly=None, gpoly=None):
+    """(block offsets, integrand, deferred pairs) of the action H_d x M_e ->
+    M_(H(d)+e) at the identity sigma-shuffle: f on the x' slots and g on
+    the z'' slots (both 1 when not given) times the arrow numerators of
+    Q1^+ and Q1^sigma, and per fixed node the (y, z) slot pairs of its
+    factors y^2 - z^2 that wait for the end of its B_D/S_D push."""
     idx = quiver.node_index
-    d, e = f.d, g.e
     et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
     off, nvars = CohmElement.layout(quiver, et)
-    if f.is_zero() or g.is_zero():
-        return CohmElement(quiver, et, Poly.zero(nvars), check=False)
     fixed = set(quiver.q0_sigma)
     # signed target slots of x'_{i,l} and z''_{i,k} at the identity shuffle
     xp, zs, gmap = {}, {}, []
@@ -148,8 +126,11 @@ def cohm_action(f, g):
     def xs(n):
         return [xp[(n, l)] for l in range(d[idx[n]])]
 
-    fmap = [x for n in quiver.nodes for x in xs(n)]
-    total = f.poly.map_variables(nvars, fmap) * g.poly.map_variables(nvars, gmap)
+    if fpoly is None:
+        total = Poly.const(nvars, 1)
+    else:
+        fmap = [x for n in quiver.nodes for x in xs(n)]
+        total = fpoly.map_variables(nvars, fmap) * gpoly.map_variables(nvars, gmap)
 
     def lin(u, v):
         """times u - v, for signed slots u = (sign, slot)"""
@@ -213,6 +194,50 @@ def cohm_action(f, g):
                 for x in xs(t):
                     lin(neg(u), x)
 
+    return off, total, after_push
+
+
+def cohm_action(f, g):
+    """f * g: the sigma-shuffle action of H_d on M_e, as divided differences.
+
+    The sigma-shuffle sum is a push-forward along an isotropic flag.  The
+    integrand F * G * K is built once at the identity sigma-shuffle: f on
+    x'_{i,l} at slot l of node i's target block, x'_{sigma(i),m} -> -z at
+    the tail of a Q0^+ block, g on the slots between, and K the arrow
+    numerators of Q1^+ and Q1^sigma with the epsilon parities.  Then each
+    node pushes its block forward:
+
+    - i in Q0^+ with blocks (d_i, e_i, d_sigma(i)): `Poly.shuffle_push` for
+      (d_i, e_i), then for (d_i + e_i, d_sigma(i)), and the sign
+      (-1)^(d_i e_i + d_i d_sigma(i) + e_i d_sigma(i));
+    - i in Q0^sigma with D = d_i slots y and m = e_i // 2 slots z: the
+      B_D / S_D push (for k = 0..D-1, `Poly.flip` at the last y-slot, then
+      divided differences at y-slots D-2 down to k), then `shuffle_push`
+      for (D, m) in squared variables, and the scalar (-1)^(D(D+1)/2),
+      times 2^D for types B and D.  Type D has no short roots in its Weyl
+      denominator, so it first multiplies by prod(-y_l).
+
+    The factors prod(y_l^2 - z_k^2) of V~^(i) against node i's own slots y
+    are W(B_D) invariant, and a push is linear over its Weyl invariants, so
+    they are left out of the integrand and multiplied in after the B_D /
+    S_D push, before the squared `shuffle_push`: the push then runs on the
+    smaller polynomial.  Every difference of squares is one
+    `Poly.mul_square_difference` pass.  The Q0^+ pushes keep the plain
+    schedule: deferring their tail-only factors measured no gain.
+
+    No denominator is formed.  This equals the sigma-shuffle sum only when f
+    is S_d invariant and g is Weyl invariant, which the element constructors
+    (check=True) and from_json_dict enforce.
+    """
+    if f.quiver != g.quiver:
+        raise HallforgeError("elements over different quivers")
+    quiver = f.quiver
+    d, e = f.d, g.e
+    et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
+    if f.is_zero() or g.is_zero():
+        return CohmElement(quiver, et, Poly.zero(CohmElement.layout(quiver, et)[1]), check=False)
+    idx = quiver.node_index
+    off, total, after_push = _action_integrand(quiver, d, e, f.poly, g.poly)
     sign = 1
     for n in quiver.q0_plus:
         o, dn, en = off[n], d[idx[n]], e[idx[n]]
@@ -238,6 +263,123 @@ def cohm_action(f, g):
         if typ != "C":
             sign <<= D
     return CohmElement(quiver, et, total.scale(sign), check=False)
+
+
+# -- the action in Schur coordinates -------------------------------------------------
+
+
+def _act_integrand(quiver, d, e):
+    """The cached pieces of `schur_act` for H_d x M_e, kept in quiver._cache
+    under ("cohm_integrand", d, e): (sign * integrand, the deferred factors
+    prod (u - v), the lead slots of the f labels (every node) and of the g
+    labels (the blocks of M_e), as `symfun.lead_product` reads them, the
+    (bit offset, bit mask, D, m) of every fixed node's block, and the
+    (offset, size) of every block of the target).
+
+    u = y^2 and v = z^2 take the slots of y and z, so the deferred factors
+    are prod (u_y - v_z) over the pairs of `_action_integrand`."""
+    key = ("cohm_integrand", d, e)
+    cached = quiver._cache.get(key)
+    if cached is not None:
+        return cached
+    idx = quiver.node_index
+    et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
+    off, kernel, after_push = _action_integrand(quiver, d, e)
+    deferred = Poly.const(kernel.n, 1)
+    sign, fslots, gslots, fixed, blocks = 1, [], [], [], []
+    for n in quiver.nodes:
+        dn = d[idx[n]]
+        if quiver.sigma_nodes[n] == n:  # type D: its prod(-y_l) shifts the lead
+            fslots.append((off[n], dn, 1, int(_fixed_node_type(quiver, n, et[idx[n]]) == "D"), 1))
+        elif n in off:
+            fslots.append((off[n], dn, 1, 0, 1))
+        else:  # x'_n -> -z at the tail of the Q0^+ partner's block p
+            p = quiver.sigma_nodes[n]
+            fslots.append((off[p] + d[idx[p]] + e[idx[p]], dn, 1, 0, -1))
+    for n, kind, size in CohmElement.blocks(quiver, et):
+        o, dn = off[n], d[idx[n]]
+        blocks.append((o, size))
+        if kind == "GL":
+            en, dsn = e[idx[n]], d[idx[quiver.sigma_nodes[n]]]
+            if (dn * en + dn * dsn + en * dsn) % 2:
+                sign = -sign
+            gslots.append((o + dn, en, 1, 0, 1))
+            continue
+        m = e[idx[n]] // 2
+        typ = _fixed_node_type(quiver, n, et[idx[n]])
+        if dn * (dn + 1) // 2 % 2:
+            sign = -sign
+        if typ == "D" and dn % 2:
+            sign = -sign  # prod(-y_l) = (-1)^D prod y_l
+        if typ != "C":
+            sign <<= dn
+        for y, z in after_push[n]:
+            deferred = deferred.mul_linear(1, y, -1, z)
+        fixed.append((SHIFT * o, (1 << (SHIFT * size)) - 1, dn, m))
+        gslots.append((o + dn, m, 2, 0, 1))
+    cached = quiver._cache[key] = (kernel.scale(sign), deferred, fslots, gslots, fixed, blocks)
+    return cached
+
+
+def schur_act(quiver, d, f, e, g):
+    """The action of f in H_d on g in M_e, in Schur coordinates ({label:
+    coeff}: f over the nodes, g and the result over the blocks of
+    CohmElement) and without divided differences or flips.
+
+    As in `coha.schur_mul`, the inputs enter as their lead monomials, times
+    the integrand of `cohm_action` built with f = g = 1, and every push
+    becomes a straightening (`symfun.straighten`):
+
+    - a Q0^+ block (d_i, e_i, d_sigma(i)) is straightened once; its tail
+      lead is kappa + delta with the sign (-1)^|kappa|, since x'_sigma(i)
+      -> -z there;
+    - a fixed node with D slots y and m slots z: type D adds 1 to each y
+      exponent (its prod(-y_l)); the B_D push keeps a term only when every
+      y exponent is odd, and is then the straightening of (y - 1)/2 in the
+      squared variables u = y^2 (the Weyl character formula of types B/C,
+      Fulton-Harris 24.2); the z exponents are even and halve into v = z^2,
+      the g lead being 2(mu + delta); the deferred prod(u - v) multiplies
+      in and the squared shuffle push is the straightening over D + m.
+
+    The signs of `cohm_action` ((-1)^(D(D+1)/2), 2^D for types B and D,
+    (-1)^D for the type D product, the Q0^+ block signs) sit in the cached
+    integrand."""
+    kernel, deferred, fslots, gslots, fixed, blocks = _act_integrand(quiver, d, e)
+    product = lead_product(f, fslots, g, gslots, kernel.n) * kernel
+    # each fixed node's B_D push writes u = y^2 and v = z^2 into its block
+    pushed = {}
+    for key, c in product.terms.items():
+        for shift, mask, dn, m in fixed:
+            block = (key >> shift) & mask
+            r = _type_b_push(block, dn, m)
+            if r is None:
+                break
+            if r[0] < 0:
+                c = -c
+            key += (r[1] - block) << shift
+        else:
+            v = pushed.get(key, 0) + c
+            if v:
+                pushed[key] = v
+            else:
+                del pushed[key]
+    pushed = Poly(kernel.n, pushed, product.bound) * deferred
+    return straighten_terms(pushed.terms, blocks)
+
+
+@lru_cache(maxsize=1 << 16)
+def _type_b_push(block, dn, m):
+    """The B_D / S_D push of a fixed node's packed block (dn slots y, m
+    slots z): None unless every y exponent is odd, else (sign, the packed
+    exponents of u = y^2 sorted by `straighten` then v = z^2)."""
+    exps = unpack_exponents(block, dn + m)
+    if any(y % 2 == 0 for y in exps[:dn]):
+        return None
+    r = straighten(tuple((y - 1) // 2 for y in exps[:dn]))
+    if r is None:
+        return None
+    vec = lead(r[1], dn) + tuple(z // 2 for z in exps[dn:])
+    return r[0], sum(x << (SHIFT * j) for j, x in enumerate(vec))
 
 
 def action_degree_shift(quiver, d, e):
@@ -271,19 +413,19 @@ def act_many(factors, g):
 
 
 def _wprim_slice(quiver, e, k):
-    """(rank of the action-image slice, complement basis) at (e, k)."""
+    """(rank of the action-image slice, complement labels) at (e, k)."""
     key = ("wprim_slice", e, k)
     cached = quiver._cache.get(key)
     if cached is not None:
         return cached
     # H(d) <= e gives |d| <= |e| // 2
     pairs = quiver.decompositions(e, sum(e) // 2, quiver.hyperbolic)
-    basis = cohm_slice_basis(quiver, e, k)
-    # image_echelon stops once the image spans the slice (rank == len(basis)),
+    labels = CohmElement.slice_labels(quiver, e, k)
+    # image_echelon stops once the image spans the slice (rank == len(labels)),
     # and complement() then returns []
-    ech = image_echelon(quiver, pairs, cohm_slice_basis, CohmElement.weight_form, cohm_action, k, len(basis))
+    ech = image_echelon(quiver, pairs, CohmElement.slice_labels, CohmElement.weight_form, schur_act, k, len(labels))
     rank = ech.rank  # before complement() extends ech
-    cached = (rank, complement(ech, basis))
+    cached = (rank, complement(ech, labels))
     quiver._cache[key] = cached
     return cached
 

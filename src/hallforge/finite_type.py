@@ -20,19 +20,20 @@ letter through step(quiver, d, e) -> (shift, class), which is
 (-chi(d, e), d + e) for the product and (`action_degree_shift`, H(d) + e)
 for the action.  Each word thus gets the exact budget window // 2 - shift,
 and the engine computes exactly the products that land in the weight
-window, sharing suffixes through one memo.
+window, sharing suffixes through one memo.  The checks read only ranks, so
+letters and products are rows in Schur coordinates (`coha.schur_mul`,
+`cohm.schur_act`) and no polynomial is expanded.
 """
 
 from __future__ import annotations
 
-from .coha import CohaElement, shuffle_mul
-from .cohm import CohmElement, act_many, action_degree_shift, cohm_action
+from .coha import CohaElement, schur_mul
+from .cohm import CohmElement, act_many, action_degree_shift, schur_act
 from .errors import GradingError, HallforgeError, QuiverSpecError
 from .linalg import rank_of_rows
-from .poly import key_degree
 from .quiver import QuiverWithDuality
 from .series import MODULE, QSeries, qpochhammer_inf
-from .symfun import partitions, schur
+from .symfun import partitions, schur  # noqa: F401  (perfbench binds finite_type.schur)
 
 
 def _node(i):
@@ -127,12 +128,13 @@ class RootSystemA:
         return CohaElement.unit(self.quiver, d)
 
     def psi(self, root, lam, parts):
-        """psi(s_lam in `parts` variables) = s_lam(x_{i(beta),1..parts})."""
+        """psi(s_lam in `parts` variables) = s_lam(x_{i(beta),1..parts}) in
+        Schur coordinates: (its class, its label), the label lam at the
+        support node and () elsewhere.  `CohaElement.from_label` expands
+        it."""
         d = tuple(parts * x for x in self.dim_vector(root))
-        offsets, nvars = CohaElement.layout(self.quiver, d)
         node = self.support_node(root)
-        p = schur(lam, parts, offsets[node], nvars)
-        return CohaElement(self.quiver, d, p, check=False)
+        return d, tuple(lam if n == node else () for n in self.quiver.nodes)
 
 
 def hom_ext(rs, I, J):
@@ -323,18 +325,18 @@ def _root_tuples(rs, roots, bound):
     return out
 
 
-def _bucket(buckets, zeros, elem):
-    """File a PBW product under its slice (d, k).
+def _bucket(buckets, zeros, cls, quiver, d, row):
+    """File a PBW product, a row in Schur coordinates of class d, under its
+    slice (d, k).
 
     A PBW product is a product of homogeneous factors, so it is homogeneous
-    and one term gives its degree.
+    and one label gives its degree.
     """
-    if elem.is_zero():
-        zeros.append(elem.degree)
+    if not row:
+        zeros.append(d)
         return
-    deg = key_degree(next(iter(elem.poly.terms)))
-    k = 2 * deg + elem.weight_form(elem.quiver, elem.degree)
-    buckets.setdefault((elem.degree, k), []).append(elem.poly.terms)
+    k = 2 * cls.label_degree(quiver, d, next(iter(row))) + cls.weight_form(quiver, d)
+    buckets.setdefault((d, k), []).append(row)
 
 
 def _slice_report(cls, quiver, buckets, zeros, reached, window):
@@ -407,12 +409,14 @@ def _pbw_report(rs, cls, act, step, words, bound, window):
     """Slice report of the products of `words` that land in the window.
 
     A word is (seed, slots): letter slots (root, m, odd) that act right to
-    left on the seed, an element or None for the unit of the algebra, which
-    a word starts from its rightmost letter instead of multiplying.  A
-    letter (root, lam, m) is the Schur image psi(s_lam) in m parts.  The
-    product's degree is the sum of its letter sizes plus the shift chained
-    by `step` over the slot classes, so each word within the bound gets the
-    budget window // 2 - shift for its letter sizes.  Products are shared
+    left on the seed, a class whose unit the word starts from, or None for
+    the unit of the algebra, which a word starts from its rightmost letter
+    instead of multiplying.  A letter (root, lam, m) is the Schur image
+    psi(s_lam) in m parts, and act(quiver, d, f, e, g) multiplies rows in
+    Schur coordinates (schur_mul or schur_act).  The product's degree is the
+    sum of its letter sizes plus the shift chained by `step` over the slot
+    classes, so each word within the bound gets the budget window // 2 -
+    shift for its letter sizes.  Products, (class, row) pairs, are shared
     through a memo of (seed class, suffix).
     """
     quiver = rs.quiver
@@ -420,24 +424,28 @@ def _pbw_report(rs, cls, act, step, words, bound, window):
 
     def product(seed, e0, word):
         if not word:
-            return cls.unit(quiver) if seed is None else seed
+            return e0, {tuple(() for _ in cls.blocks(quiver, e0)): 1}
         key = (e0, word)
         if key not in memo:
-            f = rs.psi(*word[0])
+            d, label = rs.psi(*word[0])
             rest = word[1:]
-            memo[key] = f if seed is None and not rest else act(f, product(seed, e0, rest))
+            if seed is None and not rest:
+                memo[key] = d, {label: 1}
+            else:
+                e, row = product(seed, e0, rest)
+                memo[key] = step(quiver, d, e)[1], act(quiver, d, {label: 1}, e, row)
         return memo[key]
 
     def rec(seed, e0, slots, word, left):
         if len(word) == len(slots):
-            _bucket(buckets, zeros, product(seed, e0, word))
+            _bucket(buckets, zeros, cls, quiver, *product(seed, e0, word))
             return
         root, m, odd = slots[-1 - len(word)]
         for lam in _letter_partitions(m, odd, left):
             rec(seed, e0, slots, ((root, lam, m),) + word, left - sum(lam))
 
     for seed, slots in words:
-        e = e0 = quiver.zero() if seed is None else seed.degree
+        e = e0 = quiver.zero() if seed is None else seed
         shift = 0
         for root, m, _ in reversed(slots):
             s, e = step(quiver, tuple(m * x for x in rs.dim_vector(root)), e)
@@ -469,7 +477,7 @@ def pbw_check_coha(rs, bound, window):
     reports = {}
     for name, roots in (("simple", rs.simple_roots()[::-1]), ("indecomposable", list(rs.order))):
         words = [(None, _slots(roots, tup)) for tup in _root_tuples(rs, roots, bound)]
-        reports[name] = _pbw_report(rs, CohaElement, shuffle_mul, _coha_step, words, bound, window)
+        reports[name] = _pbw_report(rs, CohaElement, schur_mul, _coha_step, words, bound, window)
     reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
     return reports
 
@@ -492,10 +500,9 @@ def pbw_check_cohm(rs, bound, window):
         outer = [_slots(outer_roots, tup) for tup in _root_tuples(rs, outer_roots, bound)]
         words = []
         for pi, e in _seeds(rs, sigma_roots):
-            seed = CohmElement.unit(rs.quiver, e)
             for mults in _root_tuples(rs, sigma_roots, [(cap - x) // 2 for cap, x in zip(bound, e)]):
                 gens = [(b, c, b in pi or rs.hyperbolic_case) for b, c in zip(sigma_roots, mults) if c]
-                words += [(seed, slots + gens) for slots in outer]
-        reports[name] = _pbw_report(rs, CohmElement, cohm_action, _cohm_step, words, bound, window)
+                words += [(e, slots + gens) for slots in outer]
+        reports[name] = _pbw_report(rs, CohmElement, schur_act, _cohm_step, words, bound, window)
     reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
     return reports

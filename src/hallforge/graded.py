@@ -8,6 +8,12 @@ and its variable prefix ("x" or "z"); the layout, the variable names, the
 invariance test, the weight 2*deg + form, the arithmetic, the JSON boundary
 and the graded slices (s_lam on GL blocks, s_lam(z^2) on BCD blocks) are
 written once here.
+
+The rank pipelines (the primitive quotients and the PBW checks) never build
+these polynomials: they work in Schur coordinates, on dicts {label: coeff}
+with a label one partition per block (`slice_labels`), where a slice basis
+is the unit rows of its labels.  Only the bases that `PrimitiveTable`
+stores are expanded, by `from_label`.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .errors import GradingError
 from .parallel import pmap
 from .poly import Poly
 from .series import InvariantTable
-from .symfun import weight_basis, weight_basis_size
+from .symfun import schur_product, weight_basis, weight_basis_size, weight_labels
 
 
 class GradedElement:
@@ -91,6 +97,31 @@ class GradedElement:
             basis, _ = weight_basis([b for b in cls.blocks(quiver, d) if b[2]], deg)
             out = quiver._cache[key] = [cls(quiver, d, p, check=False) for p in basis]
         return out
+
+    @classmethod
+    def slice_labels(cls, quiver, d, k):
+        """The labels of the (d, k) slice basis, one partition per block of
+        cls.blocks(quiver, d), in the order of `slice_basis`; kept in
+        quiver._cache under ("slice_labels", class, d, k).  The list is
+        shared, so callers must not mutate it."""
+        deg = cls.slice_degree(quiver, d, k)
+        if deg is None:
+            return []
+        key = ("slice_labels", cls, d, k)
+        out = quiver._cache.get(key)
+        if out is None:
+            out = quiver._cache[key] = weight_labels(cls.blocks(quiver, d), deg)
+        return out
+
+    @classmethod
+    def from_label(cls, quiver, d, label):
+        """The slice basis element of a label, expanded into its polynomial."""
+        return cls(quiver, d, schur_product(cls.blocks(quiver, d), label), check=False)
+
+    @classmethod
+    def label_degree(cls, quiver, d, label):
+        """Polynomial degree of the basis element of a label."""
+        return sum(sum(lam) * (1 if kind == "GL" else 2) for (_, kind, _), lam in zip(cls.blocks(quiver, d), label))
 
     @classmethod
     def slice_dim(cls, quiver, d, k):
@@ -173,7 +204,9 @@ class GradedElement:
 
     @classmethod
     def from_json_dict(cls, quiver, doc):
-        """Inverse of to_json_dict; a malformed document raises GradingError."""
+        """Inverse of to_json_dict; a malformed document raises GradingError.
+        Each monomial appears in one term: a repeated one (also {"x:1:1": 0}
+        after {}) is refused, not summed or overwritten."""
         if not (isinstance(doc, dict) and isinstance(doc.get("d"), list) and isinstance(doc.get("poly"), list)):
             raise GradingError('an element document is an object {"d": [...], "poly": [...]}')
         # exact input only: integers, and strings for coefficients; a float
@@ -195,7 +228,10 @@ class GradedElement:
                     key[names[nm]] = e
                 if type(c) is not int and type(c) is not str:
                     raise TypeError
-                terms[tuple(key)] = Fraction(c)
+                key = tuple(key)
+                if key in terms:
+                    raise GradingError("poly term %r repeats the monomial of an earlier term" % (t,))
+                terms[key] = Fraction(c)
             except KeyError as exc:
                 raise GradingError("unknown variable %s in degree %r" % (exc, d)) from None
             except (TypeError, ValueError, ZeroDivisionError):
@@ -217,11 +253,12 @@ class PrimitiveTable:
 
     @classmethod
     def build(cls, quiver, kind, elem_cls, basis, classes, window, maxdim):
-        """The table of basis(quiver, d, k) over the classes d and the nonempty
-        slices form <= k <= form + window (the validity of d), where form is
-        elem_cls.weight_form(quiver, d).  The classes are tasks of `pmap`:
-        sequentially they share quiver._cache; in a process pool each task
-        gets a copy of the quiver without its cache.  The polynomials come
+        """The table of basis(quiver, d, k), a list of slice labels, over the
+        classes d and the nonempty slices form <= k <= form + window (the
+        validity of d), where form is elem_cls.weight_form(quiver, d).  The
+        classes are tasks of `pmap`: sequentially they share quiver._cache;
+        in a process pool each task gets a copy of the quiver without its
+        cache.  Each task expands its labels into polynomials, which come
         back as elements over the caller's quiver either way."""
         dims, bases, validity = {}, {}, {}
         tasks = [(quiver, elem_cls, basis, d, window) for d in classes]
@@ -244,7 +281,7 @@ def _class_slices(task):
     for k in range(form, form + window + 1):
         if elem_cls.slice_degree(quiver, d, k) is None:
             continue
-        polys = [c.poly for c in basis(quiver, d, k)]
+        polys = [elem_cls.from_label(quiver, d, lab).poly for lab in basis(quiver, d, k)]
         if polys:
             out.append((k, polys))
     return out

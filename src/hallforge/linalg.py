@@ -1,8 +1,9 @@
 """Sparse exact Gaussian elimination over the rationals.
 
-Rows are dicts mapping ordered keys (the packed-int monomials of `Poly`) to
-int or Fraction entries.  The pivot of a row is its smallest key, so the
-choice is deterministic; pivot rows are normalized to leading coefficient 1.
+Rows are dicts mapping ordered keys (in the library, the slice labels of
+Schur coordinates) to int or Fraction entries.  The pivot of a row is its
+smallest key, so the choice is deterministic; pivot rows are normalized to
+leading coefficient 1.
 """
 
 from __future__ import annotations
@@ -66,15 +67,15 @@ class Echelon:
         return True
 
 
-def complement(ech, elements):
-    """The elements (with a polynomial `.poly`, whose terms are the rows) that
-    raise the rank of ech when added in order; ech is extended.  When the
-    elements span a space containing the rows of ech, the chosen ones span a
-    complement of them; under that condition rank == len(elements) means ech
-    already spans them all, so the answer is [] and no element is read."""
-    if ech.rank == len(elements):
+def complement(ech, labels):
+    """The basis labels whose unit rows raise the rank of ech when added in
+    order; ech is extended.  When the labels span a space containing the
+    rows of ech, the chosen ones span a complement of them; under that
+    condition rank == len(labels) means ech already spans them all, so the
+    answer is [] and no label is read."""
+    if ech.rank == len(labels):
         return []
-    return [x for x in elements if ech.add(x.poly.terms)]
+    return [lab for lab in labels if ech.add({lab: 1})]
 
 
 def rank_of_rows(rows):

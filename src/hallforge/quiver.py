@@ -318,10 +318,14 @@ class QuiverWithDuality:
         """Empty the per-quiver cache.
 
         It holds the adjacency matrix and the structure key, and one entry
-        per (class, d, k) key for the slice bases, the CoHA ideal echelons,
-        generator complements and primitive bases, and the W^prim slices.
-        So it grows with the (class, d, k) keys that the calls on this
-        quiver enumerate.  Every entry is recomputed on demand."""
+        per (class, d, k) key for the slice labels ("slice_labels") and
+        slice bases, the CoHA ideal echelons, generator complements and
+        primitive bases, and the W^prim slices.  So it grows with the
+        (class, d, k) keys that the calls on this quiver enumerate.  It also
+        holds one integrand per pair of classes that the Schur-coordinate
+        products multiply, ("coha_integrand", d1, d2) and ("cohm_integrand",
+        d, e), a polynomial each, growing with the pairs that the image
+        steps and PBW words visit.  Every entry is recomputed on demand."""
         self._cache.clear()
 
     def __eq__(self, other):

@@ -1,24 +1,39 @@
-"""Symmetric-function bases.
+"""Symmetric-function bases and the straightening rule.
 
 Schur polynomials are divided differences of a single monomial,
 s_lam = partial_w0(x^(lam + delta)), computed without division.  BCD blocks
 are polynomials in squared variables: the basis element for a partition lam
 is s_lam(z^2), invariant under signed permutations of the z's.
+
+The same identity read backwards is the straightening rule: partial_w0 sends
+a monomial x^alpha to 0 when alpha has a repeated entry, and otherwise to
+sign(w) s_(w(alpha) - delta), w the permutation sorting alpha into strictly
+decreasing order (Macdonald I.3: a_(lam + delta) = s_lam a_delta).  So a push
+along a full flag is one sort per monomial, and its result is read in Schur
+coordinates: a label, one partition per block, indexes the basis element
+`schur_product(block_spec, label)` of `weight_basis`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import HallforgeError
-from .poly import Poly
+from .poly import SHIFT, Poly, unpack_exponents
 
 
 def partitions(total, max_parts, min_part=1):
     """All partitions of `total` into at most `max_parts` parts, as weakly
     decreasing tuples, in a fixed deterministic (descending-lex) order."""
+    return list(_partitions(total, max_parts, min_part))
+
+
+@lru_cache(maxsize=1 << 12)
+def _partitions(total, max_parts, min_part):
     if total == 0:
-        return [()]
+        return ((),)
     if max_parts == 0:
-        return []
+        return ()
     out = []
 
     def rec(rem, largest, prefix):
@@ -33,7 +48,7 @@ def partitions(total, max_parts, min_part=1):
             prefix.pop()
 
     rec(total, total, [])
-    return out
+    return tuple(out)
 
 
 def schur(lam, n, offset=0, ring_n=None, squared=False):
@@ -63,6 +78,105 @@ def schur(lam, n, offset=0, ring_n=None, squared=False):
     return out
 
 
+def straighten(alpha):
+    """partial_w0(x^alpha) in Schur coordinates: None when the exponent
+    tuple alpha has a repeated entry, else (sign, lam) with
+    partial_w0(x^alpha) = sign * s_lam, lam = sort(alpha) - delta without
+    its trailing zeros and sign that of the sorting permutation."""
+    n = len(alpha)
+    srt = sorted(alpha, reverse=True)
+    if any(srt[i] == srt[i + 1] for i in range(n - 1)):
+        return None
+    swaps = sum(alpha[i] < alpha[j] for i in range(n) for j in range(i + 1, n))
+    lam = [x - (n - 1 - i) for i, x in enumerate(srt)]
+    while lam and not lam[-1]:
+        lam.pop()
+    return 1 - 2 * (swaps % 2), tuple(lam)
+
+
+@lru_cache(maxsize=1 << 16)
+def _straighten_packed(block, size):
+    """`straighten` of the exponents of a packed monomial block (size
+    variables, SHIFT bits each, as `poly` packs them); memoized on the
+    packed int, since the pushes of one pass meet the same blocks many
+    times and a repeated block then costs one lookup."""
+    return straighten(unpack_exponents(block, size))
+
+
+@lru_cache(maxsize=1 << 12)
+def lead(lam, n):
+    """The exponents lam + delta of the monomial whose partial_w0 is s_lam
+    in n variables."""
+    return tuple((lam[i] if i < len(lam) else 0) + n - 1 - i for i in range(n))
+
+
+def lead_product(f, fslots, g, gslots, nvars):
+    """sum over the labels a of f and b of g of f_a g_b x^lead(a) x^lead(b),
+    a Poly in nvars variables: the inputs of a product in Schur
+    coordinates as lead monomials.  The slots hold, per partition of a
+    label, (first slot, number of variables, step, shift, sign base): a
+    partition lam lays out step * (lam + delta) + shift from the first slot
+    on, times base^|lam|."""
+
+    def packed(label, slots):
+        key, sign = 0, 1
+        for lam, (first, size, step, shift, base) in zip(label, slots):
+            for j, x in enumerate(lead(lam, size)):
+                key += (step * x + shift) << (SHIFT * (first + j))
+            if base < 0 and sum(lam) % 2:
+                sign = -sign
+        return key, sign
+
+    terms = {}
+    right = [(packed(b, gslots), cb) for b, cb in g.items()]
+    for a, ca in f.items():
+        ka, sa = packed(a, fslots)
+        for (kb, sb), cb in right:
+            k = ka + kb
+            terms[k] = terms.get(k, 0) + sa * sb * ca * cb
+    return Poly(nvars, {k: c for k, c in terms.items() if c})
+
+
+def straighten_terms(terms, blocks):
+    """partial_w0 on each block of a polynomial, in Schur coordinates.
+
+    terms: packed monomials (see `poly`) -> coefficient;
+    blocks: (offset, size) of every block, in label order.  Returns {label:
+    coeff}, the label the partitions of `straighten` per block, with the
+    signs multiplied in; a monomial with a repeated exponent in some block
+    drops out."""
+    out = {}
+    cuts = [(SHIFT * off, (1 << (SHIFT * size)) - 1, size) for off, size in blocks]
+    for key, c in terms.items():
+        label = []
+        for shift, mask, size in cuts:
+            r = _straighten_packed((key >> shift) & mask, size)
+            if r is None:
+                break
+            if r[0] < 0:
+                c = -c
+            label.append(r[1])
+        else:
+            label = tuple(label)
+            v = out.get(label, 0) + c
+            if v:
+                out[label] = v
+            else:
+                del out[label]
+    return out
+
+
+def add_box(lam, nparts):
+    """The partitions lam + one box with at most nparts parts (Pieri:
+    s_1 s_lam is their sum)."""
+    padded = lam + (0,)
+    return [
+        lam[:i] + (padded[i] + 1,) + lam[i + 1 :]
+        for i in range(min(len(lam) + 1, nparts))
+        if i == 0 or lam[i - 1] > padded[i]
+    ]
+
+
 # -- graded bases -------------------------------------------------------------
 
 
@@ -75,51 +189,55 @@ def block_offsets(block_spec):
     return offsets, pos
 
 
-def weight_basis(block_spec, degree):
-    """Basis of the invariant slice of given total polynomial degree.
+def weight_labels(block_spec, degree):
+    """Labels of the Schur basis of the invariant slice of given total
+    polynomial degree: one partition per block, in a fixed deterministic
+    order (blocks in order, the degree of each block ascending, then the
+    order of `partitions`).
 
     block_spec: list of (label, kind, nvars) with kind in {"GL", "BCD"}.
-    GL blocks contribute Schur polynomials of degree |lam|; BCD blocks
-    contribute s_lam(z^2) of degree 2|lam|.  Returns (basis polys, labels)
-    in a deterministic order.
+    A GL block with partition lam contributes s_lam, of degree |lam|; a BCD
+    block contributes s_lam(z^2), of degree 2|lam|.
     """
     if degree < 0:
-        return [], []
-    offsets, ring_n = block_offsets(block_spec)
+        return []
     choices = []
     for (_, kind, nv) in block_spec:
-        per = {}
-        if kind == "GL":
-            for deg in range(degree + 1):
-                per[deg] = partitions(deg, nv)
-        else:
-            for deg in range(0, degree + 1, 2):
-                per[deg] = partitions(deg // 2, nv)
-        choices.append(per)
-
-    basis, labels = [], []
+        step = 1 if kind == "GL" else 2
+        choices.append([(deg, partitions(deg // step, nv)) for deg in range(0, degree + 1, step)])
+    labels = []
 
     def rec(i, rem, picked):
         if i == len(block_spec):
             if rem == 0:
-                poly = Poly.const(ring_n, 1)
-                for (blk, lam) in picked:
-                    _, kind, nv = block_spec[blk]
-                    factor = schur(
-                        lam, nv, offsets[blk], ring_n, squared=(kind == "BCD")
-                    )
-                    poly = poly * factor
-                basis.append(poly)
-                labels.append(tuple(lam for _, lam in picked))
+                labels.append(tuple(picked))
             return
-        for deg in sorted(choices[i]):
+        for deg, parts in choices[i]:
             if deg > rem:
                 break
-            for lam in choices[i][deg]:
-                rec(i + 1, rem - deg, picked + [(i, lam)])
+            for lam in parts:
+                rec(i + 1, rem - deg, picked + [lam])
 
     rec(0, degree, [])
-    return basis, labels
+    return labels
+
+
+def schur_product(block_spec, label):
+    """The basis polynomial of a label: the product over the blocks of
+    s_lam (GL) or s_lam(z^2) (BCD) in that block's variables."""
+    offsets, ring_n = block_offsets(block_spec)
+    poly = Poly.const(ring_n, 1)
+    for (_, kind, nv), off, lam in zip(block_spec, offsets, label):
+        if lam:
+            poly = poly * schur(lam, nv, off, ring_n, squared=(kind == "BCD"))
+    return poly
+
+
+def weight_basis(block_spec, degree):
+    """(basis polynomials, labels) of the invariant slice of given total
+    polynomial degree, in the order of `weight_labels`."""
+    labels = weight_labels(block_spec, degree)
+    return [schur_product(block_spec, lab) for lab in labels], labels
 
 
 def weight_basis_size(block_spec, degree):

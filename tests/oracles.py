@@ -7,10 +7,11 @@ their own directory.
 from fractions import Fraction
 from math import gcd
 
-from hallforge.coha import _ideal_echelon, generator_complement, s_involution
+from hallforge.coha import _ideal_echelon, generator_complement, s_label
 from hallforge.errors import HallforgeError, NonIntegralError
 from hallforge.linalg import Echelon
 from hallforge.poly import Poly
+from hallforge.quiver import QuiverWithDuality
 from hallforge.series import (
     MODULE,
     TORUS,
@@ -21,6 +22,23 @@ from hallforge.series import (
     qpochhammer_inf,
     sign_pow,
 )
+
+
+def q3(loops):
+    """Nodes 1 <-> 3 swapped and 2 fixed; arrows a: 1->2, b: 2->1, c: 2->3,
+    e: 3->2 with sigma swapping a <-> c and b <-> e (tau = +1), plus `loops`
+    sigma-fixed loops at node 2 with tau = -1; s = +1 everywhere."""
+    arrows = [("a", "1", "2"), ("b", "2", "1"), ("c", "2", "3"), ("e", "3", "2")]
+    sigma_arrows = {"a": "c", "c": "a", "b": "e", "e": "b"}
+    tau = {"a": 1, "b": 1, "c": 1, "e": 1}
+    for j in range(1, loops + 1):
+        arrows.append(("l%d" % j, "2", "2"))
+        sigma_arrows["l%d" % j] = "l%d" % j
+        tau["l%d" % j] = -1
+    return QuiverWithDuality(
+        ["1", "2", "3"], arrows, {"1": "3", "2": "2", "3": "1"}, sigma_arrows,
+        {"1": 1, "2": 1, "3": 1}, tau,
+    )
 
 
 def _distinct_permutations(items):
@@ -71,24 +89,25 @@ def char_mul(a, b):
     return a._convolve(b, TORUS, add, tw, signed=True)
 
 
-def full_image_echelon(quiver, pairs, slice_basis, form, act, k):
+def full_image_echelon(quiver, pairs, slice_labels, form, act, k):
     """`coha.image_echelon` without its stop rule: every product of every
-    pair, even after the echelon spans the slice."""
+    pair, even after the echelon spans the slice.  Rows are in Schur
+    coordinates, as there."""
     ech = Echelon()
     for a, rest in pairs:
         for k1 in range(quiver.euler_form(a, a), k - form(quiver, rest) + 1):
             gens = generator_complement(quiver, a, k1)
             if not gens:
                 continue
-            for b in slice_basis(quiver, rest, k - k1):
+            for b in slice_labels(quiver, rest, k - k1):
                 for c in gens:
-                    ech.add(act(c, b).poly.terms)
+                    ech.add(act(quiver, a, {c: 1}, rest, {b: 1}))
     return ech
 
 
-def full_complement(ech, elements):
+def full_complement(ech, labels):
     """`linalg.complement` without its shortcut for a full echelon."""
-    return [x for x in elements if ech.add(x.poly.terms)]
+    return [lab for lab in labels if ech.add({lab: 1})]
 
 
 def quotient_involution_matrix(quiver, d, k):
@@ -96,7 +115,9 @@ def quotient_involution_matrix(quiver, d, k):
     the coordinates of S_H(c_j) in the stored complement basis c.  This is
     how `coha.equivariant_dt` read the eigenspaces before it took them from
     ranks.  The solve keeps, with every pivot row, its coordinates modulo the
-    ideal: none for an ideal row, e_j - (the reduction) for c_j."""
+    ideal: none for an ideal row, e_j - (the reduction) for c_j.  Rows are in
+    Schur coordinates, where S_H moves each node's partition to its sigma
+    image with the sign (-1)^(total size)."""
     gens = generator_complement(quiver, d, k)
     ideal = _ideal_echelon(quiver, d, k).pivots if sum(d) > 1 else {}
     pivots = {lead: (row, {}) for lead, row in ideal.items()}
@@ -119,7 +140,7 @@ def quotient_involution_matrix(quiver, d, k):
         return row, coords
 
     for j, c in enumerate(gens):
-        res, coords = reduce(c.poly.terms)
+        res, coords = reduce({c: 1})
         lead = min(res)
         top = Fraction(res[lead])
         coords = {i: -v for i, v in coords.items()}
@@ -127,7 +148,8 @@ def quotient_involution_matrix(quiver, d, k):
         pivots[lead] = ({key: v / top for key, v in res.items()}, {i: v / top for i, v in coords.items()})
     mat = []
     for c in gens:
-        res, coords = reduce(s_involution(c).poly.terms)
+        sign, image = s_label(quiver, c)
+        res, coords = reduce({image: sign})
         if res:
             raise HallforgeError("S_H does not preserve ideal + complement span")
         mat.append([coords.get(i, Fraction(0)) for i in range(len(gens))])

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from hallforge import cli
 
 L2_DOC = {
     "nodes": ["1"],
@@ -18,7 +22,10 @@ L2_DOC = {
 }
 
 
-def run_cli(args, timeout=None):
+def run_entry(args, timeout=None):
+    """(exit code, stdout, stderr) of `python -m hallforge.cli args`: for the
+    entry point itself and for the checks that bad input prints no
+    traceback."""
     proc = subprocess.run(
         [sys.executable, "-m", "hallforge.cli"] + args,
         capture_output=True,
@@ -26,6 +33,19 @@ def run_cli(args, timeout=None):
         timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(args):
+    """What run_entry returns, from cli.main(args) in this process: the
+    streams are captured, and argparse's SystemExit gives the exit code, as
+    `sys.exit(main())` does."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return code or 0, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture()
@@ -36,7 +56,7 @@ def l2_path(tmp_path):
 
 
 def test_dt_invariants_table(l2_path):
-    code, out, _ = run_cli(["dt-invariants", "--quiver", l2_path, "--max-dim", "2", "--window", "12"])
+    code, out, _ = run_entry(["dt-invariants", "--quiver", l2_path, "--max-dim", "2", "--window", "12"])
     assert code == 0
     assert out.splitlines() == ["t^1 : -q^{-1/2}", "t^2 : q^-2"]
 
@@ -83,7 +103,7 @@ def test_malformed_doc_exit2(tmp_path):
 def test_malformed_quiver_spec_exit2(tmp_path, field, value, message):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(dict(L2_DOC, **{field: value})))
-    code, out, err = run_cli(["dt-series", "--quiver", str(p)])
+    code, out, err = run_entry(["dt-series", "--quiver", str(p)])
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err and "Traceback" not in err
 
@@ -155,18 +175,18 @@ def test_pbw_check_cohm_a3_cli():
 
 
 def test_pbw_check_unknown_word_exit2(l2_path):
-    code, out, err = run_cli(["pbw-check", "foo", "--type", "A2", "--bound", "1", "--window", "2"])
+    code, out, err = run_entry(["pbw-check", "foo", "--type", "A2", "--bound", "1", "--window", "2"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "'foo'" in err and "Traceback" not in err
     # a word after any other command, or a second word, is refused as well
-    code, out, err = run_cli(["dt-invariants", "foo", "--quiver", l2_path, "--max-dim", "1", "--window", "2"])
+    code, out, err = run_entry(["dt-invariants", "foo", "--quiver", l2_path, "--max-dim", "1", "--window", "2"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "'foo'" in err and "Traceback" not in err
     for argv in (
         ["dt-invariants", "foo", "bar", "--quiver", l2_path, "--max-dim", "1", "--window", "2"],
         ["pbw-check", "coha", "extra", "words", "--type", "A2", "--bound", "1", "--window", "2"],
     ):
-        code, out, err = run_cli(argv)
+        code, out, err = run_entry(argv)
         assert code == 2 and out == "" and "Traceback" not in err, argv
 
 
@@ -229,7 +249,7 @@ def test_exponent_overflow_exit2(tmp_path):
     f = tmp_path / "f.json"
     # the loop factor x'' - x' lifts the packed maximum 1023 to 1024
     f.write_text(json.dumps({"d": [1], "poly": [{"exp": {"x:1:1": 1023}, "c": "1"}]}))
-    code, out, err = run_cli(["mul", "--quiver", str(q), "--lhs", str(f), "--rhs", str(f)])
+    code, out, err = run_entry(["mul", "--quiver", str(q), "--lhs", str(f), "--rhs", str(f)])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
@@ -244,7 +264,7 @@ def test_exponent_overflow_exit2(tmp_path):
     ["pbw-check", "cohm", "--type", "A-1", "--bound", "1", "--window", "2"],
 ])
 def test_negative_size_exit2(l2_path, args):
-    code, out, err = run_cli(args + ["--quiver", l2_path])
+    code, out, err = run_entry(args + ["--quiver", l2_path])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
@@ -271,7 +291,7 @@ def test_enumeration_work_cap_exit2(tmp_path):
         "s": {"1": 1, "2": 1, "3": 1}, "tau": {},
     }))
     # C(2003, 3), about 1.3e9 classes: refused before any is enumerated
-    code, out, err = run_cli(["dt-series", "--quiver", str(p), "--max-dim", "2000"], timeout=60)
+    code, out, err = run_entry(["dt-series", "--quiver", str(p), "--max-dim", "2000"], timeout=60)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "work cap" in err and "Traceback" not in err
 
@@ -334,6 +354,11 @@ ONE_VAR = {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "1"}]}
     ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "1/0"}]}, "rhs": ONE_VAR}, "rational coefficient"),
     ("act", {"coha": {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "1/0"}]}, "cohm": {"d": [1], "poly": []}},
      "rational coefficient"),
+    # a repeated monomial is refused, not overwritten by the last term
+    ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "1"}, {"exp": {"x:1:1": 1}, "c": "2"}]},
+             "rhs": ONE_VAR}, "repeats the monomial"),
+    ("mul", {"lhs": {"d": [1], "poly": [{"exp": {}, "c": "1"}, {"exp": {"x:1:1": 0}, "c": "1"}]},
+             "rhs": ONE_VAR}, "repeats the monomial"),
 ])
 def test_malformed_element_input_exit2(tmp_path, l2_path, command, files, message):
     args = [command, "--quiver", l2_path] if command != "thom" else [command, "--type", "A2"]
@@ -341,7 +366,7 @@ def test_malformed_element_input_exit2(tmp_path, l2_path, command, files, messag
         path = tmp_path / ("%s.json" % flag)
         path.write_text(json.dumps(doc))
         args += ["--" + flag, str(path)]
-    code, out, err = run_cli(args)
+    code, out, err = run_entry(args)
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err and "Traceback" not in err
 

@@ -271,19 +271,19 @@ def test_shuffle_mul_against_shuffle_sum():
 
 def _stopped_against_full(quiver, maxdim, window, mmax, mwindow, tally):
     """Every image step of the CoHA and CoHM quotients of quiver against the
-    full loop of oracles.full_image_echelon; tally counts (filled, not filled)
-    slices."""
+    full loop of oracles.full_image_echelon, both in Schur coordinates; tally
+    counts (filled, not filled) slices."""
     from oracles import full_complement, full_image_echelon
 
     from hallforge.coha import (
         _ideal_echelon,
-        _power_sum_element,
-        coha_slice_basis,
+        _times_power_sum,
         generator_complement,
         image_echelon,
         primitive_basis,
+        schur_mul,
     )
-    from hallforge.cohm import CohmElement, _wprim_slice, cohm_action, cohm_slice_basis, module_classes
+    from hallforge.cohm import CohmElement, _wprim_slice, module_classes, schur_act
 
     def check(stopped, full, dim):
         assert stopped.rank == full.rank <= dim
@@ -291,17 +291,18 @@ def _stopped_against_full(quiver, maxdim, window, mmax, mwindow, tally):
         if full.rank < dim:
             assert stopped.pivots == full.pivots
 
+    labels_of = CohaElement.slice_labels
     for d in quiver.dimension_vectors(maxdim):
         chi = quiver.euler_form(d, d)
         for k in range(chi, chi + window + 1):
             deg = CohaElement.slice_degree(quiver, d, k)
             if deg is None:
                 continue
-            basis = coha_slice_basis(quiver, d, k)
+            basis = labels_of(quiver, d, k)
             if sum(d) > 1:
                 pairs = quiver.decompositions(d, sum(d) - 1)
-                full = full_image_echelon(quiver, pairs, coha_slice_basis, CohaElement.weight_form, shuffle_mul, k)
-                stopped = image_echelon(quiver, pairs, coha_slice_basis, CohaElement.weight_form, shuffle_mul, k, len(basis))
+                full = full_image_echelon(quiver, pairs, labels_of, CohaElement.weight_form, schur_mul, k)
+                stopped = image_echelon(quiver, pairs, labels_of, CohaElement.weight_form, schur_mul, k, len(basis))
                 check(stopped, full, len(basis))
                 assert _ideal_echelon(quiver, d, k).pivots == stopped.pivots
                 assert generator_complement(quiver, d, k) == full_complement(full.copy(), basis)
@@ -309,19 +310,18 @@ def _stopped_against_full(quiver, maxdim, window, mmax, mwindow, tally):
                 full = Echelon()
             # the sigma_d tower of primitive_basis, with every row added
             if deg > 0:
-                sigma = _power_sum_element(quiver, d)
                 for c in generator_complement(quiver, d, k - 2):
-                    full.add((sigma.poly * c.poly).terms)
+                    full.add(_times_power_sum(quiver, d, c))
             assert primitive_basis(quiver, d, k) == full_complement(full, basis)
     for e in module_classes(quiver, mmax):
         ee = quiver.sd_euler_form(e)
         for k in range(ee, ee + mwindow + 1):
-            basis = cohm_slice_basis(quiver, e, k)
+            basis = CohmElement.slice_labels(quiver, e, k)
             if not basis:
                 continue
             pairs = quiver.decompositions(e, sum(e) // 2, quiver.hyperbolic)
-            full = full_image_echelon(quiver, pairs, cohm_slice_basis, CohmElement.weight_form, cohm_action, k)
-            stopped = image_echelon(quiver, pairs, cohm_slice_basis, CohmElement.weight_form, cohm_action, k, len(basis))
+            full = full_image_echelon(quiver, pairs, CohmElement.slice_labels, CohmElement.weight_form, schur_act, k)
+            stopped = image_echelon(quiver, pairs, CohmElement.slice_labels, CohmElement.weight_form, schur_act, k, len(basis))
             check(stopped, full, len(basis))
             assert _wprim_slice(quiver, e, k) == (full.rank, full_complement(full, basis))
 
@@ -351,16 +351,16 @@ def test_image_echelon_stops_once_the_slice_is_spanned(monkeypatch):
     events = []
     monkeypatch.setattr(coha, "generator_complement", lambda *args: events.append("complement") or complement_of(*args))
 
-    def act(c, b):
-        out = shuffle_mul(c, b)
-        events.append(out.poly.terms)
+    def act(quiver, a, c, rest, b):
+        out = coha.schur_mul(quiver, a, c, rest, b)
+        events.append(out)
         return out
 
     saved = filled = 0
     for k in range(L0.euler_form(d, d), 13, 2):
-        dim = len(coha.coha_slice_basis(L0, d, k))
+        dim = len(CohaElement.slice_labels(L0, d, k))
         events.clear()
-        ech = coha.image_echelon(L0, pairs, coha.coha_slice_basis, CohaElement.weight_form, act, k, dim)
+        ech = coha.image_echelon(L0, pairs, CohaElement.slice_labels, CohaElement.weight_form, act, k, dim)
         rows = [e for e in events if e != "complement"]
         # replaying the computed products: every one but the last left the
         # rank below dim, so none was computed after the slice was spanned
@@ -375,7 +375,7 @@ def test_image_echelon_stops_once_the_slice_is_spanned(monkeypatch):
             assert events[-1] != "complement"
             filled += 1
         events.clear()
-        full = full_image_echelon(L0, pairs, coha.coha_slice_basis, CohaElement.weight_form, act, k)
+        full = full_image_echelon(L0, pairs, CohaElement.slice_labels, CohaElement.weight_form, act, k)
         assert full.rank == ech.rank
         saved += sum(e != "complement" for e in events) - len(rows)
     assert filled and saved > 0
@@ -383,9 +383,8 @@ def test_image_echelon_stops_once_the_slice_is_spanned(monkeypatch):
 
 def test_complement_of_a_full_echelon_reads_no_element():
     class Unread:
-        @property
-        def poly(self):
-            raise AssertionError("complement read .poly of an element")
+        def __hash__(self):
+            raise AssertionError("complement read a label")
 
     ech = Echelon()
     ech.add({3: 1, 5: 2})

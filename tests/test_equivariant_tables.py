@@ -16,28 +16,11 @@ from pathlib import Path
 
 from hallforge.coha import _plus_dim, equivariant_dt
 from hallforge.proputils import Lcg
-from hallforge.quiver import QuiverWithDuality, a1_tilde, disjoint_double, loop_quiver
+from hallforge.quiver import a1_tilde, disjoint_double, loop_quiver
 
-from oracles import quotient_involution_matrix
+from oracles import q3, quotient_involution_matrix
 
 GOLDEN = Path(__file__).parent / "data" / "equivariant_tables.json"
-
-
-def q3(loops):
-    """Nodes 1 <-> 3 swapped and 2 fixed; arrows a: 1->2, b: 2->1, c: 2->3,
-    e: 3->2 with sigma swapping a <-> c and b <-> e (tau = +1), plus `loops`
-    sigma-fixed loops at node 2 with tau = -1; s = +1 everywhere."""
-    arrows = [("a", "1", "2"), ("b", "2", "1"), ("c", "2", "3"), ("e", "3", "2")]
-    sigma_arrows = {"a": "c", "c": "a", "b": "e", "e": "b"}
-    tau = {"a": 1, "b": 1, "c": 1, "e": 1}
-    for j in range(1, loops + 1):
-        arrows.append(("l%d" % j, "2", "2"))
-        sigma_arrows["l%d" % j] = "l%d" % j
-        tau["l%d" % j] = -1
-    return QuiverWithDuality(
-        ["1", "2", "3"], arrows, {"1": "3", "2": "2", "3": "1"}, sigma_arrows,
-        {"1": 1, "2": 1, "3": 1}, tau,
-    )
 
 
 # name -> (quiver constructor, target or None for zero, maxdim, window)

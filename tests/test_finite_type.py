@@ -275,10 +275,10 @@ def test_pbw_products_are_homogeneous_and_in_window(monkeypatch):
     seen = []
     bucket = finite_type._bucket
 
-    def checked(buckets, zeros, elem):
-        if not elem.is_zero():
-            seen.append(elem)
-        bucket(buckets, zeros, elem)
+    def checked(buckets, zeros, cls, quiver, d, row):
+        if row:
+            seen.append((cls, quiver, d, row))
+        bucket(buckets, zeros, cls, quiver, d, row)
 
     monkeypatch.setattr(finite_type, "_bucket", checked)
     for check, args, bound, window in [
@@ -291,9 +291,10 @@ def test_pbw_products_are_homogeneous_and_in_window(monkeypatch):
         del seen[:]
         assert check(build_typeA(*args), bound, window)["pass"]
         assert len(seen) > 20
-        for elem in seen:
-            assert elem.poly.is_homogeneous()
-            assert elem.poly.degree() <= window // 2
+        for cls, quiver, d, row in seen:
+            degrees = {cls.label_degree(quiver, d, label) for label in row}
+            assert len(degrees) == 1  # homogeneous
+            assert max(degrees) <= window // 2
 
 
 @pytest.mark.parametrize("check, cls, dropped", [
@@ -307,9 +308,9 @@ def test_pbw_fills_classes_without_products(monkeypatch, check, cls, dropped):
 
     bucket = finite_type._bucket
 
-    def drop(buckets, zeros, elem):
-        if elem.degree != dropped:
-            bucket(buckets, zeros, elem)
+    def drop(buckets, zeros, cls, quiver, d, row):
+        if d != dropped:
+            bucket(buckets, zeros, cls, quiver, d, row)
 
     monkeypatch.setattr(finite_type, "_bucket", drop)
     rs = build_typeA(2, ">", "symplectic")
@@ -354,7 +355,7 @@ def _flat_pbw_coha(rs, bound, window, budget):
     def product(key):
         """left product of the psi-images over ((root, mult, lam), ...)"""
         if key not in memo:
-            f = rs.psi(*key[-1])
+            f = CohaElement.from_label(rs.quiver, *rs.psi(*key[-1]))
             memo[key] = f if len(key) == 1 else shuffle_mul(product(key[:-1]), f)
         return memo[key]
 
@@ -397,7 +398,7 @@ def _flat_pbw_cohm(rs, bound, window, budget):
                     ]
                     if sum(map(sum, mus)) > budget:
                         continue
-                    base = act_many([rs.psi(b, mu, c) for (b, c), mu in zip(gens, mus)], seed)
+                    base = act_many([CohaElement.from_label(rs.quiver, *rs.psi(b, mu, c)) for (b, c), mu in zip(gens, mus)], seed)
                     for tup in _root_tuples(rs, outer_roots, bound):
                         active = [(outer_roots[i], m) for i, m in enumerate(tup) if m]
                         e = list(base.e)
@@ -407,7 +408,7 @@ def _flat_pbw_cohm(rs, bound, window, budget):
                         if any(x > c for x, c in zip(e, bound)):
                             continue
                         for outer in _lam_choices([m for _, m in active], budget):
-                            factors = [rs.psi(r, lam, m) for (r, m), lam in zip(active, outer)]
+                            factors = [CohaElement.from_label(rs.quiver, *rs.psi(r, lam, m)) for (r, m), lam in zip(active, outer)]
                             products.append(act_many(factors, base))
         slices[name] = _flat_report(CohmElement, rs.quiver, products, window)
     return slices
