@@ -128,8 +128,8 @@ def _mul_integrand(quiver, d1, d2):
         mid = {n: offsets[n] + d1[idx[n]] for n in quiver.nodes}
         kernel = _arrow_numerators(quiver, offsets, mid, d1, d2, Poly.const(nvars, 1))
         kernel = kernel.scale(sign_pow(sum(a * b for a, b in zip(d1, d2))))
-        fslots = [(offsets[n], d1[idx[n]], 1, 0, 1) for n in quiver.nodes]
-        gslots = [(mid[n], d2[idx[n]], 1, 0, 1) for n in quiver.nodes]
+        fslots = tuple((offsets[n], d1[idx[n]], 1, 0, 1) for n in quiver.nodes)
+        gslots = tuple((mid[n], d2[idx[n]], 1, 0, 1) for n in quiver.nodes)
         blocks = [(offsets[n], d[idx[n]]) for n in quiver.nodes]
         out = quiver._cache[key] = (kernel, fslots, gslots, blocks)
     return out

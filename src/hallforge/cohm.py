@@ -317,7 +317,7 @@ def _act_integrand(quiver, d, e):
             deferred = deferred.mul_linear(1, y, -1, z)
         fixed.append((SHIFT * o, (1 << (SHIFT * size)) - 1, dn, m))
         gslots.append((o + dn, m, 2, 0, 1))
-    cached = quiver._cache[key] = (kernel.scale(sign), deferred, fslots, gslots, fixed, blocks)
+    cached = quiver._cache[key] = (kernel.scale(sign), deferred, tuple(fslots), tuple(gslots), fixed, blocks)
     return cached
 
 

@@ -20,9 +20,12 @@ letter through step(quiver, d, e) -> (shift, class), which is
 (-chi(d, e), d + e) for the product and (`action_degree_shift`, H(d) + e)
 for the action.  Each word thus gets the exact budget window // 2 - shift,
 and the engine computes exactly the products that land in the weight
-window, sharing suffixes through one memo.  The checks read only ranks, so
-letters and products are rows in Schur coordinates (`coha.schur_mul`,
-`cohm.schur_act`) and no polynomial is expanded.
+window, sharing suffixes through one memo.  The slots alone fix the chain
+of classes and the shift, so both are computed once per word, and each
+product is filed under the slice its word fixes, not one read off its
+terms.  The checks read only ranks, so letters and products are rows in
+Schur coordinates (`coha.schur_mul`, `cohm.schur_act`) and no polynomial
+is expanded.
 """
 
 from __future__ import annotations
@@ -157,42 +160,33 @@ def hom_ext(rs, I, J):
 
 
 def ar_order(rs):
-    """Total order with Hom(I_i, I_j) = 0 = Ext^1(I_j, I_i) for i < j."""
+    """Total order with Hom(I_i, I_j) = 0 = Ext^1(I_j, I_i) for i < j.
+
+    Hom(r, t) != 0 forces t before r and Ext^1(r, t) != 0 forces r before t;
+    among the roots whose predecessors are all placed, the smallest goes
+    next.  One Hom/Ext table serves the constraints and the validation."""
     roots = rs.roots
-    after = {r: set() for r in roots}  # edges r -> s meaning r before s
-    for r in roots:
-        for t in roots:
-            if r == t:
-                continue
-            hom, ext = hom_ext(rs, r, t)
-            if hom:
-                after[t].add(r)  # Hom(r,t) != 0 forces t < r
-            if ext:
-                after[r].add(t)  # Ext^1(r,t) != 0 forces r < t
-    order = []
-    placed = set()
+    table = {(r, t): hom_ext(rs, r, t) for r in roots for t in roots if r != t}
+    preds = {r: set() for r in roots}  # the roots that must precede r
+    for (r, t), (hom, ext) in table.items():
+        if hom:
+            preds[r].add(t)
+        if ext:
+            preds[t].add(r)
+    order, placed = [], set()
     while len(order) < len(roots):
-        ready = sorted(
-            r for r in roots if r not in placed and all(p in placed for p in _preds(after, r))
-        )
+        ready = [r for r in roots if r not in placed and preds[r] <= placed]
         if not ready:
             raise HallforgeError("cycle in AR constraints (bug for type A)")
-        pick = ready[0]
+        pick = min(ready)
         order.append(pick)
         placed.add(pick)
     # validate both vanishing conditions
     for i, r in enumerate(order):
         for t in order[i + 1 :]:
-            hom, _ = hom_ext(rs, r, t)
-            _, ext = hom_ext(rs, t, r)
-            if hom or ext:
+            if table[(r, t)][0] or table[(t, r)][1]:
                 raise HallforgeError("AR order violates the vanishing conditions")
     return order
-
-
-def _preds(after, r):
-    """Roots that must precede r."""
-    return [p for p, succ in after.items() if r in succ]
 
 
 # -- Thom polynomials ---------------------------------------------------------
@@ -325,17 +319,12 @@ def _root_tuples(rs, roots, bound):
     return out
 
 
-def _bucket(buckets, zeros, cls, quiver, d, row):
+def _bucket(buckets, zeros, d, k, row):
     """File a PBW product, a row in Schur coordinates of class d, under its
-    slice (d, k).
-
-    A PBW product is a product of homogeneous factors, so it is homogeneous
-    and one label gives its degree.
-    """
+    slice (d, k); its word fixes k (see `_pbw_report`)."""
     if not row:
         zeros.append(d)
         return
-    k = 2 * cls.label_degree(quiver, d, next(iter(row))) + cls.weight_form(quiver, d)
     buckets.setdefault((d, k), []).append(row)
 
 
@@ -360,8 +349,10 @@ def _slice_report(cls, quiver, buckets, zeros, reached, window):
     for d in sorted(reached):
         lo = cls.weight_form(quiver, d)
         for k in range(lo, lo + window + 1):
+            if (d, k) in slices:
+                continue
             dim = cls.slice_dim(quiver, d, k)
-            if dim and (d, k) not in slices:
+            if dim:
                 ok = False
                 slices[(d, k)] = (0, 0, dim)
     return {"pass": ok, "slices": slices}
@@ -413,48 +404,82 @@ def _pbw_report(rs, cls, act, step, words, bound, window):
     the unit of the algebra, which a word starts from its rightmost letter
     instead of multiplying.  A letter (root, lam, m) is the Schur image
     psi(s_lam) in m parts, and act(quiver, d, f, e, g) multiplies rows in
-    Schur coordinates (schur_mul or schur_act).  The product's degree is the
-    sum of its letter sizes plus the shift chained by `step` over the slot
-    classes, so each word within the bound gets the budget window // 2 -
-    shift for its letter sizes.  Products, (class, row) pairs, are shared
-    through a memo of (seed class, suffix).
+    Schur coordinates (schur_mul or schur_act).  The slots alone fix the
+    classes of the word's suffixes and the shift chained by `step` over
+    them, so each word within the bound gets the budget window // 2 - shift
+    for its letter sizes, and each product lands in the slice k = 2 (sum of
+    letter sizes + shift) + weight form of its class.  Steps, letters,
+    letter partitions and weight forms are memoized for the report;
+    products, rows, are shared through a memo of (seed class, suffix).
     """
     quiver = rs.quiver
     buckets, zeros, reached, memo = {}, [], set(), {}
+    steps, letters, forms, sized = {}, {}, {}, {}
 
-    def product(seed, e0, word):
+    def psi(letter):
+        if letter not in letters:
+            letters[letter] = rs.psi(*letter)
+        return letters[letter]
+
+    def product(seed, e0, chain, word):
+        """The row of `word` acting on the seed; chain[j] is the class of
+        its last j letters acting on it."""
         if not word:
-            return e0, {tuple(() for _ in cls.blocks(quiver, e0)): 1}
+            return {tuple(() for _ in cls.blocks(quiver, e0)): 1}
         key = (e0, word)
-        if key not in memo:
-            d, label = rs.psi(*word[0])
+        row = memo.get(key)
+        if row is None:
+            d, label = psi(word[0])
             rest = word[1:]
             if seed is None and not rest:
-                memo[key] = d, {label: 1}
+                row = {label: 1}
             else:
-                e, row = product(seed, e0, rest)
-                memo[key] = step(quiver, d, e)[1], act(quiver, d, {label: 1}, e, row)
-        return memo[key]
+                row = act(quiver, d, {label: 1}, chain[len(rest)], product(seed, e0, chain, rest))
+            memo[key] = row
+        return row
 
-    def rec(seed, e0, slots, word, left):
+    def rec(seed, e0, slots, chain, word, left, k):
         if len(word) == len(slots):
-            _bucket(buckets, zeros, cls, quiver, *product(seed, e0, word))
+            _bucket(buckets, zeros, chain[-1], k, product(seed, e0, chain, word))
             return
         root, m, odd = slots[-1 - len(word)]
-        for lam in _letter_partitions(m, odd, left):
-            rec(seed, e0, slots, ((root, lam, m),) + word, left - sum(lam))
+        key = (m, odd, left)
+        if key not in sized:
+            sized[key] = [(lam, sum(lam)) for lam in _letter_partitions(m, odd, left)]
+        for lam, size in sized[key]:
+            rec(seed, e0, slots, chain, ((root, lam, m),) + word, left - size, k + 2 * size)
 
     for seed, slots in words:
-        e = e0 = quiver.zero() if seed is None else seed
-        shift = 0
+        e0 = quiver.zero() if seed is None else seed
+        chain, shift = [e0], 0
         for root, m, _ in reversed(slots):
-            s, e = step(quiver, tuple(m * x for x in rs.dim_vector(root)), e)
+            key = (tuple(m * x for x in rs.dim_vector(root)), chain[-1])
+            if key not in steps:
+                steps[key] = step(quiver, *key)
+            s, e = steps[key]
+            chain.append(e)
             shift += s
+        e = chain[-1]
         if all(x <= cap for x, cap in zip(e, bound)):
             reached.add(e)
             if window // 2 >= shift:
-                rec(seed, e0, slots, (), window // 2 - shift)
+                if e not in forms:
+                    forms[e] = cls.weight_form(quiver, e)
+                rec(seed, e0, slots, chain, (), window // 2 - shift, 2 * shift + forms[e])
     return _slice_report(cls, quiver, buckets, zeros, reached, window)
+
+
+def _pbw_bound(rs, bound, window):
+    """The per-node dimension cap of a PBW check as a tuple, after checking
+    the input: bound is an int or a tuple of one int per node, all >= 0,
+    and window an int >= 0.  `_root_tuples` caps a root only on the nodes
+    that the bound covers, so a short tuple would never stop it."""
+    caps = (bound,) * rs.n if type(bound) is int else bound
+    if type(caps) is not tuple or len(caps) != rs.n or any(type(x) is not int or x < 0 for x in caps):
+        raise GradingError("bound must be an int >= 0 or a tuple of %d such ints, not %r" % (rs.n, bound))
+    if type(window) is not int or window < 0:
+        raise GradingError("window must be an int >= 0, not %r" % (window,))
+    return caps
 
 
 def _slots(roots, tup):
@@ -465,15 +490,16 @@ def _slots(roots, tup):
 def pbw_check_coha(rs, bound, window):
     """Both ordered multiplication maps are graded isomorphisms up to bound.
 
-    bound: per-node dimension cap (int or tuple).  Checks, per (d, k) with k
-    within the window, that the ordered products of root-subalgebra basis
+    bound: per-node dimension cap, an int or a tuple of one int per node,
+    all >= 0, and window an int >= 0; any other input raises GradingError
+    before any work (`_pbw_bound`).  Checks, per (d, k) with k within the
+    window, that the ordered products of root-subalgebra basis
     elements span H_(d,k) in the exact number dim H_(d,k).  The products
     are the words of Schur images over each root tuple, acting on the unit;
     s_lam1 * ... * s_lamr of classes d_1, ..., d_r has degree
     sum |lam_i| - sum_{i<j} chi(d_i, d_j).
     """
-    if isinstance(bound, int):
-        bound = (bound,) * rs.n
+    bound = _pbw_bound(rs, bound, window)
     reports = {}
     for name, roots in (("simple", rs.simple_roots()[::-1]), ("indecomposable", list(rs.order))):
         words = [(None, _slots(roots, tup)) for tup in _root_tuples(rs, roots, bound)]
@@ -491,10 +517,10 @@ def pbw_check_cohm(rs, bound, window):
     2c (+1 when beta is in pi) a generator letter is the psi-image s_mu of
     the c-fold product of odd-indexed (types B and C) or even-indexed (type
     D) generators.  The degree of a word is the sum of its letter sizes plus
-    the chained `action_degree_shift`.
+    the chained `action_degree_shift`.  bound and window are checked as in
+    `pbw_check_coha`.
     """
-    if isinstance(bound, int):
-        bound = (bound,) * rs.n
+    bound = _pbw_bound(rs, bound, window)
     reports = {}
     for name, outer_roots, sigma_roots in _module_cases(rs):
         outer = [_slots(outer_roots, tup) for tup in _root_tuples(rs, outer_roots, bound)]

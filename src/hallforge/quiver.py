@@ -14,6 +14,7 @@ form E, hyperbolic map H, Witt class) is computed here in exact integers.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from math import comb
 
 from .errors import (
@@ -221,29 +222,48 @@ class QuiverWithDuality:
             self._cache[key] = a
         return self._cache[key]
 
+    # The forms sum over index and sign tuples built on a quiver's first
+    # form evaluation, so that building a quiver does not pay for them.
+
+    @cached_property
+    def _arrow_ends(self):
+        """(tail, head) indices of every arrow."""
+        return tuple((self.node_index[t], self.node_index[h]) for _, t, h in self.arrows)
+
+    @cached_property
+    def _sd_terms(self):
+        """The four sums of E: (index, s) of the fixed nodes, (sigma(i), i)
+        of Q0^+, (head, tau s_head) of the fixed arrows and (sigma(tail),
+        head) of Q1^+."""
+        idx = self.node_index
+        plus_arrows = set(self.arrow_partition[2])
+        return (
+            tuple((idx[n], self.s[n]) for n in self.q0_sigma),
+            tuple((idx[self.sigma_nodes[n]], idx[n]) for n in self.q0_plus),
+            tuple((idx[h], self.tau[a] * self.s[h]) for a, t, h in self.arrows if self.sigma_arrows[a] == a),
+            tuple((idx[self.sigma_nodes[t]], idx[h]) for a, t, h in self.arrows if a in plus_arrows),
+        )
+
     def euler_form(self, d, dp):
         """chi(d, d') = sum_i d_i d'_i - sum_{a: i->j} d_i d'_j."""
         total = sum(x * y for x, y in zip(d, dp))
-        for _, t, h in self.arrows:
-            total -= d[self.node_index[t]] * dp[self.node_index[h]]
+        for t, h in self._arrow_ends:
+            total -= d[t] * dp[h]
         return total
 
     def sd_euler_form(self, d):
         """Self-dual Euler form E(d) (four-sum formula; empty sums give 0)."""
-        idx = self.node_index
+        fixed_nodes, plus_nodes, fixed_arrows, plus_arrows = self._sd_terms
         total = 0
-        for n in self.q0_sigma:
-            total += d[idx[n]] * (d[idx[n]] - self.s[n]) // 2
-        for n in self.q0_plus:
-            total += d[idx[self.sigma_nodes[n]]] * d[idx[n]]
-        for a, t, h in self.arrows:
-            if self.sigma_arrows[a] == a:
-                # fixed arrow sigma(i) -> i contributes d_i (d_i + tau s_i)/2
-                total -= d[idx[h]] * (d[idx[h]] + self.tau[a] * self.s[h]) // 2
-        plus_arrows = set(self.arrow_partition[2])
-        for a, t, h in self.arrows:
-            if a in plus_arrows:
-                total -= d[idx[self.sigma_nodes[t]]] * d[idx[h]]
+        for i, s in fixed_nodes:
+            total += d[i] * (d[i] - s) // 2
+        for j, i in plus_nodes:
+            total += d[j] * d[i]
+        # a fixed arrow sigma(i) -> i contributes d_i (d_i + tau s_i) / 2
+        for i, sign in fixed_arrows:
+            total -= d[i] * (d[i] + sign) // 2
+        for j, i in plus_arrows:
+            total -= d[j] * d[i]
         return total
 
     def star_twist(self, d, e):

@@ -110,27 +110,31 @@ def lead(lam, n):
     return tuple((lam[i] if i < len(lam) else 0) + n - 1 - i for i in range(n))
 
 
+@lru_cache(maxsize=1 << 16)
+def _lead_key(label, slots):
+    """(packed x^lead, sign) of a label under a slot layout, as
+    `lead_product` reads them; memoized, since the products of one pass
+    pack the same labels under the same layouts many times."""
+    key, sign = 0, 1
+    for lam, (first, size, step, shift, base) in zip(label, slots):
+        for j, x in enumerate(lead(lam, size)):
+            key += (step * x + shift) << (SHIFT * (first + j))
+        if base < 0 and sum(lam) % 2:
+            sign = -sign
+    return key, sign
+
+
 def lead_product(f, fslots, g, gslots, nvars):
     """sum over the labels a of f and b of g of f_a g_b x^lead(a) x^lead(b),
     a Poly in nvars variables: the inputs of a product in Schur
-    coordinates as lead monomials.  The slots hold, per partition of a
-    label, (first slot, number of variables, step, shift, sign base): a
+    coordinates as lead monomials.  The slots, a tuple, hold per partition
+    of a label (first slot, number of variables, step, shift, sign base): a
     partition lam lays out step * (lam + delta) + shift from the first slot
     on, times base^|lam|."""
-
-    def packed(label, slots):
-        key, sign = 0, 1
-        for lam, (first, size, step, shift, base) in zip(label, slots):
-            for j, x in enumerate(lead(lam, size)):
-                key += (step * x + shift) << (SHIFT * (first + j))
-            if base < 0 and sum(lam) % 2:
-                sign = -sign
-        return key, sign
-
     terms = {}
-    right = [(packed(b, gslots), cb) for b, cb in g.items()]
+    right = [(_lead_key(b, gslots), cb) for b, cb in g.items()]
     for a, ca in f.items():
-        ka, sa = packed(a, fslots)
+        ka, sa = _lead_key(a, fslots)
         for (kb, sb), cb in right:
             k = ka + kb
             terms[k] = terms.get(k, 0) + sa * sb * ca * cb

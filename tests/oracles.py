@@ -9,6 +9,7 @@ from math import gcd
 
 from hallforge.coha import _ideal_echelon, generator_complement, s_label
 from hallforge.errors import HallforgeError, NonIntegralError
+from hallforge.finite_type import hom_ext
 from hallforge.linalg import Echelon
 from hallforge.poly import Poly
 from hallforge.quiver import QuiverWithDuality
@@ -39,6 +40,67 @@ def q3(loops):
         ["1", "2", "3"], arrows, {"1": "3", "2": "2", "3": "1"}, sigma_arrows,
         {"1": 1, "2": 1, "3": 1}, tau,
     )
+
+
+def loop_euler_form(quiver, d, dp):
+    """chi(d, d') by the loop over the arrow triples, with a node-index
+    lookup per arrow: the oracle for `QuiverWithDuality.euler_form`."""
+    total = sum(x * y for x, y in zip(d, dp))
+    for _, t, h in quiver.arrows:
+        total -= d[quiver.node_index[t]] * dp[quiver.node_index[h]]
+    return total
+
+
+def loop_sd_euler_form(quiver, d):
+    """E(d) by the four loops over nodes and arrows, with dict lookups
+    throughout: the oracle for `QuiverWithDuality.sd_euler_form`."""
+    idx = quiver.node_index
+    total = 0
+    for n in quiver.q0_sigma:
+        total += d[idx[n]] * (d[idx[n]] - quiver.s[n]) // 2
+    for n in quiver.q0_plus:
+        total += d[idx[quiver.sigma_nodes[n]]] * d[idx[n]]
+    for a, t, h in quiver.arrows:
+        if quiver.sigma_arrows[a] == a:
+            total -= d[idx[h]] * (d[idx[h]] + quiver.tau[a] * quiver.s[h]) // 2
+    plus_arrows = set(quiver.arrow_partition[2])
+    for a, t, h in quiver.arrows:
+        if a in plus_arrows:
+            total -= d[idx[quiver.sigma_nodes[t]]] * d[idx[h]]
+    return total
+
+
+def rescan_ar_order(rs):
+    """`finite_type.ar_order` as it rescans every edge set at each step and
+    recomputes Hom/Ext in its validation: the oracle of the one-table
+    version."""
+    roots = rs.roots
+    after = {r: set() for r in roots}  # edges r -> s meaning r before s
+    for r in roots:
+        for t in roots:
+            if r == t:
+                continue
+            hom, ext = hom_ext(rs, r, t)
+            if hom:
+                after[t].add(r)
+            if ext:
+                after[r].add(t)
+    order = []
+    placed = set()
+    while len(order) < len(roots):
+        ready = sorted(
+            r for r in roots
+            if r not in placed and all(p in placed for p, succ in after.items() if r in succ)
+        )
+        if not ready:
+            raise HallforgeError("cycle in AR constraints (bug for type A)")
+        order.append(ready[0])
+        placed.add(ready[0])
+    for i, r in enumerate(order):
+        for t in order[i + 1 :]:
+            if hom_ext(rs, r, t)[0] or hom_ext(rs, t, r)[1]:
+                raise HallforgeError("AR order violates the vanishing conditions")
+    return order
 
 
 def _distinct_permutations(items):

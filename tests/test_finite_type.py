@@ -141,6 +141,28 @@ def test_ar_order_validates():
     assert rs.order == [(1, 1)]
 
 
+def test_ar_order_matches_rescan_oracle():
+    # one Hom/Ext table and predecessor sets give the orders of the rescanning
+    # version
+    from oracles import rescan_ar_order
+
+    systems = list(sigma_compatible_systems(6))
+    assert len(systems) == 2 * (1 + 2 + 2 + 4 + 4 + 8)  # palindromic orientations
+    for rs in systems:
+        assert ar_order(rs) == rescan_ar_order(rs) == rs.order, (rs.n, rs.orientation, rs.duality_type)
+
+
+def test_ar_order_cycle_raises(monkeypatch):
+    from hallforge import finite_type
+    from hallforge.errors import HallforgeError
+
+    rs = build_typeA(2, ">", "orthogonal")
+    # Hom and Ext both nonzero both ways: every root must precede every other
+    monkeypatch.setattr(finite_type, "hom_ext", lambda rs, r, t: (1, 1))
+    with pytest.raises(HallforgeError, match="cycle"):
+        ar_order(rs)
+
+
 def test_duality_partition_involution():
     for n, orient in ((2, ">"), (3, ">>"), (4, "><>")):
         rs = build_typeA(n, orient, "symplectic")
@@ -268,33 +290,40 @@ def test_slice_report_fills_every_class_reached():
 
 
 def test_pbw_products_are_homogeneous_and_in_window(monkeypatch):
-    # _bucket reads a product's degree off one term; the exact budgets compute
+    # _bucket files a product under the slice k that its word fixes; every
+    # label of the row must lie in that slice, and the exact budgets compute
     # no product above the window
     from hallforge import finite_type
 
     seen = []
     bucket = finite_type._bucket
 
-    def checked(buckets, zeros, cls, quiver, d, row):
+    def checked(buckets, zeros, d, k, row):
         if row:
-            seen.append((cls, quiver, d, row))
-        bucket(buckets, zeros, cls, quiver, d, row)
+            seen.append((d, k, row))
+        bucket(buckets, zeros, d, k, row)
 
     monkeypatch.setattr(finite_type, "_bucket", checked)
-    for check, args, bound, window in [
-        (pbw_check_coha, (2, ">", "orthogonal"), 3, 8),
-        (pbw_check_coha, (3, ">>", "orthogonal"), 2, 8),
-        (pbw_check_cohm, (2, ">", "symplectic"), 2, 12),
-        (pbw_check_cohm, (3, ">>", "orthogonal"), 3, 8),
-        (pbw_check_cohm, (3, "<<", "symplectic"), 2, 8),
+    for check, cls, args, bound, window in [
+        (pbw_check_coha, CohaElement, (2, ">", "orthogonal"), 3, 8),
+        (pbw_check_coha, CohaElement, (3, ">>", "orthogonal"), 2, 8),
+        (pbw_check_cohm, CohmElement, (2, ">", "symplectic"), 2, 12),
+        (pbw_check_cohm, CohmElement, (3, ">>", "orthogonal"), 3, 8),
+        (pbw_check_cohm, CohmElement, (3, "<<", "symplectic"), 2, 8),
+        (pbw_check_coha, CohaElement, (4, ">>>", "orthogonal"), 2, 4),
+        (pbw_check_cohm, CohmElement, (4, "><>", "symplectic"), 2, 6),
     ]:
         del seen[:]
-        assert check(build_typeA(*args), bound, window)["pass"]
+        rs = build_typeA(*args)
+        quiver = rs.quiver
+        assert check(rs, bound, window)["pass"]
         assert len(seen) > 20
-        for cls, quiver, d, row in seen:
+        for d, k, row in seen:
             degrees = {cls.label_degree(quiver, d, label) for label in row}
             assert len(degrees) == 1  # homogeneous
             assert max(degrees) <= window // 2
+            # the slice read off the word is the slice of every label
+            assert 2 * max(degrees) + cls.weight_form(quiver, d) == k
 
 
 @pytest.mark.parametrize("check, cls, dropped", [
@@ -308,9 +337,9 @@ def test_pbw_fills_classes_without_products(monkeypatch, check, cls, dropped):
 
     bucket = finite_type._bucket
 
-    def drop(buckets, zeros, cls, quiver, d, row):
+    def drop(buckets, zeros, d, k, row):
         if d != dropped:
-            bucket(buckets, zeros, cls, quiver, d, row)
+            bucket(buckets, zeros, d, k, row)
 
     monkeypatch.setattr(finite_type, "_bucket", drop)
     rs = build_typeA(2, ">", "symplectic")
@@ -338,6 +367,44 @@ def test_pbw_cohm_a3(orient, duality, bound, window):
     # action can lower the degree, and those products were never computed
     rep = pbw_check_cohm(build_typeA(3, orient, duality), bound, window)
     assert rep["pass"], {n: rep[n]["slices"] for n in ("simple", "indecomposable")}
+
+
+@pytest.mark.parametrize("check", [pbw_check_coha, pbw_check_cohm])
+@pytest.mark.parametrize("bound, window", [
+    ((2, 2), 4),  # short: roots past the tuple's end were never capped
+    ((2, 2, 2, 2), 4),
+    ((2, 2.0, 2), 4),
+    ([2, 2, 2], 4),
+    (2.5, 4),
+    (True, 4),
+    (-1, 4),
+    ((2, -1, 2), 4),
+    ("2", 4),
+    (2, -1),
+    (2, 2.0),
+    (2, True),
+    (2, None),
+])
+def test_pbw_checks_refuse_bad_bound_or_window(monkeypatch, check, bound, window):
+    from hallforge import finite_type
+
+    def no_work(*args):
+        raise AssertionError("enumerated before checking the input")
+
+    rs = build_typeA(3, ">>", "orthogonal")
+    monkeypatch.setattr(finite_type, "_root_tuples", no_work)
+    with pytest.raises(GradingError):
+        check(rs, bound, window)
+
+
+@pytest.mark.parametrize("check", [pbw_check_coha, pbw_check_cohm])
+def test_pbw_checks_take_a_full_bound_tuple(check):
+    rs = build_typeA(3, ">>", "orthogonal")
+    assert check(rs, (2, 2, 2), 4) == check(rs, 2, 4)
+    rep = check(rs, (1, 2, 1), 4)
+    reached = {d for name in ("simple", "indecomposable") for d, _ in rep[name]["slices"]}
+    assert reached and all(x <= c for d in reached for x, c in zip(d, (1, 2, 1)))
+    assert (0, 2, 0) in reached
 
 
 def _flat_pbw_coha(rs, bound, window, budget):

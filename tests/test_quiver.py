@@ -208,3 +208,44 @@ def test_dimension_vectors_order_and_cap():
     assert len(three.dimension_vectors(big - 1)) == comb(big + 2, 3)
     with pytest.raises(HallforgeError, match="work cap"):
         three.dimension_vectors(big)
+
+
+def _form_quivers():
+    """Quivers with every kind of form term: fixed and swapped nodes, fixed
+    loops and fixed arrows between swapped nodes with both tau, Q1^+ pairs,
+    and the type-A quivers of the PBW checks."""
+    from oracles import q3
+
+    from hallforge.finite_type import build_typeA
+
+    out = [loop_quiver(m, s=s, tau=[(-1) ** (j + t) for j in range(m)]) for m in range(4) for s in (1, -1) for t in (0, 1)]
+    out += [a1_tilde(tau=tau, s=s) for tau in (1, -1) for s in (1, -1)]
+    out += [a2_quiver(s) for s in (1, -1)] + [disjoint_double(a2_quiver()), disjoint_double(loop_quiver(2))]
+    out += [q3(loops) for loops in range(3)]
+    for n, orient in ((1, ""), (2, ">"), (3, "<<"), (4, "><>"), (5, ">>>>")):
+        out += [build_typeA(n, orient, duality).quiver for duality in ("orthogonal", "symplectic")]
+    return list(dict.fromkeys(out))  # loop_quiver(0) ignores tau
+
+
+def test_form_tables_match_loop_oracles():
+    # chi and E read index/sign tuples built on first use; the oracles loop
+    # over the arrow triples with dict lookups, as the forms did before
+    from oracles import loop_euler_form, loop_sd_euler_form
+
+    from hallforge.proputils import Lcg, random_dim
+
+    fresh = a1_tilde()
+    assert not {"_arrow_ends", "_sd_terms"} & set(vars(fresh))  # construction builds no table
+    fresh.euler_form((1, 0), (0, 1))
+    fresh.sd_euler_form((1, 1))
+    assert {"_arrow_ends", "_sd_terms"} <= set(vars(fresh))
+    rng = Lcg(2024)
+    for q in _form_quivers():
+        for _ in range(100):
+            d, dp = random_dim(rng, q, 6), random_dim(rng, q, 6)
+            assert q.euler_form(d, dp) == loop_euler_form(q, d, dp), (q, d, dp)
+            assert q.sd_euler_form(d) == loop_sd_euler_form(q, d), (q, d)
+            assert q.star_twist(d, dp) == (
+                loop_euler_form(q, d, dp) - loop_euler_form(q, dp, d)
+                + loop_sd_euler_form(q, q.sigma_dim(d)) - loop_sd_euler_form(q, d)
+            )
