@@ -2,10 +2,10 @@
 with duality, and the resulting (orientifold) Donaldson-Thomas invariants.
 
 Everything is computed in exact rational arithmetic: sparse multivariate
-polynomials carry int/Fraction coefficients, series live in truncated
-Laurent rings in q^(1/2) with per-class validity windows, and the shuffle
-sums of the CoHA product and the CoHM action are divided-difference
-operators, so no rational function is ever formed.
+polynomials carry int/Fraction coefficients, and series live in truncated
+Laurent rings in q^(1/2) with per-class validity windows.  Bases are Schur
+labels, multiplied by straightening; polynomials exist only for element
+products (divided differences, no rational function) and JSON.
 """
 
 from .coha import (

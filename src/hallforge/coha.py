@@ -14,9 +14,10 @@ The primitive quotients only need ranks, so they stay in Schur coordinates
 elements by straightening the cached arrow numerators shifted by the lead
 monomials x'^(lam + delta) x''^(mu + delta), sigma_d s_lam is a Pieri step
 and S_H moves each partition to its sigma image with the sign (-1)^|lam|.
-`shuffle_mul` stays the product of polynomial elements (the CLI's `mul`,
-the property suites, the test oracles): routed through labels it would pay
-the conversions in and out of Schur coordinates on every call.
+The stored complement bases of V^prim are label lists too.  `shuffle_mul`
+stays the product of polynomial elements (the CLI's `mul`, the property
+suites, the test oracles): routed through labels it would pay the
+conversions in and out of Schur coordinates on every call.
 """
 
 from __future__ import annotations
@@ -166,11 +167,7 @@ def s_involution(f):
     return f.relabel(CohaElement, quiver, quiver.sigma_dim(f.d), quiver.sigma_nodes.get, -1)
 
 
-# -- graded slices --------------------------------------------------------------
-
-
-def coha_slice_basis(quiver, d, k):
-    return CohaElement.slice_basis(quiver, d, k)
+# -- DT invariants and primitive parts ------------------------------------------
 
 
 def dt_invariants(quiver, maxdim, window):
@@ -178,9 +175,6 @@ def dt_invariants(quiver, maxdim, window):
     if not quiver.is_symmetric():
         raise SymmetryError("DT invariants need a symmetric quiver")
     return invert_pochhammer_factorization(dt_series(quiver, maxdim, window))
-
-
-# -- primitive parts -------------------------------------------------------------
 
 
 def image_echelon(quiver, pairs, slice_labels, form, act, k, dim):

@@ -82,10 +82,6 @@ class CohmElement(GradedElement):
     from_json_dict = GradedElement.__dict__["from_json_dict"]
 
 
-def cohm_slice_basis(quiver, e, k):
-    return CohmElement.slice_basis(quiver, e, k)
-
-
 # -- the sigma-shuffle action ------------------------------------------------------
 
 

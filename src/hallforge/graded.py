@@ -9,11 +9,12 @@ invariance test, the weight 2*deg + form, the arithmetic, the JSON boundary
 and the graded slices (s_lam on GL blocks, s_lam(z^2) on BCD blocks) are
 written once here.
 
-The rank pipelines (the primitive quotients and the PBW checks) never build
-these polynomials: they work in Schur coordinates, on dicts {label: coeff}
-with a label one partition per block (`slice_labels`), where a slice basis
-is the unit rows of its labels.  Only the bases that `PrimitiveTable`
-stores are expanded, by `from_label`.
+A basis element is stored as its Schur label, one partition per block
+(`slice_labels`): the rank pipelines (the primitive quotients and the PBW
+checks) work on dicts {label: coeff}, where a slice basis is the unit rows
+of its labels, and `PrimitiveTable` keeps its complement bases as label
+lists.  Polynomials exist only for element products and JSON; `from_label`
+expands one label on demand.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import GradingError
 from .parallel import pmap
 from .poly import Poly
 from .series import InvariantTable
-from .symfun import schur_product, weight_basis, weight_basis_size, weight_labels
+from .symfun import schur_product, weight_basis_size, weight_labels
 
 
 class GradedElement:
@@ -83,27 +84,11 @@ class GradedElement:
         return (k - form) // 2
 
     @classmethod
-    def slice_basis(cls, quiver, d, k):
-        """The Schur basis of the (d, k) slice, built once per quiver: it is
-        kept in quiver._cache under (class, d, k), since on a loop quiver
-        the CoHA and the CoHM slices of one degree tuple differ.  The list
-        is shared, so callers must not mutate it."""
-        deg = cls.slice_degree(quiver, d, k)
-        if deg is None:
-            return []
-        key = ("slice_basis", cls, d, k)
-        out = quiver._cache.get(key)
-        if out is None:
-            basis, _ = weight_basis([b for b in cls.blocks(quiver, d) if b[2]], deg)
-            out = quiver._cache[key] = [cls(quiver, d, p, check=False) for p in basis]
-        return out
-
-    @classmethod
     def slice_labels(cls, quiver, d, k):
         """The labels of the (d, k) slice basis, one partition per block of
-        cls.blocks(quiver, d), in the order of `slice_basis`; kept in
-        quiver._cache under ("slice_labels", class, d, k).  The list is
-        shared, so callers must not mutate it."""
+        cls.blocks(quiver, d); kept in quiver._cache under ("slice_labels",
+        class, d, k), as the CoHA and CoHM slices of one degree tuple differ
+        on a loop quiver.  The list is shared, so callers must not mutate it."""
         deg = cls.slice_degree(quiver, d, k)
         if deg is None:
             return []
@@ -119,16 +104,11 @@ class GradedElement:
         return cls(quiver, d, schur_product(cls.blocks(quiver, d), label), check=False)
 
     @classmethod
-    def label_degree(cls, quiver, d, label):
-        """Polynomial degree of the basis element of a label."""
-        return sum(sum(lam) * (1 if kind == "GL" else 2) for (_, kind, _), lam in zip(cls.blocks(quiver, d), label))
-
-    @classmethod
     def slice_dim(cls, quiver, d, k):
         deg = cls.slice_degree(quiver, d, k)
         if deg is None:
             return 0
-        return weight_basis_size([b for b in cls.blocks(quiver, d) if b[2]], deg)
+        return weight_basis_size(cls.blocks(quiver, d), deg)
 
     # -- predicates and grading ------------------------------------------------
 
@@ -241,7 +221,8 @@ class GradedElement:
 
 class PrimitiveTable:
     """dim V^prim per (d,k) (kind "torus") or dim W^prim per (e,k) (kind
-    "module"), with the stored (non-canonical) complement basis."""
+    "module"), with the stored (non-canonical) complement basis as a list
+    of slice labels per (d, k); `from_label` expands one."""
 
     def __init__(self, quiver, kind, dims, bases, validity, maxdim):
         self.quiver = quiver
@@ -258,15 +239,15 @@ class PrimitiveTable:
         validity of d), where form is elem_cls.weight_form(quiver, d).  The
         classes are tasks of `pmap`: sequentially they share quiver._cache;
         in a process pool each task gets a copy of the quiver without its
-        cache.  Each task expands its labels into polynomials, which come
-        back as elements over the caller's quiver either way."""
+        cache.  The labels come back as they are (sequentially, the lists of
+        quiver._cache, so callers must not mutate them)."""
         dims, bases, validity = {}, {}, {}
         tasks = [(quiver, elem_cls, basis, d, window) for d in classes]
         for d, slices in zip(classes, pmap(_class_slices, tasks)):
             validity[d] = elem_cls.weight_form(quiver, d) + window
-            for k, polys in slices:
-                dims[(d, k)] = len(polys)
-                bases[(d, k)] = [elem_cls(quiver, d, p, check=False) for p in polys]
+            for k, labels in slices:
+                dims[(d, k)] = len(labels)
+                bases[(d, k)] = labels
         return cls(quiver, kind, dims, bases, validity, maxdim)
 
     def table(self):
@@ -274,14 +255,8 @@ class PrimitiveTable:
 
 
 def _class_slices(task):
-    """(k, basis polynomials) of every nonempty slice of one class."""
+    """(k, basis labels) of every nonempty slice of one class."""
     quiver, elem_cls, basis, d, window = task
-    form = elem_cls.weight_form(quiver, d)
-    out = []
-    for k in range(form, form + window + 1):
-        if elem_cls.slice_degree(quiver, d, k) is None:
-            continue
-        polys = [elem_cls.from_label(quiver, d, lab).poly for lab in basis(quiver, d, k)]
-        if polys:
-            out.append((k, polys))
-    return out
+    form = elem_cls.weight_form(quiver, d)  # slices with k - form odd are empty
+    slices = ((k, basis(quiver, d, k)) for k in range(form, form + window + 1, 2))
+    return [(k, labels) for k, labels in slices if labels]

@@ -7,14 +7,13 @@ failures are reproducible across implementations and runs.
 
 from __future__ import annotations
 
-from .coha import CohaElement, coha_slice_basis
+from .coha import CohaElement
 from .cohm import (
     CohmElement,
     check_disjoint_union,
     check_module_relation,
     check_sd_euler_disjoint,
     cohm_action,
-    cohm_slice_basis,
     general_factorization_check,
 )
 from .poly import Poly
@@ -75,31 +74,27 @@ def random_selfdual_dim(rng, quiver, total):
     return quiver.check_selfdual_dim(tuple(e))
 
 
-def _random_in_slice(rng, cls, quiver, d, basis, deg):
-    """A random integer combination of one or two slice basis elements (a
-    constant when the slice is the empty degree-0 one)."""
-    n = cls.layout(quiver, d)[1]
-    poly = Poly.zero(n)
-    if basis:
+def _random_in_slice(rng, cls, quiver, d, k):
+    """A random integer combination of one or two basis elements of the
+    (d, k) slice, each label drawn from `slice_labels` and expanded."""
+    labels = cls.slice_labels(quiver, d, k)
+    poly = Poly.zero(cls.layout(quiver, d)[1])
+    if labels:
         for _ in range(rng.randint(1, 2)):
-            poly = poly + rng.choice(basis).poly.scale(rng.randint(-3, 3))
-    elif deg == 0:
-        poly = Poly.const(n, rng.randint(-3, 3))
+            poly = poly + cls.from_label(quiver, d, rng.choice(labels)).poly.scale(rng.randint(-3, 3))
     return cls(quiver, d, poly, check=False)
 
 
 def random_coha_element(rng, quiver, maxtotal=3, maxdeg=2, exact=False):
     d = random_dim(rng, quiver, maxtotal, exact)
     deg = rng.randint(0, maxdeg)
-    basis = coha_slice_basis(quiver, d, quiver.euler_form(d, d) + 2 * deg)
-    return _random_in_slice(rng, CohaElement, quiver, d, basis, deg)
+    return _random_in_slice(rng, CohaElement, quiver, d, quiver.euler_form(d, d) + 2 * deg)
 
 
 def random_cohm_element(rng, quiver, maxtotal=3, maxdeg=2, exact=False):
     e = random_selfdual_dim(rng, quiver, maxtotal)
     deg = rng.randint(0, maxdeg)
-    basis = cohm_slice_basis(quiver, e, quiver.sd_euler_form(e) + 2 * deg)
-    return _random_in_slice(rng, CohmElement, quiver, e, basis, deg)
+    return _random_in_slice(rng, CohmElement, quiver, e, quiver.sd_euler_form(e) + 2 * deg)
 
 
 def _report(prop, failures, count):

@@ -31,6 +31,10 @@ from .errors import (
 # call may enumerate (C(maxdim + n, n) for n nodes).  Larger requests fail
 # with a HallforgeError before any work is done.
 MAX_DIMENSION_VECTORS = 100_000
+# Work cap: the most dense cells, classes x (window + 1), that one closed-form
+# series may expand.  Larger requests fail with a HallforgeError before any
+# cell is allocated.
+MAX_SERIES_CELLS = 2_000_000
 
 
 class QuiverWithDuality:
@@ -338,14 +342,15 @@ class QuiverWithDuality:
         """Empty the per-quiver cache.
 
         It holds the adjacency matrix and the structure key, and one entry
-        per (class, d, k) key for the slice labels ("slice_labels") and
-        slice bases, the CoHA ideal echelons, generator complements and
-        primitive bases, and the W^prim slices.  So it grows with the
-        (class, d, k) keys that the calls on this quiver enumerate.  It also
-        holds one integrand per pair of classes that the Schur-coordinate
-        products multiply, ("coha_integrand", d1, d2) and ("cohm_integrand",
-        d, e), a polynomial each, growing with the pairs that the image
-        steps and PBW words visit.  Every entry is recomputed on demand."""
+        per (class, d, k) key for the slice labels ("slice_labels"), the
+        CoHA ideal echelons, generator complements and primitive bases (as
+        labels, never polynomials), and the W^prim slices.  So it grows
+        with the (class, d, k) keys that the calls on this quiver
+        enumerate.  It also holds one integrand per pair of classes that the
+        Schur-coordinate products multiply, ("coha_integrand", d1, d2) and
+        ("cohm_integrand", d, e), a polynomial each, growing with the pairs
+        that the image steps and PBW words visit.  Every entry is recomputed
+        on demand."""
         self._cache.clear()
 
     def __eq__(self, other):

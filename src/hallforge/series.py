@@ -21,8 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import GradingError, KindMismatchError, NonIntegralError
+from .errors import GradingError, HallforgeError, KindMismatchError, NonIntegralError
 from .poly import _num
+from .quiver import MAX_SERIES_CELLS
 
 TORUS = "torus"
 MODULE = "module"
@@ -399,6 +400,15 @@ class QSeries:
 # -- closed forms --------------------------------------------------------------
 
 
+def _dense(classes, window):
+    """classes, once their dense cells, classes x (window + 1), fit the cap."""
+    if len(classes) * (window + 1) > MAX_SERIES_CELLS:
+        raise HallforgeError(
+            "%d classes over a window of %d exceed the work cap of %d series cells" % (len(classes), window, MAX_SERIES_CELLS)
+        )
+    return classes
+
+
 def _add_class(terms, meta, cls, lead, sign, steps, window):
     """Class cls of a closed form: sign q^(lead/2) / prod_(step in steps)
     (1 - q^(step/2)), known up to q^((lead + window)/2).
@@ -429,7 +439,7 @@ def qpochhammer_inf(quiver, kind, k0, dvec, maxdim, window, base=1):
         quiver.check_selfdual_dim(dvec)
     zero = quiver.zero()
     terms, meta = {(zero, 0): 1}, {zero: (0, None)}
-    for n in range(1, maxdim // sum(dvec) + 1):
+    for n in _dense(range(1, maxdim // sum(dvec) + 1), window):
         cls = tuple(n * x for x in dvec)
         kstart = n * k0 + base * n * (n - 1)
         steps = [2 * base * j for j in range(1, n + 1)]
@@ -454,7 +464,7 @@ def quantum_integer(n, base_power=1):
 def dt_series(quiver, maxdim, window):
     """A_Q = sum_d (-q^(1/2))^chi(d,d) / prod_i prod_{j<=d_i} (1-q^j) t^d."""
     terms, meta = {}, {}
-    for d in quiver.dimension_vectors(maxdim):
+    for d in _dense(quiver.dimension_vectors(maxdim), window):
         chi = quiver.euler_form(d, d)
         steps = [2 * j for di in d for j in range(1, di + 1)]
         _add_class(terms, meta, d, chi, sign_pow(chi), steps, window)
@@ -475,7 +485,7 @@ def ori_dt_series(quiver, maxdim, window):
     """A^sigma_Q per the equivariant-contractibility closed form."""
     terms, meta = {}, {}
     idx = quiver.node_index
-    for e in module_classes(quiver, maxdim):
+    for e in _dense(module_classes(quiver, maxdim), window):
         ee = quiver.sd_euler_form(e)
         steps = [2 * j for nd in quiver.q0_plus for j in range(1, e[idx[nd]] + 1)]
         steps += [4 * j for nd in quiver.q0_sigma for j in range(1, e[idx[nd]] // 2 + 1)]

@@ -11,7 +11,7 @@ sign(w) s_(w(alpha) - delta), w the permutation sorting alpha into strictly
 decreasing order (Macdonald I.3: a_(lam + delta) = s_lam a_delta).  So a push
 along a full flag is one sort per monomial, and its result is read in Schur
 coordinates: a label, one partition per block, indexes the basis element
-`schur_product(block_spec, label)` of `weight_basis`.
+`schur_product(block_spec, label)`; `weight_labels` lists a slice's labels.
 """
 
 from __future__ import annotations
@@ -112,16 +112,19 @@ def lead(lam, n):
 
 @lru_cache(maxsize=1 << 16)
 def _lead_key(label, slots):
-    """(packed x^lead, sign) of a label under a slot layout, as
-    `lead_product` reads them; memoized, since the products of one pass
-    pack the same labels under the same layouts many times."""
-    key, sign = 0, 1
+    """(packed x^lead, sign, largest exponent step * (lam_1 + size - 1) +
+    shift) of a label under a slot layout, as `lead_product` reads them;
+    memoized, since the products of one pass pack the same labels under the
+    same layouts many times."""
+    key, sign, top = 0, 1, 0
     for lam, (first, size, step, shift, base) in zip(label, slots):
         for j, x in enumerate(lead(lam, size)):
             key += (step * x + shift) << (SHIFT * (first + j))
+        if size:
+            top = max(top, step * ((lam[0] if lam else 0) + size - 1) + shift)
         if base < 0 and sum(lam) % 2:
             sign = -sign
-    return key, sign
+    return key, sign, top
 
 
 def lead_product(f, fslots, g, gslots, nvars):
@@ -130,15 +133,19 @@ def lead_product(f, fslots, g, gslots, nvars):
     coordinates as lead monomials.  The slots, a tuple, hold per partition
     of a label (first slot, number of variables, step, shift, sign base): a
     partition lam lays out step * (lam + delta) + shift from the first slot
-    on, times base^|lam|."""
+    on, times base^|lam|.  The slots of f and g are disjoint, so the largest
+    lead exponent of either side is the bound of the result: no term is
+    unpacked."""
     terms = {}
     right = [(_lead_key(b, gslots), cb) for b, cb in g.items()]
+    top = max([tb for (_, _, tb), _ in right], default=0)
     for a, ca in f.items():
-        ka, sa = _lead_key(a, fslots)
-        for (kb, sb), cb in right:
+        ka, sa, ta = _lead_key(a, fslots)
+        top = max(top, ta)
+        for (kb, sb, _), cb in right:
             k = ka + kb
             terms[k] = terms.get(k, 0) + sa * sb * ca * cb
-    return Poly(nvars, {k: c for k, c in terms.items() if c})
+    return Poly(nvars, {k: c for k, c in terms.items() if c}, top)
 
 
 def straighten_terms(terms, blocks):
@@ -184,15 +191,6 @@ def add_box(lam, nparts):
 # -- graded bases -------------------------------------------------------------
 
 
-def block_offsets(block_spec):
-    """Variable offsets for a list of (label, kind, nvars) blocks."""
-    offsets, pos = [], 0
-    for _, _, nv in block_spec:
-        offsets.append(pos)
-        pos += nv
-    return offsets, pos
-
-
 def weight_labels(block_spec, degree):
     """Labels of the Schur basis of the invariant slice of given total
     polynomial degree: one partition per block, in a fixed deterministic
@@ -229,23 +227,17 @@ def weight_labels(block_spec, degree):
 def schur_product(block_spec, label):
     """The basis polynomial of a label: the product over the blocks of
     s_lam (GL) or s_lam(z^2) (BCD) in that block's variables."""
-    offsets, ring_n = block_offsets(block_spec)
-    poly = Poly.const(ring_n, 1)
-    for (_, kind, nv), off, lam in zip(block_spec, offsets, label):
+    ring_n = sum(nv for _, _, nv in block_spec)
+    poly, off = Poly.const(ring_n, 1), 0
+    for (_, kind, nv), lam in zip(block_spec, label):
         if lam:
             poly = poly * schur(lam, nv, off, ring_n, squared=(kind == "BCD"))
+        off += nv
     return poly
 
 
-def weight_basis(block_spec, degree):
-    """(basis polynomials, labels) of the invariant slice of given total
-    polynomial degree, in the order of `weight_labels`."""
-    labels = weight_labels(block_spec, degree)
-    return [schur_product(block_spec, lab) for lab in labels], labels
-
-
 def weight_basis_size(block_spec, degree):
-    """Cardinality of weight_basis without building the polynomials."""
+    """The number of `weight_labels(block_spec, degree)`, without listing them."""
     if degree < 0:
         return 0
     counts = [1] + [0] * degree

@@ -139,6 +139,12 @@ def monomial_sym(lam, n, offset=0, ring_n=None):
     return Poly.from_exponents(ring_n, terms)
 
 
+def label_degree(cls, quiver, d, label):
+    """Polynomial degree of the basis element of a label: |lam| on a GL
+    block, 2|lam| on a BCD block."""
+    return sum(sum(lam) * (1 if kind == "GL" else 2) for (_, kind, _), lam in zip(cls.blocks(quiver, d), label))
+
+
 def char_mul(a, b):
     """Torus product a * b in the character normalization: the twist enters
     as (-q^(1/2))^(chi(d'',d') - chi(d',d'')), matching graded dimensions of

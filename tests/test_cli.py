@@ -296,6 +296,19 @@ def test_enumeration_work_cap_exit2(tmp_path):
     assert err.startswith("error:") and "work cap" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, window", [("dt-series", "1000000000"), ("ori-series", "300000000")])
+def test_series_cell_cap_exit2(monkeypatch, l2_path, command, window):
+    from hallforge import series
+
+    def unreachable(*args):
+        raise AssertionError("a dense window was allocated")
+
+    monkeypatch.setattr(series, "_add_class", unreachable)
+    code, out, err = run_cli([command, "--quiver", l2_path, "--window", window])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "work cap" in err
+
+
 # stdout of the element-layer commands (mul, act, ori-invariants, thom,
 # pbw-check) on fixed operands, recorded before the CoHA and CoHM element
 # code was merged into one graded layer (the two "ori-invariants ... table"

@@ -11,7 +11,6 @@ from hallforge.cohm import (
     check_module_relation,
     check_sd_euler_disjoint,
     cohm_action,
-    cohm_slice_basis,
     general_factorization_check,
     loop_factorization,
     ori_dt_invariants,
@@ -269,7 +268,8 @@ def test_cohm_element_validation():
 
 
 def test_cohm_json_roundtrip():
-    x = CohmElement(L2, (4,), cohm_slice_basis(L2, (4,), L2.sd_euler_form((4,)) + 4)[0].poly)
+    label = CohmElement.slice_labels(L2, (4,), L2.sd_euler_form((4,)) + 4)[0]
+    x = CohmElement(L2, (4,), CohmElement.from_label(L2, (4,), label).poly)
     doc = x.to_json_dict()
     assert CohmElement.from_json_dict(L2, doc) == x
 
@@ -283,8 +283,8 @@ def test_l2_minimal_generators():
     ]
     assert all(v == 1 for v in t.dims.values())
     for e, k in (((1,), 0), ((3,), -3), ((5,), -10)):
-        assert t.bases[(e, k)][0].poly.terms.get(0) == 1
-    gen = t.bases[((5,), -6)][0].poly
+        assert CohmElement.from_label(L2, e, t.bases[(e, k)][0]).poly.terms.get(0) == 1
+    gen = CohmElement.from_label(L2, (5,), t.bases[((5,), -6)][0]).poly
     assert gen == Poly.from_exponents(2, {(2, 0): 1, (0, 2): 1})
 
 
@@ -322,7 +322,6 @@ def test_parallel_matches_sequential(monkeypatch):
     for s, p in zip(seq, par):
         assert p.table().entries == s.table().entries and p.validity == s.validity
         assert p.bases == s.bases and p.bases
-        assert all(c.quiver is p.quiver for basis in p.bases.values() for c in basis)
 
 
 def test_pickled_quiver_is_its_spec():
@@ -338,41 +337,24 @@ def test_pickled_quiver_is_its_spec():
     assert copy == quiver and copy.to_dict() == quiver.to_dict()
 
 
-def test_slice_basis_built_once_per_quiver(monkeypatch):
-    from hallforge import graded
-
-    calls = []
-    real = graded.weight_basis
-
-    def counted(blocks, degree):
-        calls.append(degree)
-        return real(blocks, degree)
-
-    monkeypatch.setattr(graded, "weight_basis", counted)
-    q = loop_quiver(2)
-    k = q.sd_euler_form((4,)) + 4
-    first = cohm_slice_basis(q, (4,), k)
-    assert first and len(calls) == 1
-    assert cohm_slice_basis(q, (4,), k) is first and len(calls) == 1
-    # the cache is per quiver instance: a new quiver builds its own
-    assert cohm_slice_basis(loop_quiver(2), (4,), k) == first and len(calls) == 2
-
-
 def test_coha_and_cohm_slices_of_one_degree_stay_distinct():
     # on a loop quiver H_(2,) has two GL variables and M_(2,) one BCD
     # variable: the slices of one (d, k) are cached apart
+    def basis(cls, q, d, k):
+        return [cls.from_label(q, d, label) for label in cls.slice_labels(q, d, k)]
+
     both = 0
     for m in (0, 2):
         q = loop_quiver(m)
         for d in ((1,), (2,), (3,)):
             lo = min(q.euler_form(d, d), q.sd_euler_form(d))
             for k in range(lo, lo + 9):
-                h = CohaElement.slice_basis(q, d, k)
-                w = CohmElement.slice_basis(q, d, k)
+                h = basis(CohaElement, q, d, k)
+                w = basis(CohmElement, q, d, k)
                 assert all(type(x) is CohaElement for x in h)
                 assert all(type(x) is CohmElement for x in w)
-                assert h == CohaElement.slice_basis(loop_quiver(m), d, k)
-                assert w == CohmElement.slice_basis(loop_quiver(m), d, k)
+                assert h == basis(CohaElement, loop_quiver(m), d, k)
+                assert w == basis(CohmElement, loop_quiver(m), d, k)
                 both += bool(h and w)
     assert both
 

@@ -1,9 +1,9 @@
 """The stored complement bases of W^prim and V^prim, pinned element by element.
 
 The CLI golden files print only dimensions; this file pins the basis that
-`ori_dt_invariants` and `primitive_dims` store for every slice, together with
-the validity of every class.  Regenerate the data (only when a change of the
-bases is intended) with
+`ori_dt_invariants` and `primitive_dims` store for every slice (as labels,
+expanded here by `from_label`), together with the validity of every class.
+Regenerate the data (only when a change of the bases is intended) with
 
     PYTHONPATH=src python tests/test_golden_bases.py > tests/data/golden_bases.json
 """
@@ -12,8 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from hallforge.coha import primitive_dims
-from hallforge.cohm import ori_dt_invariants
+from hallforge.coha import CohaElement, primitive_dims
+from hallforge.cohm import CohmElement, ori_dt_invariants
 from hallforge.quiver import a1_tilde, loop_quiver
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bases.json"
@@ -36,10 +36,15 @@ for m, s, tau in ((0, 1, 0), (0, -1, 0), (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, 
 
 
 def _document(table):
+    cls = CohaElement if table.kind == "torus" else CohmElement
     return {
         "validity": [[list(d), top] for d, top in sorted(table.validity.items())],
         "slices": [
-            {"degree": list(d), "k": k, "basis": [c.to_json_dict() for c in table.bases[(d, k)]]}
+            {
+                "degree": list(d),
+                "k": k,
+                "basis": [cls.from_label(table.quiver, d, label).to_json_dict() for label in table.bases[(d, k)]],
+            }
             for d, k in sorted(table.bases)
         ],
     }

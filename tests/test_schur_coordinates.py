@@ -9,13 +9,13 @@ import pytest
 from oracles import q3
 
 from hallforge import symfun
-from hallforge.coha import CohaElement, _times_power_sum, s_involution, s_label, schur_mul, shuffle_mul
-from hallforge.cohm import CohmElement, cohm_action, ori_dt_invariants, schur_act
+from hallforge.coha import CohaElement, _mul_integrand, _times_power_sum, primitive_dims, s_involution, s_label, schur_mul, shuffle_mul
+from hallforge.cohm import CohmElement, _act_integrand, cohm_action, ori_dt_invariants, schur_act
 from hallforge.finite_type import build_typeA
-from hallforge.poly import Poly
+from hallforge.poly import Poly, unpack_exponents
 from hallforge.proputils import Lcg, random_dim, random_selfdual_dim
 from hallforge.quiver import a1_tilde, disjoint_double, loop_quiver
-from hallforge.symfun import schur, straighten
+from hallforge.symfun import lead_product, schur, straighten
 
 
 def _quivers():
@@ -76,6 +76,42 @@ def test_label_products_against_element_products(name, quiver):
     assert products > 20 and actions > 20
 
 
+def _draw_row(rng, cls, quiver, d, maxdeg):
+    """{label: coeff} over one to three labels of one slice of class d, or
+    None when the drawn slice is empty."""
+    form = cls.weight_form(quiver, d)
+    labels = cls.slice_labels(quiver, d, form + 2 * rng.randint(0, maxdeg))
+    if not labels:
+        return None
+    return {rng.choice(labels): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
+
+
+def test_lead_product_bound_is_the_largest_exponent():
+    """`lead_product` reads its bound off the lead keys instead of unpacking
+    its terms; on seeded rows it is the largest exponent of the product."""
+    checked = 0
+    for name, quiver in QUIVERS:
+        rng = Lcg(20141021 + len(name))
+        for _ in range(20):
+            d1, d2, e = random_dim(rng, quiver, 2), random_dim(rng, quiver, 2), random_selfdual_dim(rng, quiver, 2)
+            f, g = _draw_row(rng, CohaElement, quiver, d1, 3), _draw_row(rng, CohaElement, quiver, d2, 3)
+            h = _draw_row(rng, CohmElement, quiver, e, 2)
+            layouts = []
+            if f and g:
+                _, fslots, gslots, _ = _mul_integrand(quiver, d1, d2)
+                layouts.append((f, fslots, g, gslots, CohaElement.layout(quiver, tuple(map(sum, zip(d1, d2))))[1]))
+            if g and h:
+                _, _, fslots, gslots, _, _ = _act_integrand(quiver, d2, e)
+                et = tuple(a + b for a, b in zip(quiver.hyperbolic(d2), e))
+                layouts.append((g, fslots, h, gslots, CohmElement.layout(quiver, et)[1]))
+            for args in layouts:
+                p = lead_product(*args)
+                assert p.terms
+                assert p.bound == max((x for key in p.terms for x in unpack_exponents(key, p.n)), default=0), (name, args)
+                checked += 1
+    assert checked > 200
+
+
 def test_linear_combinations_and_chains():
     """Rows with several labels multiply bilinearly, and an action on an
     action's result (the PBW words) matches the element chain."""
@@ -133,9 +169,10 @@ def test_straighten_is_the_full_divided_difference():
         assert out == (Poly.zero(n) if r is None else schur(r[1], n).scale(r[0])), alpha
 
 
-def test_ori_quotient_expands_only_the_stored_complements(monkeypatch):
-    """`ori_dt_invariants(L2, 8, 22)` builds no slice basis: symfun.schur runs
-    once per nonempty partition of the stored complement labels."""
+def test_primitive_quotients_expand_no_polynomial(monkeypatch):
+    """The primitive quotients keep their bases as labels:
+    `ori_dt_invariants(L2, 8, 22)` and `primitive_dims(L2, 4, 16)` build no
+    Schur polynomial and cache no polynomial slice basis."""
     calls = []
     real = symfun.schur
 
@@ -144,21 +181,9 @@ def test_ori_quotient_expands_only_the_stored_complements(monkeypatch):
         return real(lam, *args, **kwargs)
 
     monkeypatch.setattr(symfun, "schur", counted)
-    quiver = loop_quiver(2)
-    table = ori_dt_invariants(quiver, 8, 22)
-    monkeypatch.undo()  # _labels_of expands labels itself
-    stored = sum(len(basis) for basis in table.bases.values())
-    assert stored > 10
-    expected = sorted(
-        (lam for (e, k), basis in table.bases.items() for elem in basis for lam in _labels_of(quiver, e, k, elem) if lam),
-    )
-    assert sorted(calls) == expected
-    assert not any(key[0] == "slice_basis" for key in quiver._cache if isinstance(key, tuple))
-
-
-def _labels_of(quiver, e, k, elem):
-    """The label of a stored basis element, found among the slice labels."""
-    for label in CohmElement.slice_labels(quiver, e, k):
-        if CohmElement.from_label(quiver, e, label) == elem:
-            return label
-    raise AssertionError("stored element is not a slice basis element")
+    for run, stored in ((lambda q: ori_dt_invariants(q, 8, 22), 19), (lambda q: primitive_dims(q, 4, 16), 5)):
+        quiver = loop_quiver(2)
+        table = run(quiver)
+        assert sum(len(basis) for basis in table.bases.values()) == stored
+        assert not any(key[0] == "slice_basis" for key in quiver._cache if isinstance(key, tuple))
+    assert calls == []

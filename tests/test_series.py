@@ -3,11 +3,12 @@ from itertools import product
 
 import pytest
 
+from hallforge import series
 from hallforge.coha import equivariant_dt
 from hallforge.cohm import witt_representative
-from hallforge.errors import GradingError, NonIntegralError
+from hallforge.errors import GradingError, HallforgeError, NonIntegralError
 from hallforge.proputils import Lcg
-from hallforge.quiver import a1_tilde, a2_quiver, loop_quiver
+from hallforge.quiver import MAX_SERIES_CELLS, a1_tilde, a2_quiver, loop_quiver
 from hallforge.series import (
     MODULE,
     TORUS,
@@ -524,3 +525,27 @@ def test_torus_commutative_for_symmetric():
         a = QSeries(L2, "torus", 4, {k: v for k, v in ta.items() if v}, dict(meta))
         b = QSeries(L2, "torus", 4, {k: v for k, v in tb.items() if v}, dict(meta))
         assert a.torus_mul(b).terms == b.torus_mul(a).terms
+
+
+def test_series_cell_cap_refuses_before_allocating(monkeypatch):
+    """A window whose dense cells, classes x (window + 1), exceed
+    MAX_SERIES_CELLS fails before any class is expanded; a window at the cap
+    gets through to the expansion."""
+
+    def unreachable(*args):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(series, "_add_class", unreachable)
+    l2 = loop_quiver(2)
+    for call in (
+        lambda: dt_series(l2, 6, 10**9),
+        lambda: ori_dt_series(l2, 6, 3 * 10**8),
+        lambda: qpochhammer_inf(l2, TORUS, 1, (1,), 6, 10**9),
+        lambda: qdilog(l2, 1, MAX_SERIES_CELLS),
+    ):
+        with pytest.raises(HallforgeError, match="work cap"):
+            call()
+    # one class (maxdim 0) or one factor (maxdim 1) at exactly the cap
+    for call in (lambda: dt_series(l2, 0, MAX_SERIES_CELLS - 1), lambda: qdilog(l2, 1, MAX_SERIES_CELLS - 1)):
+        with pytest.raises(AssertionError, match="expanded"):
+            call()

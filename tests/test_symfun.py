@@ -7,8 +7,9 @@ from hallforge.poly import Poly
 from hallforge.symfun import (
     partitions,
     schur,
-    weight_basis,
+    schur_product,
     weight_basis_size,
+    weight_labels,
 )
 from oracles import monomial_sym
 
@@ -62,6 +63,12 @@ def test_monomial_sym():
     assert monomial_sym((2,), 2) == Poly.from_exponents(2, {(2, 0): 1, (0, 2): 1})
     assert monomial_sym((1, 1), 2) == Poly.from_exponents(2, {(1, 1): 1})
     assert monomial_sym((2, 1), 2) == Poly.from_exponents(2, {(2, 1): 1, (1, 2): 1})
+
+
+def weight_basis(blocks, deg):
+    """(basis polynomials, labels) of a slice: its labels, expanded."""
+    labels = weight_labels(blocks, deg)
+    return [schur_product(blocks, label) for label in labels], labels
 
 
 def test_weight_basis_sizes_and_independence():
