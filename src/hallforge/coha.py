@@ -23,7 +23,7 @@ conversions in and out of Schur coordinates on every call.
 from __future__ import annotations
 
 from .errors import HallforgeError, SymmetryError
-from .graded import GradedElement, PrimitiveTable
+from .graded import GradedElement, PrimitiveTable, check_quotient_slices
 from .linalg import Echelon, complement
 from .poly import Poly
 from .quiver import QuiverWithDuality
@@ -177,20 +177,22 @@ def dt_invariants(quiver, maxdim, window):
     return invert_pochhammer_factorization(dt_series(quiver, maxdim, window))
 
 
-def image_echelon(quiver, pairs, slice_labels, form, act, k, dim):
+def image_echelon(quiver, pairs, slice_labels, form, act, k, labels):
     """Echelon of the weight-k span of act(quiver, a, {c: 1}, rest, {b: 1})
     with c in generator_complement(quiver, a, k1) and b in
     slice_labels(quiver, rest, k - k1), over (a, rest) in pairs and
     chi(a, a) <= k1 <= k - form(quiver, rest): the CoHA ideal H_+ . H_+
     (schur_mul, chi) and the CoHM image H_+ . M (cohm.schur_act, E).  Rows
-    are in Schur coordinates.
+    are in Schur coordinates, filed on the positions of the target slice's
+    labels.
 
-    Every product lies in the target slice, of dimension dim, so rank <= dim;
-    once rank == dim the echelon spans the slice, every later product would
-    reduce to zero, and neither a later product nor the generator complement
-    of a later factor is computed.  A slice the products do not fill gets
-    every product, in the same order, hence the same pivots."""
-    ech = Echelon()
+    Every product lies in the target slice, so rank <= len(labels); once
+    the echelon spans the slice, every later product would reduce to zero,
+    and neither a later product nor the generator complement of a later
+    factor is computed.  A slice the products do not fill gets every
+    product, in the same order, hence the same pivots."""
+    ech = Echelon(labels)
+    dim = len(labels)
     for a, rest in pairs:
         for k1 in range(quiver.euler_form(a, a), k - form(quiver, rest) + 1):
             if ech.rank == dim:
@@ -215,8 +217,8 @@ def _ideal_echelon(quiver, d, k):
     if not quiver.is_symmetric():
         raise SymmetryError("primitive parts are computed for symmetric quivers")
     pairs = quiver.decompositions(d, sum(d) - 1)
-    dim = len(CohaElement.slice_labels(quiver, d, k))
-    ech = image_echelon(quiver, pairs, CohaElement.slice_labels, CohaElement.weight_form, schur_mul, k, dim)
+    labels = CohaElement.slice_labels(quiver, d, k)
+    ech = image_echelon(quiver, pairs, CohaElement.slice_labels, CohaElement.weight_form, schur_mul, k, labels)
     quiver._cache[key] = ech
     return ech
 
@@ -233,7 +235,7 @@ def generator_complement(quiver, d, k):
     if CohaElement.slice_degree(quiver, d, k) is None or sum(d) <= 1:
         out = labels
     else:
-        out = complement(_ideal_echelon(quiver, d, k).copy(), labels)
+        out = complement(_ideal_echelon(quiver, d, k), labels)
     quiver._cache[key] = out
     return out
 
@@ -261,7 +263,7 @@ def primitive_basis(quiver, d, k):
         out = []
     else:
         labels = CohaElement.slice_labels(quiver, d, k)
-        probe = _ideal_echelon(quiver, d, k).copy() if sum(d) > 1 else Echelon()
+        probe = _ideal_echelon(quiver, d, k).copy() if sum(d) > 1 else Echelon(labels)
         if deg > 0:
             for c in generator_complement(quiver, d, k - 2):
                 if probe.rank == len(labels):  # the span is the whole slice
@@ -292,7 +294,7 @@ def _plus_dim(quiver, d, k):
     gens = generator_complement(quiver, d, k)
     if not gens:
         return 0
-    ech = _ideal_echelon(quiver, d, k).copy() if sum(d) > 1 else Echelon()
+    ech = _ideal_echelon(quiver, d, k).copy() if sum(d) > 1 else Echelon(CohaElement.slice_labels(quiver, d, k))
     rank = 0
     for c in gens:
         sign, image = s_label(quiver, c)
@@ -341,9 +343,9 @@ def equivariant_dt(quiver, e_target, maxdim, window):
     seen = set()
     validity = {}
     # |H(d)| = 2|d|, so |H(d)| <= maxdim is |d| <= maxdim // 2
-    for d in quiver.dimension_vectors(maxdim // 2):
-        if not any(d):
-            continue
+    classes = [d for d in quiver.dimension_vectors(maxdim // 2) if any(d)]
+    check_quotient_slices(len(classes), window)
+    for d in classes:
         h = quiver.hyperbolic(d)
         sd = quiver.sigma_dim(d)
         if (sd, d) in seen:

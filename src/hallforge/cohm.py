@@ -419,9 +419,8 @@ def _wprim_slice(quiver, e, k):
     labels = CohmElement.slice_labels(quiver, e, k)
     # image_echelon stops once the image spans the slice (rank == len(labels)),
     # and complement() then returns []
-    ech = image_echelon(quiver, pairs, CohmElement.slice_labels, CohmElement.weight_form, schur_act, k, len(labels))
-    rank = ech.rank  # before complement() extends ech
-    cached = (rank, complement(ech, labels))
+    ech = image_echelon(quiver, pairs, CohmElement.slice_labels, CohmElement.weight_form, schur_act, k, labels)
+    cached = (ech.rank, complement(ech, labels))
     quiver._cache[key] = cached
     return cached
 

@@ -328,21 +328,28 @@ def _bucket(buckets, zeros, d, k, row):
     buckets.setdefault((d, k), []).append(row)
 
 
-def _slice_report(cls, quiver, buckets, zeros, reached, window):
+def _slice_report(cls, quiver, buckets, zeros, reached, window, dims):
     """{"pass", "slices"}: (rows, rank, dim) per in-window slice (d, k).
 
     The check passes when no ordered product vanished and every in-window
     slice has rows == rank == dim.  A nonempty in-window slice of a class in
     `reached` (the classes of the enumerated words, whether or not any of
     their products lands in the window) that no product hit is reported as
-    (0, 0, dim) and fails the check.
+    (0, 0, dim) and fails the check.  dims memoizes slice_dim by (d, k);
+    both reports of one PBW check share it.
     """
+
+    def dim_of(d, k):
+        if (d, k) not in dims:
+            dims[(d, k)] = cls.slice_dim(quiver, d, k)
+        return dims[(d, k)]
+
     ok = not zeros  # a vanishing ordered product already breaks injectivity
     slices = {}
     for (d, k), rows in sorted(buckets.items()):
         if k > cls.weight_form(quiver, d) + window:
             continue
-        rank, dim = rank_of_rows(rows), cls.slice_dim(quiver, d, k)
+        rank, dim = rank_of_rows(rows), dim_of(d, k)
         slices[(d, k)] = (len(rows), rank, dim)
         if not len(rows) == rank == dim:
             ok = False
@@ -351,7 +358,7 @@ def _slice_report(cls, quiver, buckets, zeros, reached, window):
         for k in range(lo, lo + window + 1):
             if (d, k) in slices:
                 continue
-            dim = cls.slice_dim(quiver, d, k)
+            dim = dim_of(d, k)
             if dim:
                 ok = False
                 slices[(d, k)] = (0, 0, dim)
@@ -396,7 +403,7 @@ def _cohm_step(quiver, d, e):
     return action_degree_shift(quiver, d, e), tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
 
 
-def _pbw_report(rs, cls, act, step, words, bound, window):
+def _pbw_report(rs, cls, act, step, words, bound, window, dims):
     """Slice report of the products of `words` that land in the window.
 
     A word is (seed, slots): letter slots (root, m, odd) that act right to
@@ -410,7 +417,8 @@ def _pbw_report(rs, cls, act, step, words, bound, window):
     for its letter sizes, and each product lands in the slice k = 2 (sum of
     letter sizes + shift) + weight form of its class.  Steps, letters,
     letter partitions and weight forms are memoized for the report;
-    products, rows, are shared through a memo of (seed class, suffix).
+    products, rows, are shared through a memo of (seed class, suffix), and
+    slice dimensions through dims, the check's memo (`_slice_report`).
     """
     quiver = rs.quiver
     buckets, zeros, reached, memo = {}, [], set(), {}
@@ -466,7 +474,7 @@ def _pbw_report(rs, cls, act, step, words, bound, window):
                 if e not in forms:
                     forms[e] = cls.weight_form(quiver, e)
                 rec(seed, e0, slots, chain, (), window // 2 - shift, 2 * shift + forms[e])
-    return _slice_report(cls, quiver, buckets, zeros, reached, window)
+    return _slice_report(cls, quiver, buckets, zeros, reached, window, dims)
 
 
 def _pbw_bound(rs, bound, window):
@@ -500,10 +508,10 @@ def pbw_check_coha(rs, bound, window):
     sum |lam_i| - sum_{i<j} chi(d_i, d_j).
     """
     bound = _pbw_bound(rs, bound, window)
-    reports = {}
+    reports, dims = {}, {}
     for name, roots in (("simple", rs.simple_roots()[::-1]), ("indecomposable", list(rs.order))):
         words = [(None, _slots(roots, tup)) for tup in _root_tuples(rs, roots, bound)]
-        reports[name] = _pbw_report(rs, CohaElement, schur_mul, _coha_step, words, bound, window)
+        reports[name] = _pbw_report(rs, CohaElement, schur_mul, _coha_step, words, bound, window, dims)
     reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
     return reports
 
@@ -521,7 +529,7 @@ def pbw_check_cohm(rs, bound, window):
     `pbw_check_coha`.
     """
     bound = _pbw_bound(rs, bound, window)
-    reports = {}
+    reports, dims = {}, {}
     for name, outer_roots, sigma_roots in _module_cases(rs):
         outer = [_slots(outer_roots, tup) for tup in _root_tuples(rs, outer_roots, bound)]
         words = []
@@ -529,6 +537,6 @@ def pbw_check_cohm(rs, bound, window):
             for mults in _root_tuples(rs, sigma_roots, [(cap - x) // 2 for cap, x in zip(bound, e)]):
                 gens = [(b, c, b in pi or rs.hyperbolic_case) for b, c in zip(sigma_roots, mults) if c]
                 words += [(e, slots + gens) for slots in outer]
-        reports[name] = _pbw_report(rs, CohmElement, schur_act, _cohm_step, words, bound, window)
+        reports[name] = _pbw_report(rs, CohmElement, schur_act, _cohm_step, words, bound, window, dims)
     reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
     return reports

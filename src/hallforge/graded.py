@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import GradingError
+from .errors import GradingError, HallforgeError
 from .parallel import pmap
 from .poly import Poly
+from .quiver import MAX_QUOTIENT_SLICES
 from .series import InvariantTable
 from .symfun import schur_product, weight_basis_size, weight_labels
 
@@ -240,7 +241,9 @@ class PrimitiveTable:
         classes are tasks of `pmap`: sequentially they share quiver._cache;
         in a process pool each task gets a copy of the quiver without its
         cache.  The labels come back as they are (sequentially, the lists of
-        quiver._cache, so callers must not mutate them)."""
+        quiver._cache, so callers must not mutate them).  A request beyond
+        MAX_QUOTIENT_SLICES raises before any task runs."""
+        check_quotient_slices(len(classes), window)
         dims, bases, validity = {}, {}, {}
         tasks = [(quiver, elem_cls, basis, d, window) for d in classes]
         for d, slices in zip(classes, pmap(_class_slices, tasks)):
@@ -252,6 +255,16 @@ class PrimitiveTable:
 
     def table(self):
         return InvariantTable(self.quiver, self.kind, self.dims, self.validity, self.maxdim)
+
+
+def check_quotient_slices(classes, window):
+    """Refuse a primitive quotient over `classes` classes whose slices,
+    classes x (window // 2 + 1), exceed MAX_QUOTIENT_SLICES: a
+    HallforgeError before any slice is computed."""
+    if classes * (window // 2 + 1) > MAX_QUOTIENT_SLICES:
+        raise HallforgeError(
+            "%d classes over a window of %d exceed the work cap of %d quotient slices" % (classes, window, MAX_QUOTIENT_SLICES)
+        )
 
 
 def _class_slices(task):

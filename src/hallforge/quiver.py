@@ -35,6 +35,11 @@ MAX_DIMENSION_VECTORS = 100_000
 # series may expand.  Larger requests fail with a HallforgeError before any
 # cell is allocated.
 MAX_SERIES_CELLS = 2_000_000
+# Work cap: the most slices, classes x (window // 2 + 1), that one primitive
+# quotient (V^prim, W^prim or the sigma(d) = d eigenspaces of equivariant DT)
+# may visit; a class's slices of odd weight offset are empty and not counted.
+# Larger requests fail with a HallforgeError before any slice is computed.
+MAX_QUOTIENT_SLICES = 100_000
 
 
 class QuiverWithDuality:

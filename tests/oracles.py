@@ -7,7 +7,7 @@ their own directory.
 from fractions import Fraction
 from math import gcd
 
-from hallforge.coha import _ideal_echelon, generator_complement, s_label
+from hallforge.coha import CohaElement, _ideal_echelon, generator_complement, s_label
 from hallforge.errors import HallforgeError, NonIntegralError
 from hallforge.finite_type import hom_ext
 from hallforge.linalg import Echelon
@@ -157,11 +157,80 @@ def char_mul(a, b):
     return a._convolve(b, TORUS, add, tw, signed=True)
 
 
-def full_image_echelon(quiver, pairs, slice_labels, form, act, k):
-    """`coha.image_echelon` without its stop rule: every product of every
-    pair, even after the echelon spans the slice.  Rows are in Schur
-    coordinates, as there."""
-    ech = Echelon()
+def _div(a, b):
+    """Exact a / b staying in int when possible."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if not r:
+            return q
+        return Fraction(a, b)
+    out = Fraction(a) / Fraction(b)
+    return out.numerator if out.denominator == 1 else out
+
+
+class RationalEchelon:
+    """`linalg.Echelon` as it was over the rationals: rows keyed by the
+    labels themselves, int or Fraction entries, the pivot of a row its
+    smallest key and every pivot row normalized to leading coefficient 1."""
+
+    def __init__(self):
+        self.pivots = {}
+        self.rank = 0
+
+    def _reduce(self, row):
+        row = dict(row)
+        while row:
+            lead = min(row)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                return row, lead
+            c = row[lead]
+            for k, v in piv.items():
+                w = row.get(k, 0) - c * v
+                if w:
+                    row[k] = w
+                else:
+                    row.pop(k, None)
+        return row, None
+
+    def reduce(self, row):
+        """Residual of row against the current pivots (row is not inserted)."""
+        return self._reduce(row)[0]
+
+    def copy(self):
+        """An independent echelon with the same pivots (pivot rows are never
+        mutated, so they are shared)."""
+        out = RationalEchelon()
+        out.pivots, out.rank = dict(self.pivots), self.rank
+        return out
+
+    def add(self, row):
+        """Insert a row; returns True when it increased the rank."""
+        res, lead = self._reduce(row)
+        if not res:
+            return False
+        c = res[lead]
+        self.pivots[lead] = {k: _div(v, c) for k, v in res.items()}
+        self.rank += 1
+        return True
+
+
+def rational_complement(ech, labels):
+    """The basis labels whose unit rows raise the rank of ech when added in
+    order; ech is extended.  When the labels span a space containing the
+    rows of ech, the chosen ones span a complement of them; under that
+    condition rank == len(labels) means ech already spans them all, so the
+    answer is [] and no label is read."""
+    if ech.rank == len(labels):
+        return []
+    return [lab for lab in labels if ech.add({lab: 1})]
+
+
+def image_rows(quiver, pairs, slice_labels, form, act, k):
+    """Every product row of `coha.image_echelon`, in its order, without its
+    stop rule: every product of every pair, even after the rows span the
+    slice.  Rows are in Schur coordinates, as there."""
+    rows = []
     for a, rest in pairs:
         for k1 in range(quiver.euler_form(a, a), k - form(quiver, rest) + 1):
             gens = generator_complement(quiver, a, k1)
@@ -169,12 +238,23 @@ def full_image_echelon(quiver, pairs, slice_labels, form, act, k):
                 continue
             for b in slice_labels(quiver, rest, k - k1):
                 for c in gens:
-                    ech.add(act(quiver, a, {c: 1}, rest, {b: 1}))
+                    rows.append(act(quiver, a, {c: 1}, rest, {b: 1}))
+    return rows
+
+
+def full_image_echelon(quiver, pairs, slice_labels, form, act, k, labels):
+    """`coha.image_echelon` without its stop rule: the integer echelon on
+    the target slice's labels of every row of `image_rows`."""
+    ech = Echelon(labels)
+    for row in image_rows(quiver, pairs, slice_labels, form, act, k):
+        ech.add(row)
     return ech
 
 
 def full_complement(ech, labels):
-    """`linalg.complement` without its shortcut for a full echelon."""
+    """The unit-row complement without its shortcut for a full echelon: the
+    labels whose unit rows raise the rank when added in order (ech is
+    extended)."""
     return [lab for lab in labels if ech.add({lab: 1})]
 
 
@@ -184,19 +264,22 @@ def quotient_involution_matrix(quiver, d, k):
     how `coha.equivariant_dt` read the eigenspaces before it took them from
     ranks.  The solve keeps, with every pivot row, its coordinates modulo the
     ideal: none for an ideal row, e_j - (the reduction) for c_j.  Rows are in
-    Schur coordinates, where S_H moves each node's partition to its sigma
-    image with the sign (-1)^(total size)."""
+    Schur coordinates filed on the positions of the slice labels, where S_H
+    moves each node's partition to its sigma image with the sign (-1)^(total
+    size); the ideal's pivots are integer rows led by their largest
+    position, so the solve divides by each lead in Fractions."""
     gens = generator_complement(quiver, d, k)
+    index = {lab: i for i, lab in enumerate(CohaElement.slice_labels(quiver, d, k))}
     ideal = _ideal_echelon(quiver, d, k).pivots if sum(d) > 1 else {}
     pivots = {lead: (row, {}) for lead, row in ideal.items()}
 
     def reduce(row):
         # returns (residual, coordinates of row - residual)
         row, coords = dict(row), {}
-        while row and min(row) in pivots:
-            lead = min(row)
+        while row and max(row) in pivots:
+            lead = max(row)
             prow, pcoords = pivots[lead]
-            c = row[lead]
+            c = Fraction(row[lead]) / prow[lead]
             for key, v in prow.items():
                 w = row.get(key, 0) - c * v
                 if w:
@@ -208,8 +291,8 @@ def quotient_involution_matrix(quiver, d, k):
         return row, coords
 
     for j, c in enumerate(gens):
-        res, coords = reduce({c: 1})
-        lead = min(res)
+        res, coords = reduce({index[c]: 1})
+        lead = max(res)
         top = Fraction(res[lead])
         coords = {i: -v for i, v in coords.items()}
         coords[j] = coords.get(j, 0) + 1
@@ -217,7 +300,7 @@ def quotient_involution_matrix(quiver, d, k):
     mat = []
     for c in gens:
         sign, image = s_label(quiver, c)
-        res, coords = reduce({image: sign})
+        res, coords = reduce({index[image]: sign})
         if res:
             raise HallforgeError("S_H does not preserve ideal + complement span")
         mat.append([coords.get(i, Fraction(0)) for i in range(len(gens))])

@@ -309,6 +309,24 @@ def test_series_cell_cap_exit2(monkeypatch, l2_path, command, window):
     assert err.startswith("error:") and "work cap" in err
 
 
+@pytest.mark.parametrize("command", ["ori-invariants", "equivariant-dt"])
+def test_quotient_slice_cap_exit2(monkeypatch, tmp_path, command):
+    """A1~ is not a loop quiver, so equivariant-dt takes the quotient route."""
+    from hallforge import coha, graded
+    from hallforge.quiver import a1_tilde
+
+    def unreachable(*args):
+        raise AssertionError("a slice was computed")
+
+    monkeypatch.setattr(graded, "_class_slices", unreachable)
+    monkeypatch.setattr(coha, "generator_complement", unreachable)
+    path = tmp_path / "A1t.json"
+    path.write_text(json.dumps(a1_tilde().to_dict()))
+    code, out, err = run_cli([command, "--quiver", str(path), "--max-dim", "2", "--window", "300000000"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "work cap" in err and "Traceback" not in err
+
+
 # stdout of the element-layer commands (mul, act, ori-invariants, thom,
 # pbw-check) on fixed operands, recorded before the CoHA and CoHM element
 # code was merged into one graded layer (the two "ori-invariants ... table"

@@ -301,13 +301,13 @@ def _stopped_against_full(quiver, maxdim, window, mmax, mwindow, tally):
             basis = labels_of(quiver, d, k)
             if sum(d) > 1:
                 pairs = quiver.decompositions(d, sum(d) - 1)
-                full = full_image_echelon(quiver, pairs, labels_of, CohaElement.weight_form, schur_mul, k)
-                stopped = image_echelon(quiver, pairs, labels_of, CohaElement.weight_form, schur_mul, k, len(basis))
+                full = full_image_echelon(quiver, pairs, labels_of, CohaElement.weight_form, schur_mul, k, basis)
+                stopped = image_echelon(quiver, pairs, labels_of, CohaElement.weight_form, schur_mul, k, basis)
                 check(stopped, full, len(basis))
                 assert _ideal_echelon(quiver, d, k).pivots == stopped.pivots
                 assert generator_complement(quiver, d, k) == full_complement(full.copy(), basis)
             else:
-                full = Echelon()
+                full = Echelon(basis)
             # the sigma_d tower of primitive_basis, with every row added
             if deg > 0:
                 for c in generator_complement(quiver, d, k - 2):
@@ -320,8 +320,8 @@ def _stopped_against_full(quiver, maxdim, window, mmax, mwindow, tally):
             if not basis:
                 continue
             pairs = quiver.decompositions(e, sum(e) // 2, quiver.hyperbolic)
-            full = full_image_echelon(quiver, pairs, CohmElement.slice_labels, CohmElement.weight_form, schur_act, k)
-            stopped = image_echelon(quiver, pairs, CohmElement.slice_labels, CohmElement.weight_form, schur_act, k, len(basis))
+            full = full_image_echelon(quiver, pairs, CohmElement.slice_labels, CohmElement.weight_form, schur_act, k, basis)
+            stopped = image_echelon(quiver, pairs, CohmElement.slice_labels, CohmElement.weight_form, schur_act, k, basis)
             check(stopped, full, len(basis))
             assert _wprim_slice(quiver, e, k) == (full.rank, full_complement(full, basis))
 
@@ -358,9 +358,10 @@ def test_image_echelon_stops_once_the_slice_is_spanned(monkeypatch):
 
     saved = filled = 0
     for k in range(L0.euler_form(d, d), 13, 2):
-        dim = len(CohaElement.slice_labels(L0, d, k))
+        labels = CohaElement.slice_labels(L0, d, k)
+        dim = len(labels)
         events.clear()
-        ech = coha.image_echelon(L0, pairs, CohaElement.slice_labels, CohaElement.weight_form, act, k, dim)
+        ech = coha.image_echelon(L0, pairs, CohaElement.slice_labels, CohaElement.weight_form, act, k, labels)
         rows = [e for e in events if e != "complement"]
         # replaying the computed products: every one but the last left the
         # rank below dim, so none was computed after the slice was spanned
@@ -375,7 +376,7 @@ def test_image_echelon_stops_once_the_slice_is_spanned(monkeypatch):
             assert events[-1] != "complement"
             filled += 1
         events.clear()
-        full = full_image_echelon(L0, pairs, CohaElement.slice_labels, CohaElement.weight_form, act, k)
+        full = full_image_echelon(L0, pairs, CohaElement.slice_labels, CohaElement.weight_form, act, k, labels)
         assert full.rank == ech.rank
         saved += sum(e != "complement" for e in events) - len(rows)
     assert filled and saved > 0
@@ -391,3 +392,36 @@ def test_complement_of_a_full_echelon_reads_no_element():
     ech.add({5: 1})
     assert complement(ech, [Unread(), Unread()]) == []
     assert ech.rank == 2
+
+
+def test_quotient_slice_cap_refuses_before_any_slice(monkeypatch):
+    """A window whose slices, classes x (window // 2 + 1), exceed
+    MAX_QUOTIENT_SLICES fails before any slice is computed, in
+    `PrimitiveTable.build` (V^prim and W^prim) and in the sigma(d) = d loop
+    of `equivariant_dt`; a window at the cap gets through to the slices."""
+    from hallforge import coha, graded
+    from hallforge.cohm import ori_dt_invariants
+    from hallforge.errors import HallforgeError
+    from hallforge.quiver import MAX_QUOTIENT_SLICES
+
+    def unreachable(*args):
+        raise AssertionError("a slice was computed")
+
+    monkeypatch.setattr(graded, "_class_slices", unreachable)
+    monkeypatch.setattr(coha, "generator_complement", unreachable)
+    a1t = a1_tilde(tau=1)
+    huge = 2 * MAX_QUOTIENT_SLICES
+    for call in (
+        lambda: ori_dt_invariants(L2, 2, 3 * 10**8),
+        lambda: primitive_dims(L2, 2, huge),
+        lambda: equivariant_dt(a1t, a1t.zero(), 4, huge),
+    ):
+        with pytest.raises(HallforgeError, match="work cap"):
+            call()
+    # one class of L2 (maxdim 1) and two of A1~ (|d| = 1) at exactly the cap
+    for call in (
+        lambda: primitive_dims(L2, 1, 2 * MAX_QUOTIENT_SLICES - 2),
+        lambda: equivariant_dt(a1t, a1t.zero(), 2, MAX_QUOTIENT_SLICES - 2),
+    ):
+        with pytest.raises(AssertionError, match="a slice was computed"):
+            call()

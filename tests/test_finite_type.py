@@ -15,10 +15,9 @@ from hallforge.finite_type import (
     pbw_check_cohm,
     thom_polynomial,
 )
-from hallforge.linalg import Echelon
 from hallforge.poly import Poly
 from hallforge.symfun import schur
-from oracles import label_degree
+from oracles import RationalEchelon, label_degree
 
 
 def neg_schur(lam, n):
@@ -79,7 +78,7 @@ def matrix_hom_ext(rs, root_i, root_j):
         for r in range(dimsJ[nd]):
             for c in range(dimsI[nd]):
                 var_index[(nd, r, c)] = len(var_index)
-    ech = Echelon()
+    ech = RationalEchelon()
     for aid, t, h in quiver.arrows:
         # J_a phi_t - phi_h I_a = 0, entrywise
         for r in range(dimsJ[h]):
@@ -277,12 +276,12 @@ def test_slice_report_fills_every_class_reached():
     chi = q.euler_form(d, d)
     # the only product of class d lies above the window 0, so the constants
     # H_(d, chi) were never reached
-    rep = _slice_report(CohaElement, q, {(d, chi + 2): [Poly.variable(1, 0).terms]}, [], {d}, 0)
+    rep = _slice_report(CohaElement, q, {(d, chi + 2): [Poly.variable(1, 0).terms]}, [], {d}, 0, {})
     assert not rep["pass"]
     assert rep["slices"] == {(d, chi): (0, 0, 1)}
     # a class whose root tuple was enumerated counts as reached even when
     # pruning computed none of its products
-    rep = _slice_report(CohaElement, q, {}, [], {d}, 0)
+    rep = _slice_report(CohaElement, q, {}, [], {d}, 0, {})
     assert not rep["pass"]
     assert rep["slices"] == {(d, chi): (0, 0, 1)}
 
@@ -408,6 +407,35 @@ def test_pbw_checks_take_a_full_bound_tuple(check):
     assert (0, 2, 0) in reached
 
 
+@pytest.mark.parametrize(
+    "check, rs, bound, window",
+    [
+        (pbw_check_coha, build_typeA(3, ">>", "orthogonal"), 2, 8),
+        (pbw_check_cohm, build_typeA(2, ">", "symplectic"), 2, 8),
+    ],
+)
+def test_pbw_check_computes_each_slice_dim_once(monkeypatch, check, rs, bound, window):
+    """The simple and the indecomposable report of one check share one
+    slice_dim memo: one call per distinct (class, d, k), and the reports
+    are those of uncounted runs."""
+    from hallforge.graded import GradedElement
+
+    expected = check(rs, bound, window)
+    slice_dim = GradedElement.__dict__["slice_dim"].__func__
+    calls = []
+
+    def counted(cls, quiver, d, k):
+        calls.append((cls, d, k))
+        return slice_dim(cls, quiver, d, k)
+
+    monkeypatch.setattr(GradedElement, "slice_dim", classmethod(counted))
+    assert check(rs, bound, window) == expected
+    assert calls and len(calls) == len(set(calls))
+    # every reported slice's dim came from the memo
+    slices = {key for name in ("simple", "indecomposable") for key in expected[name]["slices"]}
+    assert slices <= {(d, k) for _, d, k in calls}
+
+
 def _flat_pbw_coha(rs, bound, window, budget):
     """The enumeration with one flat budget sum |lam| <= budget for every
     root tuple, products bucketed by homogeneous components: with a budget
@@ -505,7 +533,7 @@ def _flat_report(cls, quiver, products, window):
         form = cls.weight_form(quiver, p.degree)
         for deg, comp in p.poly.homogeneous_components().items():
             buckets.setdefault((p.degree, 2 * deg + form), []).append(comp.terms)
-    return _slice_report(cls, quiver, buckets, [], {d for d, _ in buckets}, window)["slices"]
+    return _slice_report(cls, quiver, buckets, [], {d for d, _ in buckets}, window, {})["slices"]
 
 
 # The oracle's flat budget must exceed every tuple's exact budget.  The CoHA
