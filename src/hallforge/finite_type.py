@@ -34,7 +34,7 @@ from .coha import CohaElement, schur_mul
 from .cohm import CohmElement, act_many, action_degree_shift, schur_act
 from .errors import GradingError, HallforgeError, QuiverSpecError
 from .linalg import rank_of_rows
-from .quiver import QuiverWithDuality
+from .quiver import MAX_ROOT_PAIRS, QuiverWithDuality
 from .series import MODULE, QSeries, qpochhammer_inf
 from .symfun import partitions, schur  # noqa: F401  (perfbench binds finite_type.schur)
 
@@ -48,9 +48,16 @@ def build_typeA(n, orientation, duality_type):
 
     orientation: string of length n-1 over {'>', '<'}; '>' is i -> i+1.
     duality_type: "orthogonal" (s=+1) or "symplectic" (s=-1); tau = -1.
+    An n whose ordered root pairs exceed MAX_ROOT_PAIRS (n > 20) raises
+    before `ar_order` tabulates them.
     """
     if n < 1:
         raise QuiverSpecError("A_n needs n >= 1, not %d" % n)
+    roots = n * (n + 1) // 2
+    if roots * (roots - 1) > MAX_ROOT_PAIRS:
+        raise HallforgeError(
+            "the %d root pairs of A_%d exceed the work cap of %d" % (roots * (roots - 1), n, MAX_ROOT_PAIRS)
+        )
     if len(orientation) != max(n - 1, 0) or any(c not in "<>" for c in orientation):
         raise QuiverSpecError("orientation must be %d characters of <>" % (n - 1))
     if duality_type not in ("orthogonal", "symplectic"):

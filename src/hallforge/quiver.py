@@ -40,6 +40,17 @@ MAX_SERIES_CELLS = 2_000_000
 # may visit; a class's slices of odd weight offset are empty and not counted.
 # Larger requests fail with a HallforgeError before any slice is computed.
 MAX_QUOTIENT_SLICES = 100_000
+# Work cap: the most term pairs that one series product (cmul, torus_mul,
+# module_star, char_star) may multiply, bounded per class pair by the terms
+# of either operand's row that fit the target window next to the least
+# weight of the other.  Larger products fail with a HallforgeError before
+# any pair is multiplied.
+MAX_PRODUCT_PAIRS = 50_000_000
+# Work cap: the most ordered pairs of distinct positive roots, R (R - 1) for
+# the R = n (n + 1) / 2 roots of A_n, whose Hom and Ext^1 the
+# Auslander-Reiten order of a type A root system may tabulate.  A larger n
+# fails with a HallforgeError before any pair is visited.
+MAX_ROOT_PAIRS = 50_000
 
 
 class QuiverWithDuality:
@@ -259,6 +270,15 @@ class QuiverWithDuality:
         for t, h in self._arrow_ends:
             total -= d[t] * dp[h]
         return total
+
+    def skew_row(self, d):
+        """The row r(d) with chi(d, e) - chi(e, d) = r(d).e for every e: an
+        arrow t -> h adds d_h at t and takes d_t off at h."""
+        row = [0] * len(self.nodes)
+        for t, h in self._arrow_ends:
+            row[t] += d[h]
+            row[h] -= d[t]
+        return tuple(row)
 
     def sd_euler_form(self, d):
         """Self-dual Euler form E(d) (four-sum formula; empty sums give 0)."""

@@ -13,17 +13,22 @@ exponential) are one triangular integer recurrence each, `_triangular`.
 
 Torus series multiply with the twist q^((chi(d,d') - chi(d',d))/2); module
 series are acted on via t^d * xi^e = q^(gamma(d,e)/2) xi^(H(d)+e).  Numerical
-factorization identities use the plain commutative product `cmul`.
+factorization identities use the plain commutative product `cmul`.  A
+product walks each operand as ascending (k, c) rows per class, the layout
+`_triangular` reads, each class pair only up to its target window, and
+takes the twist of a pair from per-class rows: chi(d,e) - chi(e,d) = r(d).e.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
+from operator import add, mul
 
 from .errors import GradingError, HallforgeError, KindMismatchError, NonIntegralError
 from .poly import _num
-from .quiver import MAX_SERIES_CELLS
+from .quiver import MAX_PRODUCT_PAIRS, MAX_SERIES_CELLS
 
 TORUS = "torus"
 MODULE = "module"
@@ -48,14 +53,6 @@ def _add_hi(a, b):
     return a + b
 
 
-def _add_classes(d1, d2):
-    return tuple(a + b for a, b in zip(d1, d2))
-
-
-def _no_twist(d1, d2):
-    return 0
-
-
 def _merge_windows(meta, other):
     """Windows of a sum, in place: least suppmin and least hi per class."""
     for d, (lo, hi) in other.items():
@@ -63,17 +60,23 @@ def _merge_windows(meta, other):
         meta[d] = (min(lo0, lo), _min_hi(hi0, hi))
 
 
-def _windows(meta_a, meta_b, maxdim, class_fn, twist_fn):
+def _windows(meta_a, meta_b, maxdim, lift=None):
     """Window half of a product: its {class: (suppmin, hi)} and the (d1, d2,
-    d, twist) of every class pair landing within maxdim.  The rule is
-    associative and commutative, so a product's windows need no term."""
+    d, twist) of every class pair landing within maxdim.  lift[d1] = (h,
+    |h|, row, c) sends the pair to the class h + d2 with twist c + row.d2;
+    without it h = d1 and there is no twist.  Sizes add, so a pair over
+    maxdim is rejected before its class is built.  The rule is associative
+    and commutative, so a product's windows need no term."""
     meta, pairs = {}, []
+    right = [(d2, sum(d2), lo2, hi2) for d2, (lo2, hi2) in meta_b.items()]
     for d1, (lo1, hi1) in meta_a.items():
-        for d2, (lo2, hi2) in meta_b.items():
-            d = class_fn(d1, d2)
-            if sum(d) > maxdim:
+        h, size, row, c = lift[d1] if lift else (d1, sum(d1), None, 0)
+        room = maxdim - size
+        for d2, size2, lo2, hi2 in right:
+            if size2 > room:
                 continue
-            tw = twist_fn(d1, d2)
+            tw = c + sum(map(mul, row, d2)) if row else 0
+            d = tuple(map(add, h, d2))
             pairs.append((d1, d2, d, tw))
             lo = lo1 + lo2 + tw
             hi = _add_hi(_min_hi(_add_hi(hi1, lo2), _add_hi(lo1, hi2)), tw)
@@ -90,7 +93,7 @@ def _chain_windows(x, low, log):
     zero = x.quiver.zero()
     out, pw, reach = {zero: (0, None)}, {zero: (0, None)}, {zero: 0}
     for _ in range(x.maxdim):
-        prev, (pw, pairs) = pw, _windows(pw, x.meta, x.maxdim, _add_classes, _no_twist)
+        prev, (pw, pairs) = pw, _windows(pw, x.meta, x.maxdim)
         if pw == prev:  # so are all later powers' windows
             break
         nxt = {}
@@ -122,19 +125,19 @@ def _needs(order, claim, low):
 def _triangular(order, factor, first, need, divide=False):
     """Solve w(d) X_d = first_d - sum_(0 < f <= d) factor_f X_(d-f) in one
     pass over `order` (ascending |d|, the zero class first, X_0 = first_0),
-    w(d) = |d| when divide else 1.  X_d is kept up to weight need[d] (None:
-    all) as sorted (k, c) pairs; a division with a remainder raises."""
-    flists = [(f, sorted(lau.items())) for f, lau in factor.items()]
+    w(d) = |d| when divide else 1.  The data and X_d are ascending (k, c)
+    rows per class (`QSeries.class_rows`); X_d is kept up to weight need[d]
+    (None: all), and a division with a remainder raises."""
     # no weight of X_d exceeds (|d| + 1) times the largest |k| of the data
     big = (1 + max(map(sum, order))) * max(
-        [abs(k) for lau in (*factor.values(), *first.values()) for k in lau], default=0
+        [abs(k) for row in (*factor.values(), *first.values()) for k, _ in row], default=0
     )
     X = {}
     for d in order:
         top = big if need[d] is None else need[d]
-        acc = {k: c for k, c in first.get(d, {}).items() if k <= top}
+        acc = {k: c for k, c in first.get(d, ()) if k <= top}
         if any(d):
-            for f, fl in flists:
+            for f, fl in factor.items():
                 xl = X.get(tuple(a - b for a, b in zip(d, f)))
                 if not xl:
                     continue
@@ -154,6 +157,31 @@ def _triangular(order, factor, first, need, divide=False):
                     acc[k] = c // w
         X[d] = sorted(kc for kc in acc.items() if kc[1])
     return X
+
+
+def _term_half(cuts, signed):
+    """Term half of a product: {class d: {k: c}} summed over the cuts (d, tw,
+    ta, tb, room) of its class pairs, ta and tb ascending (k, c) rows and
+    room = hi - tw the target window left for k1 + k2.  The outer loop ends
+    where k1 + lo2 + tw > hi (ta is cut there), the inner where
+    k1 + k2 + tw > hi; a signed pair of odd twist enters negated."""
+    acc = {}
+    for d, tw, ta, tb, room in cuts:
+        out = acc.get(d)
+        if out is None:
+            out = acc[d] = {}
+        negate = signed and tw % 2
+        for k1, c1 in ta:
+            rest = room - k1
+            if negate:
+                c1 = -c1
+            k1 += tw
+            for k2, c2 in tb:
+                if k2 > rest:
+                    break
+                k = k1 + k2
+                out[k] = out.get(k, 0) + c1 * c2
+    return acc
 
 
 class QSeries:
@@ -198,11 +226,14 @@ class QSeries:
         dvec = tuple(dvec)
         return {k: c for (d, k), c in self.terms.items() if d == dvec}
 
-    def by_class(self):
-        """{class: Laurent dict} of every class with a stored term, in one scan."""
+    def class_rows(self):
+        """{class: ascending [(k, c)]} of every class with a stored term, in
+        one scan: the layout the products and `_triangular` walk."""
         out = {}
         for (d, k), c in self.terms.items():
-            out.setdefault(d, {})[k] = c
+            out.setdefault(d, []).append((k, c))
+        for row in out.values():
+            row.sort()  # weights are distinct, so no coefficient is compared
         return out
 
     def _check_compat(self, other, same_kind=True):
@@ -240,58 +271,76 @@ class QSeries:
 
     # -- products ------------------------------------------------------------
 
-    def _convolve(self, other, out_kind, class_fn, twist_fn, signed=False):
+    def _convolve(self, other, out_kind, lift=None, signed=False):
+        """Product on the class pairs of `_windows` (lift: see there), the
+        twist tw entering as q^(tw/2), or as (-q^(1/2))^tw when signed.  The
+        terms of either row that fit the target window next to the other
+        row's least weight bound a class pair's term pairs; a product whose
+        bounds sum to more than MAX_PRODUCT_PAIRS raises before the term
+        half."""
         maxdim = min(self.maxdim, other.maxdim)
-        meta, pairs = _windows(self.meta, other.meta, maxdim, class_fn, twist_fn)
-        by_a, by_b = self.by_class(), other.by_class()
-        terms = {}
+        meta, pairs = _windows(self.meta, other.meta, maxdim, lift)
+        rows_a, rows_b = self.class_rows(), other.class_rows()
+        work, cuts = 0, []
         for d1, d2, d, tw in pairs:
-            ta, tb = by_a.get(d1), by_b.get(d2)
+            ta, tb = rows_a.get(d1), rows_b.get(d2)
             if not ta or not tb:
                 continue
             hi = meta[d][1]
-            sgn = sign_pow(tw) if signed else 1
-            for k1, c1 in ta.items():
-                for k2, c2 in tb.items():
-                    k = k1 + k2 + tw
-                    if hi is None or k <= hi:
-                        terms[(d, k)] = terms.get((d, k), 0) + sgn * c1 * c2
-        return QSeries(self.quiver, out_kind, maxdim, {key: v for key, v in terms.items() if v}, meta)
+            # room for k1 + k2; with no window every pair lands
+            room = ta[-1][0] + tb[-1][0] if hi is None else hi - tw
+            na = bisect_left(ta, (room - tb[0][0] + 1,))
+            nb = bisect_left(tb, (room - ta[0][0] + 1,))
+            if na and nb:
+                work += na * nb
+                cuts.append((d, tw, ta[:na], tb[:nb], room))
+        if work > MAX_PRODUCT_PAIRS:
+            raise HallforgeError(
+                "a series product of up to %d term pairs exceeds the work cap of %d" % (work, MAX_PRODUCT_PAIRS)
+            )
+        acc = _term_half(cuts, signed)
+        terms = {(d, k): c for d, out in acc.items() for k, c in out.items() if c}
+        return QSeries(self.quiver, out_kind, maxdim, terms, meta)
 
     def cmul(self, other):
         """Plain commutative product (numerical series identities)."""
         self._check_compat(other)
-        return self._convolve(other, self.kind, _add_classes, _no_twist)
+        return self._convolve(other, self.kind)
 
     def torus_mul(self, other):
-        """Quantum torus product with twist chi(d,d') - chi(d',d)."""
+        """Quantum torus product with twist chi(d,d') - chi(d',d) = r(d).d'."""
         self._check_compat(other)
         if self.kind != TORUS:
             raise KindMismatchError("torus_mul needs torus series")
         q = self.quiver
-        tw = lambda d1, d2: q.euler_form(d1, d2) - q.euler_form(d2, d1)
-        return self._convolve(other, TORUS, _add_classes, tw)
+        lift = {d: (d, sum(d), q.skew_row(d), 0) for d in self.meta}
+        return self._convolve(other, TORUS, lift)
 
-    def _action_classes(self):
-        """Class map (d, e) -> H(d) + e of the module actions, H once per d."""
-        h = {d: self.quiver.hyperbolic(d) for d in self.meta}
-        return lambda d1, e2: _add_classes(h[d1], e2)
+    def _action_classes(self, sign):
+        """Lift (H(d), 2|d|, sign r(d), sign (E(sigma d) - E(d))) of every
+        class d of the acting series: t^d * xi^e lands in H(d) + e with twist
+        sign gamma(d, e), gamma(d, e) = r(d).e + E(sigma d) - E(d)."""
+        q = self.quiver
+        lift = {}
+        for d in self.meta:
+            shift = q.sd_euler_form(q.sigma_dim(d)) - q.sd_euler_form(d)
+            row = tuple(sign * x for x in q.skew_row(d))
+            lift[d] = (q.hyperbolic(d), 2 * sum(d), row, sign * shift)
+        return lift
 
     def module_star(self, x):
         """Action of a torus series on a module series."""
         self._check_compat(x, same_kind=False)
         if self.kind != TORUS or x.kind != MODULE:
             raise KindMismatchError("module_star needs torus * module")
-        return self._convolve(x, MODULE, self._action_classes(), self.quiver.star_twist)
+        return self._convolve(x, MODULE, self._action_classes(1))
 
     def char_star(self, x):
         """Module action in the character normalization: twist
         (-q^(1/2))^(-gamma(d,e)).  Coincides with module_star for
         sigma-symmetric quivers."""
         self._check_compat(x, same_kind=False)
-        q = self.quiver
-        tw = lambda d1, e2: -q.star_twist(d1, e2)
-        return self._convolve(x, MODULE, self._action_classes(), tw, signed=True)
+        return self._convolve(x, MODULE, self._action_classes(-1), signed=True)
 
     def power(self, n):
         if n < 0:
@@ -320,17 +369,17 @@ class QSeries:
         (op "log": X_d = |d| A_d - sum_f A_f X_(d-f)), f over the nonzero
         classes, in the windows of the power series sum_j c_j (A - 1)^j."""
         x = self._nilpotent_part(op)
-        a = x.by_class()
-        low = {f: min(lau) for f, lau in a.items()}
+        a = x.class_rows()
+        low = {f: row[0][0] for f, row in a.items()}
         meta = _chain_windows(x, low, op == "log")
         if op == "inverse":
             # inherit the windows of A on every class the inverse can reach
             for d, m in x.meta.items():
                 if d in meta:
                     meta[d] = (meta[d][0], _min_hi(meta[d][1], m[1]))
-            first = {self.quiver.zero(): {0: 1}}
+            first = {self.quiver.zero(): [(0, 1)]}
         else:
-            first = {d: {k: sum(d) * c for k, c in lau.items()} for d, lau in a.items()}
+            first = {d: [(k, sum(d) * c) for k, c in row] for d, row in a.items()}
         order = sorted(meta, key=lambda d: (sum(d), d))
         claim = {d: m[1] for d, m in meta.items()}
         X = _triangular(order, a, first, _needs(order, claim, low))
@@ -353,12 +402,12 @@ class QSeries:
         """(equal, report): compare on the intersection of validity windows."""
         self._check_compat(other)
         classes = set(self.meta) | set(other.meta)
-        mine, theirs = self.by_class(), other.by_class()
+        mine, theirs = self.class_rows(), other.class_rows()
         mismatches, windows = [], {}
         for d in sorted(classes, key=lambda d: (sum(d), d)):
             hi = _min_hi(self.hi(d), other.hi(d))
             windows[d] = hi
-            la, lb = mine.get(d, {}), theirs.get(d, {})
+            la, lb = dict(mine.get(d, ())), dict(theirs.get(d, ()))
             for k in sorted(set(la) | set(lb)):
                 if hi is not None and k > hi:
                     continue
@@ -409,20 +458,29 @@ def _dense(classes, window):
     return classes
 
 
-def _add_class(terms, meta, cls, lead, sign, steps, window):
+def _add_class(terms, meta, cls, lead, sign, steps, window, memo):
     """Class cls of a closed form: sign q^(lead/2) / prod_(step in steps)
     (1 - q^(step/2)), known up to q^((lead + window)/2).
 
     Dense over the window: dividing by one factor is the running sum
-    out[i] += out[i - step], so each factor costs O(window).
+    out[i] += out[i - step], so each factor costs O(window).  memo holds the
+    expansion of every nonempty step prefix met so far in the closed form:
+    its classes extend each other's steps, so a class costs one running sum
+    per step that no earlier class had.
     """
-    out = [sign] + [0] * window
-    for step in steps:
+    steps = tuple(steps)
+    n = len(steps)
+    while n and steps[:n] not in memo:
+        n -= 1
+    out = memo[steps[:n]] if n else [1] + [0] * window
+    for j in range(n, len(steps)):
+        out, step = out[:], steps[j]
         for i in range(step, window + 1):
             out[i] += out[i - step]
+        memo[steps[: j + 1]] = out
     for i, c in enumerate(out):
         if c:
-            terms[(cls, lead + i)] = c
+            terms[(cls, lead + i)] = sign * c
     meta[cls] = (lead, lead + window)
 
 
@@ -439,11 +497,12 @@ def qpochhammer_inf(quiver, kind, k0, dvec, maxdim, window, base=1):
         quiver.check_selfdual_dim(dvec)
     zero = quiver.zero()
     terms, meta = {(zero, 0): 1}, {zero: (0, None)}
+    memo = {}
     for n in _dense(range(1, maxdim // sum(dvec) + 1), window):
         cls = tuple(n * x for x in dvec)
         kstart = n * k0 + base * n * (n - 1)
         steps = [2 * base * j for j in range(1, n + 1)]
-        _add_class(terms, meta, cls, kstart, sign_pow(n), steps, window)
+        _add_class(terms, meta, cls, kstart, sign_pow(n), steps, window, memo)
     return QSeries(quiver, kind, maxdim, terms, meta)
 
 
@@ -464,10 +523,11 @@ def quantum_integer(n, base_power=1):
 def dt_series(quiver, maxdim, window):
     """A_Q = sum_d (-q^(1/2))^chi(d,d) / prod_i prod_{j<=d_i} (1-q^j) t^d."""
     terms, meta = {}, {}
+    memo = {}
     for d in _dense(quiver.dimension_vectors(maxdim), window):
         chi = quiver.euler_form(d, d)
         steps = [2 * j for di in d for j in range(1, di + 1)]
-        _add_class(terms, meta, d, chi, sign_pow(chi), steps, window)
+        _add_class(terms, meta, d, chi, sign_pow(chi), steps, window, memo)
     return QSeries(quiver, TORUS, maxdim, terms, meta)
 
 
@@ -485,11 +545,12 @@ def ori_dt_series(quiver, maxdim, window):
     """A^sigma_Q per the equivariant-contractibility closed form."""
     terms, meta = {}, {}
     idx = quiver.node_index
+    memo = {}
     for e in _dense(module_classes(quiver, maxdim), window):
         ee = quiver.sd_euler_form(e)
         steps = [2 * j for nd in quiver.q0_plus for j in range(1, e[idx[nd]] + 1)]
         steps += [4 * j for nd in quiver.q0_sigma for j in range(1, e[idx[nd]] // 2 + 1)]
-        _add_class(terms, meta, e, ee, sign_pow(ee), steps, window)
+        _add_class(terms, meta, e, ee, sign_pow(ee), steps, window, memo)
     return QSeries(quiver, MODULE, maxdim, terms, meta)
 
 
@@ -593,7 +654,7 @@ def pochhammer_q2_product(signed_table, maxdim, window):
                 lo = n * k0 + (2 * n * (n - 1) if power > 0 else 0)
                 fmeta[f] = (lo, lo + 3 * window)
             for _ in range(abs(power)):
-                meta = _windows(meta, fmeta, maxdim, _add_classes, _no_twist)[0]
+                meta = _windows(meta, fmeta, maxdim)[0]
     for d, (lo, hi) in meta.items():
         for e0, top in signed_table.validity.items():
             if any(e0) and all(a <= b for a, b in zip(e0, d)):
@@ -608,7 +669,8 @@ def pochhammer_q2_product(signed_table, maxdim, window):
         lau = g.setdefault(f, {})
         for k in range(k0, max(need[d] - meta[r][0] for d, r in rests if r in meta) + 1, step):
             lau[k] = lau.get(k, 0) + c
-    X = _triangular(order, g, {zero: {0: 1}}, need, divide=True)
+    g = {f: sorted(lau.items()) for f, lau in g.items()}
+    X = _triangular(order, g, {zero: [(0, 1)]}, need, divide=True)
     terms = {(d, k): c for d in order for k, c in X[d] if claim[d] is None or k <= claim[d]}
     return QSeries(quiver, MODULE, maxdim, terms, meta)
 

@@ -19,6 +19,7 @@ from hallforge.series import (
     InvariantTable,
     QSeries,
     _add_class,
+    _add_hi,
     _min_hi,
     qpochhammer_inf,
     sign_pow,
@@ -145,6 +146,61 @@ def label_degree(cls, quiver, d, label):
     return sum(sum(lam) * (1 if kind == "GL" else 2) for (_, kind, _), lam in zip(cls.blocks(quiver, d), label))
 
 
+def add_classes(d1, d2):
+    return tuple(x + y for x, y in zip(d1, d2))
+
+
+def flat_convolve(a, b, out_kind, class_fn, twist_fn, signed=False):
+    """The series product as `QSeries._convolve` computed it before it walked
+    sorted rows: every class pair of the two windows' classes within maxdim,
+    its twist from twist_fn(d1, d2), and every term pair multiplied before
+    its weight is checked against the target window."""
+    maxdim = min(a.maxdim, b.maxdim)
+    meta, pairs = {}, []
+    for d1, (lo1, hi1) in a.meta.items():
+        for d2, (lo2, hi2) in b.meta.items():
+            d = class_fn(d1, d2)
+            if sum(d) > maxdim:
+                continue
+            tw = twist_fn(d1, d2)
+            pairs.append((d1, d2, d, tw))
+            lo = lo1 + lo2 + tw
+            hi = _add_hi(_min_hi(_add_hi(hi1, lo2), _add_hi(lo1, hi2)), tw)
+            lo0, hi0 = meta.get(d, (lo, hi))
+            meta[d] = (min(lo0, lo), _min_hi(hi0, hi))
+    by_a, by_b = {}, {}
+    for series, by in ((a, by_a), (b, by_b)):
+        for (d, k), c in series.terms.items():
+            by.setdefault(d, {})[k] = c
+    terms = {}
+    for d1, d2, d, tw in pairs:
+        ta, tb = by_a.get(d1), by_b.get(d2)
+        if not ta or not tb:
+            continue
+        hi = meta[d][1]
+        sgn = sign_pow(tw) if signed else 1
+        for k1, c1 in ta.items():
+            for k2, c2 in tb.items():
+                k = k1 + k2 + tw
+                if hi is None or k <= hi:
+                    terms[(d, k)] = terms.get((d, k), 0) + sgn * c1 * c2
+    return QSeries(a.quiver, out_kind, maxdim, {key: v for key, v in terms.items() if v}, meta)
+
+
+def flat_products(a, b, x):
+    """{name: product} of `flat_convolve` for cmul(a, b), torus_mul(a, b),
+    module_star(a, x) and char_star(a, x), the twists read off
+    `star_twist` and `euler_form` pair by pair."""
+    q = a.quiver
+    hyper = lambda d1, e2: add_classes(q.hyperbolic(d1), e2)
+    return {
+        "cmul": flat_convolve(a, b, a.kind, add_classes, lambda d1, d2: 0),
+        "torus_mul": flat_convolve(a, b, TORUS, add_classes, lambda d1, d2: q.euler_form(d1, d2) - q.euler_form(d2, d1)),
+        "module_star": flat_convolve(a, x, MODULE, hyper, q.star_twist),
+        "char_star": flat_convolve(a, x, MODULE, hyper, lambda d1, e2: -q.star_twist(d1, e2), signed=True),
+    }
+
+
 def char_mul(a, b):
     """Torus product a * b in the character normalization: the twist enters
     as (-q^(1/2))^(chi(d'',d') - chi(d',d'')), matching graded dimensions of
@@ -152,9 +208,8 @@ def char_mul(a, b):
     is symmetric."""
     a._check_compat(b)
     q = a.quiver
-    add = lambda d1, d2: tuple(x + y for x, y in zip(d1, d2))
     tw = lambda d1, d2: q.euler_form(d2, d1) - q.euler_form(d1, d2)
-    return a._convolve(b, TORUS, add, tw, signed=True)
+    return flat_convolve(a, b, TORUS, add_classes, tw, signed=True)
 
 
 def _div(a, b):
@@ -351,11 +406,11 @@ def chain_invert_pochhammer_factorization(series):
     table = {}
     raw = {}  # class -> {k: multiplicity}, filled in layer by layer
     validity = {}
-    per_class = L.by_class()
+    per_class = L.class_rows()
     for D in sorted(L.meta, key=lambda d: (sum(d), d)):
         if not any(D):
             continue
-        lau = dict(per_class.get(D, {}))
+        lau = dict(per_class.get(D, ()))
         hi = L.hi(D)
         if hi is None:
             hi = max(lau, default=0)
@@ -397,9 +452,10 @@ def inverse_q2_pochhammer(quiver, k0, dvec, maxdim, window):
     coefficient of xi^(n*dvec) is q^(n*k0/2) / prod_{j=1..n} (1 - q^(2j))."""
     zero = quiver.zero()
     terms, meta = {(zero, 0): 1}, {zero: (0, None)}
+    memo = {}
     for n in range(1, maxdim // sum(dvec) + 1):
         steps = [4 * j for j in range(1, n + 1)]
-        _add_class(terms, meta, tuple(n * x for x in dvec), n * k0, 1, steps, window)
+        _add_class(terms, meta, tuple(n * x for x in dvec), n * k0, 1, steps, window, memo)
     return QSeries(quiver, MODULE, maxdim, terms, meta)
 
 

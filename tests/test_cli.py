@@ -309,6 +309,32 @@ def test_series_cell_cap_exit2(monkeypatch, l2_path, command, window):
     assert err.startswith("error:") and "work cap" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["dilog-check", "--type", "A200"], ["pbw-check", "--type", "A2000", "--bound", "0", "--window", "0"]],
+)
+def test_root_pair_cap_exit2(monkeypatch, args):
+    """A type A rank whose root pairs exceed MAX_ROOT_PAIRS exits 2 before
+    the Auslander-Reiten order is built."""
+    from hallforge import finite_type
+
+    def unreachable(rs):
+        raise AssertionError("ar_order reached")
+
+    monkeypatch.setattr(finite_type, "ar_order", unreachable)
+    code, out, err = run_cli(args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "work cap" in err
+
+
+def test_product_cap_exit2():
+    """A dilogarithm check whose series products outgrow MAX_PRODUCT_PAIRS
+    exits 2 at the first such product, before it multiplies a term pair."""
+    code, out, err = run_cli(["dilog-check", "--type", "A3", "--orient", ">>", "--max-dim", "300", "--window", "400"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "series product" in err and "work cap" in err
+
+
 @pytest.mark.parametrize("command", ["ori-invariants", "equivariant-dt"])
 def test_quotient_slice_cap_exit2(monkeypatch, tmp_path, command):
     """A1~ is not a loop quiver, so equivariant-dt takes the quotient route."""

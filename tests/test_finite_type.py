@@ -55,6 +55,31 @@ def test_sigma_incompatible_orientation():
     build_typeA(4, "><>", "orthogonal")
 
 
+def test_root_pair_cap_refuses_before_ar_order(monkeypatch):
+    """An A_n whose R (R - 1) ordered root pairs, R = n (n + 1) / 2, exceed
+    MAX_ROOT_PAIRS fails before `ar_order` visits any; A20, the largest n
+    under the cap, gets through to it, and A1-A6 build as before."""
+    from hallforge import finite_type
+    from hallforge.errors import HallforgeError
+    from hallforge.quiver import MAX_ROOT_PAIRS
+
+    assert 210 * 209 <= MAX_ROOT_PAIRS < 231 * 230
+
+    def unreachable(rs):
+        raise AssertionError("ar_order reached")
+
+    monkeypatch.setattr(finite_type, "ar_order", unreachable)
+    for n in (21, 200, 2000):
+        with pytest.raises(HallforgeError, match="work cap"):
+            build_typeA(n, ">" * (n - 1), "orthogonal")
+    with pytest.raises(AssertionError, match="ar_order reached"):
+        build_typeA(20, ">" * 19, "symplectic")
+    monkeypatch.undo()
+    for n in range(1, 7):
+        for duality in ("orthogonal", "symplectic"):
+            assert len(build_typeA(n, ">" * (n - 1), duality).order) == n * (n + 1) // 2
+
+
 def indecomposable(rs, root):
     """Matrix representation of the interval module I_root: dims and 0/1
     arrow matrices."""

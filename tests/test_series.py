@@ -350,14 +350,14 @@ def test_exp_division_raises_on_corrupted_factor_table():
     product: G = -E(log 1/(xi; q^2)_inf) gives the closed form back, and a
     corrupted coefficient of G leaves a remainder that raises."""
     order = [(n,) for n in range(4)]
-    g = {(n,): {k: -1 for k in range(0, 9, 4 * n)} for n in range(1, 4)}
+    g = {(n,): [(k, -1) for k in range(0, 9, 4 * n)] for n in range(1, 4)}
     need = {(0,): None, (1,): 8, (2,): 8, (3,): 8}
-    X = _triangular(order, g, {(0,): {0: 1}}, need, divide=True)
+    X = _triangular(order, g, {(0,): [(0, 1)]}, need, divide=True)
     got = {(d, k): c for d in order for k, c in X[d]}
     assert got == inverse_q2_pochhammer(L0, 0, (1,), 3, 8).terms
-    g[(2,)][0] += 1
+    g[(2,)][0] = (0, 0)
     with pytest.raises(NonIntegralError, match=r"inexact division by 2 at class \(2,\) weight 0"):
-        _triangular(order, g, {(0,): {0: 1}}, need, divide=True)
+        _triangular(order, g, {(0,): [(0, 1)]}, need, divide=True)
 
 
 def outcome(fn, *args):
