@@ -89,8 +89,8 @@ def _load_quiver(args):
 
 
 def _build_rs(args):
-    if not args.type or not args.type.upper().startswith("A"):
-        raise HallforgeError("--type A<n> is required")
+    if not args.type or not args.type.upper().startswith("A") or not args.type[1:].isdecimal():
+        raise HallforgeError("--type must be A<n>, n a positive integer, not %r" % (args.type,))
     n = int(args.type[1:])
     orient = args.orient if args.orient is not None else ">" * max(n - 1, 0)
     duality = {"orth": "orthogonal", "symp": "symplectic"}.get(args.duality, args.duality)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from .errors import HallforgeError, SymmetryError
 from .graded import GradedElement, PrimitiveTable, check_quotient_slices
 from .linalg import Echelon, complement
-from .poly import Poly
+from .poly import Poly, mul_bound
 from .quiver import QuiverWithDuality
 from .series import (
     SignedInvariantTable,
@@ -33,7 +33,7 @@ from .series import (
     invert_pochhammer_factorization,
     sign_pow,
 )
-from .symfun import add_box, lead_product, straighten_terms
+from .symfun import add_box, block_cuts, lead_terms, straighten_blocks
 
 
 class CohaElement(GradedElement):
@@ -117,9 +117,9 @@ def shuffle_mul(f, g):
 
 
 def _mul_integrand(quiver, d1, d2):
-    """(sign * K, lead slots of the x' and x'' labels, node blocks) of the
-    product H_d1 x H_d2 -> H_(d1+d2), kept in quiver._cache under
-    ("coha_integrand", d1, d2); sign = (-1)^(sum_n d1_n d2_n)."""
+    """(sign * K, lead slots of the x' and x'' labels, block cuts of the
+    target) of the product H_d1 x H_d2 -> H_(d1+d2), kept in quiver._cache
+    under ("coha_integrand", d1, d2); sign = (-1)^(sum_n d1_n d2_n)."""
     key = ("coha_integrand", d1, d2)
     out = quiver._cache.get(key)
     if out is None:
@@ -131,8 +131,8 @@ def _mul_integrand(quiver, d1, d2):
         kernel = kernel.scale(sign_pow(sum(a * b for a, b in zip(d1, d2))))
         fslots = tuple((offsets[n], d1[idx[n]], 1, 0, 1) for n in quiver.nodes)
         gslots = tuple((mid[n], d2[idx[n]], 1, 0, 1) for n in quiver.nodes)
-        blocks = [(offsets[n], d[idx[n]]) for n in quiver.nodes]
-        out = quiver._cache[key] = (kernel, fslots, gslots, blocks)
+        cuts = block_cuts([(offsets[n], d[idx[n]]) for n in quiver.nodes])
+        out = quiver._cache[key] = (kernel, fslots, gslots, cuts)
     return out
 
 
@@ -144,12 +144,15 @@ def schur_mul(quiver, d1, f, d2, g):
     Each node's push is partial_w0 of its block after the lead monomials:
     for S_d1 x S_d2 invariant P, shuffle_push(P) = partial_w0(x'^delta
     x''^delta P), and x'^delta s_lam(x') can be traded for x'^(lam + delta)
-    because partial_w0 factors through the Levi's.  So the product is the
-    cached integrand times x'^(lam + delta) x''^(mu + delta), straightened
-    block by block (`symfun.straighten_terms`); the inputs are never
-    expanded."""
-    kernel, fslots, gslots, blocks = _mul_integrand(quiver, d1, d2)
-    return straighten_terms((lead_product(f, fslots, g, gslots, kernel.n) * kernel).terms, blocks)
+    because partial_w0 factors through the Levi's.  So the product is one
+    pass from labels to labels, with no polynomial built: the cached
+    integrand's terms times x'^(lam + delta) x''^(mu + delta), straightened
+    block by block (`symfun.straighten_blocks`); `poly.mul_bound` refuses
+    it as `Poly.__mul__` would."""
+    kernel, fslots, gslots, cuts = _mul_integrand(quiver, d1, d2)
+    leads, top = lead_terms(f, fslots, g, gslots)
+    mul_bound(kernel.n, leads, top, kernel.terms, kernel.bound)
+    return straighten_blocks(leads, kernel.terms, cuts)
 
 
 def s_label(quiver, label):

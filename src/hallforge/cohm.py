@@ -43,7 +43,7 @@ from .coha import (
 from .errors import GradingError, HallforgeError, NonIntegralError, SymmetryError
 from .graded import GradedElement, PrimitiveTable
 from .linalg import complement
-from .poly import SHIFT, Poly, unpack_exponents
+from .poly import SHIFT, Poly, mul_bound, unpack_exponents
 from .quiver import QuiverWithDuality
 from .series import (
     InvariantTable,
@@ -54,7 +54,7 @@ from .series import (
     pochhammer_q2_product,
     sign_pow,
 )
-from .symfun import lead, lead_product, straighten, straighten_terms
+from .symfun import block_cuts, lead, lead_terms, straighten, straighten_blocks
 
 
 class CohmElement(GradedElement):
@@ -268,9 +268,9 @@ def _act_integrand(quiver, d, e):
     """The cached pieces of `schur_act` for H_d x M_e, kept in quiver._cache
     under ("cohm_integrand", d, e): (sign * integrand, the deferred factors
     prod (u - v), the lead slots of the f labels (every node) and of the g
-    labels (the blocks of M_e), as `symfun.lead_product` reads them, the
-    (bit offset, bit mask, D, m) of every fixed node's block, and the
-    (offset, size) of every block of the target).
+    labels (the blocks of M_e), as `symfun.lead_terms` reads them, the
+    (bit shift, bit mask, D, m) of every fixed node's block, and the
+    `symfun.block_cuts` of the blocks of the target).
 
     u = y^2 and v = z^2 take the slots of y and z, so the deferred factors
     are prod (u_y - v_z) over the pairs of `_action_integrand`."""
@@ -313,7 +313,7 @@ def _act_integrand(quiver, d, e):
             deferred = deferred.mul_linear(1, y, -1, z)
         fixed.append((SHIFT * o, (1 << (SHIFT * size)) - 1, dn, m))
         gslots.append((o + dn, m, 2, 0, 1))
-    cached = quiver._cache[key] = (kernel.scale(sign), deferred, tuple(fslots), tuple(gslots), fixed, blocks)
+    cached = quiver._cache[key] = (kernel.scale(sign), deferred, tuple(fslots), tuple(gslots), fixed, block_cuts(blocks))
     return cached
 
 
@@ -322,9 +322,9 @@ def schur_act(quiver, d, f, e, g):
     coeff}: f over the nodes, g and the result over the blocks of
     CohmElement) and without divided differences or flips.
 
-    As in `coha.schur_mul`, the inputs enter as their lead monomials, times
-    the integrand of `cohm_action` built with f = g = 1, and every push
-    becomes a straightening (`symfun.straighten`):
+    As in `coha.schur_mul`, one pass goes from the lead monomials of f and
+    g, times the integrand of `cohm_action` built with f = g = 1, to labels,
+    every push a straightening (`symfun.straighten`):
 
     - a Q0^+ block (d_i, e_i, d_sigma(i)) is straightened once; its tail
       lead is kappa + delta with the sign (-1)^|kappa|, since x'_sigma(i)
@@ -339,28 +339,33 @@ def schur_act(quiver, d, f, e, g):
 
     The signs of `cohm_action` ((-1)^(D(D+1)/2), 2^D for types B and D,
     (-1)^D for the type D product, the Q0^+ block signs) sit in the cached
-    integrand."""
-    kernel, deferred, fslots, gslots, fixed, blocks = _act_integrand(quiver, d, e)
-    product = lead_product(f, fslots, g, gslots, kernel.n) * kernel
-    # each fixed node's B_D push writes u = y^2 and v = z^2 into its block
+    integrand; both multiplications refuse as `Poly.__mul__` would."""
+    kernel, deferred, fslots, gslots, fixed, cuts = _act_integrand(quiver, d, e)
+    leads, top = lead_terms(f, fslots, g, gslots)
+    bound = mul_bound(kernel.n, leads, top, kernel.terms, kernel.bound)
+    if not fixed:
+        return straighten_blocks(leads, kernel.terms, cuts)
+    # each fixed node's B_D push (linear) writes u = y^2, v = z^2 in its block
     pushed = {}
-    for key, c in product.terms.items():
-        for shift, mask, dn, m in fixed:
-            block = (key >> shift) & mask
-            r = _type_b_push(block, dn, m)
-            if r is None:
-                break
-            if r[0] < 0:
-                c = -c
-            key += (r[1] - block) << shift
-        else:
-            v = pushed.get(key, 0) + c
-            if v:
-                pushed[key] = v
+    for k1, c1 in leads.items():
+        for k2, c2 in kernel.terms.items():
+            key, c = k1 + k2, c1 * c2
+            for shift, mask, dn, m in fixed:
+                block = (key >> shift) & mask
+                r = _type_b_push(block, dn, m)
+                if r is None:
+                    break
+                if r[0] < 0:
+                    c = -c
+                key += (r[1] - block) << shift
             else:
-                del pushed[key]
-    pushed = Poly(kernel.n, pushed, product.bound) * deferred
-    return straighten_terms(pushed.terms, blocks)
+                v = pushed.get(key, 0) + c
+                if v:
+                    pushed[key] = v
+                else:
+                    del pushed[key]
+    mul_bound(kernel.n, pushed, bound, deferred.terms, deferred.bound)
+    return straighten_blocks(pushed, deferred.terms, cuts)
 
 
 @lru_cache(maxsize=1 << 16)

@@ -20,12 +20,12 @@ letter through step(quiver, d, e) -> (shift, class), which is
 (-chi(d, e), d + e) for the product and (`action_degree_shift`, H(d) + e)
 for the action.  Each word thus gets the exact budget window // 2 - shift,
 and the engine computes exactly the products that land in the weight
-window, sharing suffixes through one memo.  The slots alone fix the chain
-of classes and the shift, so both are computed once per word, and each
-product is filed under the slice its word fixes, not one read off its
-terms.  The checks read only ranks, so letters and products are rows in
-Schur coordinates (`coha.schur_mul`, `cohm.schur_act`) and no polynomial
-is expanded.
+window, sharing suffixes through a trie of letters.  The slots alone fix
+the chain of classes and the shift, so both are computed once per word,
+and each product is filed under the slice its word fixes, not one read
+off its terms.  The checks read only ranks, so letters and products are
+rows in Schur coordinates (`coha.schur_mul`, `cohm.schur_act`) and no
+polynomial is expanded.
 """
 
 from __future__ import annotations
@@ -309,12 +309,13 @@ def dilog_identity_check(rs, maxdim, window):
 def _root_tuples(rs, roots, bound):
     """Multiplicity tuples over `roots` with the total dim <= bound per node."""
     out = []
+    vecs = [rs.dim_vector(r) for r in roots]
 
     def rec(i, acc, current):
         if i == len(roots):
             out.append(tuple(current))
             return
-        vec = rs.dim_vector(roots[i])
+        vec = vecs[i]
         m = 0
         while all(a + m * v <= b for a, v, b in zip(acc, vec, bound)):
             current.append(m)
@@ -352,9 +353,11 @@ def _slice_report(cls, quiver, buckets, zeros, reached, window, dims):
         return dims[(d, k)]
 
     ok = not zeros  # a vanishing ordered product already breaks injectivity
-    slices = {}
+    slices, forms = {}, {}
     for (d, k), rows in sorted(buckets.items()):
-        if k > cls.weight_form(quiver, d) + window:
+        if d not in forms:
+            forms[d] = cls.weight_form(quiver, d)
+        if k > forms[d] + window:
             continue
         rank, dim = rank_of_rows(rows), dim_of(d, k)
         slices[(d, k)] = (len(rows), rank, dim)
@@ -396,8 +399,13 @@ def _letter_partitions(m, odd, left):
     (+ m when odd indexed)."""
     if odd is None:
         return _partitions_upto(left, m)
-    least = m * (m - 1) // 2 + (m if odd else 0)
-    return [_shifted_schur_partition(lam, m, odd) for lam in _partitions_upto((left - least) // 2, m)]
+    return [_shifted_schur_partition(lam, m, odd) for lam in _partitions_upto((left - _least_size(m, odd)) // 2, m)]
+
+
+def _least_size(m, odd):
+    """The smallest letter size of a slot (root, m, odd): 0 for a root
+    letter, m(m-1)/2 (+ m when odd indexed) for a generator letter."""
+    return 0 if odd is None else m * (m - 1) // 2 + (m if odd else 0)
 
 
 def _coha_step(quiver, d, e):
@@ -422,65 +430,64 @@ def _pbw_report(rs, cls, act, step, words, bound, window, dims):
     classes of the word's suffixes and the shift chained by `step` over
     them, so each word within the bound gets the budget window // 2 - shift
     for its letter sizes, and each product lands in the slice k = 2 (sum of
-    letter sizes + shift) + weight form of its class.  Steps, letters,
-    letter partitions and weight forms are memoized for the report;
-    products, rows, are shared through a memo of (seed class, suffix), and
-    slice dimensions through dims, the check's memo (`_slice_report`).
+    letter sizes + shift) + weight form of its class.
+
+    Products are shared through a trie of letters per seed: a word walked
+    right to left descends one child per letter, and a child's row (its
+    letter acting on its parent's row) is computed once, when it is made.
+    A letter may use only the budget its left slots do not need for their
+    least sizes (`_least_size`), so no dead end computes a product.  Steps,
+    letters, letter partitions and weight forms are memoized for the
+    report, slice dimensions through dims (`_slice_report`).
     """
     quiver = rs.quiver
-    buckets, zeros, reached, memo = {}, [], set(), {}
+    buckets, zeros, reached, tries = {}, [], set(), {}
     steps, letters, forms, sized = {}, {}, {}, {}
 
-    def psi(letter):
-        if letter not in letters:
-            letters[letter] = rs.psi(*letter)
-        return letters[letter]
-
-    def product(seed, e0, chain, word):
-        """The row of `word` acting on the seed; chain[j] is the class of
-        its last j letters acting on it."""
-        if not word:
-            return {tuple(() for _ in cls.blocks(quiver, e0)): 1}
-        key = (e0, word)
-        row = memo.get(key)
-        if row is None:
-            d, label = psi(word[0])
-            rest = word[1:]
-            if seed is None and not rest:
-                row = {label: 1}
-            else:
-                row = act(quiver, d, {label: 1}, chain[len(rest)], product(seed, e0, chain, rest))
-            memo[key] = row
-        return row
-
-    def rec(seed, e0, slots, chain, word, left, k):
-        if len(word) == len(slots):
-            _bucket(buckets, zeros, chain[-1], k, product(seed, e0, chain, word))
+    def rec(node, j, spare, k):
+        """Descend from node, (row, children) of the last j letters acting
+        on the seed, with spare the budget beyond the least sizes left."""
+        if j == len(slots):
+            _bucket(buckets, zeros, chain[-1], k, node[0])
             return
-        root, m, odd = slots[-1 - len(word)]
-        key = (m, odd, left)
+        root, m, odd = slots[-1 - j]
+        key = (m, odd, spare)
         if key not in sized:
-            sized[key] = [(lam, sum(lam)) for lam in _letter_partitions(m, odd, left)]
-        for lam, size in sized[key]:
-            rec(seed, e0, slots, chain, ((root, lam, m),) + word, left - size, k + 2 * size)
+            least = _least_size(m, odd)
+            sized[key] = [(lam, sum(lam), sum(lam) - least) for lam in _letter_partitions(m, odd, spare + least)]
+        for lam, size, extra in sized[key]:
+            letter = (root, lam, m)
+            child = node[1].get(letter)
+            if child is None:
+                if letter not in letters:
+                    letters[letter] = rs.psi(*letter)
+                d, label = letters[letter]
+                # the unit of the algebra times a letter is the letter
+                row = {label: 1} if seed is None and not j else act(quiver, d, {label: 1}, chain[j], node[0])
+                child = node[1][letter] = (row, {})
+            rec(child, j + 1, spare - extra, k + 2 * size)
 
+    zero = quiver.zero()
     for seed, slots in words:
-        e0 = quiver.zero() if seed is None else seed
-        chain, shift = [e0], 0
-        for root, m, _ in reversed(slots):
-            key = (tuple(m * x for x in rs.dim_vector(root)), chain[-1])
+        e0 = zero if seed is None else seed
+        chain, shift, least = [e0], 0, 0  # chain[j]: the class of the last j letters
+        for root, m, odd in reversed(slots):
+            key = (root, m, chain[-1])
             if key not in steps:
-                steps[key] = step(quiver, *key)
+                steps[key] = step(quiver, tuple(m * x for x in rs.dim_vector(root)), chain[-1])
             s, e = steps[key]
             chain.append(e)
             shift += s
+            least += _least_size(m, odd)
         e = chain[-1]
         if all(x <= cap for x, cap in zip(e, bound)):
             reached.add(e)
-            if window // 2 >= shift:
+            if window // 2 - shift >= least:
                 if e not in forms:
                     forms[e] = cls.weight_form(quiver, e)
-                rec(seed, e0, slots, chain, (), window // 2 - shift, 2 * shift + forms[e])
+                if seed not in tries:
+                    tries[seed] = ({tuple(() for _ in cls.blocks(quiver, e0)): 1}, {})
+                rec(tries[seed], 0, window // 2 - shift - least, 2 * shift + forms[e])
     return _slice_report(cls, quiver, buckets, zeros, reached, window, dims)
 
 

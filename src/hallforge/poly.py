@@ -13,7 +13,7 @@ change).  The CoHA product and the CoHM action are composites of them, so no
 rational function and no common denominator is ever formed.  Factors enter
 through `mul_linear` and, for a difference of squares x_a^2 - x_b^2 that
 the CoHM action multiplies in after a hyperoctahedral push,
-`mul_square_difference`, each one pass over the terms.  The exact
+`mul_square_difference`, one pass over the terms per factor term.  The exact
 divisions `divexact_linear`/`divexact_mono` remain as test oracles; an
 inexact division raises.
 """
@@ -52,10 +52,10 @@ def unpack_exponents(key, n):
     return tuple((key >> (SHIFT * i)) & MASK for i in range(n))
 
 
-def _var_maxima(p):
-    """Largest exponent of each variable over the terms of p."""
-    top = [0] * p.n
-    for k in p.terms:
+def _var_maxima(terms, n):
+    """Largest exponent of each of the n variables over the packed terms."""
+    top = [0] * n
+    for k in terms:
         i = 0
         while k:
             if k & MASK > top[i]:
@@ -63,6 +63,36 @@ def _var_maxima(p):
             k >>= SHIFT
             i += 1
     return top
+
+
+def mul_bound(n, a, abound, b, bbound):
+    """The exponent bound of the product of the term dicts a and b in n
+    variables, bounded by abound and bbound: their sum, or, when that
+    passes MAXDEG (the bounds are loose when the factors share few
+    variables), the largest per-variable sum of their exponents; raises
+    ExponentOverflowError when that passes MAXDEG too."""
+    bound = abound + bbound
+    if bound > MAXDEG:
+        bound = max(map(sum, zip(_var_maxima(a, n), _var_maxima(b, n))), default=0)
+        if bound > MAXDEG:
+            raise ExponentOverflowError("packed exponent range exceeded in product")
+    return bound
+
+
+def _mul_terms(small, big):
+    """The terms of a product: small the (key, coeff) pairs of one factor,
+    big the term dict of the other, walked once per pair; zero sums are
+    dropped."""
+    out = {}
+    for k2, c2 in small:
+        for k1, c1 in big.items():
+            k = k1 + k2
+            v = out.get(k, 0) + c1 * c2
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    return out
 
 
 def key_degree(key):
@@ -158,26 +188,9 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        bound = self.bound + other.bound
-        if bound > MAXDEG:
-            # the bounds are loose when the operands share few variables
-            bound = max(map(sum, zip(_var_maxima(self), _var_maxima(other))), default=0)
-            if bound > MAXDEG:
-                raise ExponentOverflowError("packed exponent range exceeded in product")
-        if len(self.terms) > len(other.terms):
-            big, small = self.terms, other.terms
-        else:
-            big, small = other.terms, self.terms
-        out = {}
-        for k2, c2 in small.items():
-            for k1, c1 in big.items():
-                k = k1 + k2
-                v = out.get(k, 0) + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return Poly(self.n, out, bound)
+        bound = mul_bound(self.n, self.terms, self.bound, other.terms, other.bound)
+        small, big = sorted((self.terms, other.terms), key=len)
+        return Poly(self.n, _mul_terms(small.items(), big), bound)
 
     __rmul__ = __mul__
 
@@ -191,63 +204,20 @@ class Poly:
 
     def mul_linear(self, ca, a, cb=None, b=None):
         """Multiply by ca*x_a (+ cb*x_b) without building the factor."""
-        bound = self.bound + 1
-        if bound > MAXDEG:
-            top = _var_maxima(self)
-            top[a] += 1
-            if b is not None and b != a:
-                top[b] += 1
-            bound = max(top)
-            if bound > MAXDEG:
-                raise ExponentOverflowError("packed exponent range exceeded in product")
-        out = {}
-        ca = _num(ca)
-        ka = 1 << (SHIFT * a)
-        for k, c in self.terms.items():
-            kk = k + ka
-            v = out.get(kk, 0) + c * ca
-            if v:
-                out[kk] = v
-            else:
-                del out[kk]
-        if b is not None:
-            cb = _num(cb)
-            kb = 1 << (SHIFT * b)
-            for k, c in self.terms.items():
-                kk = k + kb
-                v = out.get(kk, 0) + c * cb
-                if v:
-                    out[kk] = v
-                else:
-                    del out[kk]
-        return Poly(self.n, out, bound)
+        first = (1 << (SHIFT * a), _num(ca))
+        return self._mul_powers((first,) if b is None else (first, (1 << (SHIFT * b), _num(cb))), 1)
 
     def mul_square_difference(self, a, b):
-        """Multiply by x_a^2 - x_b^2 (a != b) in one pass over the terms."""
-        bound = self.bound + 2
+        """Multiply by x_a^2 - x_b^2 (a != b) without building the factor."""
+        return self._mul_powers(((2 << (SHIFT * a), 1), (2 << (SHIFT * b), -1)), 2)
+
+    def _mul_powers(self, factor, step):
+        """Multiply by a factor given as its terms (packed c x_i^step), one
+        pass over the terms of self per factor term."""
+        bound = self.bound + step
         if bound > MAXDEG:
-            top = _var_maxima(self)
-            top[a] += 2
-            top[b] += 2
-            bound = max(top)
-            if bound > MAXDEG:
-                raise ExponentOverflowError("packed exponent range exceeded in product")
-        out = {}
-        ka, kb = 2 << (SHIFT * a), 2 << (SHIFT * b)
-        for k, c in self.terms.items():
-            kk = k + ka
-            v = out.get(kk, 0) + c
-            if v:
-                out[kk] = v
-            else:
-                del out[kk]
-            kk = k + kb
-            v = out.get(kk, 0) - c
-            if v:
-                out[kk] = v
-            else:
-                del out[kk]
-        return Poly(self.n, out, bound)
+            bound = mul_bound(self.n, self.terms, self.bound, dict(factor), step)
+        return Poly(self.n, _mul_terms(factor, self.terms), bound)
 
     # -- division -----------------------------------------------------------
 

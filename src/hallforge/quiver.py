@@ -73,8 +73,8 @@ class QuiverWithDuality:
         self.s = dict(s)
         self.tau = dict(tau)
         self._validate()
-        self.node_partition = self._partition_nodes()
-        self.arrow_partition = self._partition_arrows()
+        self.node_partition = self._partition(self.nodes, self.sigma_nodes)
+        self.arrow_partition = self._partition(self.arrow_ids, self.sigma_arrows)
         self._cache = {}
 
     # -- validation -------------------------------------------------------
@@ -127,31 +127,17 @@ class QuiverWithDuality:
                     "tau_a tau_{sigma(a)} != s_i s_j for arrow %r: %r -> %r" % (a, t, h)
                 )
 
-    def _partition_nodes(self):
-        # Q0^+ holds the lex-smaller member of each swapped pair so that the
-        # module variables live at the textbook side of every example.
-        minus, fixed, plus = [], [], []
-        for n in self.nodes:
-            m = self.sigma_nodes[n]
-            if m == n:
-                fixed.append(n)
-            elif n < m:
-                plus.append(n)
-            else:
-                minus.append(n)
-        return tuple(minus), tuple(fixed), tuple(plus)
-
-    def _partition_arrows(self):
-        minus, fixed, plus = [], [], []
-        for a, _, _ in self.arrows:
-            b = self.sigma_arrows[a]
-            if b == a:
-                fixed.append(a)
-            elif a < b:
-                plus.append(a)
-            else:
-                minus.append(a)
-        return tuple(minus), tuple(fixed), tuple(plus)
+    @staticmethod
+    def _partition(ids, sigma):
+        """(minus, fixed, plus) of the ids: fixed by sigma, or the lex-smaller
+        (plus) or larger (minus) member of a swapped pair; Q0^+ holds the
+        smaller so that the module variables live at the textbook side of
+        every example."""
+        out = ([], [], [])
+        for x in ids:
+            y = sigma[x]
+            out[1 if x == y else 2 if x < y else 0].append(x)
+        return tuple(map(tuple, out))
 
     # -- basic structure ---------------------------------------------------
 

@@ -185,9 +185,11 @@ def _term_half(cuts, signed):
 
 
 class QSeries:
-    """Truncated series; immutable by convention."""
+    """Truncated series, immutable once read: `class_rows` and
+    `_action_classes` keep what they build, so terms and meta are written
+    only before that, as `_nilpotent_part` does."""
 
-    __slots__ = ("quiver", "kind", "maxdim", "terms", "meta")
+    __slots__ = ("quiver", "kind", "maxdim", "terms", "meta", "_rows", "_lifts")
 
     def __init__(self, quiver, kind, maxdim, terms=None, meta=None):
         if kind not in (TORUS, MODULE):
@@ -197,6 +199,7 @@ class QSeries:
         self.maxdim = maxdim
         self.terms = terms if terms is not None else {}
         self.meta = meta if meta is not None else {}
+        self._rows, self._lifts = None, {}
 
     # -- constructors -------------------------------------------------------
 
@@ -227,13 +230,16 @@ class QSeries:
         return {k: c for (d, k), c in self.terms.items() if d == dvec}
 
     def class_rows(self):
-        """{class: ascending [(k, c)]} of every class with a stored term, in
-        one scan: the layout the products and `_triangular` walk."""
-        out = {}
-        for (d, k), c in self.terms.items():
-            out.setdefault(d, []).append((k, c))
-        for row in out.values():
-            row.sort()  # weights are distinct, so no coefficient is compared
+        """{class: ascending [(k, c)]} of every class with a stored term, built
+        once and shared (callers must not change it): the layout the
+        products and `_triangular` walk."""
+        out = self._rows
+        if out is None:
+            out = self._rows = {}
+            for (d, k), c in self.terms.items():
+                out.setdefault(d, []).append((k, c))
+            for row in out.values():
+                row.sort()  # weights are distinct, so no coefficient is compared
         return out
 
     def _check_compat(self, other, same_kind=True):
@@ -319,13 +325,16 @@ class QSeries:
     def _action_classes(self, sign):
         """Lift (H(d), 2|d|, sign r(d), sign (E(sigma d) - E(d))) of every
         class d of the acting series: t^d * xi^e lands in H(d) + e with twist
-        sign gamma(d, e), gamma(d, e) = r(d).e + E(sigma d) - E(d)."""
-        q = self.quiver
-        lift = {}
-        for d in self.meta:
-            shift = q.sd_euler_form(q.sigma_dim(d)) - q.sd_euler_form(d)
-            row = tuple(sign * x for x in q.skew_row(d))
-            lift[d] = (q.hyperbolic(d), 2 * sum(d), row, sign * shift)
+        sign gamma(d, e), gamma(d, e) = r(d).e + E(sigma d) - E(d); kept per
+        sign, as one factor acts on many series."""
+        lift = self._lifts.get(sign)
+        if lift is None:
+            q = self.quiver
+            lift = self._lifts[sign] = {}
+            for d in self.meta:
+                shift = q.sd_euler_form(q.sigma_dim(d)) - q.sd_euler_form(d)
+                row = tuple(sign * x for x in q.skew_row(d))
+                lift[d] = (q.hyperbolic(d), 2 * sum(d), row, sign * shift)
         return lift
 
     def module_star(self, x):

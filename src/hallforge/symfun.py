@@ -12,14 +12,17 @@ decreasing order (Macdonald I.3: a_(lam + delta) = s_lam a_delta).  So a push
 along a full flag is one sort per monomial, and its result is read in Schur
 coordinates: a label, one partition per block, indexes the basis element
 `schur_product(block_spec, label)`; `weight_labels` lists a slice's labels.
+A product of labels builds no polynomial: `lead_terms` packs its inputs'
+lead monomials and `straighten_blocks` straightens each product of a lead
+term and an integrand term as it is formed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import HallforgeError
-from .poly import SHIFT, Poly, unpack_exponents
+from .errors import ExponentOverflowError, HallforgeError
+from .poly import MAXDEG, SHIFT, Poly, unpack_exponents
 
 
 def partitions(total, max_parts, min_part=1):
@@ -94,13 +97,17 @@ def straighten(alpha):
     return 1 - 2 * (swaps % 2), tuple(lam)
 
 
-@lru_cache(maxsize=1 << 16)
-def _straighten_packed(block, size):
-    """`straighten` of the exponents of a packed monomial block (size
-    variables, SHIFT bits each, as `poly` packs them); memoized on the
-    packed int, since the pushes of one pass meet the same blocks many
-    times and a repeated block then costs one lookup."""
-    return straighten(unpack_exponents(block, size))
+@lru_cache(maxsize=None)
+def _straightener(size):
+    """`straighten` of a packed monomial block of size variables (SHIFT bits
+    each, as `poly` packs them), memoized on the packed int: the pushes of
+    one pass meet the same blocks many times."""
+
+    @lru_cache(maxsize=1 << 16)
+    def straightened(block):
+        return straighten(unpack_exponents(block, size))
+
+    return straightened
 
 
 @lru_cache(maxsize=1 << 12)
@@ -113,7 +120,7 @@ def lead(lam, n):
 @lru_cache(maxsize=1 << 16)
 def _lead_key(label, slots):
     """(packed x^lead, sign, largest exponent step * (lam_1 + size - 1) +
-    shift) of a label under a slot layout, as `lead_product` reads them;
+    shift) of a label under a slot layout, as `lead_terms` reads them;
     memoized, since the products of one pass pack the same labels under the
     same layouts many times."""
     key, sign, top = 0, 1, 0
@@ -127,53 +134,65 @@ def _lead_key(label, slots):
     return key, sign, top
 
 
-def lead_product(f, fslots, g, gslots, nvars):
-    """sum over the labels a of f and b of g of f_a g_b x^lead(a) x^lead(b),
-    a Poly in nvars variables: the inputs of a product in Schur
-    coordinates as lead monomials.  The slots, a tuple, hold per partition
-    of a label (first slot, number of variables, step, shift, sign base): a
-    partition lam lays out step * (lam + delta) + shift from the first slot
-    on, times base^|lam|.  The slots of f and g are disjoint, so the largest
-    lead exponent of either side is the bound of the result: no term is
-    unpacked."""
-    terms = {}
-    right = [(_lead_key(b, gslots), cb) for b, cb in g.items()]
-    top = max([tb for (_, _, tb), _ in right], default=0)
+def lead_terms(f, fslots, g, gslots):
+    """(terms, top): the packed f_a g_b x^lead(a) x^lead(b) over the labels a
+    of f and b of g, and the largest lead exponent, their bound.  The
+    slots, a tuple, hold per partition of a label (first slot, number of
+    variables, step, shift, sign base): a partition lam lays out step *
+    (lam + delta) + shift from the first slot on, times base^|lam|.  The
+    slots of f and g are disjoint and a lead monomial determines its label,
+    so distinct label pairs give distinct terms.  A lead exponent over
+    MAXDEG cannot be packed and raises ExponentOverflowError."""
+    terms, top, right = {}, 0, []
+    for b, cb in g.items():
+        kb, sb, tb = _lead_key(b, gslots)
+        top = max(top, tb)
+        if cb:
+            right.append((kb, sb * cb))
     for a, ca in f.items():
         ka, sa, ta = _lead_key(a, fslots)
         top = max(top, ta)
-        for (kb, sb, _), cb in right:
-            k = ka + kb
-            terms[k] = terms.get(k, 0) + sa * sb * ca * cb
-    return Poly(nvars, {k: c for k, c in terms.items() if c}, top)
+        if ca:
+            ca *= sa
+            for kb, cb in right:
+                terms[ka + kb] = ca * cb
+    if top > MAXDEG:
+        raise ExponentOverflowError("lead exponent %d out of packed range" % top)
+    return terms, top
 
 
-def straighten_terms(terms, blocks):
-    """partial_w0 on each block of a polynomial, in Schur coordinates.
+def block_cuts(blocks):
+    """(bit shift, bit mask, `_straightener`) of each block (offset, size)."""
+    return tuple((SHIFT * off, (1 << (SHIFT * size)) - 1, _straightener(size)) for off, size in blocks)
 
-    terms: packed monomials (see `poly`) -> coefficient;
-    blocks: (offset, size) of every block, in label order.  Returns {label:
-    coeff}, the label the partitions of `straighten` per block, with the
-    signs multiplied in; a monomial with a repeated exponent in some block
-    drops out."""
+
+def straighten_blocks(left, right, cuts):
+    """partial_w0 on each block of the product of two term dicts (packed
+    monomial -> coefficient, see `poly`), in Schur coordinates: {label:
+    coeff}, the label the partitions of `straighten` on the `block_cuts`
+    cuts, in label order, with the signs multiplied in; a monomial with a
+    repeated exponent in some block drops out.  Straightening is linear, so
+    each product of two terms is straightened as it is formed."""
     out = {}
-    cuts = [(SHIFT * off, (1 << (SHIFT * size)) - 1, size) for off, size in blocks]
-    for key, c in terms.items():
-        label = []
-        for shift, mask, size in cuts:
-            r = _straighten_packed((key >> shift) & mask, size)
-            if r is None:
-                break
-            if r[0] < 0:
-                c = -c
-            label.append(r[1])
-        else:
-            label = tuple(label)
-            v = out.get(label, 0) + c
-            if v:
-                out[label] = v
+    get = out.get
+    for k1, c1 in left.items():
+        for k2, c2 in right.items():
+            key, c = k1 + k2, c1 * c2
+            label = []
+            for shift, mask, straightened in cuts:
+                r = straightened((key >> shift) & mask)
+                if r is None:
+                    break
+                if r[0] < 0:
+                    c = -c
+                label.append(r[1])
             else:
-                del out[label]
+                label = tuple(label)
+                v = get(label, 0) + c
+                if v:
+                    out[label] = v
+                else:
+                    del out[label]
     return out
 
 

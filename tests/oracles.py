@@ -7,11 +7,12 @@ their own directory.
 from fractions import Fraction
 from math import gcd
 
-from hallforge.coha import CohaElement, _ideal_echelon, generator_complement, s_label
+from hallforge.coha import CohaElement, _ideal_echelon, _mul_integrand, generator_complement, s_label
+from hallforge.cohm import CohmElement, _act_integrand, _type_b_push
 from hallforge.errors import HallforgeError, NonIntegralError
-from hallforge.finite_type import hom_ext
+from hallforge.finite_type import _bucket, _letter_partitions, _slice_report, hom_ext
 from hallforge.linalg import Echelon
-from hallforge.poly import Poly
+from hallforge.poly import SHIFT, Poly
 from hallforge.quiver import QuiverWithDuality
 from hallforge.series import (
     MODULE,
@@ -24,6 +25,7 @@ from hallforge.series import (
     qpochhammer_inf,
     sign_pow,
 )
+from hallforge.symfun import _lead_key, _straightener
 
 
 def q3(loops):
@@ -486,3 +488,168 @@ def chain_pochhammer_q2_product(signed_table, maxdim, window):
         terms = {(d, k): c for (d, k), c in out.terms.items() if meta[d][1] is None or k <= meta[d][1]}
         out = QSeries(quiver, MODULE, maxdim, terms, meta)
     return out
+
+
+# -- products in Schur coordinates through polynomials -------------------------
+
+
+def lead_product(f, fslots, g, gslots, nvars):
+    """sum over the labels a of f and b of g of f_a g_b x^lead(a) x^lead(b),
+    a Poly in nvars variables whose bound is the largest lead exponent of
+    either side: `symfun.lead_terms` as a polynomial."""
+    terms = {}
+    right = [(_lead_key(b, gslots), cb) for b, cb in g.items()]
+    top = max([tb for (_, _, tb), _ in right], default=0)
+    for a, ca in f.items():
+        ka, sa, ta = _lead_key(a, fslots)
+        top = max(top, ta)
+        for (kb, sb, _), cb in right:
+            k = ka + kb
+            terms[k] = terms.get(k, 0) + sa * sb * ca * cb
+    return Poly(nvars, {k: c for k, c in terms.items() if c}, top)
+
+
+def straighten_terms(terms, blocks):
+    """partial_w0 on each block (offset, size) of a polynomial's terms, in
+    Schur coordinates, with the block cuts computed per call."""
+    out = {}
+    cuts = [(SHIFT * off, (1 << (SHIFT * size)) - 1, size) for off, size in blocks]
+    for key, c in terms.items():
+        label = []
+        for shift, mask, size in cuts:
+            r = _straightener(size)((key >> shift) & mask)
+            if r is None:
+                break
+            if r[0] < 0:
+                c = -c
+            label.append(r[1])
+        else:
+            label = tuple(label)
+            v = out.get(label, 0) + c
+            if v:
+                out[label] = v
+            else:
+                del out[label]
+    return out
+
+
+def poly_schur_mul(quiver, d1, f, d2, g):
+    """`coha.schur_mul` through polynomials: the lead product times the
+    cached kernel by `Poly.__mul__`, then straightened on blocks read off
+    the layout of the target."""
+    kernel, fslots, gslots, _ = _mul_integrand(quiver, d1, d2)
+    d = add_classes(d1, d2)
+    offsets, _ = CohaElement.layout(quiver, d)
+    blocks = [(offsets[n], size) for n, _, size in CohaElement.blocks(quiver, d)]
+    return straighten_terms((lead_product(f, fslots, g, gslots, kernel.n) * kernel).terms, blocks)
+
+
+def poly_schur_act(quiver, d, f, e, g):
+    """`cohm.schur_act` through polynomials: the lead product times the
+    cached integrand, the B_D push of the summed terms, the deferred
+    factors by `Poly.__mul__`, then straightened on blocks read off the
+    layout of the target."""
+    kernel, deferred, fslots, gslots, fixed, _ = _act_integrand(quiver, d, e)
+    product = lead_product(f, fslots, g, gslots, kernel.n) * kernel
+    pushed = {}
+    for key, c in product.terms.items():
+        for shift, mask, dn, m in fixed:
+            block = (key >> shift) & mask
+            r = _type_b_push(block, dn, m)
+            if r is None:
+                break
+            if r[0] < 0:
+                c = -c
+            key += (r[1] - block) << shift
+        else:
+            v = pushed.get(key, 0) + c
+            if v:
+                pushed[key] = v
+            else:
+                del pushed[key]
+    pushed = Poly(kernel.n, pushed, product.bound) * deferred
+    et = add_classes(quiver.hyperbolic(d), e)
+    offsets, _ = CohmElement.layout(quiver, et)
+    blocks = [(offsets[n], size) for n, _, size in CohmElement.blocks(quiver, et)]
+    return straighten_terms(pushed.terms, blocks)
+
+
+# -- PBW products through a suffix memo -------------------------------------------
+
+
+def memo_pbw_report(rs, cls, act, step, words, bound, window, dims):
+    """`finite_type._pbw_report` as it shared suffix products through a
+    memo keyed by (seed class, suffix word), each product computed by a
+    recursive closure when a whole word reaches its leaf: the oracle of the
+    letter trie, same signature.  Slice report of the products of `words`
+    that land in the window.
+
+    A word is (seed, slots): letter slots (root, m, odd) that act right to
+    left on the seed, a class whose unit the word starts from, or None for
+    the unit of the algebra, which a word starts from its rightmost letter
+    instead of multiplying.  A letter (root, lam, m) is the Schur image
+    psi(s_lam) in m parts, and act(quiver, d, f, e, g) multiplies rows in
+    Schur coordinates (schur_mul or schur_act).  The slots alone fix the
+    classes of the word's suffixes and the shift chained by `step` over
+    them, so each word within the bound gets the budget window // 2 - shift
+    for its letter sizes, and each product lands in the slice k = 2 (sum of
+    letter sizes + shift) + weight form of its class.  Steps, letters,
+    letter partitions and weight forms are memoized for the report;
+    products, rows, are shared through a memo of (seed class, suffix), and
+    slice dimensions through dims, the check's memo (`_slice_report`).
+    """
+    quiver = rs.quiver
+    buckets, zeros, reached, memo = {}, [], set(), {}
+    steps, letters, forms, sized = {}, {}, {}, {}
+
+    def psi(letter):
+        if letter not in letters:
+            letters[letter] = rs.psi(*letter)
+        return letters[letter]
+
+    def product(seed, e0, chain, word):
+        """The row of `word` acting on the seed; chain[j] is the class of
+        its last j letters acting on it."""
+        if not word:
+            return {tuple(() for _ in cls.blocks(quiver, e0)): 1}
+        key = (e0, word)
+        row = memo.get(key)
+        if row is None:
+            d, label = psi(word[0])
+            rest = word[1:]
+            if seed is None and not rest:
+                row = {label: 1}
+            else:
+                row = act(quiver, d, {label: 1}, chain[len(rest)], product(seed, e0, chain, rest))
+            memo[key] = row
+        return row
+
+    def rec(seed, e0, slots, chain, word, left, k):
+        if len(word) == len(slots):
+            _bucket(buckets, zeros, chain[-1], k, product(seed, e0, chain, word))
+            return
+        root, m, odd = slots[-1 - len(word)]
+        key = (m, odd, left)
+        if key not in sized:
+            sized[key] = [(lam, sum(lam)) for lam in _letter_partitions(m, odd, left)]
+        for lam, size in sized[key]:
+            rec(seed, e0, slots, chain, ((root, lam, m),) + word, left - size, k + 2 * size)
+
+    for seed, slots in words:
+        e0 = quiver.zero() if seed is None else seed
+        chain, shift = [e0], 0
+        for root, m, _ in reversed(slots):
+            key = (tuple(m * x for x in rs.dim_vector(root)), chain[-1])
+            if key not in steps:
+                steps[key] = step(quiver, *key)
+            s, e = steps[key]
+            chain.append(e)
+            shift += s
+        e = chain[-1]
+        if all(x <= cap for x, cap in zip(e, bound)):
+            reached.add(e)
+            if window // 2 >= shift:
+                if e not in forms:
+                    forms[e] = cls.weight_form(quiver, e)
+                rec(seed, e0, slots, chain, (), window // 2 - shift, 2 * shift + forms[e])
+    return _slice_report(cls, quiver, buckets, zeros, reached, window, dims)

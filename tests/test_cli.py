@@ -190,6 +190,16 @@ def test_pbw_check_unknown_word_exit2(l2_path):
         assert code == 2 and out == "" and "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("rank", ["A", "Ax", "A3.5", "A 3", "B3"])
+def test_malformed_type_exit2(rank):
+    """A --type that is not A followed by digits names the flag, where it
+    used to surface int()'s "invalid literal" message."""
+    code, out, err = run_cli(["pbw-check", "coha", "--type", rank, "--bound", "1", "--window", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --type must be A<n>") and repr(rank) in err
+    assert "invalid literal" not in err
+
+
 def test_unknown_property(l2_path):
     code, _, err = run_cli(["check", "--property", "nonsense", "--quiver", l2_path])
     assert code == 2

@@ -1,0 +1,200 @@
+"""The products in Schur coordinates run in one pass from labels to labels
+(`coha.schur_mul`, `cohm.schur_act`), and the PBW checks share suffix
+products through a trie of letters.  Their oracles are the paths they
+replace, kept in `oracles`: the lead product times the cached integrand by
+`Poly.__mul__`, the B_D push and `straighten_terms` (`poly_schur_mul`,
+`poly_schur_act`), and the report that memoized products by (seed class,
+suffix word) (`memo_pbw_report`)."""
+
+import pytest
+
+from oracles import memo_pbw_report, poly_schur_act, poly_schur_mul
+
+from hallforge import finite_type
+from hallforge.coha import CohaElement, schur_mul
+from hallforge.cohm import CohmElement, schur_act
+from hallforge.errors import ExponentOverflowError
+from hallforge.finite_type import build_typeA, pbw_check_coha, pbw_check_cohm
+from hallforge.proputils import Lcg
+from hallforge.quiver import a1_tilde, loop_quiver
+from hallforge.series import module_classes
+
+
+def _quivers():
+    out = []
+    for m in range(4):
+        for s in (1, -1):
+            out.append(("L%d s=%+d" % (m, s), loop_quiver(m, s=s)))
+    for tau in (1, -1):
+        out.append(("A1t tau=%+d" % tau, a1_tilde(tau=tau)))
+    for n, orient in ((2, ">"), (3, ">>")):
+        for dual in ("orthogonal", "symplectic"):
+            out.append(("A%d%s %s" % (n, orient, dual), build_typeA(n, orient, dual).quiver))
+    return out
+
+
+QUIVERS = _quivers()
+
+
+def _random_row(rng, cls, quiver, d):
+    """One to three labels of one random nonempty slice of class d among its
+    four lowest, with nonzero coefficients of either sign, or None when
+    those slices are empty."""
+    form = cls.weight_form(quiver, d)
+    slices = [labels for labels in (cls.slice_labels(quiver, d, form + 2 * r) for r in range(4)) if labels]
+    if not slices:
+        return None
+    labels = rng.choice(slices)
+    row = {}
+    for _ in range(rng.randint(1, 3)):
+        label = rng.choice(labels)
+        row[label] = row.get(label, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+    return {label: c for label, c in row.items() if c}
+
+
+@pytest.mark.parametrize("name, quiver", QUIVERS, ids=[n for n, _ in QUIVERS])
+def test_one_pass_products_against_the_polynomial_path(name, quiver):
+    """Every class pair of total size <= 4, three seeded random row pairs
+    each."""
+    rng = Lcg(20260419 + len(name))
+    classes = [d for d in quiver.dimension_vectors(4) if any(d)]
+    products = actions = 0
+    for d1 in classes:
+        for d2 in classes:
+            if sum(d1) + sum(d2) > 4:
+                continue
+            for _ in range(3):
+                f, g = _random_row(rng, CohaElement, quiver, d1), _random_row(rng, CohaElement, quiver, d2)
+                if f and g:
+                    assert schur_mul(quiver, d1, f, d2, g) == poly_schur_mul(quiver, d1, f, d2, g), (d1, f, d2, g)
+                    products += 1
+    for d in classes:
+        for e in module_classes(quiver, 4 - 2 * sum(d)):
+            for _ in range(3):
+                f, g = _random_row(rng, CohaElement, quiver, d), _random_row(rng, CohmElement, quiver, e)
+                if f and g:
+                    assert schur_act(quiver, d, f, e, g) == poly_schur_act(quiver, d, f, e, g), (d, f, e, g)
+                    actions += 1
+    assert products >= 15 and actions >= 6
+
+
+def _both(one_pass, poly_path, *args):
+    """The results of both paths, "raise" for an ExponentOverflowError."""
+    out = []
+    for product in (one_pass, poly_path):
+        try:
+            out.append(product(*args))
+        except ExponentOverflowError:
+            out.append("raise")
+    return out
+
+
+def test_exponent_bound_refuses_as_the_polynomial_path():
+    """Over A2 (01 -> 02) the product H_(1,0) x H_(1,1) has the kernel
+    x''_02 - x'_01: the lead exponent 1023 at x''_01 passes MAXDEG only in
+    the loose bound (1023 + 1), at x''_02 also in the tight one.  On L1,
+    H_(1) x M_(2) pushes y^1023 to u^511 before the deferred u - v: the
+    loose bound 1023 + 1 passes MAXDEG, the tight 512 does not.  A2 with
+    f at 1023 on the kernel's x'_01 is over the tight bound."""
+    a2 = build_typeA(2, ">", "orthogonal").quiver
+    unit = {((), ()): 1}
+    accepted, refused = _both(schur_mul, poly_schur_mul, a2, (1, 0), unit, (1, 1), {((1023,), ()): 1})
+    assert accepted == refused == {((1022,), (1,)): 1, ((1022, 1), ()): -1}
+    assert _both(schur_mul, poly_schur_mul, a2, (1, 0), unit, (1, 1), {((), (1023,)): 1}) == ["raise"] * 2
+    l1 = loop_quiver(1)
+    accepted, refused = _both(schur_act, poly_schur_act, l1, (1,), {((1022,),): 1}, (2,), {((),): 1})
+    assert accepted == refused == {((511,),): 2, ((510, 1),): -2}
+    assert _both(schur_act, poly_schur_act, a2, (1, 0), {((1023,), ()): 1}, (1, 1), {((),): 1}) == ["raise"] * 2
+
+
+def test_unpackable_lead_exponent_raises():
+    """A lead exponent over MAXDEG (type D adds 1 to 1023) cannot be packed:
+    the one-pass action refuses it, where the polynomial path packed it
+    with a carry into the next slot and returned a wrong, empty row."""
+    l1 = loop_quiver(1)
+    with pytest.raises(ExponentOverflowError):
+        schur_act(l1, (1,), {((1023,),): 1}, (2,), {((),): 1})
+    assert poly_schur_act(l1, (1,), {((1023,),): 1}, (2,), {((),): 1}) == {}
+
+
+# -- the PBW trie -------------------------------------------------------------------
+
+PBW_CASES = [
+    # the five PBW jobs of the benchmark
+    (pbw_check_coha, 2, ">", "orthogonal", 3, 8, 457),
+    (pbw_check_coha, 3, ">>", "orthogonal", 2, 8, 1328),
+    (pbw_check_coha, 3, ">>", "orthogonal", 3, 0, 99),
+    (pbw_check_cohm, 2, ">", "orthogonal", 4, 12, 146),
+    (pbw_check_cohm, 2, ">", "symplectic", 2, 12, 45),
+    # A2-A4 in both dualities
+    (pbw_check_coha, 2, ">", "symplectic", 3, 6, None),
+    (pbw_check_coha, 3, "<<", "symplectic", 2, 6, None),
+    (pbw_check_cohm, 3, ">>", "orthogonal", 3, 8, 266),
+    (pbw_check_cohm, 3, "<<", "symplectic", 2, 8, 80),
+    (pbw_check_coha, 4, ">>>", "orthogonal", 2, 4, 1574),
+    (pbw_check_coha, 4, "><>", "symplectic", 1, 4, None),
+    (pbw_check_cohm, 4, ">>>", "orthogonal", 2, 4, None),
+    (pbw_check_cohm, 4, "><>", "symplectic", 2, 6, 141),
+]
+
+
+def _counted_check(report, check, n, orient, dual, bound, window):
+    """(report, number of schur_mul/schur_act calls) of one PBW check on a
+    fresh root system, with `report` in place of `finite_type._pbw_report`."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finite_type, "_pbw_report", report)
+        for name in ("schur_mul", "schur_act"):
+            real = getattr(finite_type, name)
+
+            def counted(*args, real=real):
+                calls.append(args[1])
+                return real(*args)
+
+            mp.setattr(finite_type, name, counted)
+        return check(build_typeA(n, orient, dual), bound, window), len(calls)
+
+
+TRIE = finite_type._pbw_report
+
+
+@pytest.mark.parametrize(
+    "check, n, orient, dual, bound, window, products",
+    PBW_CASES,
+    ids=["%s-A%d%s-%s-b%dw%d" % (c[0].__name__, *c[1:6]) for c in PBW_CASES],
+)
+def test_trie_report_against_the_memo_report(check, n, orient, dual, bound, window, products):
+    """Slice for slice the same report, from exactly as many products: the
+    memo computed a product only when a whole word reached its leaf, so an
+    equal count means no dead-end branch of the trie computed one."""
+    trie, trie_calls = _counted_check(TRIE, check, n, orient, dual, bound, window)
+    memo, memo_calls = _counted_check(memo_pbw_report, check, n, orient, dual, bound, window)
+    assert trie == memo
+    assert trie["pass"]
+    assert trie_calls == memo_calls > 0
+    if products is not None:
+        assert trie_calls == products
+
+
+def test_trie_prunes_dead_ends(monkeypatch):
+    """With a window too small for some generator letters, words die at a
+    generator slot: on A3 symplectic (4, 2) the memo report meets such dead
+    ends and computes nothing for them, and the trie computes as many
+    products (52; a trie that made a child before its left slots could fit
+    made 53)."""
+    import oracles
+
+    dead = []
+    real = oracles._letter_partitions
+
+    def seen(m, odd, left):
+        out = real(m, odd, left)
+        if not out:
+            dead.append((m, odd, left))
+        return out
+
+    monkeypatch.setattr(oracles, "_letter_partitions", seen)
+    memo, memo_calls = _counted_check(memo_pbw_report, pbw_check_cohm, 3, ">>", "symplectic", 4, 2)
+    trie, trie_calls = _counted_check(TRIE, pbw_check_cohm, 3, ">>", "symplectic", 4, 2)
+    assert dead
+    assert trie == memo and trie_calls == memo_calls == 52

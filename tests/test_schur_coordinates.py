@@ -15,7 +15,7 @@ from hallforge.finite_type import build_typeA
 from hallforge.poly import Poly, unpack_exponents
 from hallforge.proputils import Lcg, random_dim, random_selfdual_dim
 from hallforge.quiver import a1_tilde, disjoint_double, loop_quiver
-from hallforge.symfun import lead_product, schur, straighten
+from hallforge.symfun import lead_terms, schur, straighten
 
 
 def _quivers():
@@ -86,9 +86,10 @@ def _draw_row(rng, cls, quiver, d, maxdeg):
     return {rng.choice(labels): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
 
 
-def test_lead_product_bound_is_the_largest_exponent():
-    """`lead_product` reads its bound off the lead keys instead of unpacking
-    its terms; on seeded rows it is the largest exponent of the product."""
+def test_lead_terms_bound_is_the_largest_exponent():
+    """`lead_terms` reads its bound `top` off the lead keys instead of
+    unpacking its terms; on seeded rows it is the largest exponent of the
+    lead monomials."""
     checked = 0
     for name, quiver in QUIVERS:
         rng = Lcg(20141021 + len(name))
@@ -104,10 +105,10 @@ def test_lead_product_bound_is_the_largest_exponent():
                 _, _, fslots, gslots, _, _ = _act_integrand(quiver, d2, e)
                 et = tuple(a + b for a, b in zip(quiver.hyperbolic(d2), e))
                 layouts.append((g, fslots, h, gslots, CohmElement.layout(quiver, et)[1]))
-            for args in layouts:
-                p = lead_product(*args)
-                assert p.terms
-                assert p.bound == max((x for key in p.terms for x in unpack_exponents(key, p.n)), default=0), (name, args)
+            for f_row, fslots, g_row, gslots, nvars in layouts:
+                terms, top = lead_terms(f_row, fslots, g_row, gslots)
+                assert terms
+                assert top == max((x for key in terms for x in unpack_exponents(key, nvars)), default=0), (name, f_row, g_row)
                 checked += 1
     assert checked > 200
 
