@@ -476,18 +476,16 @@ def witt_decompose(quiver, elements):
 
 
 def _restrict_to_witt(series, wclass):
-    terms = {
-        (d, k): c for (d, k), c in series.terms.items()
-        if series.quiver.witt_class(d) == wclass
-    }
-    meta = {d: m for d, m in series.meta.items() if series.quiver.witt_class(d) == wclass}
-    return QSeries(series.quiver, series.kind, series.maxdim, terms, meta)
+    witt = series.quiver.witt_class
+    rows = {d: row for d, row in series.rows.items() if witt(d) == wclass}
+    meta = {d: m for d, m in series.meta.items() if witt(d) == wclass}
+    return QSeries(series.quiver, series.kind, series.maxdim, rows, meta)
 
 
 def _table_from_series(series):
     """Read an invariant table off a rendered series (integer check)."""
     entries = {}
-    for (d, k), c in series.terms.items():
+    for (d, k), c in series.sorted_entries():
         m = c * sign_pow(k)
         if m.denominator != 1:
             raise NonIntegralError("non-integer multiplicity %s at %r" % (c, (d, k)))
@@ -569,7 +567,7 @@ def general_factorization_check(quiver, maxdim, window):
             )
         factor = QSeries(
             quiver, MODULE, maxdim,
-            {(e, k): m * sign_pow(k) for k, m in lau.items()},
+            {e: [(k, m * sign_pow(k)) for k, m in sorted(lau.items())]},
             {e: (min(lau), table.validity.get(e))},
         )
         rhs = rhs + acache[w].cmul(factor)

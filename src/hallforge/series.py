@@ -1,21 +1,24 @@
 """Truncated Lambda-graded Laurent series in q^(1/2).
 
-A QSeries stores coefficients c[(d, k)] where d is a dimension-vector class
-and k the integer power of q^(1/2).  Each class carries validity metadata
-(suppmin, hi): every weight k <= hi is known exactly (stored or zero), hi =
-None meaning the class is exact; suppmin is a proven lower bound for the
-support, used to propagate windows through products.  Coefficients are
-plain ints, fractions.Fraction only in `QSeries.log` (its 1/|d|); nothing
-is ever floated, and the public rendering follows the (-q^(1/2))^k
-convention.  The inverse, the logarithm (through E(log A), E the Euler
-derivation t^d -> |d| t^d) and the q^2-Pochhammer product (an
-exponential) are one triangular integer recurrence each, `_triangular`.
+A QSeries stores one row per class, rows = {d: ascending [(k, c)]}, where d
+is a dimension-vector class, k the integer power of q^(1/2) and c a nonzero
+coefficient; a class with no term has no row.  Each class carries validity
+metadata (suppmin, hi): every weight k <= hi is known exactly (stored or
+zero), hi = None meaning the class is exact; suppmin is a proven lower bound
+for the support, used to propagate windows through products.  No row holds
+a class over maxdim or a weight over its class's hi.  Rows are never written
+after construction, so series share them; `terms` is a flat read-only view
+for reporting, which no product reads.  Coefficients are plain ints,
+fractions.Fraction only in `QSeries.log` (its 1/|d|); nothing is ever
+floated, and the public rendering follows the (-q^(1/2))^k convention.  The
+inverse, the logarithm (through E(log A), E the Euler derivation t^d -> |d|
+t^d) and the q^2-Pochhammer product (an exponential) are one triangular
+integer recurrence each, `_triangular`.
 
 Torus series multiply with the twist q^((chi(d,d') - chi(d',d))/2); module
 series are acted on via t^d * xi^e = q^(gamma(d,e)/2) xi^(H(d)+e).  Numerical
 factorization identities use the plain commutative product `cmul`.  A
-product walks each operand as ascending (k, c) rows per class, the layout
-`_triangular` reads, each class pair only up to its target window, and
+product walks the rows of each class pair only up to its target window, and
 takes the twist of a pair from per-class rows: chi(d,e) - chi(e,d) = r(d).e.
 """
 
@@ -25,6 +28,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
+from types import MappingProxyType
 
 from .errors import GradingError, HallforgeError, KindMismatchError, NonIntegralError
 from .poly import _num
@@ -58,6 +62,16 @@ def _merge_windows(meta, other):
     for d, (lo, hi) in other.items():
         lo0, hi0 = meta.get(d, (lo, hi))
         meta[d] = (min(lo0, lo), _min_hi(hi0, hi))
+
+
+def _rows(cells):
+    """The rows of {class: {k: c}}: ascending and nonzero, no empty row."""
+    rows = {}
+    for d, cell in cells.items():
+        row = sorted(kc for kc in cell.items() if kc[1])
+        if row:
+            rows[d] = row
+    return rows
 
 
 def _windows(meta_a, meta_b, maxdim, lift=None):
@@ -126,7 +140,7 @@ def _triangular(order, factor, first, need, divide=False):
     """Solve w(d) X_d = first_d - sum_(0 < f <= d) factor_f X_(d-f) in one
     pass over `order` (ascending |d|, the zero class first, X_0 = first_0),
     w(d) = |d| when divide else 1.  The data and X_d are ascending (k, c)
-    rows per class (`QSeries.class_rows`); X_d is kept up to weight need[d]
+    rows per class (`QSeries.rows`); X_d is kept up to weight need[d]
     (None: all), and a division with a remainder raises."""
     # no weight of X_d exceeds (|d| + 1) times the largest |k| of the data
     big = (1 + max(map(sum, order))) * max(
@@ -185,35 +199,34 @@ def _term_half(cuts, signed):
 
 
 class QSeries:
-    """Truncated series, immutable once read: `class_rows` and
-    `_action_classes` keep what they build, so terms and meta are written
-    only before that, as `_nilpotent_part` does."""
+    """Truncated series in per-class rows; `_action_classes` keeps its lifts."""
 
-    __slots__ = ("quiver", "kind", "maxdim", "terms", "meta", "_rows", "_lifts")
+    __slots__ = ("quiver", "kind", "maxdim", "rows", "meta", "_lifts")
 
-    def __init__(self, quiver, kind, maxdim, terms=None, meta=None):
+    def __init__(self, quiver, kind, maxdim, rows=None, meta=None):
         if kind not in (TORUS, MODULE):
             raise KindMismatchError("unknown series kind %r" % kind)
         self.quiver = quiver
         self.kind = kind
         self.maxdim = maxdim
-        self.terms = terms if terms is not None else {}
+        self.rows = rows if rows is not None else {}
         self.meta = meta if meta is not None else {}
-        self._rows, self._lifts = None, {}
+        self._lifts = {}
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def one(cls, quiver, kind, maxdim):
         zero = quiver.zero()
-        return cls(quiver, kind, maxdim, {(zero, 0): 1}, {zero: (0, None)})
+        return cls(quiver, kind, maxdim, {zero: [(0, 1)]}, {zero: (0, None)})
 
     @classmethod
     def monomial(cls, quiver, kind, maxdim, dvec, k, coeff=1):
         dvec = tuple(dvec)
         if kind == MODULE:
             quiver.check_selfdual_dim(dvec)
-        return cls(quiver, kind, maxdim, {(dvec, k): _num(coeff)}, {dvec: (k, None)})
+        c = _num(coeff)
+        return cls(quiver, kind, maxdim, {dvec: [(k, c)]} if c and sum(dvec) <= maxdim else {}, {dvec: (k, None)})
 
     # -- metadata -----------------------------------------------------------
 
@@ -221,26 +234,17 @@ class QSeries:
         m = self.meta.get(tuple(dvec))
         return None if m is None else m[1]
 
+    @property
+    def terms(self):
+        """Read-only flat view {(d, k): c} of the rows, built on each read."""
+        return MappingProxyType({(d, k): c for d, row in self.rows.items() for k, c in row})
+
     def coefficient(self, dvec, k):
-        return self.terms.get((tuple(dvec), k), 0)
+        return self.class_laurent(dvec).get(k, 0)
 
     def class_laurent(self, dvec):
         """Laurent dict {k: coeff} of one class (within its validity)."""
-        dvec = tuple(dvec)
-        return {k: c for (d, k), c in self.terms.items() if d == dvec}
-
-    def class_rows(self):
-        """{class: ascending [(k, c)]} of every class with a stored term, built
-        once and shared (callers must not change it): the layout the
-        products and `_triangular` walk."""
-        out = self._rows
-        if out is None:
-            out = self._rows = {}
-            for (d, k), c in self.terms.items():
-                out.setdefault(d, []).append((k, c))
-            for row in out.values():
-                row.sort()  # weights are distinct, so no coefficient is compared
-        return out
+        return dict(self.rows.get(tuple(dvec), ()))
 
     def _check_compat(self, other, same_kind=True):
         if self.quiver is not other.quiver and self.quiver != other.quiver:
@@ -252,22 +256,28 @@ class QSeries:
 
     def scale(self, c):
         c = _num(c)
-        terms = {key: v * c for key, v in self.terms.items()} if c else {}
-        return QSeries(self.quiver, self.kind, self.maxdim, terms, dict(self.meta))
+        rows = {d: [(k, v * c) for k, v in row] for d, row in self.rows.items()} if c else {}
+        return QSeries(self.quiver, self.kind, self.maxdim, rows, dict(self.meta))
 
     def __add__(self, other):
         self._check_compat(other)
         maxdim = min(self.maxdim, other.maxdim)
         meta = dict(self.meta)
         _merge_windows(meta, other.meta)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-        out = {
-            (d, k): c for (d, k), c in terms.items()
-            if c and sum(d) <= maxdim and (meta[d][1] is None or k <= meta[d][1])
-        }
-        return QSeries(self.quiver, self.kind, maxdim, out, meta)
+        rows = {}
+        for d in self.rows.keys() | other.rows.keys():
+            ra, rb, hi = self.rows.get(d), other.rows.get(d), meta[d][1]
+            row = ra or rb  # a row of one side is shared
+            if ra and rb:
+                acc = dict(ra)
+                for k, c in rb:
+                    acc[k] = acc.get(k, 0) + c
+                row = sorted(kc for kc in acc.items() if kc[1])
+            if row and hi is not None and row[-1][0] > hi:
+                row = row[: bisect_left(row, (hi + 1,))]
+            if row and sum(d) <= maxdim:
+                rows[d] = row
+        return QSeries(self.quiver, self.kind, maxdim, rows, meta)
 
     def __neg__(self):
         return self.scale(-1)
@@ -286,10 +296,9 @@ class QSeries:
         half."""
         maxdim = min(self.maxdim, other.maxdim)
         meta, pairs = _windows(self.meta, other.meta, maxdim, lift)
-        rows_a, rows_b = self.class_rows(), other.class_rows()
         work, cuts = 0, []
         for d1, d2, d, tw in pairs:
-            ta, tb = rows_a.get(d1), rows_b.get(d2)
+            ta, tb = self.rows.get(d1), other.rows.get(d2)
             if not ta or not tb:
                 continue
             hi = meta[d][1]
@@ -304,9 +313,7 @@ class QSeries:
             raise HallforgeError(
                 "a series product of up to %d term pairs exceeds the work cap of %d" % (work, MAX_PRODUCT_PAIRS)
             )
-        acc = _term_half(cuts, signed)
-        terms = {(d, k): c for d, out in acc.items() for k, c in out.items() if c}
-        return QSeries(self.quiver, out_kind, maxdim, terms, meta)
+        return QSeries(self.quiver, out_kind, maxdim, _rows(_term_half(cuts, signed)), meta)
 
     def cmul(self, other):
         """Plain commutative product (numerical series identities)."""
@@ -366,11 +373,10 @@ class QSeries:
 
     def _nilpotent_part(self, op):
         zero = self.quiver.zero()
-        if self.class_laurent(zero) != {0: 1}:
+        if self.rows.get(zero) != [(0, 1)]:
             raise NonIntegralError("series must have constant term 1 for %s" % op)
-        x = self + QSeries.monomial(self.quiver, self.kind, self.maxdim, zero, 0, -1)
-        x.terms.pop((zero, 0), None)
-        return x
+        rows = {d: row for d, row in self.rows.items() if d != zero}
+        return QSeries(self.quiver, self.kind, self.maxdim, rows, self.meta)
 
     def _solve(self, op):
         """({class: sorted (k, c)} within the windows, windows) of X = 1/A
@@ -378,7 +384,7 @@ class QSeries:
         (op "log": X_d = |d| A_d - sum_f A_f X_(d-f)), f over the nonzero
         classes, in the windows of the power series sum_j c_j (A - 1)^j."""
         x = self._nilpotent_part(op)
-        a = x.class_rows()
+        a = x.rows
         low = {f: row[0][0] for f, row in a.items()}
         meta = _chain_windows(x, low, op == "log")
         if op == "inverse":
@@ -397,13 +403,13 @@ class QSeries:
     def inverse(self):
         """Multiplicative inverse for constant term exactly 1."""
         X, meta = self._solve("inverse")
-        return QSeries(self.quiver, self.kind, self.maxdim, {(d, k): c for d in X for k, c in X[d]}, meta)
+        return QSeries(self.quiver, self.kind, self.maxdim, {d: row for d, row in X.items() if row}, meta)
 
     def log(self):
         """Formal logarithm for constant term exactly 1: E(log A) / |d|."""
         X, meta = self._solve("log")
-        terms = {(d, k): _num(Fraction(c, sum(d))) for d in X for k, c in X[d]}
-        return QSeries(self.quiver, self.kind, self.maxdim, terms, meta)
+        rows = {d: [(k, _num(Fraction(c, sum(d)))) for k, c in row] for d, row in X.items() if row}
+        return QSeries(self.quiver, self.kind, self.maxdim, rows, meta)
 
     # -- comparison / reporting ----------------------------------------------
 
@@ -411,7 +417,7 @@ class QSeries:
         """(equal, report): compare on the intersection of validity windows."""
         self._check_compat(other)
         classes = set(self.meta) | set(other.meta)
-        mine, theirs = self.class_rows(), other.class_rows()
+        mine, theirs = self.rows, other.rows
         mismatches, windows = [], {}
         for d in sorted(classes, key=lambda d: (sum(d), d)):
             hi = _min_hi(self.hi(d), other.hi(d))
@@ -426,7 +432,7 @@ class QSeries:
         return not mismatches, {"mismatches": mismatches, "windows": windows}
 
     def sorted_entries(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1]))
+        return [((d, k), c) for d in sorted(self.rows, key=lambda d: (sum(d), d)) for k, c in self.rows[d]]
 
     def to_json_dict(self, window=None):
         eff = {",".join(map(str, d)): hi for d, (lo, hi) in sorted(self.meta.items())}
@@ -441,18 +447,36 @@ class QSeries:
 
     @classmethod
     def from_json_dict(cls, quiver, doc):
-        terms, meta, lows = {}, {}, {}
+        """Inverse of to_json_dict.  A class without one entry per node, a
+        term over maxdim or its class's window, or a (d, k) repeated in two
+        terms raises GradingError; a zero coefficient is dropped."""
+        maxdim = int(doc["trunc"]["maxdim"])
+
+        def dim_class(entries):
+            d = tuple(int(x) for x in entries)
+            if len(d) != len(quiver.nodes):
+                raise GradingError("class %r needs one entry per node of %r" % (d, quiver.nodes))
+            return d
+
+        cells, meta, lows = {}, {}, {}
         for t in doc["terms"]:
-            d = tuple(int(x) for x in t["d"])
-            k = int(t["k"])
-            terms[(d, k)] = _num(t["c"])
+            d, k = dim_class(t["d"]), int(t["k"])
+            if sum(d) > maxdim:
+                raise GradingError("series term %r lies over maxdim %d" % (t, maxdim))
+            cell = cells.setdefault(d, {})
+            if k in cell:
+                raise GradingError("series term %r repeats the (d, k) of an earlier term" % (t,))
+            cell[k] = _num(t["c"])
             lows[d] = min(lows.get(d, k), k)
         for key, hi in doc.get("effective_hi", {}).items():
-            d = tuple(int(x) for x in key.split(","))
+            d = dim_class(key.split(","))
             meta[d] = (lows.get(d, 0), None if hi is None else int(hi))
         for d, lo in lows.items():
             meta.setdefault(d, (lo, None))
-        return cls(quiver, doc["kind"], int(doc["trunc"]["maxdim"]), terms, meta)
+        for d, cell in cells.items():
+            if meta[d][1] is not None and max(cell) > meta[d][1]:
+                raise GradingError("series class %r has a term above its window %d" % (d, meta[d][1]))
+        return cls(quiver, doc["kind"], maxdim, _rows(cells), meta)
 
 
 # -- closed forms --------------------------------------------------------------
@@ -467,7 +491,7 @@ def _dense(classes, window):
     return classes
 
 
-def _add_class(terms, meta, cls, lead, sign, steps, window, memo):
+def _add_class(rows, meta, cls, lead, sign, steps, window, memo):
     """Class cls of a closed form: sign q^(lead/2) / prod_(step in steps)
     (1 - q^(step/2)), known up to q^((lead + window)/2).
 
@@ -487,9 +511,7 @@ def _add_class(terms, meta, cls, lead, sign, steps, window, memo):
         for i in range(step, window + 1):
             out[i] += out[i - step]
         memo[steps[: j + 1]] = out
-    for i, c in enumerate(out):
-        if c:
-            terms[(cls, lead + i)] = sign * c
+    rows[cls] = [(lead + i, sign * c) for i, c in enumerate(out) if c]
     meta[cls] = (lead, lead + window)
 
 
@@ -505,14 +527,14 @@ def qpochhammer_inf(quiver, kind, k0, dvec, maxdim, window, base=1):
     if kind == MODULE:
         quiver.check_selfdual_dim(dvec)
     zero = quiver.zero()
-    terms, meta = {(zero, 0): 1}, {zero: (0, None)}
+    rows, meta = {zero: [(0, 1)]}, {zero: (0, None)}
     memo = {}
     for n in _dense(range(1, maxdim // sum(dvec) + 1), window):
         cls = tuple(n * x for x in dvec)
         kstart = n * k0 + base * n * (n - 1)
         steps = [2 * base * j for j in range(1, n + 1)]
-        _add_class(terms, meta, cls, kstart, sign_pow(n), steps, window, memo)
-    return QSeries(quiver, kind, maxdim, terms, meta)
+        _add_class(rows, meta, cls, kstart, sign_pow(n), steps, window, memo)
+    return QSeries(quiver, kind, maxdim, rows, meta)
 
 
 def qdilog(quiver, maxdim, window):
@@ -531,13 +553,13 @@ def quantum_integer(n, base_power=1):
 
 def dt_series(quiver, maxdim, window):
     """A_Q = sum_d (-q^(1/2))^chi(d,d) / prod_i prod_{j<=d_i} (1-q^j) t^d."""
-    terms, meta = {}, {}
+    rows, meta = {}, {}
     memo = {}
     for d in _dense(quiver.dimension_vectors(maxdim), window):
         chi = quiver.euler_form(d, d)
         steps = [2 * j for di in d for j in range(1, di + 1)]
-        _add_class(terms, meta, d, chi, sign_pow(chi), steps, window, memo)
-    return QSeries(quiver, TORUS, maxdim, terms, meta)
+        _add_class(rows, meta, d, chi, sign_pow(chi), steps, window, memo)
+    return QSeries(quiver, TORUS, maxdim, rows, meta)
 
 
 def module_classes(quiver, maxdim):
@@ -552,15 +574,15 @@ def module_classes(quiver, maxdim):
 
 def ori_dt_series(quiver, maxdim, window):
     """A^sigma_Q per the equivariant-contractibility closed form."""
-    terms, meta = {}, {}
+    rows, meta = {}, {}
     idx = quiver.node_index
     memo = {}
     for e in _dense(module_classes(quiver, maxdim), window):
         ee = quiver.sd_euler_form(e)
         steps = [2 * j for nd in quiver.q0_plus for j in range(1, e[idx[nd]] + 1)]
         steps += [4 * j for nd in quiver.q0_sigma for j in range(1, e[idx[nd]] // 2 + 1)]
-        _add_class(terms, meta, e, ee, sign_pow(ee), steps, window, memo)
-    return QSeries(quiver, MODULE, maxdim, terms, meta)
+        _add_class(rows, meta, e, ee, sign_pow(ee), steps, window, memo)
+    return QSeries(quiver, MODULE, maxdim, rows, meta)
 
 
 # -- invariant tables -----------------------------------------------------------
@@ -680,8 +702,8 @@ def pochhammer_q2_product(signed_table, maxdim, window):
             lau[k] = lau.get(k, 0) + c
     g = {f: sorted(lau.items()) for f, lau in g.items()}
     X = _triangular(order, g, {zero: [(0, 1)]}, need, divide=True)
-    terms = {(d, k): c for d in order for k, c in X[d] if claim[d] is None or k <= claim[d]}
-    return QSeries(quiver, MODULE, maxdim, terms, meta)
+    rows = {d: [kc for kc in X[d] if claim[d] is None or kc[0] <= claim[d]] for d in order}
+    return QSeries(quiver, MODULE, maxdim, {d: row for d, row in rows.items() if row}, meta)
 
 
 class SignedInvariantTable:

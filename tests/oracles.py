@@ -21,6 +21,7 @@ from hallforge.series import (
     QSeries,
     _add_class,
     _add_hi,
+    _merge_windows,
     _min_hi,
     qpochhammer_inf,
     sign_pow,
@@ -152,6 +153,44 @@ def add_classes(d1, d2):
     return tuple(x + y for x, y in zip(d1, d2))
 
 
+def series_from_terms(quiver, kind, maxdim, terms, meta):
+    """A QSeries from a flat {(d, k): c}, zero coefficients dropped."""
+    rows = {}
+    for (d, k), c in sorted(terms.items(), key=lambda kv: kv[0]):
+        if c:
+            rows.setdefault(d, []).append((k, c))
+    return QSeries(quiver, kind, maxdim, rows, meta)
+
+
+def assert_rows(series):
+    """The layout every series producer keeps: each class with a term has one
+    nonempty row of ascending distinct weights and nonzero coefficients, no
+    weight over the class's hi, and the class lies in meta and within maxdim."""
+    for d, row in series.rows.items():
+        assert row and d in series.meta and sum(d) <= series.maxdim, (d, row)
+        ks = [k for k, _ in row]
+        assert all(a < b for a, b in zip(ks, ks[1:])), (d, ks)
+        assert all(c for _, c in row), (d, row)
+        hi = series.meta[d][1]
+        assert hi is None or ks[-1] <= hi, (d, ks[-1], hi)
+
+
+def flat_add(a, b):
+    """The series sum as `QSeries.__add__` computed it on flat terms: merged
+    windows, and each sum kept where it is nonzero, within maxdim and within
+    its class's window."""
+    maxdim = min(a.maxdim, b.maxdim)
+    meta = dict(a.meta)
+    _merge_windows(meta, b.meta)
+    terms = dict(a.terms)
+    for key, c in b.terms.items():
+        terms[key] = terms.get(key, 0) + c
+    terms = {
+        (d, k): c for (d, k), c in terms.items() if sum(d) <= maxdim and (meta[d][1] is None or k <= meta[d][1])
+    }
+    return series_from_terms(a.quiver, a.kind, maxdim, terms, meta)
+
+
 def flat_convolve(a, b, out_kind, class_fn, twist_fn, signed=False):
     """The series product as `QSeries._convolve` computed it before it walked
     sorted rows: every class pair of the two windows' classes within maxdim,
@@ -186,7 +225,7 @@ def flat_convolve(a, b, out_kind, class_fn, twist_fn, signed=False):
                 k = k1 + k2 + tw
                 if hi is None or k <= hi:
                     terms[(d, k)] = terms.get((d, k), 0) + sgn * c1 * c2
-    return QSeries(a.quiver, out_kind, maxdim, {key: v for key, v in terms.items() if v}, meta)
+    return series_from_terms(a.quiver, out_kind, maxdim, terms, meta)
 
 
 def flat_products(a, b, x):
@@ -382,11 +421,11 @@ def chain_inverse(series):
             break
         out = out + pw.scale((-1) ** j)
     # inherit the windows of the series on every class the inverse can reach
+    meta = dict(out.meta)
     for d, m in x.meta.items():
-        if d in out.meta:
-            lo0, hi0 = out.meta[d]
-            out.meta[d] = (lo0, _min_hi(hi0, m[1]))
-    return out
+        if d in meta:
+            meta[d] = (meta[d][0], _min_hi(meta[d][1], m[1]))
+    return QSeries(out.quiver, out.kind, out.maxdim, out.rows, meta)
 
 
 def chain_log(series):
@@ -408,7 +447,7 @@ def chain_invert_pochhammer_factorization(series):
     table = {}
     raw = {}  # class -> {k: multiplicity}, filled in layer by layer
     validity = {}
-    per_class = L.class_rows()
+    per_class = L.rows
     for D in sorted(L.meta, key=lambda d: (sum(d), d)):
         if not any(D):
             continue
@@ -453,12 +492,12 @@ def inverse_q2_pochhammer(quiver, k0, dvec, maxdim, window):
     """1 / (q^(k0/2) xi^dvec ; q^2)_inf, truncated as `qpochhammer_inf`: the
     coefficient of xi^(n*dvec) is q^(n*k0/2) / prod_{j=1..n} (1 - q^(2j))."""
     zero = quiver.zero()
-    terms, meta = {(zero, 0): 1}, {zero: (0, None)}
+    rows, meta = {zero: [(0, 1)]}, {zero: (0, None)}
     memo = {}
     for n in range(1, maxdim // sum(dvec) + 1):
         steps = [4 * j for j in range(1, n + 1)]
-        _add_class(terms, meta, tuple(n * x for x in dvec), n * k0, 1, steps, window, memo)
-    return QSeries(quiver, MODULE, maxdim, terms, meta)
+        _add_class(rows, meta, tuple(n * x for x in dvec), n * k0, 1, steps, window, memo)
+    return QSeries(quiver, MODULE, maxdim, rows, meta)
 
 
 def chain_pochhammer_q2_product(signed_table, maxdim, window):
@@ -486,7 +525,7 @@ def chain_pochhammer_q2_product(signed_table, maxdim, window):
                 cap = _min_hi(cap, top + base)
             meta[d] = (lo, cap)
         terms = {(d, k): c for (d, k), c in out.terms.items() if meta[d][1] is None or k <= meta[d][1]}
-        out = QSeries(quiver, MODULE, maxdim, terms, meta)
+        out = series_from_terms(quiver, MODULE, maxdim, terms, meta)
     return out
 
 

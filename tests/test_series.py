@@ -27,11 +27,13 @@ from hallforge.series import (
 )
 
 from oracles import (
+    assert_rows,
     chain_invert_pochhammer_factorization,
     chain_inverse,
     chain_log,
     chain_pochhammer_q2_product,
     inverse_q2_pochhammer,
+    series_from_terms,
 )
 
 L0 = loop_quiver(0)
@@ -66,26 +68,23 @@ def over_factors(lead, sign, steps, window):
 
 
 def oracle_series(quiver, kind, maxdim, classes):
-    """classes: (class, leading weight, sign, steps) -> QSeries with window."""
+    """classes: (class, leading weight, sign, steps, window) -> QSeries; a
+    window None makes the class exact."""
     terms, meta = {}, {}
     for cls, lead, sign, steps, window in classes:
         for k, c in over_factors(lead, sign, steps, window).items():
             terms[(cls, k)] = c
-        meta[cls] = (lead, lead + window)
-    return QSeries(quiver, kind, maxdim, terms, meta)
+        meta[cls] = (lead, None if window is None else lead + window)
+    return series_from_terms(quiver, kind, maxdim, terms, meta)
 
 
 def oracle_pochhammer(quiver, k0, dvec, maxdim, window, base):
-    zero = quiver.zero()
-    classes = []
+    classes = [(quiver.zero(), 0, 1, [], None)]  # the exact constant term 1
     for n in range(1, maxdim // sum(dvec) + 1):
         kstart = n * k0 + base * n * (n - 1)
         steps = [2 * base * j for j in range(1, n + 1)]
         classes.append((tuple(n * x for x in dvec), kstart, (-1) ** n, steps, window))
-    out = oracle_series(quiver, TORUS, maxdim, classes)
-    out.terms[(zero, 0)] = Fraction(1)
-    out.meta[zero] = (0, None)
-    return out
+    return oracle_series(quiver, TORUS, maxdim, classes)
 
 
 def all_vectors(quiver, maxdim):
@@ -273,7 +272,7 @@ def test_torus_mul_associative_unit():
             k = rng.randint(-4, 4)
             terms[(d, k)] = Fraction(rng.randint(-3, 3))
         meta = {(i,): (-10, None) for i in range(3)}
-        series.append(QSeries(L2, "torus", 5, {k: v for k, v in terms.items() if v}, meta))
+        series.append(series_from_terms(L2, "torus", 5, terms, meta))
     a, b, c = series
     assert a.torus_mul(b).torus_mul(c).terms == a.torus_mul(b.torus_mul(c)).terms
     assert one.torus_mul(a).terms == a.torus_mul(one).terms == a.terms
@@ -335,7 +334,7 @@ def test_invert_non_integral_exponent():
     """A half-integral coefficient gives an integral E(log A) whose class-2
     exponent fails the divisibility by |D|, with the Fraction route's text."""
     A = QSeries(
-        L0, TORUS, 2, {((0,), 0): 1, ((2,), 0): Fraction(1, 2)},
+        L0, TORUS, 2, {(0,): [(0, 1)], (2,): [(0, Fraction(1, 2))]},
         {(0,): (0, None), (1,): (0, 4), (2,): (0, 4)},
     )
     text = r"non-integer exponent 1/2 at class \(2,\) weight 0"
@@ -385,7 +384,7 @@ def test_recurrences_against_power_chains():
     their chains stop early."""
     # class (1,) has a window but no term: the chains stop at x^2, whose
     # products all land in classes the windows already hold
-    gap = QSeries(L0, TORUS, 3, {((0,), 0): 1, ((2,), 0): 1}, {(0,): (0, None), (1,): (0, 5), (2,): (0, None)})
+    gap = QSeries(L0, TORUS, 3, {(0,): [(0, 1)], (2,): [(0, 1)]}, {(0,): (0, None), (1,): (0, 5), (2,): (0, None)})
     for new, old in ((gap.inverse(), chain_inverse(gap)), (gap.log(), chain_log(gap))):
         assert new.terms == old.terms and new.meta == old.meta
     rng = Lcg(5150)
@@ -417,17 +416,12 @@ def test_recurrences_against_power_chains():
                 assert_int_coefficients(new)
 
 
-def assert_within_windows(series):
-    for d, k in series.terms:
-        hi = series.meta[d][1]
-        assert hi is None or k <= hi, (d, k, hi)
-
-
 def test_no_term_above_window():
     """No series that the layer returns stores a term above its class's
-    window: closed forms, cmul, inverse, log, power and the capped
-    q^2-Pochhammer product (on L2 up to xi^12 it used to keep 187 terms,
-    123 of them above the caps)."""
+    window, and each keeps the row layout (`oracles.assert_rows`): closed
+    forms, cmul, inverse, log, power and the capped q^2-Pochhammer product
+    (on L2 up to xi^12 it used to keep 187 terms, 123 of them above the
+    caps)."""
     rng = Lcg(77)
     for quiver in ORACLE_QUIVERS:
         maxdim, window = rng.randint(1, 6), rng.randint(0, 24)
@@ -437,11 +431,11 @@ def test_no_term_above_window():
         table = random_signed_table(rng, quiver, maxdim)
         for s in (A, As, P, A.cmul(P), A.inverse(), As.log(), P.power(3), P.power(-2),
                   pochhammer_q2_product(table, maxdim, window)):
-            assert_within_windows(s)
+            assert_rows(s)
     L2m = loop_quiver(2)
     for w in ((0,), (1,)):
         sig = equivariant_dt(L2m, witt_representative(L2m, w), 12, 40)
-        assert_within_windows(pochhammer_q2_product(sig, 12, 40))
+        assert_rows(pochhammer_q2_product(sig, 12, 40))
 
 
 def test_pochhammer_q2_product():
@@ -481,6 +475,55 @@ def test_json_roundtrip():
     assert ok
 
 
+def series_doc(terms, maxdim=3, effective_hi=None):
+    """A series document with the given (d, k, c) terms."""
+    return {
+        "kind": TORUS,
+        "trunc": {"maxdim": maxdim, "window": None},
+        "effective_hi": effective_hi or {},
+        "terms": [{"d": list(d), "k": k, "c": c} for d, k, c in terms],
+    }
+
+
+def test_json_refuses_a_repeated_term():
+    doc = series_doc([((1,), 0, "2"), ((1,), 0, "3")])
+    with pytest.raises(HallforgeError, match="repeats"):
+        QSeries.from_json_dict(L2, doc)
+
+
+def test_json_drops_zero_coefficients():
+    back = QSeries.from_json_dict(L2, series_doc([((1,), 0, "0"), ((1,), 2, "5"), ((2,), 1, "0/3")]))
+    assert back.terms == {((1,), 2): 5}
+    assert back.to_json_dict()["terms"] == [{"d": [1], "k": 2, "c": "5"}]
+
+
+def test_json_refuses_a_class_of_the_wrong_length():
+    with pytest.raises(HallforgeError, match="one entry per node"):
+        QSeries.from_json_dict(L2, series_doc([((1, 0), 0, "1")]))
+    with pytest.raises(HallforgeError, match="one entry per node"):
+        QSeries.from_json_dict(L2, series_doc([], effective_hi={"1,0": 4}))
+
+
+def test_json_refuses_a_class_over_maxdim():
+    with pytest.raises(HallforgeError, match="over maxdim 3"):
+        QSeries.from_json_dict(L2, series_doc([((4,), 0, "1")]))
+
+
+def test_json_refuses_a_term_above_its_window():
+    with pytest.raises(HallforgeError, match="above its window 2"):
+        QSeries.from_json_dict(L2, series_doc([((1,), 3, "1")], effective_hi={"1": 2}))
+
+
+def test_terms_is_a_read_only_view():
+    """A series is never written after construction: `terms` is a view."""
+    p = qpochhammer_inf(L0, TORUS, 1, (1,), 3, 8)
+    with pytest.raises(TypeError):
+        p.terms[((1,), 1)] = 5
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    assert p.coefficient((1,), 1) == -1 and p.coefficient((1,), 2) == 0
+
+
 def test_sign_pow():
     assert sign_pow(-3) == -1 and sign_pow(-4) == 1 and sign_pow(0) == 1
 
@@ -505,8 +548,8 @@ def test_char_products_match_torus_for_symmetric():
             terms_a[((rng.randint(0, 2),), rng.randint(-4, 4))] = Fraction(rng.randint(-3, 3))
             terms_b[((rng.randint(0, 2),), rng.randint(-4, 4))] = Fraction(rng.randint(-3, 3))
         meta = {(i,): (-10, None) for i in range(3)}
-        a = QSeries(L2, "torus", 5, {k: v for k, v in terms_a.items() if v}, dict(meta))
-        b = QSeries(L2, "torus", 5, {k: v for k, v in terms_b.items() if v}, dict(meta))
+        a = series_from_terms(L2, "torus", 5, terms_a, dict(meta))
+        b = series_from_terms(L2, "torus", 5, terms_b, dict(meta))
         assert a.torus_mul(b).terms == char_mul(a, b).terms
         x = QSeries.monomial(L2, "module", 5, (1,), 0)
         assert a.module_star(x).terms == a.char_star(x).terms
@@ -522,8 +565,8 @@ def test_torus_commutative_for_symmetric():
         for _ in range(3):
             ta[((rng.randint(0, 2),), rng.randint(-3, 3))] = Fraction(rng.randint(-2, 2))
             tb[((rng.randint(0, 2),), rng.randint(-3, 3))] = Fraction(rng.randint(-2, 2))
-        a = QSeries(L2, "torus", 4, {k: v for k, v in ta.items() if v}, dict(meta))
-        b = QSeries(L2, "torus", 4, {k: v for k, v in tb.items() if v}, dict(meta))
+        a = series_from_terms(L2, "torus", 4, ta, dict(meta))
+        b = series_from_terms(L2, "torus", 4, tb, dict(meta))
         assert a.torus_mul(b).terms == b.torus_mul(a).terms
 
 

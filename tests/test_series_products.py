@@ -1,7 +1,8 @@
 """The series products (`QSeries._convolve` on sorted per-class rows, cut at
 the target window, with per-class action twists) against the flat product
-they replaced (`oracles.flat_convolve`), the per-class twist rows against the
-quiver's forms, and the product work cap."""
+they replaced (`oracles.flat_convolve`), the row layout of every producer on
+the same random series, the per-class twist rows against the quiver's forms,
+and the product work cap."""
 
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hallforge.proputils import Lcg
 from hallforge.quiver import MAX_PRODUCT_PAIRS, a1_tilde, loop_quiver
 from hallforge.series import MODULE, TORUS, QSeries, module_classes
 
-from oracles import flat_products
+from oracles import assert_rows, flat_add, flat_products, series_from_terms
 
 QUIVERS = {
     **{"L%d s=%+d" % (m, s): loop_quiver(m, s=s) for m in range(4) for s in (1, -1)},
@@ -45,13 +46,15 @@ def random_series(rng, quiver, kind, maxdim):
                 c = Fraction(c, rng.randint(2, 3))
             if c:
                 terms[(d, k)] = c
-    return QSeries(quiver, kind, maxdim, terms, meta)
+    return series_from_terms(quiver, kind, maxdim, terms, meta)
 
 
 @pytest.mark.parametrize("name", sorted(QUIVERS))
 def test_products_match_flat_oracle(name):
     """cmul, torus_mul, module_star and char_star equal the flat product in
-    terms and windows, on seeded random series of mixed truncations."""
+    terms and windows, on seeded random series of mixed truncations; these
+    products, +, scale, inverse, log and the JSON round trip keep the row
+    layout (`oracles.assert_rows`), and the sum equals the flat sum."""
     quiver = QUIVERS[name]
     rng = Lcg(1700 + sorted(QUIVERS).index(name))
     top = 4 if len(quiver.nodes) < 3 else 3
@@ -66,9 +69,28 @@ def test_products_match_flat_oracle(name):
             "char_star": a.char_star(x),
         }
         for op, want in flat_products(a, b, x).items():
+            assert_rows(got[op])
             assert got[op].terms == want.terms, (name, op)
             assert got[op].meta == want.meta, (name, op)
             assert (got[op].kind, got[op].maxdim) == (want.kind, want.maxdim), (name, op)
+        total, want = a + b, flat_add(a, b)
+        assert_rows(total)
+        assert (total.terms, total.meta, total.maxdim) == (want.terms, want.meta, want.maxdim), name
+        for c in (0, Fraction(-2, 3)):
+            scaled = a.scale(c)
+            assert_rows(scaled)
+            assert scaled.terms == {key: v * c for key, v in a.terms.items() if c}, name
+        back = QSeries.from_json_dict(quiver, a.to_json_dict())
+        assert_rows(back)
+        assert back.to_json_dict() == a.to_json_dict(), name
+        # constant term 1 on the classes of a
+        nil = QSeries(
+            quiver, TORUS, a.maxdim,
+            {d: r for d, r in a.rows.items() if any(d)}, {d: m for d, m in a.meta.items() if any(d)},
+        )
+        unit = QSeries.one(quiver, TORUS, a.maxdim) + nil
+        assert_rows(unit.inverse())
+        assert_rows(unit.log())
 
 
 @pytest.mark.parametrize("name", sorted(QUIVERS))
@@ -95,7 +117,7 @@ def test_twist_rows(name):
 def one_class(n, maxdim=2):
     """t^1 (1 + q^(1/2) + ... + q^((n-1)/2)) on L0, an exact class of n terms."""
     L0 = loop_quiver(0)
-    return QSeries(L0, TORUS, maxdim, {((1,), k): 1 for k in range(n)}, {(1,): (0, None)})
+    return QSeries(L0, TORUS, maxdim, {(1,): [(k, 1) for k in range(n)]}, {(1,): (0, None)})
 
 
 def test_product_cap_refuses_before_the_term_half(monkeypatch):
