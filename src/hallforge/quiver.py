@@ -186,9 +186,11 @@ class QuiverWithDuality:
         return out
 
     def check_dim(self, d):
-        if len(d) != len(self.nodes) or any(x < 0 for x in d):
+        """d as a tuple of one int >= 0 per node; a float, a bool (an int
+        subclass) or a string is refused, not truncated."""
+        if not (isinstance(d, (tuple, list)) and len(d) == len(self.nodes) and all(type(x) is int and x >= 0 for x in d)):
             raise GradingError("not a dimension vector for this quiver: %r" % (d,))
-        return tuple(int(x) for x in d)
+        return tuple(d)
 
     def sigma_dim(self, d):
         """Apply sigma to a dimension vector."""

@@ -99,28 +99,18 @@ def _windows(meta_a, meta_b, maxdim, lift=None):
     return meta, pairs
 
 
-def _chain_windows(x, low, log):
-    """Windows of sum_j c_j x^j: those of 1, x, x^2, ... merged up to the
-    first power with no term in its windows (for log: and no finite window).
-    A power has a term when the least weight `reach` it gets from the least
-    weights `low` of x lies in a window (barring a total cancellation)."""
-    zero = x.quiver.zero()
-    out, pw, reach = {zero: (0, None)}, {zero: (0, None)}, {zero: 0}
-    for _ in range(x.maxdim):
-        prev, (pw, pairs) = pw, _windows(pw, x.meta, x.maxdim)
-        if pw == prev:  # so are all later powers' windows
+def _chain_windows(x):
+    """Windows of sum_j c_j x^j: those of 1, x, x^2, ..., each power's from
+    the last by the product rule, until they repeat.  x keeps its zero class
+    (zero up to its hi, suppmin 0), so a power's windows hold every earlier
+    power's and a class of size s is settled at x^(s + 1); at this fixed
+    point hi(d) <= lo_f + hi(d - f) for every class f of x."""
+    pw = {x.quiver.zero(): (0, None)}
+    for _ in range(x.maxdim + 1):
+        prev, pw = pw, _windows(pw, x.meta, x.maxdim)[0]
+        if pw == prev:
             break
-        nxt = {}
-        for d1, d2, d, _tw in pairs:
-            if d1 in reach and d2 in low:
-                k, hi = reach[d1] + low[d2], pw[d][1]
-                if (hi is None or k <= hi) and k < nxt.get(d, k + 1):
-                    nxt[d] = k
-        reach = nxt
-        if not reach and (not log or all(m[1] is None for m in pw.values())):
-            break
-        _merge_windows(out, pw)
-    return out
+    return pw
 
 
 def _needs(order, claim, low):
@@ -372,33 +362,30 @@ class QSeries:
         return out
 
     def _nilpotent_part(self, op):
+        """x = A - 1 for A with constant term exactly 1: A without its zero
+        class's row, that class kept in the windows with suppmin 0 (x_0 is
+        zero up to its hi, which holds weight 0)."""
         zero = self.quiver.zero()
         if self.rows.get(zero) != [(0, 1)]:
             raise NonIntegralError("series must have constant term 1 for %s" % op)
         rows = {d: row for d, row in self.rows.items() if d != zero}
-        return QSeries(self.quiver, self.kind, self.maxdim, rows, self.meta)
+        return QSeries(self.quiver, self.kind, self.maxdim, rows, {**self.meta, zero: (0, self.hi(zero))})
 
     def _solve(self, op):
         """({class: sorted (k, c)} within the windows, windows) of X = 1/A
         (op "inverse": X_d = [d = 0] - sum_f A_f X_(d-f)) or X = E(log A)
         (op "log": X_d = |d| A_d - sum_f A_f X_(d-f)), f over the nonzero
-        classes, in the windows of the power series sum_j c_j (A - 1)^j."""
+        classes, in the windows of the power series sum_j c_j (A - 1)^j
+        (`_chain_windows`): as hi(d) <= lo_f + hi(d - f) there, no class
+        needs a weight above its own window."""
         x = self._nilpotent_part(op)
-        a = x.rows
-        low = {f: row[0][0] for f, row in a.items()}
-        meta = _chain_windows(x, low, op == "log")
+        meta = _chain_windows(x)
         if op == "inverse":
-            # inherit the windows of A on every class the inverse can reach
-            for d, m in x.meta.items():
-                if d in meta:
-                    meta[d] = (meta[d][0], _min_hi(meta[d][1], m[1]))
             first = {self.quiver.zero(): [(0, 1)]}
         else:
-            first = {d: [(k, sum(d) * c) for k, c in row] for d, row in a.items()}
+            first = {d: [(k, sum(d) * c) for k, c in row] for d, row in x.rows.items()}
         order = sorted(meta, key=lambda d: (sum(d), d))
-        claim = {d: m[1] for d, m in meta.items()}
-        X = _triangular(order, a, first, _needs(order, claim, low))
-        return {d: [kc for kc in X[d] if claim[d] is None or kc[0] <= claim[d]] for d in order}, meta
+        return _triangular(order, x.rows, first, {d: m[1] for d, m in meta.items()}), meta
 
     def inverse(self):
         """Multiplicative inverse for constant term exactly 1."""
@@ -447,36 +434,55 @@ class QSeries:
 
     @classmethod
     def from_json_dict(cls, quiver, doc):
-        """Inverse of to_json_dict.  A class without one entry per node, a
-        term over maxdim or its class's window, or a (d, k) repeated in two
-        terms raises GradingError; a zero coefficient is dropped."""
-        maxdim = int(doc["trunc"]["maxdim"])
+        """Inverse of to_json_dict, on exact input as element JSON: class
+        entries, weights, maxdim and windows are ints (a window may be null),
+        a coefficient an int or a string such as "-3/4".  A float or a bool
+        (never rounded), a malformed document or term, a class without one
+        int >= 0 per node, a term over maxdim or its class's window, or a
+        repeated (d, k) raises GradingError; a zero coefficient is dropped."""
+        trunc = doc.get("trunc") if isinstance(doc, dict) else None
+        if not (isinstance(trunc, dict) and isinstance(doc.get("terms"), list) and isinstance(doc.get("effective_hi", {}), dict)):
+            raise GradingError('a series document is an object {"kind": ..., "trunc": {"maxdim": ...}, "terms": [...]}')
+        maxdim, window = trunc.get("maxdim"), trunc.get("window")
+        if type(maxdim) is not int or not (window is None or type(window) is int):
+            raise GradingError("series truncation %r needs an integer maxdim and an integer or null window" % (trunc,))
 
         def dim_class(entries):
-            d = tuple(int(x) for x in entries)
-            if len(d) != len(quiver.nodes):
-                raise GradingError("class %r needs one entry per node of %r" % (d, quiver.nodes))
-            return d
+            if not (isinstance(entries, list) and len(entries) == len(quiver.nodes)
+                    and all(type(x) is int and x >= 0 for x in entries)):
+                raise GradingError("class %r needs one entry per node of %r, each an int >= 0" % (entries, quiver.nodes))
+            return tuple(entries)
 
         cells, meta, lows = {}, {}, {}
         for t in doc["terms"]:
-            d, k = dim_class(t["d"]), int(t["k"])
+            if not (isinstance(t, dict) and t.keys() >= {"d", "k", "c"}):
+                raise GradingError('series term %r is not an object {"d": [...], "k": ..., "c": ...}' % (t,))
+            d, k, c = dim_class(t["d"]), t["k"], t["c"]
+            if type(k) is not int or type(c) not in (int, str):
+                raise GradingError("series term %r needs an integer k and an int or string coefficient" % (t,))
+            try:
+                c = _num(c)
+            except (ValueError, ZeroDivisionError):
+                raise GradingError("series term %r needs a rational coefficient" % (t,)) from None
             if sum(d) > maxdim:
                 raise GradingError("series term %r lies over maxdim %d" % (t, maxdim))
             cell = cells.setdefault(d, {})
             if k in cell:
                 raise GradingError("series term %r repeats the (d, k) of an earlier term" % (t,))
-            cell[k] = _num(t["c"])
+            cell[k] = c
             lows[d] = min(lows.get(d, k), k)
         for key, hi in doc.get("effective_hi", {}).items():
-            d = dim_class(key.split(","))
-            meta[d] = (lows.get(d, 0), None if hi is None else int(hi))
+            # a key is "d1,d2,...": a part other than digits stays a str, refused
+            d = dim_class([int(x) if x.isascii() and x.isdigit() else x for x in key.split(",")])
+            if not (hi is None or type(hi) is int):
+                raise GradingError("window %r of class %r is neither an integer nor null" % (hi, d))
+            meta[d] = (lows.get(d, 0), hi)
         for d, lo in lows.items():
             meta.setdefault(d, (lo, None))
         for d, cell in cells.items():
             if meta[d][1] is not None and max(cell) > meta[d][1]:
                 raise GradingError("series class %r has a term above its window %d" % (d, meta[d][1]))
-        return cls(quiver, doc["kind"], maxdim, _rows(cells), meta)
+        return cls(quiver, doc.get("kind"), maxdim, _rows(cells), meta)
 
 
 # -- closed forms --------------------------------------------------------------

@@ -175,6 +175,24 @@ def assert_rows(series):
         assert hi is None or ks[-1] <= hi, (d, ks[-1], hi)
 
 
+def assert_window_rule(series, result):
+    """The windows of result = 1/A or log A (A = series) are a fixed point of
+    the product rule with A's: for every class f of A, its zero class with
+    suppmin 0 (it is exactly 1 up to its hi), and e of the result with
+    |e + f| <= maxdim, d = e + f is a class of the result with
+    hi(d) <= lo_f + hi(e) and hi(d) <= hi_f + lo(e)."""
+    zero = series.quiver.zero()
+    le = lambda a, b: b is None or (a is not None and a <= b)
+    for f, (lo_f, hi_f) in {**series.meta, zero: (0, series.hi(zero))}.items():
+        for e, (lo_e, hi_e) in result.meta.items():
+            d = add_classes(e, f)
+            if sum(d) > result.maxdim:
+                continue
+            assert d in result.meta, (f, e)
+            hi = result.meta[d][1]
+            assert le(hi, _add_hi(lo_f, hi_e)) and le(hi, _add_hi(hi_f, lo_e)), (f, e, hi)
+
+
 def flat_add(a, b):
     """The series sum as `QSeries.__add__` computed it on flat terms: merged
     windows, and each sum kept where it is nonzero, within maxdim and within
@@ -411,32 +429,25 @@ def quotient_involution_matrix(quiver, d, k):
 
 
 def chain_inverse(series):
-    """1/A = sum_j (-x)^j, x = A - 1, one `cmul` per power."""
+    """1/A = sum_j (-x)^j, x = A - 1, one `cmul` per power up to x^(maxdim + 1),
+    whose windows settle the classes of size maxdim (x keeps a zero class)."""
     x = series._nilpotent_part("inverse")
     out = QSeries.one(series.quiver, series.kind, series.maxdim)
     pw = QSeries.one(series.quiver, series.kind, series.maxdim)
-    for j in range(1, series.maxdim + 1):
+    for j in range(1, series.maxdim + 2):
         pw = pw.cmul(x)
-        if not pw.terms:
-            break
         out = out + pw.scale((-1) ** j)
-    # inherit the windows of the series on every class the inverse can reach
-    meta = dict(out.meta)
-    for d, m in x.meta.items():
-        if d in meta:
-            meta[d] = (meta[d][0], _min_hi(meta[d][1], m[1]))
-    return QSeries(out.quiver, out.kind, out.maxdim, out.rows, meta)
+    return out
 
 
 def chain_log(series):
-    """log A = sum_j (-1)^(j+1) x^j / j, x = A - 1, in Fractions."""
+    """log A = sum_j (-1)^(j+1) x^j / j, x = A - 1, in Fractions, up to
+    x^(maxdim + 1) as `chain_inverse`."""
     x = series._nilpotent_part("log")
     out = QSeries(series.quiver, series.kind, series.maxdim, {}, {series.quiver.zero(): (0, None)})
     pw = QSeries.one(series.quiver, series.kind, series.maxdim)
-    for j in range(1, series.maxdim + 1):
+    for j in range(1, series.maxdim + 2):
         pw = pw.cmul(x)
-        if not pw.terms and all(m[1] is None for m in pw.meta.values()):
-            break
         out = out + pw.scale(Fraction((-1) ** (j + 1), j))
     return out
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hallforge.coha import equivariant_dt
 from hallforge.errors import (
     DualitySignError,
     GradingError,
@@ -156,6 +157,16 @@ def test_selfdual_dim_validation():
     with pytest.raises(GradingError):
         a2.check_selfdual_dim((1, 0))
     assert a2.check_selfdual_dim((2, 2)) == (2, 2)
+
+
+@pytest.mark.parametrize("d", [(1.5,), (True,), ("2",), (1.0,), 2])
+def test_check_dim_refuses_what_is_not_one_int_per_node(d):
+    """A float, a bool or a string entry is refused, not truncated, also as
+    the target of equivariant_dt."""
+    with pytest.raises(GradingError, match="not a dimension vector"):
+        loop_quiver(2).check_dim(d)
+    with pytest.raises(GradingError, match="not a dimension vector"):
+        equivariant_dt(loop_quiver(2), d, 4, 8)
 
 
 def test_bilinearity_and_identities():

@@ -28,6 +28,7 @@ from hallforge.series import (
 
 from oracles import (
     assert_rows,
+    assert_window_rule,
     chain_invert_pochhammer_factorization,
     chain_inverse,
     chain_log,
@@ -376,17 +377,28 @@ def random_signed_table(rng, quiver, maxdim):
     return SignedInvariantTable(quiver, entries, maxdim, validity)
 
 
+# class (1,) has a window but no term; x^2 still carries it, cutting class
+# (2,) at weight 5 and reaching class (3,)
+GAP = QSeries(L0, TORUS, 3, {(0,): [(0, 1)], (2,): [(0, 1)]}, {(0,): (0, None), (1,): (0, 5), (2,): (0, None)})
+# 1 + t with a zero class known up to weight 2: 1/A has t-coefficient
+# -1/(1 + x_0)^2, known up to weight 2 only, and settled at x^(maxdim + 1)
+SHORT_ZERO = QSeries(L0, TORUS, 1, {(0,): [(0, 1)], (1,): [(0, 1)]}, {(0,): (0, 2), (1,): (0, 10)})
+
+
 def test_recurrences_against_power_chains():
     """inverse, log, the factorization inversion and the q^2-Pochhammer
     product agree with the power chains they replaced (tests/oracles.py):
     terms, windows, tables, validity and error text; every coefficient but
-    the logarithm's is an int.  The s = -1 loops have even classes only, so
-    their chains stop early."""
-    # class (1,) has a window but no term: the chains stop at x^2, whose
-    # products all land in classes the windows already hold
-    gap = QSeries(L0, TORUS, 3, {(0,): [(0, 1)], (2,): [(0, 1)]}, {(0,): (0, None), (1,): (0, 5), (2,): (0, None)})
-    for new, old in ((gap.inverse(), chain_inverse(gap)), (gap.log(), chain_log(gap))):
-        assert new.terms == old.terms and new.meta == old.meta
+    the logarithm's is an int.  The chains run to x^(maxdim + 1), with no
+    stop at a power that has no term in its windows, and the windows of
+    inverse and log keep the product rule (`oracles.assert_window_rule`)."""
+    inv = GAP.inverse()
+    assert inv.hi((2,)) == 5 and (3,) in inv.meta
+    assert SHORT_ZERO.inverse().hi((1,)) == 2 and SHORT_ZERO.log().hi((1,)) == 2
+    for s in (GAP, SHORT_ZERO):
+        for new, old in ((s.inverse(), chain_inverse(s)), (s.log(), chain_log(s))):
+            assert new.terms == old.terms and new.meta == old.meta
+            assert_window_rule(s, new)
     rng = Lcg(5150)
     quivers = ORACLE_QUIVERS + [loop_quiver(3, s=-1), loop_quiver(4, s=-1, tau=[-1] * 4)]
     for quiver in quivers:
@@ -399,6 +411,7 @@ def test_recurrences_against_power_chains():
             for s in (A, ori_dt_series(quiver, maxdim, window), P, A.cmul(P)):
                 for new, old in ((s.inverse(), chain_inverse(s)), (s.log(), chain_log(s))):
                     assert new.terms == old.terms and new.meta == old.meta, quiver.nodes
+                    assert_window_rule(s, new)
                 assert_int_coefficients(s.inverse())
             got = outcome(invert_pochhammer_factorization, A)
             want = outcome(chain_invert_pochhammer_factorization, A)
@@ -512,6 +525,35 @@ def test_json_refuses_a_class_over_maxdim():
 def test_json_refuses_a_term_above_its_window():
     with pytest.raises(HallforgeError, match="above its window 2"):
         QSeries.from_json_dict(L2, series_doc([((1,), 3, "1")], effective_hi={"1": 2}))
+
+
+ONE_TERM = series_doc([((1,), 0, "1")])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param(series_doc([((1,), 2.5, "1")]), id="float weight"),
+        pytest.param(series_doc([((1,), 0, 0.1)]), id="float coefficient"),
+        pytest.param(series_doc([((1,), 0, "abc")]), id="non-rational coefficient"),
+        pytest.param(series_doc([((1,), 0, "1/0")]), id="zero denominator"),
+        pytest.param(series_doc([((True,), 0, "1")]), id="bool class entry"),
+        pytest.param(series_doc([((-1,), 0, "1")]), id="negative class entry"),
+        pytest.param(series_doc([((1,), 0, "1")], maxdim=2.9), id="float maxdim"),
+        pytest.param({**ONE_TERM, "trunc": {"maxdim": 3, "window": 1.5}}, id="float window"),
+        pytest.param(series_doc([], effective_hi={"1": 4.5}), id="float class window"),
+        pytest.param(series_doc([], effective_hi={"x": 4}), id="class key not digits"),
+        pytest.param([], id="not an object"),
+        pytest.param({**ONE_TERM, "terms": [{"d": [1], "k": 0}]}, id="term without c"),
+        pytest.param({**ONE_TERM, "terms": [{"d": 1, "k": 0, "c": "1"}]}, id="class not a list"),
+        pytest.param({"kind": TORUS, "terms": []}, id="no trunc"),
+    ],
+)
+def test_json_refuses_inexact_or_malformed_input(doc):
+    """Series JSON is exact, as element JSON: a float or a bool is refused,
+    not rounded, and a malformed document raises GradingError."""
+    with pytest.raises(GradingError):
+        QSeries.from_json_dict(L2, doc)
 
 
 def test_terms_is_a_read_only_view():

@@ -1,8 +1,9 @@
 """The series products (`QSeries._convolve` on sorted per-class rows, cut at
 the target window, with per-class action twists) against the flat product
 they replaced (`oracles.flat_convolve`), the row layout of every producer on
-the same random series, the per-class twist rows against the quiver's forms,
-and the product work cap."""
+the same random series, inverse and log of units made from them against the
+power chains, the per-class twist rows against the quiver's forms, and the
+product work cap."""
 
 from fractions import Fraction
 
@@ -15,7 +16,15 @@ from hallforge.proputils import Lcg
 from hallforge.quiver import MAX_PRODUCT_PAIRS, a1_tilde, loop_quiver
 from hallforge.series import MODULE, TORUS, QSeries, module_classes
 
-from oracles import assert_rows, flat_add, flat_products, series_from_terms
+from oracles import (
+    assert_rows,
+    assert_window_rule,
+    chain_inverse,
+    chain_log,
+    flat_add,
+    flat_products,
+    series_from_terms,
+)
 
 QUIVERS = {
     **{"L%d s=%+d" % (m, s): loop_quiver(m, s=s) for m in range(4) for s in (1, -1)},
@@ -54,7 +63,10 @@ def test_products_match_flat_oracle(name):
     """cmul, torus_mul, module_star and char_star equal the flat product in
     terms and windows, on seeded random series of mixed truncations; these
     products, +, scale, inverse, log and the JSON round trip keep the row
-    layout (`oracles.assert_rows`), and the sum equals the flat sum."""
+    layout (`oracles.assert_rows`), and the sum equals the flat sum.  The
+    inverse and log of 1 + (a without its zero class), also with a zero-class
+    suppmin of -3, equal the power chains in terms and windows, and their
+    windows keep the product rule (`oracles.assert_window_rule`)."""
     quiver = QUIVERS[name]
     rng = Lcg(1700 + sorted(QUIVERS).index(name))
     top = 4 if len(quiver.nodes) < 3 else 3
@@ -89,8 +101,13 @@ def test_products_match_flat_oracle(name):
             {d: r for d, r in a.rows.items() if any(d)}, {d: m for d, m in a.meta.items() if any(d)},
         )
         unit = QSeries.one(quiver, TORUS, a.maxdim) + nil
-        assert_rows(unit.inverse())
-        assert_rows(unit.log())
+        # the same unit with a zero-class suppmin below its term
+        low = QSeries(quiver, TORUS, unit.maxdim, unit.rows, {**unit.meta, quiver.zero(): (-3, None)})
+        for u in (unit, low):
+            for got, want in ((u.inverse(), chain_inverse(u)), (u.log(), chain_log(u))):
+                assert_rows(got)
+                assert (got.terms, got.meta) == (want.terms, want.meta), name
+                assert_window_rule(u, got)
 
 
 @pytest.mark.parametrize("name", sorted(QUIVERS))
