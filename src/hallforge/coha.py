@@ -180,14 +180,14 @@ def dt_invariants(quiver, maxdim, window):
     return invert_pochhammer_factorization(dt_series(quiver, maxdim, window))
 
 
-def image_echelon(quiver, pairs, slice_labels, form, act, k, labels):
+def image_echelon(quiver, plan, slice_labels, act, k, labels):
     """Echelon of the weight-k span of act(quiver, a, {c: 1}, rest, {b: 1})
     with c in generator_complement(quiver, a, k1) and b in
-    slice_labels(quiver, rest, k - k1), over (a, rest) in pairs and
-    chi(a, a) <= k1 <= k - form(quiver, rest): the CoHA ideal H_+ . H_+
-    (schur_mul, chi) and the CoHM image H_+ . M (cohm.schur_act, E).  Rows
-    are in Schur coordinates, filed on the positions of the target slice's
-    labels.
+    slice_labels(quiver, rest, k - k1), over (a, rest, chi_a, form_rest) in
+    the class's plan (`_pair_plan`) and chi_a <= k1 <= k - form_rest: the
+    CoHA ideal H_+ . H_+ (schur_mul, chi) and the CoHM image H_+ . M
+    (cohm.schur_act, E).  Rows are in Schur coordinates, filed on the
+    positions of the target slice's labels.
 
     Every product lies in the target slice, so rank <= len(labels); once
     the echelon spans the slice, every later product would reduce to zero,
@@ -196,8 +196,8 @@ def image_echelon(quiver, pairs, slice_labels, form, act, k, labels):
     product, in the same order, hence the same pivots."""
     ech = Echelon(labels)
     dim = len(labels)
-    for a, rest in pairs:
-        for k1 in range(quiver.euler_form(a, a), k - form(quiver, rest) + 1):
+    for a, rest, chi_a, form_rest in plan:
+        for k1 in range(chi_a, k - form_rest + 1):
             if ech.rank == dim:
                 return ech
             gens = generator_complement(quiver, a, k1)
@@ -211,6 +211,18 @@ def image_echelon(quiver, pairs, slice_labels, form, act, k, labels):
     return ech
 
 
+def _pair_plan(quiver, key, target, total, image, form):
+    """The pairs of the image steps of one class, built once per class and
+    kept in quiver._cache under key: (a, rest, chi(a, a), form(quiver,
+    rest)) for every (a, rest) of quiver.decompositions(target, total,
+    image), in its order.  None of it depends on the weight k."""
+    plan = quiver._cache.get(key)
+    if plan is None:
+        pairs = quiver.decompositions(target, total, image)
+        plan = quiver._cache[key] = [(a, rest, quiver.euler_form(a, a), form(quiver, rest)) for a, rest in pairs]
+    return plan
+
+
 def _ideal_echelon(quiver, d, k):
     """Echelon of the slice of sum_{a+b=d} H_a H_b inside H_(d,k) (cached)."""
     key = ("coha_ideal", d, k)
@@ -219,9 +231,9 @@ def _ideal_echelon(quiver, d, k):
         return cached
     if not quiver.is_symmetric():
         raise SymmetryError("primitive parts are computed for symmetric quivers")
-    pairs = quiver.decompositions(d, sum(d) - 1)
+    plan = _pair_plan(quiver, ("coha_plan", d), d, sum(d) - 1, None, CohaElement.weight_form)
     labels = CohaElement.slice_labels(quiver, d, k)
-    ech = image_echelon(quiver, pairs, CohaElement.slice_labels, CohaElement.weight_form, schur_mul, k, labels)
+    ech = image_echelon(quiver, plan, CohaElement.slice_labels, schur_mul, k, labels)
     quiver._cache[key] = ech
     return ech
 

@@ -35,6 +35,7 @@ from functools import lru_cache
 
 from .coha import (
     CohaElement,
+    _pair_plan,
     equivariant_dt,
     image_echelon,
     s_involution,
@@ -420,11 +421,11 @@ def _wprim_slice(quiver, e, k):
     if cached is not None:
         return cached
     # H(d) <= e gives |d| <= |e| // 2
-    pairs = quiver.decompositions(e, sum(e) // 2, quiver.hyperbolic)
+    plan = _pair_plan(quiver, ("cohm_plan", e), e, sum(e) // 2, quiver.hyperbolic, CohmElement.weight_form)
     labels = CohmElement.slice_labels(quiver, e, k)
     # image_echelon stops once the image spans the slice (rank == len(labels)),
     # and complement() then returns []
-    ech = image_echelon(quiver, pairs, CohmElement.slice_labels, CohmElement.weight_form, schur_act, k, labels)
+    ech = image_echelon(quiver, plan, CohmElement.slice_labels, schur_act, k, labels)
     cached = (ech.rank, complement(ech, labels))
     quiver._cache[key] = cached
     return cached

@@ -33,6 +33,10 @@ class KindMismatchError(HallforgeError):
     """Mixed torus/module series, or series over different quivers."""
 
 
+class InexactCoefficientError(HallforgeError, TypeError):
+    """A float coefficient: coefficients are exact (int, Fraction or a rational string)."""
+
+
 class InexactDivisionError(HallforgeError):
     """A division that must be exact left a remainder (correctness assertion)."""
 

@@ -89,14 +89,13 @@ class GradedElement:
         """The labels of the (d, k) slice basis, one partition per block of
         cls.blocks(quiver, d); kept in quiver._cache under ("slice_labels",
         class, d, k), as the CoHA and CoHM slices of one degree tuple differ
-        on a loop quiver.  The list is shared, so callers must not mutate it."""
-        deg = cls.slice_degree(quiver, d, k)
-        if deg is None:
-            return []
+        on a loop quiver, an empty slice too.  The list is shared, so callers
+        must not mutate it."""
         key = ("slice_labels", cls, d, k)
         out = quiver._cache.get(key)
         if out is None:
-            out = quiver._cache[key] = weight_labels(cls.blocks(quiver, d), deg)
+            deg = cls.slice_degree(quiver, d, k)
+            out = quiver._cache[key] = [] if deg is None else weight_labels(cls.blocks(quiver, d), deg)
         return out
 
     @classmethod

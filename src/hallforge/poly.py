@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ExponentOverflowError, InexactDivisionError
+from .errors import ExponentOverflowError, InexactCoefficientError, InexactDivisionError
 
 SHIFT = 10
 MASK = (1 << SHIFT) - 1
@@ -30,9 +30,12 @@ MAXDEG = MASK
 
 
 def _num(c):
-    """Normalize a coefficient: plain int when integral, Fraction otherwise."""
+    """Normalize a coefficient: plain int when integral, Fraction otherwise.
+    A float is refused, not read as its binary fraction."""
     if isinstance(c, int):
         return c
+    if isinstance(c, float):
+        raise InexactCoefficientError("coefficient %r is a float; pass an int, a Fraction or a string" % (c,))
     c = Fraction(c)
     if c.denominator == 1:
         return c.numerator
@@ -240,7 +243,7 @@ class Poly:
                 if not ca:
                     raise ZeroDivisionError("zero divisor")
             out = self.divexact_mono(a)
-            return out.scale(Fraction(1, 1) / Fraction(ca))
+            return out.scale(Fraction(1, 1) / _num(ca))
         ca, cb = _num(ca), _num(cb)
         sha, shb = SHIFT * a, SHIFT * b
         ka, kb = 1 << sha, 1 << shb

@@ -362,8 +362,10 @@ class QuiverWithDuality:
         enumerate.  It also holds one integrand per pair of classes that the
         Schur-coordinate products multiply, ("coha_integrand", d1, d2) and
         ("cohm_integrand", d, e), a polynomial each, growing with the pairs
-        that the image steps and PBW words visit.  Every entry is recomputed
-        on demand."""
+        that the image steps and PBW words visit, and one pair plan per
+        class that the image steps reach, ("coha_plan", d) and ("cohm_plan",
+        e), the (a, rest, chi(a, a), form(rest)) of its decompositions.
+        Every entry is recomputed on demand."""
         self._cache.clear()
 
     def __eq__(self, other):

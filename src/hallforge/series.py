@@ -100,17 +100,32 @@ def _windows(meta_a, meta_b, maxdim, lift=None):
 
 
 def _chain_windows(x):
-    """Windows of sum_j c_j x^j: those of 1, x, x^2, ..., each power's from
-    the last by the product rule, until they repeat.  x keeps its zero class
-    (zero up to its hi, suppmin 0), so a power's windows hold every earlier
-    power's and a class of size s is settled at x^(s + 1); at this fixed
-    point hi(d) <= lo_f + hi(d - f) for every class f of x."""
-    pw = {x.quiver.zero(): (0, None)}
-    for _ in range(x.maxdim + 1):
-        prev, pw = pw, _windows(pw, x.meta, x.maxdim)[0]
-        if pw == prev:
-            break
-    return pw
+    """Windows of sum_j c_j x^j: the fixed point of the product rule
+    P = P * x from the windows of 1, settled in one pass.  x keeps its zero
+    class (zero up to its hi h0, suppmin 0), and a nonzero class f of x
+    raises the size, so a class d takes its windows from the smaller classes
+    d - f alone, as the pairs (d - f, f) of `_windows` combine them, and
+    its zero-class pair then caps hi(d) at lo(d) + h0.  The classes are
+    settled in order of size; at the fixed point hi(d) <= lo_f + hi(d - f)
+    for every class f of x."""
+    zero, maxdim = x.quiver.zero(), x.maxdim
+    h0 = x.meta[zero][1]
+    steps = [(f, sum(f), lo, hi) for f, (lo, hi) in x.meta.items() if any(f)]
+    levels = [{} for _ in range(maxdim + 1)]
+    levels[0][zero] = (0, None)
+    out = {}
+    for size, level in enumerate(levels):
+        for d, (lo, hi) in level.items():
+            hi = _min_hi(hi, _add_hi(lo, h0))
+            out[d] = (lo, hi)
+            for f, fsize, flo, fhi in steps:
+                if size + fsize > maxdim:
+                    continue
+                t = tuple(map(add, d, f))
+                lo2, hi2 = lo + flo, _min_hi(_add_hi(hi, flo), _add_hi(lo, fhi))
+                lo0, hi0 = levels[size + fsize].get(t, (lo2, hi2))
+                levels[size + fsize][t] = (min(lo0, lo2), _min_hi(hi0, hi2))
+    return out
 
 
 def _needs(order, claim, low):
@@ -212,9 +227,7 @@ class QSeries:
 
     @classmethod
     def monomial(cls, quiver, kind, maxdim, dvec, k, coeff=1):
-        dvec = tuple(dvec)
-        if kind == MODULE:
-            quiver.check_selfdual_dim(dvec)
+        dvec = quiver.check_selfdual_dim(dvec) if kind == MODULE else quiver.check_dim(dvec)
         c = _num(coeff)
         return cls(quiver, kind, maxdim, {dvec: [(k, c)]} if c and sum(dvec) <= maxdim else {}, {dvec: (k, None)})
 
@@ -527,11 +540,9 @@ def qpochhammer_inf(quiver, kind, k0, dvec, maxdim, window, base=1):
     The coefficient of t^(n*dvec) is (-1)^n q^(n*k0/2 + base*n(n-1)/2)
     / prod_{j=1..n} (1 - q^(base*j)), expanded within the window.
     """
-    dvec = tuple(dvec)
-    if all(x == 0 for x in dvec):
+    dvec = quiver.check_selfdual_dim(dvec) if kind == MODULE else quiver.check_dim(dvec)
+    if not any(dvec):
         raise GradingError("q-Pochhammer needs a nonzero dimension vector")
-    if kind == MODULE:
-        quiver.check_selfdual_dim(dvec)
     zero = quiver.zero()
     rows, meta = {zero: [(0, 1)]}, {zero: (0, None)}
     memo = {}

@@ -7,6 +7,7 @@ their own directory.
 from fractions import Fraction
 from math import gcd
 
+from hallforge import series as series_module
 from hallforge.coha import CohaElement, _ideal_echelon, _mul_integrand, generator_complement, s_label
 from hallforge.cohm import CohmElement, _act_integrand, _type_b_push
 from hallforge.errors import HallforgeError, NonIntegralError
@@ -23,6 +24,7 @@ from hallforge.series import (
     _add_hi,
     _merge_windows,
     _min_hi,
+    _windows,
     qpochhammer_inf,
     sign_pow,
 )
@@ -426,6 +428,37 @@ def quotient_involution_matrix(quiver, d, k):
 # `QSeries.inverse`, `QSeries.log`, `invert_pochhammer_factorization` and
 # `pochhammer_q2_product` solve one triangular recurrence each; these are the
 # power-series sums and repeated products they replaced.
+
+
+def round_chain_windows(x):
+    """Windows of sum_j c_j x^j as `series._chain_windows` found them before
+    it settled the classes in one pass: those of 1, x, x^2, ..., each
+    power's from the last by the product rule (`series._windows`), until
+    they repeat.  x keeps its zero class, so a power's windows hold every
+    earlier power's and a class of size s is settled at x^(s + 1)."""
+    pw = {x.quiver.zero(): (0, None)}
+    for _ in range(x.maxdim + 1):
+        prev, pw = pw, _windows(pw, x.meta, x.maxdim)[0]
+        if pw == prev:
+            break
+    return pw
+
+
+def check_chain_windows(monkeypatch):
+    """Route every `series._chain_windows` call through a comparison with
+    `round_chain_windows`; the returned list holds the class count of each
+    compared call."""
+    one_pass = series_module._chain_windows
+    seen = []
+
+    def checked(x):
+        got = one_pass(x)
+        assert got == round_chain_windows(x), (x.rows, x.meta)
+        seen.append(len(got))
+        return got
+
+    monkeypatch.setattr(series_module, "_chain_windows", checked)
+    return seen
 
 
 def chain_inverse(series):

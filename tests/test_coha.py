@@ -269,10 +269,16 @@ def test_shuffle_mul_against_shuffle_sum():
             assert evaluate(out.poly, point) == shuffle_sum_at(f, g, point), (f, g)
 
 
+def _plan(quiver, pairs, form):
+    """The plan of `coha.image_echelon` derived from the pairs of a slice."""
+    return [(a, rest, quiver.euler_form(a, a), form(quiver, rest)) for a, rest in pairs]
+
+
 def _stopped_against_full(quiver, maxdim, window, mmax, mwindow, tally):
     """Every image step of the CoHA and CoHM quotients of quiver against the
     full loop of oracles.full_image_echelon, both in Schur coordinates; tally
-    counts (filled, not filled) slices."""
+    counts (filled, not filled) slices.  The oracle derives the pairs and
+    their forms per slice; the stored per-class plans must match them."""
     from oracles import full_complement, full_image_echelon
 
     from hallforge.coha import (
@@ -301,10 +307,12 @@ def _stopped_against_full(quiver, maxdim, window, mmax, mwindow, tally):
             basis = labels_of(quiver, d, k)
             if sum(d) > 1:
                 pairs = quiver.decompositions(d, sum(d) - 1)
+                plan = _plan(quiver, pairs, CohaElement.weight_form)
                 full = full_image_echelon(quiver, pairs, labels_of, CohaElement.weight_form, schur_mul, k, basis)
-                stopped = image_echelon(quiver, pairs, labels_of, CohaElement.weight_form, schur_mul, k, basis)
+                stopped = image_echelon(quiver, plan, labels_of, schur_mul, k, basis)
                 check(stopped, full, len(basis))
                 assert _ideal_echelon(quiver, d, k).pivots == stopped.pivots
+                assert quiver._cache[("coha_plan", d)] == plan
                 assert generator_complement(quiver, d, k) == full_complement(full.copy(), basis)
             else:
                 full = Echelon(basis)
@@ -320,10 +328,12 @@ def _stopped_against_full(quiver, maxdim, window, mmax, mwindow, tally):
             if not basis:
                 continue
             pairs = quiver.decompositions(e, sum(e) // 2, quiver.hyperbolic)
+            plan = _plan(quiver, pairs, CohmElement.weight_form)
             full = full_image_echelon(quiver, pairs, CohmElement.slice_labels, CohmElement.weight_form, schur_act, k, basis)
-            stopped = image_echelon(quiver, pairs, CohmElement.slice_labels, CohmElement.weight_form, schur_act, k, basis)
+            stopped = image_echelon(quiver, plan, CohmElement.slice_labels, schur_act, k, basis)
             check(stopped, full, len(basis))
             assert _wprim_slice(quiver, e, k) == (full.rank, full_complement(full, basis))
+            assert quiver._cache[("cohm_plan", e)] == plan
 
 
 def test_image_echelon_against_full_loop():
@@ -347,6 +357,7 @@ def test_image_echelon_stops_once_the_slice_is_spanned(monkeypatch):
 
     d = (3,)
     pairs = L0.decompositions(d, 2)
+    plan = _plan(L0, pairs, CohaElement.weight_form)
     complement_of = coha.generator_complement
     events = []
     monkeypatch.setattr(coha, "generator_complement", lambda *args: events.append("complement") or complement_of(*args))
@@ -361,7 +372,7 @@ def test_image_echelon_stops_once_the_slice_is_spanned(monkeypatch):
         labels = CohaElement.slice_labels(L0, d, k)
         dim = len(labels)
         events.clear()
-        ech = coha.image_echelon(L0, pairs, CohaElement.slice_labels, CohaElement.weight_form, act, k, labels)
+        ech = coha.image_echelon(L0, plan, CohaElement.slice_labels, act, k, labels)
         rows = [e for e in events if e != "complement"]
         # replaying the computed products: every one but the last left the
         # rank below dim, so none was computed after the slice was spanned
@@ -380,6 +391,41 @@ def test_image_echelon_stops_once_the_slice_is_spanned(monkeypatch):
         assert full.rank == ech.rank
         saved += sum(e != "complement" for e in events) - len(rows)
     assert filled and saved > 0
+
+
+def test_pair_plans_are_built_once_per_class(monkeypatch):
+    """One `decompositions` call per class in a W^prim and a V^prim run: the
+    image steps of every slice (d, k) of a class, and the factor classes
+    that `generator_complement` reaches, read the class's cached plan."""
+    from hallforge.cohm import ori_dt_invariants
+
+    monkeypatch.delenv("HALLFORGE_THREADS", raising=False)  # one process, one cache
+    for run, maxdim, window in ((ori_dt_invariants, 8, 22), (primitive_dims, 5, 12)):
+        quiver = loop_quiver(2)
+        calls = []
+        decompositions = quiver.decompositions
+        # a class as (target, CoHA side): a loop quiver's CoHA and CoHM classes share tuples
+        monkeypatch.setattr(
+            quiver, "decompositions", lambda d, total, image=None: calls.append((d, image is None)) or decompositions(d, total, image)
+        )
+        run(quiver, maxdim, window)
+        assert calls and len(calls) == len(set(calls)), sorted(calls)
+        plans = [key for key in quiver._cache if key[0] in ("coha_plan", "cohm_plan")]
+        assert len(plans) == len(calls)
+
+
+def test_empty_slices_are_cached_as_empty_lists():
+    """An odd-offset slice and a slice below the weight form are empty on
+    both sides; the empty list is kept under the slice's cache key."""
+    from hallforge.cohm import CohmElement
+
+    quiver = loop_quiver(2)
+    for cls, d in ((CohaElement, (2,)), (CohmElement, (4,))):
+        form = cls.weight_form(quiver, d)
+        assert cls.slice_labels(quiver, d, form) != []
+        for k in (form + 1, form - 2):
+            assert cls.slice_labels(quiver, d, k) == [] and cls.slice_dim(quiver, d, k) == 0
+            assert quiver._cache[("slice_labels", cls, d, k)] == []
 
 
 def test_complement_of_a_full_echelon_reads_no_element():

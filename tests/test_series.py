@@ -6,7 +6,8 @@ import pytest
 from hallforge import series
 from hallforge.coha import equivariant_dt
 from hallforge.cohm import witt_representative
-from hallforge.errors import GradingError, HallforgeError, NonIntegralError
+from hallforge.errors import GradingError, HallforgeError, InexactCoefficientError, NonIntegralError
+from hallforge.poly import Poly
 from hallforge.proputils import Lcg
 from hallforge.quiver import MAX_SERIES_CELLS, a1_tilde, a2_quiver, loop_quiver
 from hallforge.series import (
@@ -33,6 +34,7 @@ from oracles import (
     chain_inverse,
     chain_log,
     chain_pochhammer_q2_product,
+    check_chain_windows,
     inverse_q2_pochhammer,
     series_from_terms,
 )
@@ -231,6 +233,44 @@ def test_qpochhammer_examples():
         qpochhammer_inf(L0, "torus", 1, (0,), 3, 8)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QSeries.monomial(L0, TORUS, 3, (-1,), 0),
+        lambda: QSeries.monomial(L0, TORUS, 3, (True,), 0),
+        lambda: QSeries.monomial(L0, TORUS, 3, (1, 0), 0),
+        lambda: qpochhammer_inf(L0, TORUS, 0, (1.5,), 3, 4),
+        lambda: qpochhammer_inf(L0, TORUS, 0, (-1,), 3, 4),
+        lambda: qpochhammer_inf(L0, TORUS, 0, (True,), 3, 4),
+    ],
+)
+def test_torus_classes_are_validated(build):
+    """A torus class is a dimension vector of the quiver: a negative entry
+    (1 - t^-1 would be inverted over the classes (-4,) ... (0,)), a float,
+    a bool or a wrong length raises GradingError, as a module class does."""
+    with pytest.raises(GradingError):
+        build()
+
+
+def test_float_coefficients_are_refused():
+    """A float is never read as its binary fraction (0.1 would be
+    3602879701896397/36028797018963968): Poly.const, Poly.scale, an exact
+    division and QSeries.monomial raise InexactCoefficientError, a
+    HallforgeError."""
+    for build in (
+        lambda: Poly.const(1, 0.5),
+        lambda: Poly.const(1, 1).scale(0.1),
+        lambda: Poly.variable(1, 0).divexact_linear(0.5, 0),
+        lambda: QSeries.monomial(L0, TORUS, 3, (1,), 0, 0.1),
+    ):
+        with pytest.raises(InexactCoefficientError):
+            build()
+    assert issubclass(InexactCoefficientError, HallforgeError)
+    exact = QSeries.monomial(L0, TORUS, 3, (1,), 0, Fraction(1, 10))
+    assert exact.coefficient((1,), 0) == Fraction(1, 10)
+    assert Poly.const(1, "1/10") == Poly.const(1, 1).scale(Fraction(1, 10))
+
+
 def test_qdilog():
     E = qdilog(L0, 6, 20)
     assert E.coefficient((0,), 0) == 1
@@ -385,13 +425,15 @@ GAP = QSeries(L0, TORUS, 3, {(0,): [(0, 1)], (2,): [(0, 1)]}, {(0,): (0, None), 
 SHORT_ZERO = QSeries(L0, TORUS, 1, {(0,): [(0, 1)], (1,): [(0, 1)]}, {(0,): (0, 2), (1,): (0, 10)})
 
 
-def test_recurrences_against_power_chains():
+def test_recurrences_against_power_chains(monkeypatch):
     """inverse, log, the factorization inversion and the q^2-Pochhammer
     product agree with the power chains they replaced (tests/oracles.py):
     terms, windows, tables, validity and error text; every coefficient but
     the logarithm's is an int.  The chains run to x^(maxdim + 1), with no
     stop at a power that has no term in its windows, and the windows of
-    inverse and log keep the product rule (`oracles.assert_window_rule`)."""
+    inverse and log keep the product rule (`oracles.assert_window_rule`).
+    Every one-pass window fixed point equals the round-based one."""
+    windows_checked = check_chain_windows(monkeypatch)
     inv = GAP.inverse()
     assert inv.hi((2,)) == 5 and (3,) in inv.meta
     assert SHORT_ZERO.inverse().hi((1,)) == 2 and SHORT_ZERO.log().hi((1,)) == 2
@@ -427,6 +469,7 @@ def test_recurrences_against_power_chains():
                 old = chain_pochhammer_q2_product(table, maxdim, window)
                 assert new.terms == old.terms and new.meta == old.meta, (quiver.nodes, table.entries)
                 assert_int_coefficients(new)
+    assert windows_checked
 
 
 def test_no_term_above_window():

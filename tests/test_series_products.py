@@ -21,6 +21,7 @@ from oracles import (
     assert_window_rule,
     chain_inverse,
     chain_log,
+    check_chain_windows,
     flat_add,
     flat_products,
     series_from_terms,
@@ -59,14 +60,16 @@ def random_series(rng, quiver, kind, maxdim):
 
 
 @pytest.mark.parametrize("name", sorted(QUIVERS))
-def test_products_match_flat_oracle(name):
+def test_products_match_flat_oracle(name, monkeypatch):
     """cmul, torus_mul, module_star and char_star equal the flat product in
     terms and windows, on seeded random series of mixed truncations; these
     products, +, scale, inverse, log and the JSON round trip keep the row
     layout (`oracles.assert_rows`), and the sum equals the flat sum.  The
     inverse and log of 1 + (a without its zero class), also with a zero-class
     suppmin of -3, equal the power chains in terms and windows, and their
-    windows keep the product rule (`oracles.assert_window_rule`)."""
+    windows keep the product rule (`oracles.assert_window_rule`); their
+    one-pass window fixed points equal the round-based ones."""
+    windows_checked = check_chain_windows(monkeypatch)
     quiver = QUIVERS[name]
     rng = Lcg(1700 + sorted(QUIVERS).index(name))
     top = 4 if len(quiver.nodes) < 3 else 3
@@ -108,6 +111,7 @@ def test_products_match_flat_oracle(name):
                 assert_rows(got)
                 assert (got.terms, got.meta) == (want.terms, want.meta), name
                 assert_window_rule(u, got)
+    assert windows_checked
 
 
 @pytest.mark.parametrize("name", sorted(QUIVERS))
