@@ -333,28 +333,10 @@ def equivariant_dt(quiver, e_target, maxdim, window):
     if not quiver.is_sigma_symmetric():
         raise SymmetryError("equivariant DT invariants need a sigma-symmetric quiver")
     e_target = quiver.check_selfdual_dim(e_target)
-    entries = {}
     if len(quiver.nodes) == 1:
-        table = dt_invariants(quiver, maxdim // 2, window)
-        validity = {}
-        for d, hi in table.validity.items():
-            h = quiver.hyperbolic(d)
-            if any(d) and sum(h) <= maxdim:
-                validity[h] = hi
-        for (d, k), m in table.entries.items():
-            h = quiver.hyperbolic(d)
-            if sum(h) > maxdim:
-                continue
-            chi_ed = quiver.euler_form(e_target, d)
-            par = (chi_ed + quiver.sd_euler_form(d) + (k - quiver.euler_form(d, d)) // 2) % 2
-            plus, minus = entries.get((h, k), (0, 0))
-            if par == 0:
-                plus += m
-            else:
-                minus += m
-            entries[(h, k)] = (plus, minus)
-        return SignedInvariantTable(quiver, entries, maxdim, validity)
+        return loop_equivariant_dt(quiver, e_target, maxdim, dt_invariants(quiver, maxdim // 2, window))
 
+    entries = {}
     seen = set()
     validity = {}
     # |H(d)| = 2|d|, so |H(d)| <= maxdim is |d| <= maxdim // 2
@@ -397,4 +379,29 @@ def equivariant_dt(quiver, e_target, maxdim, window):
                 nplus = nminus = p_k
             plus, minus = entries.get((h, k), (0, 0))
             entries[(h, k)] = (plus + nplus, minus + nminus)
+    return SignedInvariantTable(quiver, entries, maxdim, validity)
+
+
+def loop_equivariant_dt(quiver, e_target, maxdim, table):
+    """`equivariant_dt` of a loop quiver read off its DT invariants, `table`
+    = dt_invariants(quiver, maxdim // 2, window), by the parity dichotomy;
+    e_target is a checked self-dual dimension vector.  Callers with several
+    targets (`loop_factorization`) share one table."""
+    entries, validity = {}, {}
+    for d, hi in table.validity.items():
+        h = quiver.hyperbolic(d)
+        if any(d) and sum(h) <= maxdim:
+            validity[h] = hi
+    for (d, k), m in table.entries.items():
+        h = quiver.hyperbolic(d)
+        if sum(h) > maxdim:
+            continue
+        chi_ed = quiver.euler_form(e_target, d)
+        par = (chi_ed + quiver.sd_euler_form(d) + (k - quiver.euler_form(d, d)) // 2) % 2
+        plus, minus = entries.get((h, k), (0, 0))
+        if par == 0:
+            plus += m
+        else:
+            minus += m
+        entries[(h, k)] = (plus, minus)
     return SignedInvariantTable(quiver, entries, maxdim, validity)

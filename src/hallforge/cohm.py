@@ -36,8 +36,10 @@ from functools import lru_cache
 from .coha import (
     CohaElement,
     _pair_plan,
+    dt_invariants,
     equivariant_dt,
     image_echelon,
+    loop_equivariant_dt,
     s_involution,
     shuffle_mul,
 )
@@ -518,9 +520,9 @@ def loop_factorization(quiver, maxdim, window, quotient_window=None):
         qtab = ori_dt_invariants(quiver, maxdim, quotient_window).table()
     out = {}
     classes = [(0,)] if quiver.s[quiver.nodes[0]] == -1 else [(0,), (1,)]
+    dt = dt_invariants(quiver, maxdim // 2, window)  # shared by the Witt classes
     for w in classes:
-        erep = witt_representative(quiver, w)
-        sig = equivariant_dt(quiver, erep, maxdim, window)
+        sig = loop_equivariant_dt(quiver, witt_representative(quiver, w), maxdim, dt)
         atilde = pochhammer_q2_product(sig, maxdim, window)
         part = _restrict_to_witt(asigma, w)
         omega = part.cmul(atilde.inverse())

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import GradingError, HallforgeError
+from .errors import ExponentOverflowError, GradingError, HallforgeError
 from .parallel import pmap
-from .poly import Poly
+from .poly import MASK, MAXDEG, SHIFT, Poly
 from .quiver import MAX_QUOTIENT_SLICES
 from .series import InvariantTable
 from .symfun import schur_product, weight_basis_size, weight_labels
@@ -113,18 +113,9 @@ class GradedElement:
     # -- predicates and grading ------------------------------------------------
 
     def is_invariant(self):
-        """Symmetric in each block, and even in every variable of a BCD block."""
-        p, base = self.poly, 0
-        for _, kind, size in self.blocks(self.quiver, self.degree):
-            if kind == "BCD":
-                for j in range(base, base + size):
-                    if not p.even_in(j):
-                        return False
-            for j in range(base, base + size - 1):
-                if p.swap_variables(j, j + 1) != p:
-                    return False
-            base += size
-        return True
+        """Symmetric in each block, and even in every variable of a BCD
+        block, tested on the term dict (`_is_invariant`)."""
+        return _is_invariant(self.poly.terms, self.blocks(self.quiver, self.degree))
 
     def is_zero(self):
         return self.poly.is_zero()
@@ -173,20 +164,39 @@ class GradedElement:
     # -- JSON ----------------------------------------------------------------------
 
     def to_json_dict(self):
+        """{"d": degree, "poly": terms}, the terms in graded-lex order of
+        their exponent tuples, each {"exp": {variable: exponent}, "c":
+        str(coeff)} with its zero exponents left out.  Each packed key is
+        unpacked once, into its exp dict, its degree and its sort key (the
+        degree above the exponents packed in reverse variable order)."""
         names = self.var_names(self.quiver, self.degree)
-        return {
-            "d": list(self.degree),
-            "poly": [
-                {"exp": {names[i]: e for i, e in enumerate(k) if e}, "c": str(c)}
-                for k, c in self.poly.sorted_terms()
-            ],
-        }
+        top = SHIFT * len(names)
+        rows = []
+        for k, c in self.poly.terms.items():
+            exp, deg, rev, sh, i = {}, 0, 0, top, 0
+            while k:
+                sh -= SHIFT
+                e = k & MASK
+                if e:
+                    exp[names[i]] = e
+                    deg += e
+                    rev |= e << sh
+                k >>= SHIFT
+                i += 1
+            rows.append(((deg << top) | rev, exp, str(c)))
+        rows.sort()  # the sort keys are distinct, so no exp dicts are compared
+        return {"d": list(self.degree), "poly": [{"exp": exp, "c": c} for _, exp, c in rows]}
 
     @classmethod
     def from_json_dict(cls, quiver, doc):
         """Inverse of to_json_dict; a malformed document raises GradingError.
-        Each monomial appears in one term: a repeated one (also {"x:1:1": 0}
-        after {}) is refused, not summed or overwritten."""
+        Each term's exponents go straight into its packed key, so every
+        exponent is an int in 0..MAXDEG, also in a term whose coefficient is
+        zero: a negative one raises GradingError, one over MAXDEG
+        ExponentOverflowError.  Each monomial appears in one term: a
+        repeated one (also {"x:1:1": 0} after {}) is refused, not summed or
+        overwritten.  Terms with a zero coefficient are dropped, and the
+        polynomial must be Weyl invariant (`is_invariant`)."""
         if not (isinstance(doc, dict) and isinstance(doc.get("d"), list) and isinstance(doc.get("poly"), list)):
             raise GradingError('an element document is an object {"d": [...], "poly": [...]}')
         # exact input only: integers, and strings for coefficients; a float
@@ -194,29 +204,85 @@ class GradedElement:
         if any(type(x) is not int for x in doc["d"]):
             raise GradingError("degree %r is not a list of integers" % (doc["d"],))
         d = cls.check_degree(quiver, tuple(doc["d"]))
-        names = {nm: i for i, nm in enumerate(cls.var_names(quiver, d))}
-        terms = {}
+        blocks = cls.blocks(quiver, d)
+        shifts, pos = {}, 0  # variable name -> its shift in a packed key
+        for node, _, size in blocks:
+            for j in range(1, size + 1):
+                shifts["%s:%s:%d" % (cls.prefix, node, j)] = pos
+                pos += SHIFT
+        terms, bound, zeros = {}, 0, False
         for t in doc["poly"]:
             if not (isinstance(t, dict) and isinstance(t.get("exp"), dict) and "c" in t):
                 raise GradingError('poly term %r is not an object {"exp": {...}, "c": ...}' % (t,))
-            key = [0] * len(names)
+            key = most = 0
             c = t["c"]
             try:
                 for nm, e in t["exp"].items():
                     if type(e) is not int:
                         raise TypeError
-                    key[names[nm]] = e
+                    sh = shifts[nm]
+                    if e > most:
+                        if e > MAXDEG:
+                            raise ExponentOverflowError("exponent %d out of packed range" % e)
+                        most = e
+                    elif e < 0:
+                        raise GradingError("poly term %r has the negative exponent %d" % (t, e))
+                    key |= e << sh
                 if type(c) is not int and type(c) is not str:
                     raise TypeError
-                key = tuple(key)
                 if key in terms:
                     raise GradingError("poly term %r repeats the monomial of an earlier term" % (t,))
-                terms[key] = Fraction(c)
+                if type(c) is str:
+                    # a decimal integer needs no Fraction; int() and Fraction()
+                    # agree on ASCII digits after an optional minus sign
+                    if c.isascii() and (c.isdigit() or c[:1] == "-" and c[1:].isdigit()):
+                        c = int(c)
+                    else:
+                        c = Fraction(c)
+                        if c.denominator == 1:
+                            c = c.numerator
             except KeyError as exc:
                 raise GradingError("unknown variable %s in degree %r" % (exc, d)) from None
             except (TypeError, ValueError, ZeroDivisionError):
                 raise GradingError("poly term %r needs integer exponents and a rational coefficient" % (t,)) from None
-        return cls(quiver, d, Poly.from_exponents(len(names), terms))
+            terms[key] = c
+            if not c:
+                zeros = True
+            elif most > bound:
+                bound = most
+        if zeros:
+            terms = {k: c for k, c in terms.items() if c}
+        if not _is_invariant(terms, blocks):
+            raise GradingError("polynomial is not Weyl invariant")
+        # the degree and the ring size are checked above: no second pass
+        # through __init__
+        elem = cls.__new__(cls)
+        elem.quiver, elem.degree, elem.poly = quiver, d, Poly(pos // SHIFT, terms, bound)
+        return elem
+
+
+def _is_invariant(terms, blocks):
+    """Whether a packed term dict in the variables of `blocks` is symmetric
+    in each block and even in every variable of a BCD block: the partner of
+    each term under every adjacent swap within a block carries the same
+    coefficient, and one bit mask over the BCD variables finds an odd
+    exponent."""
+    odd, pairs, sh = 0, [], 0
+    for _, kind, size in blocks:
+        if kind == "BCD":
+            for j in range(size):
+                odd |= 1 << (sh + SHIFT * j)
+        pairs.extend(range(sh, sh + SHIFT * (size - 1), SHIFT))
+        sh += SHIFT * size
+    if odd and any(k & odd for k in terms):
+        return False
+    for k, c in terms.items():
+        for s in pairs:
+            a = (k >> s) & MASK
+            b = (k >> (s + SHIFT)) & MASK
+            if a != b and terms.get(k + ((b - a) << s) + ((a - b) << (s + SHIFT))) != c:
+                return False
+    return True
 
 
 class PrimitiveTable:

@@ -383,20 +383,6 @@ class Poly:
                 del out[key]
         return Poly(n_new, out, self.bound)
 
-    def swap_variables(self, i, j):
-        shi, shj = SHIFT * i, SHIFT * j
-        out = {}
-        for k, c in self.terms.items():
-            ei = (k >> shi) & MASK
-            ej = (k >> shj) & MASK
-            kk = k + ((ej - ei) << shi) + ((ei - ej) << shj)
-            out[kk] = c
-        return Poly(self.n, out, self.bound)
-
-    def even_in(self, i):
-        sh = SHIFT * i
-        return all((k >> sh) & 1 == 0 for k in self.terms)
-
     def double_exponents(self):
         """z -> z^2 on every variable (BCD squared basis)."""
         if 2 * self.bound > MAXDEG:

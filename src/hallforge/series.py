@@ -227,6 +227,9 @@ class QSeries:
 
     @classmethod
     def monomial(cls, quiver, kind, maxdim, dvec, k, coeff=1):
+        """coeff q^(k/2) t^dvec; the weight k is an int (a float, a bool or
+        a string raises GradingError, as in from_json_dict)."""
+        _check_int("weight k", k)
         dvec = quiver.check_selfdual_dim(dvec) if kind == MODULE else quiver.check_dim(dvec)
         c = _num(coeff)
         return cls(quiver, kind, maxdim, {dvec: [(k, c)]} if c and sum(dvec) <= maxdim else {}, {dvec: (k, None)})
@@ -538,8 +541,11 @@ def qpochhammer_inf(quiver, kind, k0, dvec, maxdim, window, base=1):
     """(q^(k0/2) t^dvec ; q^base)_inf, truncated.
 
     The coefficient of t^(n*dvec) is (-1)^n q^(n*k0/2 + base*n(n-1)/2)
-    / prod_{j=1..n} (1 - q^(base*j)), expanded within the window.
+    / prod_{j=1..n} (1 - q^(base*j)), expanded within the window.  k0 and
+    base are ints: a float, a bool or a string raises GradingError.
     """
+    _check_int("k0", k0)
+    _check_int("base", base)
     dvec = quiver.check_selfdual_dim(dvec) if kind == MODULE else quiver.check_dim(dvec)
     if not any(dvec):
         raise GradingError("q-Pochhammer needs a nonzero dimension vector")
@@ -552,6 +558,13 @@ def qpochhammer_inf(quiver, kind, k0, dvec, maxdim, window, base=1):
         steps = [2 * base * j for j in range(1, n + 1)]
         _add_class(rows, meta, cls, kstart, sign_pow(n), steps, window, memo)
     return QSeries(quiver, kind, maxdim, rows, meta)
+
+
+def _check_int(name, x):
+    """Refuse a weight that is not an int: a float, a bool (an int
+    subclass) or a string would reach the rows and their JSON."""
+    if type(x) is not int:
+        raise GradingError("%s must be an int, not %r" % (name, x))
 
 
 def qdilog(quiver, maxdim, window):

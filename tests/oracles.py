@@ -10,10 +10,10 @@ from math import gcd
 from hallforge import series as series_module
 from hallforge.coha import CohaElement, _ideal_echelon, _mul_integrand, generator_complement, s_label
 from hallforge.cohm import CohmElement, _act_integrand, _type_b_push
-from hallforge.errors import HallforgeError, NonIntegralError
+from hallforge.errors import GradingError, HallforgeError, NonIntegralError
 from hallforge.finite_type import _bucket, _letter_partitions, _slice_report, hom_ext
 from hallforge.linalg import Echelon
-from hallforge.poly import SHIFT, Poly
+from hallforge.poly import MASK, SHIFT, Poly
 from hallforge.quiver import QuiverWithDuality
 from hallforge.series import (
     MODULE,
@@ -736,3 +736,94 @@ def memo_pbw_report(rs, cls, act, step, words, bound, window, dims):
                     forms[e] = cls.weight_form(quiver, e)
                 rec(seed, e0, slots, chain, (), window // 2 - shift, 2 * shift + forms[e])
     return _slice_report(cls, quiver, buckets, zeros, reached, window, dims)
+
+
+# -- the element JSON codec before it went straight to packed keys -------------------
+
+
+def swap_variables(p, i, j):
+    """p with the variables i and j exchanged (once `Poly.swap_variables`)."""
+    shi, shj = SHIFT * i, SHIFT * j
+    out = {}
+    for k, c in p.terms.items():
+        ei = (k >> shi) & MASK
+        ej = (k >> shj) & MASK
+        kk = k + ((ej - ei) << shi) + ((ei - ej) << shj)
+        out[kk] = c
+    return Poly(p.n, out, p.bound)
+
+
+def even_in(p, i):
+    """Whether every exponent of variable i is even (once `Poly.even_in`)."""
+    sh = SHIFT * i
+    return all((k >> sh) & 1 == 0 for k in p.terms)
+
+
+def tuple_is_invariant(elem):
+    """`GradedElement.is_invariant` by a swapped `Poly` per adjacent pair
+    and `even_in` per BCD variable: the oracle of the term-dict test."""
+    p, base = elem.poly, 0
+    for _, kind, size in elem.blocks(elem.quiver, elem.degree):
+        if kind == "BCD":
+            for j in range(base, base + size):
+                if not even_in(p, j):
+                    return False
+        for j in range(base, base + size - 1):
+            if swap_variables(p, j, j + 1) != p:
+                return False
+        base += size
+    return True
+
+
+def tuple_to_json_dict(elem):
+    """`GradedElement.to_json_dict` through `Poly.sorted_terms` and
+    exponent tuples: the oracle of the one-pass encoder."""
+    names = elem.var_names(elem.quiver, elem.degree)
+    return {
+        "d": list(elem.degree),
+        "poly": [
+            {"exp": {names[i]: e for i, e in enumerate(k) if e}, "c": str(c)}
+            for k, c in elem.poly.sorted_terms()
+        ],
+    }
+
+
+def tuple_from_json_dict(cls, quiver, doc):
+    """`GradedElement.from_json_dict` through exponent tuples, `Fraction`
+    coefficients and `Poly.from_exponents`, with the invariance check of
+    `tuple_is_invariant`: the oracle of the one-pass decoder.  A negative
+    exponent or one over MAXDEG raises ExponentOverflowError in a nonzero
+    term and passes in a zero one."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("d"), list) and isinstance(doc.get("poly"), list)):
+        raise GradingError('an element document is an object {"d": [...], "poly": [...]}')
+    # exact input only: integers, and strings for coefficients; a float
+    # or a bool (an int subclass) is refused, not rounded
+    if any(type(x) is not int for x in doc["d"]):
+        raise GradingError("degree %r is not a list of integers" % (doc["d"],))
+    d = cls.check_degree(quiver, tuple(doc["d"]))
+    names = {nm: i for i, nm in enumerate(cls.var_names(quiver, d))}
+    terms = {}
+    for t in doc["poly"]:
+        if not (isinstance(t, dict) and isinstance(t.get("exp"), dict) and "c" in t):
+            raise GradingError('poly term %r is not an object {"exp": {...}, "c": ...}' % (t,))
+        key = [0] * len(names)
+        c = t["c"]
+        try:
+            for nm, e in t["exp"].items():
+                if type(e) is not int:
+                    raise TypeError
+                key[names[nm]] = e
+            if type(c) is not int and type(c) is not str:
+                raise TypeError
+            key = tuple(key)
+            if key in terms:
+                raise GradingError("poly term %r repeats the monomial of an earlier term" % (t,))
+            terms[key] = Fraction(c)
+        except KeyError as exc:
+            raise GradingError("unknown variable %s in degree %r" % (exc, d)) from None
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise GradingError("poly term %r needs integer exponents and a rational coefficient" % (t,)) from None
+    elem = cls(quiver, d, Poly.from_exponents(len(names), terms), check=False)
+    if not tuple_is_invariant(elem):
+        raise GradingError("polynomial is not Weyl invariant")
+    return elem

@@ -426,6 +426,13 @@ ONE_VAR = {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "1"}]}
              "rhs": ONE_VAR}, "repeats the monomial"),
     ("mul", {"lhs": {"d": [1], "poly": [{"exp": {}, "c": "1"}, {"exp": {"x:1:1": 0}, "c": "1"}]},
              "rhs": ONE_VAR}, "repeats the monomial"),
+    # every exponent is an int in 0..MAXDEG, also in a zero term
+    ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:1:1": -1}, "c": 0}]}, "rhs": ONE_VAR}, "negative exponent"),
+    ("mul", {"lhs": {"d": [1], "poly": [{"exp": {"x:1:1": 5000}, "c": "0"}]}, "rhs": ONE_VAR}, "out of packed range"),
+    ("mul", {"lhs": ONE_VAR, "rhs": {"d": [1], "poly": [{"exp": {"x:1:1": -1}, "c": "1"}]}}, "negative exponent"),
+    ("act", {"coha": {"d": [1], "poly": [{"exp": {"x:1:1": 1024}, "c": "1"}]}, "cohm": {"d": [1], "poly": []}},
+     "out of packed range"),
+    ("act", {"coha": ONE_VAR, "cohm": {"d": [2], "poly": [{"exp": {"z:1:1": -2}, "c": "1"}]}}, "negative exponent"),
 ])
 def test_malformed_element_input_exit2(tmp_path, l2_path, command, files, message):
     args = [command, "--quiver", l2_path] if command != "thom" else [command, "--type", "A2"]

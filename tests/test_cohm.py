@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from hallforge.coha import CohaElement
+from hallforge import cohm as cohm_module
+from hallforge.coha import CohaElement, equivariant_dt
 from hallforge.cohm import (
     CohmElement,
     action_degree_shift,
@@ -15,11 +16,12 @@ from hallforge.cohm import (
     loop_factorization,
     ori_dt_invariants,
     witt_decompose,
+    witt_representative,
 )
 from hallforge.errors import GradingError, HallforgeError, OddSymplecticError, SymmetryError
 from hallforge.poly import Poly
 from hallforge.quiver import a1_tilde, a2_quiver, loop_quiver
-from hallforge.series import ori_dt_series, sign_pow
+from hallforge.series import ori_dt_series, pochhammer_q2_product, sign_pow
 from hallforge.symfun import schur
 
 L0 = loop_quiver(0)
@@ -186,6 +188,27 @@ def test_loop_factorization_consistency():
     assert all(data["consistent"] for data in lf.values())
     lfc = loop_factorization(loop_quiver(2, s=-1), 6, 20, quotient_window=20)
     assert all(data["consistent"] for data in lfc.values())
+
+
+@pytest.mark.parametrize("quiver", [L2, loop_quiver(3, s=1, tau=[1, -1, 1]), loop_quiver(2, s=-1)], ids=["L2", "L3", "L2 s=-1"])
+def test_loop_factorization_shares_one_dt_table(monkeypatch, quiver):
+    """The Witt classes of a loop quiver share one dt_invariants table;
+    each class's A~ is the one its own equivariant_dt gives."""
+    maxdim, window = 8, 24
+    calls = []
+    dt = cohm_module.dt_invariants
+
+    def counted(*args):
+        calls.append(args)
+        return dt(*args)
+
+    monkeypatch.setattr(cohm_module, "dt_invariants", counted)
+    lf = loop_factorization(quiver, maxdim, window)
+    assert calls == [(quiver, maxdim // 2, window)]
+    assert len(lf) == (1 if quiver.s[quiver.nodes[0]] == -1 else 2)
+    for w, data in lf.items():
+        sig = equivariant_dt(quiver, witt_representative(quiver, w), maxdim, window)
+        assert data["atilde"].to_json_dict() == pochhammer_q2_product(sig, maxdim, window).to_json_dict()
 
 
 def test_general_factorization():

@@ -252,6 +252,25 @@ def test_torus_classes_are_validated(build):
         build()
 
 
+@pytest.mark.parametrize("bad", [0.5, True, "1"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: QSeries.monomial(L0, TORUS, 3, (1,), x),
+        lambda x: qpochhammer_inf(L0, TORUS, x, (1,), 3, 4),
+        lambda x: qpochhammer_inf(L0, TORUS, 0, (1,), 3, 4, base=x),
+    ],
+    ids=["monomial k", "pochhammer k0", "pochhammer base"],
+)
+def test_weights_are_ints(build, bad):
+    """A weight (monomial's k, qpochhammer_inf's k0 and base) that is a
+    float, a bool or a string raises GradingError: stored, it would reach
+    to_json_dict, whose output from_json_dict refuses."""
+    with pytest.raises(GradingError, match="must be an int"):
+        build(bad)
+    assert build(1).to_json_dict() == QSeries.from_json_dict(L0, build(1).to_json_dict()).to_json_dict()
+
+
 def test_float_coefficients_are_refused():
     """A float is never read as its binary fraction (0.1 would be
     3602879701896397/36028797018963968): Poly.const, Poly.scale, an exact
