@@ -26,7 +26,7 @@ from .errors import HallforgeError, SymmetryError
 from .graded import GradedElement, PrimitiveTable, check_quotient_slices
 from .linalg import Echelon, complement
 from .poly import Poly, mul_bound
-from .quiver import QuiverWithDuality
+from .quiver import QuiverWithDuality, memoized
 from .series import (
     SignedInvariantTable,
     dt_series,
@@ -116,24 +116,21 @@ def shuffle_mul(f, g):
 # -- the product in Schur coordinates -------------------------------------------
 
 
+@memoized("coha_integrand")
 def _mul_integrand(quiver, d1, d2):
     """(sign * K, lead slots of the x' and x'' labels, block cuts of the
-    target) of the product H_d1 x H_d2 -> H_(d1+d2), kept in quiver._cache
-    under ("coha_integrand", d1, d2); sign = (-1)^(sum_n d1_n d2_n)."""
-    key = ("coha_integrand", d1, d2)
-    out = quiver._cache.get(key)
-    if out is None:
-        idx = quiver.node_index
-        d = tuple(a + b for a, b in zip(d1, d2))
-        offsets, nvars = CohaElement.layout(quiver, d)
-        mid = {n: offsets[n] + d1[idx[n]] for n in quiver.nodes}
-        kernel = _arrow_numerators(quiver, offsets, mid, d1, d2, Poly.const(nvars, 1))
-        kernel = kernel.scale(sign_pow(sum(a * b for a, b in zip(d1, d2))))
-        fslots = tuple((offsets[n], d1[idx[n]], 1, 0, 1) for n in quiver.nodes)
-        gslots = tuple((mid[n], d2[idx[n]], 1, 0, 1) for n in quiver.nodes)
-        cuts = block_cuts([(offsets[n], d[idx[n]]) for n in quiver.nodes])
-        out = quiver._cache[key] = (kernel, fslots, gslots, cuts)
-    return out
+    target) of the product H_d1 x H_d2 -> H_(d1+d2); sign =
+    (-1)^(sum_n d1_n d2_n)."""
+    idx = quiver.node_index
+    d = tuple(a + b for a, b in zip(d1, d2))
+    offsets, nvars = CohaElement.layout(quiver, d)
+    mid = {n: offsets[n] + d1[idx[n]] for n in quiver.nodes}
+    kernel = _arrow_numerators(quiver, offsets, mid, d1, d2, Poly.const(nvars, 1))
+    kernel = kernel.scale(sign_pow(sum(a * b for a, b in zip(d1, d2))))
+    fslots = tuple((offsets[n], d1[idx[n]], 1, 0, 1) for n in quiver.nodes)
+    gslots = tuple((mid[n], d2[idx[n]], 1, 0, 1) for n in quiver.nodes)
+    cuts = block_cuts([(offsets[n], d[idx[n]]) for n in quiver.nodes])
+    return kernel, fslots, gslots, cuts
 
 
 def schur_mul(quiver, d1, f, d2, g):
@@ -184,10 +181,10 @@ def image_echelon(quiver, plan, slice_labels, act, k, labels):
     """Echelon of the weight-k span of act(quiver, a, {c: 1}, rest, {b: 1})
     with c in generator_complement(quiver, a, k1) and b in
     slice_labels(quiver, rest, k - k1), over (a, rest, chi_a, form_rest) in
-    the class's plan (`_pair_plan`) and chi_a <= k1 <= k - form_rest: the
-    CoHA ideal H_+ . H_+ (schur_mul, chi) and the CoHM image H_+ . M
-    (cohm.schur_act, E).  Rows are in Schur coordinates, filed on the
-    positions of the target slice's labels.
+    the class's plan and chi_a <= k1 <= k - form_rest: the CoHA ideal
+    H_+ . H_+ (schur_mul, chi, `_coha_plan`) and the CoHM image H_+ . M
+    (cohm.schur_act, E, `cohm._cohm_plan`).  Rows are in Schur coordinates,
+    filed on the positions of the target slice's labels.
 
     Every product lies in the target slice, so rank <= len(labels); once
     the echelon spans the slice, every later product would reduce to zero,
@@ -211,48 +208,34 @@ def image_echelon(quiver, plan, slice_labels, act, k, labels):
     return ech
 
 
-def _pair_plan(quiver, key, target, total, image, form):
-    """The pairs of the image steps of one class, built once per class and
-    kept in quiver._cache under key: (a, rest, chi(a, a), form(quiver,
-    rest)) for every (a, rest) of quiver.decompositions(target, total,
-    image), in its order.  None of it depends on the weight k."""
-    plan = quiver._cache.get(key)
-    if plan is None:
-        pairs = quiver.decompositions(target, total, image)
-        plan = quiver._cache[key] = [(a, rest, quiver.euler_form(a, a), form(quiver, rest)) for a, rest in pairs]
-    return plan
+@memoized("coha_plan")
+def _coha_plan(quiver, d):
+    """The pairs of the CoHA image steps of class d: (a, rest, chi(a, a),
+    chi(rest, rest)) for every (a, rest) of quiver.decompositions(d, |d| -
+    1), in its order.  None of it depends on the weight k."""
+    pairs = quiver.decompositions(d, sum(d) - 1)
+    return [(a, rest, quiver.euler_form(a, a), quiver.euler_form(rest, rest)) for a, rest in pairs]
 
 
+@memoized("coha_ideal")
 def _ideal_echelon(quiver, d, k):
-    """Echelon of the slice of sum_{a+b=d} H_a H_b inside H_(d,k) (cached)."""
-    key = ("coha_ideal", d, k)
-    cached = quiver._cache.get(key)
-    if cached is not None:
-        return cached
+    """Echelon of the slice of sum_{a+b=d} H_a H_b inside H_(d,k)."""
     if not quiver.is_symmetric():
         raise SymmetryError("primitive parts are computed for symmetric quivers")
-    plan = _pair_plan(quiver, ("coha_plan", d), d, sum(d) - 1, None, CohaElement.weight_form)
+    plan = _coha_plan(quiver, d)
     labels = CohaElement.slice_labels(quiver, d, k)
-    ech = image_echelon(quiver, plan, CohaElement.slice_labels, schur_mul, k, labels)
-    quiver._cache[key] = ech
-    return ech
+    return image_echelon(quiver, plan, CohaElement.slice_labels, schur_mul, k, labels)
 
 
+@memoized("coha_complement")
 def generator_complement(quiver, d, k):
     """Deterministic basis of a complement of the product-ideal slice in
     H_(d,k), as slice labels; its span maps isomorphically onto
     V_(d,k) = H/(H_+ . H_+)."""
-    key = ("coha_complement", d, k)
-    cached = quiver._cache.get(key)
-    if cached is not None:
-        return cached
     labels = CohaElement.slice_labels(quiver, d, k)
     if CohaElement.slice_degree(quiver, d, k) is None or sum(d) <= 1:
-        out = labels
-    else:
-        out = complement(_ideal_echelon(quiver, d, k), labels)
-    quiver._cache[key] = out
-    return out
+        return labels
+    return complement(_ideal_echelon(quiver, d, k), labels)
 
 
 def _times_power_sum(quiver, d, label):
@@ -268,25 +251,18 @@ def _times_power_sum(quiver, d, label):
 def primitive_basis(quiver, d, k):
     """Basis of a complement of (product ideal + sigma_d * V_(d,k-2)) inside
     H_(d,k), as slice labels; its span maps isomorphically onto
-    V^prim_(d,k)."""
-    key = ("coha_primitive", d, k)
-    cached = quiver._cache.get(key)
-    if cached is not None:
-        return cached
+    V^prim_(d,k); not memoized, as `primitive_dims` asks for each once."""
     deg = CohaElement.slice_degree(quiver, d, k)
     if deg is None:
-        out = []
-    else:
-        labels = CohaElement.slice_labels(quiver, d, k)
-        probe = _ideal_echelon(quiver, d, k).copy() if sum(d) > 1 else Echelon(labels)
-        if deg > 0:
-            for c in generator_complement(quiver, d, k - 2):
-                if probe.rank == len(labels):  # the span is the whole slice
-                    break
-                probe.add(_times_power_sum(quiver, d, c))
-        out = complement(probe, labels)
-    quiver._cache[key] = out
-    return out
+        return []
+    labels = CohaElement.slice_labels(quiver, d, k)
+    probe = _ideal_echelon(quiver, d, k).copy() if sum(d) > 1 else Echelon(labels)
+    if deg > 0:
+        for c in generator_complement(quiver, d, k - 2):
+            if probe.rank == len(labels):  # the span is the whole slice
+                break
+            probe.add(_times_power_sum(quiver, d, c))
+    return complement(probe, labels)
 
 
 def primitive_dims(quiver, maxdim, window):
@@ -355,7 +331,7 @@ def equivariant_dt(quiver, e_target, maxdim, window):
         else:
             validity[h] = top
         eps = sign_pow(quiver.euler_form(e_target, d) + quiver.sd_euler_form(d))
-        for k in range(chi, chi + window + 1):
+        for k in range(chi, chi + window + 1, 2):  # odd offsets are empty
             r_k = len(generator_complement(quiver, d, k))
             r_k2 = len(generator_complement(quiver, d, k - 2))
             p_k = r_k - r_k2

@@ -35,7 +35,6 @@ from functools import lru_cache
 
 from .coha import (
     CohaElement,
-    _pair_plan,
     dt_invariants,
     equivariant_dt,
     image_echelon,
@@ -47,7 +46,7 @@ from .errors import GradingError, HallforgeError, NonIntegralError, SymmetryErro
 from .graded import GradedElement, PrimitiveTable
 from .linalg import complement
 from .poly import SHIFT, Poly, mul_bound, unpack_exponents
-from .quiver import QuiverWithDuality
+from .quiver import QuiverWithDuality, memoized
 from .series import (
     InvariantTable,
     MODULE,
@@ -267,20 +266,16 @@ def cohm_action(f, g):
 # -- the action in Schur coordinates -------------------------------------------------
 
 
+@memoized("cohm_integrand")
 def _act_integrand(quiver, d, e):
-    """The cached pieces of `schur_act` for H_d x M_e, kept in quiver._cache
-    under ("cohm_integrand", d, e): (sign * integrand, the deferred factors
-    prod (u - v), the lead slots of the f labels (every node) and of the g
+    """The cached pieces of `schur_act` for H_d x M_e: (sign * integrand,
+    the deferred factors prod (u - v), the lead slots of the f labels (every node) and of the g
     labels (the blocks of M_e), as `symfun.lead_terms` reads them, the
     (bit shift, bit mask, D, m) of every fixed node's block, and the
     `symfun.block_cuts` of the blocks of the target).
 
     u = y^2 and v = z^2 take the slots of y and z, so the deferred factors
     are prod (u_y - v_z) over the pairs of `_action_integrand`."""
-    key = ("cohm_integrand", d, e)
-    cached = quiver._cache.get(key)
-    if cached is not None:
-        return cached
     idx = quiver.node_index
     et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
     off, kernel, after_push = _action_integrand(quiver, d, e)
@@ -316,8 +311,7 @@ def _act_integrand(quiver, d, e):
             deferred = deferred.mul_linear(1, y, -1, z)
         fixed.append((SHIFT * o, (1 << (SHIFT * size)) - 1, dn, m))
         gslots.append((o + dn, m, 2, 0, 1))
-    cached = quiver._cache[key] = (kernel.scale(sign), deferred, tuple(fslots), tuple(gslots), fixed, block_cuts(blocks))
-    return cached
+    return kernel.scale(sign), deferred, tuple(fslots), tuple(gslots), fixed, block_cuts(blocks)
 
 
 def schur_act(quiver, d, f, e, g):
@@ -416,21 +410,23 @@ def act_many(factors, g):
 # -- orientifold invariants -------------------------------------------------------
 
 
+@memoized("cohm_plan")
+def _cohm_plan(quiver, e):
+    """`coha._coha_plan` of the CoHM image steps of class e: H(a) <= e, so
+    |a| <= |e| // 2, and the form of rest is E."""
+    pairs = quiver.decompositions(e, sum(e) // 2, quiver.hyperbolic)
+    return [(a, rest, quiver.euler_form(a, a), quiver.sd_euler_form(rest)) for a, rest in pairs]
+
+
+@memoized("wprim_slice")
 def _wprim_slice(quiver, e, k):
     """(rank of the action-image slice, complement labels) at (e, k)."""
-    key = ("wprim_slice", e, k)
-    cached = quiver._cache.get(key)
-    if cached is not None:
-        return cached
-    # H(d) <= e gives |d| <= |e| // 2
-    plan = _pair_plan(quiver, ("cohm_plan", e), e, sum(e) // 2, quiver.hyperbolic, CohmElement.weight_form)
+    plan = _cohm_plan(quiver, e)
     labels = CohmElement.slice_labels(quiver, e, k)
     # image_echelon stops once the image spans the slice (rank == len(labels)),
     # and complement() then returns []
     ech = image_echelon(quiver, plan, CohmElement.slice_labels, schur_act, k, labels)
-    cached = (ech.rank, complement(ech, labels))
-    quiver._cache[key] = cached
-    return cached
+    return ech.rank, complement(ech, labels)
 
 
 def _wprim_basis(quiver, e, k):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import ExponentOverflowError, GradingError, HallforgeError
 from .parallel import pmap
 from .poly import MASK, MAXDEG, SHIFT, Poly
-from .quiver import MAX_QUOTIENT_SLICES
+from .quiver import MAX_QUOTIENT_SLICES, memoized
 from .series import InvariantTable
 from .symfun import schur_product, weight_basis_size, weight_labels
 
@@ -87,16 +87,9 @@ class GradedElement:
     @classmethod
     def slice_labels(cls, quiver, d, k):
         """The labels of the (d, k) slice basis, one partition per block of
-        cls.blocks(quiver, d); kept in quiver._cache under ("slice_labels",
-        class, d, k), as the CoHA and CoHM slices of one degree tuple differ
-        on a loop quiver, an empty slice too.  The list is shared, so callers
-        must not mutate it."""
-        key = ("slice_labels", cls, d, k)
-        out = quiver._cache.get(key)
-        if out is None:
-            deg = cls.slice_degree(quiver, d, k)
-            out = quiver._cache[key] = [] if deg is None else weight_labels(cls.blocks(quiver, d), deg)
-        return out
+        cls.blocks(quiver, d) (`_slice_labels`).  The list is shared, so
+        callers must not mutate it."""
+        return _slice_labels(quiver, cls, d, k)
 
     @classmethod
     def from_label(cls, quiver, d, label):
@@ -261,6 +254,14 @@ class GradedElement:
         return elem
 
 
+@memoized("slice_labels")
+def _slice_labels(quiver, cls, d, k):
+    """The key holds the class, as the CoHA and CoHM slices of one degree
+    tuple differ on a loop quiver, an empty slice too."""
+    deg = cls.slice_degree(quiver, d, k)
+    return [] if deg is None else weight_labels(cls.blocks(quiver, d), deg)
+
+
 def _is_invariant(terms, blocks):
     """Whether a packed term dict in the variables of `blocks` is symmetric
     in each block and even in every variable of a BCD block: the partner of
@@ -303,10 +304,10 @@ class PrimitiveTable:
         """The table of basis(quiver, d, k), a list of slice labels, over the
         classes d and the nonempty slices form <= k <= form + window (the
         validity of d), where form is elem_cls.weight_form(quiver, d).  The
-        classes are tasks of `pmap`: sequentially they share quiver._cache;
-        in a process pool each task gets a copy of the quiver without its
-        cache.  The labels come back as they are (sequentially, the lists of
-        quiver._cache, so callers must not mutate them).  A request beyond
+        classes are tasks of `pmap`: sequentially they share the quiver's
+        memo (`memoized`); in a process pool each task gets a copy of the
+        quiver without it.  The labels come back as they are (sequentially,
+        the memo's lists, so callers must not mutate them).  A request beyond
         MAX_QUOTIENT_SLICES raises before any task runs."""
         check_quotient_slices(len(classes), window)
         dims, bases, validity = {}, {}, {}

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ExponentOverflowError, InexactCoefficientError, InexactDivisionError
+from .errors import ExponentOverflowError, HallforgeError, InexactCoefficientError, InexactDivisionError
+from .quiver import MAX_POLY_PAIRS
 
 SHIFT = 10
 MASK = (1 << SHIFT) - 1
@@ -80,6 +81,11 @@ def mul_bound(n, a, abound, b, bbound):
         if bound > MAXDEG:
             raise ExponentOverflowError("packed exponent range exceeded in product")
     return bound
+
+
+def _check_pairs(pairs):
+    if pairs > MAX_POLY_PAIRS:
+        raise HallforgeError("a polynomial product of %d term pairs exceeds the work cap of %d" % (pairs, MAX_POLY_PAIRS))
 
 
 def _mul_terms(small, big):
@@ -193,6 +199,7 @@ class Poly:
             return self.scale(other)
         bound = mul_bound(self.n, self.terms, self.bound, other.terms, other.bound)
         small, big = sorted((self.terms, other.terms), key=len)
+        _check_pairs(len(small) * len(big))
         return Poly(self.n, _mul_terms(small.items(), big), bound)
 
     __rmul__ = __mul__
@@ -217,6 +224,7 @@ class Poly:
     def _mul_powers(self, factor, step):
         """Multiply by a factor given as its terms (packed c x_i^step), one
         pass over the terms of self per factor term."""
+        _check_pairs(len(self.terms) * len(factor))
         bound = self.bound + step
         if bound > MAXDEG:
             bound = mul_bound(self.n, self.terms, self.bound, dict(factor), step)

@@ -14,7 +14,7 @@ form E, hyperbolic map H, Witt class) is computed here in exact integers.
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cached_property, update_wrapper
 from math import comb
 
 from .errors import (
@@ -46,11 +46,43 @@ MAX_QUOTIENT_SLICES = 100_000
 # weight of the other.  Larger products fail with a HallforgeError before
 # any pair is multiplied.
 MAX_PRODUCT_PAIRS = 50_000_000
+# Work cap: the most term pairs, len(a) x len(b), that one polynomial product
+# (Poly.__mul__, or one factor of mul_linear or mul_square_difference) may
+# multiply.  Larger products fail with a HallforgeError before any pair is
+# multiplied; on L2 the arrow numerators of H_(16,) x H_(1,) reach it.
+MAX_POLY_PAIRS = 2_000_000
 # Work cap: the most ordered pairs of distinct positive roots, R (R - 1) for
 # the R = n (n + 1) / 2 roots of A_n, whose Hom and Ext^1 the
 # Auslander-Reiten order of a type A root system may tabulate.  A larger n
 # fails with a HallforgeError before any pair is visited.
 MAX_ROOT_PAIRS = 50_000
+
+
+def memoized(kind):
+    """Memoize fn(quiver, *args) on the quiver under the key (kind, *args).
+
+    This is the whole per-quiver cache policy: one dict per quiver
+    instance (`_cache`), unbounded, freed with the quiver, emptied by
+    `QuiverWithDuality.clear_caches` and absent from a pickled copy.  A hit
+    is one dict lookup; a result (never None) is computed once per key and
+    shared, so callers must not mutate it.  The kinds are "slice_labels"
+    (graded), "coha_integrand", "coha_plan", "coha_ideal" and
+    "coha_complement" (coha), and "cohm_integrand", "cohm_plan" and
+    "wprim_slice" (cohm).  The wrapper keeps fn's module and name."""
+
+    prefix = (kind,)  # prefix + args builds the key faster than (kind, *args)
+
+    def decorate(fn):
+        def memo(quiver, *args):
+            key = prefix + args
+            out = quiver._cache.get(key)
+            if out is None:
+                out = quiver._cache[key] = fn(quiver, *args)
+            return out
+
+        return update_wrapper(memo, fn)
+
+    return decorate
 
 
 class QuiverWithDuality:
@@ -59,7 +91,7 @@ class QuiverWithDuality:
     Nodes and arrows carry user-supplied string ids; every internal index is
     relative to the canonical sorted order, so all outputs are deterministic.
     Instances must not be mutated after construction; the ``_cache`` dict only
-    memoizes pure functions of the quiver.
+    memoizes pure functions of the quiver (`memoized`).
     """
 
     def __init__(self, nodes, arrows, sigma_nodes, sigma_arrows, s, tau):
@@ -219,19 +251,16 @@ class QuiverWithDuality:
 
     # -- form data ----------------------------------------------------------
 
-    def adjacency(self):
-        """a_ij = number of arrows i -> j, as a nested dict keyed by index."""
-        key = "adjacency"
-        if key not in self._cache:
-            n = len(self.nodes)
-            a = [[0] * n for _ in range(n)]
-            for _, t, h in self.arrows:
-                a[self.node_index[t]][self.node_index[h]] += 1
-            self._cache[key] = a
-        return self._cache[key]
+    # The structure data is built on a quiver's first use, not on construction.
 
-    # The forms sum over index and sign tuples built on a quiver's first
-    # form evaluation, so that building a quiver does not pay for them.
+    @cached_property
+    def adjacency(self):
+        """a[i][j] = number of arrows i -> j, a list of lists by node index."""
+        n = len(self.nodes)
+        a = [[0] * n for _ in range(n)]
+        for _, t, h in self.arrows:
+            a[self.node_index[t]][self.node_index[h]] += 1
+        return a
 
     @cached_property
     def _arrow_ends(self):
@@ -294,7 +323,7 @@ class QuiverWithDuality:
         )
 
     def is_symmetric(self):
-        a = self.adjacency()
+        a = self.adjacency
         n = len(self.nodes)
         return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
@@ -323,7 +352,7 @@ class QuiverWithDuality:
         """a_ij = (1 + a_ii)(1 + a_jj) mod 2 for all distinct nodes i, j."""
         if not self.is_symmetric():
             raise SymmetryError("supercommutativity criterion needs a symmetric quiver")
-        a = self.adjacency()
+        a = self.adjacency
         n = len(self.nodes)
         for i in range(n):
             for j in range(i + 1, n):
@@ -337,35 +366,20 @@ class QuiverWithDuality:
 
     # -- misc ---------------------------------------------------------------
 
+    @cached_property
     def structure_key(self):
-        key = self._cache.get("structure_key")
-        if key is None:
-            key = (
-                self.nodes,
-                self.arrows,
-                tuple(sorted(self.sigma_nodes.items())),
-                tuple(sorted(self.sigma_arrows.items())),
-                tuple(sorted(self.s.items())),
-                tuple(sorted(self.tau.items())),
-            )
-            self._cache["structure_key"] = key
-        return key
+        return (
+            self.nodes,
+            self.arrows,
+            tuple(sorted(self.sigma_nodes.items())),
+            tuple(sorted(self.sigma_arrows.items())),
+            tuple(sorted(self.s.items())),
+            tuple(sorted(self.tau.items())),
+        )
 
     def clear_caches(self):
-        """Empty the per-quiver cache.
-
-        It holds the adjacency matrix and the structure key, and one entry
-        per (class, d, k) key for the slice labels ("slice_labels"), the
-        CoHA ideal echelons, generator complements and primitive bases (as
-        labels, never polynomials), and the W^prim slices.  So it grows
-        with the (class, d, k) keys that the calls on this quiver
-        enumerate.  It also holds one integrand per pair of classes that the
-        Schur-coordinate products multiply, ("coha_integrand", d1, d2) and
-        ("cohm_integrand", d, e), a polynomial each, growing with the pairs
-        that the image steps and PBW words visit, and one pair plan per
-        class that the image steps reach, ("coha_plan", d) and ("cohm_plan",
-        e), the (a, rest, chi(a, a), form(rest)) of its decompositions.
-        Every entry is recomputed on demand."""
+        """Empty the per-quiver memo (`memoized`); later calls recompute
+        what they need, with identical results."""
         self._cache.clear()
 
     def __eq__(self, other):
@@ -373,13 +387,13 @@ class QuiverWithDuality:
             return True
         if not isinstance(other, QuiverWithDuality):
             return NotImplemented
-        return self.structure_key() == other.structure_key()
+        return self.structure_key == other.structure_key
 
     def __hash__(self):
-        return hash(self.structure_key())
+        return hash(self.structure_key)
 
     def __reduce__(self):
-        # a pickled quiver is its spec: the copy starts with an empty _cache
+        # a pickled quiver is its spec: the copy starts with an empty memo
         return (type(self), (self.nodes, self.arrows, self.sigma_nodes, self.sigma_arrows, self.s, self.tau))
 
     def __repr__(self):

@@ -433,6 +433,10 @@ ONE_VAR = {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "1"}]}
     ("act", {"coha": {"d": [1], "poly": [{"exp": {"x:1:1": 1024}, "c": "1"}]}, "cohm": {"d": [1], "poly": []}},
      "out of packed range"),
     ("act", {"coha": ONE_VAR, "cohm": {"d": [2], "poly": [{"exp": {"z:1:1": -2}, "c": "1"}]}}, "negative exponent"),
+    # an element product past MAX_POLY_PAIRS exits 2 at the first arrow
+    # numerator over the cap, in seconds; uncapped it ran for minutes
+    ("mul", {"lhs": {"d": [16], "poly": [{"exp": {}, "c": "1"}]}, "rhs": {"d": [1], "poly": [{"exp": {}, "c": "1"}]}},
+     "polynomial product of 2239488 term pairs exceeds the work cap"),
 ])
 def test_malformed_element_input_exit2(tmp_path, l2_path, command, files, message):
     args = [command, "--quiver", l2_path] if command != "thom" else [command, "--type", "A2"]
@@ -440,7 +444,7 @@ def test_malformed_element_input_exit2(tmp_path, l2_path, command, files, messag
         path = tmp_path / ("%s.json" % flag)
         path.write_text(json.dumps(doc))
         args += ["--" + flag, str(path)]
-    code, out, err = run_entry(args)
+    code, out, err = run_entry(args, timeout=20)
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err and "Traceback" not in err
 

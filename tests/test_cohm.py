@@ -382,7 +382,9 @@ def test_coha_and_cohm_slices_of_one_degree_stay_distinct():
     assert both
 
 
-def test_clear_caches_recomputes_identical_tables():
+def test_clear_caches_recomputes_identical_tables(monkeypatch):
+    # a pool task fills its own copy's memo, never q's
+    monkeypatch.delenv("HALLFORGE_THREADS", raising=False)
     q = loop_quiver(2)
     first = ori_dt_invariants(q, 5, 10)
     assert q._cache

@@ -198,3 +198,27 @@ def test_trie_prunes_dead_ends(monkeypatch):
     trie, trie_calls = _counted_check(TRIE, pbw_check_cohm, 3, ">>", "symplectic", 4, 2)
     assert dead
     assert trie == memo and trie_calls == memo_calls == 52
+
+
+def test_poly_pair_cap_at_each_product(monkeypatch):
+    """`Poly.__mul__` and each factor of `mul_linear`/`mul_square_difference`
+    refuse a product of more than MAX_POLY_PAIRS term pairs, before forming
+    it; a product at the cap is formed."""
+    from hallforge import poly
+    from hallforge.errors import HallforgeError
+    from hallforge.poly import Poly
+
+    monkeypatch.setattr(poly, "MAX_POLY_PAIRS", 12)
+    x = [Poly.variable(3, i) for i in range(3)]
+    three = x[0] + x[1] + x[2]
+    four = three + Poly.const(3, 1)
+    six = four * x[0] + x[1] * x[1] + x[2] * x[2]
+    seven = six + x[2]
+    assert len(six.terms) == 6 and len(seven.terms) == 7
+    # 12 pairs each
+    assert (four * three).terms and six.mul_linear(1, 0, -1, 1).terms and six.mul_square_difference(0, 2).terms
+    # 16, 14 and 14 pairs
+    over = (lambda: four * (three + x[0] * x[1]), lambda: seven.mul_linear(1, 0, -1, 1), lambda: seven.mul_square_difference(0, 2))
+    for product in over:
+        with pytest.raises(HallforgeError, match="work cap of 12"):
+            product()

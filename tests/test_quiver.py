@@ -260,3 +260,48 @@ def test_form_tables_match_loop_oracles():
                 loop_euler_form(q, d, dp) - loop_euler_form(q, dp, d)
                 + loop_sd_euler_form(q, q.sigma_dim(d)) - loop_sd_euler_form(q, d)
             )
+
+
+def test_one_memo_policy(monkeypatch):
+    """Every per-quiver memo goes through `memoized`: after a W^prim, a
+    V^prim and an equivariant DT run, the cache holds exactly the kinds
+    that `memoized` and README list, a second call of each memoized
+    function returns the cached object, and clear_caches changes no
+    table."""
+    import re
+    from pathlib import Path
+
+    from hallforge import coha, cohm, graded
+    from hallforge.cohm import ori_dt_invariants
+    from hallforge.quiver import memoized
+
+    monkeypatch.delenv("HALLFORGE_THREADS", raising=False)  # one process, one cache
+    memos = {
+        "slice_labels": graded._slice_labels,
+        "coha_integrand": coha._mul_integrand,
+        "coha_plan": coha._coha_plan,
+        "coha_ideal": coha._ideal_echelon,
+        "coha_complement": coha.generator_complement,
+        "cohm_integrand": cohm._act_integrand,
+        "cohm_plan": cohm._cohm_plan,
+        "wprim_slice": cohm._wprim_slice,
+    }
+    assert set(re.findall(r'"(\w+)"', memoized.__doc__)) == set(memos)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert all("`%s`" % kind in readme for kind in memos)
+
+    l2, a1 = loop_quiver(2), a1_tilde()
+
+    def tables():
+        wprim, vprim = ori_dt_invariants(l2, 8, 22), coha.primitive_dims(l2, 5, 12)
+        signed = equivariant_dt(a1, (0, 0), 6, 12)
+        return [(t.dims, t.bases, t.validity) for t in (wprim, vprim)] + [(signed.entries, signed.validity)]
+
+    first = tables()
+    assert {key[0] for q in (l2, a1) for key in q._cache} == set(memos)
+    for q in (l2, a1):
+        for key, value in q._cache.items():
+            assert memos[key[0]](q, *key[1:]) is value, key
+        q.clear_caches()
+        assert q._cache == {}
+    assert tables() == first
