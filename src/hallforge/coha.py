@@ -18,6 +18,15 @@ The stored complement bases of V^prim are label lists too.  `shuffle_mul`
 stays the product of polynomial elements (the CLI's `mul`, the property
 suites, the test oracles): routed through labels it would pay the
 conversions in and out of Schur coordinates on every call.
+
+The quotients read only the span of their image products (the ideal
+echelon's rows may change, its span and so its pivot positions may not),
+so the image steps skip the products that three facts make redundant:
+the CoHA of a symmetric quiver is supercommutative up to a sign of the
+classes (`_coha_plan` keeps the pairs with 2|a| <= |d|), S_H is an
+anti-involution (`_ideal_echelon` moves the ideal of sigma(d) onto that
+of d for sigma(d) < d), and the module relation S_H(f) g = +-f g
+(`cohm._cohm_plan` keeps the pairs with sigma(a) <= a).
 """
 
 from __future__ import annotations
@@ -211,20 +220,39 @@ def image_echelon(quiver, plan, slice_labels, act, k, labels):
 @memoized("coha_plan")
 def _coha_plan(quiver, d):
     """The pairs of the CoHA image steps of class d: (a, rest, chi(a, a),
-    chi(rest, rest)) for every (a, rest) of quiver.decompositions(d, |d| -
-    1), in its order.  None of it depends on the weight k."""
-    pairs = quiver.decompositions(d, sum(d) - 1)
+    chi(rest, rest)) for the (a, rest) of quiver.decompositions(d, |d| // 2),
+    in its order.  None of it depends on the weight k.
+
+    The pairs with 2|a| > |d| add nothing to the span.  The CoHA of a
+    symmetric quiver is supercommutative up to a sign that depends only on
+    the classes (Kontsevich-Soibelman 2011, 2.6; Efimov 2012), so
+    V_a H_b lies in H_b H_a = sum_c V_c H_(b-c) H_a, and every such c has
+    |c| <= |b| < |d| / 2.  The echelon files other rows than the full
+    plan would, but they span the same space."""
+    pairs = quiver.decompositions(d, sum(d) // 2)
     return [(a, rest, quiver.euler_form(a, a), quiver.euler_form(rest, rest)) for a, rest in pairs]
 
 
 @memoized("coha_ideal")
 def _ideal_echelon(quiver, d, k):
-    """Echelon of the slice of sum_{a+b=d} H_a H_b inside H_(d,k)."""
+    """Echelon of the slice of sum_{a+b=d} H_a H_b inside H_(d,k).
+
+    For sigma(d) < d no product is formed: S_H is an anti-involution of the
+    CoHA, so it maps the ideal of sigma(d) onto that of d, and chi(sigma d,
+    sigma d) = chi(d, d) keeps the weight.  The pivot rows of the partner's
+    slice, moved through `s_label`, span this one."""
     if not quiver.is_symmetric():
         raise SymmetryError("primitive parts are computed for symmetric quivers")
-    plan = _coha_plan(quiver, d)
     labels = CohaElement.slice_labels(quiver, d, k)
-    return image_echelon(quiver, plan, CohaElement.slice_labels, schur_mul, k, labels)
+    sd = quiver.sigma_dim(d)
+    if sd >= d:
+        return image_echelon(quiver, _coha_plan(quiver, d), CohaElement.slice_labels, schur_mul, k, labels)
+    partner = _ideal_echelon(quiver, sd, k)
+    moved = [s_label(quiver, lab) for lab in partner.labels]
+    ech = Echelon(labels)
+    for row in partner.pivots.values():
+        ech.add({moved[i][1]: moved[i][0] * v for i, v in row.items()})
+    return ech
 
 
 @memoized("coha_complement")

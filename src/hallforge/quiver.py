@@ -14,7 +14,7 @@ form E, hyperbolic map H, Witt class) is computed here in exact integers.
 from __future__ import annotations
 
 import json
-from functools import cached_property, update_wrapper
+from functools import cached_property, lru_cache, update_wrapper
 from math import comb
 
 from .errors import (
@@ -63,7 +63,8 @@ def memoized(kind):
 
     This is the whole per-quiver cache policy: one dict per quiver
     instance (`_cache`), unbounded, freed with the quiver, emptied by
-    `QuiverWithDuality.clear_caches` and absent from a pickled copy.  A hit
+    `QuiverWithDuality.clear_caches` and absent from a pickled copy (the
+    process-global memos follow `shared_memo` instead).  A hit
     is one dict lookup; a result (never None) is computed once per key and
     shared, so callers must not mutate it.  The kinds are "slice_labels"
     (graded), "coha_integrand", "coha_plan", "coha_ideal" and
@@ -81,6 +82,26 @@ def memoized(kind):
             return out
 
         return update_wrapper(memo, fn)
+
+    return decorate
+
+
+# every memo that `shared_memo` made, for `QuiverWithDuality.clear_caches`
+_SHARED_MEMOS = []
+
+
+def shared_memo(maxsize):
+    """`functools.lru_cache(maxsize)`, registered so that
+    `QuiverWithDuality.clear_caches` empties it.  This is the policy of the
+    process-global memos: pure functions of small tuples and ints, shared by
+    all quivers and bounded by maxsize.  They are each block size's
+    straightening memo (`symfun._straightener`), `symfun._lead_key`,
+    `symfun.lead`, `symfun._partitions` and `cohm._type_b_push`."""
+
+    def decorate(fn):
+        memo = lru_cache(maxsize=maxsize)(fn)
+        _SHARED_MEMOS.append(memo)
+        return memo
 
     return decorate
 
@@ -378,9 +399,12 @@ class QuiverWithDuality:
         )
 
     def clear_caches(self):
-        """Empty the per-quiver memo (`memoized`); later calls recompute
-        what they need, with identical results."""
+        """Empty the per-quiver memo (`memoized`) and the process-global
+        memos (`shared_memo`, shared with every other quiver); later calls
+        recompute what they need, with identical results."""
         self._cache.clear()
+        for memo in _SHARED_MEMOS:
+            memo.cache_clear()
 
     def __eq__(self, other):
         if self is other:

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 from .errors import ExponentOverflowError, HallforgeError
 from .poly import MAXDEG, SHIFT, Poly, unpack_exponents
+from .quiver import shared_memo
 
 
 def partitions(total, max_parts, min_part=1):
@@ -31,7 +32,7 @@ def partitions(total, max_parts, min_part=1):
     return list(_partitions(total, max_parts, min_part))
 
 
-@lru_cache(maxsize=1 << 12)
+@shared_memo(1 << 12)
 def _partitions(total, max_parts, min_part):
     if total == 0:
         return ((),)
@@ -101,23 +102,24 @@ def straighten(alpha):
 def _straightener(size):
     """`straighten` of a packed monomial block of size variables (SHIFT bits
     each, as `poly` packs them), memoized on the packed int: the pushes of
-    one pass meet the same blocks many times."""
+    one pass meet the same blocks many times.  There is one function per
+    size, kept here for good; `clear_caches` empties its memo."""
 
-    @lru_cache(maxsize=1 << 16)
+    @shared_memo(1 << 16)
     def straightened(block):
         return straighten(unpack_exponents(block, size))
 
     return straightened
 
 
-@lru_cache(maxsize=1 << 12)
+@shared_memo(1 << 12)
 def lead(lam, n):
     """The exponents lam + delta of the monomial whose partial_w0 is s_lam
     in n variables."""
     return tuple((lam[i] if i < len(lam) else 0) + n - 1 - i for i in range(n))
 
 
-@lru_cache(maxsize=1 << 16)
+@shared_memo(1 << 16)
 def _lead_key(label, slots):
     """(packed x^lead, sign, largest exponent step * (lam_1 + size - 1) +
     shift) of a label under a slot layout, as `lead_terms` reads them;

@@ -8,8 +8,8 @@ from fractions import Fraction
 from math import gcd
 
 from hallforge import series as series_module
-from hallforge.coha import CohaElement, _ideal_echelon, _mul_integrand, generator_complement, s_label
-from hallforge.cohm import CohmElement, _act_integrand, _type_b_push
+from hallforge.coha import CohaElement, _ideal_echelon, _mul_integrand, generator_complement, s_label, schur_mul
+from hallforge.cohm import CohmElement, _act_integrand, _type_b_push, schur_act
 from hallforge.errors import GradingError, HallforgeError, NonIntegralError
 from hallforge.finite_type import _bucket, _letter_partitions, _slice_report, hom_ext
 from hallforge.linalg import Echelon
@@ -342,14 +342,15 @@ def rational_complement(ech, labels):
     return [lab for lab in labels if ech.add({lab: 1})]
 
 
-def image_rows(quiver, pairs, slice_labels, form, act, k):
+def image_rows(quiver, pairs, slice_labels, form, act, k, complement_of=generator_complement):
     """Every product row of `coha.image_echelon`, in its order, without its
     stop rule: every product of every pair, even after the rows span the
-    slice.  Rows are in Schur coordinates, as there."""
+    slice, with the factor complements of complement_of.  Rows are in Schur
+    coordinates, as there."""
     rows = []
     for a, rest in pairs:
         for k1 in range(quiver.euler_form(a, a), k - form(quiver, rest) + 1):
-            gens = generator_complement(quiver, a, k1)
+            gens = complement_of(quiver, a, k1)
             if not gens:
                 continue
             for b in slice_labels(quiver, rest, k - k1):
@@ -358,13 +359,78 @@ def image_rows(quiver, pairs, slice_labels, form, act, k):
     return rows
 
 
-def full_image_echelon(quiver, pairs, slice_labels, form, act, k, labels):
+def full_image_echelon(quiver, pairs, slice_labels, form, act, k, labels, complement_of=generator_complement):
     """`coha.image_echelon` without its stop rule: the integer echelon on
     the target slice's labels of every row of `image_rows`."""
     ech = Echelon(labels)
-    for row in image_rows(quiver, pairs, slice_labels, form, act, k):
+    for row in image_rows(quiver, pairs, slice_labels, form, act, k, complement_of):
         ech.add(row)
     return ech
+
+
+def full_coha_pairs(quiver, d):
+    """Every (a, rest) of decompositions(d, |d| - 1), the pairs of the
+    CoHA ideal; `coha._coha_plan` keeps those with 2|a| <= |d|."""
+    return quiver.decompositions(d, sum(d) - 1)
+
+
+def full_cohm_pairs(quiver, e):
+    """Every (a, rest) with H(a) <= e, the pairs of the CoHM image;
+    `cohm._cohm_plan` keeps those with sigma(a) <= a."""
+    return quiver.decompositions(e, sum(e) // 2, quiver.hyperbolic)
+
+
+class DirectQuotients:
+    """The quotient image steps with every product of the full pairs: no
+    stop rule and no S_H shortcut for sigma(d) < d.  The factor complements come from this oracle too, kept
+    in a dict of its own, so nothing is read from the quiver's memo."""
+
+    def __init__(self, quiver):
+        self.quiver = quiver
+        self.memo = {}
+
+    def ideal(self, d, k):
+        """The echelon of every product of H_+ . H_+ into the (d, k) slice."""
+        key = ("ideal", d, k)
+        if key not in self.memo:
+            q = self.quiver
+            labels = CohaElement.slice_labels(q, d, k)
+            self.memo[key] = full_image_echelon(
+                q, full_coha_pairs(q, d), CohaElement.slice_labels, CohaElement.weight_form, schur_mul, k, labels, self.complement
+            )
+        return self.memo[key]
+
+    def complement(self, quiver, d, k):
+        """`coha.generator_complement` on `ideal`."""
+        key = ("complement", d, k)
+        if key not in self.memo:
+            labels = CohaElement.slice_labels(quiver, d, k)
+            if CohaElement.slice_degree(quiver, d, k) is None or sum(d) <= 1:
+                self.memo[key] = labels
+            else:
+                self.memo[key] = full_complement(self.ideal(d, k).copy(), labels)
+        return self.memo[key]
+
+    def wprim(self, e, k):
+        """`cohm._wprim_slice`: (rank, complement labels) of every product of
+        H_+ . M into the (e, k) slice."""
+        q = self.quiver
+        labels = CohmElement.slice_labels(q, e, k)
+        ech = full_image_echelon(
+            q, full_cohm_pairs(q, e), CohmElement.slice_labels, CohmElement.weight_form, schur_act, k, labels, self.complement
+        )
+        return ech.rank, full_complement(ech.copy(), labels)
+
+
+def same_span(ech, full):
+    """ech and full, echelons on the same labels, span the same space: equal
+    rank, and every pivot row of full reduces to zero against ech.  Equal
+    pivot positions would not do: two spans can share them."""
+    assert ech.labels == full.labels
+    probe = ech.copy()
+    return ech.rank == full.rank and not any(
+        probe.add({full.labels[i]: v for i, v in row.items()}) for row in full.pivots.values()
+    )
 
 
 def full_complement(ech, labels):

@@ -383,13 +383,23 @@ def test_coha_and_cohm_slices_of_one_degree_stay_distinct():
 
 
 def test_clear_caches_recomputes_identical_tables(monkeypatch):
+    """clear_caches empties the quiver's memo and the process-global ones:
+    every block size's straightening memo, `_lead_key`, `lead`,
+    `_partitions` and `_type_b_push`."""
+    from hallforge import symfun
+    from hallforge.cohm import _type_b_push
+
     # a pool task fills its own copy's memo, never q's
     monkeypatch.delenv("HALLFORGE_THREADS", raising=False)
     q = loop_quiver(2)
     first = ori_dt_invariants(q, 5, 10)
-    assert q._cache
+    shared = [symfun._lead_key, symfun.lead, symfun._partitions, _type_b_push]
+    shared += [symfun._straightener(size) for size in range(1, 11)]
+    sizes = [memo.cache_info().currsize for memo in shared]
+    assert q._cache and all(sizes[:4]) and any(sizes[4:])
     q.clear_caches()
     assert q._cache == {}
+    assert [memo.cache_info().currsize for memo in shared] == [0] * len(shared)
     again = ori_dt_invariants(q, 5, 10)
     assert again.table().entries == first.table().entries
     assert again.bases == first.bases and first.bases
