@@ -3,15 +3,18 @@
 Elements of degree d are Weyl-invariant polynomials in the variables
 x_{i,1..d_i}; the product is the Kontsevich-Soibelman shuffle sum with kernel
 prod_{a: i->j} prod (x''_{j,b} - x'_{i,a}) / prod_i prod (x''_{i,b} - x'_{i,a}),
-computed as the arrow numerator followed by one divided-difference operator
-per node (no denominator is ever formed).
+the push-forward of one integrand: the arrow numerators on one slot layout
+times the sign (-1)^(sum d1 d2), built by `_integrand` (no denominator is
+ever formed).  Its two pushes are the two products: `shuffle_mul` builds
+it with f and g and applies one divided-difference operator per node,
+`schur_mul` straightens the cached copy shifted by lead monomials.
 Cohomological weight of a homogeneous element is 2*deg + chi(d, d).
 CohaElement is the graded layer of `graded` with a GL block on every node,
 the variable prefix x and the weight form chi(d, d).
 
 The primitive quotients only need ranks, so they stay in Schur coordinates
 ({label: coeff}, one partition per node): `schur_mul` multiplies basis
-elements by straightening the cached arrow numerators shifted by the lead
+elements by straightening the cached integrand shifted by the lead
 monomials x'^(lam + delta) x''^(mu + delta), sigma_d s_lam is a Pieri step
 and S_H moves each partition to its sigma image with the sign (-1)^|lam|.
 The stored complement bases of V^prim are label lists too.  `shuffle_mul`
@@ -34,7 +37,7 @@ from __future__ import annotations
 from .errors import HallforgeError, SymmetryError
 from .graded import GradedElement, PrimitiveTable, check_quotient_slices
 from .linalg import Echelon, complement
-from .poly import Poly, mul_bound
+from .poly import Poly, check_push_work, mul_bound
 from .quiver import QuiverWithDuality, memoized
 from .series import (
     SignedInvariantTable,
@@ -67,37 +70,60 @@ class CohaElement(GradedElement):
     from_json_dict = GradedElement.__dict__["from_json_dict"]
 
 
-# -- shuffle product ----------------------------------------------------------
+# -- the shuffle product ------------------------------------------------------
 
 
-def _arrow_numerators(quiver, offsets, mid, d1, d2, total):
-    """total times K = prod_{a: t->h} prod (x''_{h,b} - x'_{t,a'}), with
-    x'_{n,a} at slot offsets[n] + a and x''_{n,b} at mid[n] + b."""
+def _integrand(quiver, d1, d2, fpoly=None, gpoly=None):
+    """The integrand of the product H_d1 x H_d2 -> H_(d1+d2) and the
+    pieces its pushes read: (sign * F * G * K, the lead slots of the x' and
+    the x'' labels, as `symfun.lead_terms` reads them, the `block_cuts` of
+    the target).  x'_{n,a} sits at slot offsets[n] + a and x''_{n,b} after
+    the d1_n slots of x'; F is f on the x' slots and G is g on the x''
+    slots (both 1 when not given), K = prod_{a: t->h} prod (x''_{h,b} -
+    x'_{t,a'}) the arrow numerators and sign = (-1)^(sum_n d1_n d2_n).
+    `shuffle_mul` builds it with f and g; `_mul_integrand` caches it
+    without them for `schur_mul`."""
     idx = quiver.node_index
+    d = tuple(a + b for a, b in zip(d1, d2))
+    offsets, nvars = CohaElement.layout(quiver, d)
+    mid = {n: offsets[n] + d1[idx[n]] for n in quiver.nodes}
+    sign = sign_pow(sum(a * b for a, b in zip(d1, d2)))
+    if fpoly is None:
+        total = Poly.const(nvars, sign)
+    else:
+        fmap = [(1, offsets[n] + a) for n in quiver.nodes for a in range(d1[idx[n]])]
+        gmap = [(1, mid[n] + b) for n in quiver.nodes for b in range(d2[idx[n]])]
+        total = fpoly.map_variables(nvars, fmap).scale(sign) * gpoly.map_variables(nvars, gmap)
     for _, t, h in quiver.arrows:
         for b in range(d2[idx[h]]):
             for a in range(d1[idx[t]]):
                 total = total.mul_linear(1, mid[h] + b, -1, offsets[t] + a)
-    return total
+    fslots = tuple((offsets[n], d1[idx[n]], 1, 0, 1) for n in quiver.nodes)
+    gslots = tuple((mid[n], d2[idx[n]], 1, 0, 1) for n in quiver.nodes)
+    cuts = block_cuts([(offsets[n], d[idx[n]]) for n in quiver.nodes])
+    return total, fslots, gslots, cuts
+
+
+_mul_integrand = memoized("coha_integrand")(_integrand)
 
 
 def shuffle_mul(f, g):
     """Kontsevich-Soibelman shuffle product of CoHA elements.
 
     The shuffle sum at a node is a push-forward along a partial flag, hence
-    one divided-difference operator.  With f on the first d1 slots of each
-    node block, g on the last d2 and the arrow kernel
-    K = prod_{a: t->h} prod (x''_{h,b} - x'_{t,a'}), each node applies
-    `Poly.shuffle_push` to its block (the divided differences at block slots
-    j, j+1, ..., j+d2-1 for j = d1-1 down to 0) and a sign (-1)^(d1*d2).
-    This equals the shuffle sum only when f and g are Weyl invariant, which
+    one divided-difference operator.  The signed integrand sign * F * G * K
+    comes from `_integrand`, built for this call and not cached; each node
+    then applies `Poly.shuffle_push` to its block (the divided differences
+    at block slots j, j+1, ..., j+d2-1 for j = d1-1 down to 0).  This
+    equals the shuffle sum only when f and g are Weyl invariant, which
     CohaElement(check=True) and from_json_dict enforce.
 
     This is the product of polynomial elements (the CLI's `mul`, the
     property suites, the test oracles).  The rank pipelines multiply Schur
-    basis elements with `schur_mul` instead, which never expands its inputs:
-    routing `mul` through labels would add the conversions to labels and
-    the expansion of the result back into monomials to every call.
+    basis elements with `schur_mul` instead, which pushes the same
+    integrand by straightening: routing `mul` through labels would add the
+    conversions to labels and the expansion of the result back into
+    monomials to every call.
     """
     if f.quiver != g.quiver:
         raise HallforgeError("elements over different quivers")
@@ -107,39 +133,14 @@ def shuffle_mul(f, g):
     offsets, nvars = CohaElement.layout(quiver, d)
     if f.is_zero() or g.is_zero():
         return CohaElement(quiver, d, Poly.zero(nvars), check=False)
-    # x'_{n,a} sits at slot offsets[n] + a and x''_{n,b} at mid[n] + b
-    mid = {n: offsets[n] + f.d[idx[n]] for n in quiver.nodes}
-    fmap = [(1, offsets[n] + a) for n in quiver.nodes for a in range(f.d[idx[n]])]
-    gmap = [(1, mid[n] + b) for n in quiver.nodes for b in range(g.d[idx[n]])]
-    total = f.poly.map_variables(nvars, fmap) * g.poly.map_variables(nvars, gmap)
-    total = _arrow_numerators(quiver, offsets, mid, f.d, g.d, total)
-    sign = 1
+    total = _integrand(quiver, f.d, g.d, f.poly, g.poly)[0]
+    check_push_work(total, sum(a * b for a, b in zip(f.d, g.d)))
     for n in quiver.nodes:
-        d1, d2 = f.d[idx[n]], g.d[idx[n]]
-        total = total.shuffle_push(offsets[n], d1, d2)
-        if d1 * d2 % 2:
-            sign = -sign
-    return CohaElement(quiver, d, total.scale(sign), check=False)
+        total = total.shuffle_push(offsets[n], f.d[idx[n]], g.d[idx[n]])
+    return CohaElement(quiver, d, total, check=False)
 
 
 # -- the product in Schur coordinates -------------------------------------------
-
-
-@memoized("coha_integrand")
-def _mul_integrand(quiver, d1, d2):
-    """(sign * K, lead slots of the x' and x'' labels, block cuts of the
-    target) of the product H_d1 x H_d2 -> H_(d1+d2); sign =
-    (-1)^(sum_n d1_n d2_n)."""
-    idx = quiver.node_index
-    d = tuple(a + b for a, b in zip(d1, d2))
-    offsets, nvars = CohaElement.layout(quiver, d)
-    mid = {n: offsets[n] + d1[idx[n]] for n in quiver.nodes}
-    kernel = _arrow_numerators(quiver, offsets, mid, d1, d2, Poly.const(nvars, 1))
-    kernel = kernel.scale(sign_pow(sum(a * b for a, b in zip(d1, d2))))
-    fslots = tuple((offsets[n], d1[idx[n]], 1, 0, 1) for n in quiver.nodes)
-    gslots = tuple((mid[n], d2[idx[n]], 1, 0, 1) for n in quiver.nodes)
-    cuts = block_cuts([(offsets[n], d[idx[n]]) for n in quiver.nodes])
-    return kernel, fslots, gslots, cuts
 
 
 def schur_mul(quiver, d1, f, d2, g):

@@ -7,14 +7,17 @@ product of symmetric groups on the GL blocks and of hyperoctahedral groups
 sigma-shuffle sum with the localization kernel: denominators D_i from the
 isotropic flag tangent spaces (with the type B/C/D factor g_i at fixed
 nodes), numerators V_a per arrow of Q1^+ and Q1^sigma.  That sum is a
-push-forward along an isotropic flag, so it is computed as the numerators at
-the identity sigma-shuffle followed by type-A and hyperoctahedral
-divided-difference operators per node; no denominator is ever formed.  A
-push is linear over the polynomials invariant under its Weyl group (the
-projection formula), so a fixed node's factors y^2 - z^2 against its own
-slots wait until its hyperoctahedral push is done.  At
-the identity shuffle x'_{i,j} -> z_{i,j}, z''_{i,j} -> z_{i,d_i+j} and
-x'_{sigma(i),j} -> -z_{i,d_i+e_i+j} on the Q0^+ blocks.
+push-forward along an isotropic flag of one integrand: the numerators at
+the identity sigma-shuffle times the scalar sign of the pushes, built by
+`_action_integrand` (no denominator is ever formed).  A push is linear over
+the polynomials invariant under its Weyl group (the projection formula), so
+a fixed node's factors y^2 - z^2 against its own slots are returned apart,
+as the deferred factors, and wait until its hyperoctahedral push is done.
+At the identity shuffle x'_{i,j} -> z_{i,j}, z''_{i,j} -> z_{i,d_i+j} and
+x'_{sigma(i),j} -> -z_{i,d_i+e_i+j} on the Q0^+ blocks.  Its two pushes are
+the two actions: `cohm_action` builds it with f and g and applies type-A
+and hyperoctahedral divided-difference operators per node, `schur_act`
+straightens the cached copy shifted by lead monomials.
 
 Weight of a homogeneous element is 2*deg + E(e); for sigma-symmetric quivers
 the action is weight additive.  CohmElement is the graded layer of `graded`
@@ -22,9 +25,9 @@ with GL blocks on Q0^+ and BCD blocks on Q0^sigma, the variable prefix z and
 the weight form E(e).
 
 The W^prim quotient reads only ranks, so its action image is computed in
-Schur coordinates by `schur_act`: the same integrand with f = g = 1, shifted
-by the lead monomials, and every push a straightening (see its docstring
-for the rules at Q0^+ and fixed nodes).  `cohm_action` stays the action on
+Schur coordinates by `schur_act`: the same integrand without f and g,
+shifted by the lead monomials, and every push a straightening (see its
+docstring for the rules at Q0^+ and fixed nodes).  `cohm_action` stays the action on
 polynomial elements (the CLI's `act`, `thom`, the property suites and the
 test oracles).  The image step reads only the span of H_+ . M, so it
 leaves out the factors a with sigma(a) > a: by the module relation
@@ -46,7 +49,7 @@ from .coha import (
 from .errors import GradingError, HallforgeError, NonIntegralError, SymmetryError
 from .graded import GradedElement, PrimitiveTable
 from .linalg import complement
-from .poly import SHIFT, Poly, mul_bound, unpack_exponents
+from .poly import SHIFT, Poly, check_push_work, mul_bound, unpack_exponents
 from .quiver import QuiverWithDuality, memoized, shared_memo
 from .series import (
     InvariantTable,
@@ -96,50 +99,81 @@ def _fixed_node_type(quiver, node, component):
 
 
 def _action_integrand(quiver, d, e, fpoly=None, gpoly=None):
-    """(block offsets, integrand, deferred pairs) of the action H_d x M_e ->
-    M_(H(d)+e) at the identity sigma-shuffle: f on the x' slots and g on
-    the z'' slots (both 1 when not given) times the arrow numerators of
-    Q1^+ and Q1^sigma, and per fixed node the (y, z) slot pairs of its
-    factors y^2 - z^2 that wait for the end of its B_D/S_D push."""
+    """The integrand of the action H_d x M_e -> M_(H(d)+e) at the identity
+    sigma-shuffle and the pieces its pushes read: (sign * F * G * K, the
+    deferred factors prod (u - v), the lead slots of the f labels (every
+    node) and of the g labels (the blocks of M_e), as `symfun.lead_terms`
+    reads them, the (bit shift, bit mask, D, m) of every fixed node's
+    block, and the `symfun.block_cuts` of the blocks of the target).
+
+    F is f on the x' slots times prod y_l at each type D node, G is g on
+    the z'' slots; without f and g both are 1, and the type D factor is
+    the shift of that node's f lead slots.  K holds the arrow numerators
+    of Q1^+ and Q1^sigma.  The sign is that of the pushes: (-1)^(d_i e_i
+    + d_i d_sigma(i) + e_i d_sigma(i)) per Q0^+ node, and per fixed node
+    (-1)^(D(D+1)/2), times 2^D for types B and D and (-1)^D for type D
+    (prod(-y_l) = (-1)^D prod y_l).  A fixed node's factors y^2 - z^2
+    against its own slots are W(B_D) invariant, so they are left out of K
+    and wait for the end of its B_D / S_D push: the deferred prod (u_y -
+    v_z), u = y^2 and v = z^2 on the slots of y and z.  `cohm_action`
+    builds it with f and g, `_act_integrand` caches it without them."""
     idx = quiver.node_index
     et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
     off, nvars = CohmElement.layout(quiver, et)
     fixed = set(quiver.q0_sigma)
+    sign, fslots, gslots, masks, blocks, ys = 1, [], [], [], [], []
     # signed target slots of x'_{i,l} and z''_{i,k} at the identity shuffle
     xp, zs, gmap = {}, {}, []
     for n in quiver.nodes:
-        if n not in off:
-            continue  # a Q0^- node lives at the tail of its partner's block
-        sn, o, dn = quiver.sigma_nodes[n], off[n], d[idx[n]]
-        cnt = e[idx[n]] // 2 if n in fixed else e[idx[n]]
+        sn, dn = quiver.sigma_nodes[n], d[idx[n]]
+        if n not in off:  # x'_n -> -z at the tail of the Q0^+ partner's block
+            fslots.append((off[sn] + d[idx[sn]] + e[idx[sn]], dn, 1, 0, -1))
+            continue
+        o, shift = off[n], 0
+        if n in fixed:
+            cnt, typ = e[idx[n]] // 2, _fixed_node_type(quiver, n, et[idx[n]])
+            if (dn * (dn + 1) // 2 + (typ == "D") * dn) % 2:
+                sign = -sign
+            if typ != "C":
+                sign <<= dn
+            if typ == "D":
+                shift = 1
+                ys.extend(range(o, o + dn))
+            masks.append((SHIFT * o, (1 << (SHIFT * (dn + cnt))) - 1, dn, cnt))
+            gslots.append((o + dn, cnt, 2, 0, 1))
+            blocks.append((o, dn + cnt))
+        else:
+            cnt, dsn = e[idx[n]], d[idx[sn]]
+            if (dn * cnt + dn * dsn + cnt * dsn) % 2:
+                sign = -sign
+            gslots.append((o + dn, cnt, 1, 0, 1))
+            blocks.append((o, dn + cnt + dsn))
+            for m in range(dsn):
+                xp[(sn, m)] = (-1, o + dn + cnt + m)
+        fslots.append((o, dn, 1, shift, 1))
         for l in range(dn):
             xp[(n, l)] = (1, o + l)
         for k in range(cnt):
             zs[(n, k)] = (1, o + dn + k)
             zs[(sn, k)] = (1 if sn == n else -1, o + dn + k)
             gmap.append((1, o + dn + k))
-        if sn != n:
-            for m in range(d[idx[sn]]):
-                xp[(sn, m)] = (-1, o + dn + cnt + m)
 
     def xs(n):
         return [xp[(n, l)] for l in range(d[idx[n]])]
 
     if fpoly is None:
-        total = Poly.const(nvars, 1)
+        total = Poly.const(nvars, sign)
     else:
-        fmap = [x for n in quiver.nodes for x in xs(n)]
-        total = fpoly.map_variables(nvars, fmap) * gpoly.map_variables(nvars, gmap)
+        fp = fpoly.map_variables(nvars, [x for n in quiver.nodes for x in xs(n)])
+        for y in ys:
+            fp = fp.mul_linear(1, y)
+        total = fp.scale(sign) * gpoly.map_variables(nvars, gmap)
+    deferred = Poly.const(nvars, 1)
 
     def lin(u, v):
         """times u - v, for signed slots u = (sign, slot)"""
         nonlocal total
         total = total.mul_linear(u[0], u[1], -v[0], v[1])
-
-    def square(u, v):
-        """times u^2 - v^2"""
-        nonlocal total
-        total = total.mul_square_difference(u[1], v[1])
 
     def mono(c, u):
         """times c * u"""
@@ -149,23 +183,20 @@ def _action_integrand(quiver, d, e, fpoly=None, gpoly=None):
     def neg(u):
         return (-u[0], u[1])
 
-    # per fixed node, the slot pairs (y, z) of its factors y^2 - z^2 that
-    # wait for the end of its B_D/S_D push
-    after_push = {n: [] for n in fixed}
-
     def v_tilde(i, points, gl):
         """times V~^(i) against the signed slots `points`; gl(x, z)
         multiplies in its factor when i is not fixed.  Against a fixed
-        node's own slots the factors x^2 - z^2 go to after_push[i]."""
+        node's own slots the factors x^2 - z^2 are deferred."""
+        nonlocal total, deferred
         cnt = e[idx[i]] // 2 if i in fixed else e[idx[i]]
         own = i in fixed and points == xs(i)
         for x in points:
             for k in range(cnt):
                 z = zs[(i, k)]
                 if own:
-                    after_push[i].append((x[1], z[1]))
+                    deferred = deferred.mul_linear(1, x[1], -1, z[1])
                 elif i in fixed:
-                    square(x, z)
+                    total = total.mul_square_difference(x[1], z[1])
                 else:
                     gl(x, z)
             if i in fixed and e[idx[i]] % 2:
@@ -193,36 +224,26 @@ def _action_integrand(quiver, d, e, fpoly=None, gpoly=None):
                 for x in xs(t):
                     lin(neg(u), x)
 
-    return off, total, after_push
+    return total, deferred, tuple(fslots), tuple(gslots), masks, block_cuts(blocks)
 
 
 def cohm_action(f, g):
     """f * g: the sigma-shuffle action of H_d on M_e, as divided differences.
 
     The sigma-shuffle sum is a push-forward along an isotropic flag.  The
-    integrand F * G * K is built once at the identity sigma-shuffle: f on
-    x'_{i,l} at slot l of node i's target block, x'_{sigma(i),m} -> -z at
-    the tail of a Q0^+ block, g on the slots between, and K the arrow
-    numerators of Q1^+ and Q1^sigma with the epsilon parities.  Then each
+    signed integrand sign * F * G * K and the deferred factors come from
+    `_action_integrand`, built for this call and not cached.  Then each
     node pushes its block forward:
 
     - i in Q0^+ with blocks (d_i, e_i, d_sigma(i)): `Poly.shuffle_push` for
-      (d_i, e_i), then for (d_i + e_i, d_sigma(i)), and the sign
-      (-1)^(d_i e_i + d_i d_sigma(i) + e_i d_sigma(i));
+      (d_i, e_i), then for (d_i + e_i, d_sigma(i));
     - i in Q0^sigma with D = d_i slots y and m = e_i // 2 slots z: the
       B_D / S_D push (for k = 0..D-1, `Poly.flip` at the last y-slot, then
-      divided differences at y-slots D-2 down to k), then `shuffle_push`
-      for (D, m) in squared variables, and the scalar (-1)^(D(D+1)/2),
-      times 2^D for types B and D.  Type D has no short roots in its Weyl
-      denominator, so it first multiplies by prod(-y_l).
-
-    The factors prod(y_l^2 - z_k^2) of V~^(i) against node i's own slots y
-    are W(B_D) invariant, and a push is linear over its Weyl invariants, so
-    they are left out of the integrand and multiplied in after the B_D /
-    S_D push, before the squared `shuffle_push`: the push then runs on the
-    smaller polynomial.  Every difference of squares is one
-    `Poly.mul_square_difference` pass.  The Q0^+ pushes keep the plain
-    schedule: deferring their tail-only factors measured no gain.
+      divided differences at y-slots D-2 down to k); once every fixed node
+      has pushed, the deferred prod(y^2 - z^2) multiplies in as one
+      product, and each fixed node applies `shuffle_push` for (D, m) in
+      squared variables.  The deferred factors are W(B_D) invariant, so
+      the B_D / S_D pushes run on the smaller polynomial.
 
     No denominator is formed.  This equals the sigma-shuffle sum only when f
     is S_d invariant and g is Weyl invariant, which the element constructors
@@ -233,86 +254,33 @@ def cohm_action(f, g):
     quiver = f.quiver
     d, e = f.d, g.e
     et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
+    off, nvars = CohmElement.layout(quiver, et)
     if f.is_zero() or g.is_zero():
-        return CohmElement(quiver, et, Poly.zero(CohmElement.layout(quiver, et)[1]), check=False)
+        return CohmElement(quiver, et, Poly.zero(nvars), check=False)
     idx = quiver.node_index
-    off, total, after_push = _action_integrand(quiver, d, e, f.poly, g.poly)
-    sign = 1
-    for n in quiver.q0_plus:
-        o, dn, en = off[n], d[idx[n]], e[idx[n]]
-        dsn = d[idx[quiver.sigma_nodes[n]]]
+    total, deferred = _action_integrand(quiver, d, e, f.poly, g.poly)[:2]
+    plus = [(off[n], d[idx[n]], e[idx[n]], d[idx[quiver.sigma_nodes[n]]]) for n in quiver.q0_plus]
+    fixed = [(off[n], d[idx[n]], e[idx[n]] // 2) for n in quiver.q0_sigma]
+    pushes = sum(dn * en + (dn + en) * dsn for _, dn, en, dsn in plus)
+    check_push_work(total, pushes + sum(D * (D + 1) // 2 + D * m for _, D, m in fixed))
+    for o, dn, en, dsn in plus:
         total = total.shuffle_push(o, dn, en).shuffle_push(o, dn + en, dsn)
-        if (dn * en + dn * dsn + en * dsn) % 2:
-            sign = -sign
-    for n in quiver.q0_sigma:
-        o, D = off[n], d[idx[n]]
-        typ = _fixed_node_type(quiver, n, et[idx[n]])
-        if typ == "D":
-            for l in range(D):
-                total = total.mul_linear(-1, o + l)
+    for o, D, _ in fixed:
         for k in range(D):
             total = total.flip(o + D - 1)
             for i in range(D - 2, k - 1, -1):
                 total = total.divided_difference(o + i)
-        for y, z in after_push[n]:
-            total = total.mul_square_difference(y, z)
-        total = total.shuffle_push(o, D, e[idx[n]] // 2, step=2)
-        if D * (D + 1) // 2 % 2:
-            sign = -sign
-        if typ != "C":
-            sign <<= D
-    return CohmElement(quiver, et, total.scale(sign), check=False)
+    if fixed:
+        total = total * deferred.double_exponents()
+    for o, D, m in fixed:
+        total = total.shuffle_push(o, D, m, step=2)
+    return CohmElement(quiver, et, total, check=False)
 
 
 # -- the action in Schur coordinates -------------------------------------------------
 
 
-@memoized("cohm_integrand")
-def _act_integrand(quiver, d, e):
-    """The cached pieces of `schur_act` for H_d x M_e: (sign * integrand,
-    the deferred factors prod (u - v), the lead slots of the f labels (every node) and of the g
-    labels (the blocks of M_e), as `symfun.lead_terms` reads them, the
-    (bit shift, bit mask, D, m) of every fixed node's block, and the
-    `symfun.block_cuts` of the blocks of the target).
-
-    u = y^2 and v = z^2 take the slots of y and z, so the deferred factors
-    are prod (u_y - v_z) over the pairs of `_action_integrand`."""
-    idx = quiver.node_index
-    et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
-    off, kernel, after_push = _action_integrand(quiver, d, e)
-    deferred = Poly.const(kernel.n, 1)
-    sign, fslots, gslots, fixed, blocks = 1, [], [], [], []
-    for n in quiver.nodes:
-        dn = d[idx[n]]
-        if quiver.sigma_nodes[n] == n:  # type D: its prod(-y_l) shifts the lead
-            fslots.append((off[n], dn, 1, int(_fixed_node_type(quiver, n, et[idx[n]]) == "D"), 1))
-        elif n in off:
-            fslots.append((off[n], dn, 1, 0, 1))
-        else:  # x'_n -> -z at the tail of the Q0^+ partner's block p
-            p = quiver.sigma_nodes[n]
-            fslots.append((off[p] + d[idx[p]] + e[idx[p]], dn, 1, 0, -1))
-    for n, kind, size in CohmElement.blocks(quiver, et):
-        o, dn = off[n], d[idx[n]]
-        blocks.append((o, size))
-        if kind == "GL":
-            en, dsn = e[idx[n]], d[idx[quiver.sigma_nodes[n]]]
-            if (dn * en + dn * dsn + en * dsn) % 2:
-                sign = -sign
-            gslots.append((o + dn, en, 1, 0, 1))
-            continue
-        m = e[idx[n]] // 2
-        typ = _fixed_node_type(quiver, n, et[idx[n]])
-        if dn * (dn + 1) // 2 % 2:
-            sign = -sign
-        if typ == "D" and dn % 2:
-            sign = -sign  # prod(-y_l) = (-1)^D prod y_l
-        if typ != "C":
-            sign <<= dn
-        for y, z in after_push[n]:
-            deferred = deferred.mul_linear(1, y, -1, z)
-        fixed.append((SHIFT * o, (1 << (SHIFT * size)) - 1, dn, m))
-        gslots.append((o + dn, m, 2, 0, 1))
-    return kernel.scale(sign), deferred, tuple(fslots), tuple(gslots), fixed, block_cuts(blocks)
+_act_integrand = memoized("cohm_integrand")(_action_integrand)
 
 
 def schur_act(quiver, d, f, e, g):
@@ -321,8 +289,8 @@ def schur_act(quiver, d, f, e, g):
     CohmElement) and without divided differences or flips.
 
     As in `coha.schur_mul`, one pass goes from the lead monomials of f and
-    g, times the integrand of `cohm_action` built with f = g = 1, to labels,
-    every push a straightening (`symfun.straighten`):
+    g, times the cached `_action_integrand` (built without f and g), to
+    labels, every push a straightening (`symfun.straighten`):
 
     - a Q0^+ block (d_i, e_i, d_sigma(i)) is straightened once; its tail
       lead is kappa + delta with the sign (-1)^|kappa|, since x'_sigma(i)
@@ -335,9 +303,8 @@ def schur_act(quiver, d, f, e, g):
       the g lead being 2(mu + delta); the deferred prod(u - v) multiplies
       in and the squared shuffle push is the straightening over D + m.
 
-    The signs of `cohm_action` ((-1)^(D(D+1)/2), 2^D for types B and D,
-    (-1)^D for the type D product, the Q0^+ block signs) sit in the cached
-    integrand; both multiplications refuse as `Poly.__mul__` would."""
+    The signs of the pushes sit in the cached integrand, as in
+    `cohm_action`; both multiplications refuse as `Poly.__mul__` would."""
     kernel, deferred, fslots, gslots, fixed, cuts = _act_integrand(quiver, d, e)
     leads, top = lead_terms(f, fslots, g, gslots)
     bound = mul_bound(kernel.n, leads, top, kernel.terms, kernel.bound)

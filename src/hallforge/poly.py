@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ExponentOverflowError, HallforgeError, InexactCoefficientError, InexactDivisionError
-from .quiver import MAX_POLY_PAIRS
+from .quiver import MAX_POLY_PAIRS, MAX_PUSH_WORK
 
 SHIFT = 10
 MASK = (1 << SHIFT) - 1
@@ -86,6 +86,18 @@ def mul_bound(n, a, abound, b, bbound):
 def _check_pairs(pairs):
     if pairs > MAX_POLY_PAIRS:
         raise HallforgeError("a polynomial product of %d term pairs exceeds the work cap of %d" % (pairs, MAX_POLY_PAIRS))
+
+
+def check_push_work(integrand, pushes):
+    """Refuse to push an element product's integrand through `pushes`
+    divided differences and flips when its terms times pushes pass
+    MAX_PUSH_WORK."""
+    work = len(integrand.terms) * pushes
+    if work > MAX_PUSH_WORK:
+        raise HallforgeError(
+            "pushing %d terms through %d divided differences and flips exceeds the work cap of %d"
+            % (len(integrand.terms), pushes, MAX_PUSH_WORK)
+        )
 
 
 def _mul_terms(small, big):

@@ -11,6 +11,7 @@ from .coha import CohaElement
 from .cohm import (
     CohmElement,
     check_disjoint_union,
+    check_freeness,
     check_module_relation,
     check_sd_euler_disjoint,
     cohm_action,
@@ -175,14 +176,10 @@ def run_property(quiver, prop, seed, maxdim=None, window=None):
         return suite_witt_preservation(quiver, seed)
     if prop == "disjoint":
         return suite_disjoint_union(quiver, seed)
-    if prop == "factorization":
-        rep = general_factorization_check(quiver, maxdim or 6, window or 12)
-        rep["counterexample"] = rep["mismatches"][0] if rep["mismatches"] else None
-        return rep
-    if prop == "freeness":
-        from .cohm import check_freeness
-
-        rep = check_freeness(quiver, maxdim or 6, window or 12)
+    if prop in ("factorization", "freeness"):
+        check = general_factorization_check if prop == "factorization" else check_freeness
+        # a size of 0 is a size, not a missing one
+        rep = check(quiver, 6 if maxdim is None else maxdim, 12 if window is None else window)
         rep["counterexample"] = rep["mismatches"][0] if rep["mismatches"] else None
         return rep
     raise ValueError("unknown property %r" % prop)

@@ -49,8 +49,14 @@ MAX_PRODUCT_PAIRS = 50_000_000
 # Work cap: the most term pairs, len(a) x len(b), that one polynomial product
 # (Poly.__mul__, or one factor of mul_linear or mul_square_difference) may
 # multiply.  Larger products fail with a HallforgeError before any pair is
-# multiplied; on L2 the arrow numerators of H_(16,) x H_(1,) reach it.
+# multiplied; on L2 the arrow numerators of H_(13,) x H_(1,) reach it.
 MAX_POLY_PAIRS = 2_000_000
+# Work cap: the most integrand terms times divided differences and flips
+# that one element product (shuffle_mul, cohm_action) may push.  Larger
+# products fail with a HallforgeError after the integrand is built, before
+# its first push.  The largest product of the tests, the benchmark and CI
+# pushes 495 072; on L2 the constants of H_(12,) x H_(1,) push 6 377 292.
+MAX_PUSH_WORK = 2_000_000
 # Work cap: the most ordered pairs of distinct positive roots, R (R - 1) for
 # the R = n (n + 1) / 2 roots of A_n, whose Hom and Ext^1 the
 # Auslander-Reiten order of a type A root system may tabulate.  A larger n

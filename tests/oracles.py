@@ -9,7 +9,7 @@ from math import gcd
 
 from hallforge import series as series_module
 from hallforge.coha import CohaElement, _ideal_echelon, _mul_integrand, generator_complement, s_label, schur_mul
-from hallforge.cohm import CohmElement, _act_integrand, _type_b_push, schur_act
+from hallforge.cohm import CohmElement, _act_integrand, _fixed_node_type, _type_b_push, schur_act
 from hallforge.errors import GradingError, HallforgeError, NonIntegralError
 from hallforge.finite_type import _bucket, _letter_partitions, _slice_report, hom_ext
 from hallforge.linalg import Echelon
@@ -721,6 +721,164 @@ def poly_schur_act(quiver, d, f, e, g):
     offsets, _ = CohmElement.layout(quiver, et)
     blocks = [(offsets[n], size) for n, _, size in CohmElement.blocks(quiver, et)]
     return straighten_terms(pushed.terms, blocks)
+
+
+# -- the element products with their own layouts and signs ---------------------------
+
+
+def _arrow_numerators(quiver, offsets, mid, d1, d2, total):
+    """total times K = prod_{a: t->h} prod (x''_{h,b} - x'_{t,a'}), with
+    x'_{n,a} at slot offsets[n] + a and x''_{n,b} at mid[n] + b."""
+    idx = quiver.node_index
+    for _, t, h in quiver.arrows:
+        for b in range(d2[idx[h]]):
+            for a in range(d1[idx[t]]):
+                total = total.mul_linear(1, mid[h] + b, -1, offsets[t] + a)
+    return total
+
+
+def direct_shuffle_mul(f, g):
+    """`coha.shuffle_mul` as it laid out and signed its integrand itself: f
+    and g on their slots times the arrow numerators, one `shuffle_push` per
+    node, and the sign (-1)^(sum d1 d2) scaled in at the end."""
+    quiver = f.quiver
+    idx = quiver.node_index
+    d = add_classes(f.d, g.d)
+    offsets, nvars = CohaElement.layout(quiver, d)
+    if f.is_zero() or g.is_zero():
+        return CohaElement(quiver, d, Poly.zero(nvars), check=False)
+    mid = {n: offsets[n] + f.d[idx[n]] for n in quiver.nodes}
+    fmap = [(1, offsets[n] + a) for n in quiver.nodes for a in range(f.d[idx[n]])]
+    gmap = [(1, mid[n] + b) for n in quiver.nodes for b in range(g.d[idx[n]])]
+    total = f.poly.map_variables(nvars, fmap) * g.poly.map_variables(nvars, gmap)
+    total = _arrow_numerators(quiver, offsets, mid, f.d, g.d, total)
+    sign = 1
+    for n in quiver.nodes:
+        d1, d2 = f.d[idx[n]], g.d[idx[n]]
+        total = total.shuffle_push(offsets[n], d1, d2)
+        if d1 * d2 % 2:
+            sign = -sign
+    return CohaElement(quiver, d, total.scale(sign), check=False)
+
+
+def _direct_action_integrand(quiver, d, e, fpoly, gpoly):
+    """(block offsets, F * G * K, deferred pairs) of the action H_d x M_e at
+    the identity sigma-shuffle, unsigned and without type D's prod(-y_l),
+    and per fixed node the (y, z) slot pairs of its factors y^2 - z^2 that
+    wait for the end of its B_D/S_D push."""
+    idx = quiver.node_index
+    et = add_classes(quiver.hyperbolic(d), e)
+    off, nvars = CohmElement.layout(quiver, et)
+    fixed = set(quiver.q0_sigma)
+    xp, zs, gmap = {}, {}, []
+    for n in quiver.nodes:
+        if n not in off:
+            continue
+        sn, o, dn = quiver.sigma_nodes[n], off[n], d[idx[n]]
+        cnt = e[idx[n]] // 2 if n in fixed else e[idx[n]]
+        for l in range(dn):
+            xp[(n, l)] = (1, o + l)
+        for k in range(cnt):
+            zs[(n, k)] = (1, o + dn + k)
+            zs[(sn, k)] = (1 if sn == n else -1, o + dn + k)
+            gmap.append((1, o + dn + k))
+        if sn != n:
+            for m in range(d[idx[sn]]):
+                xp[(sn, m)] = (-1, o + dn + cnt + m)
+
+    def xs(n):
+        return [xp[(n, l)] for l in range(d[idx[n]])]
+
+    fmap = [x for n in quiver.nodes for x in xs(n)]
+    total = fpoly.map_variables(nvars, fmap) * gpoly.map_variables(nvars, gmap)
+    after_push = {n: [] for n in fixed}
+
+    def lin(u, v):
+        nonlocal total
+        total = total.mul_linear(u[0], u[1], -v[0], v[1])
+
+    def mono(c, u):
+        nonlocal total
+        total = total.mul_linear(c * u[0], u[1])
+
+    def neg(u):
+        return (-u[0], u[1])
+
+    def v_tilde(i, points, gl):
+        nonlocal total
+        cnt = e[idx[i]] // 2 if i in fixed else e[idx[i]]
+        own = i in fixed and points == xs(i)
+        for x in points:
+            for k in range(cnt):
+                z = zs[(i, k)]
+                if own:
+                    after_push[i].append((x[1], z[1]))
+                elif i in fixed:
+                    total = total.mul_square_difference(x[1], z[1])
+                else:
+                    gl(x, z)
+            if i in fixed and e[idx[i]] % 2:
+                mono(-1, x)
+
+    plus_arrows = set(quiver.arrow_partition[2])
+    for aid, t, h in quiver.arrows:
+        if quiver.sigma_arrows[aid] == aid:
+            x = xs(t)
+            v_tilde(h, x, lambda u, z: lin(z, u))
+            strict = quiver.s[h] * quiver.tau[aid] == -1
+            for j in range(len(x)):
+                if not strict:
+                    mono(-2, x[j])
+                for k in range(j + 1, len(x)):
+                    lin(neg(x[j]), x[k])
+        elif aid in plus_arrows:
+            y = xs(quiver.sigma_nodes[h])
+            v_tilde(t, y, lambda u, z: lin(neg(u), z))
+            v_tilde(h, xs(t), lambda u, z: lin(z, u))
+            for u in y:
+                for x in xs(t):
+                    lin(neg(u), x)
+    return off, total, after_push
+
+
+def direct_cohm_action(f, g):
+    """`cohm.cohm_action` as it kept its own sign and deferred factors: the
+    Q0^+ pushes and their block signs, then per fixed node prod(-y_l) for
+    type D, the B_D / S_D push, its factors y^2 - z^2 one
+    `mul_square_difference` each, the squared `shuffle_push` and the
+    scalar (-1)^(D(D+1)/2), times 2^D for types B and D."""
+    quiver = f.quiver
+    d, e = f.d, g.e
+    et = add_classes(quiver.hyperbolic(d), e)
+    if f.is_zero() or g.is_zero():
+        return CohmElement(quiver, et, Poly.zero(CohmElement.layout(quiver, et)[1]), check=False)
+    idx = quiver.node_index
+    off, total, after_push = _direct_action_integrand(quiver, d, e, f.poly, g.poly)
+    sign = 1
+    for n in quiver.q0_plus:
+        o, dn, en = off[n], d[idx[n]], e[idx[n]]
+        dsn = d[idx[quiver.sigma_nodes[n]]]
+        total = total.shuffle_push(o, dn, en).shuffle_push(o, dn + en, dsn)
+        if (dn * en + dn * dsn + en * dsn) % 2:
+            sign = -sign
+    for n in quiver.q0_sigma:
+        o, D = off[n], d[idx[n]]
+        typ = _fixed_node_type(quiver, n, et[idx[n]])
+        if typ == "D":
+            for l in range(D):
+                total = total.mul_linear(-1, o + l)
+        for k in range(D):
+            total = total.flip(o + D - 1)
+            for i in range(D - 2, k - 1, -1):
+                total = total.divided_difference(o + i)
+        for y, z in after_push[n]:
+            total = total.mul_square_difference(y, z)
+        total = total.shuffle_push(o, D, e[idx[n]] // 2, step=2)
+        if D * (D + 1) // 2 % 2:
+            sign = -sign
+        if typ != "C":
+            sign <<= D
+    return CohmElement(quiver, et, total.scale(sign), check=False)
 
 
 # -- PBW products through a suffix memo -------------------------------------------

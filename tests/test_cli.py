@@ -123,6 +123,29 @@ def test_check_factorization(l2_path):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("prop, name", [("factorization", "general_factorization_check"), ("freeness", "check_freeness")])
+def test_check_sizes_reach_the_property(monkeypatch, l2_path, prop, name):
+    """`check` hands --max-dim and --window to the property as given, 0
+    included; the fallback (6, 12) is only for sizes not given at all."""
+    from hallforge import proputils
+    from hallforge.quiver import loop_quiver
+
+    seen = []
+    real = getattr(proputils, name)
+
+    def recorded(quiver, maxdim, window):
+        seen.append((maxdim, window))
+        return real(quiver, maxdim, window)
+
+    monkeypatch.setattr(proputils, name, recorded)
+    for maxdim, window in (("0", "0"), ("0", "3"), ("2", "0")):
+        code, out, _ = run_cli(["check", "--property", prop, "--quiver", l2_path, "--max-dim", maxdim, "--window", window])
+        assert code == 0 and json.loads(out)["pass"] is True
+    assert seen == [(0, 0), (0, 3), (2, 0)]
+    assert proputils.run_property(loop_quiver(2), prop, 1)["pass"] is True
+    assert seen[-1] == (6, 12)
+
+
 def test_mul_act_files(tmp_path, l2_path):
     from hallforge.coha import CohaElement
     from hallforge.cohm import CohmElement

@@ -1,22 +1,26 @@
 """The products in Schur coordinates run in one pass from labels to labels
-(`coha.schur_mul`, `cohm.schur_act`), and the PBW checks share suffix
+(`coha.schur_mul`, `cohm.schur_act`), the element products push the same
+integrands, built by one builder per side, and the PBW checks share suffix
 products through a trie of letters.  Their oracles are the paths they
 replace, kept in `oracles`: the lead product times the cached integrand by
 `Poly.__mul__`, the B_D push and `straighten_terms` (`poly_schur_mul`,
-`poly_schur_act`), and the report that memoized products by (seed class,
-suffix word) (`memo_pbw_report`)."""
+`poly_schur_act`), the element products with their own layouts, signs and
+deferred factors (`direct_shuffle_mul`, `direct_cohm_action`), and the
+report that memoized products by (seed class, suffix word)
+(`memo_pbw_report`)."""
 
 import pytest
 
-from oracles import memo_pbw_report, poly_schur_act, poly_schur_mul
+from oracles import direct_cohm_action, direct_shuffle_mul, memo_pbw_report, poly_schur_act, poly_schur_mul, q3
 
 from hallforge import finite_type
-from hallforge.coha import CohaElement, schur_mul
-from hallforge.cohm import CohmElement, schur_act
-from hallforge.errors import ExponentOverflowError
+from hallforge.coha import CohaElement, _integrand, _mul_integrand, schur_mul, shuffle_mul
+from hallforge.cohm import CohmElement, _act_integrand, _action_integrand, _fixed_node_type, cohm_action, schur_act
+from hallforge.errors import ExponentOverflowError, HallforgeError
 from hallforge.finite_type import build_typeA, pbw_check_coha, pbw_check_cohm
-from hallforge.proputils import Lcg
-from hallforge.quiver import a1_tilde, loop_quiver
+from hallforge.poly import Poly
+from hallforge.proputils import Lcg, random_coha_element, random_cohm_element
+from hallforge.quiver import a1_tilde, a2_quiver, loop_quiver
 from hallforge.series import module_classes
 
 
@@ -115,6 +119,111 @@ def test_unpackable_lead_exponent_raises():
     with pytest.raises(ExponentOverflowError):
         schur_act(l1, (1,), {((1023,),): 1}, (2,), {((),): 1})
     assert poly_schur_act(l1, (1,), {((1023,),): 1}, (2,), {((),): 1}) == {}
+
+
+# -- the element products -------------------------------------------------------------
+
+ELEMENT_QUIVERS = [("L%d s=%+d" % (m, s), loop_quiver(m, s=s)) for m in range(4) for s in (1, -1)] + [
+    ("A2", a2_quiver()),
+    ("A3 orthogonal", build_typeA(3, ">>", "orthogonal").quiver),
+    ("A3 symplectic", build_typeA(3, ">>", "symplectic").quiver),
+    ("A1t", a1_tilde()),
+    ("q3(1)", q3(1)),
+]
+
+
+def _fixed_types(quiver, d, e):
+    """The B/C/D types of the fixed nodes of the action H_d x M_e."""
+    et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
+    return {_fixed_node_type(quiver, n, et[quiver.node_index[n]]) for n in quiver.q0_sigma}
+
+
+@pytest.mark.parametrize("name, quiver", ELEMENT_QUIVERS, ids=[n for n, _ in ELEMENT_QUIVERS])
+def test_element_products_against_their_direct_bodies(name, quiver):
+    """`shuffle_mul` and `cohm_action` push the builders' signed integrands;
+    on seeded pairs their polynomials equal those of the bodies that laid
+    out and signed their integrands themselves, zero operands included."""
+    rng = Lcg(20261019 + len(name))
+    types = set()
+    for _ in range(100):
+        f = random_coha_element(rng, quiver, 3, 2)
+        g = random_coha_element(rng, quiver, 4 - sum(f.d), 2)  # a target of size <= 4
+        assert shuffle_mul(f, g) == direct_shuffle_mul(f, g), (f.d, g.d)
+        f, h = random_coha_element(rng, quiver, 2, 2), random_cohm_element(rng, quiver, 2, 2)
+        assert cohm_action(f, h) == direct_cohm_action(f, h), (f.d, h.e)
+        types |= _fixed_types(quiver, f.d, h.e)
+    nothing = CohmElement(quiver, quiver.zero(), Poly.zero(0))
+    for d in [d for d in quiver.dimension_vectors(2) if any(d)]:
+        zero, one = CohaElement(quiver, d, Poly.zero(CohaElement.layout(quiver, d)[1])), CohaElement.unit(quiver, d)
+        for product, direct, f, g in (
+            (shuffle_mul, direct_shuffle_mul, zero, one),
+            (shuffle_mul, direct_shuffle_mul, one, zero),
+            (cohm_action, direct_cohm_action, zero, CohmElement.unit(quiver)),
+            (cohm_action, direct_cohm_action, one, nothing),
+        ):
+            out = product(f, g)
+            assert out == direct(f, g) and out.poly.is_zero()
+    if quiver.q0_sigma:
+        assert types == ({"C"} if quiver.s[quiver.q0_sigma[0]] == -1 else {"B", "D"}), types
+
+
+@pytest.mark.parametrize("name, quiver", ELEMENT_QUIVERS, ids=[n for n, _ in ELEMENT_QUIVERS])
+def test_builders_with_unit_polynomials_are_the_cached_integrands(name, quiver):
+    """Given unit polynomials, each builder returns the integrand it caches
+    for the labels, except that at a type D node the element path holds
+    prod y_l, which the label path carries as the shift of that node's f
+    lead slots."""
+    classes = [d for d in quiver.dimension_vectors(2) if any(d)]
+    type_d = 0
+    for d1 in classes:
+        for d2 in classes:
+            one1, one2 = CohaElement.unit(quiver, d1).poly, CohaElement.unit(quiver, d2).poly
+            assert _integrand(quiver, d1, d2, one1, one2) == _mul_integrand(quiver, d1, d2)
+        for e in module_classes(quiver, 3):
+            built = _action_integrand(quiver, d1, e, CohaElement.unit(quiver, d1).poly, CohmElement.unit(quiver, e).poly)
+            cached = _act_integrand(quiver, d1, e)
+            assert built[1:] == cached[1:]
+            ys = cached[0]
+            for first, size, _, shift, _ in cached[2]:
+                for slot in range(first, first + size * shift):
+                    ys = ys.mul_linear(1, slot)
+            assert built[0] == ys
+            type_d += ys != cached[0]
+    if quiver.q0_sigma and quiver.s[quiver.q0_sigma[0]] == 1:
+        assert type_d
+
+
+def test_push_work_cap_at_each_element_product(monkeypatch):
+    """An element product whose integrand terms times divided differences
+    and flips pass MAX_PUSH_WORK is refused before its first push; one at
+    the cap is pushed.  On L2, H_(2,) x H_(1,) pushes 9 terms through 2
+    divided differences; on L1, H_(2,) x M_(2,) pushes 2 terms through the
+    B_2 push (2 flips and 1 divided difference) and the squared push (2
+    divided differences)."""
+    from hallforge import poly
+
+    pushed = []
+    for name in ("shuffle_push", "flip", "divided_difference"):
+        real = getattr(Poly, name)
+
+        def counted(self, *args, real=real, name=name, **kwargs):
+            pushed.append(name)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Poly, name, counted)
+    l2, l1 = loop_quiver(2), loop_quiver(1)
+    products = (
+        (shuffle_mul, CohaElement.unit(l2, (2,)), CohaElement.unit(l2, (1,)), 18),
+        (cohm_action, CohaElement.unit(l1, (2,)), CohmElement.unit(l1, (2,)), 10),
+    )
+    for product, f, g, work in products:
+        monkeypatch.setattr(poly, "MAX_PUSH_WORK", work - 1)
+        with pytest.raises(HallforgeError, match="work cap of %d" % (work - 1)):
+            product(f, g)
+        assert not pushed
+        monkeypatch.setattr(poly, "MAX_PUSH_WORK", work)
+        assert product(f, g).poly and pushed
+        pushed.clear()
 
 
 # -- the PBW trie -------------------------------------------------------------------
