@@ -4,8 +4,9 @@ with duality, and the resulting (orientifold) Donaldson-Thomas invariants.
 Everything is computed in exact rational arithmetic: sparse multivariate
 polynomials carry int/Fraction coefficients, and series live in truncated
 Laurent rings in q^(1/2) with per-class validity windows.  Bases are Schur
-labels, multiplied by straightening; polynomials exist only for element
-products (divided differences, no rational function) and JSON.
+labels, and every product is pushed by straightening (no rational
+function); polynomials exist only for element products, expanded from
+their labels, and JSON.
 """
 
 from .coha import (

@@ -123,23 +123,35 @@ def main(argv=None):
     ap.add_argument("--bound", type=int, default=2)
     args = ap.parse_args(argv)
 
+    # bad input is converted to a HallforgeError where it is read; anything
+    # else is an engine fault and propagates
     try:
         return _dispatch(args)
     except HallforgeError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except (OSError, ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
+
+
+def _int_vector(text, what):
+    """The comma-separated integers of a --target or --mults key."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise HallforgeError("%s %r is not a comma-separated list of integers" % (what, text)) from None
 
 
 def _parse_target(quiver, text):
-    return quiver.check_selfdual_dim(tuple(int(x) for x in text.split(",")))
+    return quiver.check_selfdual_dim(_int_vector(text, "--target"))
 
 
 def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """A file's JSON document; a read, Unicode or JSON error (the last two
+    are ValueErrors) raises HallforgeError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise HallforgeError("cannot read JSON from %s: %s" % (path, exc)) from None
 
 
 # the file flags each subcommand reads
@@ -217,7 +229,7 @@ def _dispatch(args):
         # a bool is an int subclass: refused, as in element documents
         if not isinstance(doc, dict) or not all(type(v) is int for v in doc.values()):
             raise HallforgeError('--mults must hold an object {"a,b": multiplicity} of integers')
-        mults = {tuple(int(x) for x in k.split(",")): v for k, v in doc.items()}
+        mults = {_int_vector(k, "--mults key"): v for k, v in doc.items()}
         _emit_json(thom_polynomial(rs, mults).to_json_dict())
         return 0
     if cmd == "pbw-check":

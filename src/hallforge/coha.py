@@ -5,22 +5,19 @@ x_{i,1..d_i}; the product is the Kontsevich-Soibelman shuffle sum with kernel
 prod_{a: i->j} prod (x''_{j,b} - x'_{i,a}) / prod_i prod (x''_{i,b} - x'_{i,a}),
 the push-forward of one integrand: the arrow numerators on one slot layout
 times the sign (-1)^(sum d1 d2), built by `_integrand` (no denominator is
-ever formed).  Its two pushes are the two products: `shuffle_mul` builds
-it with f and g and applies one divided-difference operator per node,
-`schur_mul` straightens the cached copy shifted by lead monomials.
+ever formed).  Both products push it by straightening, shifted by lead
+monomials, into Schur coordinates ({label: coeff}, one partition per
+node): `schur_mul` multiplies rows of basis labels with the cached copy,
+`shuffle_mul` multiplies polynomial elements with a copy built with f and
+g, and expands the resulting row (`GradedElement.from_labels`).
 Cohomological weight of a homogeneous element is 2*deg + chi(d, d).
 CohaElement is the graded layer of `graded` with a GL block on every node,
 the variable prefix x and the weight form chi(d, d).
 
-The primitive quotients only need ranks, so they stay in Schur coordinates
-({label: coeff}, one partition per node): `schur_mul` multiplies basis
-elements by straightening the cached integrand shifted by the lead
-monomials x'^(lam + delta) x''^(mu + delta), sigma_d s_lam is a Pieri step
-and S_H moves each partition to its sigma image with the sign (-1)^|lam|.
-The stored complement bases of V^prim are label lists too.  `shuffle_mul`
-stays the product of polynomial elements (the CLI's `mul`, the property
-suites, the test oracles): routed through labels it would pay the
-conversions in and out of Schur coordinates on every call.
+The primitive quotients only need ranks, so they stay in Schur
+coordinates: `schur_mul` multiplies basis elements, sigma_d s_lam is a
+Pieri step and S_H moves each partition to its sigma image with the sign
+(-1)^|lam|.  The stored complement bases of V^prim are label lists too.
 
 The quotients read only the span of their image products (the ideal
 echelon's rows may change, its span and so its pivot positions may not),
@@ -82,7 +79,8 @@ def _integrand(quiver, d1, d2, fpoly=None, gpoly=None):
     slots (both 1 when not given), K = prod_{a: t->h} prod (x''_{h,b} -
     x'_{t,a'}) the arrow numerators and sign = (-1)^(sum_n d1_n d2_n).
     `shuffle_mul` builds it with f and g; `_mul_integrand` caches it
-    without them for `schur_mul`."""
+    without them for `schur_mul`.  Either is pushed from lead terms (see
+    `schur_mul`)."""
     idx = quiver.node_index
     d = tuple(a + b for a, b in zip(d1, d2))
     offsets, nvars = CohaElement.layout(quiver, d)
@@ -108,36 +106,24 @@ _mul_integrand = memoized("coha_integrand")(_integrand)
 
 
 def shuffle_mul(f, g):
-    """Kontsevich-Soibelman shuffle product of CoHA elements.
-
-    The shuffle sum at a node is a push-forward along a partial flag, hence
-    one divided-difference operator.  The signed integrand sign * F * G * K
-    comes from `_integrand`, built for this call and not cached; each node
-    then applies `Poly.shuffle_push` to its block (the divided differences
-    at block slots j, j+1, ..., j+d2-1 for j = d1-1 down to 0).  This
-    equals the shuffle sum only when f and g are Weyl invariant, which
-    CohaElement(check=True) and from_json_dict enforce.
-
-    This is the product of polynomial elements (the CLI's `mul`, the
-    property suites, the test oracles).  The rank pipelines multiply Schur
-    basis elements with `schur_mul` instead, which pushes the same
-    integrand by straightening: routing `mul` through labels would add the
-    conversions to labels and the expansion of the result back into
-    monomials to every call.
-    """
+    """Kontsevich-Soibelman shuffle product of CoHA elements: the signed
+    integrand sign * F * G * K of `_integrand`, built for this call and not
+    cached, straightened after the leads x'^delta x''^delta of the unit
+    labels as `schur_mul` straightens, and the row expanded.  Its terms
+    times the push's length, sum_n d1_n d2_n, are charged against
+    MAX_PUSH_WORK first.  This is the shuffle sum only for Weyl invariant f
+    and g, which CohaElement(check=True) and from_json_dict enforce."""
     if f.quiver != g.quiver:
         raise HallforgeError("elements over different quivers")
     quiver = f.quiver
-    idx = quiver.node_index
     d = tuple(a + b for a, b in zip(f.d, g.d))
-    offsets, nvars = CohaElement.layout(quiver, d)
     if f.is_zero() or g.is_zero():
-        return CohaElement(quiver, d, Poly.zero(nvars), check=False)
-    total = _integrand(quiver, f.d, g.d, f.poly, g.poly)[0]
-    check_push_work(total, sum(a * b for a, b in zip(f.d, g.d)))
-    for n in quiver.nodes:
-        total = total.shuffle_push(offsets[n], f.d[idx[n]], g.d[idx[n]])
-    return CohaElement(quiver, d, total, check=False)
+        return CohaElement(quiver, d, Poly.zero(CohaElement.layout(quiver, d)[1]), check=False)
+    total, fslots, gslots, cuts = _integrand(quiver, f.d, g.d, f.poly, g.poly)
+    check_push_work(len(total.terms), sum(a * b for a, b in zip(f.d, g.d)))
+    leads, top = lead_terms({((),) * len(fslots): 1}, fslots, {((),) * len(gslots): 1}, gslots)
+    mul_bound(total.n, leads, top, total.terms, total.bound)
+    return CohaElement.from_labels(quiver, d, straighten_blocks(leads, total.terms, cuts))
 
 
 # -- the product in Schur coordinates -------------------------------------------
@@ -145,17 +131,17 @@ def shuffle_mul(f, g):
 
 def schur_mul(quiver, d1, f, d2, g):
     """The shuffle product of f in H_d1 and g in H_d2, in Schur coordinates
-    ({label: coeff}, a label one partition per node) and without divided
-    differences.
+    ({label: coeff}, a label one partition per node).
 
     Each node's push is partial_w0 of its block after the lead monomials:
-    for S_d1 x S_d2 invariant P, shuffle_push(P) = partial_w0(x'^delta
-    x''^delta P), and x'^delta s_lam(x') can be traded for x'^(lam + delta)
-    because partial_w0 factors through the Levi's.  So the product is one
-    pass from labels to labels, with no polynomial built: the cached
-    integrand's terms times x'^(lam + delta) x''^(mu + delta), straightened
-    block by block (`symfun.straighten_blocks`); `poly.mul_bound` refuses
-    it as `Poly.__mul__` would."""
+    for S_d1 x S_d2 invariant P, the push along the Grassmannian is
+    partial_w0(x'^delta x''^delta P), and x'^delta s_lam(x') can be traded
+    for x'^(lam + delta) because partial_w0 factors through the Levi's.  So
+    the product is one pass from labels to labels, with no polynomial
+    built: the cached integrand's terms times x'^(lam + delta) x''^(mu +
+    delta), straightened block by block (`symfun.straighten_blocks`).
+    `poly.mul_bound` refuses an exponent out of the packed range as
+    `Poly.__mul__` would; the term pairs are not capped."""
     kernel, fslots, gslots, cuts = _mul_integrand(quiver, d1, d2)
     leads, top = lead_terms(f, fslots, g, gslots)
     mul_bound(kernel.n, leads, top, kernel.terms, kernel.bound)

@@ -14,23 +14,20 @@ the polynomials invariant under its Weyl group (the projection formula), so
 a fixed node's factors y^2 - z^2 against its own slots are returned apart,
 as the deferred factors, and wait until its hyperoctahedral push is done.
 At the identity shuffle x'_{i,j} -> z_{i,j}, z''_{i,j} -> z_{i,d_i+j} and
-x'_{sigma(i),j} -> -z_{i,d_i+e_i+j} on the Q0^+ blocks.  Its two pushes are
-the two actions: `cohm_action` builds it with f and g and applies type-A
-and hyperoctahedral divided-difference operators per node, `schur_act`
-straightens the cached copy shifted by lead monomials.
+x'_{sigma(i),j} -> -z_{i,d_i+e_i+j} on the Q0^+ blocks.  Both actions
+push it by straightening, shifted by lead monomials, into Schur
+coordinates (`_push`): `schur_act` acts on rows of basis labels with the
+cached copy, `cohm_action` on polynomial elements with a copy built with f
+and g, and expands the resulting row (`GradedElement.from_labels`).
 
 Weight of a homogeneous element is 2*deg + E(e); for sigma-symmetric quivers
 the action is weight additive.  CohmElement is the graded layer of `graded`
 with GL blocks on Q0^+ and BCD blocks on Q0^sigma, the variable prefix z and
 the weight form E(e).
 
-The W^prim quotient reads only ranks, so its action image is computed in
-Schur coordinates by `schur_act`: the same integrand without f and g,
-shifted by the lead monomials, and every push a straightening (see its
-docstring for the rules at Q0^+ and fixed nodes).  `cohm_action` stays the action on
-polynomial elements (the CLI's `act`, `thom`, the property suites and the
-test oracles).  The image step reads only the span of H_+ . M, so it
-leaves out the factors a with sigma(a) > a: by the module relation
+The W^prim quotient reads only ranks, so its action image stays in Schur
+coordinates (`schur_act`).  The image step reads only the span of H_+ . M,
+so it leaves out the factors a with sigma(a) > a: by the module relation
 S_H(f) g = +-f g they act with the image of their sigma partners
 (`_cohm_plan`).
 """
@@ -106,9 +103,9 @@ def _action_integrand(quiver, d, e, fpoly=None, gpoly=None):
     reads them, the (bit shift, bit mask, D, m) of every fixed node's
     block, and the `symfun.block_cuts` of the blocks of the target).
 
-    F is f on the x' slots times prod y_l at each type D node, G is g on
-    the z'' slots; without f and g both are 1, and the type D factor is
-    the shift of that node's f lead slots.  K holds the arrow numerators
+    F is f on the x' slots and G is g on the z'' slots; without f and g
+    both are 1.  A type D node's factor prod y_l is not in F: it is the
+    shift of that node's f lead slots.  K holds the arrow numerators
     of Q1^+ and Q1^sigma.  The sign is that of the pushes: (-1)^(d_i e_i
     + d_i d_sigma(i) + e_i d_sigma(i)) per Q0^+ node, and per fixed node
     (-1)^(D(D+1)/2), times 2^D for types B and D and (-1)^D for type D
@@ -116,12 +113,13 @@ def _action_integrand(quiver, d, e, fpoly=None, gpoly=None):
     against its own slots are W(B_D) invariant, so they are left out of K
     and wait for the end of its B_D / S_D push: the deferred prod (u_y -
     v_z), u = y^2 and v = z^2 on the slots of y and z.  `cohm_action`
-    builds it with f and g, `_act_integrand` caches it without them."""
+    builds it with f and g, `_act_integrand` caches it without them, and
+    `_push` pushes either."""
     idx = quiver.node_index
     et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
     off, nvars = CohmElement.layout(quiver, et)
     fixed = set(quiver.q0_sigma)
-    sign, fslots, gslots, masks, blocks, ys = 1, [], [], [], [], []
+    sign, fslots, gslots, masks, blocks = 1, [], [], [], []
     # signed target slots of x'_{i,l} and z''_{i,k} at the identity shuffle
     xp, zs, gmap = {}, {}, []
     for n in quiver.nodes:
@@ -138,7 +136,6 @@ def _action_integrand(quiver, d, e, fpoly=None, gpoly=None):
                 sign <<= dn
             if typ == "D":
                 shift = 1
-                ys.extend(range(o, o + dn))
             masks.append((SHIFT * o, (1 << (SHIFT * (dn + cnt))) - 1, dn, cnt))
             gslots.append((o + dn, cnt, 2, 0, 1))
             blocks.append((o, dn + cnt))
@@ -165,8 +162,6 @@ def _action_integrand(quiver, d, e, fpoly=None, gpoly=None):
         total = Poly.const(nvars, sign)
     else:
         fp = fpoly.map_variables(nvars, [x for n in quiver.nodes for x in xs(n)])
-        for y in ys:
-            fp = fp.mul_linear(1, y)
         total = fp.scale(sign) * gpoly.map_variables(nvars, gmap)
     deferred = Poly.const(nvars, 1)
 
@@ -228,53 +223,28 @@ def _action_integrand(quiver, d, e, fpoly=None, gpoly=None):
 
 
 def cohm_action(f, g):
-    """f * g: the sigma-shuffle action of H_d on M_e, as divided differences.
-
-    The sigma-shuffle sum is a push-forward along an isotropic flag.  The
-    signed integrand sign * F * G * K and the deferred factors come from
-    `_action_integrand`, built for this call and not cached.  Then each
-    node pushes its block forward:
-
-    - i in Q0^+ with blocks (d_i, e_i, d_sigma(i)): `Poly.shuffle_push` for
-      (d_i, e_i), then for (d_i + e_i, d_sigma(i));
-    - i in Q0^sigma with D = d_i slots y and m = e_i // 2 slots z: the
-      B_D / S_D push (for k = 0..D-1, `Poly.flip` at the last y-slot, then
-      divided differences at y-slots D-2 down to k); once every fixed node
-      has pushed, the deferred prod(y^2 - z^2) multiplies in as one
-      product, and each fixed node applies `shuffle_push` for (D, m) in
-      squared variables.  The deferred factors are W(B_D) invariant, so
-      the B_D / S_D pushes run on the smaller polynomial.
-
-    No denominator is formed.  This equals the sigma-shuffle sum only when f
-    is S_d invariant and g is Weyl invariant, which the element constructors
-    (check=True) and from_json_dict enforce.
-    """
+    """f * g, the sigma-shuffle action of H_d on M_e: the signed integrand
+    of `_action_integrand`, built for this call and not cached, pushed by
+    `_push` from the leads of the unit labels (x^delta, y^(delta + 1) at a
+    type D node, z^(2 delta) on a fixed node's z slots), and the row
+    expanded.  Its terms times the push's length, d_i e_i + (d_i + e_i)
+    d_sigma(i) per Q0^+ node and D(D + 1)/2 + D m per fixed node, are
+    charged against MAX_PUSH_WORK first.  This is the sigma-shuffle sum
+    only for S_d invariant f and Weyl invariant g, which the element
+    constructors (check=True) and from_json_dict enforce."""
     if f.quiver != g.quiver:
         raise HallforgeError("elements over different quivers")
     quiver = f.quiver
     d, e = f.d, g.e
     et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
-    off, nvars = CohmElement.layout(quiver, et)
     if f.is_zero() or g.is_zero():
-        return CohmElement(quiver, et, Poly.zero(nvars), check=False)
+        return CohmElement(quiver, et, Poly.zero(CohmElement.layout(quiver, et)[1]), check=False)
     idx = quiver.node_index
-    total, deferred = _action_integrand(quiver, d, e, f.poly, g.poly)[:2]
-    plus = [(off[n], d[idx[n]], e[idx[n]], d[idx[quiver.sigma_nodes[n]]]) for n in quiver.q0_plus]
-    fixed = [(off[n], d[idx[n]], e[idx[n]] // 2) for n in quiver.q0_sigma]
-    pushes = sum(dn * en + (dn + en) * dsn for _, dn, en, dsn in plus)
-    check_push_work(total, pushes + sum(D * (D + 1) // 2 + D * m for _, D, m in fixed))
-    for o, dn, en, dsn in plus:
-        total = total.shuffle_push(o, dn, en).shuffle_push(o, dn + en, dsn)
-    for o, D, _ in fixed:
-        for k in range(D):
-            total = total.flip(o + D - 1)
-            for i in range(D - 2, k - 1, -1):
-                total = total.divided_difference(o + i)
-    if fixed:
-        total = total * deferred.double_exponents()
-    for o, D, m in fixed:
-        total = total.shuffle_push(o, D, m, step=2)
-    return CohmElement(quiver, et, total, check=False)
+    total, deferred, fslots, gslots, fixed, cuts = _action_integrand(quiver, d, e, f.poly, g.poly)
+    length = sum(d[idx[n]] * e[idx[n]] + (d[idx[n]] + e[idx[n]]) * d[idx[quiver.sigma_nodes[n]]] for n in quiver.q0_plus)
+    check_push_work(len(total.terms), length + sum(D * (D + 1) // 2 + D * m for _, _, D, m in fixed))
+    leads, top = lead_terms({((),) * len(fslots): 1}, fslots, {((),) * len(gslots): 1}, gslots)
+    return CohmElement.from_labels(quiver, et, _push(leads, top, total, deferred, fixed, cuts))
 
 
 # -- the action in Schur coordinates -------------------------------------------------
@@ -286,11 +256,18 @@ _act_integrand = memoized("cohm_integrand")(_action_integrand)
 def schur_act(quiver, d, f, e, g):
     """The action of f in H_d on g in M_e, in Schur coordinates ({label:
     coeff}: f over the nodes, g and the result over the blocks of
-    CohmElement) and without divided differences or flips.
+    CohmElement): the cached `_action_integrand` (built without f and g),
+    pushed by `_push` from the lead monomials of f and g."""
+    kernel, deferred, fslots, gslots, fixed, cuts = _act_integrand(quiver, d, e)
+    leads, top = lead_terms(f, fslots, g, gslots)
+    return _push(leads, top, kernel, deferred, fixed, cuts)
 
-    As in `coha.schur_mul`, one pass goes from the lead monomials of f and
-    g, times the cached `_action_integrand` (built without f and g), to
-    labels, every push a straightening (`symfun.straighten`):
+
+def _push(leads, top, kernel, deferred, fixed, cuts):
+    """The push of an `_action_integrand` (kernel, deferred, fixed, cuts)
+    after the lead terms `leads` of largest exponent top, in Schur
+    coordinates.  As in `coha.schur_mul`, one pass goes from the products
+    of lead and integrand terms to labels, every push a straightening:
 
     - a Q0^+ block (d_i, e_i, d_sigma(i)) is straightened once; its tail
       lead is kappa + delta with the sign (-1)^|kappa|, since x'_sigma(i)
@@ -303,10 +280,11 @@ def schur_act(quiver, d, f, e, g):
       the g lead being 2(mu + delta); the deferred prod(u - v) multiplies
       in and the squared shuffle push is the straightening over D + m.
 
-    The signs of the pushes sit in the cached integrand, as in
-    `cohm_action`; both multiplications refuse as `Poly.__mul__` would."""
-    kernel, deferred, fslots, gslots, fixed, cuts = _act_integrand(quiver, d, e)
-    leads, top = lead_terms(f, fslots, g, gslots)
+    The signs of the pushes sit in the integrand.  The pushed terms times
+    the deferred terms times sum(D + m) are charged against MAX_PUSH_WORK
+    before the deferred product is straightened.  `poly.mul_bound` refuses
+    an exponent out of the packed range as `Poly.__mul__` would; the lead
+    and integrand term pairs are not capped."""
     bound = mul_bound(kernel.n, leads, top, kernel.terms, kernel.bound)
     if not fixed:
         return straighten_blocks(leads, kernel.terms, cuts)
@@ -329,6 +307,7 @@ def schur_act(quiver, d, f, e, g):
                     pushed[key] = v
                 else:
                     del pushed[key]
+    check_push_work(len(pushed) * len(deferred.terms), sum(dn + m for _, _, dn, m in fixed))
     mul_bound(kernel.n, pushed, bound, deferred.terms, deferred.bound)
     return straighten_blocks(pushed, deferred.terms, cuts)
 
@@ -351,9 +330,9 @@ def _type_b_push(block, dn, m):
 def action_degree_shift(quiver, d, e):
     """deg(f * g) - deg f - deg g for nonzero homogeneous f in H_d, g in M_e.
 
-    `cohm_action` multiplies in linear factors and then applies operators
-    that each lower the degree by a fixed amount, so the shift depends on
-    (d, e) alone and can have either sign.  In degrees, the twisted weight
+    `cohm_action` multiplies in linear factors and then pushes along a
+    flag, which lowers the degree by a fixed amount, so the shift depends
+    on (d, e) alone and can have either sign.  In degrees, the twisted weight
     law w(f * g) = w(f) + w(g) - gamma(d, e) reads
     2 shift = chi(d, d) + E(e) - E(H(d) + e) - gamma(d, e).
     """

@@ -140,7 +140,7 @@ class RootSystemA:
     def psi(self, root, lam, parts):
         """psi(s_lam in `parts` variables) = s_lam(x_{i(beta),1..parts}) in
         Schur coordinates: (its class, its label), the label lam at the
-        support node and () elsewhere.  `CohaElement.from_label` expands
+        support node and () elsewhere.  `CohaElement.from_labels` expands
         it."""
         d = tuple(parts * x for x in self.dim_vector(root))
         node = self.support_node(root)

@@ -13,8 +13,8 @@ A basis element is stored as its Schur label, one partition per block
 (`slice_labels`): the rank pipelines (the primitive quotients and the PBW
 checks) work on dicts {label: coeff}, where a slice basis is the unit rows
 of its labels, and `PrimitiveTable` keeps its complement bases as label
-lists.  Polynomials exist only for element products and JSON; `from_label`
-expands one label on demand.
+lists.  Polynomials exist only for element products and JSON;
+`from_labels` expands a row of labels on demand.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .parallel import pmap
 from .poly import MASK, MAXDEG, SHIFT, Poly
 from .quiver import MAX_QUOTIENT_SLICES, memoized
 from .series import InvariantTable
-from .symfun import schur_product, weight_basis_size, weight_labels
+from .symfun import expand_labels, weight_basis_size, weight_labels
 
 
 class GradedElement:
@@ -92,9 +92,11 @@ class GradedElement:
         return _slice_labels(quiver, cls, d, k)
 
     @classmethod
-    def from_label(cls, quiver, d, label):
-        """The slice basis element of a label, expanded into its polynomial."""
-        return cls(quiver, d, schur_product(cls.blocks(quiver, d), label), check=False)
+    def from_labels(cls, quiver, d, row):
+        """The element of degree d whose Schur coordinates are the row
+        {label: coeff}, expanded into its polynomial (`expand_labels`)."""
+        terms, bound = expand_labels(cls.blocks(quiver, d), row)
+        return cls(quiver, d, Poly(cls.layout(quiver, d)[1], terms, bound), check=False)
 
     @classmethod
     def slice_dim(cls, quiver, d, k):
@@ -289,7 +291,7 @@ def _is_invariant(terms, blocks):
 class PrimitiveTable:
     """dim V^prim per (d,k) (kind "torus") or dim W^prim per (e,k) (kind
     "module"), with the stored (non-canonical) complement basis as a list
-    of slice labels per (d, k); `from_label` expands one."""
+    of slice labels per (d, k); `from_labels` expands them."""
 
     def __init__(self, quiver, kind, dims, bases, validity, maxdim):
         self.quiver = quiver

@@ -6,16 +6,12 @@ abstract variables (index 0..n-1).  Monomials are packed into single integers
 coefficients are Python ints wherever possible and fractions.Fraction
 otherwise.  No floating point anywhere.
 
-Push-forwards along flags are divided-difference operators, computed term
-by term with no division: `Poly.divided_difference` (also in squared
-variables), `Poly.shuffle_push` (one Grassmannian) and `Poly.flip` (a sign
-change).  The CoHA product and the CoHM action are composites of them, so no
-rational function and no common denominator is ever formed.  Factors enter
-through `mul_linear` and, for a difference of squares x_a^2 - x_b^2 that
-the CoHM action multiplies in after a hyperoctahedral push,
-`mul_square_difference`, one pass over the terms per factor term.  The exact
-divisions `divexact_linear`/`divexact_mono` remain as test oracles; an
-inexact division raises.
+Factors enter through `mul_linear` and, for a difference of squares x_a^2 -
+x_b^2, `mul_square_difference`, one pass over the terms per factor term.
+Pushes along flags are not polynomial operations here: they straighten
+packed monomials into Schur coordinates (`symfun`).  The exact divisions
+`divexact_linear`/`divexact_mono` remain as test oracles; an inexact
+division raises.
 """
 
 from __future__ import annotations
@@ -88,15 +84,12 @@ def _check_pairs(pairs):
         raise HallforgeError("a polynomial product of %d term pairs exceeds the work cap of %d" % (pairs, MAX_POLY_PAIRS))
 
 
-def check_push_work(integrand, pushes):
-    """Refuse to push an element product's integrand through `pushes`
-    divided differences and flips when its terms times pushes pass
-    MAX_PUSH_WORK."""
-    work = len(integrand.terms) * pushes
-    if work > MAX_PUSH_WORK:
+def check_push_work(terms, per_term):
+    """Refuse to straighten `terms` terms at `per_term` work each when the
+    product passes MAX_PUSH_WORK (see its two charge points there)."""
+    if terms * per_term > MAX_PUSH_WORK:
         raise HallforgeError(
-            "pushing %d terms through %d divided differences and flips exceeds the work cap of %d"
-            % (len(integrand.terms), pushes, MAX_PUSH_WORK)
+            "straightening %d terms at a work of %d each exceeds the work cap of %d" % (terms, per_term, MAX_PUSH_WORK)
         )
 
 
@@ -292,59 +285,6 @@ class Poly:
                     rem.pop(kk, None)
         return Poly(self.n, quo, self.bound)
 
-    def divided_difference(self, i, step=1):
-        """(P - s_i P) / (x_i^step - x_{i+1}^step), term by term with no division.
-
-        For a > b, x_i^a x_{i+1}^b maps to (x_i x_{i+1})^b times
-        sum_{j<(a-b)/step} x_i^(a-b-step-step*j) x_{i+1}^(step*j); for a < b it
-        maps to minus the same with a and b swapped; for a == b to 0.  With
-        step = 2 this is the operator in squared variables, and a - b must be
-        even.
-        """
-        shi = SHIFT * i
-        shj = shi + SHIFT
-        move = step * ((1 << shj) - (1 << shi))
-        out = {}
-        for k, c in self.terms.items():
-            a = (k >> shi) & MASK
-            b = (k >> shj) & MASK
-            if a == b:
-                continue
-            kk = k - (a << shi) - (b << shj)
-            if a < b:
-                a, b, c = b, a, -c
-            gap, odd = divmod(a - b, step)
-            if odd:
-                raise InexactDivisionError("divided difference left remainder")
-            # from x_i^(a-step) x_{i+1}^b on, trade x_i^step for x_{i+1}^step
-            kk += ((a - step) << shi) + (b << shj)
-            for _ in range(gap):
-                v = out.get(kk, 0) + c
-                if v:
-                    out[kk] = v
-                else:
-                    del out[kk]
-                kk += move
-        return Poly(self.n, out, self.bound)
-
-    def shuffle_push(self, start, d1, d2, step=1):
-        """Sum over (d1, d2)-shuffles w of w(P / prod(x'^step - x''^step)),
-        for P symmetric in the d1 slots x' from `start` on and in the d2 slots
-        x'' after them: the divided differences at slots j..j+d2-1 for
-        j = d1-1 down to 0 (the push-forward along a Grassmannian)."""
-        out = self
-        for j in range(d1 - 1, -1, -1):
-            for i in range(j, j + d2):
-                out = out.divided_difference(start + i, step)
-        return out
-
-    def flip(self, i):
-        """(P - P|_{x_i -> -x_i}) / (2 x_i): the terms odd in x_i, lowered by one."""
-        sh = SHIFT * i
-        one = 1 << sh
-        odd = {k - one: c for k, c in self.terms.items() if (k >> sh) & 1}
-        return Poly(self.n, odd, self.bound)
-
     # -- structure ----------------------------------------------------------
 
     def degree(self):
@@ -402,12 +342,6 @@ class Poly:
             else:
                 del out[key]
         return Poly(n_new, out, self.bound)
-
-    def double_exponents(self):
-        """z -> z^2 on every variable (BCD squared basis)."""
-        if 2 * self.bound > MAXDEG:
-            raise ExponentOverflowError("packed exponent range exceeded")
-        return Poly(self.n, {2 * k: c for k, c in self.terms.items()}, 2 * self.bound)
 
     def sorted_terms(self):
         """Deterministic term order: graded lexicographic on exponent tuples."""

@@ -17,7 +17,7 @@ from .cohm import (
     cohm_action,
     general_factorization_check,
 )
-from .poly import Poly
+from .errors import HallforgeError
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -77,13 +77,14 @@ def random_selfdual_dim(rng, quiver, total):
 
 def _random_in_slice(rng, cls, quiver, d, k):
     """A random integer combination of one or two basis elements of the
-    (d, k) slice, each label drawn from `slice_labels` and expanded."""
+    (d, k) slice, each label drawn from `slice_labels`, expanded as one row."""
     labels = cls.slice_labels(quiver, d, k)
-    poly = Poly.zero(cls.layout(quiver, d)[1])
+    row = {}
     if labels:
         for _ in range(rng.randint(1, 2)):
-            poly = poly + cls.from_label(quiver, d, rng.choice(labels)).poly.scale(rng.randint(-3, 3))
-    return cls(quiver, d, poly, check=False)
+            label = rng.choice(labels)
+            row[label] = row.get(label, 0) + rng.randint(-3, 3)
+    return cls.from_labels(quiver, d, row)
 
 
 def random_coha_element(rng, quiver, maxtotal=3, maxdeg=2, exact=False):
@@ -182,4 +183,4 @@ def run_property(quiver, prop, seed, maxdim=None, window=None):
         rep = check(quiver, 6 if maxdim is None else maxdim, 12 if window is None else window)
         rep["counterexample"] = rep["mismatches"][0] if rep["mismatches"] else None
         return rep
-    raise ValueError("unknown property %r" % prop)
+    raise HallforgeError("unknown property %r" % prop)

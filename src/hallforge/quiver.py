@@ -51,11 +51,14 @@ MAX_PRODUCT_PAIRS = 50_000_000
 # multiply.  Larger products fail with a HallforgeError before any pair is
 # multiplied; on L2 the arrow numerators of H_(13,) x H_(1,) reach it.
 MAX_POLY_PAIRS = 2_000_000
-# Work cap: the most integrand terms times divided differences and flips
-# that one element product (shuffle_mul, cohm_action) may push.  Larger
-# products fail with a HallforgeError after the integrand is built, before
-# its first push.  The largest product of the tests, the benchmark and CI
-# pushes 495 072; on L2 the constants of H_(12,) x H_(1,) push 6 377 292.
+# Work cap: the most straightening work one push may charge.  An element
+# product (shuffle_mul, cohm_action) charges its integrand terms times the
+# length of its push; a fixed node's deferred product (cohm._push) its pushed
+# terms times its deferred terms times D + m.  A larger charge fails with a
+# HallforgeError before that straightening.  The largest charges of the
+# tests, the benchmark and CI are 495 072 and 49 980; the L2 constants of
+# H_(12,) x H_(1,) charge 6 377 292, the L3 units of H_(3,) x M_(8,) a
+# deferred 7 246 400.
 MAX_PUSH_WORK = 2_000_000
 # Work cap: the most ordered pairs of distinct positive roots, R (R - 1) for
 # the R = n (n + 1) / 2 roots of A_n, whose Hom and Ext^1 the
@@ -102,7 +105,8 @@ def shared_memo(maxsize):
     process-global memos: pure functions of small tuples and ints, shared by
     all quivers and bounded by maxsize.  They are each block size's
     straightening memo (`symfun._straightener`), `symfun._lead_key`,
-    `symfun.lead`, `symfun._partitions` and `cohm._type_b_push`."""
+    `symfun.lead`, `symfun._partitions`, the expansion memos
+    `symfun._dominant` and `symfun._orbit`, and `cohm._type_b_push`."""
 
     def decorate(fn):
         memo = lru_cache(maxsize=maxsize)(fn)
@@ -444,16 +448,20 @@ def parse_quiver(doc):
     """Build a validated QuiverWithDuality from a JSON document.
 
     Accepts a dict, a JSON string, or a path-like pointing at a JSON file.
+    An unreadable file or malformed JSON raises QuiverSpecError.
     """
     if isinstance(doc, QuiverWithDuality):
         return doc
     if isinstance(doc, (str, bytes)):
         text = str(doc)
-        if text.lstrip().startswith("{"):
-            doc = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        try:
+            if text.lstrip().startswith("{"):
+                doc = json.loads(text)
+            else:
+                with open(text, "r", encoding="utf-8") as fh:
+                    doc = json.load(fh)
+        except (OSError, ValueError) as exc:  # JSON and Unicode decoding errors are ValueErrors
+            raise QuiverSpecError("cannot read a quiver spec: %s" % exc) from None
     if not isinstance(doc, dict):
         raise QuiverSpecError("quiver spec must be a JSON object")
     try:

@@ -1,28 +1,26 @@
 """Symmetric-function bases and the straightening rule.
 
-Schur polynomials are divided differences of a single monomial,
-s_lam = partial_w0(x^(lam + delta)), computed without division.  BCD blocks
-are polynomials in squared variables: the basis element for a partition lam
-is s_lam(z^2), invariant under signed permutations of the z's.
-
-The same identity read backwards is the straightening rule: partial_w0 sends
-a monomial x^alpha to 0 when alpha has a repeated entry, and otherwise to
-sign(w) s_(w(alpha) - delta), w the permutation sorting alpha into strictly
-decreasing order (Macdonald I.3: a_(lam + delta) = s_lam a_delta).  So a push
-along a full flag is one sort per monomial, and its result is read in Schur
-coordinates: a label, one partition per block, indexes the basis element
-`schur_product(block_spec, label)`; `weight_labels` lists a slice's labels.
-A product of labels builds no polynomial: `lead_terms` packs its inputs'
-lead monomials and `straighten_blocks` straightens each product of a lead
-term and an integrand term as it is formed.
+A label, one partition per block, indexes a basis element of a slice: the
+product over the blocks of s_lam (a GL block) or s_lam(z^2) (a BCD block,
+invariant under signed permutations of the z's); `weight_labels` lists a
+slice's labels.  Every push along a flag is read in these Schur
+coordinates.  partial_w0 sends a monomial x^alpha to 0 when alpha has a
+repeated entry, and otherwise to sign(w) s_(w(alpha) - delta), w the
+permutation sorting alpha into strictly decreasing order (Macdonald I.3:
+a_(lam + delta) = s_lam a_delta).  So a push is one sort per monomial: a
+product builds no polynomial, as `lead_terms` packs its inputs' lead
+monomials and `straighten_blocks` straightens each product of a lead term
+and an integrand term as it is formed.  `expand_labels` turns a row of
+labels back into its monomials by the branching rule (Macdonald I (5.11)).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .errors import ExponentOverflowError, HallforgeError
-from .poly import MAXDEG, SHIFT, Poly, unpack_exponents
+from .poly import MASK, MAXDEG, SHIFT, Poly, unpack_exponents
 from .quiver import shared_memo
 
 
@@ -56,30 +54,13 @@ def _partitions(total, max_parts, min_part):
 
 
 def schur(lam, n, offset=0, ring_n=None, squared=False):
-    """Schur polynomial s_lam in the n variables offset..offset+n-1 of a ring
-    with ring_n variables: the divided difference partial_w0(x^(lam + delta)),
-    delta = (n-1, ..., 1, 0) (Macdonald, Symmetric Functions, I.3).
-
-    With squared=True returns s_lam(z^2): every exponent is doubled, giving
-    the hyperoctahedral-invariant basis element of a BCD block.
-    """
+    """s_lam, or with squared=True s_lam(z^2), in the n variables
+    offset..offset+n-1 of a ring with ring_n variables: one label's
+    `expand_labels`."""
     ring_n = n if ring_n is None else ring_n
     lam = tuple(x for x in lam if x)
-    if len(lam) > n:
-        raise HallforgeError("partition length %d exceeds %d variables" % (len(lam), n))
-    if not lam:
-        return Poly.const(ring_n, 1)
-    exps = [0] * ring_n
-    for i, part in enumerate(lam + (0,) * (n - len(lam))):
-        exps[offset + i] = part + n - 1 - i
-    out = Poly.from_exponents(ring_n, {tuple(exps): 1})
-    # slots along the reduced word s_1, s_2 s_1, ..., s_{n-1} ... s_1 of w0
-    for k in range(1, n):
-        for i in range(k, 0, -1):
-            out = out.divided_difference(offset + i - 1)
-    if squared:
-        out = out.double_exponents()
-    return out
+    terms, bound = expand_labels([("", "GL", offset), ("", "BCD" if squared else "GL", n)], {((), lam): 1})
+    return Poly(ring_n, terms, bound)
 
 
 def straighten(alpha):
@@ -245,18 +226,6 @@ def weight_labels(block_spec, degree):
     return labels
 
 
-def schur_product(block_spec, label):
-    """The basis polynomial of a label: the product over the blocks of
-    s_lam (GL) or s_lam(z^2) (BCD) in that block's variables."""
-    ring_n = sum(nv for _, _, nv in block_spec)
-    poly, off = Poly.const(ring_n, 1), 0
-    for (_, kind, nv), lam in zip(block_spec, label):
-        if lam:
-            poly = poly * schur(lam, nv, off, ring_n, squared=(kind == "BCD"))
-        off += nv
-    return poly
-
-
 def weight_basis_size(block_spec, degree):
     """The number of `weight_labels(block_spec, degree)`, without listing them."""
     if degree < 0:
@@ -275,3 +244,97 @@ def weight_basis_size(block_spec, degree):
                         new[a + b] += counts[a] * per[b]
         counts = new
     return counts[degree]
+
+
+# -- expansion ----------------------------------------------------------------
+
+
+@shared_memo(1 << 12)
+def _dominant(lam, n, step):
+    """The dominant monomials of s_lam(x_1^step, ..., x_n^step), those with
+    weakly decreasing exponents, packed, with their Kostka numbers: by the
+    branching rule s_lam(x_1..x_n) = sum of x_n^|lam/mu| s_mu(x_1..x_(n-1))
+    over the horizontal strips lam/mu (Macdonald I (5.11)), keeping the
+    monomials whose last exponent is at most the one before it; lam has
+    at most n parts."""
+    if n < 2:
+        return ((step * sum(lam), 1),)
+    sh, size, out = SHIFT * (n - 1), sum(lam), {}
+    padded = lam + (0,) * (n - len(lam))
+    # lam_1 >= mu_1 >= lam_2 >= ... >= mu_(n-1) >= lam_n
+    for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1))):
+        last = step * (size - sum(mu))
+        for key, kostka in _dominant(tuple(x for x in mu if x), n - 1, step):
+            if (key >> (sh - SHIFT)) & MASK >= last:
+                key += last << sh
+                out[key] = out.get(key, 0) + kostka
+    return tuple(out.items())
+
+
+def _permutations(items):
+    """The distinct orderings of the tuple items, each once: each distinct
+    value in turn leads, followed by the orderings of the rest, so
+    repeated entries are never permuted among themselves."""
+    if not items:
+        return [()]
+    out = []
+    for x in dict.fromkeys(items):
+        i = items.index(x)
+        out += [(x,) + p for p in _permutations(items[:i] + items[i + 1 :])]
+    return out
+
+
+@shared_memo(1 << 12)
+def _orbit(block, n):
+    """The packed monomials of the distinct permutations of a packed block
+    of n variables."""
+    return tuple(sum(x << (SHIFT * j) for j, x in enumerate(p)) for p in _permutations(unpack_exponents(block, n)))
+
+
+def expand_labels(block_spec, row):
+    """(terms, bound): the packed monomials of a row {label: coeff} of
+    Schur coordinates over block_spec (as in `weight_labels`), the sum of
+    coeff times the product over the blocks of s_lam (GL) or s_lam(z^2)
+    (BCD), and their largest exponent.
+
+    The row is symmetric in each block, so a monomial's coefficient is that
+    of its block-sorted monomial: the dominant monomials of each label
+    (`_dominant`) are summed over the row, and each nonzero sum is spread
+    over the distinct permutations of every block.  The largest exponent
+    is step * lam_1 over the labels: the lexicographically largest
+    partition of a block keeps its own monomial x^lam, which no other
+    label's expansion holds."""
+    blocks, spread, off = [], [], 0
+    for _, kind, nv in block_spec:
+        blocks.append((SHIFT * off, nv, 1 if kind == "GL" else 2))
+        if nv > 1:
+            spread.append((SHIFT * off, (1 << (SHIFT * nv)) - 1, nv))
+        off += nv
+    dominant, bound = {}, 0
+    for label, c in row.items():
+        if not c:
+            continue
+        part = {0: c}
+        for (shift, nv, step), lam in zip(blocks, label):
+            if len(lam) > nv:
+                raise HallforgeError("partition length %d exceeds %d variables" % (len(lam), nv))
+            if lam:
+                if step * lam[0] > bound:
+                    bound = step * lam[0]
+                    if bound > MAXDEG:
+                        raise ExponentOverflowError("exponent %d out of packed range" % bound)
+                part = {k + (t << shift): v * kostka for k, v in part.items() for t, kostka in _dominant(lam, nv, step)}
+        for k, v in part.items():
+            dominant[k] = dominant.get(k, 0) + v
+    out = {}
+    for key, c in dominant.items():
+        if not c:
+            continue
+        keys = [key]
+        for shift, mask, nv in spread:
+            block = (key >> shift) & mask
+            orbit = _orbit(block, nv)
+            if len(orbit) > 1:
+                keys = [k + ((p - block) << shift) for k in keys for p in orbit]
+        out.update(dict.fromkeys(keys, c))
+    return out, bound

@@ -10,10 +10,10 @@ from math import gcd
 from hallforge import series as series_module
 from hallforge.coha import CohaElement, _ideal_echelon, _mul_integrand, generator_complement, s_label, schur_mul
 from hallforge.cohm import CohmElement, _act_integrand, _fixed_node_type, _type_b_push, schur_act
-from hallforge.errors import GradingError, HallforgeError, NonIntegralError
+from hallforge.errors import ExponentOverflowError, GradingError, HallforgeError, InexactDivisionError, NonIntegralError
 from hallforge.finite_type import _bucket, _letter_partitions, _slice_report, hom_ext
 from hallforge.linalg import Echelon
-from hallforge.poly import MASK, SHIFT, Poly
+from hallforge.poly import MASK, MAXDEG, SHIFT, Poly
 from hallforge.quiver import QuiverWithDuality
 from hallforge.series import (
     MODULE,
@@ -723,6 +723,86 @@ def poly_schur_act(quiver, d, f, e, g):
     return straighten_terms(pushed.terms, blocks)
 
 
+# -- the divided-difference operators ------------------------------------------------
+
+
+def divided_difference(p, i, step=1):
+    """(P - s_i P) / (x_i^step - x_{i+1}^step), term by term with no division.
+
+    For a > b, x_i^a x_{i+1}^b maps to (x_i x_{i+1})^b times
+    sum_{j<(a-b)/step} x_i^(a-b-step-step*j) x_{i+1}^(step*j); for a < b it
+    maps to minus the same with a and b swapped; for a == b to 0.  With
+    step = 2 this is the operator in squared variables, and a - b must be
+    even.
+    """
+    shi = SHIFT * i
+    shj = shi + SHIFT
+    move = step * ((1 << shj) - (1 << shi))
+    out = {}
+    for k, c in p.terms.items():
+        a = (k >> shi) & MASK
+        b = (k >> shj) & MASK
+        if a == b:
+            continue
+        kk = k - (a << shi) - (b << shj)
+        if a < b:
+            a, b, c = b, a, -c
+        gap, odd = divmod(a - b, step)
+        if odd:
+            raise InexactDivisionError("divided difference left remainder")
+        # from x_i^(a-step) x_{i+1}^b on, trade x_i^step for x_{i+1}^step
+        kk += ((a - step) << shi) + (b << shj)
+        for _ in range(gap):
+            v = out.get(kk, 0) + c
+            if v:
+                out[kk] = v
+            else:
+                del out[kk]
+            kk += move
+    return Poly(p.n, out, p.bound)
+
+
+def shuffle_push(p, start, d1, d2, step=1):
+    """Sum over (d1, d2)-shuffles w of w(P / prod(x'^step - x''^step)),
+    for P symmetric in the d1 slots x' from `start` on and in the d2 slots
+    x'' after them: the divided differences at slots j..j+d2-1 for
+    j = d1-1 down to 0 (the push-forward along a Grassmannian)."""
+    for j in range(d1 - 1, -1, -1):
+        for i in range(j, j + d2):
+            p = divided_difference(p, start + i, step)
+    return p
+
+
+def flip(p, i):
+    """(P - P|_{x_i -> -x_i}) / (2 x_i): the terms odd in x_i, lowered by one."""
+    sh = SHIFT * i
+    one = 1 << sh
+    return Poly(p.n, {k - one: c for k, c in p.terms.items() if (k >> sh) & 1}, p.bound)
+
+
+def double_exponents(p):
+    """z -> z^2 on every variable (BCD squared basis)."""
+    if 2 * p.bound > MAXDEG:
+        raise ExponentOverflowError("packed exponent range exceeded")
+    return Poly(p.n, {2 * k: c for k, c in p.terms.items()}, 2 * p.bound)
+
+
+def full_divided_difference(p, n):
+    """partial_w0 on the first n variables, along the reduced word s_1,
+    s_2 s_1, ..., s_(n-1) ... s_1 of w0."""
+    for k in range(1, n):
+        for i in range(k, 0, -1):
+            p = divided_difference(p, i - 1)
+    return p
+
+
+def dd_schur(lam, n):
+    """s_lam in n variables as partial_w0(x^(lam + delta)), the divided
+    differences of a single monomial."""
+    lam = tuple(lam) + (0,) * (n - len(lam))
+    return full_divided_difference(Poly.from_exponents(n, {tuple(x + n - 1 - i for i, x in enumerate(lam)): 1}), n)
+
+
 # -- the element products with their own layouts and signs ---------------------------
 
 
@@ -738,9 +818,10 @@ def _arrow_numerators(quiver, offsets, mid, d1, d2, total):
 
 
 def direct_shuffle_mul(f, g):
-    """`coha.shuffle_mul` as it laid out and signed its integrand itself: f
-    and g on their slots times the arrow numerators, one `shuffle_push` per
-    node, and the sign (-1)^(sum d1 d2) scaled in at the end."""
+    """`coha.shuffle_mul` by divided differences, with its own layout and
+    sign: f and g on their slots times the arrow numerators, one
+    `shuffle_push` per node, and the sign (-1)^(sum d1 d2) scaled in at the
+    end."""
     quiver = f.quiver
     idx = quiver.node_index
     d = add_classes(f.d, g.d)
@@ -755,7 +836,7 @@ def direct_shuffle_mul(f, g):
     sign = 1
     for n in quiver.nodes:
         d1, d2 = f.d[idx[n]], g.d[idx[n]]
-        total = total.shuffle_push(offsets[n], d1, d2)
+        total = shuffle_push(total, offsets[n], d1, d2)
         if d1 * d2 % 2:
             sign = -sign
     return CohaElement(quiver, d, total.scale(sign), check=False)
@@ -842,8 +923,8 @@ def _direct_action_integrand(quiver, d, e, fpoly, gpoly):
 
 
 def direct_cohm_action(f, g):
-    """`cohm.cohm_action` as it kept its own sign and deferred factors: the
-    Q0^+ pushes and their block signs, then per fixed node prod(-y_l) for
+    """`cohm.cohm_action` by divided differences and flips, with its own
+    sign and deferred factors: the Q0^+ pushes and their block signs, then per fixed node prod(-y_l) for
     type D, the B_D / S_D push, its factors y^2 - z^2 one
     `mul_square_difference` each, the squared `shuffle_push` and the
     scalar (-1)^(D(D+1)/2), times 2^D for types B and D."""
@@ -858,7 +939,7 @@ def direct_cohm_action(f, g):
     for n in quiver.q0_plus:
         o, dn, en = off[n], d[idx[n]], e[idx[n]]
         dsn = d[idx[quiver.sigma_nodes[n]]]
-        total = total.shuffle_push(o, dn, en).shuffle_push(o, dn + en, dsn)
+        total = shuffle_push(shuffle_push(total, o, dn, en), o, dn + en, dsn)
         if (dn * en + dn * dsn + en * dsn) % 2:
             sign = -sign
     for n in quiver.q0_sigma:
@@ -868,12 +949,12 @@ def direct_cohm_action(f, g):
             for l in range(D):
                 total = total.mul_linear(-1, o + l)
         for k in range(D):
-            total = total.flip(o + D - 1)
+            total = flip(total, o + D - 1)
             for i in range(D - 2, k - 1, -1):
-                total = total.divided_difference(o + i)
+                total = divided_difference(total, o + i)
         for y, z in after_push[n]:
             total = total.mul_square_difference(y, z)
-        total = total.shuffle_push(o, D, e[idx[n]] // 2, step=2)
+        total = shuffle_push(total, o, D, e[idx[n]] // 2, step=2)
         if D * (D + 1) // 2 % 2:
             sign = -sign
         if typ != "C":

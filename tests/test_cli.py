@@ -482,3 +482,44 @@ def test_non_integer_thread_count_exit2(l2_path):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert "HALLFORGE_THREADS='two'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_engine_value_error_propagates(monkeypatch, tmp_path, l2_path):
+    """Only a HallforgeError exits 2: a ValueError raised inside the engine
+    is a fault, not bad input, and reaches the caller."""
+
+    def broken(f, g):
+        raise ValueError("an engine fault")
+
+    monkeypatch.setattr(cli, "shuffle_mul", broken)
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(ONE_VAR))
+    with pytest.raises(ValueError, match="an engine fault"):
+        cli.main(["mul", "--quiver", l2_path, "--lhs", str(path), "--rhs", str(path)])
+
+
+@pytest.mark.parametrize("args, message", [
+    (["equivariant-dt", "--target", "1,x"], "--target '1,x' is not a comma-separated list of integers"),
+    (["dt-series", "--quiver", "{not json"], "cannot read a quiver spec"),
+    (["check", "--property", "nonsense"], "unknown property 'nonsense'"),
+])
+def test_input_errors_are_converted_where_they_are_read(l2_path, args, message):
+    if "--quiver" not in args:
+        args = args + ["--quiver", l2_path]
+    code, out, err = run_cli(args)
+    assert code == 2 and out == "" and err.startswith("error:") and message in err, err
+
+
+def test_unreadable_element_file_exit2(tmp_path, l2_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"d": [1], "poly": [\xff]}')
+    for path in (str(bad), str(tmp_path / "missing.json")):
+        code, out, err = run_cli(["mul", "--quiver", l2_path, "--lhs", path, "--rhs", path])
+        assert code == 2 and out == "" and err.startswith("error: cannot read JSON from"), err
+
+
+def test_malformed_mults_key_exit2(tmp_path):
+    path = tmp_path / "mults.json"
+    path.write_text(json.dumps({"1,x": 1}))
+    code, out, err = run_cli(["thom", "--type", "A2", "--mults", str(path)])
+    assert code == 2 and out == "" and err.startswith("error: --mults key '1,x' is not"), err

@@ -86,7 +86,7 @@ def test_zero_loop_actions_iterated_route():
 
 
 def test_one_loop_monomial_actions():
-    from oracles import monomial_sym
+    from oracles import double_exponents, monomial_sym
 
     # type D, tau = 1: purely odd i of length d: the loop kernel carries the
     # 2^d prefactor, so m_i * 1^s_{2e} = (-4)^d m~_{(i+1)/2, 0^e}
@@ -95,7 +95,7 @@ def test_one_loop_monomial_actions():
         f = CohaElement(L1, (d,), monomial_sym(seq, d))
         target = cohm_action(f, CohmElement.unit(L1, (2 * e,)))
         half = tuple((x + 1) // 2 for x in seq)
-        expected = monomial_sym(half, d + e).double_exponents().scale((-4) ** d)
+        expected = double_exponents(monomial_sym(half, d + e)).scale((-4) ** d)
         assert target.poly == expected, (seq, e)
 
 
@@ -292,7 +292,7 @@ def test_cohm_element_validation():
 
 def test_cohm_json_roundtrip():
     label = CohmElement.slice_labels(L2, (4,), L2.sd_euler_form((4,)) + 4)[0]
-    x = CohmElement(L2, (4,), CohmElement.from_label(L2, (4,), label).poly)
+    x = CohmElement(L2, (4,), CohmElement.from_labels(L2, (4,), {label: 1}).poly)
     doc = x.to_json_dict()
     assert CohmElement.from_json_dict(L2, doc) == x
 
@@ -306,8 +306,8 @@ def test_l2_minimal_generators():
     ]
     assert all(v == 1 for v in t.dims.values())
     for e, k in (((1,), 0), ((3,), -3), ((5,), -10)):
-        assert CohmElement.from_label(L2, e, t.bases[(e, k)][0]).poly.terms.get(0) == 1
-    gen = CohmElement.from_label(L2, (5,), t.bases[((5,), -6)][0]).poly
+        assert CohmElement.from_labels(L2, e, {t.bases[(e, k)][0]: 1}).poly.terms.get(0) == 1
+    gen = CohmElement.from_labels(L2, (5,), {t.bases[((5,), -6)][0]: 1}).poly
     assert gen == Poly.from_exponents(2, {(2, 0): 1, (0, 2): 1})
 
 
@@ -364,7 +364,7 @@ def test_coha_and_cohm_slices_of_one_degree_stay_distinct():
     # on a loop quiver H_(2,) has two GL variables and M_(2,) one BCD
     # variable: the slices of one (d, k) are cached apart
     def basis(cls, q, d, k):
-        return [cls.from_label(q, d, label) for label in cls.slice_labels(q, d, k)]
+        return [cls.from_labels(q, d, {label: 1}) for label in cls.slice_labels(q, d, k)]
 
     both = 0
     for m in (0, 2):

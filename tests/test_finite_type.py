@@ -461,6 +461,12 @@ def test_pbw_check_computes_each_slice_dim_once(monkeypatch, check, rs, bound, w
     assert slices <= {(d, k) for _, d, k in calls}
 
 
+def _psi_element(rs, root, lam, parts):
+    """rs.psi(root, lam, parts) expanded into its CoHA element."""
+    d, label = rs.psi(root, lam, parts)
+    return CohaElement.from_labels(rs.quiver, d, {label: 1})
+
+
 def _flat_pbw_coha(rs, bound, window, budget):
     """The enumeration with one flat budget sum |lam| <= budget for every
     root tuple, products bucketed by homogeneous components: with a budget
@@ -476,7 +482,7 @@ def _flat_pbw_coha(rs, bound, window, budget):
     def product(key):
         """left product of the psi-images over ((root, mult, lam), ...)"""
         if key not in memo:
-            f = CohaElement.from_label(rs.quiver, *rs.psi(*key[-1]))
+            f = _psi_element(rs, *key[-1])
             memo[key] = f if len(key) == 1 else shuffle_mul(product(key[:-1]), f)
         return memo[key]
 
@@ -519,7 +525,7 @@ def _flat_pbw_cohm(rs, bound, window, budget):
                     ]
                     if sum(map(sum, mus)) > budget:
                         continue
-                    base = act_many([CohaElement.from_label(rs.quiver, *rs.psi(b, mu, c)) for (b, c), mu in zip(gens, mus)], seed)
+                    base = act_many([_psi_element(rs, b, mu, c) for (b, c), mu in zip(gens, mus)], seed)
                     for tup in _root_tuples(rs, outer_roots, bound):
                         active = [(outer_roots[i], m) for i, m in enumerate(tup) if m]
                         e = list(base.e)
@@ -529,7 +535,7 @@ def _flat_pbw_cohm(rs, bound, window, budget):
                         if any(x > c for x, c in zip(e, bound)):
                             continue
                         for outer in _lam_choices([m for _, m in active], budget):
-                            factors = [CohaElement.from_label(rs.quiver, *rs.psi(r, lam, m)) for (r, m), lam in zip(active, outer)]
+                            factors = [_psi_element(rs, r, lam, m) for (r, m), lam in zip(active, outer)]
                             products.append(act_many(factors, base))
         slices[name] = _flat_report(CohmElement, rs.quiver, products, window)
     return slices

@@ -2,7 +2,7 @@
 
 The CLI golden files print only dimensions; this file pins the basis that
 `ori_dt_invariants` and `primitive_dims` store for every slice (as labels,
-expanded here by `from_label`), together with the validity of every class.
+expanded here by `from_labels`), together with the validity of every class.
 Regenerate the data (only when a change of the bases is intended) with
 
     PYTHONPATH=src python tests/test_golden_bases.py > tests/data/golden_bases.json
@@ -43,7 +43,7 @@ def _document(table):
             {
                 "degree": list(d),
                 "k": k,
-                "basis": [cls.from_label(table.quiver, d, label).to_json_dict() for label in table.bases[(d, k)]],
+                "basis": [cls.from_labels(table.quiver, d, {label: 1}).to_json_dict() for label in table.bases[(d, k)]],
             }
             for d, k in sorted(table.bases)
         ],

@@ -1,13 +1,13 @@
 """The products in Schur coordinates run in one pass from labels to labels
-(`coha.schur_mul`, `cohm.schur_act`), the element products push the same
-integrands, built by one builder per side, and the PBW checks share suffix
-products through a trie of letters.  Their oracles are the paths they
-replace, kept in `oracles`: the lead product times the cached integrand by
-`Poly.__mul__`, the B_D push and `straighten_terms` (`poly_schur_mul`,
-`poly_schur_act`), the element products with their own layouts, signs and
-deferred factors (`direct_shuffle_mul`, `direct_cohm_action`), and the
-report that memoized products by (seed class, suffix word)
-(`memo_pbw_report`)."""
+(`coha.schur_mul`, `cohm.schur_act`), the element products straighten the
+same integrands, built by one builder per side, and the PBW checks share
+suffix products through a trie of letters.  Their oracles are the paths
+they replace, kept in `oracles`: the lead product times the cached
+integrand by `Poly.__mul__`, the B_D push and `straighten_terms`
+(`poly_schur_mul`, `poly_schur_act`), the element products by divided
+differences with their own layouts, signs and deferred factors
+(`direct_shuffle_mul`, `direct_cohm_action`), and the report that memoized
+products by (seed class, suffix word) (`memo_pbw_report`)."""
 
 import pytest
 
@@ -140,9 +140,10 @@ def _fixed_types(quiver, d, e):
 
 @pytest.mark.parametrize("name, quiver", ELEMENT_QUIVERS, ids=[n for n, _ in ELEMENT_QUIVERS])
 def test_element_products_against_their_direct_bodies(name, quiver):
-    """`shuffle_mul` and `cohm_action` push the builders' signed integrands;
-    on seeded pairs their polynomials equal those of the bodies that laid
-    out and signed their integrands themselves, zero operands included."""
+    """`shuffle_mul` and `cohm_action` straighten the builders' signed
+    integrands; on seeded pairs their polynomials equal those of the
+    divided-difference products that laid out and signed their integrands
+    themselves, zero operands included."""
     rng = Lcg(20261019 + len(name))
     types = set()
     for _ in range(100):
@@ -170,60 +171,81 @@ def test_element_products_against_their_direct_bodies(name, quiver):
 @pytest.mark.parametrize("name, quiver", ELEMENT_QUIVERS, ids=[n for n, _ in ELEMENT_QUIVERS])
 def test_builders_with_unit_polynomials_are_the_cached_integrands(name, quiver):
     """Given unit polynomials, each builder returns the integrand it caches
-    for the labels, except that at a type D node the element path holds
-    prod y_l, which the label path carries as the shift of that node's f
-    lead slots."""
+    for the labels, the type D factor prod y_l included: both paths carry
+    it as the shift of that node's f lead slots."""
     classes = [d for d in quiver.dimension_vectors(2) if any(d)]
-    type_d = 0
     for d1 in classes:
         for d2 in classes:
             one1, one2 = CohaElement.unit(quiver, d1).poly, CohaElement.unit(quiver, d2).poly
             assert _integrand(quiver, d1, d2, one1, one2) == _mul_integrand(quiver, d1, d2)
         for e in module_classes(quiver, 3):
             built = _action_integrand(quiver, d1, e, CohaElement.unit(quiver, d1).poly, CohmElement.unit(quiver, e).poly)
-            cached = _act_integrand(quiver, d1, e)
-            assert built[1:] == cached[1:]
-            ys = cached[0]
-            for first, size, _, shift, _ in cached[2]:
-                for slot in range(first, first + size * shift):
-                    ys = ys.mul_linear(1, slot)
-            assert built[0] == ys
-            type_d += ys != cached[0]
-    if quiver.q0_sigma and quiver.s[quiver.q0_sigma[0]] == 1:
-        assert type_d
+            assert built == _act_integrand(quiver, d1, e), (d1, e)
+
+
+def _count_straightenings(monkeypatch):
+    """The list that every `straighten_blocks` call of `coha` and `cohm`
+    appends to."""
+    from hallforge import coha, cohm
+
+    calls = []
+    for module in (coha, cohm):
+        real = module.straighten_blocks
+
+        def counted(*args, real=real):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(module, "straighten_blocks", counted)
+    return calls
 
 
 def test_push_work_cap_at_each_element_product(monkeypatch):
-    """An element product whose integrand terms times divided differences
-    and flips pass MAX_PUSH_WORK is refused before its first push; one at
-    the cap is pushed.  On L2, H_(2,) x H_(1,) pushes 9 terms through 2
-    divided differences; on L1, H_(2,) x M_(2,) pushes 2 terms through the
-    B_2 push (2 flips and 1 divided difference) and the squared push (2
-    divided differences)."""
+    """An element product whose integrand terms times the length of its
+    push pass MAX_PUSH_WORK is refused before anything is straightened; one
+    at the cap is pushed.  On L2, H_(2,) x H_(1,) has 9 terms and a push of
+    length 2; on L1, H_(2,) x M_(1,) has 2 terms and a push of length 3,
+    the B_2 push (M_(1,) has no z slot)."""
     from hallforge import poly
 
-    pushed = []
-    for name in ("shuffle_push", "flip", "divided_difference"):
-        real = getattr(Poly, name)
-
-        def counted(self, *args, real=real, name=name, **kwargs):
-            pushed.append(name)
-            return real(self, *args, **kwargs)
-
-        monkeypatch.setattr(Poly, name, counted)
+    straightened = _count_straightenings(monkeypatch)
     l2, l1 = loop_quiver(2), loop_quiver(1)
     products = (
         (shuffle_mul, CohaElement.unit(l2, (2,)), CohaElement.unit(l2, (1,)), 18),
-        (cohm_action, CohaElement.unit(l1, (2,)), CohmElement.unit(l1, (2,)), 10),
+        (cohm_action, CohaElement.unit(l1, (2,)), CohmElement.unit(l1, (1,)), 6),
     )
     for product, f, g, work in products:
         monkeypatch.setattr(poly, "MAX_PUSH_WORK", work - 1)
         with pytest.raises(HallforgeError, match="work cap of %d" % (work - 1)):
             product(f, g)
-        assert not pushed
+        assert not straightened
         monkeypatch.setattr(poly, "MAX_PUSH_WORK", work)
-        assert product(f, g).poly and pushed
-        pushed.clear()
+        assert product(f, g).poly and straightened
+        straightened.clear()
+
+
+def test_deferred_charge_at_a_fixed_node(monkeypatch):
+    """A fixed node's deferred product is charged its pushed terms times
+    the deferred terms times D + m before it is straightened.  On L1, the
+    unit action H_(2,) x M_(2,) pushes 1 term, and prod(u_l - v) over l = 1,
+    2 has 4 terms: a charge of 1 * 4 * (2 + 1) = 12, past the integrand's
+    own charge of 10.  At 11 both actions are refused before
+    `straighten_blocks` runs; at 12 both are pushed."""
+    from hallforge import poly
+
+    straightened = _count_straightenings(monkeypatch)
+    l1 = loop_quiver(1)
+    f, g = CohaElement.unit(l1, (2,)), CohmElement.unit(l1, (2,))
+    unit = {((),): 1}
+    actions = (lambda: cohm_action(f, g).poly, lambda: schur_act(l1, (2,), unit, (2,), unit))
+    for act in actions:
+        monkeypatch.setattr(poly, "MAX_PUSH_WORK", 11)
+        with pytest.raises(HallforgeError, match="straightening 4 terms at a work of 3 each exceeds the work cap of 11"):
+            act()
+        assert not straightened
+        monkeypatch.setattr(poly, "MAX_PUSH_WORK", 12)
+        assert act() and straightened == [1]
+        straightened.clear()
 
 
 # -- the PBW trie -------------------------------------------------------------------

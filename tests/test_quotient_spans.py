@@ -99,10 +99,10 @@ def test_tables_against_the_direct_oracle(quiver):
 def _polynomial_s_h(quiver, sd, d, k):
     """S_H from the labels of the (sd, k) slice to signed labels of the
     (d, k) slice, through `s_involution` on the expanded basis elements."""
-    of_poly = {CohaElement.from_label(quiver, d, lab).poly: lab for lab in CohaElement.slice_labels(quiver, d, k)}
+    of_poly = {CohaElement.from_labels(quiver, d, {lab: 1}).poly: lab for lab in CohaElement.slice_labels(quiver, d, k)}
     out = []
     for lab in CohaElement.slice_labels(quiver, sd, k):
-        image = s_involution(CohaElement.from_label(quiver, sd, lab)).poly
+        image = s_involution(CohaElement.from_labels(quiver, sd, {lab: 1})).poly
         out.append((1, of_poly[image]) if image in of_poly else (-1, of_poly[image.scale(-1)]))
     return out
 

@@ -1,21 +1,22 @@
 """The rank pipelines work in Schur coordinates ({label: coeff}, a label one
-partition per block); the element products `shuffle_mul` and `cohm_action`
-(divided differences on monomials) are their oracle here.  Every label
-product, expanded through `from_label`, must equal the element product of the
+partition per block).  The element products `shuffle_mul` and `cohm_action`
+push by the same straightening, so the oracle here is the divided-difference
+products `direct_shuffle_mul` and `direct_cohm_action`: every label product,
+expanded through `from_labels`, must equal the oracle product of the
 expanded inputs."""
 
 import pytest
 
-from oracles import q3
+from oracles import direct_cohm_action, direct_shuffle_mul, dd_schur, full_divided_difference, q3
 
-from hallforge import symfun
-from hallforge.coha import CohaElement, _mul_integrand, _times_power_sum, primitive_dims, s_involution, s_label, schur_mul, shuffle_mul
-from hallforge.cohm import CohmElement, _act_integrand, cohm_action, ori_dt_invariants, schur_act
+from hallforge import graded, symfun
+from hallforge.coha import CohaElement, _mul_integrand, _times_power_sum, primitive_dims, s_involution, s_label, schur_mul
+from hallforge.cohm import CohmElement, _act_integrand, ori_dt_invariants, schur_act
 from hallforge.finite_type import build_typeA
 from hallforge.poly import Poly, unpack_exponents
 from hallforge.proputils import Lcg, random_dim, random_selfdual_dim
 from hallforge.quiver import a1_tilde, disjoint_double, loop_quiver
-from hallforge.symfun import lead_terms, schur, straighten
+from hallforge.symfun import lead_terms, straighten
 
 
 def _quivers():
@@ -39,10 +40,7 @@ QUIVERS = _quivers()
 
 
 def expand(cls, quiver, d, row):
-    out = Poly.zero(cls.layout(quiver, d)[1])
-    for label, c in row.items():
-        out = out + cls.from_label(quiver, d, label).poly.scale(c)
-    return out
+    return cls.from_labels(quiver, d, row).poly
 
 
 def _draw_label(rng, cls, quiver, d, maxdeg):
@@ -62,7 +60,7 @@ def test_label_products_against_element_products(name, quiver):
         if a is None or b is None:
             continue
         d = tuple(x + y for x, y in zip(d1, d2))
-        want = shuffle_mul(CohaElement.from_label(quiver, d1, a), CohaElement.from_label(quiver, d2, b))
+        want = direct_shuffle_mul(CohaElement.from_labels(quiver, d1, {a: 1}), CohaElement.from_labels(quiver, d2, {b: 1}))
         assert expand(CohaElement, quiver, d, schur_mul(quiver, d1, {a: 1}, d2, {b: 1})) == want.poly, (d1, a, d2, b)
         products += 1
     for _ in range(80):
@@ -70,7 +68,7 @@ def test_label_products_against_element_products(name, quiver):
         a, b = _draw_label(rng, CohaElement, quiver, d, 2), _draw_label(rng, CohmElement, quiver, e, 1)
         if a is None or b is None:
             continue
-        want = cohm_action(CohaElement.from_label(quiver, d, a), CohmElement.from_label(quiver, e, b))
+        want = direct_cohm_action(CohaElement.from_labels(quiver, d, {a: 1}), CohmElement.from_labels(quiver, e, {b: 1}))
         assert expand(CohmElement, quiver, want.e, schur_act(quiver, d, {a: 1}, e, {b: 1})) == want.poly, (d, a, e, b)
         actions += 1
     assert products > 20 and actions > 20
@@ -115,7 +113,7 @@ def test_lead_terms_bound_is_the_largest_exponent():
 
 def test_linear_combinations_and_chains():
     """Rows with several labels multiply bilinearly, and an action on an
-    action's result (the PBW words) matches the element chain."""
+    action's result (the PBW words) matches the chain of oracle products."""
     rng = Lcg(7)
     for quiver in (loop_quiver(2), a1_tilde(tau=-1), build_typeA(3, ">>", "orthogonal").quiver):
         for _ in range(6):
@@ -129,12 +127,12 @@ def test_linear_combinations_and_chains():
                 continue
             fe = CohaElement(quiver, d, expand(CohaElement, quiver, d, f), check=False)
             ge = CohmElement(quiver, e, expand(CohmElement, quiver, e, g), check=False)
-            once = cohm_action(fe, ge)
+            once = direct_cohm_action(fe, ge)
             row = schur_act(quiver, d, f, e, g)
             assert expand(CohmElement, quiver, once.e, row) == once.poly
-            again = cohm_action(fe, once)
+            again = direct_cohm_action(fe, once)
             assert expand(CohmElement, quiver, again.e, schur_act(quiver, d, f, once.e, row)) == again.poly
-            product = shuffle_mul(fe, fe)
+            product = direct_shuffle_mul(fe, fe)
             assert expand(CohaElement, quiver, product.d, schur_mul(quiver, d, f, d, f)) == product.poly
 
 
@@ -150,10 +148,10 @@ def test_involution_and_power_sum_on_labels():
                 power_sum = power_sum + Poly.variable(n, i)
             for k in range(chi, chi + 7, 2):
                 for label in CohaElement.slice_labels(quiver, d, k):
-                    elem = CohaElement.from_label(quiver, d, label)
+                    elem = CohaElement.from_labels(quiver, d, {label: 1})
                     sign, image = s_label(quiver, label)
                     sd = quiver.sigma_dim(d)
-                    assert CohaElement.from_label(quiver, sd, image).scale(sign) == s_involution(elem)
+                    assert CohaElement.from_labels(quiver, sd, {image: sign}) == s_involution(elem)
                     row = _times_power_sum(quiver, d, label)
                     assert expand(CohaElement, quiver, d, row) == power_sum * elem.poly
 
@@ -162,26 +160,26 @@ def test_straighten_is_the_full_divided_difference():
     """partial_w0(x^alpha) by divided differences against `straighten`."""
     for alpha in [(0,), (2, 0), (0, 2), (1, 1), (3, 0, 1), (0, 4, 2), (2, 2, 0), (1, 5, 0, 3), (4, 0, 6, 1)]:
         n = len(alpha)
-        out = Poly.from_exponents(n, {alpha: 1})
-        for k in range(1, n):
-            for i in range(k, 0, -1):
-                out = out.divided_difference(i - 1)
+        out = full_divided_difference(Poly.from_exponents(n, {alpha: 1}), n)
         r = straighten(alpha)
-        assert out == (Poly.zero(n) if r is None else schur(r[1], n).scale(r[0])), alpha
+        assert out == (Poly.zero(n) if r is None else dd_schur(r[1], n).scale(r[0])), alpha
 
 
 def test_primitive_quotients_expand_no_polynomial(monkeypatch):
     """The primitive quotients keep their bases as labels:
     `ori_dt_invariants(L2, 8, 22)` and `primitive_dims(L2, 4, 16)` build no
-    Schur polynomial and cache no polynomial slice basis."""
+    Schur polynomial and cache no polynomial slice basis: nothing expands a
+    row of labels (`symfun.expand_labels`, which `schur` and `from_labels`
+    call)."""
     calls = []
-    real = symfun.schur
+    real = symfun.expand_labels
 
-    def counted(lam, *args, **kwargs):
-        calls.append(lam)
-        return real(lam, *args, **kwargs)
+    def counted(block_spec, row):
+        calls.append(row)
+        return real(block_spec, row)
 
-    monkeypatch.setattr(symfun, "schur", counted)
+    monkeypatch.setattr(symfun, "expand_labels", counted)
+    monkeypatch.setattr(graded, "expand_labels", counted)
     for run, stored in ((lambda q: ori_dt_invariants(q, 8, 22), 19), (lambda q: primitive_dims(q, 4, 16), 5)):
         quiver = loop_quiver(2)
         table = run(quiver)

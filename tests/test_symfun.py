@@ -2,16 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from hallforge.errors import HallforgeError, InexactDivisionError
-from hallforge.poly import Poly
+from hallforge.errors import ExponentOverflowError, HallforgeError, InexactDivisionError
+from hallforge.poly import Poly, unpack_exponents
 from hallforge.symfun import (
+    expand_labels,
     partitions,
     schur,
-    schur_product,
     weight_basis_size,
     weight_labels,
 )
-from oracles import monomial_sym, swap_variables
+from oracles import dd_schur, divided_difference, double_exponents, flip, monomial_sym, swap_variables
 
 
 def bialternant(lam, n):
@@ -56,7 +56,79 @@ def test_schur_against_bialternant():
     for n in (2, 3, 4):
         for size in range(0, 7):
             for lam in partitions(size, n):
-                assert schur(lam, n) == bialternant(lam, n), (lam, n)
+                assert schur(lam, n) == bialternant(lam, n) == dd_schur(lam, n), (lam, n)
+
+
+def _placed(poly, offset, nvars):
+    """poly moved to the variables offset.. of a ring of nvars variables."""
+    return poly.map_variables(nvars, [(1, offset + j) for j in range(poly.n)])
+
+
+def test_expand_labels_against_bialternants():
+    """A row over several blocks expands to the sum of its coefficients
+    times the products of bialternants (squared on a BCD block), also when
+    the coefficients cancel; blocks of up to 4 variables, empty ones
+    included."""
+    from hallforge.proputils import Lcg
+
+    rng = Lcg(15)
+    specs = (
+        [("a", "GL", 2), ("b", "BCD", 2)],
+        [("a", "BCD", 3), ("b", "GL", 0), ("c", "GL", 1)],
+        [("a", "GL", 4)],
+        [("a", "GL", 1), ("b", "GL", 3), ("c", "BCD", 1)],
+        [("a", "BCD", 4), ("b", "GL", 2)],
+    )
+    for spec in specs:
+        nvars = sum(nv for _, _, nv in spec)
+        labels = [lab for deg in range(0, 7) for lab in weight_labels(spec, deg)]
+        for _ in range(12):
+            row = {}
+            for _ in range(rng.randint(1, 4)):
+                lab = rng.choice(labels)
+                row[lab] = row.get(lab, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+            want = Poly.zero(nvars)
+            for lab, c in row.items():
+                term, off = Poly.const(nvars, c), 0
+                for (_, kind, nv), lam in zip(spec, lab):
+                    block = bialternant(lam, nv) if nv else Poly.const(0, 1)
+                    term = term * _placed(double_exponents(block) if kind == "BCD" else block, off, nvars)
+                    off += nv
+                want = want + term
+            terms, bound = expand_labels(spec, row)
+            assert Poly(nvars, terms) == want, (spec, row)
+            assert bound == max((e for k in terms for e in unpack_exponents(k, nvars)), default=0)
+    # s_(2) - s_(1,1) = x1^2 + x2^2 on the GL block: the Kostka numbers of
+    # x1 x2 cancel, next to every z monomial of the BCD block
+    spec = [("a", "GL", 2), ("b", "BCD", 1)]
+    row = {((2,), (1,)): 1, ((1, 1), (1,)): -1}
+    assert Poly(3, *expand_labels(spec, row)) == Poly.from_exponents(3, {(2, 0, 2): 1, (0, 2, 2): 1})
+    assert expand_labels(spec, {((2,), (1,)): 0}) == ({}, 0)
+    with pytest.raises(HallforgeError):
+        expand_labels(spec, {((1, 1, 1), ()): 1})
+
+
+def test_permutations_are_the_distinct_orderings():
+    """The multiset permutations of a block equal the set of all its
+    orderings, each listed once."""
+    from itertools import permutations
+
+    from hallforge.symfun import _permutations
+
+    for items in ((), (0,), (1, 1), (2, 1, 1), (3, 3, 0, 0), (2, 2, 2, 1, 0), (4, 1, 1, 1, 1, 0), (5, 3, 3, 1, 1, 1)):
+        got = _permutations(items)
+        assert len(got) == len(set(got)) and set(got) == set(permutations(items)), items
+
+
+def test_clear_caches_empties_the_expansion_memos():
+    from hallforge import symfun
+    from hallforge.quiver import loop_quiver
+
+    expand_labels([("a", "GL", 3), ("b", "BCD", 2)], {((2, 1), (1,)): 1})
+    memos = (symfun._dominant, symfun._orbit)
+    assert all(memo.cache_info().currsize for memo in memos)
+    loop_quiver(1).clear_caches()
+    assert not any(memo.cache_info().currsize for memo in memos)
 
 
 def test_monomial_sym():
@@ -68,7 +140,8 @@ def test_monomial_sym():
 def weight_basis(blocks, deg):
     """(basis polynomials, labels) of a slice: its labels, expanded."""
     labels = weight_labels(blocks, deg)
-    return [schur_product(blocks, label) for label in labels], labels
+    nvars = sum(nv for _, _, nv in blocks)
+    return [Poly(nvars, *expand_labels(blocks, {label: 1})) for label in labels], labels
 
 
 def test_weight_basis_sizes_and_independence():
@@ -136,7 +209,10 @@ def test_packed_exponent_guards():
     with pytest.raises(OverflowError):
         big * big
     with pytest.raises(OverflowError):
-        big.double_exponents()
+        double_exponents(big)
+    with pytest.raises(ExponentOverflowError):
+        schur((512,), 1, squared=True)
+    assert schur((511,), 1, squared=True) == Poly.variable(1, 0, 1022)
 
 
 def test_packed_exponent_guard_uses_true_maxima():
@@ -185,10 +261,10 @@ def test_divided_difference_identity():
         n = rng.randint(2, 4)
         i = rng.randint(0, n - 2)
         p = random_poly(rng, n)
-        dp = p.divided_difference(i)
+        dp = divided_difference(p, i)
         assert dp.mul_linear(1, i, -1, i + 1) == p - swap_variables(p, i, i + 1)
         sym = p + swap_variables(p, i, i + 1)
-        assert sym.divided_difference(i).is_zero()
+        assert divided_difference(sym, i).is_zero()
 
 
 def test_divided_difference_in_squares_identity():
@@ -199,14 +275,14 @@ def test_divided_difference_in_squares_identity():
         n = rng.randint(2, 4)
         i = rng.randint(0, n - 2)
         p = random_poly(rng, n).map_variables(n, [(1, j) for j in range(n)])
-        p = p.double_exponents()
-        dp = p.divided_difference(i, 2)
+        p = double_exponents(p)
+        dp = divided_difference(p, i, 2)
         lhs = dp.mul_linear(1, i, -1, i + 1).mul_linear(1, i, 1, i + 1)
         assert lhs == p - swap_variables(p, i, i + 1)
         sym = p + swap_variables(p, i, i + 1)
-        assert sym.divided_difference(i, 2).is_zero()
+        assert divided_difference(sym, i, 2).is_zero()
     with pytest.raises(InexactDivisionError):
-        Poly.variable(2, 0).divided_difference(0, 2)
+        divided_difference(Poly.variable(2, 0), 0, 2)
 
 
 def test_flip_identity():
@@ -218,8 +294,8 @@ def test_flip_identity():
         i = rng.randint(0, n - 1)
         p = random_poly(rng, n)
         reflected = p.map_variables(n, [(-1 if j == i else 1, j) for j in range(n)])
-        assert p.flip(i).mul_linear(2, i) == p - reflected
-        assert (p + reflected).flip(i).is_zero()
+        assert flip(p, i).mul_linear(2, i) == p - reflected
+        assert flip(p + reflected, i).is_zero()
 
 
 def test_square_difference_against_two_linear_passes():
