@@ -244,13 +244,37 @@ def cohm_action(f, g):
     length = sum(d[idx[n]] * e[idx[n]] + (d[idx[n]] + e[idx[n]]) * d[idx[quiver.sigma_nodes[n]]] for n in quiver.q0_plus)
     check_push_work(len(total.terms), length + sum(D * (D + 1) // 2 + D * m for _, _, D, m in fixed))
     leads, top = lead_terms({((),) * len(fslots): 1}, fslots, {((),) * len(gslots): 1}, gslots)
-    return CohmElement.from_labels(quiver, et, _push(leads, top, total, deferred, fixed, cuts))
+    parity = None
+    if fixed:  # one lead: keep the terms of the one y parity it can pair with
+        ymask = _y_mask(fixed)
+        (want,) = ((k & ymask) ^ ymask for k in leads)
+        parity = ymask, {want: [(k, c) for k, c in total.terms.items() if k & ymask == want]}
+    return CohmElement.from_labels(quiver, et, _push(leads, top, total, deferred, fixed, cuts, parity))
 
 
 # -- the action in Schur coordinates -------------------------------------------------
 
 
-_act_integrand = memoized("cohm_integrand")(_action_integrand)
+@memoized("cohm_integrand")
+def _act_integrand(quiver, d, e):
+    """`_action_integrand` without f and g, followed by its kernel's terms
+    grouped by y parity as `_push` reads them: (the `_y_mask` of the fixed
+    nodes, {term & mask: [(term, coeff), ...] in the kernel's order}), or
+    None without a fixed node."""
+    integrand = _action_integrand(quiver, d, e)
+    kernel, fixed = integrand[0], integrand[4]
+    parity = None
+    if fixed:
+        ymask, groups = _y_mask(fixed), {}
+        for k, c in kernel.terms.items():
+            groups.setdefault(k & ymask, []).append((k, c))
+        parity = ymask, groups
+    return integrand + (parity,)
+
+
+def _y_mask(fixed):
+    """The low bit of every y slot of the fixed nodes' blocks, packed."""
+    return sum(1 << (shift + SHIFT * j) for shift, _, dn, _ in fixed for j in range(dn))
 
 
 def schur_act(quiver, d, f, e, g):
@@ -258,12 +282,12 @@ def schur_act(quiver, d, f, e, g):
     coeff}: f over the nodes, g and the result over the blocks of
     CohmElement): the cached `_action_integrand` (built without f and g),
     pushed by `_push` from the lead monomials of f and g."""
-    kernel, deferred, fslots, gslots, fixed, cuts = _act_integrand(quiver, d, e)
+    kernel, deferred, fslots, gslots, fixed, cuts, parity = _act_integrand(quiver, d, e)
     leads, top = lead_terms(f, fslots, g, gslots)
-    return _push(leads, top, kernel, deferred, fixed, cuts)
+    return _push(leads, top, kernel, deferred, fixed, cuts, parity)
 
 
-def _push(leads, top, kernel, deferred, fixed, cuts):
+def _push(leads, top, kernel, deferred, fixed, cuts, parity):
     """The push of an `_action_integrand` (kernel, deferred, fixed, cuts)
     after the lead terms `leads` of largest exponent top, in Schur
     coordinates.  As in `coha.schur_mul`, one pass goes from the products
@@ -280,6 +304,16 @@ def _push(leads, top, kernel, deferred, fixed, cuts):
       the g lead being 2(mu + delta); the deferred prod(u - v) multiplies
       in and the squared shuffle push is the straightening over D + m.
 
+    With fixed nodes, only the lead and integrand term pairs whose y
+    exponents are all odd are enumerated: parity is (ymask, groups), the
+    `_y_mask` of the fixed nodes and the integrand terms grouped by their
+    bits under it, and a lead k pairs only with the group (k & ymask) ^
+    ymask.  This drops exactly the pairs the B_D push would send to 0:
+    `poly.mul_bound` has checked that every exponent of a product fits its
+    packed field, so no field carries into the next and the low bit of a
+    y exponent of k1 + k2 is the XOR of those of k1 and k2.  The pairs kept
+    are met in the order of the full pair loop.
+
     The signs of the pushes sit in the integrand.  The pushed terms times
     the deferred terms times sum(D + m) are charged against MAX_PUSH_WORK
     before the deferred product is straightened.  `poly.mul_bound` refuses
@@ -289,9 +323,10 @@ def _push(leads, top, kernel, deferred, fixed, cuts):
     if not fixed:
         return straighten_blocks(leads, kernel.terms, cuts)
     # each fixed node's B_D push (linear) writes u = y^2, v = z^2 in its block
+    ymask, groups = parity
     pushed = {}
     for k1, c1 in leads.items():
-        for k2, c2 in kernel.terms.items():
+        for k2, c2 in groups.get((k1 & ymask) ^ ymask, ()):
             key, c = k1 + k2, c1 * c2
             for shift, mask, dn, m in fixed:
                 block = (key >> shift) & mask

@@ -36,7 +36,7 @@ from .errors import GradingError, HallforgeError, QuiverSpecError
 from .linalg import rank_of_rows
 from .quiver import MAX_ROOT_PAIRS, QuiverWithDuality
 from .series import MODULE, QSeries, qpochhammer_inf
-from .symfun import partitions, schur  # noqa: F401  (perfbench binds finite_type.schur)
+from .symfun import _partitions, schur  # noqa: F401  (perfbench binds finite_type.schur)
 
 
 def _node(i):
@@ -378,7 +378,7 @@ def _slice_report(cls, quiver, buckets, zeros, reached, window, dims):
 def _partitions_upto(budget, max_parts):
     out = []
     for sz in range(budget + 1):
-        out.extend(partitions(sz, max_parts))
+        out.extend(_partitions(sz, max_parts, 1))
     return out
 
 

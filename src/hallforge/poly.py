@@ -39,15 +39,6 @@ def _num(c):
     return c
 
 
-def pack_exponents(exps):
-    key = 0
-    for i, e in enumerate(exps):
-        if e < 0 or e > MAXDEG:
-            raise ExponentOverflowError("exponent %d out of packed range" % e)
-        key |= e << (SHIFT * i)
-    return key
-
-
 def unpack_exponents(key, n):
     return tuple((key >> (SHIFT * i)) & MASK for i in range(n))
 
@@ -151,15 +142,6 @@ class Poly:
         if exp > MAXDEG:
             raise ExponentOverflowError("exponent %d out of packed range" % exp)
         return cls(n, {exp << (SHIFT * i): 1}, exp)
-
-    @classmethod
-    def from_exponents(cls, n, tuple_terms):
-        terms = {}
-        for exps, c in tuple_terms.items():
-            c = _num(c)
-            if c:
-                terms[pack_exponents(exps)] = c
-        return cls(n, terms)
 
     # -- predicates ---------------------------------------------------------
 

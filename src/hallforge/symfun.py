@@ -202,28 +202,44 @@ def weight_labels(block_spec, degree):
     block_spec: list of (label, kind, nvars) with kind in {"GL", "BCD"}.
     A GL block with partition lam contributes s_lam, of degree |lam|; a BCD
     block contributes s_lam(z^2), of degree 2|lam|.
+
+    Only the labels of this degree are enumerated: the last block takes
+    the degree the others leave, a block's tails (its partition followed
+    by a tail of the later blocks, at the degree left) are listed once per
+    (block, degree left) and shared by every choice of the earlier blocks,
+    and a block's degree with no partition (more parts than variables) is
+    skipped before its tails are listed.  So every tail built ends up in a
+    label, and the cost is about the number of labels times the number of
+    blocks.
     """
     if degree < 0:
         return []
-    choices = []
-    for (_, kind, nv) in block_spec:
-        step = 1 if kind == "GL" else 2
-        choices.append([(deg, partitions(deg // step, nv)) for deg in range(0, degree + 1, step)])
-    labels = []
+    blocks = [(1 if kind == "GL" else 2, nv) for _, kind, nv in block_spec]
+    if not blocks:
+        return [()] if degree == 0 else []
+    last = len(blocks) - 1
+    memo = {}
 
-    def rec(i, rem, picked):
-        if i == len(block_spec):
-            if rem == 0:
-                labels.append(tuple(picked))
-            return
-        for deg, parts in choices[i]:
-            if deg > rem:
-                break
-            for lam in parts:
-                rec(i + 1, rem - deg, picked + [lam])
+    def tails(i, rem):
+        key = (i, rem)
+        out = memo.get(key)
+        if out is None:
+            step, nv = blocks[i]
+            if i == last:
+                out = [(lam,) for lam in _partitions(rem // step, nv, 1)] if rem % step == 0 else []
+            else:
+                out = []
+                for deg in range(0, rem + 1, step):
+                    parts = _partitions(deg // step, nv, 1)
+                    if parts:
+                        rest = tails(i + 1, rem - deg)
+                        for lam in parts:
+                            head = (lam,)
+                            out += [head + t for t in rest]
+            memo[key] = out
+        return out
 
-    rec(0, degree, [])
-    return labels
+    return tails(0, degree)
 
 
 def weight_basis_size(block_spec, degree):
@@ -235,7 +251,7 @@ def weight_basis_size(block_spec, degree):
         step = 1 if kind == "GL" else 2
         per = [0] * (degree + 1)
         for deg in range(0, degree + 1, step):
-            per[deg] = len(partitions(deg // step, nv))
+            per[deg] = len(_partitions(deg // step, nv, 1))
         new = [0] * (degree + 1)
         for a in range(degree + 1):
             if counts[a]:

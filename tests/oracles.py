@@ -13,7 +13,7 @@ from hallforge.cohm import CohmElement, _act_integrand, _fixed_node_type, _type_
 from hallforge.errors import ExponentOverflowError, GradingError, HallforgeError, InexactDivisionError, NonIntegralError
 from hallforge.finite_type import _bucket, _letter_partitions, _slice_report, hom_ext
 from hallforge.linalg import Echelon
-from hallforge.poly import MASK, MAXDEG, SHIFT, Poly
+from hallforge.poly import MASK, MAXDEG, SHIFT, Poly, _num, check_push_work, mul_bound
 from hallforge.quiver import QuiverWithDuality
 from hallforge.series import (
     MODULE,
@@ -28,7 +28,7 @@ from hallforge.series import (
     qpochhammer_inf,
     sign_pow,
 )
-from hallforge.symfun import _lead_key, _straightener
+from hallforge.symfun import _lead_key, _straightener, partitions, straighten_blocks
 
 
 def q3(loops):
@@ -129,6 +129,50 @@ def _distinct_permutations(items):
     return out
 
 
+def from_exponents(n, tuple_terms):
+    """The Poly in n variables of {exponent tuple: coeff}, zero
+    coefficients dropped; an exponent outside 0..MAXDEG raises
+    ExponentOverflowError."""
+    terms = {}
+    for exps, c in tuple_terms.items():
+        c = _num(c)
+        if c:
+            key = 0
+            for i, e in enumerate(exps):
+                if e < 0 or e > MAXDEG:
+                    raise ExponentOverflowError("exponent %d out of packed range" % e)
+                key |= e << (SHIFT * i)
+            terms[key] = c
+    return Poly(n, terms)
+
+
+def recursive_weight_labels(block_spec, degree):
+    """`symfun.weight_labels` by recursion over every degree of every
+    block, each block's partition lists built for all degrees up to the
+    target and each label grown one partition at a time."""
+    if degree < 0:
+        return []
+    choices = []
+    for (_, kind, nv) in block_spec:
+        step = 1 if kind == "GL" else 2
+        choices.append([(deg, partitions(deg // step, nv)) for deg in range(0, degree + 1, step)])
+    labels = []
+
+    def rec(i, rem, picked):
+        if i == len(block_spec):
+            if rem == 0:
+                labels.append(tuple(picked))
+            return
+        for deg, parts in choices[i]:
+            if deg > rem:
+                break
+            for lam in parts:
+                rec(i + 1, rem - deg, picked + [lam])
+
+    rec(0, degree, [])
+    return labels
+
+
 def monomial_sym(lam, n, offset=0, ring_n=None):
     """Monomial symmetric polynomial m_lam: sum of distinct permutations."""
     ring_n = n if ring_n is None else ring_n
@@ -142,7 +186,7 @@ def monomial_sym(lam, n, offset=0, ring_n=None):
         for j, e in enumerate(perm):
             key[offset + j] = e
         terms[tuple(key)] = 1
-    return Poly.from_exponents(ring_n, terms)
+    return from_exponents(ring_n, terms)
 
 
 def label_degree(cls, quiver, d, label):
@@ -698,7 +742,7 @@ def poly_schur_act(quiver, d, f, e, g):
     cached integrand, the B_D push of the summed terms, the deferred
     factors by `Poly.__mul__`, then straightened on blocks read off the
     layout of the target."""
-    kernel, deferred, fslots, gslots, fixed, _ = _act_integrand(quiver, d, e)
+    kernel, deferred, fslots, gslots, fixed, _, _ = _act_integrand(quiver, d, e)
     product = lead_product(f, fslots, g, gslots, kernel.n) * kernel
     pushed = {}
     for key, c in product.terms.items():
@@ -721,6 +765,35 @@ def poly_schur_act(quiver, d, f, e, g):
     offsets, _ = CohmElement.layout(quiver, et)
     blocks = [(offsets[n], size) for n, _, size in CohmElement.blocks(quiver, et)]
     return straighten_terms(pushed.terms, blocks)
+
+
+def pair_loop_push(leads, top, kernel, deferred, fixed, cuts):
+    """`cohm._push` over every pair of a lead and an integrand term, each
+    fixed node's B_D push dropping the pairs with an even y exponent."""
+    bound = mul_bound(kernel.n, leads, top, kernel.terms, kernel.bound)
+    if not fixed:
+        return straighten_blocks(leads, kernel.terms, cuts)
+    pushed = {}
+    for k1, c1 in leads.items():
+        for k2, c2 in kernel.terms.items():
+            key, c = k1 + k2, c1 * c2
+            for shift, mask, dn, m in fixed:
+                block = (key >> shift) & mask
+                r = _type_b_push(block, dn, m)
+                if r is None:
+                    break
+                if r[0] < 0:
+                    c = -c
+                key += (r[1] - block) << shift
+            else:
+                v = pushed.get(key, 0) + c
+                if v:
+                    pushed[key] = v
+                else:
+                    del pushed[key]
+    check_push_work(len(pushed) * len(deferred.terms), sum(dn + m for _, _, dn, m in fixed))
+    mul_bound(kernel.n, pushed, bound, deferred.terms, deferred.bound)
+    return straighten_blocks(pushed, deferred.terms, cuts)
 
 
 # -- the divided-difference operators ------------------------------------------------
@@ -800,7 +873,7 @@ def dd_schur(lam, n):
     """s_lam in n variables as partial_w0(x^(lam + delta)), the divided
     differences of a single monomial."""
     lam = tuple(lam) + (0,) * (n - len(lam))
-    return full_divided_difference(Poly.from_exponents(n, {tuple(x + n - 1 - i for i, x in enumerate(lam)): 1}), n)
+    return full_divided_difference(from_exponents(n, {tuple(x + n - 1 - i for i, x in enumerate(lam)): 1}), n)
 
 
 # -- the element products with their own layouts and signs ---------------------------
@@ -1095,7 +1168,7 @@ def tuple_to_json_dict(elem):
 
 def tuple_from_json_dict(cls, quiver, doc):
     """`GradedElement.from_json_dict` through exponent tuples, `Fraction`
-    coefficients and `Poly.from_exponents`, with the invariance check of
+    coefficients and `from_exponents`, with the invariance check of
     `tuple_is_invariant`: the oracle of the one-pass decoder.  A negative
     exponent or one over MAXDEG raises ExponentOverflowError in a nonzero
     term and passes in a zero one."""
@@ -1128,7 +1201,7 @@ def tuple_from_json_dict(cls, quiver, doc):
             raise GradingError("unknown variable %s in degree %r" % (exc, d)) from None
         except (TypeError, ValueError, ZeroDivisionError):
             raise GradingError("poly term %r needs integer exponents and a rational coefficient" % (t,)) from None
-    elem = cls(quiver, d, Poly.from_exponents(len(names), terms), check=False)
+    elem = cls(quiver, d, from_exponents(len(names), terms), check=False)
     if not tuple_is_invariant(elem):
         raise GradingError("polynomial is not Weyl invariant")
     return elem

@@ -2,7 +2,7 @@
 invariance on the term dict (`GradedElement.from_json_dict`,
 `to_json_dict`, `is_invariant`).  Its oracle is the codec it replaced,
 kept in `oracles`: exponent tuples, `Fraction` coefficients,
-`Poly.from_exponents`, `Poly.sorted_terms` and a swapped `Poly` per
+`from_exponents`, `Poly.sorted_terms` and a swapped `Poly` per
 adjacent pair (`tuple_from_json_dict`, `tuple_to_json_dict`,
 `tuple_is_invariant`)."""
 

@@ -180,7 +180,7 @@ def test_builders_with_unit_polynomials_are_the_cached_integrands(name, quiver):
             assert _integrand(quiver, d1, d2, one1, one2) == _mul_integrand(quiver, d1, d2)
         for e in module_classes(quiver, 3):
             built = _action_integrand(quiver, d1, e, CohaElement.unit(quiver, d1).poly, CohmElement.unit(quiver, e).poly)
-            assert built == _act_integrand(quiver, d1, e), (d1, e)
+            assert built == _act_integrand(quiver, d1, e)[:6], (d1, e)
 
 
 def _count_straightenings(monkeypatch):

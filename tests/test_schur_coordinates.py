@@ -7,11 +7,19 @@ expanded inputs."""
 
 import pytest
 
-from oracles import direct_cohm_action, direct_shuffle_mul, dd_schur, full_divided_difference, q3
+from oracles import (
+    direct_cohm_action,
+    direct_shuffle_mul,
+    dd_schur,
+    from_exponents,
+    full_divided_difference,
+    pair_loop_push,
+    q3,
+)
 
 from hallforge import graded, symfun
 from hallforge.coha import CohaElement, _mul_integrand, _times_power_sum, primitive_dims, s_involution, s_label, schur_mul
-from hallforge.cohm import CohmElement, _act_integrand, ori_dt_invariants, schur_act
+from hallforge.cohm import CohmElement, _act_integrand, _action_integrand, cohm_action, ori_dt_invariants, schur_act
 from hallforge.finite_type import build_typeA
 from hallforge.poly import Poly, unpack_exponents
 from hallforge.proputils import Lcg, random_dim, random_selfdual_dim
@@ -84,6 +92,57 @@ def _draw_row(rng, cls, quiver, d, maxdeg):
     return {rng.choice(labels): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
 
 
+PUSH_QUIVERS = [(name, quiver) for name, quiver in QUIVERS if name[0] == "L" or name.startswith("A3")]
+
+
+@pytest.mark.parametrize("name, quiver", PUSH_QUIVERS, ids=[n for n, _ in PUSH_QUIVERS])
+def test_parity_grouped_push_against_the_pair_loop(name, quiver):
+    """`_push` pairs a lead only with the integrand terms whose y parities
+    make every y exponent of a fixed node odd.  On seeded rows (L0-L3 with
+    s, tau = +-1, and A3, whose middle node is fixed) the push of the
+    cached integrand (`schur_act`) equals the loop over every pair, entry
+    for entry and in order, and so does the element path (`cohm_action`,
+    one lead, its terms filtered by parity inline) on the expanded rows."""
+    rng = Lcg(20261020 + len(name))
+    checked = 0
+    for _ in range(40):
+        d, e = random_dim(rng, quiver, 2, exact=True), random_selfdual_dim(rng, quiver, 3)
+        f, g = _draw_row(rng, CohaElement, quiver, d, 3), _draw_row(rng, CohmElement, quiver, e, 3)
+        if not f or not g:
+            continue
+        kernel, deferred, fslots, gslots, fixed, cuts, _ = _act_integrand(quiver, d, e)
+        leads, top = lead_terms(f, fslots, g, gslots)
+        want = pair_loop_push(leads, top, kernel, deferred, fixed, cuts)
+        assert list(schur_act(quiver, d, f, e, g).items()) == list(want.items()), (d, f, e, g)
+        fe, ge = CohaElement.from_labels(quiver, d, f), CohmElement.from_labels(quiver, e, g)
+        total, deferred, fslots, gslots, fixed, cuts = _action_integrand(quiver, d, e, fe.poly, ge.poly)
+        leads, top = lead_terms({((),) * len(fslots): 1}, fslots, {((),) * len(gslots): 1}, gslots)
+        row = pair_loop_push(leads, top, total, deferred, fixed, cuts)
+        got = cohm_action(fe, ge)
+        assert got == CohmElement.from_labels(quiver, got.e, row), (d, f, e, g)
+        checked += bool(fixed)
+    assert checked > 10
+
+
+def test_fixed_node_pushes_meet_only_odd_y_exponents(monkeypatch):
+    """Every B_D push that `ori_dt_invariants(L2, 8, 22)` makes gets a block
+    whose y exponents are all odd: the parity groups of `_push` leave out
+    every pair the push would drop for an even one.  A block whose halved
+    y exponents repeat still reaches the push, which drops it."""
+    from hallforge import cohm
+
+    monkeypatch.delenv("HALLFORGE_THREADS", raising=False)  # one process sees every call
+    real, ys = cohm._type_b_push, []
+
+    def counted(block, dn, m):
+        ys.append(unpack_exponents(block, dn))
+        return real(block, dn, m)
+
+    monkeypatch.setattr(cohm, "_type_b_push", counted)
+    ori_dt_invariants(loop_quiver(2), 8, 22)
+    assert ys and all(y % 2 for block in ys for y in block)
+
+
 def test_lead_terms_bound_is_the_largest_exponent():
     """`lead_terms` reads its bound `top` off the lead keys instead of
     unpacking its terms; on seeded rows it is the largest exponent of the
@@ -100,7 +159,7 @@ def test_lead_terms_bound_is_the_largest_exponent():
                 _, fslots, gslots, _ = _mul_integrand(quiver, d1, d2)
                 layouts.append((f, fslots, g, gslots, CohaElement.layout(quiver, tuple(map(sum, zip(d1, d2))))[1]))
             if g and h:
-                _, _, fslots, gslots, _, _ = _act_integrand(quiver, d2, e)
+                _, _, fslots, gslots, _, _, _ = _act_integrand(quiver, d2, e)
                 et = tuple(a + b for a, b in zip(quiver.hyperbolic(d2), e))
                 layouts.append((g, fslots, h, gslots, CohmElement.layout(quiver, et)[1]))
             for f_row, fslots, g_row, gslots, nvars in layouts:
@@ -160,7 +219,7 @@ def test_straighten_is_the_full_divided_difference():
     """partial_w0(x^alpha) by divided differences against `straighten`."""
     for alpha in [(0,), (2, 0), (0, 2), (1, 1), (3, 0, 1), (0, 4, 2), (2, 2, 0), (1, 5, 0, 3), (4, 0, 6, 1)]:
         n = len(alpha)
-        out = full_divided_difference(Poly.from_exponents(n, {alpha: 1}), n)
+        out = full_divided_difference(from_exponents(n, {alpha: 1}), n)
         r = straighten(alpha)
         assert out == (Poly.zero(n) if r is None else dd_schur(r[1], n).scale(r[0])), alpha
 

@@ -11,7 +11,16 @@ from hallforge.symfun import (
     weight_basis_size,
     weight_labels,
 )
-from oracles import dd_schur, divided_difference, double_exponents, flip, monomial_sym, swap_variables
+from oracles import (
+    dd_schur,
+    divided_difference,
+    double_exponents,
+    flip,
+    from_exponents,
+    monomial_sym,
+    recursive_weight_labels,
+    swap_variables,
+)
 
 
 def bialternant(lam, n):
@@ -45,9 +54,9 @@ def bialternant(lam, n):
 
 
 def test_schur_small_examples():
-    assert schur((1,), 2) == Poly.from_exponents(2, {(1, 0): 1, (0, 1): 1})
-    assert schur((1, 1), 2) == Poly.from_exponents(2, {(1, 1): 1})
-    assert schur((2, 1), 2) == Poly.from_exponents(2, {(2, 1): 1, (1, 2): 1})
+    assert schur((1,), 2) == from_exponents(2, {(1, 0): 1, (0, 1): 1})
+    assert schur((1, 1), 2) == from_exponents(2, {(1, 1): 1})
+    assert schur((2, 1), 2) == from_exponents(2, {(2, 1): 1, (1, 2): 1})
     with pytest.raises(HallforgeError):
         schur((1, 1, 1), 2)
 
@@ -102,7 +111,7 @@ def test_expand_labels_against_bialternants():
     # x1 x2 cancel, next to every z monomial of the BCD block
     spec = [("a", "GL", 2), ("b", "BCD", 1)]
     row = {((2,), (1,)): 1, ((1, 1), (1,)): -1}
-    assert Poly(3, *expand_labels(spec, row)) == Poly.from_exponents(3, {(2, 0, 2): 1, (0, 2, 2): 1})
+    assert Poly(3, *expand_labels(spec, row)) == from_exponents(3, {(2, 0, 2): 1, (0, 2, 2): 1})
     assert expand_labels(spec, {((2,), (1,)): 0}) == ({}, 0)
     with pytest.raises(HallforgeError):
         expand_labels(spec, {((1, 1, 1), ()): 1})
@@ -132,9 +141,9 @@ def test_clear_caches_empties_the_expansion_memos():
 
 
 def test_monomial_sym():
-    assert monomial_sym((2,), 2) == Poly.from_exponents(2, {(2, 0): 1, (0, 2): 1})
-    assert monomial_sym((1, 1), 2) == Poly.from_exponents(2, {(1, 1): 1})
-    assert monomial_sym((2, 1), 2) == Poly.from_exponents(2, {(2, 1): 1, (1, 2): 1})
+    assert monomial_sym((2,), 2) == from_exponents(2, {(2, 0): 1, (0, 2): 1})
+    assert monomial_sym((1, 1), 2) == from_exponents(2, {(1, 1): 1})
+    assert monomial_sym((2, 1), 2) == from_exponents(2, {(2, 1): 1, (1, 2): 1})
 
 
 def weight_basis(blocks, deg):
@@ -174,11 +183,34 @@ def test_weight_basis_sizes_and_independence():
             assert rank_of_rows([dict(p.terms) for p in basis]) == len(basis)
 
 
+def test_weight_labels_against_the_recursive_listing():
+    """`weight_labels` lists the labels of one degree only, building each
+    from shared suffixes; on seeded block specs (0-4 GL or BCD blocks of
+    0-5 variables, the empty spec included) and degrees -1..14 it returns
+    the list of the recursion over every degree of every block, in the
+    same order, and `weight_basis_size` counts it."""
+    from hallforge.proputils import Lcg
+
+    rng = Lcg(20261020)
+    specs = [[]] + [
+        [(str(i), rng.choice(("GL", "BCD")), rng.randint(0, 5)) for i in range(rng.randint(0, 4))] for _ in range(40)
+    ]
+    assert any(len(spec) == 4 for spec in specs) and any(nv == 0 for spec in specs for _, _, nv in spec)
+    listed = 0
+    for spec in specs:
+        for deg in range(-1, 15):
+            labels = weight_labels(spec, deg)
+            assert labels == recursive_weight_labels(spec, deg), (spec, deg)
+            assert weight_basis_size(spec, deg) == len(labels), (spec, deg)
+            listed += len(labels)
+    assert weight_labels([], 0) == [()] and weight_labels([], 3) == [] and listed > 10000
+
+
 def test_reduce():
-    num = Poly.from_exponents(2, {(0, 2): 1, (2, 0): -1})  # x2^2 - x1^2
+    num = from_exponents(2, {(0, 2): 1, (2, 0): -1})  # x2^2 - x1^2
     # dividing by x1 - x2 gives -(x1 + x2)
-    assert num.divexact_linear(1, 0, -1, 1) == Poly.from_exponents(2, {(1, 0): -1, (0, 1): -1})
-    one = Poly.from_exponents(2, {(1, 0): 1, (0, 1): -1})
+    assert num.divexact_linear(1, 0, -1, 1) == from_exponents(2, {(1, 0): -1, (0, 1): -1})
+    one = from_exponents(2, {(1, 0): 1, (0, 1): -1})
     assert one.divexact_linear(1, 0, -1, 1) == Poly.const(2, 1)
     with pytest.raises(InexactDivisionError):
         Poly.variable(2, 0).divexact_linear(1, 0, -1, 1)
@@ -193,7 +225,7 @@ def test_reduce_roundtrip():
         p = Poly.zero(3)
         for _ in range(4):
             exps = tuple(rng.randint(0, 3) for _ in range(3))
-            p = p + Poly.from_exponents(3, {exps: rng.randint(-4, 4)})
+            p = p + from_exponents(3, {exps: rng.randint(-4, 4)})
         q = p.mul_linear(1, 1)
         for f in factors:
             q = q.mul_linear(*f)
@@ -226,11 +258,11 @@ def test_packed_exponent_guard_uses_true_maxima():
     f = CohaElement(l1, (1,), Poly.variable(1, 0, 600))
     out = shuffle_mul(f, f)
     assert out.poly.bound <= 601
-    assert out.poly == Poly.from_exponents(2, {(600, 600): 2})
+    assert out.poly == from_exponents(2, {(600, 600): 2})
     lin = Poly.variable(2, 0, 1000)
     for _ in range(30):
         lin = lin.mul_linear(1, 1)
-    assert lin == Poly.from_exponents(2, {(1000, 30): 1})
+    assert lin == from_exponents(2, {(1000, 30): 1})
     with pytest.raises(OverflowError):
         for _ in range(30):
             lin = lin.mul_linear(1, 0, 1, 1)
@@ -241,7 +273,7 @@ def test_substitute():
     assert p.map_variables(1, [(-1, 0)]) == Poly.variable(1, 0, 2)
     q = Poly.variable(1, 0) + Poly.const(1, 1)
     assert q.map_variables(1, [None]) == Poly.const(1, 1)
-    r = Poly.from_exponents(2, {(1, 0): 1, (0, 1): 1})
+    r = from_exponents(2, {(1, 0): 1, (0, 1): 1})
     assert r.map_variables(1, [(1, 0), (-1, 0)]).is_zero()
 
 
@@ -249,7 +281,7 @@ def random_poly(rng, n, terms=5, maxexp=5):
     p = Poly.zero(n)
     for _ in range(terms):
         exps = tuple(rng.randint(0, maxexp) for _ in range(n))
-        p = p + Poly.from_exponents(n, {exps: rng.randint(-4, 4)})
+        p = p + from_exponents(n, {exps: rng.randint(-4, 4)})
     return p
 
 
@@ -311,6 +343,6 @@ def test_square_difference_against_two_linear_passes():
         one = p.mul_square_difference(a, b)
         assert one == two and one.bound == two.bound
     big = Poly.variable(2, 0, 1021)
-    assert big.mul_square_difference(0, 1) == Poly.from_exponents(2, {(1023, 0): 1, (1021, 2): -1})
+    assert big.mul_square_difference(0, 1) == from_exponents(2, {(1023, 0): 1, (1021, 2): -1})
     with pytest.raises(OverflowError):
         big.mul_square_difference(0, 1).mul_square_difference(0, 1)
