@@ -4,12 +4,12 @@ Elements of degree d are Weyl-invariant polynomials in the variables
 x_{i,1..d_i}; the product is the Kontsevich-Soibelman shuffle sum with kernel
 prod_{a: i->j} prod (x''_{j,b} - x'_{i,a}) / prod_i prod (x''_{i,b} - x'_{i,a}),
 the push-forward of one integrand: the arrow numerators on one slot layout
-times the sign (-1)^(sum d1 d2), built by `_integrand` (no denominator is
-ever formed).  Both products push it by straightening, shifted by lead
-monomials, into Schur coordinates ({label: coeff}, one partition per
-node): `schur_mul` multiplies rows of basis labels with the cached copy,
-`shuffle_mul` multiplies polynomial elements with a copy built with f and
-g, and expands the resulting row (`GradedElement.from_labels`).
+times the sign (-1)^(sum d1 d2), built once per quiver and class pair by
+`_mul_integrand` (no denominator is ever formed).  Both products push it
+by straightening, shifted by lead monomials, into Schur coordinates
+({label: coeff}, one partition per node): `schur_mul` of rows of basis
+labels, `shuffle_mul` of its operands' rows (`GradedElement.to_labels`),
+then expanded (`GradedElement.from_labels`).
 Cohomological weight of a homogeneous element is 2*deg + chi(d, d).
 CohaElement is the graded layer of `graded` with a GL block on every node,
 the variable prefix x and the weight form chi(d, d).
@@ -23,10 +23,10 @@ The quotients read only the span of their image products (the ideal
 echelon's rows may change, its span and so its pivot positions may not),
 so the image steps skip the products that three facts make redundant:
 the CoHA of a symmetric quiver is supercommutative up to a sign of the
-classes (`_coha_plan` keeps the pairs with 2|a| <= |d|), S_H is an
-anti-involution (`_ideal_echelon` moves the ideal of sigma(d) onto that
-of d for sigma(d) < d), and the module relation S_H(f) g = +-f g
-(`cohm._cohm_plan` keeps the pairs with sigma(a) <= a).
+classes (`_coha_plan` keeps the pairs with 2|a| < |d|, or 2|a| = |d| and
+a <= d - a), S_H is an anti-involution (`_ideal_echelon` moves the ideal
+of sigma(d) onto that of d for sigma(d) < d), and the module relation
+S_H(f) g = +-f g (`cohm._cohm_plan` keeps the pairs with sigma(a) <= a).
 """
 
 from __future__ import annotations
@@ -70,28 +70,20 @@ class CohaElement(GradedElement):
 # -- the shuffle product ------------------------------------------------------
 
 
-def _integrand(quiver, d1, d2, fpoly=None, gpoly=None):
+@memoized("coha_integrand")
+def _mul_integrand(quiver, d1, d2):
     """The integrand of the product H_d1 x H_d2 -> H_(d1+d2) and the
-    pieces its pushes read: (sign * F * G * K, the lead slots of the x' and
-    the x'' labels, as `symfun.lead_terms` reads them, the `block_cuts` of
-    the target).  x'_{n,a} sits at slot offsets[n] + a and x''_{n,b} after
-    the d1_n slots of x'; F is f on the x' slots and G is g on the x''
-    slots (both 1 when not given), K = prod_{a: t->h} prod (x''_{h,b} -
-    x'_{t,a'}) the arrow numerators and sign = (-1)^(sum_n d1_n d2_n).
-    `shuffle_mul` builds it with f and g; `_mul_integrand` caches it
-    without them for `schur_mul`.  Either is pushed from lead terms (see
-    `schur_mul`)."""
+    pieces its pushes read: (sign * K, the lead slots of the x' and the x''
+    labels, as `symfun.lead_terms` reads them, the `block_cuts` of the
+    target), cached per quiver.  x'_{n,a} sits at slot offsets[n] + a and
+    x''_{n,b} after the d1_n slots of x'; K = prod_{a: t->h} prod
+    (x''_{h,b} - x'_{t,a'}) the arrow numerators and sign = (-1)^(sum_n
+    d1_n d2_n).  Both products push it from lead terms (see `schur_mul`)."""
     idx = quiver.node_index
     d = tuple(a + b for a, b in zip(d1, d2))
     offsets, nvars = CohaElement.layout(quiver, d)
     mid = {n: offsets[n] + d1[idx[n]] for n in quiver.nodes}
-    sign = sign_pow(sum(a * b for a, b in zip(d1, d2)))
-    if fpoly is None:
-        total = Poly.const(nvars, sign)
-    else:
-        fmap = [(1, offsets[n] + a) for n in quiver.nodes for a in range(d1[idx[n]])]
-        gmap = [(1, mid[n] + b) for n in quiver.nodes for b in range(d2[idx[n]])]
-        total = fpoly.map_variables(nvars, fmap).scale(sign) * gpoly.map_variables(nvars, gmap)
+    total = Poly.const(nvars, sign_pow(sum(a * b for a, b in zip(d1, d2))))
     for _, t, h in quiver.arrows:
         for b in range(d2[idx[h]]):
             for a in range(d1[idx[t]]):
@@ -102,26 +94,28 @@ def _integrand(quiver, d1, d2, fpoly=None, gpoly=None):
     return total, fslots, gslots, cuts
 
 
-_mul_integrand = memoized("coha_integrand")(_integrand)
-
-
 def shuffle_mul(f, g):
-    """Kontsevich-Soibelman shuffle product of CoHA elements: the signed
-    integrand sign * F * G * K of `_integrand`, built for this call and not
-    cached, straightened after the leads x'^delta x''^delta of the unit
-    labels as `schur_mul` straightens, and the row expanded.  Its terms
-    times the push's length, sum_n d1_n d2_n, are charged against
-    MAX_PUSH_WORK first.  This is the shuffle sum only for Weyl invariant f
-    and g, which CohaElement(check=True) and from_json_dict enforce."""
+    """Kontsevich-Soibelman shuffle product of CoHA elements: `schur_mul`
+    of their Schur coordinates (`GradedElement.to_labels`), and the row
+    expanded (`GradedElement.from_labels`).  More than one lead is first
+    multiplied into the integrand by one `Poly.__mul__` (MAX_POLY_PAIRS
+    bounds its pairs), so equal monomials merge before the push from the
+    unit lead.  The terms to be straightened times the push's length,
+    sum_n d1_n d2_n, are charged against MAX_PUSH_WORK first.  This is the
+    shuffle sum only for Weyl invariant f and g, which
+    CohaElement(check=True) and from_json_dict enforce."""
     if f.quiver != g.quiver:
         raise HallforgeError("elements over different quivers")
     quiver = f.quiver
     d = tuple(a + b for a, b in zip(f.d, g.d))
     if f.is_zero() or g.is_zero():
         return CohaElement(quiver, d, Poly.zero(CohaElement.layout(quiver, d)[1]), check=False)
-    total, fslots, gslots, cuts = _integrand(quiver, f.d, g.d, f.poly, g.poly)
+    total, fslots, gslots, cuts = _mul_integrand(quiver, f.d, g.d)
+    leads, top = lead_terms(f.to_labels(), fslots, g.to_labels(), gslots)
+    if len(leads) > 1:
+        total = Poly(total.n, leads, top) * total
+        leads, top = {0: 1}, 0
     check_push_work(len(total.terms), sum(a * b for a, b in zip(f.d, g.d)))
-    leads, top = lead_terms({((),) * len(fslots): 1}, fslots, {((),) * len(gslots): 1}, gslots)
     mul_bound(total.n, leads, top, total.terms, total.bound)
     return CohaElement.from_labels(quiver, d, straighten_blocks(leads, total.terms, cuts))
 
@@ -210,13 +204,17 @@ def _coha_plan(quiver, d):
     chi(rest, rest)) for the (a, rest) of quiver.decompositions(d, |d| // 2),
     in its order.  None of it depends on the weight k.
 
-    The pairs with 2|a| > |d| add nothing to the span.  The CoHA of a
-    symmetric quiver is supercommutative up to a sign that depends only on
-    the classes (Kontsevich-Soibelman 2011, 2.6; Efimov 2012), so
-    V_a H_b lies in H_b H_a = sum_c V_c H_(b-c) H_a, and every such c has
-    |c| <= |b| < |d| / 2.  The echelon files other rows than the full
+    The pairs with 2|a| > |d|, and those with 2|a| = |d| and a > d - a,
+    add nothing to the span.  The CoHA of a symmetric quiver is
+    supercommutative up to a sign that depends only on the classes
+    (Kontsevich-Soibelman 2011, 2.6; Efimov 2012), so V_a H_b, b = d - a,
+    lies in H_b H_a, and H_b = V_b + sum_c H_c H_(b-c) puts that in
+    V_b H_a + sum_c V_c H_(d-c) over nonzero c with |c| < |b| (induction
+    on |c|).  For 2|a| > |d| all of these pairs have |b|, |c| < |d| / 2;
+    for 2|a| = |d| and a > b, (b, a) is a middle pair with b < a, kept,
+    and every |c| < |d| / 2.  The echelon files other rows than the full
     plan would, but they span the same space."""
-    pairs = quiver.decompositions(d, sum(d) // 2)
+    pairs = [(a, rest) for a, rest in quiver.decompositions(d, sum(d) // 2) if 2 * sum(a) < sum(d) or a <= rest]
     return [(a, rest, quiver.euler_form(a, a), quiver.euler_form(rest, rest)) for a, rest in pairs]
 
 

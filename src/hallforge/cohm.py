@@ -8,17 +8,19 @@ sigma-shuffle sum with the localization kernel: denominators D_i from the
 isotropic flag tangent spaces (with the type B/C/D factor g_i at fixed
 nodes), numerators V_a per arrow of Q1^+ and Q1^sigma.  That sum is a
 push-forward along an isotropic flag of one integrand: the numerators at
-the identity sigma-shuffle times the scalar sign of the pushes, built by
-`_action_integrand` (no denominator is ever formed).  A push is linear over
+the identity sigma-shuffle times the scalar sign of the pushes, built once
+per quiver and class pair by `_act_integrand` (no denominator is ever
+formed).  A push is linear over
 the polynomials invariant under its Weyl group (the projection formula), so
 a fixed node's factors y^2 - z^2 against its own slots are returned apart,
 as the deferred factors, and wait until its hyperoctahedral push is done.
 At the identity shuffle x'_{i,j} -> z_{i,j}, z''_{i,j} -> z_{i,d_i+j} and
 x'_{sigma(i),j} -> -z_{i,d_i+e_i+j} on the Q0^+ blocks.  Both actions
 push it by straightening, shifted by lead monomials, into Schur
-coordinates (`_push`): `schur_act` acts on rows of basis labels with the
-cached copy, `cohm_action` on polynomial elements with a copy built with f
-and g, and expands the resulting row (`GradedElement.from_labels`).
+coordinates (`_push`): `schur_act` acts on rows of basis labels, and
+`cohm_action` reads its polynomial operands as rows
+(`GradedElement.to_labels`), merges their leads into the integrand, and
+expands the resulting row (`GradedElement.from_labels`).
 
 Weight of a homogeneous element is 2*deg + E(e); for sigma-symmetric quivers
 the action is weight additive.  CohmElement is the graded layer of `graded`
@@ -95,33 +97,33 @@ def _fixed_node_type(quiver, node, component):
     return "B" if component % 2 else "D"
 
 
-def _action_integrand(quiver, d, e, fpoly=None, gpoly=None):
+@memoized("cohm_integrand")
+def _act_integrand(quiver, d, e):
     """The integrand of the action H_d x M_e -> M_(H(d)+e) at the identity
-    sigma-shuffle and the pieces its pushes read: (sign * F * G * K, the
-    deferred factors prod (u - v), the lead slots of the f labels (every
-    node) and of the g labels (the blocks of M_e), as `symfun.lead_terms`
-    reads them, the (bit shift, bit mask, D, m) of every fixed node's
-    block, and the `symfun.block_cuts` of the blocks of the target).
+    sigma-shuffle and the pieces its pushes read, cached per quiver: (sign
+    * K, the deferred factors prod (u - v), the lead slots of the f labels
+    (every node) and of the g labels (the blocks of M_e), as
+    `symfun.lead_terms` reads them, the (bit shift, bit mask, D, m) of
+    every fixed node's block, the `symfun.block_cuts` of the blocks of the
+    target, and the kernel's terms grouped by y parity (`_y_parity`)).
 
-    F is f on the x' slots and G is g on the z'' slots; without f and g
-    both are 1.  A type D node's factor prod y_l is not in F: it is the
-    shift of that node's f lead slots.  K holds the arrow numerators
-    of Q1^+ and Q1^sigma.  The sign is that of the pushes: (-1)^(d_i e_i
-    + d_i d_sigma(i) + e_i d_sigma(i)) per Q0^+ node, and per fixed node
+    A type D node's factor prod y_l is not in K: it is the shift of that
+    node's f lead slots.  K holds the arrow numerators of Q1^+ and
+    Q1^sigma.  The sign is that of the pushes: (-1)^(d_i e_i + d_i
+    d_sigma(i) + e_i d_sigma(i)) per Q0^+ node, and per fixed node
     (-1)^(D(D+1)/2), times 2^D for types B and D and (-1)^D for type D
     (prod(-y_l) = (-1)^D prod y_l).  A fixed node's factors y^2 - z^2
     against its own slots are W(B_D) invariant, so they are left out of K
     and wait for the end of its B_D / S_D push: the deferred prod (u_y -
-    v_z), u = y^2 and v = z^2 on the slots of y and z.  `cohm_action`
-    builds it with f and g, `_act_integrand` caches it without them, and
-    `_push` pushes either."""
+    v_z), u = y^2 and v = z^2 on the slots of y and z.  Both actions push
+    it by `_push`."""
     idx = quiver.node_index
     et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
     off, nvars = CohmElement.layout(quiver, et)
     fixed = set(quiver.q0_sigma)
     sign, fslots, gslots, masks, blocks = 1, [], [], [], []
     # signed target slots of x'_{i,l} and z''_{i,k} at the identity shuffle
-    xp, zs, gmap = {}, {}, []
+    xp, zs = {}, {}
     for n in quiver.nodes:
         sn, dn = quiver.sigma_nodes[n], d[idx[n]]
         if n not in off:  # x'_n -> -z at the tail of the Q0^+ partner's block
@@ -153,16 +155,11 @@ def _action_integrand(quiver, d, e, fpoly=None, gpoly=None):
         for k in range(cnt):
             zs[(n, k)] = (1, o + dn + k)
             zs[(sn, k)] = (1 if sn == n else -1, o + dn + k)
-            gmap.append((1, o + dn + k))
 
     def xs(n):
         return [xp[(n, l)] for l in range(d[idx[n]])]
 
-    if fpoly is None:
-        total = Poly.const(nvars, sign)
-    else:
-        fp = fpoly.map_variables(nvars, [x for n in quiver.nodes for x in xs(n)])
-        total = fp.scale(sign) * gpoly.map_variables(nvars, gmap)
+    total = Poly.const(nvars, sign)
     deferred = Poly.const(nvars, 1)
 
     def lin(u, v):
@@ -219,19 +216,17 @@ def _action_integrand(quiver, d, e, fpoly=None, gpoly=None):
                 for x in xs(t):
                     lin(neg(u), x)
 
-    return total, deferred, tuple(fslots), tuple(gslots), masks, block_cuts(blocks)
+    return total, deferred, tuple(fslots), tuple(gslots), masks, block_cuts(blocks), _y_parity(total.terms, masks)
 
 
 def cohm_action(f, g):
-    """f * g, the sigma-shuffle action of H_d on M_e: the signed integrand
-    of `_action_integrand`, built for this call and not cached, pushed by
-    `_push` from the leads of the unit labels (x^delta, y^(delta + 1) at a
-    type D node, z^(2 delta) on a fixed node's z slots), and the row
-    expanded.  Its terms times the push's length, d_i e_i + (d_i + e_i)
-    d_sigma(i) per Q0^+ node and D(D + 1)/2 + D m per fixed node, are
-    charged against MAX_PUSH_WORK first.  This is the sigma-shuffle sum
-    only for S_d invariant f and Weyl invariant g, which the element
-    constructors (check=True) and from_json_dict enforce."""
+    """f * g, the sigma-shuffle action of H_d on M_e: `schur_act` of their
+    Schur coordinates (`GradedElement.to_labels`), its leads merged first
+    as in `coha.shuffle_mul`, and the row expanded.  The push's length is
+    d_i e_i + (d_i + e_i) d_sigma(i) per Q0^+ node and D(D + 1)/2 + D m
+    per fixed node.  This is the sigma-shuffle sum only for S_d invariant
+    f and Weyl invariant g, which the element constructors (check=True)
+    and from_json_dict enforce."""
     if f.quiver != g.quiver:
         raise HallforgeError("elements over different quivers")
     quiver = f.quiver
@@ -240,55 +235,43 @@ def cohm_action(f, g):
     if f.is_zero() or g.is_zero():
         return CohmElement(quiver, et, Poly.zero(CohmElement.layout(quiver, et)[1]), check=False)
     idx = quiver.node_index
-    total, deferred, fslots, gslots, fixed, cuts = _action_integrand(quiver, d, e, f.poly, g.poly)
+    total, deferred, fslots, gslots, fixed, cuts, parity = _act_integrand(quiver, d, e)
+    leads, top = lead_terms(f.to_labels(), fslots, g.to_labels(), gslots)
+    if len(leads) > 1:
+        total = Poly(total.n, leads, top) * total
+        leads, top, parity = {0: 1}, 0, _y_parity(total.terms, fixed)
     length = sum(d[idx[n]] * e[idx[n]] + (d[idx[n]] + e[idx[n]]) * d[idx[quiver.sigma_nodes[n]]] for n in quiver.q0_plus)
     check_push_work(len(total.terms), length + sum(D * (D + 1) // 2 + D * m for _, _, D, m in fixed))
-    leads, top = lead_terms({((),) * len(fslots): 1}, fslots, {((),) * len(gslots): 1}, gslots)
-    parity = None
-    if fixed:  # one lead: keep the terms of the one y parity it can pair with
-        ymask = _y_mask(fixed)
-        (want,) = ((k & ymask) ^ ymask for k in leads)
-        parity = ymask, {want: [(k, c) for k, c in total.terms.items() if k & ymask == want]}
     return CohmElement.from_labels(quiver, et, _push(leads, top, total, deferred, fixed, cuts, parity))
 
 
 # -- the action in Schur coordinates -------------------------------------------------
 
 
-@memoized("cohm_integrand")
-def _act_integrand(quiver, d, e):
-    """`_action_integrand` without f and g, followed by its kernel's terms
-    grouped by y parity as `_push` reads them: (the `_y_mask` of the fixed
-    nodes, {term & mask: [(term, coeff), ...] in the kernel's order}), or
-    None without a fixed node."""
-    integrand = _action_integrand(quiver, d, e)
-    kernel, fixed = integrand[0], integrand[4]
-    parity = None
-    if fixed:
-        ymask, groups = _y_mask(fixed), {}
-        for k, c in kernel.terms.items():
-            groups.setdefault(k & ymask, []).append((k, c))
-        parity = ymask, groups
-    return integrand + (parity,)
-
-
-def _y_mask(fixed):
-    """The low bit of every y slot of the fixed nodes' blocks, packed."""
-    return sum(1 << (shift + SHIFT * j) for shift, _, dn, _ in fixed for j in range(dn))
+def _y_parity(terms, fixed):
+    """The terms grouped by y parity as `_push` reads them: (ymask, the low
+    bit of every y slot of the fixed nodes' blocks, {term & ymask: [(term,
+    coeff), ...] in the order of terms}), or None without a fixed node."""
+    if not fixed:
+        return None
+    ymask, groups = sum(1 << (shift + SHIFT * j) for shift, _, dn, _ in fixed for j in range(dn)), {}
+    for k, c in terms.items():
+        groups.setdefault(k & ymask, []).append((k, c))
+    return ymask, groups
 
 
 def schur_act(quiver, d, f, e, g):
     """The action of f in H_d on g in M_e, in Schur coordinates ({label:
     coeff}: f over the nodes, g and the result over the blocks of
-    CohmElement): the cached `_action_integrand` (built without f and g),
-    pushed by `_push` from the lead monomials of f and g."""
+    CohmElement): the cached `_act_integrand`, pushed by `_push` from the
+    lead monomials of f and g."""
     kernel, deferred, fslots, gslots, fixed, cuts, parity = _act_integrand(quiver, d, e)
     leads, top = lead_terms(f, fslots, g, gslots)
     return _push(leads, top, kernel, deferred, fixed, cuts, parity)
 
 
 def _push(leads, top, kernel, deferred, fixed, cuts, parity):
-    """The push of an `_action_integrand` (kernel, deferred, fixed, cuts)
+    """The push of an `_act_integrand` (kernel, deferred, fixed, cuts)
     after the lead terms `leads` of largest exponent top, in Schur
     coordinates.  As in `coha.schur_mul`, one pass goes from the products
     of lead and integrand terms to labels, every push a straightening:
@@ -305,10 +288,9 @@ def _push(leads, top, kernel, deferred, fixed, cuts, parity):
       in and the squared shuffle push is the straightening over D + m.
 
     With fixed nodes, only the lead and integrand term pairs whose y
-    exponents are all odd are enumerated: parity is (ymask, groups), the
-    `_y_mask` of the fixed nodes and the integrand terms grouped by their
-    bits under it, and a lead k pairs only with the group (k & ymask) ^
-    ymask.  This drops exactly the pairs the B_D push would send to 0:
+    exponents are all odd are enumerated: parity is `_y_parity` of the
+    integrand's terms, and a lead k pairs only with the group (k & ymask)
+    ^ ymask.  This drops exactly the pairs the B_D push would send to 0:
     `poly.mul_bound` has checked that every exponent of a product fits its
     packed field, so no field carries into the next and the low bit of a
     y exponent of k1 + k2 is the XOR of those of k1 and k2.  The pairs kept

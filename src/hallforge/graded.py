@@ -14,7 +14,7 @@ A basis element is stored as its Schur label, one partition per block
 checks) work on dicts {label: coeff}, where a slice basis is the unit rows
 of its labels, and `PrimitiveTable` keeps its complement bases as label
 lists.  Polynomials exist only for element products and JSON;
-`from_labels` expands a row of labels on demand.
+`to_labels` and `from_labels` convert rows of labels on demand.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from fractions import Fraction
 
 from .errors import ExponentOverflowError, GradingError, HallforgeError
 from .parallel import pmap
-from .poly import MASK, MAXDEG, SHIFT, Poly
+from .poly import MASK, MAXDEG, SHIFT, Poly, mul_bound
 from .quiver import MAX_QUOTIENT_SLICES, memoized
 from .series import InvariantTable
-from .symfun import expand_labels, weight_basis_size, weight_labels
+from .symfun import block_cuts, expand_labels, straighten_blocks, weight_basis_size, weight_labels
 
 
 class GradedElement:
@@ -97,6 +97,25 @@ class GradedElement:
         {label: coeff}, expanded into its polynomial (`expand_labels`)."""
         terms, bound = expand_labels(cls.blocks(quiver, d), row)
         return cls(quiver, d, Poly(cls.layout(quiver, d)[1], terms, bound), check=False)
+
+    def to_labels(self):
+        """The Schur coordinates {label: coeff} of this element, the inverse
+        of `from_labels`: partial_w0(x^delta f) = f for f symmetric in a
+        block, so x^delta times the terms, straightened block by block, is
+        the row.  A BCD block's exponents are even, so they are halved first
+        (v = z^2): the block shifts right by one bit, no field borrowing."""
+        blocks, halve, delta, pos = [], [], 0, 0
+        for _, kind, size in self.blocks(self.quiver, self.degree):
+            blocks.append((pos, size))
+            if kind == "BCD":
+                halve.append((SHIFT * pos, (1 << (SHIFT * size)) - 1))
+            delta += sum((size - 1 - j) << (SHIFT * (pos + j)) for j in range(size - 1))
+            pos += size
+        terms = self.poly.terms
+        if halve:
+            terms = {k - sum(((k >> s) & m) >> 1 << s for s, m in halve): c for k, c in terms.items()}
+        mul_bound(pos, {delta: 1}, pos, terms, self.poly.bound)
+        return straighten_blocks({delta: 1}, terms, block_cuts(blocks))
 
     @classmethod
     def slice_dim(cls, quiver, d, k):

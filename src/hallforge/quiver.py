@@ -52,13 +52,13 @@ MAX_PRODUCT_PAIRS = 50_000_000
 # multiplied; on L2 the arrow numerators of H_(13,) x H_(1,) reach it.
 MAX_POLY_PAIRS = 2_000_000
 # Work cap: the most straightening work one push may charge.  An element
-# product (shuffle_mul, cohm_action) charges its integrand terms times the
-# length of its push; a fixed node's deferred product (cohm._push) its pushed
-# terms times its deferred terms times D + m.  A larger charge fails with a
-# HallforgeError before that straightening.  The largest charges of the
-# tests, the benchmark and CI are 495 072 and 49 980; the L2 constants of
-# H_(12,) x H_(1,) charge 6 377 292, the L3 units of H_(3,) x M_(8,) a
-# deferred 7 246 400.
+# product charges the terms it straightens (the integrand's, or the leads times
+# the integrand) times the length of its push; a fixed node's deferred product
+# (cohm._push) its pushed terms times its deferred terms times D + m.  A larger
+# charge fails with a HallforgeError before that straightening.  The largest
+# charges are 286 020 and 24 990 in the tests, 1 164 and 260 in the benchmark
+# and 270 848 in CI; the L2 constants of H_(12,) x H_(1,) charge 6 377 292, the
+# L3 units of H_(3,) x M_(8,) a deferred 7 246 400.
 MAX_PUSH_WORK = 2_000_000
 # Work cap: the most ordered pairs of distinct positive roots, R (R - 1) for
 # the R = n (n + 1) / 2 roots of A_n, whose Hom and Ext^1 the
@@ -78,7 +78,8 @@ def memoized(kind):
     shared, so callers must not mutate it.  The kinds are "slice_labels"
     (graded), "coha_integrand", "coha_plan", "coha_ideal" and
     "coha_complement" (coha), and "cohm_integrand", "cohm_plan" and
-    "wprim_slice" (cohm).  The wrapper keeps fn's module and name."""
+    "wprim_slice" (cohm); the element products fill only the integrand
+    kinds.  The wrapper keeps fn's module and name."""
 
     prefix = (kind,)  # prefix + args builds the key faster than (kind, *args)
 

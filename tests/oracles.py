@@ -28,7 +28,7 @@ from hallforge.series import (
     qpochhammer_inf,
     sign_pow,
 )
-from hallforge.symfun import _lead_key, _straightener, partitions, straighten_blocks
+from hallforge.symfun import _lead_key, _straightener, lead_terms, partitions, straighten_blocks
 
 
 def q3(loops):
@@ -794,6 +794,67 @@ def pair_loop_push(leads, top, kernel, deferred, fixed, cuts):
     check_push_work(len(pushed) * len(deferred.terms), sum(dn + m for _, _, dn, m in fixed))
     mul_bound(kernel.n, pushed, bound, deferred.terms, deferred.bound)
     return straighten_blocks(pushed, deferred.terms, cuts)
+
+
+# -- the element products through F * G * K ------------------------------------------
+
+
+def _on_slots(poly, slots, nvars):
+    """poly in nvars variables, its variables in order on the slots
+    (first, size, step, shift, sign) of a lead layout, each times sign."""
+    return poly.map_variables(nvars, [(sign, first + j) for first, size, _, _, sign in slots for j in range(size)])
+
+
+def fg_integrand(quiver, d1, d2, fpoly, gpoly):
+    """The integrand of the product H_d1 x H_d2 built with f and g:
+    (sign * F * G * K, its lead slots, its block cuts), F = f on the x'
+    slots and G = g on the x'' slots.  F * G multiplies the cached sign *
+    K: the same polynomial as the arrow numerators multiplied into sign *
+    F * G one linear factor at a time."""
+    kernel, fslots, gslots, cuts = _mul_integrand(quiver, d1, d2)
+    total = kernel * _on_slots(fpoly, fslots, kernel.n) * _on_slots(gpoly, gslots, kernel.n)
+    return total, fslots, gslots, cuts
+
+
+def fg_action_integrand(quiver, d, e, fpoly, gpoly):
+    """The integrand of the action H_d x M_e built with f and g: the first
+    six entries of `cohm._act_integrand` with sign * K replaced by sign * F
+    * G * K, F = f on the signed x' slots of the f lead slots (x'_n -> -z
+    on a Q0^- node) and G = g on the z'' slots; a type D node's prod y_l
+    stays the shift of its f lead slots.  As in `fg_integrand`, F * G
+    multiplies the cached sign * K."""
+    kernel, deferred, fslots, gslots, fixed, cuts, _ = _act_integrand(quiver, d, e)
+    total = kernel * _on_slots(fpoly, fslots, kernel.n) * _on_slots(gpoly, gslots, kernel.n)
+    return total, deferred, fslots, gslots, fixed, cuts
+
+
+def _unit_leads(fslots, gslots):
+    """The leads of the unit labels (x'^delta x''^delta, the type D shift
+    and a fixed node's z^(2 delta)) under a lead layout."""
+    return lead_terms({((),) * len(fslots): 1}, fslots, {((),) * len(gslots): 1}, gslots)
+
+
+def fgk_shuffle_mul(f, g):
+    """`coha.shuffle_mul` through F * G * K: the integrand built with f and
+    g (`fg_integrand`) straightened from the leads of the unit labels, and
+    the row expanded."""
+    quiver = f.quiver
+    d = add_classes(f.d, g.d)
+    total, fslots, gslots, cuts = fg_integrand(quiver, f.d, g.d, f.poly, g.poly)
+    leads, top = _unit_leads(fslots, gslots)
+    mul_bound(total.n, leads, top, total.terms, total.bound)
+    return CohaElement.from_labels(quiver, d, straighten_blocks(leads, total.terms, cuts))
+
+
+def fgk_cohm_action(f, g):
+    """`cohm.cohm_action` through F * G * K: the integrand built with f and
+    g (`fg_action_integrand`) pushed from the leads of the unit labels over
+    every pair (`pair_loop_push`), and the row expanded."""
+    quiver = f.quiver
+    et = add_classes(quiver.hyperbolic(f.d), g.e)
+    total, deferred, fslots, gslots, fixed, cuts = fg_action_integrand(quiver, f.d, g.e, f.poly, g.poly)
+    leads, top = _unit_leads(fslots, gslots)
+    return CohmElement.from_labels(quiver, et, pair_loop_push(leads, top, total, deferred, fixed, cuts))
 
 
 # -- the divided-difference operators ------------------------------------------------

@@ -262,7 +262,8 @@ def test_shuffle_mul_against_shuffle_sum():
             g = random_coha_element(rng, q, 3, 2)
             cached = set(q._cache)
             out = shuffle_mul(f, g)
-            assert set(q._cache) == cached  # the product caches nothing
+            # the product adds only its integrand entry
+            assert set(q._cache) - cached <= {("coha_integrand", f.d, g.d)}
             point = []
             while len(point) < sum(out.d):
                 x = rng.randint(-40, 40)

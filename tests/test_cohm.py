@@ -711,7 +711,8 @@ def test_cohm_action_against_sigma_shuffle_sum():
             done += 1
             cached = set(q._cache)
             out = cohm_action(f, g)
-            assert set(q._cache) == cached  # the action caches nothing
+            # the action adds only its integrand entry
+            assert set(q._cache) - cached <= {("cohm_integrand", f.d, g.e)}
             point = []
             while len(point) < nvars:
                 x = rng.randint(1, 40) * rng.choice((1, -1))

@@ -1,21 +1,33 @@
 """The products in Schur coordinates run in one pass from labels to labels
-(`coha.schur_mul`, `cohm.schur_act`), the element products straighten the
-same integrands, built by one builder per side, and the PBW checks share
-suffix products through a trie of letters.  Their oracles are the paths
-they replace, kept in `oracles`: the lead product times the cached
-integrand by `Poly.__mul__`, the B_D push and `straighten_terms`
+(`coha.schur_mul`, `cohm.schur_act`), the element products push the same
+cached integrands from their operands' Schur coordinates, and the PBW
+checks share suffix products through a trie of letters.  Their oracles
+are the paths they replace, kept in `oracles`: the lead product times the
+cached integrand by `Poly.__mul__`, the B_D push and `straighten_terms`
 (`poly_schur_mul`, `poly_schur_act`), the element products by divided
 differences with their own layouts, signs and deferred factors
-(`direct_shuffle_mul`, `direct_cohm_action`), and the report that memoized
-products by (seed class, suffix word) (`memo_pbw_report`)."""
+(`direct_shuffle_mul`, `direct_cohm_action`) and through the integrand
+built with f and g, pushed from the unit leads (`fgk_shuffle_mul`,
+`fgk_cohm_action`), and the report that memoized products by (seed class,
+suffix word) (`memo_pbw_report`)."""
 
 import pytest
 
-from oracles import direct_cohm_action, direct_shuffle_mul, memo_pbw_report, poly_schur_act, poly_schur_mul, q3
+from oracles import (
+    add_classes,
+    direct_cohm_action,
+    direct_shuffle_mul,
+    fgk_cohm_action,
+    fgk_shuffle_mul,
+    memo_pbw_report,
+    poly_schur_act,
+    poly_schur_mul,
+    q3,
+)
 
 from hallforge import finite_type
-from hallforge.coha import CohaElement, _integrand, _mul_integrand, schur_mul, shuffle_mul
-from hallforge.cohm import CohmElement, _act_integrand, _action_integrand, _fixed_node_type, cohm_action, schur_act
+from hallforge.coha import CohaElement, schur_mul, shuffle_mul
+from hallforge.cohm import CohmElement, _fixed_node_type, cohm_action, schur_act
 from hallforge.errors import ExponentOverflowError, HallforgeError
 from hallforge.finite_type import build_typeA, pbw_check_coha, pbw_check_cohm
 from hallforge.poly import Poly
@@ -140,18 +152,19 @@ def _fixed_types(quiver, d, e):
 
 @pytest.mark.parametrize("name, quiver", ELEMENT_QUIVERS, ids=[n for n, _ in ELEMENT_QUIVERS])
 def test_element_products_against_their_direct_bodies(name, quiver):
-    """`shuffle_mul` and `cohm_action` straighten the builders' signed
-    integrands; on seeded pairs their polynomials equal those of the
-    divided-difference products that laid out and signed their integrands
-    themselves, zero operands included."""
+    """`shuffle_mul` and `cohm_action` push the cached integrands from
+    their operands' Schur coordinates; on seeded pairs their polynomials
+    equal those of the divided-difference products that laid out and
+    signed their integrands themselves, and those of the integrands built
+    with f and g and pushed from the unit leads, zero operands included."""
     rng = Lcg(20261019 + len(name))
     types = set()
     for _ in range(100):
         f = random_coha_element(rng, quiver, 3, 2)
         g = random_coha_element(rng, quiver, 4 - sum(f.d), 2)  # a target of size <= 4
-        assert shuffle_mul(f, g) == direct_shuffle_mul(f, g), (f.d, g.d)
+        assert shuffle_mul(f, g) == direct_shuffle_mul(f, g) == fgk_shuffle_mul(f, g), (f.d, g.d)
         f, h = random_coha_element(rng, quiver, 2, 2), random_cohm_element(rng, quiver, 2, 2)
-        assert cohm_action(f, h) == direct_cohm_action(f, h), (f.d, h.e)
+        assert cohm_action(f, h) == direct_cohm_action(f, h) == fgk_cohm_action(f, h), (f.d, h.e)
         types |= _fixed_types(quiver, f.d, h.e)
     nothing = CohmElement(quiver, quiver.zero(), Poly.zero(0))
     for d in [d for d in quiver.dimension_vectors(2) if any(d)]:
@@ -168,19 +181,64 @@ def test_element_products_against_their_direct_bodies(name, quiver):
         assert types == ({"C"} if quiver.s[quiver.q0_sigma[0]] == -1 else {"B", "D"}), types
 
 
+def _full_slice(rng, cls, quiver, d, degree):
+    """The element whose Schur coordinates are every label of the slice of
+    class d and polynomial degree `degree`, with seeded nonzero
+    coefficients of either sign."""
+    k = cls.weight_form(quiver, d) + 2 * degree
+    row = {label: rng.choice((-3, -2, -1, 1, 2, 3)) for label in cls.slice_labels(quiver, d, k)}
+    return cls.from_labels(quiver, d, row)
+
+
+FULL_SLICE_CASES = [
+    # (name, quiver, (d1, degree) x (d2, degree) for shuffle_mul, (d, degree) x (e, degree) for cohm_action)
+    ("L1", loop_quiver(1), ((4,), 4), ((2,), 2), ((3,), 3), ((4,), 4)),
+    ("L2", loop_quiver(2), ((3,), 4), ((1,), 2), ((2,), 4), ((3,), 2)),
+    ("L3 s=-1", loop_quiver(3, s=-1), ((3,), 3), ((2,), 2), ((3,), 3), ((2,), 2)),
+    ("A1t", a1_tilde(), ((1, 2), 3), ((1, 0), 1), ((1, 1), 3), ((2, 2), 2)),
+    ("A3 orthogonal", build_typeA(3, ">>", "orthogonal").quiver, ((1, 1, 1), 3), ((0, 1, 0), 1), ((1, 1, 0), 2), ((1, 2, 1), 2)),
+]
+
+
+@pytest.mark.parametrize("case", FULL_SLICE_CASES, ids=[c[0] for c in FULL_SLICE_CASES])
+def test_full_slice_products_against_the_integrands_built_with_f_and_g(case):
+    """Operands whose rows are whole slices, 3 to 11 labels on one side, so
+    that the leads merge before they are straightened, give the
+    polynomials of the integrands built with f and g and pushed from the
+    unit leads."""
+    name, quiver, (d1, deg1), (d2, deg2), (d, deg), (e, dege) = case
+    rng = Lcg(20261101 + len(name))
+    f, g = _full_slice(rng, CohaElement, quiver, d1, deg1), _full_slice(rng, CohaElement, quiver, d2, deg2)
+    h, m = _full_slice(rng, CohaElement, quiver, d, deg), _full_slice(rng, CohmElement, quiver, e, dege)
+    sizes = [len(x.to_labels()) for x in (f, g, h, m)]
+    assert 3 <= max(sizes[:2]) <= 11 and 3 <= max(sizes[2:]) <= 11, sizes
+    assert shuffle_mul(f, g) == fgk_shuffle_mul(f, g)
+    assert cohm_action(h, m) == fgk_cohm_action(h, m)
+
+
 @pytest.mark.parametrize("name, quiver", ELEMENT_QUIVERS, ids=[n for n, _ in ELEMENT_QUIVERS])
-def test_builders_with_unit_polynomials_are_the_cached_integrands(name, quiver):
-    """Given unit polynomials, each builder returns the integrand it caches
-    for the labels, the type D factor prod y_l included: both paths carry
-    it as the shift of that node's f lead slots."""
+def test_element_products_are_the_label_products_of_their_coordinates(name, quiver):
+    """An element product is the label product of its operands' Schur
+    coordinates, expanded: merging the leads into the integrand before
+    the push changes no coefficient of the row.  Seeded pairs of one to
+    three labels each, so both the one-lead and the merged push run."""
+    rng = Lcg(20261102 + len(name))
     classes = [d for d in quiver.dimension_vectors(2) if any(d)]
-    for d1 in classes:
-        for d2 in classes:
-            one1, one2 = CohaElement.unit(quiver, d1).poly, CohaElement.unit(quiver, d2).poly
-            assert _integrand(quiver, d1, d2, one1, one2) == _mul_integrand(quiver, d1, d2)
-        for e in module_classes(quiver, 3):
-            built = _action_integrand(quiver, d1, e, CohaElement.unit(quiver, d1).poly, CohmElement.unit(quiver, e).poly)
-            assert built == _act_integrand(quiver, d1, e)[:6], (d1, e)
+    merged = 0
+    for _ in range(30):
+        d1, d2 = rng.choice(classes), rng.choice(classes)
+        e = rng.choice(module_classes(quiver, 3))
+        f, g, h = _random_row(rng, CohaElement, quiver, d1), _random_row(rng, CohaElement, quiver, d2), _random_row(rng, CohmElement, quiver, e)
+        if not (f and g and h):
+            continue
+        fe, ge, he = CohaElement.from_labels(quiver, d1, f), CohaElement.from_labels(quiver, d2, g), CohmElement.from_labels(quiver, e, h)
+        assert (fe.to_labels(), ge.to_labels(), he.to_labels()) == (f, g, h)
+        row = schur_mul(quiver, d1, f, d2, g)
+        assert shuffle_mul(fe, ge) == CohaElement.from_labels(quiver, add_classes(d1, d2), row), (d1, f, d2, g)
+        row = schur_act(quiver, d1, f, e, h)
+        assert cohm_action(fe, he) == CohmElement.from_labels(quiver, add_classes(quiver.hyperbolic(d1), e), row), (d1, f, e, h)
+        merged += (len(f) * len(g) > 1) + (len(f) * len(h) > 1)
+    assert merged >= 4, merged
 
 
 def _count_straightenings(monkeypatch):
@@ -221,6 +279,41 @@ def test_push_work_cap_at_each_element_product(monkeypatch):
         assert not straightened
         monkeypatch.setattr(poly, "MAX_PUSH_WORK", work)
         assert product(f, g).poly and straightened
+        straightened.clear()
+
+
+def test_merged_leads_are_one_capped_product(monkeypatch):
+    """With several leads, the leads times the integrand are one
+    `Poly.__mul__`: MAX_POLY_PAIRS bounds its lead and term pairs, and its
+    merged terms times the push's length are charged against
+    MAX_PUSH_WORK; either refuses before anything is straightened.  On L2,
+    s_(2) + s_(1,1) in H_(2,) times 1 in H_(1,) has 2 leads and 9 integrand
+    terms, 18 pairs that merge into 14 terms, at a push length of 2; on
+    L1, s_(2) + s_(1,1) acting on 1 in M_(1,) has 2 leads and 2 terms, 4
+    pairs that merge into 3 terms, at the B_2 push length of 3.  The
+    integrands are cached first, so no cap meets their build."""
+    from hallforge import poly
+
+    straightened = _count_straightenings(monkeypatch)
+    l2, l1 = loop_quiver(2), loop_quiver(1)
+    two = {((2,),): 1, ((1, 1),): 1}
+    products = (
+        (shuffle_mul, CohaElement.from_labels(l2, (2,), two), CohaElement.unit(l2, (1,)), 18, 14, 2),
+        (cohm_action, CohaElement.from_labels(l1, (2,), two), CohmElement.unit(l1, (1,)), 4, 3, 3),
+    )
+    for product, f, g, pairs, terms, length in products:
+        want = product(f, g)  # the integrand is cached before the caps move
+        straightened.clear()
+        monkeypatch.setattr(poly, "MAX_POLY_PAIRS", pairs - 1)
+        with pytest.raises(HallforgeError, match="product of %d term pairs exceeds" % pairs):
+            product(f, g)
+        monkeypatch.setattr(poly, "MAX_POLY_PAIRS", pairs)
+        monkeypatch.setattr(poly, "MAX_PUSH_WORK", terms * length - 1)
+        with pytest.raises(HallforgeError, match="straightening %d terms at a work of %d each" % (terms, length)):
+            product(f, g)
+        assert not straightened
+        monkeypatch.setattr(poly, "MAX_PUSH_WORK", terms * length)
+        assert product(f, g) == want and want.poly and straightened[0] == 1
         straightened.clear()
 
 

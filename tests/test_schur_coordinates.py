@@ -8,9 +8,10 @@ expanded inputs."""
 import pytest
 
 from oracles import (
+    dd_schur,
     direct_cohm_action,
     direct_shuffle_mul,
-    dd_schur,
+    fg_action_integrand,
     from_exponents,
     full_divided_difference,
     pair_loop_push,
@@ -19,7 +20,8 @@ from oracles import (
 
 from hallforge import graded, symfun
 from hallforge.coha import CohaElement, _mul_integrand, _times_power_sum, primitive_dims, s_involution, s_label, schur_mul
-from hallforge.cohm import CohmElement, _act_integrand, _action_integrand, cohm_action, ori_dt_invariants, schur_act
+from hallforge.cohm import CohmElement, _act_integrand, cohm_action, ori_dt_invariants, schur_act
+from hallforge.errors import ExponentOverflowError
 from hallforge.finite_type import build_typeA
 from hallforge.poly import Poly, unpack_exponents
 from hallforge.proputils import Lcg, random_dim, random_selfdual_dim
@@ -92,6 +94,73 @@ def _draw_row(rng, cls, quiver, d, maxdeg):
     return {rng.choice(labels): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
 
 
+A3_ORTH, A3_SYMP = build_typeA(3, ">>", "orthogonal").quiver, build_typeA(3, ">>", "symplectic").quiver
+ROUND_TRIP_CASES = [
+    # (name, element class, quiver, degree): every block kind
+    ("GL", CohaElement, loop_quiver(2), (3,)),
+    ("GL and a size-0 GL block", CohaElement, a1_tilde(), (0, 3)),
+    ("three GL blocks", CohaElement, A3_ORTH, (1, 2, 1)),
+    ("BCD type D", CohmElement, loop_quiver(1), (6,)),
+    ("BCD type B", CohmElement, loop_quiver(1), (7,)),
+    ("BCD type C", CohmElement, loop_quiver(1, s=-1), (6,)),
+    ("size-0 BCD block", CohmElement, A3_ORTH, (2, 1, 2)),
+    ("Q0^- partner block", CohmElement, a1_tilde(), (3, 3)),
+    ("partner and BCD blocks", CohmElement, A3_ORTH, (1, 3, 1)),
+    ("partner and type C blocks", CohmElement, A3_SYMP, (2, 2, 2)),
+    ("no variables", CohmElement, a1_tilde(), (0, 0)),
+]
+
+
+def _power_sum_element(cls, quiver, d):
+    """The element prod over the blocks of (1 + 2 p_1 - p_2^2), p_k the
+    power sum of the block's variables v (v = z^2 on a BCD block), built by
+    polynomial arithmetic and not from labels."""
+    n = cls.layout(quiver, d)[1]
+    total, pos = Poly.const(n, 1), 0
+    for _, kind, size in cls.blocks(quiver, d):
+        step = 2 if kind == "BCD" else 1
+        p1, p2 = (sum((Poly.variable(n, pos + j, step * k) for j in range(size)), Poly.zero(n)) for k in (1, 2))
+        total = total * (Poly.const(n, 1) + p1.scale(2) - p2 * p2)
+        pos += size
+    return cls(quiver, d, total)
+
+
+@pytest.mark.parametrize("name, cls, quiver, d", ROUND_TRIP_CASES, ids=[c[0] for c in ROUND_TRIP_CASES])
+def test_to_labels_inverts_from_labels(name, cls, quiver, d):
+    """`to_labels` reads back every row that `from_labels` expands, over
+    the five lowest slices of the class (whole slices with seeded
+    coefficients, and single labels), `from_labels` rebuilds an element
+    made by polynomial arithmetic from its row, and the zero element is
+    the empty row."""
+    rng = Lcg(20261103 + len(name))
+    form = cls.weight_form(quiver, d)
+    rows = 0
+    for r in range(5):
+        labels = cls.slice_labels(quiver, d, form + 2 * r)
+        whole = {label: rng.choice((-3, -2, -1, 1, 2, 3)) for label in labels}
+        for row in [whole] + [{label: 1} for label in labels]:
+            if row:
+                assert cls.from_labels(quiver, d, row).to_labels() == row, (d, row)
+                rows += 1
+    assert rows >= (5 if cls.layout(quiver, d)[1] else 1)
+    x = _power_sum_element(cls, quiver, d)
+    assert cls.from_labels(quiver, d, x.to_labels()) == x
+    zero = cls(quiver, d, Poly.zero(cls.layout(quiver, d)[1]))
+    assert zero.to_labels() == {} and cls.from_labels(quiver, d, {}) == zero
+
+
+def test_to_labels_refuses_a_lifted_exponent_out_of_range():
+    """x^delta lifts the exponents of a block of n variables by up to n - 1,
+    so s_(1023) in two variables, whose x_1^1023 becomes x_1^1024, cannot
+    be read: ExponentOverflowError, as the old F * G * K route refused it
+    in the product's exponent bound.  A BCD block halves first, so s_(511)
+    in z^2 (exponent 1022) reads back."""
+    l1 = loop_quiver(1)
+    with pytest.raises(ExponentOverflowError):
+        CohaElement.from_labels(l1, (2,), {((1023,),): 1}).to_labels()
+    assert CohmElement.from_labels(l1, (4,), {((511,),): 1}).to_labels() == {((511,),): 1}
+
+
 PUSH_QUIVERS = [(name, quiver) for name, quiver in QUIVERS if name[0] == "L" or name.startswith("A3")]
 
 
@@ -101,8 +170,11 @@ def test_parity_grouped_push_against_the_pair_loop(name, quiver):
     make every y exponent of a fixed node odd.  On seeded rows (L0-L3 with
     s, tau = +-1, and A3, whose middle node is fixed) the push of the
     cached integrand (`schur_act`) equals the loop over every pair, entry
-    for entry and in order, and so does the element path (`cohm_action`,
-    one lead, its terms filtered by parity inline) on the expanded rows."""
+    for entry and in order.  The element path (`cohm_action`, which merges
+    several leads into the integrand and pushes the merged terms, grouped
+    by parity, from the unit lead) equals the pair loop over the integrand
+    built with f and g (`oracles.fg_action_integrand`) on the expanded
+    rows."""
     rng = Lcg(20261020 + len(name))
     checked = 0
     for _ in range(40):
@@ -115,7 +187,7 @@ def test_parity_grouped_push_against_the_pair_loop(name, quiver):
         want = pair_loop_push(leads, top, kernel, deferred, fixed, cuts)
         assert list(schur_act(quiver, d, f, e, g).items()) == list(want.items()), (d, f, e, g)
         fe, ge = CohaElement.from_labels(quiver, d, f), CohmElement.from_labels(quiver, e, g)
-        total, deferred, fslots, gslots, fixed, cuts = _action_integrand(quiver, d, e, fe.poly, ge.poly)
+        total, deferred, fslots, gslots, fixed, cuts = fg_action_integrand(quiver, d, e, fe.poly, ge.poly)
         leads, top = lead_terms({((),) * len(fslots): 1}, fslots, {((),) * len(gslots): 1}, gslots)
         row = pair_loop_push(leads, top, total, deferred, fixed, cuts)
         got = cohm_action(fe, ge)
