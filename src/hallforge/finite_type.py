@@ -30,11 +30,13 @@ polynomial is expanded.
 
 from __future__ import annotations
 
+from bisect import insort
+
 from .coha import CohaElement, schur_mul
 from .cohm import CohmElement, act_many, action_degree_shift, schur_act
 from .errors import GradingError, HallforgeError, QuiverSpecError
 from .linalg import rank_of_rows
-from .quiver import MAX_ROOT_PAIRS, QuiverWithDuality
+from .quiver import MAX_PBW_WORDS, MAX_ROOT_PAIRS, QuiverWithDuality
 from .series import MODULE, QSeries, qpochhammer_inf
 from .symfun import _partitions, schur  # noqa: F401  (perfbench binds finite_type.schur)
 
@@ -97,6 +99,7 @@ class RootSystemA:
         self.s = 1 if duality_type == "orthogonal" else -1
         self.quiver = quiver
         self.roots = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+        self._dims = {(a, b): tuple(int(a <= i <= b) for i in range(1, n + 1)) for a, b in self.roots}
         self.hyperbolic_case = (n % 2 == 0) == (self.s == 1)
         self.h = 0 if self.hyperbolic_case else 1
         self.order = ar_order(self)
@@ -112,8 +115,8 @@ class RootSystemA:
     # -- root data ----------------------------------------------------------
 
     def dim_vector(self, root):
-        a, b = root
-        return tuple(1 if a <= i + 1 <= b else 0 for i in range(self.n))
+        """The dimension vector of a root: 1 on the nodes of its interval."""
+        return self._dims[root]
 
     def dual_root(self, root):
         a, b = root
@@ -153,17 +156,27 @@ def hom_ext(rs, I, J):
     Hom is one-dimensional when the overlap [e,f] is nonempty, a quotient of
     I (the arrows joining it to the rest of I point out of it) and a
     submodule of J (the arrows joining it to the rest of J point into it),
-    and zero otherwise; Ext^1 = dim Hom - chi(dim I, dim J).
+    and zero otherwise; Ext^1 = dim Hom - chi(dim I, dim J).  chi is the
+    overlap's length less the arrows from a node of I to a node of J.  The
+    arrows inside the overlap all count, which leaves 1; past it only the
+    edge at either end can join I to J, and it counts when its arrow leaves
+    I for J.  Adjacent intervals share no node but one such edge, and apart
+    ones neither.
     """
     (a, b), (c, d) = I, J
     e, f = max(a, c), min(b, d)
+    if e > f + 1:
+        return 0, 0
     o = rs.orientation  # o[i - 1] is the arrow between nodes i and i + 1
+    right = (b < d and o[f - 1] == ">") or (d < b and o[f - 1] == "<")
+    if e > f:
+        return 0, int(right)
+    left = (a < c and o[e - 2] == ">") or (c < a and o[e - 2] == "<")
     hom = int(
-        e <= f
-        and (e == a or o[e - 2] == "<") and (f == b or o[f - 1] == ">")
+        (e == a or o[e - 2] == "<") and (f == b or o[f - 1] == ">")
         and (e == c or o[e - 2] == ">") and (f == d or o[f - 1] == "<")
     )
-    return hom, hom - rs.quiver.euler_form(rs.dim_vector(I), rs.dim_vector(J))
+    return hom, hom - 1 + left + right
 
 
 def ar_order(rs):
@@ -171,23 +184,31 @@ def ar_order(rs):
 
     Hom(r, t) != 0 forces t before r and Ext^1(r, t) != 0 forces r before t;
     among the roots whose predecessors are all placed, the smallest goes
-    next.  One Hom/Ext table serves the constraints and the validation."""
+    next: Kahn's algorithm, with the ready roots kept sorted.  One Hom/Ext
+    table serves the constraints and the validation."""
     roots = rs.roots
     table = {(r, t): hom_ext(rs, r, t) for r in roots for t in roots if r != t}
-    preds = {r: set() for r in roots}  # the roots that must precede r
+    after = {r: set() for r in roots}  # the roots that must follow r
     for (r, t), (hom, ext) in table.items():
         if hom:
-            preds[r].add(t)
+            after[t].add(r)
         if ext:
-            preds[t].add(r)
-    order, placed = [], set()
-    while len(order) < len(roots):
-        ready = [r for r in roots if r not in placed and preds[r] <= placed]
-        if not ready:
-            raise HallforgeError("cycle in AR constraints (bug for type A)")
-        pick = min(ready)
+            after[r].add(t)
+    waiting = dict.fromkeys(roots, 0)  # predecessors not yet placed
+    for succ in after.values():
+        for t in succ:
+            waiting[t] += 1
+    ready = [r for r in roots if not waiting[r]]  # ascending, as roots are
+    order = []
+    while ready:
+        pick = ready.pop(0)
         order.append(pick)
-        placed.add(pick)
+        for t in after[pick]:
+            waiting[t] -= 1
+            if not waiting[t]:
+                insort(ready, t)
+    if len(order) < len(roots):
+        raise HallforgeError("cycle in AR constraints (bug for type A)")
     # validate both vanishing conditions
     for i, r in enumerate(order):
         for t in order[i + 1 :]:
@@ -307,12 +328,14 @@ def dilog_identity_check(rs, maxdim, window):
 
 
 def _root_tuples(rs, roots, bound):
-    """Multiplicity tuples over `roots` with the total dim <= bound per node."""
+    """Multiplicity tuples over `roots` with the total dim <= bound per node;
+    a tuple past the first MAX_PBW_WORDS raises before it is made."""
     out = []
     vecs = [rs.dim_vector(r) for r in roots]
 
     def rec(i, acc, current):
         if i == len(roots):
+            _charge_words(rs, len(out) + 1)
             out.append(tuple(current))
             return
         vec = vecs[i]
@@ -325,6 +348,12 @@ def _root_tuples(rs, roots, bound):
 
     rec(0, [0] * rs.n, [])
     return out
+
+
+def _charge_words(rs, words):
+    """Refuse more than MAX_PBW_WORDS words on one side of a PBW check."""
+    if words > MAX_PBW_WORDS:
+        raise HallforgeError("the PBW words of one side of A_%d exceed the work cap of %d" % (rs.n, MAX_PBW_WORDS))
 
 
 def _bucket(buckets, zeros, d, k, row):
@@ -519,12 +548,16 @@ def pbw_check_coha(rs, bound, window):
     elements span H_(d,k) in the exact number dim H_(d,k).  The products
     are the words of Schur images over each root tuple, acting on the unit;
     s_lam1 * ... * s_lamr of classes d_1, ..., d_r has degree
-    sum |lam_i| - sum_{i<j} chi(d_i, d_j).
+    sum |lam_i| - sum_{i<j} chi(d_i, d_j).  Both sides' words are enumerated
+    before any product, and a side of more than MAX_PBW_WORDS raises.
     """
     bound = _pbw_bound(rs, bound, window)
+    sides = {
+        name: [(None, _slots(roots, tup)) for tup in _root_tuples(rs, roots, bound)]
+        for name, roots in (("simple", rs.simple_roots()[::-1]), ("indecomposable", list(rs.order)))
+    }
     reports, dims = {}, {}
-    for name, roots in (("simple", rs.simple_roots()[::-1]), ("indecomposable", list(rs.order))):
-        words = [(None, _slots(roots, tup)) for tup in _root_tuples(rs, roots, bound)]
+    for name, words in sides.items():
         reports[name] = _pbw_report(rs, CohaElement, schur_mul, _coha_step, words, bound, window, dims)
     reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
     return reports
@@ -540,17 +573,22 @@ def pbw_check_cohm(rs, bound, window):
     the c-fold product of odd-indexed (types B and C) or even-indexed (type
     D) generators.  The degree of a word is the sum of its letter sizes plus
     the chained `action_degree_shift`.  bound and window are checked as in
-    `pbw_check_coha`.
+    `pbw_check_coha`, and so is the word cap, on the outer tuples times the
+    multiplicity tuples of each seed.
     """
     bound = _pbw_bound(rs, bound, window)
-    reports, dims = {}, {}
+    sides = {}
     for name, outer_roots, sigma_roots in _module_cases(rs):
         outer = [_slots(outer_roots, tup) for tup in _root_tuples(rs, outer_roots, bound)]
-        words = []
+        words = sides[name] = []
         for pi, e in _seeds(rs, sigma_roots):
-            for mults in _root_tuples(rs, sigma_roots, [(cap - x) // 2 for cap, x in zip(bound, e)]):
+            inner = _root_tuples(rs, sigma_roots, [(cap - x) // 2 for cap, x in zip(bound, e)])
+            _charge_words(rs, len(words) + len(outer) * len(inner))
+            for mults in inner:
                 gens = [(b, c, b in pi or rs.hyperbolic_case) for b, c in zip(sigma_roots, mults) if c]
                 words += [(e, slots + gens) for slots in outer]
+    reports, dims = {}, {}
+    for name, words in sides.items():
         reports[name] = _pbw_report(rs, CohmElement, schur_act, _cohm_step, words, bound, window, dims)
     reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
     return reports

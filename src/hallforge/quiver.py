@@ -65,6 +65,14 @@ MAX_PUSH_WORK = 2_000_000
 # Auslander-Reiten order of a type A root system may tabulate.  A larger n
 # fails with a HallforgeError before any pair is visited.
 MAX_ROOT_PAIRS = 50_000
+# Work cap: the most words, root tuples (times, for the module, the
+# multiplicity tuples of every seed over its sigma-fixed roots), that one side
+# of a PBW check may enumerate.  A larger side fails with a HallforgeError
+# while its tuples are enumerated, before any product is formed.  At bound 1
+# the indecomposable side of the algebra check of A_n has F(2n + 1) words
+# (Fibonacci), 10 946 for A10.  The largest sides reach 405 words in the
+# tests and 280 in the benchmark and in CI.
+MAX_PBW_WORDS = 10_000
 
 
 def memoized(kind):

@@ -2,7 +2,10 @@
 
 A QSeries stores one row per class, rows = {d: ascending [(k, c)]}, where d
 is a dimension-vector class, k the integer power of q^(1/2) and c a nonzero
-coefficient; a class with no term has no row.  Each class carries validity
+coefficient; a class with no term has no row.  Products and recurrences sum
+each class they compute on one dense list over its window of weights, then
+read off its nonzero row; the cells of one product or recurrence are charged
+to MAX_SERIES_CELLS before they are allocated.  Each class carries validity
 metadata (suppmin, hi): every weight k <= hi is known exactly (stored or
 zero), hi = None meaning the class is exact; suppmin is a proven lower bound
 for the support, used to propagate windows through products.  No row holds
@@ -93,9 +96,16 @@ def _windows(meta_a, meta_b, maxdim, lift=None):
             d = tuple(map(add, h, d2))
             pairs.append((d1, d2, d, tw))
             lo = lo1 + lo2 + tw
-            hi = _add_hi(_min_hi(_add_hi(hi1, lo2), _add_hi(lo1, hi2)), tw)
-            lo0, hi0 = meta.get(d, (lo, hi))
-            meta[d] = (min(lo0, lo), _min_hi(hi0, hi))
+            # hi = min(hi1 + lo2, lo1 + hi2) + tw, None (exact) on both sides
+            if hi1 is None:
+                hi = None if hi2 is None else lo1 + hi2 + tw
+            else:
+                hi = hi1 + lo2 + tw if hi2 is None else min(hi1 + lo2, lo1 + hi2) + tw
+            old = meta.get(d)
+            if old is not None:
+                lo = min(old[0], lo)
+                hi = old[1] if hi is None else hi if old[1] is None else min(old[1], hi)
+            meta[d] = (lo, hi)
     return meta, pairs
 
 
@@ -141,66 +151,100 @@ def _needs(order, claim, low):
     return need
 
 
+def _charge_cells(cells, what):
+    """cells, once the dense cells of one product or recurrence fit the cap."""
+    if cells > MAX_SERIES_CELLS:
+        raise HallforgeError("a series %s of %d dense cells exceeds the work cap of %d" % (what, cells, MAX_SERIES_CELLS))
+    return cells
+
+
 def _triangular(order, factor, first, need, divide=False):
     """Solve w(d) X_d = first_d - sum_(0 < f <= d) factor_f X_(d-f) in one
     pass over `order` (ascending |d|, the zero class first, X_0 = first_0),
     w(d) = |d| when divide else 1.  The data and X_d are ascending (k, c)
     rows per class (`QSeries.rows`); X_d is kept up to weight need[d]
-    (None: all), and a division with a remainder raises."""
-    # no weight of X_d exceeds (|d| + 1) times the largest |k| of the data
-    big = (1 + max(map(sum, order))) * max(
-        [abs(k) for row in (*factor.values(), *first.values()) for k, _ in row], default=0
-    )
-    X = {}
+    (None: all), and a division with a remainder raises at its least weight.
+
+    X_d fills one list over its window: from the least weight that first_d
+    or a pair (factor_f, X_(d-f)) reaches, read off the rows' first terms, to
+    need[d] or the highest such weight, read off their last terms.  Each
+    class's cells are charged before its list is allocated, and a recurrence
+    whose cells sum past MAX_SERIES_CELLS raises."""
+    factor = [(f, fl) for f, fl in factor.items() if fl]
+    X, cells = {}, 0
     for d in order:
-        top = big if need[d] is None else need[d]
-        acc = {k: c for k, c in first.get(d, ()) if k <= top}
+        row = first.get(d, ())
+        lo, hi = (row[0][0], row[-1][0]) if row else (None, None)
+        pairs = []
         if any(d):
-            for f, fl in factor.items():
+            for f, fl in factor:
                 xl = X.get(tuple(a - b for a, b in zip(d, f)))
-                if not xl:
-                    continue
-                for k1, c1 in fl:
-                    room = top - k1
-                    if xl[0][0] > room:
+                if xl:
+                    pairs.append((fl, xl))
+                    a, b = fl[0][0] + xl[0][0], fl[-1][0] + xl[-1][0]
+                    lo, hi = (a, b) if lo is None else (min(lo, a), max(hi, b))
+        if need[d] is not None and hi is not None:
+            hi = min(hi, need[d])
+        if lo is None or lo > hi:
+            X[d] = []
+            continue
+        cells = _charge_cells(cells + hi - lo + 1, "recurrence")
+        acc = [0] * (hi - lo + 1)
+        for k, c in row:
+            if k > hi:
+                break
+            acc[k - lo] = c
+        for fl, xl in pairs:
+            for k1, c1 in fl:
+                room = hi - k1
+                if xl[0][0] > room:
+                    break
+                at = k1 - lo
+                for k2, c2 in xl:
+                    if k2 > room:
                         break
-                    for k2, c2 in xl:
-                        if k2 > room:
-                            break
-                        acc[k1 + k2] = acc.get(k1 + k2, 0) - c1 * c2
-            if divide:
-                w = sum(d)
-                for k, c in acc.items():
-                    if c % w:
-                        raise NonIntegralError("inexact division by %d at class %r weight %d" % (w, d, k))
-                    acc[k] = c // w
-        X[d] = sorted(kc for kc in acc.items() if kc[1])
+                    acc[at + k2] -= c1 * c2
+        if divide and any(d):
+            w = sum(d)
+            for i, c in enumerate(acc):
+                if c % w:
+                    raise NonIntegralError("inexact division by %d at class %r weight %d" % (w, d, lo + i))
+                acc[i] = c // w
+        X[d] = [(lo + i, c) for i, c in enumerate(acc) if c]
     return X
 
 
-def _term_half(cuts, signed):
-    """Term half of a product: {class d: {k: c}} summed over the cuts (d, tw,
-    ta, tb, room) of its class pairs, ta and tb ascending (k, c) rows and
-    room = hi - tw the target window left for k1 + k2.  The outer loop ends
-    where k1 + lo2 + tw > hi (ta is cut there), the inner where
-    k1 + k2 + tw > hi; a signed pair of odd twist enters negated."""
-    acc = {}
+def _term_half(cuts, spans, signed):
+    """Term half of a product: {class d: ascending nonzero row} summed over
+    the cuts (d, tw, ta, tb, room) of its class pairs, ta and tb ascending
+    (k, c) rows and room = hi - tw the target window left for k1 + k2.  A
+    class fills one list over its span (lo, hi) of `spans`.  Each row is cut
+    where k + (the other's least weight) + tw > hi; the outer loop walks the
+    shorter one, the inner ends where k1 + k2 + tw > hi, and a signed pair
+    of odd twist enters negated."""
+    acc = {d: [0] * (hi - lo + 1) for d, (lo, hi) in spans.items()}
     for d, tw, ta, tb, room in cuts:
-        out = acc.get(d)
-        if out is None:
-            out = acc[d] = {}
+        out = acc[d]
+        if len(tb) < len(ta):  # the outer loop walks the shorter row
+            ta, tb = tb, ta
         negate = signed and tw % 2
+        shift = tw - spans[d][0]
         for k1, c1 in ta:
             rest = room - k1
             if negate:
                 c1 = -c1
-            k1 += tw
+            at = k1 + shift
             for k2, c2 in tb:
                 if k2 > rest:
                     break
-                k = k1 + k2
-                out[k] = out.get(k, 0) + c1 * c2
-    return acc
+                out[at + k2] += c1 * c2
+    rows = {}
+    for d, out in acc.items():
+        lo = spans[d][0]
+        row = [(lo + i, c) for i, c in enumerate(out) if c]
+        if row:
+            rows[d] = row
+    return rows
 
 
 class QSeries:
@@ -299,10 +343,12 @@ class QSeries:
         terms of either row that fit the target window next to the other
         row's least weight bound a class pair's term pairs; a product whose
         bounds sum to more than MAX_PRODUCT_PAIRS raises before the term
-        half."""
+        half.  A class's span runs from the least to the highest weight its
+        cut pairs reach; the spans' dense cells are charged to
+        MAX_SERIES_CELLS before the term half allocates them."""
         maxdim = min(self.maxdim, other.maxdim)
         meta, pairs = _windows(self.meta, other.meta, maxdim, lift)
-        work, cuts = 0, []
+        work, cuts, spans = 0, [], {}
         for d1, d2, d, tw in pairs:
             ta, tb = self.rows.get(d1), other.rows.get(d2)
             if not ta or not tb:
@@ -315,11 +361,15 @@ class QSeries:
             if na and nb:
                 work += na * nb
                 cuts.append((d, tw, ta[:na], tb[:nb], room))
+                lo, top = ta[0][0] + tb[0][0] + tw, min(ta[na - 1][0] + tb[nb - 1][0], room) + tw
+                span = spans.get(d)
+                spans[d] = (lo, top) if span is None else (min(span[0], lo), max(span[1], top))
         if work > MAX_PRODUCT_PAIRS:
             raise HallforgeError(
                 "a series product of up to %d term pairs exceeds the work cap of %d" % (work, MAX_PRODUCT_PAIRS)
             )
-        return QSeries(self.quiver, out_kind, maxdim, _rows(_term_half(cuts, signed)), meta)
+        _charge_cells(sum(hi - lo + 1 for lo, hi in spans.values()), "product")
+        return QSeries(self.quiver, out_kind, maxdim, _term_half(cuts, spans, signed), meta)
 
     def cmul(self, other):
         """Plain commutative product (numerical series identities)."""
@@ -506,10 +556,7 @@ class QSeries:
 
 def _dense(classes, window):
     """classes, once their dense cells, classes x (window + 1), fit the cap."""
-    if len(classes) * (window + 1) > MAX_SERIES_CELLS:
-        raise HallforgeError(
-            "%d classes over a window of %d exceed the work cap of %d series cells" % (len(classes), window, MAX_SERIES_CELLS)
-        )
+    _charge_cells(len(classes) * (window + 1), "closed form")
     return classes
 
 

@@ -24,6 +24,7 @@ from hallforge.series import (
     _add_hi,
     _merge_windows,
     _min_hi,
+    _rows,
     _windows,
     qpochhammer_inf,
     sign_pow,
@@ -77,34 +78,28 @@ def loop_sd_euler_form(quiver, d):
 
 
 def rescan_ar_order(rs):
-    """`finite_type.ar_order` as it rescans every edge set at each step and
-    recomputes Hom/Ext in its validation: the oracle of the one-table
-    version."""
+    """`finite_type.ar_order` as it found each next root by rescanning every
+    unplaced root for one whose predecessors are all placed, O(R^3) for R
+    roots: the oracle of the one-pass (Kahn) version."""
     roots = rs.roots
-    after = {r: set() for r in roots}  # edges r -> s meaning r before s
-    for r in roots:
-        for t in roots:
-            if r == t:
-                continue
-            hom, ext = hom_ext(rs, r, t)
-            if hom:
-                after[t].add(r)
-            if ext:
-                after[r].add(t)
-    order = []
-    placed = set()
+    table = {(r, t): hom_ext(rs, r, t) for r in roots for t in roots if r != t}
+    preds = {r: set() for r in roots}  # the roots that must precede r
+    for (r, t), (hom, ext) in table.items():
+        if hom:
+            preds[r].add(t)
+        if ext:
+            preds[t].add(r)
+    order, placed = [], set()
     while len(order) < len(roots):
-        ready = sorted(
-            r for r in roots
-            if r not in placed and all(p in placed for p, succ in after.items() if r in succ)
-        )
+        ready = [r for r in roots if r not in placed and preds[r] <= placed]
         if not ready:
             raise HallforgeError("cycle in AR constraints (bug for type A)")
-        order.append(ready[0])
-        placed.add(ready[0])
+        pick = min(ready)
+        order.append(pick)
+        placed.add(pick)
     for i, r in enumerate(order):
         for t in order[i + 1 :]:
-            if hom_ext(rs, r, t)[0] or hom_ext(rs, t, r)[1]:
+            if table[(r, t)][0] or table[(t, r)][1]:
                 raise HallforgeError("AR order violates the vanishing conditions")
     return order
 
@@ -568,6 +563,114 @@ def check_chain_windows(monkeypatch):
         return got
 
     monkeypatch.setattr(series_module, "_chain_windows", checked)
+    return seen
+
+
+def dict_triangular(order, factor, first, need, divide=False):
+    """`series._triangular` as it summed each class in a dict and sorted it,
+    its weights bounded by (|d| + 1) times the largest |k| of the data; a
+    division with a remainder raises at the first such weight it summed."""
+    big = (1 + max(map(sum, order))) * max(
+        [abs(k) for row in (*factor.values(), *first.values()) for k, _ in row], default=0
+    )
+    X = {}
+    for d in order:
+        top = big if need[d] is None else need[d]
+        acc = {k: c for k, c in first.get(d, ()) if k <= top}
+        if any(d):
+            for f, fl in factor.items():
+                xl = X.get(tuple(a - b for a, b in zip(d, f)))
+                if not xl:
+                    continue
+                for k1, c1 in fl:
+                    room = top - k1
+                    if xl[0][0] > room:
+                        break
+                    for k2, c2 in xl:
+                        if k2 > room:
+                            break
+                        acc[k1 + k2] = acc.get(k1 + k2, 0) - c1 * c2
+            if divide:
+                w = sum(d)
+                for k, c in acc.items():
+                    if c % w:
+                        raise NonIntegralError("inexact division by %d at class %r weight %d" % (w, d, k))
+                    acc[k] = c // w
+        X[d] = sorted(kc for kc in acc.items() if kc[1])
+    return X
+
+
+def dict_term_half(cuts, signed):
+    """`series._term_half` as it summed each class in a dict, {class: {k: c}},
+    before `series._rows` sorted it."""
+    acc = {}
+    for d, tw, ta, tb, room in cuts:
+        out = acc.setdefault(d, {})
+        negate = signed and tw % 2
+        for k1, c1 in ta:
+            rest = room - k1
+            if negate:
+                c1 = -c1
+            k1 += tw
+            for k2, c2 in tb:
+                if k2 > rest:
+                    break
+                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return acc
+
+
+def dict_convolve(a, b, out_kind, lift=None, signed=False):
+    """`QSeries._convolve` on the dict term half (`dict_term_half`), with no
+    cap: the cuts of every class pair at its target window."""
+    maxdim = min(a.maxdim, b.maxdim)
+    meta, pairs = _windows(a.meta, b.meta, maxdim, lift)
+    cuts = []
+    for d1, d2, d, tw in pairs:
+        ta, tb = a.rows.get(d1), b.rows.get(d2)
+        if ta and tb:
+            hi = meta[d][1]
+            room = ta[-1][0] + tb[-1][0] if hi is None else hi - tw
+            cuts.append((d, tw, [kc for kc in ta if kc[0] + tb[0][0] <= room], tb, room))
+    return QSeries(a.quiver, out_kind, maxdim, _rows(dict_term_half(cuts, signed)), meta)
+
+
+def typed_rows(rows):
+    """Rows with each coefficient's type, so that 2 and Fraction(2) differ."""
+    return {d: [(k, c, type(c)) for k, c in row] for d, row in rows.items()}
+
+
+def check_dense_kernels(monkeypatch):
+    """Route every `series._term_half` and `series._triangular` call through a
+    comparison with the dict kernels (`dict_term_half`, `dict_triangular`):
+    the same rows, coefficient types included, or a NonIntegralError from
+    both at the same class.  The returned list names each compared call."""
+    term_half, triangular = series_module._term_half, series_module._triangular
+    seen = []
+
+    def checked_term_half(cuts, spans, signed):
+        got = term_half(cuts, spans, signed)
+        assert typed_rows(got) == typed_rows(_rows(dict_term_half(cuts, signed))), cuts
+        seen.append("product")
+        return got
+
+    def checked_triangular(order, factor, first, need, divide=False):
+        try:
+            want = dict_triangular(order, factor, first, need, divide)
+        except NonIntegralError as exc:
+            want = str(exc).split(" weight ")[0]
+        try:
+            got = triangular(order, factor, first, need, divide)
+        except NonIntegralError as exc:
+            assert str(exc).split(" weight ")[0] == want
+            seen.append("inexact")
+            raise
+        assert not isinstance(want, str), want
+        assert typed_rows(got) == typed_rows(want), (factor, first, need)
+        seen.append("recurrence")
+        return got
+
+    monkeypatch.setattr(series_module, "_term_half", checked_term_half)
+    monkeypatch.setattr(series_module, "_triangular", checked_triangular)
     return seen
 
 

@@ -167,14 +167,19 @@ def test_ar_order_validates():
 
 
 def test_ar_order_matches_rescan_oracle():
-    # one Hom/Ext table and predecessor sets give the orders of the rescanning
-    # version
+    # Kahn's algorithm on a sorted list of ready roots (rs.order) gives the
+    # orders of the rescanning version, on every sigma-compatible orientation
+    # of A1..A12 with both dualities.  The Hom/Ext table reads the orientation
+    # only, so the oracle runs once per orientation.
     from oracles import rescan_ar_order
 
-    systems = list(sigma_compatible_systems(6))
-    assert len(systems) == 2 * (1 + 2 + 2 + 4 + 4 + 8)  # palindromic orientations
+    systems = list(sigma_compatible_systems(12))
+    assert len(systems) == 2 * (1 + 2 * (2 + 4 + 8 + 16 + 32) + 64)  # palindromic orientations
+    want = {}
     for rs in systems:
-        assert ar_order(rs) == rescan_ar_order(rs) == rs.order, (rs.n, rs.orientation, rs.duality_type)
+        if rs.orientation not in want:
+            want[rs.orientation] = rescan_ar_order(rs)
+        assert rs.order == want[rs.orientation], (rs.n, rs.orientation, rs.duality_type)
 
 
 def test_ar_order_cycle_raises(monkeypatch):
@@ -420,6 +425,31 @@ def test_pbw_checks_refuse_bad_bound_or_window(monkeypatch, check, bound, window
     monkeypatch.setattr(finite_type, "_root_tuples", no_work)
     with pytest.raises(GradingError):
         check(rs, bound, window)
+
+
+@pytest.mark.parametrize("check, words", [(pbw_check_coha, 74), (pbw_check_cohm, 36)])
+def test_pbw_word_cap_refuses_before_any_product(monkeypatch, check, words):
+    """A side of a PBW check with more than MAX_PBW_WORDS words fails while
+    its words are enumerated, before any product of either side; at exactly
+    the cap the report is unchanged.  On A3 >> orth at bound 2 the largest
+    side has 74 words for the algebra (the indecomposable root tuples) and
+    36 for the module, 6 outer tuples times 6 multiplicity tuples over the
+    seeds, so its cap of 35 is passed by the product alone."""
+    from hallforge import finite_type
+    from hallforge.errors import HallforgeError
+
+    rs = build_typeA(3, ">>", "orthogonal")
+    want = check(rs, 2, 4)
+    monkeypatch.setattr(finite_type, "MAX_PBW_WORDS", words)
+    assert check(rs, 2, 4) == want
+
+    def unreachable(*args):
+        raise AssertionError("product formed")
+
+    monkeypatch.setattr(finite_type, "MAX_PBW_WORDS", words - 1)
+    monkeypatch.setattr(finite_type, "_pbw_report", unreachable)
+    with pytest.raises(HallforgeError, match="work cap of %d" % (words - 1)):
+        check(rs, 2, 4)
 
 
 @pytest.mark.parametrize("check", [pbw_check_coha, pbw_check_cohm])

@@ -35,6 +35,7 @@ from oracles import (
     chain_log,
     chain_pochhammer_q2_product,
     check_chain_windows,
+    check_dense_kernels,
     inverse_q2_pochhammer,
     series_from_terms,
 )
@@ -451,8 +452,10 @@ def test_recurrences_against_power_chains(monkeypatch):
     the logarithm's is an int.  The chains run to x^(maxdim + 1), with no
     stop at a power that has no term in its windows, and the windows of
     inverse and log keep the product rule (`oracles.assert_window_rule`).
-    Every one-pass window fixed point equals the round-based one."""
+    Every one-pass window fixed point equals the round-based one, and every
+    dense kernel call equals the dict kernel's (`oracles.check_dense_kernels`)."""
     windows_checked = check_chain_windows(monkeypatch)
+    kernels_checked = check_dense_kernels(monkeypatch)
     inv = GAP.inverse()
     assert inv.hi((2,)) == 5 and (3,) in inv.meta
     assert SHORT_ZERO.inverse().hi((1,)) == 2 and SHORT_ZERO.log().hi((1,)) == 2
@@ -488,15 +491,16 @@ def test_recurrences_against_power_chains(monkeypatch):
                 old = chain_pochhammer_q2_product(table, maxdim, window)
                 assert new.terms == old.terms and new.meta == old.meta, (quiver.nodes, table.entries)
                 assert_int_coefficients(new)
-    assert windows_checked
+    assert windows_checked and {"product", "recurrence"} <= set(kernels_checked)
 
 
-def test_no_term_above_window():
+def test_no_term_above_window(monkeypatch):
     """No series that the layer returns stores a term above its class's
     window, and each keeps the row layout (`oracles.assert_rows`): closed
     forms, cmul, inverse, log, power and the capped q^2-Pochhammer product
     (on L2 up to xi^12 it used to keep 187 terms, 123 of them above the
-    caps)."""
+    caps).  Their dense kernels equal the dict kernels."""
+    kernels_checked = check_dense_kernels(monkeypatch)
     rng = Lcg(77)
     for quiver in ORACLE_QUIVERS:
         maxdim, window = rng.randint(1, 6), rng.randint(0, 24)
@@ -511,6 +515,7 @@ def test_no_term_above_window():
     for w in ((0,), (1,)):
         sig = equivariant_dt(L2m, witt_representative(L2m, w), 12, 40)
         assert_rows(pochhammer_q2_product(sig, 12, 40))
+    assert {"product", "recurrence"} <= set(kernels_checked)
 
 
 def test_pochhammer_q2_product():

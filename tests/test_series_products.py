@@ -2,19 +2,20 @@
 the target window, with per-class action twists) against the flat product
 they replaced (`oracles.flat_convolve`), the row layout of every producer on
 the same random series, inverse and log of units made from them against the
-power chains, the per-class twist rows against the quiver's forms, and the
-product work cap."""
+power chains, the dense kernels against the dict kernels they replaced, the
+per-class twist rows against the quiver's forms, and the product work cap
+and dense-cell charge."""
 
 from fractions import Fraction
 
 import pytest
 
 from hallforge import series
-from hallforge.errors import HallforgeError
+from hallforge.errors import HallforgeError, NonIntegralError
 from hallforge.finite_type import build_typeA
 from hallforge.proputils import Lcg
-from hallforge.quiver import MAX_PRODUCT_PAIRS, a1_tilde, loop_quiver
-from hallforge.series import MODULE, TORUS, QSeries, module_classes
+from hallforge.quiver import MAX_PRODUCT_PAIRS, MAX_SERIES_CELLS, a1_tilde, loop_quiver
+from hallforge.series import MODULE, TORUS, QSeries, _triangular, module_classes
 
 from oracles import (
     assert_rows,
@@ -22,9 +23,13 @@ from oracles import (
     chain_inverse,
     chain_log,
     check_chain_windows,
+    check_dense_kernels,
+    dict_convolve,
+    dict_triangular,
     flat_add,
     flat_products,
     series_from_terms,
+    typed_rows,
 )
 
 QUIVERS = {
@@ -68,8 +73,11 @@ def test_products_match_flat_oracle(name, monkeypatch):
     inverse and log of 1 + (a without its zero class), also with a zero-class
     suppmin of -3, equal the power chains in terms and windows, and their
     windows keep the product rule (`oracles.assert_window_rule`); their
-    one-pass window fixed points equal the round-based ones."""
+    one-pass window fixed points equal the round-based ones.  Every dense
+    kernel call, also a product of the logarithm's Fraction rows, equals the
+    dict kernel's (`oracles.check_dense_kernels`)."""
     windows_checked = check_chain_windows(monkeypatch)
+    kernels_checked = check_dense_kernels(monkeypatch)
     quiver = QUIVERS[name]
     rng = Lcg(1700 + sorted(QUIVERS).index(name))
     top = 4 if len(quiver.nodes) < 3 else 3
@@ -111,7 +119,8 @@ def test_products_match_flat_oracle(name, monkeypatch):
                 assert_rows(got)
                 assert (got.terms, got.meta) == (want.terms, want.meta), name
                 assert_window_rule(u, got)
-    assert windows_checked
+                assert_rows(got.cmul(a))
+    assert windows_checked and {"product", "recurrence"} <= set(kernels_checked)
 
 
 @pytest.mark.parametrize("name", sorted(QUIVERS))
@@ -158,3 +167,69 @@ def test_product_cap_refuses_before_the_term_half(monkeypatch):
     with pytest.raises(AssertionError, match="term half reached"):
         one_class(n).cmul(one_class(MAX_PRODUCT_PAIRS // n))
 
+
+
+def test_dense_kernels_on_edge_rows():
+    """The dense kernels equal the dict kernels on rows at their edges:
+    negative weights and an exact class in a signed product, an empty factor
+    row, the zero class of a dividing recurrence (never divided), and an
+    inexact division, which raises in both at the same class (the dense
+    kernel names its least inexact weight)."""
+    L0 = loop_quiver(0)
+    a = QSeries(L0, TORUS, 3, {(1,): [(-5, 2), (-1, Fraction(1, 3)), (4, -1)]}, {(1,): (-5, None)})
+    b = QSeries(L0, TORUS, 3, {(0,): [(-2, 1)], (2,): [(-3, -2), (0, 5)]}, {(0,): (-2, 3), (2,): (-3, None)})
+    for got, want in (
+        (a.cmul(b), dict_convolve(a, b, TORUS)),
+        (a.char_star(b), dict_convolve(a, b, MODULE, a._action_classes(-1), signed=True)),
+    ):
+        assert typed_rows(got.rows) == typed_rows(want.rows) and got.meta == want.meta
+    order = [(n,) for n in range(4)]
+    first = {(0,): [(-2, 6), (0, 6)]}  # 6 = lcm(1, 2, 3): every division is exact
+    need = {(0,): None, (1,): 9, (2,): 9, (3,): 9}
+    for factor in ({(1,): [], (2,): [(0, -2), (4, 6)]}, {(1,): [(0, -1), (4, -1)], (3,): []}):
+        got = _triangular(order, factor, first, need, divide=True)
+        assert typed_rows(got) == typed_rows(dict_triangular(order, factor, first, need, divide=True))
+        assert got[(0,)] == first[(0,)]
+    bad, first = {(1,): [(0, 3), (2, 1)]}, {(0,): [(-2, 3), (0, 1)]}
+    for solve in (_triangular, dict_triangular):
+        with pytest.raises(NonIntegralError, match=r"inexact division by 2 at class \(2,\)"):
+            solve(order, bad, first, need, divide=True)
+    with pytest.raises(NonIntegralError, match=r"inexact division by 2 at class \(2,\) weight -2"):
+        _triangular(order, bad, first, need, divide=True)
+
+
+def wide(width, maxdim=2):
+    """t^1 (1 + q^(width/2)) on L0: an exact class of two terms, width apart."""
+    L0 = loop_quiver(0)
+    return QSeries(L0, TORUS, maxdim, {(1,): [(0, 1), (width, 1)]}, {(1,): (0, None)})
+
+
+def test_cell_charge_refuses_wide_sparse_rows(monkeypatch):
+    """A product or recurrence whose dense cells exceed MAX_SERIES_CELLS
+    fails before its lists are allocated, where the dict kernels summed the
+    few terms of wide sparse rows; one at exactly the cap gets through."""
+    huge = wide(10**9)
+    assert dict_convolve(huge, huge, TORUS).rows == {(2,): [(0, 1), (10**9, 2), (2 * 10**9, 1)]}
+    with pytest.raises(HallforgeError, match="dense cells exceeds the work cap"):
+        huge.cmul(huge)
+    unit = QSeries.one(huge.quiver, TORUS, 1) + wide(10**9, 1)
+    order, factor, first = [(0,), (1,)], {(1,): [(0, 1), (10**9, 1)]}, {(0,): [(0, 1)]}
+    need = {(0,): None, (1,): None}
+    assert dict_triangular(order, factor, first, need)[(1,)] == [(0, -1), (10**9, -1)]
+    with pytest.raises(HallforgeError, match="dense cells exceeds the work cap"):
+        unit.inverse()
+    # a recurrence charges its classes together: 1 cell for the zero class
+    unit = QSeries.one(huge.quiver, TORUS, 1) + wide(MAX_SERIES_CELLS - 2, 1)
+    assert unit.inverse().rows[(1,)] == [(0, -1), (MAX_SERIES_CELLS - 2, -1)]
+    with pytest.raises(HallforgeError, match="dense cells exceeds the work cap"):
+        (QSeries.one(huge.quiver, TORUS, 1) + wide(MAX_SERIES_CELLS - 1, 1)).inverse()
+
+    def unreachable(*args):
+        raise AssertionError("term half reached")
+
+    monkeypatch.setattr(series, "_term_half", unreachable)
+    one = QSeries(huge.quiver, TORUS, 2, {(1,): [(0, 1)]}, {(1,): (0, None)})
+    with pytest.raises(HallforgeError, match="dense cells exceeds the work cap"):
+        wide(MAX_SERIES_CELLS).cmul(one)
+    with pytest.raises(AssertionError, match="term half reached"):
+        wide(MAX_SERIES_CELLS - 1).cmul(one)
