@@ -34,7 +34,7 @@ from __future__ import annotations
 from .errors import HallforgeError, SymmetryError
 from .graded import GradedElement, PrimitiveTable, check_quotient_slices
 from .linalg import Echelon, complement
-from .poly import Poly, check_push_work, mul_bound
+from .poly import SHIFT, Poly, check_push_work, expand_factors, mul_bound
 from .quiver import QuiverWithDuality, memoized
 from .series import (
     SignedInvariantTable,
@@ -73,25 +73,27 @@ class CohaElement(GradedElement):
 @memoized("coha_integrand")
 def _mul_integrand(quiver, d1, d2):
     """The integrand of the product H_d1 x H_d2 -> H_(d1+d2) and the
-    pieces its pushes read: (sign * K, the lead slots of the x' and the x''
-    labels, as `symfun.lead_terms` reads them, the `block_cuts` of the
-    target), cached per quiver.  x'_{n,a} sits at slot offsets[n] + a and
-    x''_{n,b} after the d1_n slots of x'; K = prod_{a: t->h} prod
-    (x''_{h,b} - x'_{t,a'}) the arrow numerators and sign = (-1)^(sum_n
+    pieces its pushes read: (sign * K, the sides (lead slots, lead table)
+    of the x' and the x'' labels, as `symfun.lead_terms` reads them, the
+    `block_cuts` of the target), cached per quiver.
+    x'_{n,a} sits at slot offsets[n] + a and x''_{n,b} after the d1_n slots
+    of x'; K = prod_{a: t->h} prod (x''_{h,b} - x'_{t,a'}) the arrow
+    numerators, expanded by `poly.expand_factors`, and sign = (-1)^(sum_n
     d1_n d2_n).  Both products push it from lead terms (see `schur_mul`)."""
     idx = quiver.node_index
     d = tuple(a + b for a, b in zip(d1, d2))
     offsets, nvars = CohaElement.layout(quiver, d)
     mid = {n: offsets[n] + d1[idx[n]] for n in quiver.nodes}
-    total = Poly.const(nvars, sign_pow(sum(a * b for a, b in zip(d1, d2))))
-    for _, t, h in quiver.arrows:
-        for b in range(d2[idx[h]]):
-            for a in range(d1[idx[t]]):
-                total = total.mul_linear(1, mid[h] + b, -1, offsets[t] + a)
-    fslots = tuple((offsets[n], d1[idx[n]], 1, 0, 1) for n in quiver.nodes)
-    gslots = tuple((mid[n], d2[idx[n]], 1, 0, 1) for n in quiver.nodes)
-    cuts = block_cuts([(offsets[n], d[idx[n]]) for n in quiver.nodes])
-    return total, fslots, gslots, cuts
+    factors = [
+        (0, ((1 << SHIFT * (mid[h] + b), 1), (1 << SHIFT * (offsets[t] + a), -1)), 1)
+        for _, t, h in quiver.arrows
+        for b in range(d2[idx[h]])
+        for a in range(d1[idx[t]])
+    ]
+    (total,) = expand_factors(nvars, (sign_pow(sum(a * b for a, b in zip(d1, d2))),), factors)
+    fside = tuple((offsets[n], d1[idx[n]], 1, 0, 1) for n in quiver.nodes), {}
+    gside = tuple((mid[n], d2[idx[n]], 1, 0, 1) for n in quiver.nodes), {}
+    return total, fside, gside, block_cuts([(offsets[n], d[idx[n]]) for n in quiver.nodes])
 
 
 def shuffle_mul(f, g):
@@ -110,8 +112,8 @@ def shuffle_mul(f, g):
     d = tuple(a + b for a, b in zip(f.d, g.d))
     if f.is_zero() or g.is_zero():
         return CohaElement(quiver, d, Poly.zero(CohaElement.layout(quiver, d)[1]), check=False)
-    total, fslots, gslots, cuts = _mul_integrand(quiver, f.d, g.d)
-    leads, top = lead_terms(f.to_labels(), fslots, g.to_labels(), gslots)
+    total, fside, gside, cuts = _mul_integrand(quiver, f.d, g.d)
+    leads, top = lead_terms(f.to_labels(), fside, g.to_labels(), gside)
     if len(leads) > 1:
         total = Poly(total.n, leads, top) * total
         leads, top = {0: 1}, 0
@@ -136,8 +138,8 @@ def schur_mul(quiver, d1, f, d2, g):
     delta), straightened block by block (`symfun.straighten_blocks`).
     `poly.mul_bound` refuses an exponent out of the packed range as
     `Poly.__mul__` would; the term pairs are not capped."""
-    kernel, fslots, gslots, cuts = _mul_integrand(quiver, d1, d2)
-    leads, top = lead_terms(f, fslots, g, gslots)
+    kernel, fside, gside, cuts = _mul_integrand(quiver, d1, d2)
+    leads, top = lead_terms(f, fside, g, gside)
     mul_bound(kernel.n, leads, top, kernel.terms, kernel.bound)
     return straighten_blocks(leads, kernel.terms, cuts)
 

@@ -38,7 +38,7 @@ from .errors import GradingError, HallforgeError, QuiverSpecError
 from .linalg import rank_of_rows
 from .quiver import MAX_PBW_WORDS, MAX_ROOT_PAIRS, QuiverWithDuality
 from .series import MODULE, QSeries, qpochhammer_inf
-from .symfun import _partitions, schur  # noqa: F401  (perfbench binds finite_type.schur)
+from .symfun import _partitions, schur, weight_basis_size  # noqa: F401  (perfbench binds finite_type.schur)
 
 
 def _node(i):
@@ -372,35 +372,32 @@ def _slice_report(cls, quiver, buckets, zeros, reached, window, dims):
     slice has rows == rank == dim.  A nonempty in-window slice of a class in
     `reached` (the classes of the enumerated words, whether or not any of
     their products lands in the window) that no product hit is reported as
-    (0, 0, dim) and fails the check.  dims memoizes slice_dim by (d, k);
-    both reports of one PBW check share it.
+    (0, 0, dim) and fails the check.  dims holds one (weight form, slice
+    dimensions up to degree window // 2) table per class, which both
+    reports of one PBW check share.
     """
 
-    def dim_of(d, k):
-        if (d, k) not in dims:
-            dims[(d, k)] = cls.slice_dim(quiver, d, k)
-        return dims[(d, k)]
+    def table(d):
+        if d not in dims:
+            dims[d] = cls.weight_form(quiver, d), weight_basis_size(cls.blocks(quiver, d), window // 2)
+        return dims[d]
 
     ok = not zeros  # a vanishing ordered product already breaks injectivity
-    slices, forms = {}, {}
-    for (d, k), rows in sorted(buckets.items()):
-        if d not in forms:
-            forms[d] = cls.weight_form(quiver, d)
-        if k > forms[d] + window:
+    slices = {}
+    for (d, k), rows in sorted(buckets.items()):  # k - form is even and >= 0 (`_pbw_report`)
+        form, counts = table(d)
+        if k > form + window:
             continue
-        rank, dim = rank_of_rows(rows), dim_of(d, k)
+        rank, dim = rank_of_rows(rows), counts[(k - form) // 2]
         slices[(d, k)] = (len(rows), rank, dim)
         if not len(rows) == rank == dim:
             ok = False
     for d in sorted(reached):
-        lo = cls.weight_form(quiver, d)
-        for k in range(lo, lo + window + 1):
-            if (d, k) in slices:
-                continue
-            dim = dim_of(d, k)
-            if dim:
+        form, counts = table(d)
+        for n, dim in enumerate(counts):  # the slices of odd offset are empty
+            if dim and (d, form + 2 * n) not in slices:
                 ok = False
-                slices[(d, k)] = (0, 0, dim)
+                slices[(d, form + 2 * n)] = (0, 0, dim)
     return {"pass": ok, "slices": slices}
 
 
@@ -467,7 +464,7 @@ def _pbw_report(rs, cls, act, step, words, bound, window, dims):
     A letter may use only the budget its left slots do not need for their
     least sizes (`_least_size`), so no dead end computes a product.  Steps,
     letters, letter partitions and weight forms are memoized for the
-    report, slice dimensions through dims (`_slice_report`).
+    report, slice dimensions per class through dims (`_slice_report`).
     """
     quiver = rs.quiver
     buckets, zeros, reached, tries = {}, [], set(), {}

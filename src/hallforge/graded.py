@@ -122,7 +122,7 @@ class GradedElement:
         deg = cls.slice_degree(quiver, d, k)
         if deg is None:
             return 0
-        return weight_basis_size(cls.blocks(quiver, d), deg)
+        return weight_basis_size(cls.blocks(quiver, d), deg)[deg]
 
     # -- predicates and grading ------------------------------------------------
 

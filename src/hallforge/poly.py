@@ -6,8 +6,8 @@ abstract variables (index 0..n-1).  Monomials are packed into single integers
 coefficients are Python ints wherever possible and fractions.Fraction
 otherwise.  No floating point anywhere.
 
-Factors enter through `mul_linear` and, for a difference of squares x_a^2 -
-x_b^2, `mul_square_difference`, one pass over the terms per factor term.
+Products of factors are expanded by `expand_factors`, one pass over the
+terms per factor term.
 Pushes along flags are not polynomial operations here: they straighten
 packed monomials into Schur coordinates (`symfun`).  The exact divisions
 `divexact_linear`/`divexact_mono` remain as test oracles; an inexact
@@ -98,6 +98,23 @@ def _mul_terms(small, big):
             else:
                 del out[k]
     return out
+
+
+def expand_factors(n, consts, factors):
+    """The polynomials in n variables consts[i] times the factors (i,
+    terms, step) with that i, in order: terms the packed (key, coeff) terms
+    of c x_a^step + ..., multiplied in by one `_mul_terms` pass each.  Each
+    factor is charged against MAX_POLY_PAIRS before it is formed, and the
+    exponent bound grows by step, or by `mul_bound` past MAXDEG."""
+    out = [({0: c}, 0) for c in consts]
+    for i, factor, step in factors:
+        terms, bound = out[i]
+        _check_pairs(len(terms) * len(factor))
+        bound += step
+        if bound > MAXDEG:
+            bound = mul_bound(n, terms, bound - step, dict(factor), step)
+        out[i] = _mul_terms(factor, terms), bound
+    return [Poly(n, terms, bound) for terms, bound in out]
 
 
 def key_degree(key):
@@ -198,24 +215,6 @@ class Poly:
         if c == 1:
             return self
         return Poly(self.n, {k: v * c for k, v in self.terms.items()}, self.bound)
-
-    def mul_linear(self, ca, a, cb=None, b=None):
-        """Multiply by ca*x_a (+ cb*x_b) without building the factor."""
-        first = (1 << (SHIFT * a), _num(ca))
-        return self._mul_powers((first,) if b is None else (first, (1 << (SHIFT * b), _num(cb))), 1)
-
-    def mul_square_difference(self, a, b):
-        """Multiply by x_a^2 - x_b^2 (a != b) without building the factor."""
-        return self._mul_powers(((2 << (SHIFT * a), 1), (2 << (SHIFT * b), -1)), 2)
-
-    def _mul_powers(self, factor, step):
-        """Multiply by a factor given as its terms (packed c x_i^step), one
-        pass over the terms of self per factor term."""
-        _check_pairs(len(self.terms) * len(factor))
-        bound = self.bound + step
-        if bound > MAXDEG:
-            bound = mul_bound(self.n, self.terms, self.bound, dict(factor), step)
-        return Poly(self.n, _mul_terms(factor, self.terms), bound)
 
     # -- division -----------------------------------------------------------
 

@@ -47,9 +47,9 @@ MAX_QUOTIENT_SLICES = 100_000
 # any pair is multiplied.
 MAX_PRODUCT_PAIRS = 50_000_000
 # Work cap: the most term pairs, len(a) x len(b), that one polynomial product
-# (Poly.__mul__, or one factor of mul_linear or mul_square_difference) may
-# multiply.  Larger products fail with a HallforgeError before any pair is
-# multiplied; on L2 the arrow numerators of H_(13,) x H_(1,) reach it.
+# (Poly.__mul__, or one factor of poly.expand_factors) may multiply.  Larger
+# products fail with a HallforgeError before any pair is multiplied; on L2
+# the arrow numerators of H_(13,) x H_(1,) reach it.
 MAX_POLY_PAIRS = 2_000_000
 # Work cap: the most straightening work one push may charge.  An element
 # product charges the terms it straightens (the integrand's, or the leads times

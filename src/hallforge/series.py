@@ -761,8 +761,13 @@ def pochhammer_q2_product(signed_table, maxdim, window):
                 # xi^(ne) leads at q^(n k0/2 + n(n-1)) in (x; q^2)_inf, at q^(n k0/2) in its inverse
                 lo = n * k0 + (2 * n * (n - 1) if power > 0 else 0)
                 fmeta[f] = (lo, lo + 3 * window)
-            for _ in range(abs(power)):
-                meta = _windows(meta, fmeta, maxdim)[0]
+            p = abs(power)  # meta times fmeta^p by squaring (`_windows` is associative)
+            while p:
+                if p & 1:
+                    meta = _windows(meta, fmeta, maxdim)[0]
+                p >>= 1
+                if p:
+                    fmeta = _windows(fmeta, fmeta, maxdim)[0]
     for d, (lo, hi) in meta.items():
         for e0, top in signed_table.validity.items():
             if any(e0) and all(a <= b for a, b in zip(e0, d)):

@@ -103,9 +103,9 @@ def lead(lam, n):
 @shared_memo(1 << 16)
 def _lead_key(label, slots):
     """(packed x^lead, sign, largest exponent step * (lam_1 + size - 1) +
-    shift) of a label under a slot layout, as `lead_terms` reads them;
-    memoized, since the products of one pass pack the same labels under the
-    same layouts many times."""
+    shift) of a label under a slot layout, as `lead_terms` reads them: the
+    miss path of its lead tables, memoized, since a new quiver's integrands
+    meet the layouts of earlier ones."""
     key, sign, top = 0, 1, 0
     for lam, (first, size, step, shift, base) in zip(label, slots):
         for j, x in enumerate(lead(lam, size)):
@@ -117,23 +117,32 @@ def _lead_key(label, slots):
     return key, sign, top
 
 
-def lead_terms(f, fslots, g, gslots):
+def lead_terms(f, fside, g, gside):
     """(terms, top): the packed f_a g_b x^lead(a) x^lead(b) over the labels a
-    of f and b of g, and the largest lead exponent, their bound.  The
-    slots, a tuple, hold per partition of a label (first slot, number of
-    variables, step, shift, sign base): a partition lam lays out step *
-    (lam + delta) + shift from the first slot on, times base^|lam|.  The
-    slots of f and g are disjoint and a lead monomial determines its label,
-    so distinct label pairs give distinct terms.  A lead exponent over
-    MAXDEG cannot be packed and raises ExponentOverflowError."""
+    of f and b of g, and the largest lead exponent, their bound.  A side is
+    (slots, lead table): the table maps a label to its `_lead_key` under
+    the slots and is filled here on first use, so that a lead is one dict
+    lookup.  The slots, a tuple, hold per partition of a label (first slot,
+    number of variables, step, shift, sign base): a partition lam lays out
+    step * (lam + delta) + shift from the first slot on, times base^|lam|.
+    The slots of f and g are disjoint and a lead monomial determines its
+    label, so distinct label pairs give distinct terms.  A lead exponent
+    over MAXDEG cannot be packed and raises ExponentOverflowError."""
+    (fslots, fleads), (gslots, gleads) = fside, gside
     terms, top, right = {}, 0, []
     for b, cb in g.items():
-        kb, sb, tb = _lead_key(b, gslots)
+        lead = gleads.get(b)
+        if lead is None:
+            lead = gleads[b] = _lead_key(b, gslots)
+        kb, sb, tb = lead
         top = max(top, tb)
         if cb:
             right.append((kb, sb * cb))
     for a, ca in f.items():
-        ka, sa, ta = _lead_key(a, fslots)
+        lead = fleads.get(a)
+        if lead is None:
+            lead = fleads[a] = _lead_key(a, fslots)
+        ka, sa, ta = lead
         top = max(top, ta)
         if ca:
             ca *= sa
@@ -243,9 +252,10 @@ def weight_labels(block_spec, degree):
 
 
 def weight_basis_size(block_spec, degree):
-    """The number of `weight_labels(block_spec, degree)`, without listing them."""
+    """The numbers of `weight_labels(block_spec, n)` for n = 0..degree, a
+    list, without listing them."""
     if degree < 0:
-        return 0
+        return []
     counts = [1] + [0] * degree
     for (_, kind, nv) in block_spec:
         step = 1 if kind == "GL" else 2
@@ -259,7 +269,7 @@ def weight_basis_size(block_spec, degree):
                     if per[b]:
                         new[a + b] += counts[a] * per[b]
         counts = new
-    return counts[degree]
+    return counts
 
 
 # -- expansion ----------------------------------------------------------------

@@ -13,7 +13,7 @@ from hallforge.cohm import CohmElement, _act_integrand, _fixed_node_type, _type_
 from hallforge.errors import ExponentOverflowError, GradingError, HallforgeError, InexactDivisionError, NonIntegralError
 from hallforge.finite_type import _bucket, _letter_partitions, _slice_report, hom_ext
 from hallforge.linalg import Echelon
-from hallforge.poly import MASK, MAXDEG, SHIFT, Poly, _num, check_push_work, mul_bound
+from hallforge.poly import MASK, MAXDEG, SHIFT, Poly, _check_pairs, _mul_terms, _num, check_push_work, mul_bound
 from hallforge.quiver import QuiverWithDuality
 from hallforge.series import (
     MODULE,
@@ -757,6 +757,32 @@ def inverse_q2_pochhammer(quiver, k0, dvec, maxdim, window):
     return QSeries(quiver, MODULE, maxdim, rows, meta)
 
 
+def loop_q2_windows(signed_table, maxdim, window):
+    """The windows (`meta`) of `pochhammer_q2_product`: each factor's
+    windows combined into the product abs(power) times, one `_windows`
+    call each, and then capped by the table's validity."""
+    quiver = signed_table.quiver
+    zero = quiver.zero()
+    meta = {zero: (0, None)}
+    for (e, k), (plus, minus) in signed_table.sorted_entries():
+        if sum(e) > maxdim or not any(e):
+            continue
+        for k0, mult in ((k, plus), (k + 2, minus)):
+            power = -mult * sign_pow(k)
+            fmeta = {zero: (0, None)}
+            for n in range(1, maxdim // sum(e) + 1):
+                lo = n * k0 + (2 * n * (n - 1) if power > 0 else 0)
+                fmeta[tuple(n * x for x in e)] = (lo, lo + 3 * window)
+            for _ in range(abs(power)):
+                meta = _windows(meta, fmeta, maxdim)[0]
+    for d, (lo, hi) in meta.items():
+        for e0, top in signed_table.validity.items():
+            if any(e0) and all(a <= b for a, b in zip(e0, d)):
+                hi = _min_hi(hi, top + meta.get(tuple(b - a for a, b in zip(e0, d)), (0,))[0])
+        meta[d] = (lo, hi)
+    return meta
+
+
 def chain_pochhammer_q2_product(signed_table, maxdim, window):
     """`pochhammer_q2_product` as one `cmul` per factor, each factor raised to
     its power by squaring; the capped windows keep no term above them."""
@@ -789,15 +815,16 @@ def chain_pochhammer_q2_product(signed_table, maxdim, window):
 # -- products in Schur coordinates through polynomials -------------------------
 
 
-def lead_product(f, fslots, g, gslots, nvars):
+def lead_product(f, fside, g, gside, nvars):
     """sum over the labels a of f and b of g of f_a g_b x^lead(a) x^lead(b),
     a Poly in nvars variables whose bound is the largest lead exponent of
-    either side: `symfun.lead_terms` as a polynomial."""
+    either side: `symfun.lead_terms` as a polynomial, the leads read by
+    `_lead_key` off the slots of the sides (slots, lead table)."""
     terms = {}
-    right = [(_lead_key(b, gslots), cb) for b, cb in g.items()]
+    right = [(_lead_key(b, gside[0]), cb) for b, cb in g.items()]
     top = max([tb for (_, _, tb), _ in right], default=0)
     for a, ca in f.items():
-        ka, sa, ta = _lead_key(a, fslots)
+        ka, sa, ta = _lead_key(a, fside[0])
         top = max(top, ta)
         for (kb, sb, _), cb in right:
             k = ka + kb
@@ -833,11 +860,11 @@ def poly_schur_mul(quiver, d1, f, d2, g):
     """`coha.schur_mul` through polynomials: the lead product times the
     cached kernel by `Poly.__mul__`, then straightened on blocks read off
     the layout of the target."""
-    kernel, fslots, gslots, _ = _mul_integrand(quiver, d1, d2)
+    kernel, fside, gside, _ = _mul_integrand(quiver, d1, d2)
     d = add_classes(d1, d2)
     offsets, _ = CohaElement.layout(quiver, d)
     blocks = [(offsets[n], size) for n, _, size in CohaElement.blocks(quiver, d)]
-    return straighten_terms((lead_product(f, fslots, g, gslots, kernel.n) * kernel).terms, blocks)
+    return straighten_terms((lead_product(f, fside, g, gside, kernel.n) * kernel).terms, blocks)
 
 
 def poly_schur_act(quiver, d, f, e, g):
@@ -845,8 +872,8 @@ def poly_schur_act(quiver, d, f, e, g):
     cached integrand, the B_D push of the summed terms, the deferred
     factors by `Poly.__mul__`, then straightened on blocks read off the
     layout of the target."""
-    kernel, deferred, fslots, gslots, fixed, _, _ = _act_integrand(quiver, d, e)
-    product = lead_product(f, fslots, g, gslots, kernel.n) * kernel
+    kernel, deferred, fside, gside, fixed, _, _ = _act_integrand(quiver, d, e)
+    product = lead_product(f, fside, g, gside, kernel.n) * kernel
     pushed = {}
     for key, c in product.terms.items():
         for shift, mask, dn, m in fixed:
@@ -902,21 +929,22 @@ def pair_loop_push(leads, top, kernel, deferred, fixed, cuts):
 # -- the element products through F * G * K ------------------------------------------
 
 
-def _on_slots(poly, slots, nvars):
+def _on_slots(poly, side, nvars):
     """poly in nvars variables, its variables in order on the slots
-    (first, size, step, shift, sign) of a lead layout, each times sign."""
-    return poly.map_variables(nvars, [(sign, first + j) for first, size, _, _, sign in slots for j in range(size)])
+    (first, size, step, shift, sign) of a side (slots, lead table), each
+    times sign."""
+    return poly.map_variables(nvars, [(sign, first + j) for first, size, _, _, sign in side[0] for j in range(size)])
 
 
 def fg_integrand(quiver, d1, d2, fpoly, gpoly):
     """The integrand of the product H_d1 x H_d2 built with f and g:
-    (sign * F * G * K, its lead slots, its block cuts), F = f on the x'
+    (sign * F * G * K, its sides, its block cuts), F = f on the x'
     slots and G = g on the x'' slots.  F * G multiplies the cached sign *
     K: the same polynomial as the arrow numerators multiplied into sign *
     F * G one linear factor at a time."""
-    kernel, fslots, gslots, cuts = _mul_integrand(quiver, d1, d2)
-    total = kernel * _on_slots(fpoly, fslots, kernel.n) * _on_slots(gpoly, gslots, kernel.n)
-    return total, fslots, gslots, cuts
+    kernel, fside, gside, cuts = _mul_integrand(quiver, d1, d2)
+    total = kernel * _on_slots(fpoly, fside, kernel.n) * _on_slots(gpoly, gside, kernel.n)
+    return total, fside, gside, cuts
 
 
 def fg_action_integrand(quiver, d, e, fpoly, gpoly):
@@ -926,15 +954,15 @@ def fg_action_integrand(quiver, d, e, fpoly, gpoly):
     on a Q0^- node) and G = g on the z'' slots; a type D node's prod y_l
     stays the shift of its f lead slots.  As in `fg_integrand`, F * G
     multiplies the cached sign * K."""
-    kernel, deferred, fslots, gslots, fixed, cuts, _ = _act_integrand(quiver, d, e)
-    total = kernel * _on_slots(fpoly, fslots, kernel.n) * _on_slots(gpoly, gslots, kernel.n)
-    return total, deferred, fslots, gslots, fixed, cuts
+    kernel, deferred, fside, gside, fixed, cuts, _ = _act_integrand(quiver, d, e)
+    total = kernel * _on_slots(fpoly, fside, kernel.n) * _on_slots(gpoly, gside, kernel.n)
+    return total, deferred, fside, gside, fixed, cuts
 
 
-def _unit_leads(fslots, gslots):
+def _unit_leads(fside, gside):
     """The leads of the unit labels (x'^delta x''^delta, the type D shift
-    and a fixed node's z^(2 delta)) under a lead layout."""
-    return lead_terms({((),) * len(fslots): 1}, fslots, {((),) * len(gslots): 1}, gslots)
+    and a fixed node's z^(2 delta)) under the slots of two sides."""
+    return lead_terms({((),) * len(fside[0]): 1}, fside, {((),) * len(gside[0]): 1}, gside)
 
 
 def fgk_shuffle_mul(f, g):
@@ -943,8 +971,8 @@ def fgk_shuffle_mul(f, g):
     the row expanded."""
     quiver = f.quiver
     d = add_classes(f.d, g.d)
-    total, fslots, gslots, cuts = fg_integrand(quiver, f.d, g.d, f.poly, g.poly)
-    leads, top = _unit_leads(fslots, gslots)
+    total, fside, gside, cuts = fg_integrand(quiver, f.d, g.d, f.poly, g.poly)
+    leads, top = _unit_leads(fside, gside)
     mul_bound(total.n, leads, top, total.terms, total.bound)
     return CohaElement.from_labels(quiver, d, straighten_blocks(leads, total.terms, cuts))
 
@@ -955,8 +983,8 @@ def fgk_cohm_action(f, g):
     every pair (`pair_loop_push`), and the row expanded."""
     quiver = f.quiver
     et = add_classes(quiver.hyperbolic(f.d), g.e)
-    total, deferred, fslots, gslots, fixed, cuts = fg_action_integrand(quiver, f.d, g.e, f.poly, g.poly)
-    leads, top = _unit_leads(fslots, gslots)
+    total, deferred, fside, gside, fixed, cuts = fg_action_integrand(quiver, f.d, g.e, f.poly, g.poly)
+    leads, top = _unit_leads(fside, gside)
     return CohmElement.from_labels(quiver, et, pair_loop_push(leads, top, total, deferred, fixed, cuts))
 
 
@@ -1040,6 +1068,56 @@ def dd_schur(lam, n):
     return full_divided_difference(from_exponents(n, {tuple(x + n - 1 - i for i, x in enumerate(lam)): 1}), n)
 
 
+# -- polynomial factors one at a time --------------------------------------------------
+
+
+def mul_powers(p, factor, step):
+    """p times a factor given as its terms (packed c x_i^step), one pass over
+    the terms of p: the per-factor reference of `poly.expand_factors`, with
+    the same MAX_POLY_PAIRS charge and exponent bound."""
+    _check_pairs(len(p.terms) * len(factor))
+    bound = p.bound + step
+    if bound > MAXDEG:
+        bound = mul_bound(p.n, p.terms, p.bound, dict(factor), step)
+    return Poly(p.n, _mul_terms(factor, p.terms), bound)
+
+
+def mul_linear(p, ca, a, cb=None, b=None):
+    """p times ca*x_a (+ cb*x_b), without building the factor."""
+    first = (1 << (SHIFT * a), _num(ca))
+    return mul_powers(p, (first,) if b is None else (first, (1 << (SHIFT * b), _num(cb))), 1)
+
+
+def mul_square_difference(p, a, b):
+    """p times x_a^2 - x_b^2 (a != b), without building the factor."""
+    return mul_powers(p, ((2 << (SHIFT * a), 1), (2 << (SHIFT * b), -1)), 2)
+
+
+def chain_mul_integrand(quiver, d1, d2):
+    """sign * K of `coha._mul_integrand`, one `mul_linear` per arrow factor
+    from the constant sign on."""
+    offsets, nvars = CohaElement.layout(quiver, add_classes(d1, d2))
+    mid = {n: offsets[n] + d1[quiver.node_index[n]] for n in quiver.nodes}
+    return _arrow_numerators(quiver, offsets, mid, d1, d2, Poly.const(nvars, sign_pow(sum(a * b for a, b in zip(d1, d2)))))
+
+
+def chain_act_integrand(quiver, d, e):
+    """(sign * K, the deferred product) of `cohm._act_integrand`, one
+    `mul_linear` or `mul_square_difference` per factor in the order they
+    are met (`_direct_action_integrand`), K scaled by the sign of the
+    pushes."""
+    idx, et = quiver.node_index, add_classes(quiver.hyperbolic(d), e)
+    _, kernel, _, deferred = _direct_action_integrand(quiver, d, e)
+    sign = 1
+    for n in quiver.q0_plus:
+        dn, en, dsn = d[idx[n]], e[idx[n]], d[idx[quiver.sigma_nodes[n]]]
+        sign *= sign_pow(dn * en + dn * dsn + en * dsn)
+    for n in quiver.q0_sigma:
+        D, typ = d[idx[n]], _fixed_node_type(quiver, n, et[idx[n]])
+        sign *= sign_pow(D * (D + 1) // 2 + (typ == "D") * D) << (0 if typ == "C" else D)
+    return kernel.scale(sign), deferred
+
+
 # -- the element products with their own layouts and signs ---------------------------
 
 
@@ -1050,7 +1128,7 @@ def _arrow_numerators(quiver, offsets, mid, d1, d2, total):
     for _, t, h in quiver.arrows:
         for b in range(d2[idx[h]]):
             for a in range(d1[idx[t]]):
-                total = total.mul_linear(1, mid[h] + b, -1, offsets[t] + a)
+                total = mul_linear(total, 1, mid[h] + b, -1, offsets[t] + a)
     return total
 
 
@@ -1079,11 +1157,14 @@ def direct_shuffle_mul(f, g):
     return CohaElement(quiver, d, total.scale(sign), check=False)
 
 
-def _direct_action_integrand(quiver, d, e, fpoly, gpoly):
-    """(block offsets, F * G * K, deferred pairs) of the action H_d x M_e at
-    the identity sigma-shuffle, unsigned and without type D's prod(-y_l),
-    and per fixed node the (y, z) slot pairs of its factors y^2 - z^2 that
-    wait for the end of its B_D/S_D push."""
+def _direct_action_integrand(quiver, d, e, fpoly=None, gpoly=None):
+    """(block offsets, F * G * K, deferred pairs, deferred product) of the
+    action H_d x M_e at the identity sigma-shuffle, unsigned and without
+    type D's prod(-y_l), one `mul_linear` or `mul_square_difference` per
+    factor (K alone without f and g): in order the (fixed node, y, z) slots
+    of the factors y^2 - z^2 that wait for the end of its B_D/S_D push, and
+    their product prod (u_y - v_z), each factor multiplied in where it is
+    met, between the factors of K."""
     idx = quiver.node_index
     et = add_classes(quiver.hyperbolic(d), e)
     off, nvars = CohmElement.layout(quiver, et)
@@ -1108,31 +1189,32 @@ def _direct_action_integrand(quiver, d, e, fpoly, gpoly):
         return [xp[(n, l)] for l in range(d[idx[n]])]
 
     fmap = [x for n in quiver.nodes for x in xs(n)]
-    total = fpoly.map_variables(nvars, fmap) * gpoly.map_variables(nvars, gmap)
-    after_push = {n: [] for n in fixed}
+    total = Poly.const(nvars, 1) if fpoly is None else fpoly.map_variables(nvars, fmap) * gpoly.map_variables(nvars, gmap)
+    after_push, deferred = [], Poly.const(nvars, 1)
 
     def lin(u, v):
         nonlocal total
-        total = total.mul_linear(u[0], u[1], -v[0], v[1])
+        total = mul_linear(total, u[0], u[1], -v[0], v[1])
 
     def mono(c, u):
         nonlocal total
-        total = total.mul_linear(c * u[0], u[1])
+        total = mul_linear(total, c * u[0], u[1])
 
     def neg(u):
         return (-u[0], u[1])
 
     def v_tilde(i, points, gl):
-        nonlocal total
+        nonlocal total, deferred
         cnt = e[idx[i]] // 2 if i in fixed else e[idx[i]]
         own = i in fixed and points == xs(i)
         for x in points:
             for k in range(cnt):
                 z = zs[(i, k)]
                 if own:
-                    after_push[i].append((x[1], z[1]))
+                    after_push.append((i, x[1], z[1]))
+                    deferred = mul_linear(deferred, 1, x[1], -1, z[1])
                 elif i in fixed:
-                    total = total.mul_square_difference(x[1], z[1])
+                    total = mul_square_difference(total, x[1], z[1])
                 else:
                     gl(x, z)
             if i in fixed and e[idx[i]] % 2:
@@ -1156,7 +1238,7 @@ def _direct_action_integrand(quiver, d, e, fpoly, gpoly):
             for u in y:
                 for x in xs(t):
                     lin(neg(u), x)
-    return off, total, after_push
+    return off, total, after_push, deferred
 
 
 def direct_cohm_action(f, g):
@@ -1171,7 +1253,7 @@ def direct_cohm_action(f, g):
     if f.is_zero() or g.is_zero():
         return CohmElement(quiver, et, Poly.zero(CohmElement.layout(quiver, et)[1]), check=False)
     idx = quiver.node_index
-    off, total, after_push = _direct_action_integrand(quiver, d, e, f.poly, g.poly)
+    off, total, after_push, _ = _direct_action_integrand(quiver, d, e, f.poly, g.poly)
     sign = 1
     for n in quiver.q0_plus:
         o, dn, en = off[n], d[idx[n]], e[idx[n]]
@@ -1184,13 +1266,13 @@ def direct_cohm_action(f, g):
         typ = _fixed_node_type(quiver, n, et[idx[n]])
         if typ == "D":
             for l in range(D):
-                total = total.mul_linear(-1, o + l)
+                total = mul_linear(total, -1, o + l)
         for k in range(D):
             total = flip(total, o + D - 1)
             for i in range(D - 2, k - 1, -1):
                 total = divided_difference(total, o + i)
-        for y, z in after_push[n]:
-            total = total.mul_square_difference(y, z)
+        for y, z in [(y, z) for m, y, z in after_push if m == n]:
+            total = mul_square_difference(total, y, z)
         total = shuffle_push(total, o, D, e[idx[n]] // 2, step=2)
         if D * (D + 1) // 2 % 2:
             sign = -sign

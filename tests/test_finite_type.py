@@ -463,32 +463,32 @@ def test_pbw_checks_take_a_full_bound_tuple(check):
 
 
 @pytest.mark.parametrize(
-    "check, rs, bound, window",
+    "check, cls, rs, bound, window",
     [
-        (pbw_check_coha, build_typeA(3, ">>", "orthogonal"), 2, 8),
-        (pbw_check_cohm, build_typeA(2, ">", "symplectic"), 2, 8),
+        (pbw_check_coha, CohaElement, build_typeA(3, ">>", "orthogonal"), 2, 8),
+        (pbw_check_cohm, CohmElement, build_typeA(2, ">", "symplectic"), 2, 8),
     ],
 )
-def test_pbw_check_computes_each_slice_dim_once(monkeypatch, check, rs, bound, window):
+def test_pbw_check_computes_each_slice_dim_once(monkeypatch, check, cls, rs, bound, window):
     """The simple and the indecomposable report of one check share one
-    slice_dim memo: one call per distinct (class, d, k), and the reports
+    count table per class: one `weight_basis_size` call per class, up to
+    degree window // 2, every reported dim is `slice_dim`, and the reports
     are those of uncounted runs."""
-    from hallforge.graded import GradedElement
+    from hallforge import finite_type
 
     expected = check(rs, bound, window)
-    slice_dim = GradedElement.__dict__["slice_dim"].__func__
-    calls = []
+    real, calls = finite_type.weight_basis_size, []
 
-    def counted(cls, quiver, d, k):
-        calls.append((cls, d, k))
-        return slice_dim(cls, quiver, d, k)
+    def counted(blocks, degree):
+        calls.append((tuple(blocks), degree))
+        return real(blocks, degree)
 
-    monkeypatch.setattr(GradedElement, "slice_dim", classmethod(counted))
+    monkeypatch.setattr(finite_type, "weight_basis_size", counted)
     assert check(rs, bound, window) == expected
-    assert calls and len(calls) == len(set(calls))
-    # every reported slice's dim came from the memo
-    slices = {key for name in ("simple", "indecomposable") for key in expected[name]["slices"]}
-    assert slices <= {(d, k) for _, d, k in calls}
+    assert calls and len(calls) == len(set(calls)) and {deg for _, deg in calls} == {window // 2}
+    slices = {key: dims[2] for name in ("simple", "indecomposable") for key, dims in expected[name]["slices"].items()}
+    assert {tuple(cls.blocks(rs.quiver, d)) for d, _ in slices} <= {blocks for blocks, _ in calls}
+    assert all(dim == cls.slice_dim(rs.quiver, d, k) for (d, k), dim in slices.items())
 
 
 def _psi_element(rs, root, lam, parts):

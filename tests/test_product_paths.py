@@ -425,12 +425,16 @@ def test_trie_prunes_dead_ends(monkeypatch):
 
 
 def test_poly_pair_cap_at_each_product(monkeypatch):
-    """`Poly.__mul__` and each factor of `mul_linear`/`mul_square_difference`
-    refuse a product of more than MAX_POLY_PAIRS term pairs, before forming
-    it; a product at the cap is formed."""
-    from hallforge import poly
-    from hallforge.errors import HallforgeError
-    from hallforge.poly import Poly
+    """`Poly.__mul__` and each factor of `poly.expand_factors` refuse a
+    product of more than MAX_POLY_PAIRS term pairs, before forming it; a
+    product at the cap is formed, and equals the chain of single-factor
+    products (`oracles.mul_linear`, `oracles.mul_square_difference`).  The
+    integrand builders, whose K and deferred factors interleave, refuse
+    with the message of the chain oracles at every cap."""
+    from oracles import chain_act_integrand, chain_mul_integrand, mul_linear, mul_square_difference
+
+    from hallforge import coha, cohm, poly
+    from hallforge.poly import SHIFT, expand_factors
 
     monkeypatch.setattr(poly, "MAX_POLY_PAIRS", 12)
     x = [Poly.variable(3, i) for i in range(3)]
@@ -439,10 +443,35 @@ def test_poly_pair_cap_at_each_product(monkeypatch):
     six = four * x[0] + x[1] * x[1] + x[2] * x[2]
     seven = six + x[2]
     assert len(six.terms) == 6 and len(seven.terms) == 7
+    linear = (((1, 1), (1 << SHIFT, -1)), 1)  # x_0 - x_1
+    square = (((2, 1), (2 << 2 * SHIFT, -1)), 2)  # x_0^2 - x_2^2
+
+    def expand(p, factor):
+        """p times the factor, p entering as a first factor of the constant 1"""
+        return expand_factors(3, (1,), [(0, tuple(p.terms.items()), p.bound), (0, *factor)])[0]
+
     # 12 pairs each
-    assert (four * three).terms and six.mul_linear(1, 0, -1, 1).terms and six.mul_square_difference(0, 2).terms
+    assert (four * three).terms
+    got = [expand(six, linear), expand(six, square)]
+    want = [mul_linear(six, 1, 0, -1, 1), mul_square_difference(six, 0, 2)]
+    assert [(list(p.terms.items()), p.bound) for p in got] == [(list(p.terms.items()), p.bound) for p in want]
     # 16, 14 and 14 pairs
-    over = (lambda: four * (three + x[0] * x[1]), lambda: seven.mul_linear(1, 0, -1, 1), lambda: seven.mul_square_difference(0, 2))
+    over = (lambda: four * (three + x[0] * x[1]), lambda: expand(seven, linear), lambda: expand(seven, square))
     for product in over:
-        with pytest.raises(HallforgeError, match="work cap of 12"):
+        with pytest.raises(HallforgeError, match="a polynomial product of 1[46] term pairs exceeds the work cap of 12"):
             product()
+
+    def message(build, *args):
+        try:
+            build(loop_quiver(2), *args)
+        except HallforgeError as exc:
+            return str(exc)
+        return None
+
+    messages = []
+    for cap in (4, 10, 30, 100, 400, 2000):
+        monkeypatch.setattr(poly, "MAX_POLY_PAIRS", cap)
+        for build, chain, args in ((coha._mul_integrand, chain_mul_integrand, ((3,), (2,))), (cohm._act_integrand, chain_act_integrand, ((3,), (4,)))):
+            messages.append(message(build, *args))
+            assert messages[-1] == message(chain, *args), (cap, args)
+    assert None in messages and len(set(messages)) > 4

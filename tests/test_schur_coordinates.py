@@ -8,6 +8,8 @@ expanded inputs."""
 import pytest
 
 from oracles import (
+    chain_act_integrand,
+    chain_mul_integrand,
     dd_schur,
     direct_cohm_action,
     direct_shuffle_mul,
@@ -22,10 +24,11 @@ from hallforge import graded, symfun
 from hallforge.coha import CohaElement, _mul_integrand, _times_power_sum, primitive_dims, s_involution, s_label, schur_mul
 from hallforge.cohm import CohmElement, _act_integrand, cohm_action, ori_dt_invariants, schur_act
 from hallforge.errors import ExponentOverflowError
-from hallforge.finite_type import build_typeA
+from hallforge.finite_type import build_typeA, pbw_check_coha, pbw_check_cohm
 from hallforge.poly import Poly, unpack_exponents
 from hallforge.proputils import Lcg, random_dim, random_selfdual_dim
 from hallforge.quiver import a1_tilde, disjoint_double, loop_quiver
+from hallforge.series import module_classes
 from hallforge.symfun import lead_terms, straighten
 
 
@@ -182,18 +185,66 @@ def test_parity_grouped_push_against_the_pair_loop(name, quiver):
         f, g = _draw_row(rng, CohaElement, quiver, d, 3), _draw_row(rng, CohmElement, quiver, e, 3)
         if not f or not g:
             continue
-        kernel, deferred, fslots, gslots, fixed, cuts, _ = _act_integrand(quiver, d, e)
-        leads, top = lead_terms(f, fslots, g, gslots)
+        kernel, deferred, fside, gside, fixed, cuts, _ = _act_integrand(quiver, d, e)
+        leads, top = lead_terms(f, fside, g, gside)
         want = pair_loop_push(leads, top, kernel, deferred, fixed, cuts)
         assert list(schur_act(quiver, d, f, e, g).items()) == list(want.items()), (d, f, e, g)
         fe, ge = CohaElement.from_labels(quiver, d, f), CohmElement.from_labels(quiver, e, g)
-        total, deferred, fslots, gslots, fixed, cuts = fg_action_integrand(quiver, d, e, fe.poly, ge.poly)
-        leads, top = lead_terms({((),) * len(fslots): 1}, fslots, {((),) * len(gslots): 1}, gslots)
+        total, deferred, fside, gside, fixed, cuts = fg_action_integrand(quiver, d, e, fe.poly, ge.poly)
+        leads, top = lead_terms({((),) * len(fside[0]): 1}, fside, {((),) * len(gside[0]): 1}, gside)
         row = pair_loop_push(leads, top, total, deferred, fixed, cuts)
         got = cohm_action(fe, ge)
         assert got == CohmElement.from_labels(quiver, got.e, row), (d, f, e, g)
         checked += bool(fixed)
     assert checked > 10
+
+
+@pytest.mark.parametrize("name, quiver", PUSH_QUIVERS, ids=[n for n, _ in PUSH_QUIVERS])
+def test_factor_list_integrands_against_the_linear_chain(name, quiver):
+    """The integrand builders list their factors and expand them in one
+    `poly.expand_factors` pass; on every class pair whose product has
+    total size <= 6 (H_d1 x H_d2 -> H_(d1+d2), and H_d x M_e -> M_(H(d)+e)
+    with |H(d)| = 2|d|) sign * K, and the
+    deferred product of the action, equal the chain of single-factor
+    products (`oracles.chain_mul_integrand`, `chain_act_integrand`): the
+    same terms in the same insertion order, and the same bound."""
+
+    def same(p, q):
+        return list(p.terms.items()) == list(q.terms.items()) and p.bound == q.bound
+
+    classes = quiver.dimension_vectors(6)
+    pairs = 0
+    for d1 in classes:
+        for d2 in classes:
+            if sum(d1) + sum(d2) <= 6:
+                assert same(_mul_integrand.__wrapped__(quiver, d1, d2)[0], chain_mul_integrand(quiver, d1, d2)), (d1, d2)
+                pairs += 1
+        for e in module_classes(quiver, 6 - 2 * sum(d1)):
+            kernel, deferred = _act_integrand.__wrapped__(quiver, d1, e)[:2]
+            want, want_deferred = chain_act_integrand(quiver, d1, e)
+            assert same(kernel, want) and same(deferred, want_deferred), (d1, e)
+            pairs += 1
+    assert pairs > 20
+
+
+def test_lead_tables_hold_the_lead_keys(monkeypatch):
+    """The lead tables of the cached integrands' sides (slots, lead table)
+    fill on first use: after PBW checks and an `ori_dt_invariants` run,
+    every entry is the `_lead_key` of its label under its side's slots."""
+    monkeypatch.delenv("HALLFORGE_THREADS", raising=False)  # one process, one cache
+    coha_rs, cohm_rs, l2 = build_typeA(3, ">>", "orthogonal"), build_typeA(2, ">", "symplectic"), loop_quiver(2)
+    pbw_check_coha(coha_rs, 2, 8)
+    pbw_check_cohm(cohm_rs, 2, 8)
+    ori_dt_invariants(l2, 8, 22)
+    entries = {"coha_integrand": 0, "cohm_integrand": 0}
+    for quiver in (coha_rs.quiver, cohm_rs.quiver, l2):
+        for key, value in quiver._cache.items():
+            if key[0] in entries:
+                for slots, table in value[1:3] if key[0] == "coha_integrand" else value[2:4]:
+                    for label, lead in table.items():
+                        assert lead == symfun._lead_key.__wrapped__(label, slots), (key, label)
+                        entries[key[0]] += 1
+    assert min(entries.values()) > 50, entries
 
 
 def test_fixed_node_pushes_meet_only_odd_y_exponents(monkeypatch):
@@ -228,14 +279,14 @@ def test_lead_terms_bound_is_the_largest_exponent():
             h = _draw_row(rng, CohmElement, quiver, e, 2)
             layouts = []
             if f and g:
-                _, fslots, gslots, _ = _mul_integrand(quiver, d1, d2)
-                layouts.append((f, fslots, g, gslots, CohaElement.layout(quiver, tuple(map(sum, zip(d1, d2))))[1]))
+                _, fside, gside, _ = _mul_integrand(quiver, d1, d2)
+                layouts.append((f, fside, g, gside, CohaElement.layout(quiver, tuple(map(sum, zip(d1, d2))))[1]))
             if g and h:
-                _, _, fslots, gslots, _, _, _ = _act_integrand(quiver, d2, e)
+                _, _, fside, gside, _, _, _ = _act_integrand(quiver, d2, e)
                 et = tuple(a + b for a, b in zip(quiver.hyperbolic(d2), e))
-                layouts.append((g, fslots, h, gslots, CohmElement.layout(quiver, et)[1]))
-            for f_row, fslots, g_row, gslots, nvars in layouts:
-                terms, top = lead_terms(f_row, fslots, g_row, gslots)
+                layouts.append((g, fside, h, gside, CohmElement.layout(quiver, et)[1]))
+            for f_row, fside, g_row, gside, nvars in layouts:
+                terms, top = lead_terms(f_row, fside, g_row, gside)
                 assert terms
                 assert top == max((x for key in terms for x in unpack_exponents(key, nvars)), default=0), (name, f_row, g_row)
                 checked += 1

@@ -37,6 +37,7 @@ from oracles import (
     check_chain_windows,
     check_dense_kernels,
     inverse_q2_pochhammer,
+    loop_q2_windows,
     series_from_terms,
 )
 
@@ -516,6 +517,28 @@ def test_no_term_above_window(monkeypatch):
         sig = equivariant_dt(L2m, witt_representative(L2m, w), 12, 40)
         assert_rows(pochhammer_q2_product(sig, 12, 40))
     assert {"product", "recurrence"} <= set(kernels_checked)
+
+
+def test_q2_windows_by_squaring_against_the_loop():
+    """`pochhammer_q2_product` raises each factor's windows to its power by
+    squaring; its windows equal those of one `_windows` call per unit of
+    power (`oracles.loop_q2_windows`), in the same key order, on seeded
+    tables with powers up to 48 and on the equivariant tables of L2."""
+    rng = Lcg(20261020)
+    tables, powers = [], set()
+    for quiver in ORACLE_QUIVERS:
+        for _ in range(3):
+            maxdim, window = rng.randint(1, 7), rng.randint(0, 24)
+            seed = random_signed_table(rng, quiver, maxdim)
+            entries = {key: (p * rng.randint(1, 24), m * rng.randint(1, 24)) for key, (p, m) in seed.entries.items()}
+            powers.update(abs(x) for pm in entries.values() for x in pm)
+            tables.append((SignedInvariantTable(quiver, entries, maxdim, seed.validity), maxdim, window))
+    for w in ((0,), (1,)):
+        tables.append((equivariant_dt(L2, witt_representative(L2, w), 12, 40), 12, 40))
+    for table, maxdim, window in tables:
+        got = pochhammer_q2_product(table, maxdim, window).meta
+        assert list(got.items()) == list(loop_q2_windows(table, maxdim, window).items()), table.entries
+    assert max(powers) > 16 and len(tables) > 20
 
 
 def test_pochhammer_q2_product():

@@ -18,6 +18,8 @@ from oracles import (
     flip,
     from_exponents,
     monomial_sym,
+    mul_linear,
+    mul_square_difference,
     recursive_weight_labels,
     swap_variables,
 )
@@ -179,7 +181,7 @@ def test_weight_basis_sizes_and_independence():
         for deg in range(0, 7):
             basis, _ = weight_basis(blocks, deg)
             assert len(basis) == hilbert_coeff(blocks, deg)
-            assert weight_basis_size(blocks, deg) == len(basis)
+            assert weight_basis_size(blocks, 6)[deg] == len(basis)
             assert rank_of_rows([dict(p.terms) for p in basis]) == len(basis)
 
 
@@ -188,7 +190,9 @@ def test_weight_labels_against_the_recursive_listing():
     from shared suffixes; on seeded block specs (0-4 GL or BCD blocks of
     0-5 variables, the empty spec included) and degrees -1..14 it returns
     the list of the recursion over every degree of every block, in the
-    same order, and `weight_basis_size` counts it."""
+    same order.  Entry n of the count list `weight_basis_size(spec, top)`
+    is the number of labels of degree n for every n up to each top 0..14;
+    below degree 0 the list is empty."""
     from hallforge.proputils import Lcg
 
     rng = Lcg(20261020)
@@ -198,10 +202,12 @@ def test_weight_labels_against_the_recursive_listing():
     assert any(len(spec) == 4 for spec in specs) and any(nv == 0 for spec in specs for _, _, nv in spec)
     listed = 0
     for spec in specs:
+        assert weight_basis_size(spec, -1) == []
+        for top in range(15):
+            assert weight_basis_size(spec, top) == [len(weight_labels(spec, n)) for n in range(top + 1)], (spec, top)
         for deg in range(-1, 15):
             labels = weight_labels(spec, deg)
             assert labels == recursive_weight_labels(spec, deg), (spec, deg)
-            assert weight_basis_size(spec, deg) == len(labels), (spec, deg)
             listed += len(labels)
     assert weight_labels([], 0) == [()] and weight_labels([], 3) == [] and listed > 10000
 
@@ -226,9 +232,9 @@ def test_reduce_roundtrip():
         for _ in range(4):
             exps = tuple(rng.randint(0, 3) for _ in range(3))
             p = p + from_exponents(3, {exps: rng.randint(-4, 4)})
-        q = p.mul_linear(1, 1)
+        q = mul_linear(p, 1, 1)
         for f in factors:
-            q = q.mul_linear(*f)
+            q = mul_linear(q, *f)
         for f in factors:
             q = q.divexact_linear(*f)
         assert q.divexact_mono(1) == p
@@ -261,11 +267,11 @@ def test_packed_exponent_guard_uses_true_maxima():
     assert out.poly == from_exponents(2, {(600, 600): 2})
     lin = Poly.variable(2, 0, 1000)
     for _ in range(30):
-        lin = lin.mul_linear(1, 1)
+        lin = mul_linear(lin, 1, 1)
     assert lin == from_exponents(2, {(1000, 30): 1})
     with pytest.raises(OverflowError):
         for _ in range(30):
-            lin = lin.mul_linear(1, 0, 1, 1)
+            lin = mul_linear(lin, 1, 0, 1, 1)
 
 
 def test_substitute():
@@ -294,7 +300,7 @@ def test_divided_difference_identity():
         i = rng.randint(0, n - 2)
         p = random_poly(rng, n)
         dp = divided_difference(p, i)
-        assert dp.mul_linear(1, i, -1, i + 1) == p - swap_variables(p, i, i + 1)
+        assert mul_linear(dp, 1, i, -1, i + 1) == p - swap_variables(p, i, i + 1)
         sym = p + swap_variables(p, i, i + 1)
         assert divided_difference(sym, i).is_zero()
 
@@ -309,7 +315,7 @@ def test_divided_difference_in_squares_identity():
         p = random_poly(rng, n).map_variables(n, [(1, j) for j in range(n)])
         p = double_exponents(p)
         dp = divided_difference(p, i, 2)
-        lhs = dp.mul_linear(1, i, -1, i + 1).mul_linear(1, i, 1, i + 1)
+        lhs = mul_linear(mul_linear(dp, 1, i, -1, i + 1), 1, i, 1, i + 1)
         assert lhs == p - swap_variables(p, i, i + 1)
         sym = p + swap_variables(p, i, i + 1)
         assert divided_difference(sym, i, 2).is_zero()
@@ -326,7 +332,7 @@ def test_flip_identity():
         i = rng.randint(0, n - 1)
         p = random_poly(rng, n)
         reflected = p.map_variables(n, [(-1 if j == i else 1, j) for j in range(n)])
-        assert flip(p, i).mul_linear(2, i) == p - reflected
+        assert mul_linear(flip(p, i), 2, i) == p - reflected
         assert flip(p + reflected, i).is_zero()
 
 
@@ -339,10 +345,10 @@ def test_square_difference_against_two_linear_passes():
         a = rng.randint(0, n - 1)
         b = (a + rng.randint(1, n - 1)) % n
         p = random_poly(rng, n)
-        two = p.mul_linear(1, a, -1, b).mul_linear(1, a, 1, b)
-        one = p.mul_square_difference(a, b)
+        two = mul_linear(mul_linear(p, 1, a, -1, b), 1, a, 1, b)
+        one = mul_square_difference(p, a, b)
         assert one == two and one.bound == two.bound
     big = Poly.variable(2, 0, 1021)
-    assert big.mul_square_difference(0, 1) == from_exponents(2, {(1023, 0): 1, (1021, 2): -1})
+    assert mul_square_difference(big, 0, 1) == from_exponents(2, {(1023, 0): 1, (1021, 2): -1})
     with pytest.raises(OverflowError):
-        big.mul_square_difference(0, 1).mul_square_difference(0, 1)
+        mul_square_difference(mul_square_difference(big, 0, 1), 0, 1)
