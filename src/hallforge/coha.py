@@ -5,11 +5,11 @@ x_{i,1..d_i}; the product is the Kontsevich-Soibelman shuffle sum with kernel
 prod_{a: i->j} prod (x''_{j,b} - x'_{i,a}) / prod_i prod (x''_{i,b} - x'_{i,a}),
 the push-forward of one integrand: the arrow numerators on one slot layout
 times the sign (-1)^(sum d1 d2), built once per quiver and class pair by
-`_mul_integrand` (no denominator is ever formed).  Both products push it
+`_mul_integrand` (no denominator is ever formed).  `schur_mul` pushes it
 by straightening, shifted by lead monomials, into Schur coordinates
-({label: coeff}, one partition per node): `schur_mul` of rows of basis
-labels, `shuffle_mul` of its operands' rows (`GradedElement.to_labels`),
-then expanded (`GradedElement.from_labels`).
+({label: coeff}, one partition per node) from rows of basis labels;
+`shuffle_mul` is `schur_mul` of its operands' rows
+(`GradedElement.to_labels`), the row expanded (`GradedElement.from_labels`).
 Cohomological weight of a homogeneous element is 2*deg + chi(d, d).
 CohaElement is the graded layer of `graded` with a GL block on every node,
 the variable prefix x and the weight form chi(d, d).
@@ -98,13 +98,11 @@ def _mul_integrand(quiver, d1, d2):
 
 def shuffle_mul(f, g):
     """Kontsevich-Soibelman shuffle product of CoHA elements: `schur_mul`
-    of their Schur coordinates (`GradedElement.to_labels`), and the row
-    expanded (`GradedElement.from_labels`).  More than one lead is first
-    multiplied into the integrand by one `Poly.__mul__` (MAX_POLY_PAIRS
-    bounds its pairs), so equal monomials merge before the push from the
-    unit lead.  The terms to be straightened times the push's length,
-    sum_n d1_n d2_n, are charged against MAX_PUSH_WORK first.  This is the
-    shuffle sum only for Weyl invariant f and g, which
+    of their Schur coordinates (`GradedElement.to_labels`), the row
+    expanded (`GradedElement.from_labels`).  The label pairs times the
+    integrand's terms times the push's length, sum_n d1_n d2_n, are charged
+    against MAX_PUSH_WORK before anything is straightened.
+    This is the shuffle sum only for Weyl invariant f and g, which
     CohaElement(check=True) and from_json_dict enforce."""
     if f.quiver != g.quiver:
         raise HallforgeError("elements over different quivers")
@@ -112,14 +110,10 @@ def shuffle_mul(f, g):
     d = tuple(a + b for a, b in zip(f.d, g.d))
     if f.is_zero() or g.is_zero():
         return CohaElement(quiver, d, Poly.zero(CohaElement.layout(quiver, d)[1]), check=False)
-    total, fside, gside, cuts = _mul_integrand(quiver, f.d, g.d)
-    leads, top = lead_terms(f.to_labels(), fside, g.to_labels(), gside)
-    if len(leads) > 1:
-        total = Poly(total.n, leads, top) * total
-        leads, top = {0: 1}, 0
-    check_push_work(len(total.terms), sum(a * b for a, b in zip(f.d, g.d)))
-    mul_bound(total.n, leads, top, total.terms, total.bound)
-    return CohaElement.from_labels(quiver, d, straighten_blocks(leads, total.terms, cuts))
+    a, b = f.to_labels(), g.to_labels()
+    terms = len(_mul_integrand(quiver, f.d, g.d)[0].terms)
+    check_push_work(len(a) * len(b) * terms, sum(x * y for x, y in zip(f.d, g.d)))
+    return CohaElement.from_labels(quiver, d, schur_mul(quiver, f.d, a, g.d, b))
 
 
 # -- the product in Schur coordinates -------------------------------------------
@@ -137,7 +131,8 @@ def schur_mul(quiver, d1, f, d2, g):
     built: the cached integrand's terms times x'^(lam + delta) x''^(mu +
     delta), straightened block by block (`symfun.straighten_blocks`).
     `poly.mul_bound` refuses an exponent out of the packed range as
-    `Poly.__mul__` would; the term pairs are not capped."""
+    `Poly.__mul__` would; the term pairs are not capped here (`shuffle_mul`
+    charges them)."""
     kernel, fside, gside, cuts = _mul_integrand(quiver, d1, d2)
     leads, top = lead_terms(f, fside, g, gside)
     mul_bound(kernel.n, leads, top, kernel.terms, kernel.bound)
@@ -173,7 +168,8 @@ def image_echelon(quiver, plan, slice_labels, act, k, labels):
     """Echelon of the weight-k span of act(quiver, a, {c: 1}, rest, {b: 1})
     with c in generator_complement(quiver, a, k1) and b in
     slice_labels(quiver, rest, k - k1), over (a, rest, chi_a, form_rest) in
-    the class's plan and chi_a <= k1 <= k - form_rest: the CoHA ideal
+    the class's plan and chi_a <= k1 <= k - form_rest, k1 - chi_a even
+    (an odd offset is an empty slice of H_a): the CoHA ideal
     H_+ . H_+ (schur_mul, chi, `_coha_plan`) and the CoHM image H_+ . M
     (cohm.schur_act, E, `cohm._cohm_plan`).  Rows are in Schur coordinates,
     filed on the positions of the target slice's labels.
@@ -186,7 +182,7 @@ def image_echelon(quiver, plan, slice_labels, act, k, labels):
     ech = Echelon(labels)
     dim = len(labels)
     for a, rest, chi_a, form_rest in plan:
-        for k1 in range(chi_a, k - form_rest + 1):
+        for k1 in range(chi_a, k - form_rest + 1, 2):
             if ech.rank == dim:
                 return ech
             gens = generator_complement(quiver, a, k1)

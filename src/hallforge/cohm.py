@@ -15,12 +15,11 @@ the polynomials invariant under its Weyl group (the projection formula), so
 a fixed node's factors y^2 - z^2 against its own slots are returned apart,
 as the deferred factors, and wait until its hyperoctahedral push is done.
 At the identity shuffle x'_{i,j} -> z_{i,j}, z''_{i,j} -> z_{i,d_i+j} and
-x'_{sigma(i),j} -> -z_{i,d_i+e_i+j} on the Q0^+ blocks.  Both actions
-push it by straightening, shifted by lead monomials, into Schur
-coordinates (`_push`): `schur_act` acts on rows of basis labels, and
-`cohm_action` reads its polynomial operands as rows
-(`GradedElement.to_labels`), merges their leads into the integrand, and
-expands the resulting row (`GradedElement.from_labels`).
+x'_{sigma(i),j} -> -z_{i,d_i+e_i+j} on the Q0^+ blocks.  `schur_act`
+pushes it by straightening, shifted by lead monomials, into Schur
+coordinates (`_push`) from rows of basis labels; `cohm_action` is
+`schur_act` of its polynomial operands' rows (`GradedElement.to_labels`),
+the resulting row expanded (`GradedElement.from_labels`).
 
 Weight of a homogeneous element is 2*deg + E(e); for sigma-symmetric quivers
 the action is weight additive.  CohmElement is the graded layer of `graded`
@@ -105,8 +104,10 @@ def _act_integrand(quiver, d, e):
     table) of the f labels (every node) and of the g labels (the blocks of
     M_e), as `symfun.lead_terms` reads them, the (bit shift, bit mask, D,
     m) of every fixed node's block, the `symfun.block_cuts` of the blocks
-    of the target, and the kernel's terms grouped by y parity
-    (`_y_parity`)).
+    of the target, and the kernel's terms grouped by y parity: (ymask, the
+    low bit of every y slot of the fixed nodes' blocks, {term & ymask:
+    [(term, coeff), ...] in the order of the terms}), or None without a
+    fixed node).
 
     A type D node's factor prod y_l is not in K: it is the shift of that
     node's f lead slots.  K holds the arrow numerators of Q1^+ and
@@ -216,17 +217,23 @@ def _act_integrand(quiver, d, e):
 
     total, deferred = expand_factors(nvars, (sign, 1), factors)
     fside, gside = (tuple(fslots), {}), (tuple(gslots), {})
-    return total, deferred, fside, gside, masks, block_cuts(blocks), _y_parity(total.terms, masks)
+    parity = None
+    if masks:
+        ymask, groups = sum(1 << (shift + SHIFT * j) for shift, _, dn, _ in masks for j in range(dn)), {}
+        for k, c in total.terms.items():
+            groups.setdefault(k & ymask, []).append((k, c))
+        parity = ymask, groups
+    return total, deferred, fside, gside, masks, block_cuts(blocks), parity
 
 
 def cohm_action(f, g):
     """f * g, the sigma-shuffle action of H_d on M_e: `schur_act` of their
-    Schur coordinates (`GradedElement.to_labels`), its leads merged first
-    as in `coha.shuffle_mul`, and the row expanded.  The push's length is
-    d_i e_i + (d_i + e_i) d_sigma(i) per Q0^+ node and D(D + 1)/2 + D m
-    per fixed node.  This is the sigma-shuffle sum only for S_d invariant
-    f and Weyl invariant g, which the element constructors (check=True)
-    and from_json_dict enforce."""
+    Schur coordinates (`GradedElement.to_labels`), the row expanded, and
+    charged first as in `coha.shuffle_mul`.  The push's length is d_i e_i
+    + (d_i + e_i) d_sigma(i) per Q0^+ node and D(D + 1)/2 + D m per fixed
+    node.  This is the sigma-shuffle sum only for S_d invariant f and Weyl
+    invariant g, which the element constructors (check=True) and
+    from_json_dict enforce."""
     if f.quiver != g.quiver:
         raise HallforgeError("elements over different quivers")
     quiver = f.quiver
@@ -234,30 +241,16 @@ def cohm_action(f, g):
     et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
     if f.is_zero() or g.is_zero():
         return CohmElement(quiver, et, Poly.zero(CohmElement.layout(quiver, et)[1]), check=False)
+    a, b = f.to_labels(), g.to_labels()
     idx = quiver.node_index
-    total, deferred, fside, gside, fixed, cuts, parity = _act_integrand(quiver, d, e)
-    leads, top = lead_terms(f.to_labels(), fside, g.to_labels(), gside)
-    if len(leads) > 1:
-        total = Poly(total.n, leads, top) * total
-        leads, top, parity = {0: 1}, 0, _y_parity(total.terms, fixed)
+    kernel, _, _, _, fixed, _, _ = _act_integrand(quiver, d, e)
     length = sum(d[idx[n]] * e[idx[n]] + (d[idx[n]] + e[idx[n]]) * d[idx[quiver.sigma_nodes[n]]] for n in quiver.q0_plus)
-    check_push_work(len(total.terms), length + sum(D * (D + 1) // 2 + D * m for _, _, D, m in fixed))
-    return CohmElement.from_labels(quiver, et, _push(leads, top, total, deferred, fixed, cuts, parity))
+    length += sum(D * (D + 1) // 2 + D * m for _, _, D, m in fixed)
+    check_push_work(len(a) * len(b) * len(kernel.terms), length)
+    return CohmElement.from_labels(quiver, et, schur_act(quiver, d, a, e, b))
 
 
 # -- the action in Schur coordinates -------------------------------------------------
-
-
-def _y_parity(terms, fixed):
-    """The terms grouped by y parity as `_push` reads them: (ymask, the low
-    bit of every y slot of the fixed nodes' blocks, {term & ymask: [(term,
-    coeff), ...] in the order of terms}), or None without a fixed node."""
-    if not fixed:
-        return None
-    ymask, groups = sum(1 << (shift + SHIFT * j) for shift, _, dn, _ in fixed for j in range(dn)), {}
-    for k, c in terms.items():
-        groups.setdefault(k & ymask, []).append((k, c))
-    return ymask, groups
 
 
 def schur_act(quiver, d, f, e, g):
@@ -288,19 +281,21 @@ def _push(leads, top, kernel, deferred, fixed, cuts, parity):
       in and the squared shuffle push is the straightening over D + m.
 
     With fixed nodes, only the lead and integrand term pairs whose y
-    exponents are all odd are enumerated: parity is `_y_parity` of the
-    integrand's terms, and a lead k pairs only with the group (k & ymask)
-    ^ ymask.  This drops exactly the pairs the B_D push would send to 0:
-    `poly.mul_bound` has checked that every exponent of a product fits its
-    packed field, so no field carries into the next and the low bit of a
-    y exponent of k1 + k2 is the XOR of those of k1 and k2.  The pairs kept
+    exponents are all odd are enumerated: parity is the integrand's terms
+    grouped by y parity (`_act_integrand`), and a lead k pairs only with
+    the group (k & ymask) ^ ymask.  This drops exactly the pairs the B_D
+    push would send to 0: `poly.mul_bound` has checked that every exponent
+    of a product fits its packed field, so no field carries into the next
+    and the low bit of a y exponent of k1 + k2 is the XOR of those of k1
+    and k2.  The pairs kept
     are met in the order of the full pair loop.
 
     The signs of the pushes sit in the integrand.  The pushed terms times
     the deferred terms times sum(D + m) are charged against MAX_PUSH_WORK
     before the deferred product is straightened.  `poly.mul_bound` refuses
     an exponent out of the packed range as `Poly.__mul__` would; the lead
-    and integrand term pairs are not capped."""
+    and integrand term pairs are not capped here (`cohm_action` charges
+    them)."""
     bound = mul_bound(kernel.n, leads, top, kernel.terms, kernel.bound)
     if not fixed:
         return straighten_blocks(leads, kernel.terms, cuts)

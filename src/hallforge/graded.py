@@ -26,7 +26,7 @@ from .parallel import pmap
 from .poly import MASK, MAXDEG, SHIFT, Poly, mul_bound
 from .quiver import MAX_QUOTIENT_SLICES, memoized
 from .series import InvariantTable
-from .symfun import block_cuts, expand_labels, straighten_blocks, weight_basis_size, weight_labels
+from .symfun import block_cuts, expand_labels, straighten_blocks, weight_labels
 
 
 class GradedElement:
@@ -116,13 +116,6 @@ class GradedElement:
             terms = {k - sum(((k >> s) & m) >> 1 << s for s, m in halve): c for k, c in terms.items()}
         mul_bound(pos, {delta: 1}, pos, terms, self.poly.bound)
         return straighten_blocks({delta: 1}, terms, block_cuts(blocks))
-
-    @classmethod
-    def slice_dim(cls, quiver, d, k):
-        deg = cls.slice_degree(quiver, d, k)
-        if deg is None:
-            return 0
-        return weight_basis_size(cls.blocks(quiver, d), deg)[deg]
 
     # -- predicates and grading ------------------------------------------------
 

@@ -76,8 +76,9 @@ def _check_pairs(pairs):
 
 
 def check_push_work(terms, per_term):
-    """Refuse to straighten `terms` terms at `per_term` work each when the
-    product passes MAX_PUSH_WORK (see its two charge points there)."""
+    """Refuse to straighten `terms` terms at `per_term` work each, at least
+    1, when the product passes MAX_PUSH_WORK (see its charge points there)."""
+    per_term = max(1, per_term)
     if terms * per_term > MAX_PUSH_WORK:
         raise HallforgeError(
             "straightening %d terms at a work of %d each exceeds the work cap of %d" % (terms, per_term, MAX_PUSH_WORK)

@@ -46,19 +46,21 @@ MAX_QUOTIENT_SLICES = 100_000
 # weight of the other.  Larger products fail with a HallforgeError before
 # any pair is multiplied.
 MAX_PRODUCT_PAIRS = 50_000_000
-# Work cap: the most term pairs, len(a) x len(b), that one polynomial product
-# (Poly.__mul__, or one factor of poly.expand_factors) may multiply.  Larger
-# products fail with a HallforgeError before any pair is multiplied; on L2
-# the arrow numerators of H_(13,) x H_(1,) reach it.
+# Work cap: the most term pairs, len(a) x len(b), that one factor of
+# poly.expand_factors (the integrand builders) may multiply, as may one
+# Poly.__mul__, which no product of the library forms.  Larger products fail
+# with a HallforgeError before any pair is multiplied; on L2 the arrow
+# numerators of H_(13,) x H_(1,) reach it.
 MAX_POLY_PAIRS = 2_000_000
-# Work cap: the most straightening work one push may charge.  An element
-# product charges the terms it straightens (the integrand's, or the leads times
-# the integrand) times the length of its push; a fixed node's deferred product
-# (cohm._push) its pushed terms times its deferred terms times D + m.  A larger
-# charge fails with a HallforgeError before that straightening.  The largest
-# charges are 286 020 and 24 990 in the tests, 1 164 and 260 in the benchmark
-# and 270 848 in CI; the L2 constants of H_(12,) x H_(1,) charge 6 377 292, the
-# L3 units of H_(3,) x M_(8,) a deferred 7 246 400.
+# Work cap: the most straightening work one push may charge, each term at
+# a work of at least 1 (poly.check_push_work).  An element product
+# (shuffle_mul, cohm_action) charges its operands' label pairs times the
+# integrand's terms times the length of its push; a fixed node's deferred
+# product (cohm._push) its pushed terms times its deferred terms times D + m.
+# A larger charge fails with a HallforgeError before that straightening.  The largest charges are 286 020 and 24 990 in the tests,
+# 2 328 and 260 in the benchmark, and 1 179 920 (the full slices of L3 H_(4,)
+# x H_(2,)) and 31 500 in CI; the L2 constants of H_(12,) x H_(1,) charge
+# 6 377 292, the L3 units of H_(3,) x M_(8,) a deferred 7 246 400.
 MAX_PUSH_WORK = 2_000_000
 # Work cap: the most ordered pairs of distinct positive roots, R (R - 1) for
 # the R = n (n + 1) / 2 roots of A_n, whose Hom and Ext^1 the
@@ -489,11 +491,12 @@ def parse_quiver(doc):
 
 
 def loop_quiver(m, s=1, tau=None):
-    """L_m: one node, m loops.  tau is a sign list (default all -1)."""
+    """L_m: one node, m loops.  tau is a list or tuple of m signs (default
+    all -1); anything else raises QuiverSpecError."""
     if tau is None:
         tau = [-1] * m
-    if len(tau) != m:
-        raise QuiverSpecError("need %d loop signs" % m)
+    if not isinstance(tau, (list, tuple)) or len(tau) != m:
+        raise QuiverSpecError("tau must be a list of %d loop signs, not %r" % (m, tau))
     node = "1"
     arrows = [("l%d" % (k + 1), node, node) for k in range(m)]
     return QuiverWithDuality(

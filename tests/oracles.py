@@ -29,7 +29,7 @@ from hallforge.series import (
     qpochhammer_inf,
     sign_pow,
 )
-from hallforge.symfun import _lead_key, _straightener, lead_terms, partitions, straighten_blocks
+from hallforge.symfun import _lead_key, _straightener, lead_terms, partitions, straighten_blocks, weight_basis_size
 
 
 def q3(loops):
@@ -188,6 +188,15 @@ def label_degree(cls, quiver, d, label):
     """Polynomial degree of the basis element of a label: |lam| on a GL
     block, 2|lam| on a BCD block."""
     return sum(sum(lam) * (1 if kind == "GL" else 2) for (_, kind, _), lam in zip(cls.blocks(quiver, d), label))
+
+
+def slice_dim(cls, quiver, d, k):
+    """The dimension of the (d, k) slice of cls, 0 when it is empty: entry
+    deg of the count list `symfun.weight_basis_size` up to its degree."""
+    deg = cls.slice_degree(quiver, d, k)
+    if deg is None:
+        return 0
+    return weight_basis_size(cls.blocks(quiver, d), deg)[deg]
 
 
 def add_classes(d1, d2):

@@ -19,6 +19,7 @@ from hallforge.proputils import (
     split_budget,
 )
 from hallforge.series import dt_series, module_classes, sign_pow
+from oracles import slice_dim
 
 
 def suite_associativity(quiver, seed, count=200, budget=4, maxdeg=2):
@@ -127,10 +128,10 @@ def suite_hilbert_consistency(quiver, seed, count=200, maxtotal=5, window=12):
     for _ in range(count):
         d = random_dim(rng, quiver, maxtotal)
         k = quiver.euler_form(d, d) + 2 * rng.randint(0, window // 2)
-        if A.coefficient(d, k) != Fraction(CohaElement.slice_dim(quiver, d, k) * sign_pow(k)):
+        if A.coefficient(d, k) != Fraction(slice_dim(CohaElement, quiver, d, k) * sign_pow(k)):
             failures.append({"d": list(d), "k": k, "side": "coha"})
         e = rng.choice(classes)
         k = quiver.sd_euler_form(e) + 2 * rng.randint(0, window // 2)
-        if As.coefficient(e, k) != Fraction(CohmElement.slice_dim(quiver, e, k) * sign_pow(k)):
+        if As.coefficient(e, k) != Fraction(slice_dim(CohmElement, quiver, e, k) * sign_pow(k)):
             failures.append({"e": list(e), "k": k, "side": "cohm"})
     return _report("hilbert-consistency", failures, count)

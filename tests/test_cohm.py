@@ -24,7 +24,7 @@ from hallforge.quiver import a1_tilde, a2_quiver, loop_quiver
 from hallforge.series import ori_dt_series, pochhammer_q2_product, sign_pow
 from hallforge.symfun import schur
 
-from oracles import from_exponents
+from oracles import from_exponents, slice_dim
 
 L0 = loop_quiver(0)
 L0C = loop_quiver(0, s=-1)
@@ -279,7 +279,7 @@ def test_slice_dims_match_series():
         ee = L2.sd_euler_form((e,))
         for k in range(ee, ee + 13):
             assert s.coefficient((e,), k) == Fraction(
-                CohmElement.slice_dim(L2, (e,), k) * sign_pow(k)
+                slice_dim(CohmElement, L2, (e,), k) * sign_pow(k)
             )
 
 

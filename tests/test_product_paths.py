@@ -1,6 +1,6 @@
 """The products in Schur coordinates run in one pass from labels to labels
-(`coha.schur_mul`, `cohm.schur_act`), the element products push the same
-cached integrands from their operands' Schur coordinates, and the PBW
+(`coha.schur_mul`, `cohm.schur_act`), the element products are those label
+products of their operands' Schur coordinates, and the PBW
 checks share suffix products through a trie of letters.  Their oracles
 are the paths they replace, kept in `oracles`: the lead product times the
 cached integrand by `Poly.__mul__`, the B_D push and `straighten_terms`
@@ -203,9 +203,8 @@ FULL_SLICE_CASES = [
 @pytest.mark.parametrize("case", FULL_SLICE_CASES, ids=[c[0] for c in FULL_SLICE_CASES])
 def test_full_slice_products_against_the_integrands_built_with_f_and_g(case):
     """Operands whose rows are whole slices, 3 to 11 labels on one side, so
-    that the leads merge before they are straightened, give the
-    polynomials of the integrands built with f and g and pushed from the
-    unit leads."""
+    that many lead pairs are straightened, give the polynomials of the
+    integrands built with f and g and pushed from the unit leads."""
     name, quiver, (d1, deg1), (d2, deg2), (d, deg), (e, dege) = case
     rng = Lcg(20261101 + len(name))
     f, g = _full_slice(rng, CohaElement, quiver, d1, deg1), _full_slice(rng, CohaElement, quiver, d2, deg2)
@@ -218,13 +217,13 @@ def test_full_slice_products_against_the_integrands_built_with_f_and_g(case):
 
 @pytest.mark.parametrize("name, quiver", ELEMENT_QUIVERS, ids=[n for n, _ in ELEMENT_QUIVERS])
 def test_element_products_are_the_label_products_of_their_coordinates(name, quiver):
-    """An element product is the label product of its operands' Schur
-    coordinates, expanded: merging the leads into the integrand before
-    the push changes no coefficient of the row.  Seeded pairs of one to
-    three labels each, so both the one-lead and the merged push run."""
+    """A label product, expanded, is the divided-difference product of
+    its operands expanded from their Schur coordinates, which read back
+    the rows.  Seeded pairs of one to three labels each, so that label
+    products of one and of several label pairs run."""
     rng = Lcg(20261102 + len(name))
     classes = [d for d in quiver.dimension_vectors(2) if any(d)]
-    merged = 0
+    several = 0
     for _ in range(30):
         d1, d2 = rng.choice(classes), rng.choice(classes)
         e = rng.choice(module_classes(quiver, 3))
@@ -234,11 +233,11 @@ def test_element_products_are_the_label_products_of_their_coordinates(name, quiv
         fe, ge, he = CohaElement.from_labels(quiver, d1, f), CohaElement.from_labels(quiver, d2, g), CohmElement.from_labels(quiver, e, h)
         assert (fe.to_labels(), ge.to_labels(), he.to_labels()) == (f, g, h)
         row = schur_mul(quiver, d1, f, d2, g)
-        assert shuffle_mul(fe, ge) == CohaElement.from_labels(quiver, add_classes(d1, d2), row), (d1, f, d2, g)
+        assert direct_shuffle_mul(fe, ge) == CohaElement.from_labels(quiver, add_classes(d1, d2), row), (d1, f, d2, g)
         row = schur_act(quiver, d1, f, e, h)
-        assert cohm_action(fe, he) == CohmElement.from_labels(quiver, add_classes(quiver.hyperbolic(d1), e), row), (d1, f, e, h)
-        merged += (len(f) * len(g) > 1) + (len(f) * len(h) > 1)
-    assert merged >= 4, merged
+        assert direct_cohm_action(fe, he) == CohmElement.from_labels(quiver, add_classes(quiver.hyperbolic(d1), e), row), (d1, f, e, h)
+        several += (len(f) * len(g) > 1) + (len(f) * len(h) > 1)
+    assert several >= 4, several
 
 
 def _count_straightenings(monkeypatch):
@@ -282,38 +281,37 @@ def test_push_work_cap_at_each_element_product(monkeypatch):
         straightened.clear()
 
 
-def test_merged_leads_are_one_capped_product(monkeypatch):
-    """With several leads, the leads times the integrand are one
-    `Poly.__mul__`: MAX_POLY_PAIRS bounds its lead and term pairs, and its
-    merged terms times the push's length are charged against
-    MAX_PUSH_WORK; either refuses before anything is straightened.  On L2,
-    s_(2) + s_(1,1) in H_(2,) times 1 in H_(1,) has 2 leads and 9 integrand
-    terms, 18 pairs that merge into 14 terms, at a push length of 2; on
-    L1, s_(2) + s_(1,1) acting on 1 in M_(1,) has 2 leads and 2 terms, 4
-    pairs that merge into 3 terms, at the B_2 push length of 3.  The
-    integrands are cached first, so no cap meets their build."""
+def test_label_pairs_charge_at_each_element_product(monkeypatch):
+    """An element product charges its operands' label pairs times the
+    integrand's terms times the push's length against MAX_PUSH_WORK, and
+    forms no polynomial product.  On L2, s_(2) + s_(1,1) in H_(2,) times 1
+    in H_(1,) has 2 label pairs and 9 integrand terms, 18 terms at a push
+    length of 2; on L1, s_(2) + s_(1,1) acting on 1 in M_(1,) has 2 label
+    pairs and 2 terms, 4 terms at the B_2 push length of 3; on A2, 1 in
+    H_(1, 0) times 1 in H_(0, 1) has one label pair and the 2 terms of its
+    arrow numerator, at a push of length 0, charged as 1.  One under the
+    charge refuses before anything is straightened; at the charge all are
+    pushed, with the integrands cached first and MAX_POLY_PAIRS at 1."""
     from hallforge import poly
 
     straightened = _count_straightenings(monkeypatch)
-    l2, l1 = loop_quiver(2), loop_quiver(1)
+    l2, l1, a2 = loop_quiver(2), loop_quiver(1), a2_quiver()
     two = {((2,),): 1, ((1, 1),): 1}
     products = (
-        (shuffle_mul, CohaElement.from_labels(l2, (2,), two), CohaElement.unit(l2, (1,)), 18, 14, 2),
-        (cohm_action, CohaElement.from_labels(l1, (2,), two), CohmElement.unit(l1, (1,)), 4, 3, 3),
+        (shuffle_mul, CohaElement.from_labels(l2, (2,), two), CohaElement.unit(l2, (1,)), 18, 2),
+        (cohm_action, CohaElement.from_labels(l1, (2,), two), CohmElement.unit(l1, (1,)), 4, 3),
+        (shuffle_mul, CohaElement.unit(a2, (1, 0)), CohaElement.unit(a2, (0, 1)), 2, 1),
     )
-    for product, f, g, pairs, terms, length in products:
-        want = product(f, g)  # the integrand is cached before the caps move
-        straightened.clear()
-        monkeypatch.setattr(poly, "MAX_POLY_PAIRS", pairs - 1)
-        with pytest.raises(HallforgeError, match="product of %d term pairs exceeds" % pairs):
-            product(f, g)
-        monkeypatch.setattr(poly, "MAX_POLY_PAIRS", pairs)
+    wants = [product(f, g) for product, f, g, _, _ in products]  # the integrands are cached
+    straightened.clear()
+    monkeypatch.setattr(poly, "MAX_POLY_PAIRS", 1)
+    for (product, f, g, terms, length), want in zip(products, wants):
         monkeypatch.setattr(poly, "MAX_PUSH_WORK", terms * length - 1)
         with pytest.raises(HallforgeError, match="straightening %d terms at a work of %d each" % (terms, length)):
             product(f, g)
         assert not straightened
         monkeypatch.setattr(poly, "MAX_PUSH_WORK", terms * length)
-        assert product(f, g) == want and want.poly and straightened[0] == 1
+        assert product(f, g) == want and want.poly and straightened
         straightened.clear()
 
 

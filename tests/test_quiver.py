@@ -93,6 +93,18 @@ def test_signs_must_be_ints(s, tau):
         parse_quiver(doc)
 
 
+@pytest.mark.parametrize("tau", [-1, 1, "ab", (-1,), [-1, -1, -1], {"l1": -1, "l2": -1}])
+def test_loop_signs_must_be_a_list_of_m_signs(tau):
+    """`loop_quiver` refuses a tau that is not a list or tuple of m signs,
+    a scalar sign or a mapping too, with QuiverSpecError; the signs of a
+    list of the right length are checked as every quiver's are."""
+    with pytest.raises(QuiverSpecError, match="tau must be a list of 2 loop signs"):
+        loop_quiver(2, s=1, tau=tau)
+    with pytest.raises(QuiverSpecError, match="must be \\+1 or -1"):
+        loop_quiver(2, s=1, tau=(-1, 1.0))
+    assert loop_quiver(2, s=1, tau=(-1, -1)) == loop_quiver(2, s=1, tau=[-1, -1])
+
+
 def test_euler_form_examples():
     a2 = a2_quiver()
     assert a2.euler_form((1, 0), (0, 1)) == -1

@@ -173,11 +173,10 @@ def test_parity_grouped_push_against_the_pair_loop(name, quiver):
     make every y exponent of a fixed node odd.  On seeded rows (L0-L3 with
     s, tau = +-1, and A3, whose middle node is fixed) the push of the
     cached integrand (`schur_act`) equals the loop over every pair, entry
-    for entry and in order.  The element path (`cohm_action`, which merges
-    several leads into the integrand and pushes the merged terms, grouped
-    by parity, from the unit lead) equals the pair loop over the integrand
-    built with f and g (`oracles.fg_action_integrand`) on the expanded
-    rows."""
+    for entry and in order.  The element path (`cohm_action`, the same
+    push of the expanded rows' Schur coordinates) equals the pair loop
+    over the integrand built with f and g (`oracles.fg_action_integrand`)
+    on the expanded rows."""
     rng = Lcg(20261020 + len(name))
     checked = 0
     for _ in range(40):
