@@ -37,7 +37,7 @@ from .cohm import CohmElement, act_many, action_degree_shift, schur_act
 from .errors import GradingError, HallforgeError, QuiverSpecError
 from .linalg import rank_of_rows
 from .quiver import MAX_PBW_WORDS, MAX_ROOT_PAIRS, QuiverWithDuality
-from .series import MODULE, QSeries, qpochhammer_inf
+from .series import MODULE, PochhammerFactor, QSeries
 from .symfun import _partitions, schur, weight_basis_size  # noqa: F401  (perfbench binds finite_type.schur)
 
 
@@ -283,17 +283,19 @@ def dilog_identity_check(rs, maxdim, window):
 
     Each side sums, over the seeds pi of `pbw_check_cohm`, the
     q^2-dilogarithms of the sigma-fixed roots acting on xi^pi, then acts on
-    the sum by the dilogarithms of its outer roots in product order.
+    the sum by the dilogarithms of its outer roots in product order.  Every
+    action is `PochhammerFactor.char_star`, which divides the acted-on rows
+    by the factor's product formula instead of expanding the factor.
     """
     quiver = rs.quiver
     factors = {}
 
     def pochhammer(k0, root, base):
-        """(q^(k0/2) t^root ; q^base)_inf, built once per check: every seed
-        and side reuses it, and char_star only reads it."""
+        """(q^(k0/2) t^root ; q^base)_inf, described once per check: every
+        seed and side reuses it, and its char_star only reads it."""
         key = (k0, root, base)
         if key not in factors:
-            factors[key] = qpochhammer_inf(quiver, "torus", k0, rs.dim_vector(root), maxdim, window, base)
+            factors[key] = PochhammerFactor(quiver, k0, rs.dim_vector(root), maxdim, window, base)
         return factors[key]
 
     sides = []

@@ -32,8 +32,11 @@ from .errors import (
 # with a HallforgeError before any work is done.
 MAX_DIMENSION_VECTORS = 100_000
 # Work cap: the most dense cells, classes x (window + 1), that one closed-form
-# series may expand.  Larger requests fail with a HallforgeError before any
-# cell is allocated.
+# series may expand, as a PochhammerFactor is charged when it is described;
+# also the most that one series product or triangular recurrence may fill
+# (`series._charge_cells`), for PochhammerFactor.char_star its chain lists
+# plus its targets of several contributions.  Larger requests fail with a
+# HallforgeError before any cell is allocated.
 MAX_SERIES_CELLS = 2_000_000
 # Work cap: the most slices, classes x (window // 2 + 1), that one primitive
 # quotient (V^prim, W^prim or the sigma(d) = d eigenspaces of equivariant DT)
@@ -44,7 +47,9 @@ MAX_QUOTIENT_SLICES = 100_000
 # module_star, char_star) may multiply, bounded per class pair by the terms
 # of either operand's row that fit the target window next to the least
 # weight of the other.  Larger products fail with a HallforgeError before
-# any pair is multiplied.
+# any pair is multiplied.  PochhammerFactor.char_star charges the pairs of
+# the expanded factor's char_star, read off its known rows, before any
+# running sum.
 MAX_PRODUCT_PAIRS = 50_000_000
 # Work cap: the most term pairs, len(a) x len(b), that one factor of
 # poly.expand_factors (the integrand builders) may multiply, as may one

@@ -23,6 +23,11 @@ series are acted on via t^d * xi^e = q^(gamma(d,e)/2) xi^(H(d)+e).  Numerical
 factorization identities use the plain commutative product `cmul`.  A
 product walks the rows of each class pair only up to its target window, and
 takes the twist of a pair from per-class rows: chi(d,e) - chi(e,d) = r(d).e.
+A q-Pochhammer factor acts unexpanded (`PochhammerFactor.char_star`, the
+dilogarithm check's products): class n of (q^(k0/2) t^d ; q^base)_inf is a
+sign and a shift over prod_(j<=n) (1 - q^(base j)), so each acted-on row is
+divided on one dense list, one running sum per j, shared by its targets;
+`QSeries.char_star` on the expanded `qpochhammer_inf` is its test oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
-from operator import add, mul
+from operator import add, mul, sub
 from types import MappingProxyType
 
 from .errors import GradingError, HallforgeError, KindMismatchError, NonIntegralError
@@ -107,6 +112,18 @@ def _windows(meta_a, meta_b, maxdim, lift=None):
                 hi = old[1] if hi is None else hi if old[1] is None else min(old[1], hi)
             meta[d] = (lo, hi)
     return meta, pairs
+
+
+def _action_lift(quiver, classes, sign):
+    """Lift (H(d), 2|d|, sign r(d), sign (E(sigma d) - E(d))) of every class
+    d of an acting series, for `_windows`: t^d * xi^e lands in H(d) + e with
+    twist sign gamma(d, e), gamma(d, e) = r(d).e + E(sigma d) - E(d)."""
+    lift = {}
+    for d in classes:
+        shift = quiver.sd_euler_form(quiver.sigma_dim(d)) - quiver.sd_euler_form(d)
+        row = tuple(sign * x for x in quiver.skew_row(d))
+        lift[d] = (quiver.hyperbolic(d), 2 * sum(d), row, sign * shift)
+    return lift
 
 
 def _chain_windows(x):
@@ -386,18 +403,11 @@ class QSeries:
         return self._convolve(other, TORUS, lift)
 
     def _action_classes(self, sign):
-        """Lift (H(d), 2|d|, sign r(d), sign (E(sigma d) - E(d))) of every
-        class d of the acting series: t^d * xi^e lands in H(d) + e with twist
-        sign gamma(d, e), gamma(d, e) = r(d).e + E(sigma d) - E(d); kept per
+        """`_action_lift` of the classes of this acting series, kept per
         sign, as one factor acts on many series."""
         lift = self._lifts.get(sign)
         if lift is None:
-            q = self.quiver
-            lift = self._lifts[sign] = {}
-            for d in self.meta:
-                shift = q.sd_euler_form(q.sigma_dim(d)) - q.sd_euler_form(d)
-                row = tuple(sign * x for x in q.skew_row(d))
-                lift[d] = (q.hyperbolic(d), 2 * sum(d), row, sign * shift)
+            lift = self._lifts[sign] = _action_lift(self.quiver, self.meta, sign)
         return lift
 
     def module_star(self, x):
@@ -412,6 +422,8 @@ class QSeries:
         (-q^(1/2))^(-gamma(d,e)).  Coincides with module_star for
         sigma-symmetric quivers."""
         self._check_compat(x, same_kind=False)
+        if self.kind != TORUS or x.kind != MODULE:
+            raise KindMismatchError("char_star needs torus * module")
         return self._convolve(x, MODULE, self._action_classes(-1), signed=True)
 
     def power(self, n):
@@ -555,7 +567,10 @@ class QSeries:
 
 
 def _dense(classes, window):
-    """classes, once their dense cells, classes x (window + 1), fit the cap."""
+    """classes, once their dense cells, classes x (window + 1), fit the cap;
+    a negative window raises GradingError."""
+    if window < 0:
+        raise GradingError("a series window must be >= 0, not %d" % window)
     _charge_cells(len(classes) * (window + 1), "closed form")
     return classes
 
@@ -584,27 +599,172 @@ def _add_class(rows, meta, cls, lead, sign, steps, window, memo):
     meta[cls] = (lead, lead + window)
 
 
-def qpochhammer_inf(quiver, kind, k0, dvec, maxdim, window, base=1):
-    """(q^(k0/2) t^dvec ; q^base)_inf, truncated.
-
-    The coefficient of t^(n*dvec) is (-1)^n q^(n*k0/2 + base*n(n-1)/2)
-    / prod_{j=1..n} (1 - q^(base*j)), expanded within the window.  k0 and
-    base are ints: a float, a bool or a string raises GradingError.
-    """
+def _pochhammer_classes(quiver, kind, k0, dvec, maxdim, window, base):
+    """(n, n dvec, L_n) for the classes n = 1 .. maxdim // |dvec| of
+    (q^(k0/2) t^dvec ; q^base)_inf, L_n = n k0 + base n(n - 1), once their
+    dense cells fit the cap.  k0 and base are ints (a float, a bool or a
+    string raises GradingError), base >= 1 and dvec a nonzero class."""
     _check_int("k0", k0)
     _check_int("base", base)
+    if base < 1:
+        raise GradingError("q-Pochhammer needs base >= 1, not %d" % base)
     dvec = quiver.check_selfdual_dim(dvec) if kind == MODULE else quiver.check_dim(dvec)
     if not any(dvec):
         raise GradingError("q-Pochhammer needs a nonzero dimension vector")
+    ns = _dense(range(1, maxdim // sum(dvec) + 1), window)
+    return [(n, tuple(n * x for x in dvec), n * k0 + base * n * (n - 1)) for n in ns]
+
+
+def qpochhammer_inf(quiver, kind, k0, dvec, maxdim, window, base=1):
+    """(q^(k0/2) t^dvec ; q^base)_inf, truncated.
+
+    The coefficient of t^(n*dvec) is (-1)^n q^(L_n/2) / prod_{j=1..n}
+    (1 - q^(base*j)), L_n = n*k0 + base*n(n-1), expanded within the window
+    (`_pochhammer_classes` checks the arguments).  `PochhammerFactor` acts
+    as this series does without expanding it.
+    """
     zero = quiver.zero()
-    rows, meta = {zero: [(0, 1)]}, {zero: (0, None)}
-    memo = {}
-    for n in _dense(range(1, maxdim // sum(dvec) + 1), window):
-        cls = tuple(n * x for x in dvec)
-        kstart = n * k0 + base * n * (n - 1)
+    rows, meta, memo = {zero: [(0, 1)]}, {zero: (0, None)}, {}
+    for n, cls, lead in _pochhammer_classes(quiver, kind, k0, dvec, maxdim, window, base):
         steps = [2 * base * j for j in range(1, n + 1)]
-        _add_class(rows, meta, cls, kstart, sign_pow(n), steps, window, memo)
+        _add_class(rows, meta, cls, lead, sign_pow(n), steps, window, memo)
     return QSeries(quiver, kind, maxdim, rows, meta)
+
+
+class PochhammerFactor:
+    """The torus series qpochhammer_inf(quiver, TORUS, k0, dvec, maxdim,
+    window, base) described, not expanded: the same checks and closed-form
+    cell charge, then only its windows, its `_action_lift` (sign -1) and, per
+    class, (n, L_n, the weight span of its row).  Its rows are known without
+    building them: [(0, 1)] for the zero class, the weights L_n + 2 base m,
+    m <= window // (2 base), for class n dvec."""
+
+    __slots__ = ("quiver", "maxdim", "step", "meta", "lift", "classes")
+
+    def __init__(self, quiver, k0, dvec, maxdim, window, base=1):
+        classes = _pochhammer_classes(quiver, TORUS, k0, dvec, maxdim, window, base)
+        zero, step = quiver.zero(), 2 * base
+        width = window - window % step
+        self.quiver, self.maxdim, self.step = quiver, maxdim, step
+        self.meta = {zero: (0, None), **{cls: (lead, lead + window) for _, cls, lead in classes}}
+        self.lift = _action_lift(quiver, self.meta, -1)
+        self.classes = {zero: (0, 0, 0), **{cls: (n, lead, width) for n, cls, lead in classes}}
+
+    def char_star(self, x):
+        """The expanded factor's `QSeries.char_star(x)`, row for row and
+        window for window, from `_windows` of the factor's windows and lift.
+
+        A row X of x, of class e, is divided on one dense list: G_0 = X and
+        G_n = G_(n-1) / (1 - q^(base n)), a running sum, and G_n lands in
+        H(n dvec) + e shifted by L_n + tw and signed by (-1)^(n + tw).  The
+        list's stride is the gcd of 2 base and X's weight steps; it is cut
+        at the highest weight that a later target still reads.  As x's rows
+        start at or above their suppmin, no target reads the factor past its
+        window.  Before any running sum, the term pairs that `_convolve`
+        would multiply with the expanded factor are charged to
+        MAX_PRODUCT_PAIRS, with its message, and then the lists' and the
+        targets' dense cells to MAX_SERIES_CELLS."""
+        q = self.quiver
+        if q is not x.quiver and q != x.quiver:
+            raise KindMismatchError("series over different quivers")
+        if x.kind != MODULE:
+            raise KindMismatchError("char_star needs torus * module")
+        maxdim = min(self.maxdim, x.maxdim)
+        meta, pairs = _windows(self.meta, x.meta, maxdim, self.lift)
+        step, classes, xrows = self.step, self.classes, x.rows
+        work, chains, spans = 0, {}, {}
+        for d1, e, d, tw in pairs:
+            row = xrows.get(e)
+            if not row:
+                continue
+            n, lead, width = classes[d1]
+            x0, hi = row[0][0], meta[d][1]
+            top = row[-1][0] + width if hi is None else hi - tw - lead  # of G_n
+            if top < x0:
+                continue
+            nb = bisect_left(row, (top + 1,))
+            work += (min(width, top - x0) // step + 1) * nb
+            chain = chains.get(e)
+            if chain is None:
+                chain = chains[e] = (gcd(step, *[k - x0 for k, _ in row]), [])
+            stride, plan = chain
+            count, w0 = (top - x0) // stride + 1 if n else nb, x0 + lead + tw
+            plan.append((n, d, sub if (n + tw) & 1 else add, w0, count))
+            w1 = w0 + (row[nb - 1][0] - x0 if n == 0 else stride * (count - 1))
+            span = spans.get(d)
+            if span is None:
+                spans[d] = (w0, w1, stride, 1)
+            else:
+                lo, up, s, fan = span
+                spans[d] = (min(lo, w0), max(up, w1), gcd(s, stride, w0 - lo), fan + 1)
+        if work > MAX_PRODUCT_PAIRS:
+            raise HallforgeError(
+                "a series product of up to %d term pairs exceeds the work cap of %d" % (work, MAX_PRODUCT_PAIRS)
+            )
+        # a target of one contribution takes its row as it is made
+        dense = {d: (up - lo) // s + 1 for d, (lo, up, s, fan) in spans.items() if fan > 1}
+        lists = [max(p[4] for p in plan if p[0]) for _, plan in chains.values() if plan[-1][0]]
+        _charge_cells(sum(dense.values()) + sum(lists), "product")
+        acc = {d: [0] * cells for d, cells in dense.items()}
+        for e, (stride, plan) in chains.items():
+            _pochhammer_chain(xrows[e], stride, plan, step // stride, spans, acc)
+        rows = {}
+        for d, (lo, _, s, fan) in spans.items():
+            row = acc[d] if fan == 1 else [(lo + s * i, c) for i, c in enumerate(acc[d]) if c]
+            if row:
+                rows[d] = row
+        return QSeries(q, MODULE, maxdim, rows, meta)
+
+
+def _pochhammer_chain(row, stride, plan, unit, spans, acc):
+    """Add G_n of `PochhammerFactor.char_star` for each (n, target, add or
+    sub, first weight, count) of plan, n ascending, to its target: into the
+    target's dense list in acc over its (lo, hi, stride, fan-in) span, or, for
+    a target of no list, as acc's row for it.  G_0 is X = row, whose first
+    count terms land unshifted and unsigned (the zero class has no twist);
+    for n >= 1 G_n = G_(n-1) / (1 - q^(base n)) is a
+    running sum of step unit n on one list, X's weights stride apart, cut
+    first at the count that plan's rest still reads."""
+    if plan[0][0] == 0:
+        _, d, _, _, count = plan[0]
+        if d in acc:
+            out, (lo, _, s, _) = acc[d], spans[d]
+            for k, c in row[:count]:
+                out[(k - lo) // s] += c
+        else:
+            acc[d] = row[:count]
+        plan = plan[1:]
+        if not plan:
+            return
+    keep, need = [], 0
+    for p in reversed(plan):
+        need = max(need, p[4])
+        keep.append(need)
+    keep.reverse()
+    x0 = row[0][0]
+    g = [0] * need
+    for k, c in row:
+        i = (k - x0) // stride
+        if i >= need:
+            break
+        g[i] = c
+    at = 0
+    for (n, d, op, w0, count), size in zip(plan, keep):
+        while at < n:
+            at += 1
+            del g[size:]
+            t = unit * at
+            for i in range(t, size):
+                g[i] += g[i - t]
+        if d in acc:
+            out, (lo, _, s, _) = acc[d], spans[d]
+            r = stride // s
+            a = (w0 - lo) // s
+            cut = slice(a, a + r * (count - 1) + 1, r)
+            out[cut] = map(op, out[cut], g[:count])
+        else:
+            sign = -1 if op is sub else 1
+            acc[d] = [(w0 + stride * i, sign * c) for i, c in enumerate(g[:count]) if c]
 
 
 def _check_int(name, x):

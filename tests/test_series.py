@@ -6,13 +6,14 @@ import pytest
 from hallforge import series
 from hallforge.coha import equivariant_dt
 from hallforge.cohm import witt_representative
-from hallforge.errors import GradingError, HallforgeError, InexactCoefficientError, NonIntegralError
+from hallforge.errors import GradingError, HallforgeError, InexactCoefficientError, KindMismatchError, NonIntegralError
 from hallforge.poly import Poly
 from hallforge.proputils import Lcg
 from hallforge.quiver import MAX_SERIES_CELLS, a1_tilde, a2_quiver, loop_quiver
 from hallforge.series import (
     MODULE,
     TORUS,
+    PochhammerFactor,
     QSeries,
     _triangular,
     dt_series,
@@ -273,6 +274,33 @@ def test_weights_are_ints(build, bad):
     assert build(1).to_json_dict() == QSeries.from_json_dict(L0, build(1).to_json_dict()).to_json_dict()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: dt_series(L1, 3, -1),
+        lambda: ori_dt_series(L1, 3, -1),
+        lambda: qpochhammer_inf(L0, TORUS, 0, (1,), 3, -1),
+        lambda: qdilog(L0, 3, -1),
+        lambda: PochhammerFactor(L0, 0, (1,), 3, -1),
+        lambda: qpochhammer_inf(L0, TORUS, 0, (1,), 3, 4, base=0),
+        lambda: qpochhammer_inf(L0, TORUS, 0, (1,), 3, 4, base=-1),
+        lambda: PochhammerFactor(L0, 0, (1,), 3, 4, base=0),
+    ],
+    ids=["dt window", "ori window", "pochhammer window", "qdilog window", "factor window",
+         "pochhammer base 0", "pochhammer base -1", "factor base 0"],
+)
+def test_closed_forms_refuse_negative_windows_and_bases(build):
+    """A closed form's window is >= 0 and a q-Pochhammer base >= 1: a
+    window of -1 would store rows above their windows (dt_series(L1, 3, -1)
+    held weight 0 at class (1,) with hi -1), base 0 expanded 1 - 2t + 4t^2
+    - ... and base -1 raised IndexError.  Both raise GradingError before
+    any class is expanded; window 0 and base 1 are accepted."""
+    with pytest.raises(GradingError):
+        build()
+    assert dt_series(L1, 3, 0).rows[(1,)] == [(0, 1)]
+    assert qpochhammer_inf(L0, TORUS, 0, (1,), 3, 0, base=1).rows[(2,)] == [(2, 1)]
+
+
 def test_float_coefficients_are_refused():
     """A float is never read as its binary fraction (0.1 would be
     3602879701896397/36028797018963968): Poly.const, Poly.scale, an exact
@@ -353,6 +381,26 @@ def test_module_star():
     ta = QSeries.monomial(L2, "torus", 6, (2,), -4)
     xb = QSeries.monomial(L2, "module", 6, (1,), 0)
     assert ta.module_star(xb).terms == {((5,), -4): Fraction(1)}
+
+
+def test_char_star_needs_torus_on_module():
+    """char_star, as module_star, acts by a torus series on a module series:
+    torus * torus, module * torus and module * module raise
+    KindMismatchError (torus.char_star(torus) returned a "module" series),
+    and so does the unexpanded factor's char_star on a torus series or on
+    a series over another quiver."""
+    a2 = a2_quiver()
+    t = QSeries.monomial(a2, TORUS, 6, (1, 0), 0)
+    xi = QSeries.monomial(a2, MODULE, 6, (1, 1), 0)
+    for acting, acted in ((t, t), (xi, t), (xi, xi)):
+        for op in (acting.module_star, acting.char_star):
+            with pytest.raises(KindMismatchError):
+                op(acted)
+    factor = PochhammerFactor(a2, 1, (1, 0), 6, 4)
+    with pytest.raises(KindMismatchError):
+        factor.char_star(t)
+    with pytest.raises(KindMismatchError):
+        factor.char_star(QSeries.monomial(L2, MODULE, 6, (2,), 0))
 
 
 def test_module_action_compatibility():

@@ -3,8 +3,9 @@ the target window, with per-class action twists) against the flat product
 they replaced (`oracles.flat_convolve`), the row layout of every producer on
 the same random series, inverse and log of units made from them against the
 power chains, the dense kernels against the dict kernels they replaced, the
-per-class twist rows against the quiver's forms, and the product work cap
-and dense-cell charge."""
+per-class twist rows against the quiver's forms, the unexpanded
+q-Pochhammer factor's action against the expanded factor's, and the
+product work cap and dense-cell charge."""
 
 from fractions import Fraction
 
@@ -12,10 +13,10 @@ import pytest
 
 from hallforge import series
 from hallforge.errors import HallforgeError, NonIntegralError
-from hallforge.finite_type import build_typeA
+from hallforge.finite_type import build_typeA, dilog_identity_check
 from hallforge.proputils import Lcg
 from hallforge.quiver import MAX_PRODUCT_PAIRS, MAX_SERIES_CELLS, a1_tilde, loop_quiver
-from hallforge.series import MODULE, TORUS, QSeries, _triangular, module_classes
+from hallforge.series import MODULE, TORUS, PochhammerFactor, QSeries, _triangular, module_classes, qpochhammer_inf
 
 from oracles import (
     assert_rows,
@@ -178,9 +179,10 @@ def test_dense_kernels_on_edge_rows():
     L0 = loop_quiver(0)
     a = QSeries(L0, TORUS, 3, {(1,): [(-5, 2), (-1, Fraction(1, 3)), (4, -1)]}, {(1,): (-5, None)})
     b = QSeries(L0, TORUS, 3, {(0,): [(-2, 1)], (2,): [(-3, -2), (0, 5)]}, {(0,): (-2, 3), (2,): (-3, None)})
+    xb = QSeries(L0, MODULE, 3, b.rows, b.meta)  # char_star acts on a module series
     for got, want in (
         (a.cmul(b), dict_convolve(a, b, TORUS)),
-        (a.char_star(b), dict_convolve(a, b, MODULE, a._action_classes(-1), signed=True)),
+        (a.char_star(xb), dict_convolve(a, xb, MODULE, a._action_classes(-1), signed=True)),
     ):
         assert typed_rows(got.rows) == typed_rows(want.rows) and got.meta == want.meta
     order = [(n,) for n in range(4)]
@@ -233,3 +235,102 @@ def test_cell_charge_refuses_wide_sparse_rows(monkeypatch):
         wide(MAX_SERIES_CELLS).cmul(one)
     with pytest.raises(AssertionError, match="term half reached"):
         wide(MAX_SERIES_CELLS - 1).cmul(one)
+
+
+FACTOR_QUIVERS = {
+    **{
+        "A%d %s" % (n, dual): build_typeA(n, ">" * (n - 1), dual).quiver
+        for n in range(1, 6)
+        for dual in ("orthogonal", "symplectic")
+    },
+    **{"L%d" % m: loop_quiver(m) for m in range(3)},
+    "A1~": a1_tilde(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_QUIVERS))
+def test_pochhammer_factor_acts_as_the_expanded_factor(name):
+    """PochhammerFactor(q, k0, d, maxdim, window, base).char_star(x) equals
+    qpochhammer_inf(q, TORUS, k0, d, maxdim, window, base).char_star(x): the
+    same rows in the same class order, coefficient types included, and the
+    same windows, kind and maxdim.  Seeded over k0 in [-3, 3], base in {1,
+    2, 3}, windows from 0 and every nonzero class d with |d| <= 2; x is a
+    random module series (`random_series`: negative least weights, exact
+    classes, windows with no term, Fraction coefficients) whose maxdim runs
+    up to 2 past the factor's, so that some of its classes lie past the
+    factor's reach; in half the cases x keeps only its first two classes,
+    so that the targets above them take the factor's high classes."""
+    quiver = FACTOR_QUIVERS[name]
+    rng = Lcg(2900 + sorted(FACTOR_QUIVERS).index(name))
+    top = {1: 9, 2: 6}.get(len(quiver.nodes), 4)  # up to n = 4 on one node
+    dvecs = [d for d in quiver.dimension_vectors(2) if any(d)]
+    for _ in range(32):
+        maxdim, k0, base = rng.randint(1, top), rng.randint(-3, 3), rng.randint(1, 3)
+        window, dvec = rng.choice([0, rng.randint(1, 24)]), rng.choice(dvecs)
+        x = random_series(rng, quiver, MODULE, maxdim + rng.randint(0, 2))
+        if rng.randint(0, 1):  # only small classes: the high ones take every n
+            x = QSeries(quiver, MODULE, x.maxdim, *(dict(list(m.items())[:2]) for m in (x.rows, x.meta)))
+        got = PochhammerFactor(quiver, k0, dvec, maxdim, window, base).char_star(x)
+        want = qpochhammer_inf(quiver, TORUS, k0, dvec, maxdim, window, base).char_star(x)
+        assert_rows(got)
+        case = (name, k0, dvec, maxdim, window, base)
+        assert list(typed_rows(got.rows).items()) == list(typed_rows(want.rows).items()), case
+        assert list(got.meta.items()) == list(want.meta.items()), case
+        assert (got.kind, got.maxdim) == (want.kind, want.maxdim), case
+
+
+def test_dilog_product_cap_refuses_before_any_running_sum(monkeypatch):
+    """The third product of the A3 ">>" dilogarithm check at (300, 400) is
+    charged the term pairs of the expanded factor's `_convolve` and refused
+    with its message before its first running sum; the two products before
+    it run theirs."""
+    chains, starts = [], []
+    real_chain, real_star = series._pochhammer_chain, PochhammerFactor.char_star
+
+    def chain(*args):
+        chains.append(args)
+        return real_chain(*args)
+
+    def star(factor, x):
+        starts.append(len(chains))
+        return real_star(factor, x)
+
+    monkeypatch.setattr(series, "_pochhammer_chain", chain)
+    monkeypatch.setattr(PochhammerFactor, "char_star", star)
+    message = "^a series product of up to 450792801 term pairs exceeds the work cap of 50000000$"
+    with pytest.raises(HallforgeError, match=message):
+        dilog_identity_check(build_typeA(3, ">>", "orthogonal"), 300, 400)
+    assert len(starts) == 3 and 0 < starts[1] < starts[2] == len(chains)
+
+
+def test_pochhammer_factor_charges_its_cells_before_allocating(monkeypatch):
+    """The unexpanded factor's action charges its dense cells, the chain
+    lists and the targets of several contributions, to MAX_SERIES_CELLS
+    before its first running sum: one cell over the cap is refused, a cap
+    at its cells gets through to the running sums."""
+    quiver = build_typeA(2, ">", "orthogonal").quiver
+    x = random_series(Lcg(31), quiver, MODULE, 6)
+    factor = PochhammerFactor(quiver, 1, (1, 0), 6, 40)
+    charged = []
+    real_charge = series._charge_cells
+
+    def charge(cells, what):
+        charged.append((cells, what))
+        return real_charge(cells, what)
+
+    monkeypatch.setattr(series, "_charge_cells", charge)
+    want = qpochhammer_inf(quiver, TORUS, 1, (1, 0), 6, 40).char_star(x)
+    assert factor.char_star(x).rows == want.rows
+    cells, what = charged[-1]
+    assert what == "product" and cells > 0
+
+    def unreachable(*args):
+        raise AssertionError("running sum reached")
+
+    monkeypatch.setattr(series, "_pochhammer_chain", unreachable)
+    monkeypatch.setattr(series, "MAX_SERIES_CELLS", cells - 1)
+    with pytest.raises(HallforgeError, match="series product of %d dense cells exceeds the work cap" % cells):
+        factor.char_star(x)
+    monkeypatch.setattr(series, "MAX_SERIES_CELLS", cells)
+    with pytest.raises(AssertionError, match="running sum reached"):
+        factor.char_star(x)
