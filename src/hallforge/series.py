@@ -265,9 +265,9 @@ def _term_half(cuts, spans, signed):
 
 
 class QSeries:
-    """Truncated series in per-class rows; `_action_classes` keeps its lifts."""
+    """Truncated series in per-class rows."""
 
-    __slots__ = ("quiver", "kind", "maxdim", "rows", "meta", "_lifts")
+    __slots__ = ("quiver", "kind", "maxdim", "rows", "meta")
 
     def __init__(self, quiver, kind, maxdim, rows=None, meta=None):
         if kind not in (TORUS, MODULE):
@@ -277,7 +277,6 @@ class QSeries:
         self.maxdim = maxdim
         self.rows = rows if rows is not None else {}
         self.meta = meta if meta is not None else {}
-        self._lifts = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -402,20 +401,12 @@ class QSeries:
         lift = {d: (d, sum(d), q.skew_row(d), 0) for d in self.meta}
         return self._convolve(other, TORUS, lift)
 
-    def _action_classes(self, sign):
-        """`_action_lift` of the classes of this acting series, kept per
-        sign, as one factor acts on many series."""
-        lift = self._lifts.get(sign)
-        if lift is None:
-            lift = self._lifts[sign] = _action_lift(self.quiver, self.meta, sign)
-        return lift
-
     def module_star(self, x):
         """Action of a torus series on a module series."""
         self._check_compat(x, same_kind=False)
         if self.kind != TORUS or x.kind != MODULE:
             raise KindMismatchError("module_star needs torus * module")
-        return self._convolve(x, MODULE, self._action_classes(1))
+        return self._convolve(x, MODULE, _action_lift(self.quiver, self.meta, 1))
 
     def char_star(self, x):
         """Module action in the character normalization: twist
@@ -424,7 +415,7 @@ class QSeries:
         self._check_compat(x, same_kind=False)
         if self.kind != TORUS or x.kind != MODULE:
             raise KindMismatchError("char_star needs torus * module")
-        return self._convolve(x, MODULE, self._action_classes(-1), signed=True)
+        return self._convolve(x, MODULE, _action_lift(self.quiver, self.meta, -1), signed=True)
 
     def power(self, n):
         if n < 0:

@@ -16,7 +16,16 @@ from hallforge.errors import HallforgeError, NonIntegralError
 from hallforge.finite_type import build_typeA, dilog_identity_check
 from hallforge.proputils import Lcg
 from hallforge.quiver import MAX_PRODUCT_PAIRS, MAX_SERIES_CELLS, a1_tilde, loop_quiver
-from hallforge.series import MODULE, TORUS, PochhammerFactor, QSeries, _triangular, module_classes, qpochhammer_inf
+from hallforge.series import (
+    MODULE,
+    TORUS,
+    PochhammerFactor,
+    QSeries,
+    _action_lift,
+    _triangular,
+    module_classes,
+    qpochhammer_inf,
+)
 
 from oracles import (
     assert_rows,
@@ -131,8 +140,7 @@ def test_twist_rows(name):
     and sign * star_twist(d, e)."""
     q = QUIVERS[name]
     classes = q.dimension_vectors(4)
-    acting = QSeries(q, TORUS, 4, {}, {d: (0, None) for d in classes})
-    lifts = {sign: acting._action_classes(sign) for sign in (1, -1)}
+    lifts = {sign: _action_lift(q, classes, sign) for sign in (1, -1)}
     for d in classes:
         row = q.skew_row(d)
         for e in classes:
@@ -182,7 +190,7 @@ def test_dense_kernels_on_edge_rows():
     xb = QSeries(L0, MODULE, 3, b.rows, b.meta)  # char_star acts on a module series
     for got, want in (
         (a.cmul(b), dict_convolve(a, b, TORUS)),
-        (a.char_star(xb), dict_convolve(a, xb, MODULE, a._action_classes(-1), signed=True)),
+        (a.char_star(xb), dict_convolve(a, xb, MODULE, _action_lift(L0, a.meta, -1), signed=True)),
     ):
         assert typed_rows(got.rows) == typed_rows(want.rows) and got.meta == want.meta
     order = [(n,) for n in range(4)]
