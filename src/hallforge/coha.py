@@ -6,10 +6,10 @@ prod_{a: i->j} prod (x''_{j,b} - x'_{i,a}) / prod_i prod (x''_{i,b} - x'_{i,a}),
 the push-forward of one integrand: the arrow numerators on one slot layout
 times the sign (-1)^(sum d1 d2), built once per quiver and class pair by
 `_mul_integrand` (no denominator is ever formed).  `schur_mul` pushes it
-by straightening, shifted by lead monomials, into Schur coordinates
-({label: coeff}, one partition per node) from rows of basis labels;
-`shuffle_mul` is `schur_mul` of its operands' rows
-(`GradedElement.to_labels`), the row expanded (`GradedElement.from_labels`).
+by straightening (`symfun._push`), shifted by lead monomials, into Schur
+coordinates ({label: coeff}, one partition per node) from rows of basis
+labels; `shuffle_mul` is `graded.element_product`, the push of its
+operands' rows, the row expanded.
 Cohomological weight of a homogeneous element is 2*deg + chi(d, d).
 CohaElement is the graded layer of `graded` with a GL block on every node,
 the variable prefix x and the weight form chi(d, d).
@@ -31,10 +31,12 @@ S_H(f) g = +-f g (`cohm._cohm_plan` keeps the pairs with sigma(a) <= a).
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import HallforgeError, SymmetryError
-from .graded import GradedElement, PrimitiveTable, check_quotient_slices
+from .graded import GradedElement, PrimitiveTable, check_quotient_slices, element_product
 from .linalg import Echelon, complement
-from .poly import SHIFT, Poly, check_push_work, expand_factors, mul_bound
+from .poly import SHIFT, expand_factors
 from .quiver import QuiverWithDuality, memoized
 from .series import (
     SignedInvariantTable,
@@ -42,7 +44,7 @@ from .series import (
     invert_pochhammer_factorization,
     sign_pow,
 )
-from .symfun import add_box, block_cuts, lead_terms, straighten_blocks
+from .symfun import Integrand, _push, add_box, block_cuts
 
 
 class CohaElement(GradedElement):
@@ -72,14 +74,12 @@ class CohaElement(GradedElement):
 
 @memoized("coha_integrand")
 def _mul_integrand(quiver, d1, d2):
-    """The integrand of the product H_d1 x H_d2 -> H_(d1+d2) and the
-    pieces its pushes read: (sign * K, the sides (lead slots, lead table)
-    of the x' and the x'' labels, as `symfun.lead_terms` reads them, the
-    `block_cuts` of the target), cached per quiver.
-    x'_{n,a} sits at slot offsets[n] + a and x''_{n,b} after the d1_n slots
-    of x'; K = prod_{a: t->h} prod (x''_{h,b} - x'_{t,a'}) the arrow
-    numerators, expanded by `poly.expand_factors`, and sign = (-1)^(sum_n
-    d1_n d2_n).  Both products push it from lead terms (see `schur_mul`)."""
+    """The `symfun.Integrand` of the product H_d1 x H_d2 -> H_(d1+d2),
+    cached per quiver, with no fixed node.  x'_{n,a} sits at slot
+    offsets[n] + a and x''_{n,b} after the d1_n slots of x'; K = prod_{a:
+    t->h} prod (x''_{h,b} - x'_{t,a'}) the arrow numerators, expanded by
+    `poly.expand_factors`, and sign = (-1)^length, the push's length
+    sum_n d1_n d2_n."""
     idx = quiver.node_index
     d = tuple(a + b for a, b in zip(d1, d2))
     offsets, nvars = CohaElement.layout(quiver, d)
@@ -90,30 +90,19 @@ def _mul_integrand(quiver, d1, d2):
         for b in range(d2[idx[h]])
         for a in range(d1[idx[t]])
     ]
-    (total,) = expand_factors(nvars, (sign_pow(sum(a * b for a, b in zip(d1, d2))),), factors)
+    length = sum(a * b for a, b in zip(d1, d2))
+    (total,) = expand_factors(nvars, (sign_pow(length),), factors)
     fside = tuple((offsets[n], d1[idx[n]], 1, 0, 1) for n in quiver.nodes), {}
     gside = tuple((mid[n], d2[idx[n]], 1, 0, 1) for n in quiver.nodes), {}
-    return total, fside, gside, block_cuts([(offsets[n], d[idx[n]]) for n in quiver.nodes])
+    return Integrand(total, None, fside, gside, (), block_cuts([(offsets[n], d[idx[n]]) for n in quiver.nodes]), None, length)
 
 
 def shuffle_mul(f, g):
-    """Kontsevich-Soibelman shuffle product of CoHA elements: `schur_mul`
-    of their Schur coordinates (`GradedElement.to_labels`), the row
-    expanded (`GradedElement.from_labels`).  The label pairs times the
-    integrand's terms times the push's length, sum_n d1_n d2_n, are charged
-    against MAX_PUSH_WORK before anything is straightened.
+    """Kontsevich-Soibelman shuffle product of CoHA elements, the push of
+    `schur_mul` from their Schur coordinates (`graded.element_product`).
     This is the shuffle sum only for Weyl invariant f and g, which
     CohaElement(check=True) and from_json_dict enforce."""
-    if f.quiver != g.quiver:
-        raise HallforgeError("elements over different quivers")
-    quiver = f.quiver
-    d = tuple(a + b for a, b in zip(f.d, g.d))
-    if f.is_zero() or g.is_zero():
-        return CohaElement(quiver, d, Poly.zero(CohaElement.layout(quiver, d)[1]), check=False)
-    a, b = f.to_labels(), g.to_labels()
-    terms = len(_mul_integrand(quiver, f.d, g.d)[0].terms)
-    check_push_work(len(a) * len(b) * terms, sum(x * y for x, y in zip(f.d, g.d)))
-    return CohaElement.from_labels(quiver, d, schur_mul(quiver, f.d, a, g.d, b))
+    return element_product(CohaElement, f, g, tuple(map(add, f.d, g.degree)), _mul_integrand)
 
 
 # -- the product in Schur coordinates -------------------------------------------
@@ -129,14 +118,8 @@ def schur_mul(quiver, d1, f, d2, g):
     for x'^(lam + delta) because partial_w0 factors through the Levi's.  So
     the product is one pass from labels to labels, with no polynomial
     built: the cached integrand's terms times x'^(lam + delta) x''^(mu +
-    delta), straightened block by block (`symfun.straighten_blocks`).
-    `poly.mul_bound` refuses an exponent out of the packed range as
-    `Poly.__mul__` would; the term pairs are not capped here (`shuffle_mul`
-    charges them)."""
-    kernel, fside, gside, cuts = _mul_integrand(quiver, d1, d2)
-    leads, top = lead_terms(f, fside, g, gside)
-    mul_bound(kernel.n, leads, top, kernel.terms, kernel.bound)
-    return straighten_blocks(leads, kernel.terms, cuts)
+    delta), straightened block by block (`symfun._push`)."""
+    return _push(_mul_integrand(quiver, d1, d2), f, g)
 
 
 def s_label(quiver, label):

@@ -17,9 +17,9 @@ as the deferred factors, and wait until its hyperoctahedral push is done.
 At the identity shuffle x'_{i,j} -> z_{i,j}, z''_{i,j} -> z_{i,d_i+j} and
 x'_{sigma(i),j} -> -z_{i,d_i+e_i+j} on the Q0^+ blocks.  `schur_act`
 pushes it by straightening, shifted by lead monomials, into Schur
-coordinates (`_push`) from rows of basis labels; `cohm_action` is
-`schur_act` of its polynomial operands' rows (`GradedElement.to_labels`),
-the resulting row expanded (`GradedElement.from_labels`).
+coordinates from rows of basis labels (`symfun._push`, as the CoHA
+product); `cohm_action` is `graded.element_product`, the push of its
+operands' rows, the row expanded.
 
 Weight of a homogeneous element is 2*deg + E(e); for sigma-symmetric quivers
 the action is weight additive.  CohmElement is the graded layer of `graded`
@@ -35,6 +35,8 @@ S_H(f) g = +-f g they act with the image of their sigma partners
 
 from __future__ import annotations
 
+from operator import add
+
 from .coha import (
     CohaElement,
     dt_invariants,
@@ -44,11 +46,11 @@ from .coha import (
     s_involution,
     shuffle_mul,
 )
-from .errors import GradingError, HallforgeError, NonIntegralError, SymmetryError
-from .graded import GradedElement, PrimitiveTable
+from .errors import GradingError, NonIntegralError, SymmetryError
+from .graded import GradedElement, PrimitiveTable, element_product
 from .linalg import complement
-from .poly import SHIFT, Poly, check_push_work, expand_factors, mul_bound, unpack_exponents
-from .quiver import QuiverWithDuality, memoized, shared_memo
+from .poly import SHIFT, expand_factors
+from .quiver import QuiverWithDuality, memoized
 from .series import (
     InvariantTable,
     MODULE,
@@ -58,7 +60,7 @@ from .series import (
     pochhammer_q2_product,
     sign_pow,
 )
-from .symfun import block_cuts, lead, lead_terms, straighten, straighten_blocks, weight_basis_size
+from .symfun import Integrand, _push, block_cuts, weight_basis_size
 
 
 class CohmElement(GradedElement):
@@ -98,16 +100,11 @@ def _fixed_node_type(quiver, node, component):
 
 @memoized("cohm_integrand")
 def _act_integrand(quiver, d, e):
-    """The integrand of the action H_d x M_e -> M_(H(d)+e) at the identity
-    sigma-shuffle and the pieces its pushes read, cached per quiver: (sign
-    * K, the deferred factors prod (u - v), the sides (lead slots, lead
-    table) of the f labels (every node) and of the g labels (the blocks of
-    M_e), as `symfun.lead_terms` reads them, the (bit shift, bit mask, D,
-    m) of every fixed node's block, the `symfun.block_cuts` of the blocks
-    of the target, and the kernel's terms grouped by y parity: (ymask, the
-    low bit of every y slot of the fixed nodes' blocks, {term & ymask:
-    [(term, coeff), ...] in the order of the terms}), or None without a
-    fixed node).
+    """The `symfun.Integrand` of the action H_d x M_e -> M_(H(d)+e) at the
+    identity sigma-shuffle, cached per quiver: the f side covers every
+    node, the g side the blocks of M_e, and the push's length is d_i e_i +
+    (d_i + e_i) d_sigma(i) per Q0^+ node and D(D + 1)/2 + D m per fixed
+    node.
 
     A type D node's factor prod y_l is not in K: it is the shift of that
     node's f lead slots.  K holds the arrow numerators of Q1^+ and
@@ -119,12 +116,12 @@ def _act_integrand(quiver, d, e):
     and wait for the end of its B_D / S_D push: the deferred prod (u_y -
     v_z), u = y^2 and v = z^2 on the slots of y and z.  K and the deferred
     product are expanded together, by one `poly.expand_factors` pass over
-    their factors in the order listed.  Both actions push it by `_push`."""
+    their factors in the order listed."""
     idx = quiver.node_index
     et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
     off, nvars = CohmElement.layout(quiver, et)
     fixed = set(quiver.q0_sigma)
-    sign, fslots, gslots, masks, blocks = 1, [], [], [], []
+    sign, length, fslots, gslots, masks, blocks = 1, 0, [], [], [], []
     # signed target slots of x'_{i,l} and z''_{i,k} at the identity shuffle
     xp, zs = {}, {}
     for n in quiver.nodes:
@@ -135,8 +132,8 @@ def _act_integrand(quiver, d, e):
         o, shift = off[n], 0
         if n in fixed:
             cnt, typ = e[idx[n]] // 2, _fixed_node_type(quiver, n, et[idx[n]])
-            if (dn * (dn + 1) // 2 + (typ == "D") * dn) % 2:
-                sign = -sign
+            length += dn * (dn + 1) // 2 + dn * cnt
+            sign *= sign_pow(dn * (dn + 1) // 2 + (typ == "D") * dn)
             if typ != "C":
                 sign <<= dn
             if typ == "D":
@@ -146,8 +143,8 @@ def _act_integrand(quiver, d, e):
             blocks.append((o, dn + cnt))
         else:
             cnt, dsn = e[idx[n]], d[idx[sn]]
-            if (dn * cnt + dn * dsn + cnt * dsn) % 2:
-                sign = -sign
+            flips = dn * cnt + (dn + cnt) * dsn
+            length, sign = length + flips, sign * sign_pow(flips)
             gslots.append((o + dn, cnt, 1, 0, 1))
             blocks.append((o, dn + cnt + dsn))
             for m in range(dsn):
@@ -223,31 +220,16 @@ def _act_integrand(quiver, d, e):
         for k, c in total.terms.items():
             groups.setdefault(k & ymask, []).append((k, c))
         parity = ymask, groups
-    return total, deferred, fside, gside, masks, block_cuts(blocks), parity
+    return Integrand(total, deferred, fside, gside, masks, block_cuts(blocks), parity, length)
 
 
 def cohm_action(f, g):
-    """f * g, the sigma-shuffle action of H_d on M_e: `schur_act` of their
-    Schur coordinates (`GradedElement.to_labels`), the row expanded, and
-    charged first as in `coha.shuffle_mul`.  The push's length is d_i e_i
-    + (d_i + e_i) d_sigma(i) per Q0^+ node and D(D + 1)/2 + D m per fixed
-    node.  This is the sigma-shuffle sum only for S_d invariant f and Weyl
+    """f * g, the sigma-shuffle action of H_d on M_e, the push of
+    `schur_act` from their Schur coordinates (`graded.element_product`).
+    This is the sigma-shuffle sum only for S_d invariant f and Weyl
     invariant g, which the element constructors (check=True) and
     from_json_dict enforce."""
-    if f.quiver != g.quiver:
-        raise HallforgeError("elements over different quivers")
-    quiver = f.quiver
-    d, e = f.d, g.e
-    et = tuple(a + b for a, b in zip(quiver.hyperbolic(d), e))
-    if f.is_zero() or g.is_zero():
-        return CohmElement(quiver, et, Poly.zero(CohmElement.layout(quiver, et)[1]), check=False)
-    a, b = f.to_labels(), g.to_labels()
-    idx = quiver.node_index
-    kernel, _, _, _, fixed, _, _ = _act_integrand(quiver, d, e)
-    length = sum(d[idx[n]] * e[idx[n]] + (d[idx[n]] + e[idx[n]]) * d[idx[quiver.sigma_nodes[n]]] for n in quiver.q0_plus)
-    length += sum(D * (D + 1) // 2 + D * m for _, _, D, m in fixed)
-    check_push_work(len(a) * len(b) * len(kernel.terms), length)
-    return CohmElement.from_labels(quiver, et, schur_act(quiver, d, a, e, b))
+    return element_product(CohmElement, f, g, tuple(map(add, f.quiver.hyperbolic(f.d), g.degree)), _act_integrand)
 
 
 # -- the action in Schur coordinates -------------------------------------------------
@@ -256,87 +238,9 @@ def cohm_action(f, g):
 def schur_act(quiver, d, f, e, g):
     """The action of f in H_d on g in M_e, in Schur coordinates ({label:
     coeff}: f over the nodes, g and the result over the blocks of
-    CohmElement): the cached `_act_integrand`, pushed by `_push` from the
-    lead monomials of f and g."""
-    kernel, deferred, fside, gside, fixed, cuts, parity = _act_integrand(quiver, d, e)
-    leads, top = lead_terms(f, fside, g, gside)
-    return _push(leads, top, kernel, deferred, fixed, cuts, parity)
-
-
-def _push(leads, top, kernel, deferred, fixed, cuts, parity):
-    """The push of an `_act_integrand` (kernel, deferred, fixed, cuts)
-    after the lead terms `leads` of largest exponent top, in Schur
-    coordinates.  As in `coha.schur_mul`, one pass goes from the products
-    of lead and integrand terms to labels, every push a straightening:
-
-    - a Q0^+ block (d_i, e_i, d_sigma(i)) is straightened once; its tail
-      lead is kappa + delta with the sign (-1)^|kappa|, since x'_sigma(i)
-      -> -z there;
-    - a fixed node with D slots y and m slots z: type D adds 1 to each y
-      exponent (its prod(-y_l)); the B_D push keeps a term only when every
-      y exponent is odd, and is then the straightening of (y - 1)/2 in the
-      squared variables u = y^2 (the Weyl character formula of types B/C,
-      Fulton-Harris 24.2); the z exponents are even and halve into v = z^2,
-      the g lead being 2(mu + delta); the deferred prod(u - v) multiplies
-      in and the squared shuffle push is the straightening over D + m.
-
-    With fixed nodes, only the lead and integrand term pairs whose y
-    exponents are all odd are enumerated: parity is the integrand's terms
-    grouped by y parity (`_act_integrand`), and a lead k pairs only with
-    the group (k & ymask) ^ ymask.  This drops exactly the pairs the B_D
-    push would send to 0: `poly.mul_bound` has checked that every exponent
-    of a product fits its packed field, so no field carries into the next
-    and the low bit of a y exponent of k1 + k2 is the XOR of those of k1
-    and k2.  The pairs kept
-    are met in the order of the full pair loop.
-
-    The signs of the pushes sit in the integrand.  The pushed terms times
-    the deferred terms times sum(D + m) are charged against MAX_PUSH_WORK
-    before the deferred product is straightened.  `poly.mul_bound` refuses
-    an exponent out of the packed range as `Poly.__mul__` would; the lead
-    and integrand term pairs are not capped here (`cohm_action` charges
-    them)."""
-    bound = mul_bound(kernel.n, leads, top, kernel.terms, kernel.bound)
-    if not fixed:
-        return straighten_blocks(leads, kernel.terms, cuts)
-    # each fixed node's B_D push (linear) writes u = y^2, v = z^2 in its block
-    ymask, groups = parity
-    pushed = {}
-    for k1, c1 in leads.items():
-        for k2, c2 in groups.get((k1 & ymask) ^ ymask, ()):
-            key, c = k1 + k2, c1 * c2
-            for shift, mask, dn, m in fixed:
-                block = (key >> shift) & mask
-                r = _type_b_push(block, dn, m)
-                if r is None:
-                    break
-                if r[0] < 0:
-                    c = -c
-                key += (r[1] - block) << shift
-            else:
-                v = pushed.get(key, 0) + c
-                if v:
-                    pushed[key] = v
-                else:
-                    del pushed[key]
-    check_push_work(len(pushed) * len(deferred.terms), sum(dn + m for _, _, dn, m in fixed))
-    mul_bound(kernel.n, pushed, bound, deferred.terms, deferred.bound)
-    return straighten_blocks(pushed, deferred.terms, cuts)
-
-
-@shared_memo(1 << 16)
-def _type_b_push(block, dn, m):
-    """The B_D / S_D push of a fixed node's packed block (dn slots y, m
-    slots z): None unless every y exponent is odd, else (sign, the packed
-    exponents of u = y^2 sorted by `straighten` then v = z^2)."""
-    exps = unpack_exponents(block, dn + m)
-    if any(y % 2 == 0 for y in exps[:dn]):
-        return None
-    r = straighten(tuple((y - 1) // 2 for y in exps[:dn]))
-    if r is None:
-        return None
-    vec = lead(r[1], dn) + tuple(z // 2 for z in exps[dn:])
-    return r[0], sum(x << (SHIFT * j) for j, x in enumerate(vec))
+    CohmElement): the cached `_act_integrand`, pushed by `symfun._push`
+    from the lead monomials of f and g."""
+    return _push(_act_integrand(quiver, d, e), f, g)
 
 
 def action_degree_shift(quiver, d, e):
@@ -522,32 +426,27 @@ def loop_factorization(quiver, maxdim, window, quotient_window=None):
 
 
 def general_factorization_check(quiver, maxdim, window):
-    """A^sigma_Q = sum_e A_Q(e) Omega^sigma_{Q,e} xi^e, coefficientwise."""
+    """A^sigma_Q = sum_e A_Q(e) Omega^sigma_{Q,e} xi^e, coefficientwise, with
+    one product per Witt class w, as A_Q(e) depends only on w."""
     if not quiver.is_sigma_symmetric():
         raise SymmetryError("factorization check needs a sigma-symmetric quiver")
     asigma = ori_dt_series(quiver, maxdim, window)
     wtab = ori_dt_invariants(quiver, maxdim, window)
     rhs = QSeries(quiver, MODULE, maxdim, {}, {})
-    acache = {}
     table = wtab.table()
     by_class = {}
     for (e, k), m in table.entries.items():
         by_class.setdefault(e, {})[k] = m
+    groups = {}  # Witt class -> (rows, windows) of its Omega
     for e in module_classes(quiver, maxdim):
         lau = by_class.get(e)
-        if not lau:
-            continue
-        w = quiver.witt_class(e)
-        if w not in acache:
-            acache[w] = pochhammer_q2_product(
-                equivariant_dt(quiver, witt_representative(quiver, w), maxdim, window), maxdim, window
-            )
-        factor = QSeries(
-            quiver, MODULE, maxdim,
-            {e: [(k, m * sign_pow(k)) for k, m in sorted(lau.items())]},
-            {e: (min(lau), table.validity.get(e))},
-        )
-        rhs = rhs + acache[w].cmul(factor)
+        if lau:
+            rows, meta = groups.setdefault(quiver.witt_class(e), ({}, {}))
+            rows[e] = [(k, m * sign_pow(k)) for k, m in sorted(lau.items())]
+            meta[e] = (min(lau), table.validity.get(e))
+    for w, (rows, meta) in groups.items():
+        sig = equivariant_dt(quiver, witt_representative(quiver, w), maxdim, window)
+        rhs = rhs + pochhammer_q2_product(sig, maxdim, window).cmul(QSeries(quiver, MODULE, maxdim, rows, meta))
     ok, report = asigma.agrees_with(rhs)
     report["property"] = "factorization"
     report["pass"] = ok

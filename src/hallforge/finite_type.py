@@ -53,6 +53,8 @@ def build_typeA(n, orientation, duality_type):
     An n whose ordered root pairs exceed MAX_ROOT_PAIRS (n > 20) raises
     before `ar_order` tabulates them.
     """
+    if type(n) is not int:  # a bool is an int subclass: refused too
+        raise QuiverSpecError("A_n needs an int n, not %r" % (n,))
     if n < 1:
         raise QuiverSpecError("A_n needs n >= 1, not %d" % n)
     roots = n * (n + 1) // 2
@@ -224,10 +226,12 @@ def thom_polynomial(rs, mults):
     """Ordered fundamental-class product for a self-dual multiplicity vector.
 
     mults maps roots (a,b) -> nonnegative multiplicity; m_{S(u)} = m_u is
-    required, and sigma-fixed roots without self-dual structure need even
-    multiplicity.
+    required, sigma-fixed roots without self-dual structure need even
+    multiplicity, and a multiplicity that is not an int raises GradingError.
     """
-    mults = {tuple(r): int(m) for r, m in mults.items() if m}
+    if any(type(m) is not int for m in mults.values()):
+        raise GradingError("multiplicities must be ints, not %r" % (mults,))
+    mults = {tuple(r): m for r, m in mults.items() if m}
     for r, m in mults.items():
         if r not in rs.position:
             raise GradingError("%r is not a root of A_%d" % (r, rs.n))

@@ -14,7 +14,8 @@ A basis element is stored as its Schur label, one partition per block
 checks) work on dicts {label: coeff}, where a slice basis is the unit rows
 of its labels, and `PrimitiveTable` keeps its complement bases as label
 lists.  Polynomials exist only for element products and JSON;
-`to_labels` and `from_labels` convert rows of labels on demand.
+`to_labels` and `from_labels` convert rows of labels on demand, and
+`element_product` is the product and the action of elements.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from fractions import Fraction
 
 from .errors import ExponentOverflowError, GradingError, HallforgeError
 from .parallel import pmap
-from .poly import MASK, MAXDEG, SHIFT, Poly, mul_bound
+from .poly import MASK, MAXDEG, SHIFT, Poly, check_push_work, mul_bound
 from .quiver import MAX_QUOTIENT_SLICES, memoized
 from .series import InvariantTable
-from .symfun import block_cuts, expand_labels, straighten_blocks, weight_labels
+from .symfun import _push, block_cuts, expand_labels, straighten_blocks, weight_labels
 
 
 class GradedElement:
@@ -266,6 +267,23 @@ class GradedElement:
         elem = cls.__new__(cls)
         elem.quiver, elem.degree, elem.poly = quiver, d, Poly(pos // SHIFT, terms, bound)
         return elem
+
+
+def element_product(cls, f, g, degree, integrand):
+    """f * g in cls at `degree` (`coha.shuffle_mul`, `cohm.cohm_action`):
+    the push (`symfun._push`) of integrand(quiver, f.degree, g.degree) from
+    the rows `to_labels`, expanded by `from_labels`.  The label pairs times
+    the integrand's terms times its length are charged against
+    MAX_PUSH_WORK first; a zero operand gives zero and builds nothing."""
+    if f.quiver != g.quiver:
+        raise HallforgeError("elements over different quivers")
+    quiver = f.quiver
+    if f.is_zero() or g.is_zero():
+        return cls(quiver, degree, Poly.zero(cls.layout(quiver, degree)[1]), check=False)
+    a, b = f.to_labels(), g.to_labels()
+    it = integrand(quiver, f.degree, g.degree)
+    check_push_work(len(a) * len(b) * len(it.kernel.terms), it.length)
+    return cls.from_labels(quiver, degree, _push(it, a, b))
 
 
 @memoized("slice_labels")

@@ -52,17 +52,19 @@ MAX_QUOTIENT_SLICES = 100_000
 # running sum.
 MAX_PRODUCT_PAIRS = 50_000_000
 # Work cap: the most term pairs, len(a) x len(b), that one factor of
-# poly.expand_factors (the integrand builders) may multiply, as may one
-# Poly.__mul__, which no product of the library forms.  Larger products fail
-# with a HallforgeError before any pair is multiplied; on L2 the arrow
-# numerators of H_(13,) x H_(1,) reach it.
+# poly.expand_factors (the integrand builders coha._mul_integrand and
+# cohm._act_integrand) may multiply, as may one Poly.__mul__, which no
+# product of the library forms.  Larger products fail with a HallforgeError
+# before any pair is multiplied; on L2 the arrow numerators of H_(13,) x
+# H_(1,) reach it.
 MAX_POLY_PAIRS = 2_000_000
 # Work cap: the most straightening work one push may charge, each term at
 # a work of at least 1 (poly.check_push_work).  An element product
-# (shuffle_mul, cohm_action) charges its operands' label pairs times the
-# integrand's terms times the length of its push; a fixed node's deferred
-# product (cohm._push) its pushed terms times its deferred terms times D + m.
-# A larger charge fails with a HallforgeError before that straightening.  The largest charges are 286 020 and 24 990 in the tests,
+# (graded.element_product: shuffle_mul, cohm_action) charges its label
+# pairs times the integrand's terms times its length; a fixed node's
+# deferred product (symfun._push) its pushed terms times its deferred terms
+# times D + m.  A larger charge fails with a HallforgeError before that
+# straightening.  The largest charges are 286 020 and 24 990 in the tests,
 # 2 328 and 260 in the benchmark, and 1 179 920 (the full slices of L3 H_(4,)
 # x H_(2,)) and 31 500 in CI; the L2 constants of H_(12,) x H_(1,) charge
 # 6 377 292, the L3 units of H_(3,) x M_(8,) a deferred 7 246 400.
@@ -122,7 +124,7 @@ def shared_memo(maxsize):
     all quivers and bounded by maxsize.  They are each block size's
     straightening memo (`symfun._straightener`), `symfun._lead_key`,
     `symfun.lead`, `symfun._partitions`, the expansion memos
-    `symfun._dominant` and `symfun._orbit`, and `cohm._type_b_push`."""
+    `symfun._dominant` and `symfun._orbit`, and `symfun._type_b_push`."""
 
     def decorate(fn):
         memo = lru_cache(maxsize=maxsize)(fn)
@@ -496,8 +498,10 @@ def parse_quiver(doc):
 
 
 def loop_quiver(m, s=1, tau=None):
-    """L_m: one node, m loops.  tau is a list or tuple of m signs (default
-    all -1); anything else raises QuiverSpecError."""
+    """L_m: one node, m loops, m an int.  tau is a list or tuple of m signs
+    (default all -1); anything else raises QuiverSpecError."""
+    if type(m) is not int:
+        raise QuiverSpecError("L_m needs an int m, not %r" % (m,))
     if tau is None:
         tau = [-1] * m
     if not isinstance(tau, (list, tuple)) or len(tau) != m:

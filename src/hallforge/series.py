@@ -33,6 +33,7 @@ divided on one dense list, one running sum per j, shared by its targets;
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from operator import add, mul, sub
@@ -166,6 +167,12 @@ def _needs(order, claim, low):
             if need.get(rest) is not None:
                 need[rest] = None if top is None else max(need[rest], top - lo)
     return need
+
+
+def _charge_pairs(work):
+    """Refuse a series product of up to `work` term pairs over MAX_PRODUCT_PAIRS."""
+    if work > MAX_PRODUCT_PAIRS:
+        raise HallforgeError("a series product of up to %d term pairs exceeds the work cap of %d" % (work, MAX_PRODUCT_PAIRS))
 
 
 def _charge_cells(cells, what):
@@ -380,10 +387,7 @@ class QSeries:
                 lo, top = ta[0][0] + tb[0][0] + tw, min(ta[na - 1][0] + tb[nb - 1][0], room) + tw
                 span = spans.get(d)
                 spans[d] = (lo, top) if span is None else (min(span[0], lo), max(span[1], top))
-        if work > MAX_PRODUCT_PAIRS:
-            raise HallforgeError(
-                "a series product of up to %d term pairs exceeds the work cap of %d" % (work, MAX_PRODUCT_PAIRS)
-            )
+        _charge_pairs(work)
         _charge_cells(sum(hi - lo + 1 for lo, hi in spans.values()), "product")
         return QSeries(self.quiver, out_kind, maxdim, _term_half(cuts, spans, signed), meta)
 
@@ -688,10 +692,7 @@ class PochhammerFactor:
             else:
                 lo, up, s, fan = span
                 spans[d] = (min(lo, w0), max(up, w1), gcd(s, stride, w0 - lo), fan + 1)
-        if work > MAX_PRODUCT_PAIRS:
-            raise HallforgeError(
-                "a series product of up to %d term pairs exceeds the work cap of %d" % (work, MAX_PRODUCT_PAIRS)
-            )
+        _charge_pairs(work)
         # a target of one contribution takes its row as it is made
         dense = {d: (up - lo) // s + 1 for d, (lo, up, s, fan) in spans.items() if fan > 1}
         lists = [max(p[4] for p in plan if p[0]) for _, plan in chains.values() if plan[-1][0]]
@@ -759,8 +760,8 @@ def _pochhammer_chain(row, stride, plan, unit, spans, acc):
 
 
 def _check_int(name, x):
-    """Refuse a weight that is not an int: a float, a bool (an int
-    subclass) or a string would reach the rows and their JSON."""
+    """Refuse a weight or a count that is not an int: a float, a bool (an
+    int subclass) or a string would reach the rows and their JSON."""
     if type(x) is not int:
         raise GradingError("%s must be an int, not %r" % (name, x))
 
@@ -773,10 +774,13 @@ def qdilog(quiver, maxdim, window):
 
 
 def quantum_integer(n, base_power=1):
-    """[n]_{q^b} as a Laurent dict {k: coeff} with k the power of q^(1/2)."""
+    """[n]_{q^b} as a Laurent dict {k: coeff} with k the power of q^(1/2);
+    n and b are ints, and terms that meet (b = 0) add up."""
+    _check_int("n", n)
+    _check_int("base_power", base_power)
     if n < 0:
         raise GradingError("[n]_q needs n >= 0")
-    return {2 * base_power * j: 1 for j in range(n)}
+    return dict(Counter(2 * base_power * j for j in range(n)))
 
 
 def dt_series(quiver, maxdim, window):

@@ -10,17 +10,19 @@ permutation sorting alpha into strictly decreasing order (Macdonald I.3:
 a_(lam + delta) = s_lam a_delta).  So a push is one sort per monomial: a
 product builds no polynomial, as `lead_terms` packs its inputs' lead
 monomials and `straighten_blocks` straightens each product of a lead term
-and an integrand term as it is formed.  `expand_labels` turns a row of
-labels back into its monomials by the branching rule (Macdonald I (5.11)).
+and an integrand term as it is formed: `_push`, the CoHA product's and
+the CoHM action's.  `expand_labels` turns a row of labels back into its
+monomials by the branching rule (Macdonald I (5.11)).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
 from .errors import ExponentOverflowError, HallforgeError
-from .poly import MASK, MAXDEG, SHIFT, Poly, unpack_exponents
+from .poly import MASK, MAXDEG, SHIFT, Poly, check_push_work, mul_bound, unpack_exponents
 from .quiver import shared_memo
 
 
@@ -77,6 +79,21 @@ def straighten(alpha):
     while lam and not lam[-1]:
         lam.pop()
     return 1 - 2 * (swaps % 2), tuple(lam)
+
+
+@shared_memo(1 << 16)
+def _type_b_push(block, dn, m):
+    """The B_D / S_D push of a fixed node's packed block (dn slots y, m
+    slots z): None unless every y exponent is odd, else (sign, the packed
+    exponents of u = y^2 sorted by `straighten` then v = z^2)."""
+    exps = unpack_exponents(block, dn + m)
+    if any(y % 2 == 0 for y in exps[:dn]):
+        return None
+    r = straighten(tuple((y - 1) // 2 for y in exps[:dn]))
+    if r is None:
+        return None
+    vec = lead(r[1], dn) + tuple(z // 2 for z in exps[dn:])
+    return r[0], sum(x << (SHIFT * j) for j, x in enumerate(vec))
 
 
 @lru_cache(maxsize=None)
@@ -186,6 +203,75 @@ def straighten_blocks(left, right, cuts):
                 else:
                     del out[label]
     return out
+
+
+# The integrand of a product (`coha._mul_integrand`) or an action
+# (`cohm._act_integrand`) and what its push (`_push`) reads: sign * K, the
+# deferred factors prod (u - v) (None for the CoHA), the sides (lead slots,
+# lead table) of the f and g labels for `lead_terms`, the (bit shift, bit
+# mask, D, m) of each fixed node's block, the `block_cuts` of the target,
+# K's terms by y parity, (ymask, the low bit of each fixed y slot, {term &
+# ymask: [(term, coeff), ...] in term order}) or None with no fixed node,
+# and the push's length, charged per term by `graded.element_product`.
+Integrand = namedtuple("Integrand", "kernel deferred fside gside fixed cuts parity length")
+
+
+def _push(integrand, f, g):
+    """The push of an `Integrand` after the lead terms of the rows f and g
+    ({label: coeff}), in Schur coordinates: one pass goes from the products
+    of lead and integrand terms to labels, every push a straightening:
+
+    - a GL block is straightened once; a Q0^+ block's tail lead is kappa +
+      delta with the sign (-1)^|kappa|, since x'_sigma(i) -> -z there;
+    - a fixed node with D slots y and m slots z: type D adds 1 to each y
+      exponent (its prod(-y_l)); the B_D push keeps a term only when every
+      y exponent is odd, and is then the straightening of (y - 1)/2 in the
+      squared variables u = y^2 (the Weyl character formula of types B/C,
+      Fulton-Harris 24.2); the z exponents are even and halve into v = z^2,
+      the g lead being 2(mu + delta); the deferred prod(u - v) multiplies
+      in and the squared shuffle push is the straightening over D + m.
+
+    With fixed nodes, a lead k pairs only with the parity group (k & ymask)
+    ^ ymask, the terms that make every y exponent odd: exactly the pairs
+    the B_D push keeps, since `poly.mul_bound` has checked that no packed
+    field carries into the next, so the low bit of a y exponent of k1 + k2
+    is the XOR of those of k1 and k2.  The pairs kept are met in the order
+    of the full pair loop.
+
+    The signs of the pushes sit in the integrand.  The pushed terms times
+    the deferred terms times sum(D + m) are charged against MAX_PUSH_WORK
+    before the deferred product is straightened.  `poly.mul_bound` refuses
+    an exponent out of the packed range as `Poly.__mul__` would; the lead
+    and integrand term pairs are not capped here."""
+    kernel, fixed, cuts = integrand.kernel, integrand.fixed, integrand.cuts
+    leads, top = lead_terms(f, integrand.fside, g, integrand.gside)
+    bound = mul_bound(kernel.n, leads, top, kernel.terms, kernel.bound)
+    if not fixed:
+        return straighten_blocks(leads, kernel.terms, cuts)
+    # each fixed node's B_D push (linear) writes u = y^2, v = z^2 in its block
+    ymask, groups = integrand.parity
+    pushed = {}
+    for k1, c1 in leads.items():
+        for k2, c2 in groups.get((k1 & ymask) ^ ymask, ()):
+            key, c = k1 + k2, c1 * c2
+            for shift, mask, dn, m in fixed:
+                block = (key >> shift) & mask
+                r = _type_b_push(block, dn, m)
+                if r is None:
+                    break
+                if r[0] < 0:
+                    c = -c
+                key += (r[1] - block) << shift
+            else:
+                v = pushed.get(key, 0) + c
+                if v:
+                    pushed[key] = v
+                else:
+                    del pushed[key]
+    deferred = integrand.deferred
+    check_push_work(len(pushed) * len(deferred.terms), sum(dn + m for _, _, dn, m in fixed))
+    mul_bound(kernel.n, pushed, bound, deferred.terms, deferred.bound)
+    return straighten_blocks(pushed, deferred.terms, cuts)
 
 
 def add_box(lam, nparts):

@@ -9,7 +9,7 @@ from math import gcd
 
 from hallforge import series as series_module
 from hallforge.coha import CohaElement, _ideal_echelon, _mul_integrand, generator_complement, s_label, schur_mul
-from hallforge.cohm import CohmElement, _act_integrand, _fixed_node_type, _type_b_push, schur_act
+from hallforge.cohm import CohmElement, _act_integrand, _fixed_node_type, schur_act
 from hallforge.errors import ExponentOverflowError, GradingError, HallforgeError, InexactDivisionError, NonIntegralError
 from hallforge.finite_type import _bucket, _letter_partitions, _slice_report, hom_ext
 from hallforge.linalg import Echelon
@@ -29,7 +29,7 @@ from hallforge.series import (
     qpochhammer_inf,
     sign_pow,
 )
-from hallforge.symfun import _lead_key, _straightener, lead_terms, partitions, straighten_blocks, weight_basis_size
+from hallforge.symfun import _lead_key, _straightener, _type_b_push, lead_terms, partitions, straighten_blocks, weight_basis_size
 
 
 def q3(loops):
@@ -865,50 +865,52 @@ def straighten_terms(terms, blocks):
     return out
 
 
-def poly_schur_mul(quiver, d1, f, d2, g):
-    """`coha.schur_mul` through polynomials: the lead product times the
-    cached kernel by `Poly.__mul__`, then straightened on blocks read off
-    the layout of the target."""
-    kernel, fside, gside, _ = _mul_integrand(quiver, d1, d2)
-    d = add_classes(d1, d2)
-    offsets, _ = CohaElement.layout(quiver, d)
-    blocks = [(offsets[n], size) for n, _, size in CohaElement.blocks(quiver, d)]
-    return straighten_terms((lead_product(f, fside, g, gside, kernel.n) * kernel).terms, blocks)
+# the integrand builder and the target degree of the product (CohaElement)
+# and of the action (CohmElement), for the references over one integrand
+PRODUCTS = {
+    CohaElement: (_mul_integrand, lambda quiver, d1, d2: add_classes(d1, d2)),
+    CohmElement: (_act_integrand, lambda quiver, d, e: add_classes(quiver.hyperbolic(d), e)),
+}
 
 
-def poly_schur_act(quiver, d, f, e, g):
-    """`cohm.schur_act` through polynomials: the lead product times the
-    cached integrand, the B_D push of the summed terms, the deferred
-    factors by `Poly.__mul__`, then straightened on blocks read off the
-    layout of the target."""
-    kernel, deferred, fside, gside, fixed, _, _ = _act_integrand(quiver, d, e)
-    product = lead_product(f, fside, g, gside, kernel.n) * kernel
-    pushed = {}
-    for key, c in product.terms.items():
-        for shift, mask, dn, m in fixed:
-            block = (key >> shift) & mask
-            r = _type_b_push(block, dn, m)
-            if r is None:
-                break
-            if r[0] < 0:
-                c = -c
-            key += (r[1] - block) << shift
-        else:
-            v = pushed.get(key, 0) + c
-            if v:
-                pushed[key] = v
+def poly_push(cls, quiver, d1, f, d2, g):
+    """`coha.schur_mul` (cls CohaElement) or `cohm.schur_act` (cls
+    CohmElement) through polynomials: the lead product times the cached
+    integrand's kernel by `Poly.__mul__`, with fixed nodes the B_D push of
+    the summed terms and the deferred factors by `Poly.__mul__`, then
+    straightened on blocks read off the layout of the target."""
+    build, target = PRODUCTS[cls]
+    it = build(quiver, d1, d2)
+    product = lead_product(f, it.fside, g, it.gside, it.kernel.n) * it.kernel
+    if it.fixed:
+        pushed = {}
+        for key, c in product.terms.items():
+            for shift, mask, dn, m in it.fixed:
+                block = (key >> shift) & mask
+                r = _type_b_push(block, dn, m)
+                if r is None:
+                    break
+                if r[0] < 0:
+                    c = -c
+                key += (r[1] - block) << shift
             else:
-                del pushed[key]
-    pushed = Poly(kernel.n, pushed, product.bound) * deferred
-    et = add_classes(quiver.hyperbolic(d), e)
-    offsets, _ = CohmElement.layout(quiver, et)
-    blocks = [(offsets[n], size) for n, _, size in CohmElement.blocks(quiver, et)]
-    return straighten_terms(pushed.terms, blocks)
+                v = pushed.get(key, 0) + c
+                if v:
+                    pushed[key] = v
+                else:
+                    del pushed[key]
+        product = Poly(it.kernel.n, pushed, product.bound) * it.deferred
+    degree = target(quiver, d1, d2)
+    offsets, _ = cls.layout(quiver, degree)
+    blocks = [(offsets[n], size) for n, _, size in cls.blocks(quiver, degree)]
+    return straighten_terms(product.terms, blocks)
 
 
-def pair_loop_push(leads, top, kernel, deferred, fixed, cuts):
-    """`cohm._push` over every pair of a lead and an integrand term, each
-    fixed node's B_D push dropping the pairs with an even y exponent."""
+def pair_loop_push(integrand, leads, top):
+    """`symfun._push` of an integrand over every pair of a lead and a
+    kernel term, each fixed node's B_D push dropping the pairs with an even
+    y exponent; the parity groups are not read."""
+    kernel, fixed, cuts = integrand.kernel, integrand.fixed, integrand.cuts
     bound = mul_bound(kernel.n, leads, top, kernel.terms, kernel.bound)
     if not fixed:
         return straighten_blocks(leads, kernel.terms, cuts)
@@ -930,6 +932,7 @@ def pair_loop_push(leads, top, kernel, deferred, fixed, cuts):
                     pushed[key] = v
                 else:
                     del pushed[key]
+    deferred = integrand.deferred
     check_push_work(len(pushed) * len(deferred.terms), sum(dn + m for _, _, dn, m in fixed))
     mul_bound(kernel.n, pushed, bound, deferred.terms, deferred.bound)
     return straighten_blocks(pushed, deferred.terms, cuts)
@@ -945,27 +948,17 @@ def _on_slots(poly, side, nvars):
     return poly.map_variables(nvars, [(sign, first + j) for first, size, _, _, sign in side[0] for j in range(size)])
 
 
-def fg_integrand(quiver, d1, d2, fpoly, gpoly):
-    """The integrand of the product H_d1 x H_d2 built with f and g:
-    (sign * F * G * K, its sides, its block cuts), F = f on the x'
-    slots and G = g on the x'' slots.  F * G multiplies the cached sign *
-    K: the same polynomial as the arrow numerators multiplied into sign *
-    F * G one linear factor at a time."""
-    kernel, fside, gside, cuts = _mul_integrand(quiver, d1, d2)
-    total = kernel * _on_slots(fpoly, fside, kernel.n) * _on_slots(gpoly, gside, kernel.n)
-    return total, fside, gside, cuts
-
-
-def fg_action_integrand(quiver, d, e, fpoly, gpoly):
-    """The integrand of the action H_d x M_e built with f and g: the first
-    six entries of `cohm._act_integrand` with sign * K replaced by sign * F
-    * G * K, F = f on the signed x' slots of the f lead slots (x'_n -> -z
-    on a Q0^- node) and G = g on the z'' slots; a type D node's prod y_l
-    stays the shift of its f lead slots.  As in `fg_integrand`, F * G
-    multiplies the cached sign * K."""
-    kernel, deferred, fside, gside, fixed, cuts, _ = _act_integrand(quiver, d, e)
-    total = kernel * _on_slots(fpoly, fside, kernel.n) * _on_slots(gpoly, gside, kernel.n)
-    return total, deferred, fside, gside, fixed, cuts
+def fg_integrand(integrand, fpoly, gpoly):
+    """A cached integrand built with f and g: its kernel sign * K replaced
+    by sign * F * G * K, F = f on the signed f lead slots (x'_n -> -z on a
+    Q0^- node of the action) and G = g on the g lead slots; a type D
+    node's prod y_l stays the shift of its f lead slots.  F * G multiplies
+    the cached sign * K: the same polynomial as the arrow numerators
+    multiplied into sign * F * G one linear factor at a time.  The parity
+    groups, those of K, are dropped."""
+    kernel = integrand.kernel
+    total = kernel * _on_slots(fpoly, integrand.fside, kernel.n) * _on_slots(gpoly, integrand.gside, kernel.n)
+    return integrand._replace(kernel=total, parity=None)
 
 
 def _unit_leads(fside, gside):
@@ -974,27 +967,48 @@ def _unit_leads(fside, gside):
     return lead_terms({((),) * len(fside[0]): 1}, fside, {((),) * len(gside[0]): 1}, gside)
 
 
-def fgk_shuffle_mul(f, g):
-    """`coha.shuffle_mul` through F * G * K: the integrand built with f and
-    g (`fg_integrand`) straightened from the leads of the unit labels, and
-    the row expanded."""
+def fgk_product(cls, f, g):
+    """`coha.shuffle_mul` (cls CohaElement) or `cohm.cohm_action` (cls
+    CohmElement) through F * G * K: the integrand built with f and g
+    (`fg_integrand`) pushed from the leads of the unit labels over every
+    pair (`pair_loop_push`), and the row expanded."""
+    build, target = PRODUCTS[cls]
     quiver = f.quiver
-    d = add_classes(f.d, g.d)
-    total, fside, gside, cuts = fg_integrand(quiver, f.d, g.d, f.poly, g.poly)
-    leads, top = _unit_leads(fside, gside)
-    mul_bound(total.n, leads, top, total.terms, total.bound)
-    return CohaElement.from_labels(quiver, d, straighten_blocks(leads, total.terms, cuts))
+    it = fg_integrand(build(quiver, f.degree, g.degree), f.poly, g.poly)
+    leads, top = _unit_leads(it.fside, it.gside)
+    return cls.from_labels(quiver, target(quiver, f.degree, g.degree), pair_loop_push(it, leads, top))
 
 
-def fgk_cohm_action(f, g):
-    """`cohm.cohm_action` through F * G * K: the integrand built with f and
-    g (`fg_action_integrand`) pushed from the leads of the unit labels over
-    every pair (`pair_loop_push`), and the row expanded."""
-    quiver = f.quiver
-    et = add_classes(quiver.hyperbolic(f.d), g.e)
-    total, deferred, fside, gside, fixed, cuts = fg_action_integrand(quiver, f.d, g.e, f.poly, g.poly)
-    leads, top = _unit_leads(fside, gside)
-    return CohmElement.from_labels(quiver, et, pair_loop_push(leads, top, total, deferred, fixed, cuts))
+# -- the factorization check per module class ------------------------------------------
+
+
+def per_class_factorization_rhs(quiver, maxdim, window):
+    """sum_e A_Q(e) Omega^sigma_{Q,e} xi^e as `cohm.general_factorization_check`
+    summed it before it grouped the classes by Witt class: one `cmul` and
+    one `__add__` per module class e with a nonzero Omega row, A_Q(e)
+    computed once per Witt class."""
+    from hallforge.cohm import equivariant_dt, ori_dt_invariants, witt_representative
+    from hallforge.series import module_classes, pochhammer_q2_product
+
+    table = ori_dt_invariants(quiver, maxdim, window).table()
+    rhs, acache, by_class = QSeries(quiver, MODULE, maxdim, {}, {}), {}, {}
+    for (e, k), m in table.entries.items():
+        by_class.setdefault(e, {})[k] = m
+    for e in module_classes(quiver, maxdim):
+        lau = by_class.get(e)
+        if not lau:
+            continue
+        w = quiver.witt_class(e)
+        if w not in acache:
+            sig = equivariant_dt(quiver, witt_representative(quiver, w), maxdim, window)
+            acache[w] = pochhammer_q2_product(sig, maxdim, window)
+        factor = QSeries(
+            quiver, MODULE, maxdim,
+            {e: [(k, m * sign_pow(k)) for k, m in sorted(lau.items())]},
+            {e: (min(lau), table.validity.get(e))},
+        )
+        rhs = rhs + acache[w].cmul(factor)
+    return rhs
 
 
 # -- the divided-difference operators ------------------------------------------------

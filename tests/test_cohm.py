@@ -24,7 +24,7 @@ from hallforge.quiver import a1_tilde, a2_quiver, loop_quiver
 from hallforge.series import ori_dt_series, pochhammer_q2_product, sign_pow
 from hallforge.symfun import schur
 
-from oracles import from_exponents, slice_dim
+from oracles import from_exponents, per_class_factorization_rhs, slice_dim
 
 L0 = loop_quiver(0)
 L0C = loop_quiver(0, s=-1)
@@ -244,6 +244,39 @@ def test_general_factorization_one_factor_per_witt_class(monkeypatch):
     assert calls == [(0,), (1,)]
 
 
+FACTORIZATION_CASES = [
+    ("L0", L0, 6, 12), ("L1", L1, 6, 12), ("L2", L2, 7, 14), ("L3", loop_quiver(3), 6, 10),
+    ("L2 s=-1", loop_quiver(2, s=-1), 6, 12), ("A1t tau=+1", a1_tilde(tau=1), 6, 12), ("A1t tau=-1", a1_tilde(tau=-1), 6, 12),
+]
+
+
+@pytest.mark.parametrize("name, quiver, maxdim, window", FACTORIZATION_CASES, ids=[c[0] for c in FACTORIZATION_CASES])
+def test_factorization_rhs_per_witt_class_against_the_per_class_sum(monkeypatch, name, quiver, maxdim, window):
+    """`general_factorization_check` multiplies the Omega rows of each Witt
+    class by A_Q of that class once; its right-hand side has the rows and
+    the windows of the sum of one product per module class
+    (`oracles.per_class_factorization_rhs`), and so the same report."""
+    from hallforge.series import QSeries
+
+    seen, real = [], QSeries.agrees_with
+
+    def kept(self, other):
+        seen.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(QSeries, "agrees_with", kept)
+    report = general_factorization_check(quiver, maxdim, window)
+    monkeypatch.undo()
+    (asigma, rhs), = seen
+    want = per_class_factorization_rhs(quiver, maxdim, window)
+    assert rhs.rows == want.rows and rhs.meta == want.meta and rhs.maxdim == want.maxdim
+    ok, want_report = asigma.agrees_with(want)
+    want_report["property"], want_report["pass"] = "factorization", ok
+    assert report == want_report and ok
+    # several classes share a Witt class, so the grouping merges rows
+    assert len({quiver.witt_class(e) for e in rhs.rows}) < len(rhs.rows)
+
+
 def test_check_freeness():
     rep = check_freeness(L1, 6, 10)
     assert rep["pass"] and rep["slice_surjectivity"]
@@ -389,13 +422,12 @@ def test_clear_caches_recomputes_identical_tables(monkeypatch):
     every block size's straightening memo, `_lead_key`, `lead`,
     `_partitions` and `_type_b_push`."""
     from hallforge import symfun
-    from hallforge.cohm import _type_b_push
 
     # a pool task fills its own copy's memo, never q's
     monkeypatch.delenv("HALLFORGE_THREADS", raising=False)
     q = loop_quiver(2)
     first = ori_dt_invariants(q, 5, 10)
-    shared = [symfun._lead_key, symfun.lead, symfun._partitions, _type_b_push]
+    shared = [symfun._lead_key, symfun.lead, symfun._partitions, symfun._type_b_push]
     shared += [symfun._straightener(size) for size in range(1, 11)]
     sizes = [memo.cache_info().currsize for memo in shared]
     assert q._cache and all(sizes[:4]) and any(sizes[4:])

@@ -223,6 +223,23 @@ def test_thom_polynomials_a2():
     assert unit.poly.terms.get(0) == 1 and unit.e == (0, 0)
 
 
+@pytest.mark.parametrize("m", [1.5, 1.0, True, Fraction(1), "1"])
+def test_thom_polynomial_refuses_inexact_multiplicities(m):
+    """A multiplicity that is not an int is refused with GradingError, not
+    truncated by int(): on A2 ">" orthogonal {(1, 1): 1.5, (2, 2): 1.5}
+    became multiplicity 1."""
+    orth = build_typeA(2, ">", "orthogonal")
+    with pytest.raises(GradingError, match="multiplicities must be ints"):
+        thom_polynomial(orth, {(1, 1): m, (2, 2): m})
+    assert thom_polynomial(orth, {(1, 1): 1, (2, 2): 1}).e == (1, 1)
+
+
+@pytest.mark.parametrize("n, orient", [(2.0, ">"), (True, ""), (1.0, ""), ("2", ">")])
+def test_build_typeA_refuses_a_size_that_is_not_an_int(n, orient):
+    with pytest.raises(QuiverSpecError, match="A_n needs an int n"):
+        build_typeA(n, orient, "orthogonal")
+
+
 def test_dilog_identity_small():
     for n, orient in ((1, ""), (2, ">")):
         for dual in ("orthogonal", "symplectic"):

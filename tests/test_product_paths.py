@@ -4,12 +4,14 @@ products of their operands' Schur coordinates, and the PBW
 checks share suffix products through a trie of letters.  Their oracles
 are the paths they replace, kept in `oracles`: the lead product times the
 cached integrand by `Poly.__mul__`, the B_D push and `straighten_terms`
-(`poly_schur_mul`, `poly_schur_act`), the element products by divided
-differences with their own layouts, signs and deferred factors
-(`direct_shuffle_mul`, `direct_cohm_action`) and through the integrand
-built with f and g, pushed from the unit leads (`fgk_shuffle_mul`,
-`fgk_cohm_action`), and the report that memoized products by (seed class,
-suffix word) (`memo_pbw_report`)."""
+(`poly_push`), the element products by divided differences with their own
+layouts, signs and deferred factors (`direct_shuffle_mul`,
+`direct_cohm_action`) and through the integrand built with f and g,
+pushed from the unit leads (`fgk_product`), and the report that memoized
+products by (seed class, suffix word) (`memo_pbw_report`).  The product
+and the action share one reference each, over one integrand shape."""
+
+from functools import partial
 
 import pytest
 
@@ -17,11 +19,9 @@ from oracles import (
     add_classes,
     direct_cohm_action,
     direct_shuffle_mul,
-    fgk_cohm_action,
-    fgk_shuffle_mul,
+    fgk_product,
     memo_pbw_report,
-    poly_schur_act,
-    poly_schur_mul,
+    poly_push,
     q3,
 )
 
@@ -82,14 +82,14 @@ def test_one_pass_products_against_the_polynomial_path(name, quiver):
             for _ in range(3):
                 f, g = _random_row(rng, CohaElement, quiver, d1), _random_row(rng, CohaElement, quiver, d2)
                 if f and g:
-                    assert schur_mul(quiver, d1, f, d2, g) == poly_schur_mul(quiver, d1, f, d2, g), (d1, f, d2, g)
+                    assert schur_mul(quiver, d1, f, d2, g) == poly_push(CohaElement, quiver, d1, f, d2, g), (d1, f, d2, g)
                     products += 1
     for d in classes:
         for e in module_classes(quiver, 4 - 2 * sum(d)):
             for _ in range(3):
                 f, g = _random_row(rng, CohaElement, quiver, d), _random_row(rng, CohmElement, quiver, e)
                 if f and g:
-                    assert schur_act(quiver, d, f, e, g) == poly_schur_act(quiver, d, f, e, g), (d, f, e, g)
+                    assert schur_act(quiver, d, f, e, g) == poly_push(CohmElement, quiver, d, f, e, g), (d, f, e, g)
                     actions += 1
     assert products >= 15 and actions >= 6
 
@@ -114,13 +114,13 @@ def test_exponent_bound_refuses_as_the_polynomial_path():
     f at 1023 on the kernel's x'_01 is over the tight bound."""
     a2 = build_typeA(2, ">", "orthogonal").quiver
     unit = {((), ()): 1}
-    accepted, refused = _both(schur_mul, poly_schur_mul, a2, (1, 0), unit, (1, 1), {((1023,), ()): 1})
+    accepted, refused = _both(schur_mul, partial(poly_push, CohaElement), a2, (1, 0), unit, (1, 1), {((1023,), ()): 1})
     assert accepted == refused == {((1022,), (1,)): 1, ((1022, 1), ()): -1}
-    assert _both(schur_mul, poly_schur_mul, a2, (1, 0), unit, (1, 1), {((), (1023,)): 1}) == ["raise"] * 2
+    assert _both(schur_mul, partial(poly_push, CohaElement), a2, (1, 0), unit, (1, 1), {((), (1023,)): 1}) == ["raise"] * 2
     l1 = loop_quiver(1)
-    accepted, refused = _both(schur_act, poly_schur_act, l1, (1,), {((1022,),): 1}, (2,), {((),): 1})
+    accepted, refused = _both(schur_act, partial(poly_push, CohmElement), l1, (1,), {((1022,),): 1}, (2,), {((),): 1})
     assert accepted == refused == {((511,),): 2, ((510, 1),): -2}
-    assert _both(schur_act, poly_schur_act, a2, (1, 0), {((1023,), ()): 1}, (1, 1), {((),): 1}) == ["raise"] * 2
+    assert _both(schur_act, partial(poly_push, CohmElement), a2, (1, 0), {((1023,), ()): 1}, (1, 1), {((),): 1}) == ["raise"] * 2
 
 
 def test_unpackable_lead_exponent_raises():
@@ -130,7 +130,7 @@ def test_unpackable_lead_exponent_raises():
     l1 = loop_quiver(1)
     with pytest.raises(ExponentOverflowError):
         schur_act(l1, (1,), {((1023,),): 1}, (2,), {((),): 1})
-    assert poly_schur_act(l1, (1,), {((1023,),): 1}, (2,), {((),): 1}) == {}
+    assert poly_push(CohmElement, l1, (1,), {((1023,),): 1}, (2,), {((),): 1}) == {}
 
 
 # -- the element products -------------------------------------------------------------
@@ -162,9 +162,9 @@ def test_element_products_against_their_direct_bodies(name, quiver):
     for _ in range(100):
         f = random_coha_element(rng, quiver, 3, 2)
         g = random_coha_element(rng, quiver, 4 - sum(f.d), 2)  # a target of size <= 4
-        assert shuffle_mul(f, g) == direct_shuffle_mul(f, g) == fgk_shuffle_mul(f, g), (f.d, g.d)
+        assert shuffle_mul(f, g) == direct_shuffle_mul(f, g) == fgk_product(CohaElement, f, g), (f.d, g.d)
         f, h = random_coha_element(rng, quiver, 2, 2), random_cohm_element(rng, quiver, 2, 2)
-        assert cohm_action(f, h) == direct_cohm_action(f, h) == fgk_cohm_action(f, h), (f.d, h.e)
+        assert cohm_action(f, h) == direct_cohm_action(f, h) == fgk_product(CohmElement, f, h), (f.d, h.e)
         types |= _fixed_types(quiver, f.d, h.e)
     nothing = CohmElement(quiver, quiver.zero(), Poly.zero(0))
     for d in [d for d in quiver.dimension_vectors(2) if any(d)]:
@@ -211,8 +211,8 @@ def test_full_slice_products_against_the_integrands_built_with_f_and_g(case):
     h, m = _full_slice(rng, CohaElement, quiver, d, deg), _full_slice(rng, CohmElement, quiver, e, dege)
     sizes = [len(x.to_labels()) for x in (f, g, h, m)]
     assert 3 <= max(sizes[:2]) <= 11 and 3 <= max(sizes[2:]) <= 11, sizes
-    assert shuffle_mul(f, g) == fgk_shuffle_mul(f, g)
-    assert cohm_action(h, m) == fgk_cohm_action(h, m)
+    assert shuffle_mul(f, g) == fgk_product(CohaElement, f, g)
+    assert cohm_action(h, m) == fgk_product(CohmElement, h, m)
 
 
 @pytest.mark.parametrize("name, quiver", ELEMENT_QUIVERS, ids=[n for n, _ in ELEMENT_QUIVERS])
@@ -241,19 +241,18 @@ def test_element_products_are_the_label_products_of_their_coordinates(name, quiv
 
 
 def _count_straightenings(monkeypatch):
-    """The list that every `straighten_blocks` call of `coha` and `cohm`
-    appends to."""
-    from hallforge import coha, cohm
+    """The list that every `straighten_blocks` call of the push
+    (`symfun._push`) appends to."""
+    from hallforge import symfun
 
     calls = []
-    for module in (coha, cohm):
-        real = module.straighten_blocks
+    real = symfun.straighten_blocks
 
-        def counted(*args, real=real):
-            calls.append(len(args[0]))
-            return real(*args)
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
 
-        monkeypatch.setattr(module, "straighten_blocks", counted)
+    monkeypatch.setattr(symfun, "straighten_blocks", counted)
     return calls
 
 

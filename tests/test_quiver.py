@@ -105,6 +105,14 @@ def test_loop_signs_must_be_a_list_of_m_signs(tau):
     assert loop_quiver(2, s=1, tau=(-1, -1)) == loop_quiver(2, s=1, tau=[-1, -1])
 
 
+@pytest.mark.parametrize("m", [2.0, True, False, "2", None])
+def test_loop_count_must_be_an_int(m):
+    """`loop_quiver` refuses a number of loops that is not an int, a bool
+    included (True built L1), with QuiverSpecError."""
+    with pytest.raises(QuiverSpecError, match="L_m needs an int m"):
+        loop_quiver(m)
+
+
 def test_euler_form_examples():
     a2 = a2_quiver()
     assert a2.euler_form((1, 0), (0, 1)) == -1

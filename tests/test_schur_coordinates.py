@@ -13,7 +13,7 @@ from oracles import (
     dd_schur,
     direct_cohm_action,
     direct_shuffle_mul,
-    fg_action_integrand,
+    fg_integrand,
     from_exponents,
     full_divided_difference,
     pair_loop_push,
@@ -169,14 +169,14 @@ PUSH_QUIVERS = [(name, quiver) for name, quiver in QUIVERS if name[0] == "L" or 
 
 @pytest.mark.parametrize("name, quiver", PUSH_QUIVERS, ids=[n for n, _ in PUSH_QUIVERS])
 def test_parity_grouped_push_against_the_pair_loop(name, quiver):
-    """`_push` pairs a lead only with the integrand terms whose y parities
-    make every y exponent of a fixed node odd.  On seeded rows (L0-L3 with
-    s, tau = +-1, and A3, whose middle node is fixed) the push of the
-    cached integrand (`schur_act`) equals the loop over every pair, entry
-    for entry and in order.  The element path (`cohm_action`, the same
-    push of the expanded rows' Schur coordinates) equals the pair loop
-    over the integrand built with f and g (`oracles.fg_action_integrand`)
-    on the expanded rows."""
+    """`symfun._push` pairs a lead only with the integrand terms whose y
+    parities make every y exponent of a fixed node odd.  On seeded rows
+    (L0-L3 with s, tau = +-1, and A3, whose middle node is fixed) the push
+    of the cached integrand (`schur_act`) equals the loop over every pair,
+    entry for entry and in order.  The element path (`cohm_action`, the
+    same push of the expanded rows' Schur coordinates) equals the pair loop
+    over the integrand built with f and g (`oracles.fg_integrand`) on the
+    expanded rows."""
     rng = Lcg(20261020 + len(name))
     checked = 0
     for _ in range(40):
@@ -184,17 +184,17 @@ def test_parity_grouped_push_against_the_pair_loop(name, quiver):
         f, g = _draw_row(rng, CohaElement, quiver, d, 3), _draw_row(rng, CohmElement, quiver, e, 3)
         if not f or not g:
             continue
-        kernel, deferred, fside, gside, fixed, cuts, _ = _act_integrand(quiver, d, e)
-        leads, top = lead_terms(f, fside, g, gside)
-        want = pair_loop_push(leads, top, kernel, deferred, fixed, cuts)
+        it = _act_integrand(quiver, d, e)
+        leads, top = lead_terms(f, it.fside, g, it.gside)
+        want = pair_loop_push(it, leads, top)
         assert list(schur_act(quiver, d, f, e, g).items()) == list(want.items()), (d, f, e, g)
         fe, ge = CohaElement.from_labels(quiver, d, f), CohmElement.from_labels(quiver, e, g)
-        total, deferred, fside, gside, fixed, cuts = fg_action_integrand(quiver, d, e, fe.poly, ge.poly)
-        leads, top = lead_terms({((),) * len(fside[0]): 1}, fside, {((),) * len(gside[0]): 1}, gside)
-        row = pair_loop_push(leads, top, total, deferred, fixed, cuts)
+        fg = fg_integrand(it, fe.poly, ge.poly)
+        leads, top = lead_terms({((),) * len(fg.fside[0]): 1}, fg.fside, {((),) * len(fg.gside[0]): 1}, fg.gside)
+        row = pair_loop_push(fg, leads, top)
         got = cohm_action(fe, ge)
         assert got == CohmElement.from_labels(quiver, got.e, row), (d, f, e, g)
-        checked += bool(fixed)
+        checked += bool(it.fixed)
     assert checked > 10
 
 
@@ -216,12 +216,36 @@ def test_factor_list_integrands_against_the_linear_chain(name, quiver):
     for d1 in classes:
         for d2 in classes:
             if sum(d1) + sum(d2) <= 6:
-                assert same(_mul_integrand.__wrapped__(quiver, d1, d2)[0], chain_mul_integrand(quiver, d1, d2)), (d1, d2)
+                assert same(_mul_integrand.__wrapped__(quiver, d1, d2).kernel, chain_mul_integrand(quiver, d1, d2)), (d1, d2)
                 pairs += 1
         for e in module_classes(quiver, 6 - 2 * sum(d1)):
-            kernel, deferred = _act_integrand.__wrapped__(quiver, d1, e)[:2]
+            it = _act_integrand.__wrapped__(quiver, d1, e)
             want, want_deferred = chain_act_integrand(quiver, d1, e)
-            assert same(kernel, want) and same(deferred, want_deferred), (d1, e)
+            assert same(it.kernel, want) and same(it.deferred, want_deferred), (d1, e)
+            pairs += 1
+    assert pairs > 20
+
+
+@pytest.mark.parametrize("name, quiver", PUSH_QUIVERS, ids=[n for n, _ in PUSH_QUIVERS])
+def test_integrand_lengths_are_the_push_lengths(name, quiver):
+    """The integrands carry the length of their push, which the element
+    products charge per term: on every class pair whose product has total
+    size <= 6, sum_n d1_n d2_n for H_d1 x H_d2, and for H_d x M_e the sum
+    over Q0^+ of d_i e_i + (d_i + e_i) d_sigma(i) plus D(D + 1)/2 + D m
+    per fixed node (D = d_i, m = floor(e_i / 2)), the formulas the two
+    element products charged with before they shared one body."""
+    idx = quiver.node_index
+    classes = quiver.dimension_vectors(6)
+    pairs = 0
+    for d1 in classes:
+        for d2 in classes:
+            if sum(d1) + sum(d2) <= 6:
+                assert _mul_integrand(quiver, d1, d2).length == sum(a * b for a, b in zip(d1, d2)), (d1, d2)
+                pairs += 1
+        for e in module_classes(quiver, 6 - 2 * sum(d1)):
+            want = sum(d1[idx[n]] * e[idx[n]] + (d1[idx[n]] + e[idx[n]]) * d1[idx[quiver.sigma_nodes[n]]] for n in quiver.q0_plus)
+            want += sum(d1[idx[n]] * (d1[idx[n]] + 1) // 2 + d1[idx[n]] * (e[idx[n]] // 2) for n in quiver.q0_sigma)
+            assert _act_integrand(quiver, d1, e).length == want, (d1, e)
             pairs += 1
     assert pairs > 20
 
@@ -239,7 +263,7 @@ def test_lead_tables_hold_the_lead_keys(monkeypatch):
     for quiver in (coha_rs.quiver, cohm_rs.quiver, l2):
         for key, value in quiver._cache.items():
             if key[0] in entries:
-                for slots, table in value[1:3] if key[0] == "coha_integrand" else value[2:4]:
+                for slots, table in (value.fside, value.gside):
                     for label, lead in table.items():
                         assert lead == symfun._lead_key.__wrapped__(label, slots), (key, label)
                         entries[key[0]] += 1
@@ -251,16 +275,14 @@ def test_fixed_node_pushes_meet_only_odd_y_exponents(monkeypatch):
     whose y exponents are all odd: the parity groups of `_push` leave out
     every pair the push would drop for an even one.  A block whose halved
     y exponents repeat still reaches the push, which drops it."""
-    from hallforge import cohm
-
     monkeypatch.delenv("HALLFORGE_THREADS", raising=False)  # one process sees every call
-    real, ys = cohm._type_b_push, []
+    real, ys = symfun._type_b_push, []
 
     def counted(block, dn, m):
         ys.append(unpack_exponents(block, dn))
         return real(block, dn, m)
 
-    monkeypatch.setattr(cohm, "_type_b_push", counted)
+    monkeypatch.setattr(symfun, "_type_b_push", counted)
     ori_dt_invariants(loop_quiver(2), 8, 22)
     assert ys and all(y % 2 for block in ys for y in block)
 
@@ -278,12 +300,12 @@ def test_lead_terms_bound_is_the_largest_exponent():
             h = _draw_row(rng, CohmElement, quiver, e, 2)
             layouts = []
             if f and g:
-                _, fside, gside, _ = _mul_integrand(quiver, d1, d2)
-                layouts.append((f, fside, g, gside, CohaElement.layout(quiver, tuple(map(sum, zip(d1, d2))))[1]))
+                it = _mul_integrand(quiver, d1, d2)
+                layouts.append((f, it.fside, g, it.gside, CohaElement.layout(quiver, tuple(map(sum, zip(d1, d2))))[1]))
             if g and h:
-                _, _, fside, gside, _, _, _ = _act_integrand(quiver, d2, e)
+                it = _act_integrand(quiver, d2, e)
                 et = tuple(a + b for a, b in zip(quiver.hyperbolic(d2), e))
-                layouts.append((g, fside, h, gside, CohmElement.layout(quiver, et)[1]))
+                layouts.append((g, it.fside, h, it.gside, CohmElement.layout(quiver, et)[1]))
             for f_row, fside, g_row, gside, nvars in layouts:
                 terms, top = lead_terms(f_row, fside, g_row, gside)
                 assert terms

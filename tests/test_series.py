@@ -337,6 +337,18 @@ def test_quantum_integer():
     assert quantum_integer(3, 2) == {0: Fraction(1), 4: Fraction(1), 8: Fraction(1)}
 
 
+def test_quantum_integer_sums_meeting_terms_and_refuses_inexact_input():
+    """At base power 0 the n terms of [n] all land on q^0 and add up to n;
+    an n or a base power that is not an int (a float or a bool) is refused
+    with GradingError."""
+    assert quantum_integer(3, 0) == {0: 3}
+    assert quantum_integer(1, 0) == {0: 1} and quantum_integer(0, 0) == {}
+    assert quantum_integer(3, -1) == {0: 1, -2: 1, -4: 1}
+    for n, base in ((2.5, 1), (2.0, 1), (True, 1), (2, 1.0), (2, True), ("2", 1)):
+        with pytest.raises(GradingError, match="must be an int"):
+            quantum_integer(n, base)
+
+
 def test_torus_mul_twists():
     a2 = a2_quiver()
     t10 = QSeries.monomial(a2, "torus", 4, (1, 0), 0)
