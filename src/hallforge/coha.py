@@ -40,6 +40,7 @@ from .poly import SHIFT, expand_factors
 from .quiver import QuiverWithDuality, memoized
 from .series import (
     SignedInvariantTable,
+    check_sizes,
     dt_series,
     invert_pochhammer_factorization,
     sign_pow,
@@ -142,6 +143,7 @@ def s_involution(f):
 
 def dt_invariants(quiver, maxdim, window):
     """Pochhammer-factorization exponents of A_Q (symmetric quivers)."""
+    check_sizes(maxdim=maxdim, window=window)
     if not quiver.is_symmetric():
         raise SymmetryError("DT invariants need a symmetric quiver")
     return invert_pochhammer_factorization(dt_series(quiver, maxdim, window))
@@ -157,25 +159,49 @@ def image_echelon(quiver, plan, slice_labels, act, k, labels):
     (cohm.schur_act, E, `cohm._cohm_plan`).  Rows are in Schur coordinates,
     filed on the positions of the target slice's labels.
 
+    The complement V_a costs the products of the CoHA ideal of its slice,
+    which pay only while the target slice does not fill, so it is computed
+    lazily.  A step (a, k1) whose complement is in the memo, or with |a| <=
+    1 (V_a = H_a), acts with it.  Any other step acts with the whole slice
+    H_(a,k1) and counts the actions that add no rank; once a label b brings
+    that count to len(H_(a,k1)), the step asks for V_a, unless the target
+    slice is spanned, and acts with it on the remaining b.  The span of the
+    whole plan is the same either way: H_a = V_a + I_a with I_a the ideal
+    slice, and I_a . M_rest lies in the products H_c M with |c| < |a|,
+    which the plan's span holds (the inductions of `_coha_plan` and
+    `cohm._cohm_plan`).
+
     Every product lies in the target slice, so rank <= len(labels); once
     the echelon spans the slice, every later product would reduce to zero,
-    and neither a later product nor the generator complement of a later
-    factor is computed.  A slice the products do not fill gets every
-    product, in the same order, hence the same pivots."""
+    and neither a later product nor a complement is computed.  A slice the
+    products do not fill gets the whole span; the pivots depend on the span
+    alone (`linalg`), so ranks and complements are those of acting with
+    every V_a."""
     ech = Echelon(labels)
     dim = len(labels)
     for a, rest, chi_a, form_rest in plan:
+        known = generator_complement if sum(a) <= 1 else _known_complement
         for k1 in range(chi_a, k - form_rest + 1, 2):
             if ech.rank == dim:
                 return ech
-            gens = generator_complement(quiver, a, k1)
+            gens = known(quiver, a, k1)
+            idle = None  # while acting with the whole slice: its actions that added no rank
+            if gens is None:
+                gens, idle = CohaElement.slice_labels(quiver, a, k1), 0
             if not gens:
                 continue
             for b in slice_labels(quiver, rest, k - k1):
                 for c in gens:
                     if ech.rank == dim:
                         return ech
-                    ech.add(act(quiver, a, {c: 1}, rest, {b: 1}))
+                    if not ech.add(act(quiver, a, {c: 1}, rest, {b: 1})) and idle is not None:
+                        idle += 1
+                if idle is not None and idle >= len(gens):
+                    if ech.rank == dim:
+                        return ech
+                    gens, idle = generator_complement(quiver, a, k1), None
+                    if not gens:
+                        break
     return ech
 
 
@@ -232,6 +258,11 @@ def generator_complement(quiver, d, k):
     return complement(_ideal_echelon(quiver, d, k), labels)
 
 
+# the memo reader, bound here so that a wrapper over the public name (a
+# counting test, perfbench/tracer.py) leaves image_echelon's lookups alone
+_known_complement = generator_complement.cached
+
+
 def _times_power_sum(quiver, d, label):
     """sigma_d s_label, sigma_d the sum of all variables: by Pieri, the
     labels with one box added at one node."""
@@ -263,6 +294,7 @@ def primitive_dims(quiver, maxdim, window):
     """dim V^prim_(d,k): slice dimension minus the rank of the product ideal
     plus the power-sum tower (V = V^prim (x) Q[sigma_d]).  The classes are
     the tasks of `PrimitiveTable.build` (a process pool when HALLFORGE_THREADS > 1)."""
+    check_sizes(maxdim=maxdim, window=window)
     if not quiver.is_symmetric():
         raise SymmetryError("primitive dims need a symmetric quiver")
     if not quiver.supercommutativity_criterion():
@@ -300,6 +332,7 @@ def equivariant_dt(quiver, e_target, maxdim, window):
     V_(d,k) is the image of 1 + S_H (`_plus_dim`), and V = V^prim (x)
     Q[sigma_d] with S_H(sigma_d) = -sigma_d gives the primitive split.
     """
+    check_sizes(maxdim=maxdim, window=window)
     if not quiver.is_sigma_symmetric():
         raise SymmetryError("equivariant DT invariants need a sigma-symmetric quiver")
     e_target = quiver.check_selfdual_dim(e_target)

@@ -55,6 +55,7 @@ from .series import (
     InvariantTable,
     MODULE,
     QSeries,
+    check_sizes,
     module_classes,
     ori_dt_series,
     pochhammer_q2_product,
@@ -286,10 +287,10 @@ def _cohm_plan(quiver, e):
 
     Either half of each sigma pair spans the same image; this one is the
     cheaper, as its generator complements need fewer CoHA ideal slices
-    (14 instead of 40 on (A1~ tau=+1, 12, 30)): `ori_dt_invariants` forms
-    182 instead of 329 `schur_mul` there and 56 instead of 75 on (A1~, 7,
-    16), with the same `schur_act` count, while (q3(1), 8, 16) forms 1278
-    instead of 1256 `schur_act`."""
+    (13 instead of 39 on (A1~ tau=+1, 12, 30)): `ori_dt_invariants` forms
+    78 + 4628 instead of 225 + 4723 `schur_mul` + `schur_act` there and 21
+    + 159 instead of 38 + 174 on (A1~, 7, 16), while (q3(1), 8, 16) forms
+    112 + 1433 instead of 158 + 1400."""
     if not quiver.is_sigma_symmetric():
         raise SymmetryError("the W^prim image steps need a sigma-symmetric quiver")
     pairs = quiver.decompositions(e, sum(e) // 2, quiver.hyperbolic)
@@ -319,6 +320,7 @@ def ori_dt_invariants(quiver, maxdim, window):
     """W^prim dims per (e,k): slice dimension minus the CoHA-action image rank.
     The classes are the tasks of `PrimitiveTable.build` (a process pool when
     HALLFORGE_THREADS > 1)."""
+    check_sizes(maxdim=maxdim, window=window)
     if not quiver.is_sigma_symmetric():
         raise SymmetryError("orientifold DT invariants need a sigma-symmetric quiver")
     classes = module_classes(quiver, maxdim)
@@ -390,6 +392,9 @@ def loop_factorization(quiver, maxdim, window, quotient_window=None):
     quotient_window is given, `consistent` compares the division route
     against the W^prim quotient route on the quotient windows.
     """
+    check_sizes(maxdim=maxdim, window=window)
+    if quotient_window is not None:
+        check_sizes(quotient_window=quotient_window)
     if len(quiver.nodes) != 1:
         raise GradingError("loop_factorization expects a loop quiver")
     asigma = ori_dt_series(quiver, maxdim, window)

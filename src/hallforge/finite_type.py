@@ -37,7 +37,7 @@ from .cohm import CohmElement, act_many, action_degree_shift, schur_act
 from .errors import GradingError, HallforgeError, QuiverSpecError
 from .linalg import rank_of_rows
 from .quiver import MAX_PBW_WORDS, MAX_ROOT_PAIRS, QuiverWithDuality
-from .series import MODULE, PochhammerFactor, QSeries
+from .series import MODULE, PochhammerFactor, QSeries, check_sizes
 from .symfun import _partitions, schur, weight_basis_size  # noqa: F401  (perfbench binds finite_type.schur)
 
 
@@ -291,6 +291,7 @@ def dilog_identity_check(rs, maxdim, window):
     action is `PochhammerFactor.char_star`, which divides the acted-on rows
     by the factor's product formula instead of expanding the factor.
     """
+    check_sizes(maxdim=maxdim, window=window)
     quiver = rs.quiver
     factors = {}
 
@@ -531,8 +532,7 @@ def _pbw_bound(rs, bound, window):
     caps = (bound,) * rs.n if type(bound) is int else bound
     if type(caps) is not tuple or len(caps) != rs.n or any(type(x) is not int or x < 0 for x in caps):
         raise GradingError("bound must be an int >= 0 or a tuple of %d such ints, not %r" % (rs.n, bound))
-    if type(window) is not int or window < 0:
-        raise GradingError("window must be an int >= 0, not %r" % (window,))
+    check_sizes(window=window)
     return caps
 
 

@@ -96,7 +96,9 @@ def memoized(kind):
     (graded), "coha_integrand", "coha_plan", "coha_ideal" and
     "coha_complement" (coha), and "cohm_integrand", "cohm_plan" and
     "wprim_slice" (cohm); the element products fill only the integrand
-    kinds.  The wrapper keeps fn's module and name."""
+    kinds.  The wrapper keeps fn's module and name.  Its `cached(quiver,
+    *args)` reads the memo alone: the stored result, or None when there is
+    none yet, and nothing is computed."""
 
     prefix = (kind,)  # prefix + args builds the key faster than (kind, *args)
 
@@ -108,7 +110,12 @@ def memoized(kind):
                 out = quiver._cache[key] = fn(quiver, *args)
             return out
 
-        return update_wrapper(memo, fn)
+        def cached(quiver, *args):
+            return quiver._cache.get(prefix + args)
+
+        memo = update_wrapper(memo, fn)
+        memo.cached = cached
+        return memo
 
     return decorate
 

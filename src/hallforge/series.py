@@ -563,9 +563,8 @@ class QSeries:
 
 def _dense(classes, window):
     """classes, once their dense cells, classes x (window + 1), fit the cap;
-    a negative window raises GradingError."""
-    if window < 0:
-        raise GradingError("a series window must be >= 0, not %d" % window)
+    a window that is not an int >= 0 raises GradingError."""
+    check_sizes(window=window)
     _charge_cells(len(classes) * (window + 1), "closed form")
     return classes
 
@@ -766,6 +765,15 @@ def _check_int(name, x):
         raise GradingError("%s must be an int, not %r" % (name, x))
 
 
+def check_sizes(**sizes):
+    """Refuse a size (maxdim, window) that is not an int >= 0: a float, a
+    bool or a negative value raises GradingError before any work, as the
+    CLI's flags and the PBW checks' window are refused."""
+    for name, x in sizes.items():
+        if type(x) is not int or x < 0:
+            raise GradingError("%s must be an int >= 0, not %r" % (name, x))
+
+
 def qdilog(quiver, maxdim, window):
     """E_q(t) = (q^(1/2) t ; q)_inf on a one-node grading."""
     if len(quiver.nodes) != 1:
@@ -785,6 +793,7 @@ def quantum_integer(n, base_power=1):
 
 def dt_series(quiver, maxdim, window):
     """A_Q = sum_d (-q^(1/2))^chi(d,d) / prod_i prod_{j<=d_i} (1-q^j) t^d."""
+    check_sizes(maxdim=maxdim, window=window)
     rows, meta = {}, {}
     memo = {}
     for d in _dense(quiver.dimension_vectors(maxdim), window):
@@ -806,6 +815,7 @@ def module_classes(quiver, maxdim):
 
 def ori_dt_series(quiver, maxdim, window):
     """A^sigma_Q per the equivariant-contractibility closed form."""
+    check_sizes(maxdim=maxdim, window=window)
     rows, meta = {}, {}
     idx = quiver.node_index
     memo = {}

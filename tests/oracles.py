@@ -390,21 +390,26 @@ def rational_complement(ech, labels):
     return [lab for lab in labels if ech.add({lab: 1})]
 
 
-def image_rows(quiver, pairs, slice_labels, form, act, k, complement_of=generator_complement):
-    """Every product row of `coha.image_echelon`, in its order, without its
-    stop rule: every product of every pair, even after the rows span the
-    slice, with the factor complements of complement_of.  Rows are in Schur
-    coordinates, as there."""
-    rows = []
-    for a, rest in pairs:
-        for k1 in range(quiver.euler_form(a, a), k - form(quiver, rest) + 1):
+def plan_rows(quiver, plan, slice_labels, act, k, complement_of=generator_complement):
+    """The product rows of the eager image step, lazily and in its order:
+    over the steps (a, k1) of plan, as in `coha.image_echelon`, every
+    factor of complement_of(quiver, a, k1) acting on every b, with no stop
+    rule.  Rows are in Schur coordinates, as there."""
+    for a, rest, chi_a, form_rest in plan:
+        for k1 in range(chi_a, k - form_rest + 1, 2):
             gens = complement_of(quiver, a, k1)
             if not gens:
                 continue
             for b in slice_labels(quiver, rest, k - k1):
                 for c in gens:
-                    rows.append(act(quiver, a, {c: 1}, rest, {b: 1}))
-    return rows
+                    yield act(quiver, a, {c: 1}, rest, {b: 1})
+
+
+def image_rows(quiver, pairs, slice_labels, form, act, k, complement_of=generator_complement):
+    """Every row of `plan_rows` over the pairs and their forms: every
+    product of every pair, even after the rows span the slice."""
+    plan = [(a, rest, quiver.euler_form(a, a), form(quiver, rest)) for a, rest in pairs]
+    return list(plan_rows(quiver, plan, slice_labels, act, k, complement_of))
 
 
 def full_image_echelon(quiver, pairs, slice_labels, form, act, k, labels, complement_of=generator_complement):
@@ -412,6 +417,21 @@ def full_image_echelon(quiver, pairs, slice_labels, form, act, k, labels, comple
     the target slice's labels of every row of `image_rows`."""
     ech = Echelon(labels)
     for row in image_rows(quiver, pairs, slice_labels, form, act, k, complement_of):
+        ech.add(row)
+    return ech
+
+
+def eager_image_echelon(quiver, plan, slice_labels, act, k, labels):
+    """`coha.image_echelon` with its stop rule but the eager rule for the
+    factors: each step asks for its generator complement before it acts.
+    A row of `plan_rows` is pulled only while the echelon does not span
+    the slice, so nothing is computed after it does."""
+    ech = Echelon(labels)
+    rows = plan_rows(quiver, plan, slice_labels, act, k)
+    while ech.rank < len(labels):
+        row = next(rows, None)
+        if row is None:
+            break
         ech.add(row)
     return ech
 

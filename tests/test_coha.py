@@ -399,6 +399,74 @@ def test_image_echelon_stops_once_the_slice_is_spanned(monkeypatch):
         saved += sum(e != "complement" for e in events) - len(rows)
     assert filled and saved > 0
 
+    # a step that acts with the whole slice, whose last action of a label b
+    # both fills the target slice and brings the idle count to len(slice):
+    # the stop comes first, so no complement is asked for
+    quiver, a, b_labels, script = _scripted_step(events)
+    events.clear()
+    ech = coha.image_echelon(quiver, [(a, "rest", script.k1, 10)], b_labels(2), script.act, script.k1 + 10, ["u", "v"])
+    assert ech.rank == 2 and len(events) == 4 and "complement" not in events
+    assert complement_of.cached(quiver, a, script.k1) is None
+
+
+class _Script:
+    """A scripted `act` for one image step: the row of each (factor label,
+    right label) pair, with the events appended to a list."""
+
+    def __init__(self, k1, rows, events):
+        self.k1, self.rows, self.events = k1, rows, events
+
+    def act(self, quiver, a, c, rest, b):
+        ((lab, _),) = c.items()
+        ((blab, _),) = b.items()
+        self.events.append((lab, blab))
+        return self.rows.get((lab, blab), {})
+
+
+def _scripted_step(events=None):
+    """A fresh L2, the factor class a = (2,) and a script on its slice of
+    degree 2, [s_2, s_11], whose generator complement is [s_2].  Label b1
+    adds one rank and one idle row, b2 one idle row and then one rank, b3
+    one rank from s_2."""
+    quiver = loop_quiver(2)
+    a = (2,)
+    k1 = quiver.euler_form(a, a) + 4
+    s2, s11 = CohaElement.slice_labels(quiver, a, k1)
+    rows = {
+        (s2, "b1"): {"u": 1}, (s11, "b1"): {"u": 2},
+        (s2, "b2"): {"u": 3}, (s11, "b2"): {"v": 1},
+        (s2, "b3"): {"w": 1},
+    }
+
+    def b_labels(n):
+        return lambda quiver, rest, k: ["b1", "b2", "b3"][:n]
+
+    return quiver, a, b_labels, _Script(k1, rows, [] if events is None else events)
+
+
+def test_image_echelon_asks_for_a_complement_once_the_slice_wastes_its_length(monkeypatch):
+    """A step whose complement is not in the memo acts with the whole slice
+    [s_2, s_11] and counts the actions that add no rank.  After b1 the
+    count is 1, so b2 acts with the whole slice too; after b2 it is 2 =
+    len(slice), so the complement [s_2] is asked for and b3 acts with it
+    alone.  A later step finds the complement in the memo and acts with it
+    from its first label."""
+    from hallforge import coha
+
+    quiver, a, b_labels, script = _scripted_step()
+    s2, s11 = CohaElement.slice_labels(quiver, a, script.k1)
+    complement_of = coha.generator_complement
+    asked = ("complement", quiver, a, script.k1)  # not the ideal's own, of (1,)
+    monkeypatch.setattr(coha, "generator_complement", lambda *args: (args == asked[1:] and script.events.append("complement")) or complement_of(*args))
+    plan = [(a, "rest", script.k1, 10)]
+    ech = coha.image_echelon(quiver, plan, b_labels(3), script.act, script.k1 + 10, ["u", "v", "w"])
+    assert ech.rank == 3
+    assert script.events == [(s2, "b1"), (s11, "b1"), (s2, "b2"), (s11, "b2"), "complement", (s2, "b3")]
+    assert complement_of.cached(quiver, a, script.k1) == [s2]
+    script.events.clear()
+    ech = coha.image_echelon(quiver, plan, b_labels(3), script.act, script.k1 + 10, ["u", "v", "w", "x"])
+    assert ech.rank == 2 and script.events == [(s2, "b1"), (s2, "b2"), (s2, "b3")]
+
 
 def test_pair_plans_are_built_once_per_class(monkeypatch):
     """One `decompositions` call per class in a W^prim and a V^prim run: the

@@ -14,7 +14,7 @@ pool tasks derive the sigma-partner ideals in their own processes.
 """
 
 import pytest
-from oracles import DirectQuotients, full_complement, q3, same_span
+from oracles import DirectQuotients, eager_image_echelon, full_complement, q3, same_span
 
 from hallforge import coha, cohm
 from hallforge.coha import (
@@ -149,11 +149,129 @@ def _count_products(monkeypatch, run):
 
 
 def test_product_counts(monkeypatch):
-    """The products the plans leave out; the full plans formed 695, 26 556
-    and 75 + 198 (`schur_act`) of them."""
+    """The products the plans leave out, and those the lazy generator
+    complements save; the full plans formed 695, 26 556 and 75 + 198
+    (`schur_act`) of them.  On (A1~ tau=+1, 7, 16) the actions of whole
+    slices before the complement is asked for cost more than the ideal
+    products they save: the eager rule (`oracles.eager_image_echelon`)
+    forms 28 + 138 there, and 83 + 95 and 67 + 61 on the L2 runs."""
     assert _count_products(monkeypatch, lambda: primitive_dims(loop_quiver(2), 7, 21)) == (473, 0)
     assert _count_products(monkeypatch, lambda: primitive_dims(a1_tilde(tau=1), 8, 16)) == (13277, 0)
+    assert _count_products(monkeypatch, lambda: ori_dt_invariants(a1_tilde(tau=1), 7, 16)) == (21, 159)
+    assert _count_products(monkeypatch, lambda: ori_dt_invariants(loop_quiver(2), 8, 22)) == (9, 98)
+    assert _count_products(monkeypatch, lambda: ori_dt_invariants(loop_quiver(2, s=-1), 9, 26)) == (4, 65)
+    monkeypatch.setattr(coha, "image_echelon", eager_image_echelon)
+    monkeypatch.setattr(cohm, "image_echelon", eager_image_echelon)
     assert _count_products(monkeypatch, lambda: ori_dt_invariants(a1_tilde(tau=1), 7, 16)) == (28, 138)
+    assert _count_products(monkeypatch, lambda: ori_dt_invariants(loop_quiver(2), 8, 22)) == (83, 95)
+    assert _count_products(monkeypatch, lambda: ori_dt_invariants(loop_quiver(2, s=-1), 9, 26)) == (67, 61)
+
+
+def _record_steps(monkeypatch, run):
+    """The image steps of run() in one process: per `image_echelon` call
+    (nested calls, the CoHA ideals behind a complement, kept apart), per
+    step (a, k1), whether its complement had been asked for before the
+    step began, its actions as (factor label, rank of the call's echelon
+    after it, whether it added rank), and how many actions came before it
+    asked for its complement (None when it did not)."""
+    monkeypatch.delenv("HALLFORGE_THREADS", raising=False)
+    stack, calls, asked = [], [], set()
+    image_echelon, complement_of = coha.image_echelon, coha.generator_complement
+
+    def recorded_echelon(quiver, plan, slice_labels, act, k, labels):
+        stack.append({"quiver": quiver, "replay": Echelon(labels), "dim": len(labels), "steps": {}})
+        try:
+            return image_echelon(quiver, plan, slice_labels, act, k, labels)
+        finally:
+            calls.append(stack.pop())
+
+    def step(a, k1):
+        steps = stack[-1]["steps"]
+        if (a, k1) not in steps:
+            steps[(a, k1)] = {"known": (a, k1) in asked, "acts": [], "switch": None}
+        return steps[(a, k1)]
+
+    def recorded(product):
+        def act(quiver, a, c, rest, b):
+            row = product(quiver, a, c, rest, b)
+            ((label, _),) = c.items()
+            replay = stack[-1]["replay"]
+            gained = replay.add(row)
+            step(a, quiver.euler_form(a, a) + 2 * sum(map(sum, label)))["acts"].append((label, replay.rank, gained))
+            return row
+
+        return act
+
+    def recorded_complement(quiver, a, k1):
+        if stack:
+            record = step(a, k1)
+            record["switch"] = len(record["acts"])
+        asked.add((a, k1))
+        return complement_of(quiver, a, k1)
+
+    for module in (coha, cohm):
+        monkeypatch.setattr(module, "image_echelon", recorded_echelon)
+    monkeypatch.setattr(coha, "schur_mul", recorded(coha.schur_mul))
+    monkeypatch.setattr(cohm, "schur_act", recorded(cohm.schur_act))
+    monkeypatch.setattr(coha, "generator_complement", recorded_complement)
+    run()
+    return calls, complement_of
+
+
+def _in_blocks(labels, block):
+    """labels is block repeated, the last repeat possibly cut short."""
+    return labels == (block * (len(labels) // max(len(block), 1) + 1))[: len(labels)]
+
+
+@pytest.mark.parametrize(
+    "run, expect",
+    [
+        (lambda: ori_dt_invariants(a1_tilde(tau=1), 7, 16), "switch"),
+        (lambda: ori_dt_invariants(loop_quiver(2), 8, 22), "whole"),
+    ],
+    ids=["A1~ tau=+1 (7, 16)", "L2 (8, 22)"],
+)
+def test_lazy_complements_switch_once_the_idle_actions_reach_the_slice(monkeypatch, run, expect):
+    """Replays every step of a W^prim run.  A step with |a| > 1 whose
+    complement was not asked for before it acts with the whole slice
+    H_(a,k1) on each label b, and counts the actions that add no rank.  The
+    count is read after each label: below len(slice) the step goes on with
+    the whole slice; at len(slice) or more it asks for the complement, while
+    the target slice is not spanned, and acts with it on the remaining
+    labels.  So the idle actions before the label that switches stay below
+    len(slice); on these two runs the count at a switch is exactly
+    len(slice), though the rule allows up to 2 len(slice) - 1.  A step whose
+    complement is known acts with it from its first label.  A1~ switches;
+    L2 keeps the whole slice, smaller complement and all, to the end of
+    some step."""
+    calls, complement_of = _record_steps(monkeypatch, run)
+    monkeypatch.undo()  # the complements read below are not recorded
+    seen = {"switch": 0, "whole": 0}
+    for call in calls:
+        quiver, dim = call["quiver"], call["dim"]
+        for (a, k1), record in call["steps"].items():
+            acts, switch = record["acts"], record["switch"]
+            gens = complement_of(quiver, a, k1)
+            if sum(a) <= 1 or record["known"]:
+                assert switch in (None, 0) and _in_blocks([lab for lab, _, _ in acts], gens), (a, k1)
+                continue
+            whole = CohaElement.slice_labels(quiver, a, k1)
+            n = len(whole)
+            before = acts if switch is None else acts[:switch]
+            assert _in_blocks([lab for lab, _, _ in before], whole), (a, k1)
+            for j in range(n, len(before) + 1, n):
+                idle = sum(not gained for _, _, gained in before[:j])
+                if j == switch:
+                    assert n <= idle and before[-1][1] < dim, (a, k1)
+                    assert idle <= n, (a, k1)
+                elif idle >= n:  # only the stop may keep a step from switching
+                    assert j == len(before) and before[-1][1] == dim, (a, k1)
+            if switch is None:
+                seen["whole"] += len(gens) < n
+            else:
+                seen["switch"] += len(gens) < n
+                assert switch % n == 0 and _in_blocks([lab for lab, _, _ in acts[switch:]], gens), (a, k1)
+    assert seen[expect], seen
 
 
 def test_the_module_image_step_needs_a_sigma_symmetric_quiver():

@@ -1,12 +1,14 @@
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from hallforge import series
-from hallforge.coha import equivariant_dt
-from hallforge.cohm import witt_representative
+from hallforge.coha import dt_invariants, equivariant_dt, primitive_dims
+from hallforge.cohm import loop_factorization, ori_dt_invariants, witt_representative
 from hallforge.errors import GradingError, HallforgeError, InexactCoefficientError, KindMismatchError, NonIntegralError
+from hallforge.finite_type import build_typeA, dilog_identity_check
 from hallforge.poly import Poly
 from hallforge.proputils import Lcg
 from hallforge.quiver import MAX_SERIES_CELLS, a1_tilde, a2_quiver, loop_quiver
@@ -299,6 +301,34 @@ def test_closed_forms_refuse_negative_windows_and_bases(build):
         build()
     assert dt_series(L1, 3, 0).rows[(1,)] == [(0, 1)]
     assert qpochhammer_inf(L0, TORUS, 0, (1,), 3, 0, base=1).rows[(2,)] == [(2, 1)]
+
+
+# the library entry points that take a maxdim and a window, as (maxdim, window) -> call
+SIZED_ENTRY_POINTS = {
+    "ori_dt_invariants": lambda m, w: ori_dt_invariants(L2, m, w),
+    "primitive_dims": lambda m, w: primitive_dims(L2, m, w),
+    "dt_series": lambda m, w: dt_series(L2, m, w),
+    "ori_dt_series": lambda m, w: ori_dt_series(L2, m, w),
+    "dt_invariants": lambda m, w: dt_invariants(L2, m, w),
+    "equivariant_dt": lambda m, w: equivariant_dt(a1_tilde(tau=1), (0, 0), m, w),
+    "loop_factorization": lambda m, w: loop_factorization(L2, m, w),
+    "dilog_identity_check": lambda m, w: dilog_identity_check(build_typeA(2, ">", "orthogonal"), m, w),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [2.0, True, -2], ids=["float", "bool", "negative"])
+@pytest.mark.parametrize("slot", ["maxdim", "window"])
+def test_entry_points_refuse_inexact_and_negative_sizes(name, bad, slot):
+    """A maxdim or window that is a float, a bool or negative raises
+    GradingError before any work.  A float raised a bare TypeError, True
+    passed as 1, a negative window gave empty W^prim and V^prim tables,
+    and dt_invariants(L2, -1, 10) failed in log with NonIntegralError."""
+    call = SIZED_ENTRY_POINTS[name]
+    args = {"maxdim": 2, "window": 4, slot: bad}
+    with pytest.raises(GradingError, match=re.escape("%s must be an int >= 0, not %r" % (slot, bad))):
+        call(args["maxdim"], args["window"])
+    call(2, 0)  # the smallest window is accepted
 
 
 def test_float_coefficients_are_refused():
