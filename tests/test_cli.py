@@ -418,6 +418,27 @@ def test_element_output_golden(tmp_path, case):
     assert out == golden["stdout"]
 
 
+# stdout, stderr and exit code of `check --property` for the four draw-and-
+# check suites on L1, L2, A1~ and A2 at seeds 1-3 (A2 is not sigma-symmetric:
+# its parity checks print counterexamples, its module relation is refused),
+# and of ori-invariants on L2 (8, 22); "@name" arguments are written from the
+# "quivers" documents of the same file
+GOLDEN_CHECKS = json.loads((Path(__file__).parent / "data" / "cli_golden_checks.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CHECKS["cases"]))
+def test_check_output_golden(tmp_path, case):
+    golden = GOLDEN_CHECKS["cases"][case]
+    args = []
+    for arg in golden["args"]:
+        if arg.startswith("@"):
+            path = tmp_path / (arg[1:] + ".json")
+            path.write_text(json.dumps(GOLDEN_CHECKS["quivers"][arg[1:]]))
+            arg = str(path)
+        args.append(arg)
+    assert run_cli(args) == (golden["code"], golden["stdout"], golden["stderr"])
+
+
 ONE_VAR = {"d": [1], "poly": [{"exp": {"x:1:1": 1}, "c": "1"}]}
 
 

@@ -113,3 +113,42 @@ def test_seeded_draws_are_pinned():
                 elem = draw(rng, quiver, 3, 3)
                 digest.update(json.dumps(elem.to_json_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == DRAWS_DIGEST
+
+
+def _suite_digest(monkeypatch):
+    """sha256 over the CLI's four draw-and-check suites at seeds 1-3 on L1,
+    L2, A1~ and A2 (the module relation on the sigma-symmetric three only):
+    each suite's draws, in the order it makes them, then its report."""
+    import hallforge.proputils as proputils
+
+    digest = hashlib.sha256()
+
+    def recorded(draw):
+        def wrapper(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            digest.update(json.dumps(out if isinstance(out, tuple) else out.to_json_dict(), sort_keys=True).encode())
+            return out
+
+        return wrapper
+
+    for name in ("random_coha_element", "random_cohm_element", "random_dim"):
+        monkeypatch.setattr(proputils, name, recorded(getattr(proputils, name)))
+    suites = [
+        (suite_module_relation, (L1, L2, A1T)),
+        (suite_super_module_parity, (L1, L2, A1T, A2)),
+        (suite_witt_preservation, (L1, L2, A1T, A2)),
+        (suite_disjoint_union, (L1, L2, A1T, A2)),
+    ]
+    for suite, quivers in suites:
+        for quiver in quivers:
+            for seed in (1, 2, 3):
+                digest.update(json.dumps(suite(quiver, seed), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+# the draw order and the report dicts of the suites behind `check --property`
+SUITES_DIGEST = "1f92c3280251ffb4b5f2501e8dcda1a6e5c6c0d4146d9ad296503ca2de50ccda"
+
+
+def test_suite_draws_and_reports_are_pinned(monkeypatch):
+    assert _suite_digest(monkeypatch) == SUITES_DIGEST
