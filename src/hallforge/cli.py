@@ -82,6 +82,12 @@ def emit_report(result, fmt, symbol="t", window=None):
         _emit_json(result)
 
 
+def _emit_verdict(prop, ok, counterexample):
+    """Emit a check's report; the exit status is 0 on a pass, 1 on a failure."""
+    _emit_json({"property": prop, "pass": bool(ok), "counterexample": counterexample})
+    return 0 if ok else 1
+
+
 def _load_quiver(args):
     if not args.quiver:
         raise HallforgeError("--quiver is required for this subcommand")
@@ -157,6 +163,15 @@ def _load_json(path):
 # the file flags each subcommand reads
 REQUIRED_FILES = {"mul": ("lhs", "rhs"), "act": ("coha", "cohm"), "thom": ("mults",)}
 
+# the report subcommands: their computation on (quiver, max-dim, window) and
+# the symbol of their table
+REPORTS = {
+    "dt-series": (dt_series, "t"),
+    "dt-invariants": (dt_invariants, "t"),
+    "ori-series": (ori_dt_series, "xi"),
+    "ori-invariants": (lambda q, maxdim, window: ori_dt_invariants(q, maxdim, window).table(), "xi"),
+}
+
 
 def _dispatch(args):
     for flag in ("max_dim", "window", "bound"):
@@ -169,60 +184,32 @@ def _dispatch(args):
         if getattr(args, flag) is None:
             raise HallforgeError("--%s is required for %s" % (flag, cmd))
     fmt = args.format
-    if cmd == "dt-series":
-        q = _load_quiver(args)
-        emit_report(dt_series(q, args.max_dim, args.window), fmt, "t", args.window)
-        return 0
-    if cmd == "dt-invariants":
-        q = _load_quiver(args)
-        emit_report(dt_invariants(q, args.max_dim, args.window), fmt, "t", args.window)
+    if cmd in REPORTS:
+        compute, symbol = REPORTS[cmd]
+        emit_report(compute(_load_quiver(args), args.max_dim, args.window), fmt, symbol, args.window)
         return 0
     if cmd == "equivariant-dt":
         q = _load_quiver(args)
         target = _parse_target(q, args.target) if args.target else q.zero()
         emit_report(equivariant_dt(q, target, args.max_dim, args.window), fmt, "xi", args.window)
         return 0
-    if cmd == "ori-series":
+    if cmd in ("mul", "act"):
         q = _load_quiver(args)
-        emit_report(ori_dt_series(q, args.max_dim, args.window), fmt, "xi", args.window)
-        return 0
-    if cmd == "ori-invariants":
-        q = _load_quiver(args)
-        emit_report(ori_dt_invariants(q, args.max_dim, args.window).table(), fmt, "xi", args.window)
-        return 0
-    if cmd == "mul":
-        q = _load_quiver(args)
-        f = CohaElement.from_json_dict(q, _load_json(args.lhs))
-        g = CohaElement.from_json_dict(q, _load_json(args.rhs))
-        _emit_json(shuffle_mul(f, g).to_json_dict())
-        return 0
-    if cmd == "act":
-        q = _load_quiver(args)
-        f = CohaElement.from_json_dict(q, _load_json(args.coha))
-        g = CohmElement.from_json_dict(q, _load_json(args.cohm))
-        _emit_json(cohm_action(f, g).to_json_dict())
+        lhs, rhs = (getattr(args, flag) for flag in REQUIRED_FILES[cmd])
+        f = CohaElement.from_json_dict(q, _load_json(lhs))
+        g = (CohaElement if cmd == "mul" else CohmElement).from_json_dict(q, _load_json(rhs))
+        _emit_json((shuffle_mul if cmd == "mul" else cohm_action)(f, g).to_json_dict())
         return 0
     if cmd == "check":
         from .proputils import run_property
 
         q = _load_quiver(args)
         rep = run_property(q, args.property, args.seed, args.max_dim, args.window)
-        out = {
-            "property": rep.get("property", args.property),
-            "pass": bool(rep["pass"]),
-            "counterexample": rep.get("counterexample"),
-        }
-        _emit_json(out)
-        return 0 if rep["pass"] else 1
+        return _emit_verdict(rep.get("property", args.property), rep["pass"], rep.get("counterexample"))
     if cmd == "dilog-check":
         rs = _build_rs(args)
         rep = dilog_identity_check(rs, args.max_dim, args.window)
-        _emit_json({
-            "property": "dilog-identity",
-            "pass": bool(rep["pass"]),
-            "counterexample": rep["mismatches"][0] if rep["mismatches"] else None,
-        })
-        return 0 if rep["pass"] else 1
+        return _emit_verdict("dilog-identity", rep["pass"], rep["mismatches"][0] if rep["mismatches"] else None)
     if cmd == "thom":
         rs = _build_rs(args)
         doc = _load_json(args.mults)
@@ -249,12 +236,7 @@ def _dispatch(args):
             ]
             for name in ("simple", "indecomposable")
         }
-        _emit_json({
-            "property": "pbw-%s" % which,
-            "pass": bool(rep["pass"]),
-            "counterexample": (bad["simple"] + bad["indecomposable"] or [None])[0],
-        })
-        return 0 if rep["pass"] else 1
+        return _emit_verdict("pbw-%s" % which, rep["pass"], (bad["simple"] + bad["indecomposable"] or [None])[0])
     raise HallforgeError("unknown subcommand %r" % cmd)
 
 

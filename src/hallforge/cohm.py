@@ -50,7 +50,7 @@ from .errors import GradingError, NonIntegralError, SymmetryError
 from .graded import GradedElement, PrimitiveTable, element_product
 from .linalg import complement
 from .poly import SHIFT, expand_factors
-from .quiver import QuiverWithDuality, memoized
+from .quiver import QuiverWithDuality, disjoint_double, memoized
 from .series import (
     InvariantTable,
     MODULE,
@@ -460,8 +460,10 @@ def general_factorization_check(quiver, maxdim, window):
 
 def check_freeness(quiver, maxdim, window):
     """Numerical check of the freeness conjecture: the W^prim quotient data
-    rebuilt through the equivariant Sym factors reproduces A^sigma, and every
-    slice decomposes as image + complement."""
+    rebuilt through the equivariant Sym factors reproduces A^sigma.  Its
+    `slice_surjectivity` (rank + len(complement) == dim per slice) holds by
+    construction, as `complement` returns the labels that are no pivot: all
+    it checks is that `weight_basis_size` agrees with `slice_labels`."""
     if not quiver.supercommutativity_criterion():
         raise SymmetryError("freeness check requires the supercommutativity criterion")
     report = general_factorization_check(quiver, maxdim, window)
@@ -482,29 +484,33 @@ def check_freeness(quiver, maxdim, window):
 # -- disjoint union -----------------------------------------------------------------
 
 
+def _on_double(qsq, quiver, d1, d2, f=None, cls=CohaElement, sign=1):
+    """The degree of Q^sq with d1 on its 1: side and d2 on its 2: side (zero
+    where None); given f, f's polynomial as a `cls` element of that degree,
+    sign times node n's variables on the 1: side, or the 2: side if d1 is None."""
+    degree = [0] * len(qsq.nodes)
+    for side, d in (("1:", d1), ("2:", d2)):
+        for n, x in zip(quiver.nodes, d or ()):
+            degree[qsq.node_index[side + n]] = x
+    if f is None:
+        return tuple(degree)
+    side = "2:" if d1 is None else "1:"
+    return f.relabel(cls, qsq, tuple(degree), lambda n: side + n, sign)
+
+
 def embed_left(qsq, quiver, f):
     """H_Q -> H_{Q^sq} supported on the 1: side."""
-    d = [0] * len(qsq.nodes)
-    for n in quiver.nodes:
-        d[qsq.node_index["1:%s" % n]] = f.d[quiver.node_index[n]]
-    return f.relabel(CohaElement, qsq, tuple(d), lambda n: "1:" + n)
+    return _on_double(qsq, quiver, f.d, None, f)
 
 
 def embed_right_op(qsq, quiver, f):
     """H_Q^op -> H_{Q^sq} on the 2: side; the transpose twist is x -> -x."""
-    d = [0] * len(qsq.nodes)
-    for n in quiver.nodes:
-        d[qsq.node_index["2:%s" % n]] = f.d[quiver.node_index[n]]
-    return f.relabel(CohaElement, qsq, tuple(d), lambda n: "2:" + n, -1)
+    return _on_double(qsq, quiver, None, f.d, f, sign=-1)
 
 
 def module_of(qsq, quiver, f):
     """The vector space identification M_{Q^sq, H(d)} = H_{Q,d}."""
-    e = [0] * len(qsq.nodes)
-    for n in quiver.nodes:
-        e[qsq.node_index["1:%s" % n]] = f.d[quiver.node_index[n]]
-        e[qsq.node_index["2:%s" % n]] = f.d[quiver.node_index[n]]
-    return f.relabel(CohmElement, qsq, tuple(e), lambda n: "1:" + n)
+    return _on_double(qsq, quiver, f.d, f.d, f, CohmElement)
 
 
 def check_disjoint_union(quiver, triples):
@@ -512,8 +518,6 @@ def check_disjoint_union(quiver, triples):
 
     triples: iterable of (f1, f2, f3) CohaElements of the base quiver.
     """
-    from .quiver import disjoint_double
-
     qsq = disjoint_double(quiver)
     failures = []
     for f1, f2, f3 in triples:
@@ -529,15 +533,9 @@ def check_disjoint_union(quiver, triples):
 
 def check_sd_euler_disjoint(quiver, pairs):
     """E_{Q^sq}(U1 + S(U2)) = chi_Q(U2, U1) on dimension vectors."""
-    from .quiver import disjoint_double
-
     qsq = disjoint_double(quiver)
     bad = []
     for d1, d2 in pairs:
-        vec = [0] * len(qsq.nodes)
-        for n in quiver.nodes:
-            vec[qsq.node_index["1:%s" % n]] = d1[quiver.node_index[n]]
-            vec[qsq.node_index["2:%s" % n]] = d2[quiver.node_index[n]]
-        if qsq.sd_euler_form(tuple(vec)) != quiver.euler_form(d2, d1):
+        if qsq.sd_euler_form(_on_double(qsq, quiver, d1, d2)) != quiver.euler_form(d2, d1):
             bad.append((d1, d2))
     return {"pass": not bad, "failures": bad}

@@ -536,6 +536,15 @@ def _pbw_bound(rs, bound, window):
     return caps
 
 
+def _pbw_reports(rs, cls, act, step, sides, bound, window):
+    """Each side's `_pbw_report`, sharing slice dimensions; "pass" if both pass."""
+    reports, dims = {}, {}
+    for name, words in sides.items():
+        reports[name] = _pbw_report(rs, cls, act, step, words, bound, window, dims)
+    reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
+    return reports
+
+
 def _slots(roots, tup):
     """Root letter slots of the nonzero multiplicities of tup."""
     return [(r, m, None) for r, m in zip(roots, tup) if m]
@@ -559,11 +568,7 @@ def pbw_check_coha(rs, bound, window):
         name: [(None, _slots(roots, tup)) for tup in _root_tuples(rs, roots, bound)]
         for name, roots in (("simple", rs.simple_roots()[::-1]), ("indecomposable", list(rs.order)))
     }
-    reports, dims = {}, {}
-    for name, words in sides.items():
-        reports[name] = _pbw_report(rs, CohaElement, schur_mul, _coha_step, words, bound, window, dims)
-    reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
-    return reports
+    return _pbw_reports(rs, CohaElement, schur_mul, _coha_step, sides, bound, window)
 
 
 def pbw_check_cohm(rs, bound, window):
@@ -590,8 +595,4 @@ def pbw_check_cohm(rs, bound, window):
             for mults in inner:
                 gens = [(b, c, b in pi or rs.hyperbolic_case) for b, c in zip(sigma_roots, mults) if c]
                 words += [(e, slots + gens) for slots in outer]
-    reports, dims = {}, {}
-    for name, words in sides.items():
-        reports[name] = _pbw_report(rs, CohmElement, schur_act, _cohm_step, words, bound, window, dims)
-    reports["pass"] = reports["simple"]["pass"] and reports["indecomposable"]["pass"]
-    return reports
+    return _pbw_reports(rs, CohmElement, schur_act, _cohm_step, sides, bound, window)

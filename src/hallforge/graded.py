@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ExponentOverflowError, GradingError, HallforgeError
+from .errors import ExponentOverflowError, GradingError, HallforgeError, KindMismatchError
 from .parallel import pmap
 from .poly import MASK, MAXDEG, SHIFT, Poly, check_push_work, mul_bound
 from .quiver import MAX_QUOTIENT_SLICES, memoized
@@ -151,6 +151,9 @@ class GradedElement:
         return type(self)(self.quiver, self.degree, self.poly.scale(c), check=False)
 
     def __add__(self, other):
+        """Sum in one class over one quiver (else KindMismatchError)."""
+        if type(other) is not type(self) or self.quiver != other.quiver:
+            raise KindMismatchError("%s + %s: the classes or the quivers differ" % (type(self).__name__, type(other).__name__))
         if self.degree != other.degree:
             raise GradingError("cannot add elements of different degree")
         return type(self)(self.quiver, self.degree, self.poly + other.poly, check=False)

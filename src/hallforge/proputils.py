@@ -75,10 +75,11 @@ def random_selfdual_dim(rng, quiver, total):
     return quiver.check_selfdual_dim(tuple(e))
 
 
-def _random_in_slice(rng, cls, quiver, d, k):
-    """A random integer combination of one or two basis elements of the
-    (d, k) slice, each label drawn from `slice_labels`, expanded as one row."""
-    labels = cls.slice_labels(quiver, d, k)
+def _random_in_slice(rng, cls, quiver, d, maxdeg):
+    """A random integer combination of one or two basis elements of the slice
+    of d at a random degree <= maxdeg, each label drawn from `slice_labels`,
+    expanded as one row."""
+    labels = cls.slice_labels(quiver, d, cls.weight_form(quiver, d) + 2 * rng.randint(0, maxdeg))
     row = {}
     if labels:
         for _ in range(rng.randint(1, 2)):
@@ -88,15 +89,11 @@ def _random_in_slice(rng, cls, quiver, d, k):
 
 
 def random_coha_element(rng, quiver, maxtotal=3, maxdeg=2, exact=False):
-    d = random_dim(rng, quiver, maxtotal, exact)
-    deg = rng.randint(0, maxdeg)
-    return _random_in_slice(rng, CohaElement, quiver, d, quiver.euler_form(d, d) + 2 * deg)
+    return _random_in_slice(rng, CohaElement, quiver, random_dim(rng, quiver, maxtotal, exact), maxdeg)
 
 
 def random_cohm_element(rng, quiver, maxtotal=3, maxdeg=2, exact=False):
-    e = random_selfdual_dim(rng, quiver, maxtotal)
-    deg = rng.randint(0, maxdeg)
-    return _random_in_slice(rng, CohmElement, quiver, e, quiver.sd_euler_form(e) + 2 * deg)
+    return _random_in_slice(rng, CohmElement, quiver, random_selfdual_dim(rng, quiver, maxtotal), maxdeg)
 
 
 def _report(prop, failures, count):
@@ -108,42 +105,46 @@ def _report(prop, failures, count):
     }
 
 
-def suite_module_relation(quiver, seed, count=200, maxtotal=2, maxdeg=2):
+def _draw_and_check(prop, check, quiver, seed, count, maxtotal, maxdeg):
+    """Report of check(f, g), None on a pass and else the fields a failure
+    adds, over count draws of a CoHA element f, then a CoHM element g."""
     rng = Lcg(seed)
     failures = []
     for _ in range(count):
         f = random_coha_element(rng, quiver, maxtotal, maxdeg)
         g = random_cohm_element(rng, quiver, 1, maxdeg)
-        rep = check_module_relation(f, g)
-        if not rep["pass"]:
-            failures.append({"f": f.to_json_dict(), "g": g.to_json_dict(), "sign": rep["sign"]})
-    return _report("module-relation", failures, count)
+        extra = check(f, g)
+        if extra is not None:
+            failures.append({"f": f.to_json_dict(), "g": g.to_json_dict(), **extra})
+    return _report(prop, failures, count)
+
+
+def _relation_failure(f, g):
+    rep = check_module_relation(f, g)
+    return None if rep["pass"] else {"sign": rep["sign"]}
+
+
+def _parity_failure(f, g):
+    out = cohm_action(f, g)
+    nonzero = not (out.is_zero() or f.is_zero() or g.is_zero())
+    return {} if nonzero and (out.weight() - f.weight() - g.weight()) % 2 else None
+
+
+def _witt_failure(f, g):
+    witt = f.quiver.witt_class
+    return {} if witt(cohm_action(f, g).e) != witt(g.e) else None
+
+
+def suite_module_relation(quiver, seed, count=200, maxtotal=2, maxdeg=2):
+    return _draw_and_check("module-relation", _relation_failure, quiver, seed, count, maxtotal, maxdeg)
 
 
 def suite_super_module_parity(quiver, seed, count=200, maxtotal=2, maxdeg=2):
-    rng = Lcg(seed)
-    failures = []
-    for _ in range(count):
-        f = random_coha_element(rng, quiver, maxtotal, maxdeg)
-        g = random_cohm_element(rng, quiver, 1, maxdeg)
-        out = cohm_action(f, g)
-        if out.is_zero() or f.is_zero() or g.is_zero():
-            continue
-        if (out.weight() - f.weight() - g.weight()) % 2:
-            failures.append({"f": f.to_json_dict(), "g": g.to_json_dict()})
-    return _report("super-module-parity", failures, count)
+    return _draw_and_check("super-module-parity", _parity_failure, quiver, seed, count, maxtotal, maxdeg)
 
 
 def suite_witt_preservation(quiver, seed, count=200, maxtotal=2, maxdeg=2):
-    rng = Lcg(seed)
-    failures = []
-    for _ in range(count):
-        f = random_coha_element(rng, quiver, maxtotal, maxdeg)
-        g = random_cohm_element(rng, quiver, 1, maxdeg)
-        out = cohm_action(f, g)
-        if quiver.witt_class(out.e) != quiver.witt_class(g.e):
-            failures.append({"f": f.to_json_dict(), "g": g.to_json_dict()})
-    return _report("witt-preservation", failures, count)
+    return _draw_and_check("witt-preservation", _witt_failure, quiver, seed, count, maxtotal, maxdeg)
 
 
 def suite_disjoint_union(quiver, seed, count=200, budget=3, maxdeg=2):

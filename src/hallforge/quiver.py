@@ -247,7 +247,10 @@ class QuiverWithDuality:
     def dimension_vectors(self, maxdim):
         """Every dimension vector with |d| <= maxdim, in lexicographic order.
 
-        Raises HallforgeError when there are more than MAX_DIMENSION_VECTORS."""
+        Raises GradingError for a maxdim that is not an int, and
+        HallforgeError when there are more than MAX_DIMENSION_VECTORS."""
+        if type(maxdim) is not int:
+            raise GradingError("maxdim must be an int, not %r" % (maxdim,))
         if maxdim < 0:
             return []
         n = len(self.nodes)
@@ -389,20 +392,12 @@ class QuiverWithDuality:
         the sum over fixed arrows i -> sigma(i))."""
         if not self.is_symmetric():
             return False
-        for n in self.nodes:
-            into = sum(
-                self.tau[a]
-                for a, t, h in self.arrows
-                if self.sigma_arrows[a] == a and h == n
-            )
-            outof = sum(
-                self.tau[a]
-                for a, t, h in self.arrows
-                if self.sigma_arrows[a] == a and t == n
-            )
-            if into != outof:
-                return False
-        return True
+        into_minus_outof = dict.fromkeys(self.nodes, 0)
+        for a, t, h in self.arrows:
+            if self.sigma_arrows[a] == a:
+                into_minus_outof[h] += self.tau[a]
+                into_minus_outof[t] -= self.tau[a]
+        return not any(into_minus_outof.values())
 
     def supercommutativity_criterion(self):
         """a_ij = (1 + a_ii)(1 + a_jj) mod 2 for all distinct nodes i, j."""
@@ -489,6 +484,11 @@ def parse_quiver(doc):
             raise QuiverSpecError("cannot read a quiver spec: %s" % exc) from None
     if not isinstance(doc, dict):
         raise QuiverSpecError("quiver spec must be a JSON object")
+    # a string or an object would be iterated as the array it is not
+    for key, kind in (("nodes", list), ("arrows", list), ("sigma_nodes", dict),
+                      ("sigma_arrows", dict), ("s", dict), ("tau", dict)):
+        if key in doc and not isinstance(doc[key], kind):
+            raise QuiverSpecError("malformed quiver spec: %r must be a JSON %s" % (key, "array" if kind is list else "object"))
     try:
         nodes = [str(n) for n in doc["nodes"]]
         arrows = [(a["id"], a["tail"], a["head"]) for a in doc.get("arrows", [])]

@@ -422,6 +422,8 @@ class QSeries:
         return self._convolve(x, MODULE, _action_lift(self.quiver, self.meta, -1), signed=True)
 
     def power(self, n):
+        """self^n, n an int (else GradingError); for n < 0 the inverse^-n."""
+        _check_int("n", n)
         if n < 0:
             return self.inverse().power(-n)
         out = QSeries.one(self.quiver, self.kind, self.maxdim)
@@ -569,9 +571,10 @@ def _dense(classes, window):
     return classes
 
 
-def _add_class(rows, meta, cls, lead, sign, steps, window, memo):
-    """Class cls of a closed form: sign q^(lead/2) / prod_(step in steps)
-    (1 - q^(step/2)), known up to q^((lead + window)/2).
+def _closed_form(quiver, kind, maxdim, window, zero_hi, classes):
+    """1 + sum over the classes (cls, lead, sign, steps), cls nonzero, of
+    sign q^(lead/2) t^cls / prod_(step in steps) (1 - q^(step/2)), class cls
+    known up to q^((lead + window)/2) and 1 up to zero_hi (None: exact).
 
     Dense over the window: dividing by one factor is the running sum
     out[i] += out[i - step], so each factor costs O(window).  memo holds the
@@ -579,18 +582,24 @@ def _add_class(rows, meta, cls, lead, sign, steps, window, memo):
     its classes extend each other's steps, so a class costs one running sum
     per step that no earlier class had.
     """
-    steps = tuple(steps)
-    n = len(steps)
-    while n and steps[:n] not in memo:
-        n -= 1
-    out = memo[steps[:n]] if n else [1] + [0] * window
-    for j in range(n, len(steps)):
-        out, step = out[:], steps[j]
-        for i in range(step, window + 1):
-            out[i] += out[i - step]
-        memo[steps[: j + 1]] = out
-    rows[cls] = [(lead + i, sign * c) for i, c in enumerate(out) if c]
-    meta[cls] = (lead, lead + window)
+    zero = quiver.zero()
+    rows, meta, memo = {zero: [(0, 1)]}, {zero: (0, zero_hi)}, {}
+    for cls, lead, sign, steps in classes:
+        if not any(cls):
+            continue
+        steps = tuple(steps)
+        n = len(steps)
+        while n and steps[:n] not in memo:
+            n -= 1
+        out = memo[steps[:n]] if n else [1] + [0] * window
+        for j in range(n, len(steps)):
+            out, step = out[:], steps[j]
+            for i in range(step, window + 1):
+                out[i] += out[i - step]
+            memo[steps[: j + 1]] = out
+        rows[cls] = [(lead + i, sign * c) for i, c in enumerate(out) if c]
+        meta[cls] = (lead, lead + window)
+    return QSeries(quiver, kind, maxdim, rows, meta)
 
 
 def _pochhammer_classes(quiver, kind, k0, dvec, maxdim, window, base):
@@ -617,12 +626,9 @@ def qpochhammer_inf(quiver, kind, k0, dvec, maxdim, window, base=1):
     (`_pochhammer_classes` checks the arguments).  `PochhammerFactor` acts
     as this series does without expanding it.
     """
-    zero = quiver.zero()
-    rows, meta, memo = {zero: [(0, 1)]}, {zero: (0, None)}, {}
-    for n, cls, lead in _pochhammer_classes(quiver, kind, k0, dvec, maxdim, window, base):
-        steps = [2 * base * j for j in range(1, n + 1)]
-        _add_class(rows, meta, cls, lead, sign_pow(n), steps, window, memo)
-    return QSeries(quiver, kind, maxdim, rows, meta)
+    classes = _pochhammer_classes(quiver, kind, k0, dvec, maxdim, window, base)
+    steps = [2 * base * j for j in range(1, len(classes) + 1)]
+    return _closed_form(quiver, kind, maxdim, window, None, [(cls, lead, sign_pow(n), steps[:n]) for n, cls, lead in classes])
 
 
 class PochhammerFactor:
@@ -794,13 +800,11 @@ def quantum_integer(n, base_power=1):
 def dt_series(quiver, maxdim, window):
     """A_Q = sum_d (-q^(1/2))^chi(d,d) / prod_i prod_{j<=d_i} (1-q^j) t^d."""
     check_sizes(maxdim=maxdim, window=window)
-    rows, meta = {}, {}
-    memo = {}
+    classes = []
     for d in _dense(quiver.dimension_vectors(maxdim), window):
         chi = quiver.euler_form(d, d)
-        steps = [2 * j for di in d for j in range(1, di + 1)]
-        _add_class(rows, meta, d, chi, sign_pow(chi), steps, window, memo)
-    return QSeries(quiver, TORUS, maxdim, rows, meta)
+        classes.append((d, chi, sign_pow(chi), [2 * j for di in d for j in range(1, di + 1)]))
+    return _closed_form(quiver, TORUS, maxdim, window, window, classes)
 
 
 def module_classes(quiver, maxdim):
@@ -816,32 +820,51 @@ def module_classes(quiver, maxdim):
 def ori_dt_series(quiver, maxdim, window):
     """A^sigma_Q per the equivariant-contractibility closed form."""
     check_sizes(maxdim=maxdim, window=window)
-    rows, meta = {}, {}
     idx = quiver.node_index
-    memo = {}
+    classes = []
     for e in _dense(module_classes(quiver, maxdim), window):
         ee = quiver.sd_euler_form(e)
         steps = [2 * j for nd in quiver.q0_plus for j in range(1, e[idx[nd]] + 1)]
         steps += [4 * j for nd in quiver.q0_sigma for j in range(1, e[idx[nd]] // 2 + 1)]
-        _add_class(rows, meta, e, ee, sign_pow(ee), steps, window, memo)
-    return QSeries(quiver, MODULE, maxdim, rows, meta)
+        classes.append((e, ee, sign_pow(ee), steps))
+    return _closed_form(quiver, MODULE, maxdim, window, window, classes)
 
 
 # -- invariant tables -----------------------------------------------------------
 
 
-class InvariantTable:
-    """Integer multiplicities per (dimension class, weight k)."""
+def _ints(values):
+    """Whether any of the table multiplicities values is nonzero, once each
+    is an int (`_check_int`: int() would round a Fraction or parse a str)."""
+    for m in values:
+        _check_int("a table multiplicity", m)
+    return any(values)
 
-    def __init__(self, quiver, kind, entries, validity=None, maxdim=None):
+
+class _Table:
+    """Storage, order and equality of the invariant tables: `validity` maps
+    each scanned class to the largest weight at which the table is known
+    complete; entries beyond it are unknown, not zero."""
+
+    def __init__(self, quiver, entries, validity, maxdim):
         self.quiver = quiver
-        self.kind = kind
-        self.entries = {k: int(v) for k, v in entries.items() if v}
+        self.entries = entries
         self.validity = dict(validity or {})
         self.maxdim = maxdim
 
     def sorted_entries(self):
         return sorted(self.entries.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1]))
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.entries == other.entries
+
+
+class InvariantTable(_Table):
+    """Integer multiplicities per (dimension class, weight k)."""
+
+    def __init__(self, quiver, kind, entries, validity=None, maxdim=None):
+        self.kind = kind
+        super().__init__(quiver, {k: m for k, m in entries.items() if _ints((m,))}, validity, maxdim)
 
     def rendered(self, dvec):
         """Laurent dict of the class: coefficient of q^(k/2) is m*(-1)^k."""
@@ -853,9 +876,6 @@ class InvariantTable:
             "kind": self.kind,
             "entries": [{"d": list(d), "k": k, "mult": m} for (d, k), m in self.sorted_entries()],
         }
-
-    def __eq__(self, other):
-        return isinstance(other, InvariantTable) and self.entries == other.entries
 
 
 def invert_pochhammer_factorization(series):
@@ -953,24 +973,18 @@ def pochhammer_q2_product(signed_table, maxdim, window):
     return QSeries(quiver, MODULE, maxdim, {d: row for d, row in rows.items() if row}, meta)
 
 
-class SignedInvariantTable:
-    """Z2-equivariant multiplicities: (class, k) -> (plus, minus).
-
-    `validity` maps each scanned class to the largest weight at which the
-    table is known complete; entries beyond it are unknown, not zero."""
+class SignedInvariantTable(_Table):
+    """Z2-equivariant multiplicities: (class, k) -> (plus, minus)."""
 
     def __init__(self, quiver, entries, maxdim=None, validity=None):
-        self.quiver = quiver
-        self.entries = {k: (int(p), int(m)) for k, (p, m) in entries.items() if p or m}
-        self.maxdim = maxdim
-        self.validity = dict(validity or {})
-
-    def sorted_entries(self):
-        return sorted(self.entries.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1]))
+        super().__init__(quiver, {k: (p, m) for k, (p, m) in entries.items() if _ints((p, m))}, validity, maxdim)
 
     def rendered(self, dvec, slot):
+        """`InvariantTable.rendered` of slot "+" or "-" (else GradingError)."""
+        if slot not in ("+", "-"):
+            raise GradingError("a slot is '+' or '-', not %r" % (slot,))
         dvec = tuple(dvec)
-        i = 0 if slot == "+" else 1
+        i = ("+", "-").index(slot)
         return {k: pm[i] * sign_pow(k) for (d, k), pm in self.entries.items() if d == dvec and pm[i]}
 
     def to_json_dict(self):
@@ -980,6 +994,3 @@ class SignedInvariantTable:
                 for (d, k), (p, m) in self.sorted_entries()
             ]
         }
-
-    def __eq__(self, other):
-        return isinstance(other, SignedInvariantTable) and self.entries == other.entries

@@ -20,8 +20,8 @@ from hallforge.series import (
     TORUS,
     InvariantTable,
     QSeries,
-    _add_class,
     _add_hi,
+    _closed_form,
     _merge_windows,
     _min_hi,
     _rows,
@@ -777,13 +777,11 @@ def chain_invert_pochhammer_factorization(series):
 def inverse_q2_pochhammer(quiver, k0, dvec, maxdim, window):
     """1 / (q^(k0/2) xi^dvec ; q^2)_inf, truncated as `qpochhammer_inf`: the
     coefficient of xi^(n*dvec) is q^(n*k0/2) / prod_{j=1..n} (1 - q^(2j))."""
-    zero = quiver.zero()
-    rows, meta = {zero: [(0, 1)]}, {zero: (0, None)}
-    memo = {}
+    classes = []
     for n in range(1, maxdim // sum(dvec) + 1):
         steps = [4 * j for j in range(1, n + 1)]
-        _add_class(rows, meta, tuple(n * x for x in dvec), n * k0, 1, steps, window, memo)
-    return QSeries(quiver, MODULE, maxdim, rows, meta)
+        classes.append((tuple(n * x for x in dvec), n * k0, 1, steps))
+    return _closed_form(quiver, MODULE, maxdim, window, None, classes)
 
 
 def loop_q2_windows(signed_table, maxdim, window):

@@ -99,6 +99,10 @@ def test_malformed_doc_exit2(tmp_path):
     ("tau", {"l1": "-1", "l2": -1}, "must be +1 or -1"),
     ("s", [1], "malformed quiver spec"),
     ("sigma_nodes", ["1"], "malformed quiver spec"),
+    # nodes and arrows are JSON arrays: "1" is not read as the node list ["1"]
+    ("nodes", "1", "malformed quiver spec"),
+    ("nodes", {"1": 0}, "malformed quiver spec"),
+    ("arrows", {}, "malformed quiver spec"),
 ])
 def test_malformed_quiver_spec_exit2(tmp_path, field, value, message):
     p = tmp_path / "bad.json"
@@ -336,7 +340,7 @@ def test_series_cell_cap_exit2(monkeypatch, l2_path, command, window):
     def unreachable(*args):
         raise AssertionError("a dense window was allocated")
 
-    monkeypatch.setattr(series, "_add_class", unreachable)
+    monkeypatch.setattr(series, "_closed_form", unreachable)
     code, out, err = run_cli([command, "--quiver", l2_path, "--window", window])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "work cap" in err

@@ -18,7 +18,7 @@ from hallforge.cohm import (
     witt_decompose,
     witt_representative,
 )
-from hallforge.errors import GradingError, HallforgeError, OddSymplecticError, SymmetryError
+from hallforge.errors import GradingError, HallforgeError, KindMismatchError, OddSymplecticError, SymmetryError
 from hallforge.poly import Poly
 from hallforge.quiver import a1_tilde, a2_quiver, loop_quiver
 from hallforge.series import ori_dt_series, pochhammer_q2_product, sign_pow
@@ -760,3 +760,23 @@ def test_cohm_action_against_sigma_shuffle_sum():
                 dn, m = f.d[idx[n]], g.e[idx[n]] // 2
                 expected *= 2**dn * comb(dn + m, dn)
             assert count == expected
+
+
+def test_element_sums_need_one_class_and_one_quiver():
+    """A sum or a difference of elements of one degree tuple but another
+    class or quiver raises KindMismatchError, not a mixed element."""
+    L1m, L2 = loop_quiver(1), loop_quiver(2)
+    pairs = [
+        (CohaElement.unit(L2, (1,)), CohaElement.unit(L1m, (1,))),
+        (CohmElement.unit(L2, (1,)), CohaElement.unit(L2, (1,))),
+        (CohaElement.unit(L2, (1,)), CohmElement.unit(L2, (1,))),
+    ]
+    for f, g in pairs:
+        with pytest.raises(KindMismatchError):
+            f + g
+        with pytest.raises(KindMismatchError):
+            f - g
+    one = CohaElement.unit(L2, (1,))
+    assert one + CohaElement.unit(loop_quiver(2), (1,)) == one.scale(2)
+    with pytest.raises(GradingError):
+        one + CohaElement.unit(L2, (2,))

@@ -325,3 +325,35 @@ def test_one_memo_policy(monkeypatch):
         q.clear_caches()
         assert q._cache == {}
     assert tables() == first
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nodes", "12"),
+    ("nodes", {"1": 0, "2": 0}),
+    ("arrows", ""),
+    ("arrows", {}),
+    ("sigma_nodes", ["1"]),
+    ("sigma_arrows", []),
+    ("s", "1"),
+    ("tau", [-1, -1]),
+])
+def test_spec_fields_have_their_json_types(field, value):
+    """nodes and arrows are JSON arrays, the maps JSON objects: a string or
+    an object would be iterated as the array it is not ("12" as the nodes
+    "1" and "2"), so any other type raises QuiverSpecError."""
+    doc = loop_quiver(2).to_dict()
+    doc["nodes"], doc["sigma_nodes"], doc["s"] = ["1", "2"], {"1": "1", "2": "2"}, {"1": 1, "2": 1}
+    assert parse_quiver(doc).nodes == ("1", "2")
+    doc[field] = value
+    with pytest.raises(QuiverSpecError, match="must be a JSON"):
+        parse_quiver(doc)
+
+
+@pytest.mark.parametrize("size", [2.5, "2", True, None])
+def test_enumerations_refuse_a_size_that_is_not_an_int(size):
+    q = loop_quiver(2)
+    with pytest.raises(GradingError, match="must be an int"):
+        q.dimension_vectors(size)
+    with pytest.raises(GradingError, match="must be an int"):
+        q.decompositions((2,), size)
+    assert q.dimension_vectors(-1) == [] and q.dimension_vectors(2) == [(0,), (1,), (2,)]

@@ -27,6 +27,7 @@ from hallforge.series import (
     qpochhammer_inf,
     quantum_integer,
     sign_pow,
+    InvariantTable,
     SignedInvariantTable,
 )
 
@@ -800,7 +801,7 @@ def test_series_cell_cap_refuses_before_allocating(monkeypatch):
     def unreachable(*args):
         raise AssertionError("expanded")
 
-    monkeypatch.setattr(series, "_add_class", unreachable)
+    monkeypatch.setattr(series, "_closed_form", unreachable)
     l2 = loop_quiver(2)
     for call in (
         lambda: dt_series(l2, 6, 10**9),
@@ -814,3 +815,35 @@ def test_series_cell_cap_refuses_before_allocating(monkeypatch):
     for call in (lambda: dt_series(l2, 0, MAX_SERIES_CELLS - 1), lambda: qdilog(l2, 1, MAX_SERIES_CELLS - 1)):
         with pytest.raises(AssertionError, match="expanded"):
             call()
+
+
+@pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(2), "2", True, 2.0, Fraction(0)])
+def test_tables_refuse_multiplicities_that_are_not_ints(value):
+    """A multiplicity is an int: int() would round Fraction(3, 2) to 1,
+    parse "2" and read True as 1, so each raises GradingError, a zero of
+    another type too; int entries are kept, and zero ones dropped."""
+    key = ((2,), 0)
+    with pytest.raises(GradingError, match="multiplicity must be an int"):
+        InvariantTable(L2, TORUS, {key: value})
+    for pm in ((value, 0), (1, value)):
+        with pytest.raises(GradingError, match="multiplicity must be an int"):
+            SignedInvariantTable(L2, {key: pm})
+    assert InvariantTable(L2, TORUS, {key: 2, ((1,), 1): 0}).entries == {key: 2}
+    assert SignedInvariantTable(L2, {key: (0, 3), ((1,), 1): (0, 0)}).entries == {key: (0, 3)}
+
+
+def test_signed_table_renders_only_its_two_slots():
+    table = SignedInvariantTable(L2, {((2,), 1): (1, 2)})
+    assert table.rendered((2,), "+") == {1: -1}
+    assert table.rendered((2,), "-") == {1: -2}
+    for slot in ("", "x", "+-", 0, None):
+        with pytest.raises(GradingError, match="slot"):
+            table.rendered((2,), slot)
+
+
+@pytest.mark.parametrize("n", [2.0, "2", True, None])
+def test_power_refuses_an_exponent_that_is_not_an_int(n):
+    a = QSeries.monomial(L2, TORUS, 4, (1,), 1)
+    with pytest.raises(GradingError, match="must be an int"):
+        a.power(n)
+    assert a.power(2).terms == a.cmul(a).terms
